@@ -558,6 +558,39 @@ def oppositize(m: ModuleStructure) -> ModuleStructure:
     )
 
 
+def relabel(m: ModuleStructure, f, validate: bool = True) -> ModuleStructure:
+    """The same structure with every generator g renamed f(g); f must be injective.
+
+    Each new name is computed once and shared by every table entry, so later
+    comparisons of equal generators hit the identity fast path.
+    """
+    new = {g: f(g) for g in m.gens}
+    table: dict = {}
+    for key, outs in m.table.items():
+        if m.kind == "AA":
+            argsL, g, argsR = key
+            table[(argsL, new[g], argsR)] = frozenset(new[y] for y in outs)
+        elif m.kind == "DA":
+            g, argsR = key
+            table[(new[g], argsR)] = frozenset((a, new[y]) for a, y in outs)
+        elif m.kind == "AD":
+            argsL, g = key
+            table[(argsL, new[g])] = frozenset((new[y], b) for y, b in outs)
+        else:
+            table[new[key]] = frozenset((a, new[y], b) for a, y, b in outs)
+    return ModuleStructure(
+        m.kind,
+        m.left_alg,
+        m.right_alg,
+        new.values(),
+        {new[g]: s for g, s in m.lidem.items()},
+        {new[g]: s for g, s in m.ridem.items()},
+        table,
+        validate=validate,
+        name=m.name,
+    )
+
+
 # -- morphisms -----------------------------------------------------------------
 
 

@@ -50,12 +50,6 @@ class ArcDiagram:
     def pair_of(self, point) -> int:
         return self.match[point]
 
-    def arc_index_of(self, point) -> int:
-        for i, arc in enumerate(self.arcs):
-            if point in arc:
-                return i
-        raise KeyError(point)
-
     def position(self, point) -> tuple[int, int]:
         """(arc index, index along the arc) of a point."""
         for i, arc in enumerate(self.arcs):

@@ -186,15 +186,18 @@ def cmd_nice(args, out) -> int:
     z = _load_diagram(args.diagram)
     am = enumerate_basis(z)
     out.write(_header(args))
-    if args.model == "slice":
-        d = build_twisting_slice_diagram(z)
-        verdict = compare_with_algebra(d, alg_as_aa(am))
-    elif args.model.startswith("cap:"):
-        I = _parse_subset(args.model.split(":", 1)[1], am.k)
-        d = build_cap_diagram(z, I)
-        verdict = compare_with_algebra(d, elementary(am, I, "A"))
-    else:
-        raise CliError(f"model must be slice or cap:{{..}}, got {args.model!r}", 1)
+    try:
+        if args.model == "slice":
+            d = build_twisting_slice_diagram(z)
+        elif args.model.startswith("cap:"):
+            I = _parse_subset(args.model.split(":", 1)[1], am.k)
+            d = build_cap_diagram(z, I)
+        else:
+            raise CliError(f"model must be slice or cap:{{..}}, got {args.model!r}", 1)
+    except ValueError as e:  # e.g. a beta-type diagram, which cannot be drawn
+        raise CliError(str(e), 1)
+    model = alg_as_aa(am) if args.model == "slice" else elementary(am, I, "A")
+    verdict = compare_with_algebra(d, model)
     out.write(f"generators: {len(d.enumerate_generators())}\n")
     out.write(f"regions: {len(d.regions)}\n")
     if verdict.isomorphic:
@@ -380,18 +383,8 @@ def cmd_check(args, out) -> int:
     }
     out.write(_header(args))
     bad = False
-
-    def run_one(name):
-        return name, registry[name](z, am, rng)
-
-    if args.parallel == "on":
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor() as pool:
-            results = list(pool.map(run_one, suites))
-    else:
-        results = [run_one(name) for name in suites]
-    for name, failures in results:
+    for name in suites:
+        failures = registry[name](z, am, rng)
         if failures:
             bad = True
             out.write(f"{name}: FAIL\n")
@@ -408,7 +401,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="strands algebras, bimodules, and join/gluing maps over Z/2",
     )
     ap.add_argument("--max-homotopy-len", type=int, default=4)
-    ap.add_argument("--parallel", choices=("on", "off"), default="off")
+    ap.add_argument(
+        "--parallel",
+        choices=("on", "off"),
+        default="off",
+        help="kept for compatibility; has no effect (suites always run serially)",
+    )
     ap.add_argument("--seed", type=int, default=0)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -467,3 +465,7 @@ def run(argv=None, out=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

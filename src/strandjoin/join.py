@@ -3,7 +3,8 @@ and its diagonal cycle, the cancellation morphism, and the identity check.
 
 Everything here is assembled from explicit finite formulas.  A left type-A
 module M over the algebra pairs with its dual through the join morphism; box
-products against type-D modules produce honest chain complexes; the identity
+products against type-D modules, built with tensor.box and tensor.dbox,
+produce honest chain complexes; the identity
 DD bimodule mediates between a module and its dual with complementary
 idempotents on its two sides (see standard_models.dd_identity).
 
@@ -15,54 +16,18 @@ module's outputs feed right input slots in temporal order.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .gf2 import ChainComplexGf2, Gf2Matrix, Gf2Vector
-from .strands import ABasisElem, AlgebraModel
-from .ainf import ModuleStructure, Morphism, StructureError
+from .strands import AlgebraModel
+from .ainf import ModuleStructure, Morphism, StructureError, oppositize, relabel
 from .standard_models import (
-    alg_as_aa,
     da_identity,
-    dd_identity,
     dual_alg_as_aa,
     elementary,
+    identity_firings,
 )
-from .tensor import TensorAlgebra, box
-
-
-# -- identity chord firings -----------------------------------------------------
-
-
-def identity_firings(am: AlgebraModel) -> dict:
-    """subset I -> list of (left chord, new subset J, right chord).
-
-    The firing data of the identity DD bimodule: movers s -> t with source
-    pair inside I and target pair outside; the left output is completed by
-    I minus the source pair, the right output by the complement minus the
-    target pair.
-    """
-    full = frozenset(range(1, am.k + 1))
-    pair_of = am.arc_diagram.match
-    movers = sorted({e.movers[0] for e in am.elems if len(e.movers) == 1})
-    out: dict = {}
-    for I in _all_subsets(am.k):
-        firings = []
-        for s, t in movers:
-            ps, pt = pair_of[s], pair_of[t]
-            if ps not in I or pt in I:
-                continue
-            left = am.index[ABasisElem(((s, t),), I - {ps})]
-            right = am.index[ABasisElem(((s, t),), (full - I) - {pt})]
-            firings.append((left, (I - {ps}) | {pt}, right))
-        out[I] = firings
-    return out
-
-
-def _all_subsets(k: int):
-    for r in range(k + 1):
-        for s in itertools.combinations(range(1, k + 1), r):
-            yield frozenset(s)
+from .tensor import TensorAlgebra, _da_chains, box, dbox
 
 
 # -- module-shape helpers --------------------------------------------------------
@@ -97,55 +62,17 @@ def left_entries_with_units(M: ModuleStructure):
         yield (ia,), g, frozenset([g])
 
 
-def _right_d_chains(U: ModuleStructure, kmax: int) -> dict:
-    """(u0, temporal output tuple) -> {u_end: parity}, non-idempotent emissions."""
-    alg = U.right_alg
-    chains: dict = {}
-    for u in U.gens:
-        chains.setdefault((u, ()), {})[u] = 1
-    frontier = {(u, ()): {u: 1} for u in U.gens}
-    for _ in range(kmax):
-        nxt: dict = {}
-        for (u0, aseq), states in frontier.items():
-            for u, par in states.items():
-                if not par:
-                    continue
-                for u2, a in U.ad((), u):
-                    if alg.is_idempotent_elem(a):
-                        continue
-                    st = nxt.setdefault((u0, aseq + (a,)), {})
-                    st[u2] = st.get(u2, 0) ^ 1
-        for key, states in nxt.items():
-            tgt = chains.setdefault(key, {})
-            for u2, par in states.items():
-                tgt[u2] = tgt.get(u2, 0) ^ par
-        frontier = nxt
-    return chains
-
-
 def _left_d_chains(V: ModuleStructure, kmax: int) -> dict:
-    alg = V.left_alg
-    chains: dict = {}
-    for v in V.gens:
-        chains.setdefault((v, ()), {})[v] = 1
-    frontier = {(v, ()): {v: 1} for v in V.gens}
-    for _ in range(kmax):
-        nxt: dict = {}
-        for (v0, aseq), states in frontier.items():
-            for v, par in states.items():
-                if not par:
-                    continue
-                for a, v2 in V.da(v, ()):
-                    if alg.is_idempotent_elem(a):
-                        continue
-                    st = nxt.setdefault((v0, aseq + (a,)), {})
-                    st[v2] = st.get(v2, 0) ^ 1
-        for key, states in nxt.items():
-            tgt = chains.setdefault(key, {})
-            for v2, par in states.items():
-                tgt[v2] = tgt.get(v2, 0) ^ par
-        frontier = nxt
-    return chains
+    """(v0, temporal output tuple) -> {v_end: parity}, non-idempotent emissions."""
+    return {
+        key: {v: par for (_, v), par in states.items()}
+        for key, states in _da_chains(V, kmax).items()
+    }
+
+
+def _right_d_chains(U: ModuleStructure, kmax: int) -> dict:
+    """The same chains for a right type-D module, read off its opposite."""
+    return _left_d_chains(oppositize(U), kmax)
 
 
 def _idem_firings_right_d(U: ModuleStructure):
@@ -172,57 +99,22 @@ def dm_complex(U: ModuleStructure, M: ModuleStructure) -> ChainComplexGf2:
     """The chain complex of (right type-D) box (left type-A)."""
     _require_right_d(U)
     _require_left_a(M)
-    if U.right_alg is not M.left_alg:
-        raise StructureError("box over different algebras")
-    basis = tuple((u, p) for u in U.gens for p in M.gens if U.ridem[u] == M.lidem[p])
-    basis_set = set(basis)
-    chains = _right_d_chains(U, M.max_left_len())
-    images = {g: Gf2Vector.zero() for g in basis}
-    for (argsL, p, _), outs in M.table.items():
-        aseq = tuple(reversed(argsL))
-        for (u0, seq), states in chains.items():
-            if seq != aseq or (u0, p) not in basis_set:
-                continue
-            for u2, par in states.items():
-                if not par:
-                    continue
-                for p2 in outs:
-                    images[(u0, p)] += Gf2Vector.of((u2, p2))
-    for u, u2, subset in _idem_firings_right_d(U):
-        for p in M.gens:
-            if M.lidem[p] == subset and (u, p) in basis_set:
-                images[(u, p)] += Gf2Vector.of((u2, p))
-    d = Gf2Matrix.from_columns(basis, basis, images)
-    return ChainComplexGf2(basis, d)
+    return dbox(U, M, validate=False).underlying_complex()
 
 
 def mv_complex(Mdual: ModuleStructure, V: ModuleStructure) -> ChainComplexGf2:
     """The chain complex of (right type-A) box (left type-D)."""
     _require_right_a(Mdual)
     _require_left_d(V)
-    if Mdual.right_alg is not V.left_alg:
-        raise StructureError("box over different algebras")
-    basis = tuple(
-        (q, v) for q in Mdual.gens for v in V.gens if Mdual.ridem[q] == V.lidem[v]
-    )
-    basis_set = set(basis)
-    chains = _left_d_chains(V, Mdual.max_right_len())
-    images = {g: Gf2Vector.zero() for g in basis}
-    for (_, q, argsR), outs in Mdual.table.items():
-        for (v0, seq), states in chains.items():
-            if seq != argsR or (q, v0) not in basis_set:
-                continue
-            for v2, par in states.items():
-                if not par:
-                    continue
-                for q2 in outs:
-                    images[(q, v0)] += Gf2Vector.of((q2, v2))
-    for v, v2, subset in _idem_firings_left_d(V):
-        for q in Mdual.gens:
-            if Mdual.ridem[q] == subset and (q, v) in basis_set:
-                images[(q, v)] += Gf2Vector.of((q, v2))
-    d = Gf2Matrix.from_columns(basis, basis, images)
-    return ChainComplexGf2(basis, d)
+    return box(Mdual, V, validate=False).result.underlying_complex()
+
+
+def _d_sandwich(
+    U: ModuleStructure, B: ModuleStructure, V: ModuleStructure, validate: bool = True
+) -> ModuleStructure:
+    """U box (B box V) for an AA bimodule B between two type-D sides; generators (u, x, v)."""
+    inner = box(B, V, validate=False).result
+    return relabel(dbox(U, inner, validate=False), lambda g: (g[0], *g[1]), validate=validate)
 
 
 def sandwich_complex(
@@ -231,42 +123,7 @@ def sandwich_complex(
     """The chain complex of U box B box V for an AA bimodule B."""
     _require_right_d(U)
     _require_left_d(V)
-    if B.kind != "AA" or B.left_alg is not U.right_alg or B.right_alg is not V.left_alg:
-        raise StructureError("middle factor shape mismatch")
-    basis = tuple(
-        (u, x, v)
-        for u in U.gens
-        for x in B.gens
-        for v in V.gens
-        if U.ridem[u] == B.lidem[x] and B.ridem[x] == V.lidem[v]
-    )
-    basis_set = set(basis)
-    uchains = _right_d_chains(U, B.max_left_len())
-    vchains = _left_d_chains(V, B.max_right_len())
-    images = {g: Gf2Vector.zero() for g in basis}
-    for (argsL, x, argsR), outs in B.table.items():
-        aseq = tuple(reversed(argsL))
-        for (u0, seq1), ust in uchains.items():
-            if seq1 != aseq:
-                continue
-            for (v0, seq2), vst in vchains.items():
-                if seq2 != argsR or (u0, x, v0) not in basis_set:
-                    continue
-                for u2, p1 in ust.items():
-                    for v2, p2 in vst.items():
-                        if p1 & p2:
-                            for x2 in outs:
-                                images[(u0, x, v0)] += Gf2Vector.of((u2, x2, v2))
-    for u, u2, subset in _idem_firings_right_d(U):
-        for (uu, x, v) in basis:
-            if uu == u and B.lidem[x] == subset:
-                images[(u, x, v)] += Gf2Vector.of((u2, x, v))
-    for v, v2, subset in _idem_firings_left_d(V):
-        for (u, x, vv) in basis:
-            if vv == v and B.ridem[x] == subset:
-                images[(u, x, v)] += Gf2Vector.of((u, x, v2))
-    d = Gf2Matrix.from_columns(basis, basis, images)
-    return ChainComplexGf2(basis, d)
+    return _d_sandwich(U, B, V, validate=False).underlying_complex()
 
 
 def tensor_complex(c1: ChainComplexGf2, c2: ChainComplexGf2) -> ChainComplexGf2:
@@ -428,7 +285,7 @@ def dd_middle(am: AlgebraModel) -> ModuleStructure:
     """The identity-algebra-identity sandwich as a DD bimodule over (A, A)."""
     firings = identity_firings(am)
     gens = []
-    for I in _all_subsets(am.k):
+    for I in am.all_idempotent_subsets():
         Ic = frozenset(range(1, am.k + 1)) - I
         for a in range(am.dim):
             if am.left_idem[a] != Ic:
@@ -466,52 +323,12 @@ def dd_sandwich_complex(
     """The complex of (right type-A) box (DD) box (left type-A)."""
     _require_right_a(Mdual)
     _require_left_a(N)
-    if X.kind != "DD" or X.left_alg is not Mdual.right_alg or X.right_alg is not N.left_alg:
-        raise StructureError("middle factor shape mismatch")
-    A, B = X.left_alg, X.right_alg
-    basis = tuple(
-        (q, x, p)
-        for q in Mdual.gens
-        for x in X.gens
-        for p in N.gens
-        if Mdual.ridem[q] == X.lidem[x] and X.ridem[x] == N.lidem[p]
+    flat = relabel(
+        box(Mdual, dbox(X, N, validate=False), validate=False).result,
+        lambda g: (g[0], *g[1]),
+        validate=False,
     )
-    basis_set = set(basis)
-    images = {g: Gf2Vector.zero() for g in basis}
-    for (q, x, p) in basis:
-        for q2 in Mdual.table.get(((), q, ()), frozenset()):
-            images[(q, x, p)] += Gf2Vector.of((q2, x, p))
-        for p2 in N.table.get(((), p, ()), frozenset()):
-            images[(q, x, p)] += Gf2Vector.of((q, x, p2))
-        for a, x2, b in X.dd(x):
-            a_idem = A.is_idempotent_elem(a)
-            b_idem = B.is_idempotent_elem(b)
-            if a_idem and b_idem:
-                if (
-                    A.elems[a].occupied == Mdual.ridem[q]
-                    and B.elems[b].occupied == N.lidem[p]
-                ):
-                    images[(q, x, p)] += Gf2Vector.of((q, x2, p))
-                continue
-            qs = (
-                frozenset([q])
-                if a_idem and A.elems[a].occupied == Mdual.ridem[q]
-                else Mdual.table.get(((), q, (a,)), frozenset())
-                if not a_idem
-                else frozenset()
-            )
-            ps = (
-                frozenset([p])
-                if b_idem and B.elems[b].occupied == N.lidem[p]
-                else N.table.get(((b,), p, ()), frozenset())
-                if not b_idem
-                else frozenset()
-            )
-            for q2 in qs:
-                for p2 in ps:
-                    images[(q, x, p)] += Gf2Vector.of((q2, x2, p2))
-    d = Gf2Matrix.from_columns(basis, basis, images)
-    return ChainComplexGf2(basis, d)
+    return flat.underlying_complex()
 
 
 def double_module(M: ModuleStructure) -> ChainComplexGf2:
@@ -555,7 +372,7 @@ def dd_sandwich_da_bimodule(am: AlgebraModel) -> ModuleStructure:
     firings = identity_firings(am)
     full = frozenset(range(1, am.k + 1))
     gens = []
-    for I in _all_subsets(am.k):
+    for I in am.all_idempotent_subsets():
         Ic = full - I
         for a in range(am.dim):
             # a^ has left idem = ridem(a), right idem = lidem(a).
@@ -921,155 +738,6 @@ def join_symmetry_verdict(
 # -- associativity apparatus ---------------------------------------------------------
 
 
-def dd_box_left_module(X: ModuleStructure, N: ModuleStructure) -> ModuleStructure:
-    """X box N as a left type-D module, for X of type DD and N a left module."""
-    if X.kind != "DD":
-        raise StructureError("left factor must be DD")
-    _require_left_a(N)
-    if X.right_alg is not N.left_alg:
-        raise StructureError("algebra mismatch")
-    A, B = X.left_alg, X.right_alg
-    gens = tuple((x, p) for x in X.gens for p in N.gens if X.ridem[x] == N.lidem[p])
-    genset = set(gens)
-    lidem = {(x, p): X.lidem[x] for (x, p) in gens}
-    ridem = {(x, p): frozenset() for (x, p) in gens}
-    table: dict = {}
-
-    def add(key, val):
-        table.setdefault(key, set())
-        table[key] ^= {val}
-
-    for (x, p) in gens:
-        for p2 in N.table.get(((), p, ()), frozenset()):
-            ia = A.idempotent_index(X.lidem[x])
-            add(((x, p), ()), (ia, (x, p2)))
-        for a, x2, b in X.dd(x):
-            b_idem = B.is_idempotent_elem(b)
-            ps = (
-                frozenset([p])
-                if b_idem and B.elems[b].occupied == N.lidem[p]
-                else N.table.get(((b,), p, ()), frozenset())
-                if not b_idem
-                else frozenset()
-            )
-            for p2 in ps:
-                add(((x, p), ()), (a, (x2, p2)))
-    return ModuleStructure(
-        "DA", A, None, gens, lidem, ridem, table, name=f"({X.name}x{N.name})"
-    )
-
-
-def dd_box_right_module(Mdual: ModuleStructure, X: ModuleStructure) -> ModuleStructure:
-    """Mdual box X as a right type-D module, for a right module Mdual and DD X."""
-    _require_right_a(Mdual)
-    if X.kind != "DD":
-        raise StructureError("right factor must be DD")
-    if Mdual.right_alg is not X.left_alg:
-        raise StructureError("algebra mismatch")
-    A, B = X.left_alg, X.right_alg
-    gens = tuple(
-        (q, x) for q in Mdual.gens for x in X.gens if Mdual.ridem[q] == X.lidem[x]
-    )
-    lidem = {(q, x): frozenset() for (q, x) in gens}
-    ridem = {(q, x): X.ridem[x] for (q, x) in gens}
-    table: dict = {}
-
-    def add(key, val):
-        table.setdefault(key, set())
-        table[key] ^= {val}
-
-    for (q, x) in gens:
-        for q2 in Mdual.table.get(((), q, ()), frozenset()):
-            ib = B.idempotent_index(X.ridem[x])
-            add(((), (q, x)), ((q2, x), ib))
-        for a, x2, b in X.dd(x):
-            a_idem = A.is_idempotent_elem(a)
-            qs = (
-                frozenset([q])
-                if a_idem and A.elems[a].occupied == Mdual.ridem[q]
-                else Mdual.table.get(((), q, (a,)), frozenset())
-                if not a_idem
-                else frozenset()
-            )
-            for q2 in qs:
-                add(((), (q, x)), ((q2, x2), b))
-    return ModuleStructure(
-        "AD", None, B, gens, lidem, ridem, table, name=f"({Mdual.name}x{X.name})"
-    )
-
-
-def sandwich_right_module(
-    U: ModuleStructure, Bmod: ModuleStructure, X: ModuleStructure
-) -> ModuleStructure:
-    """U box B box X as a right type-D module (B an AA bimodule, X DD)."""
-    _require_right_d(U)
-    if X.kind != "DD" or Bmod.kind != "AA":
-        raise StructureError("shape mismatch")
-    A = Bmod.left_alg
-    gens = tuple(
-        (u, y, x)
-        for u in U.gens
-        for y in Bmod.gens
-        for x in X.gens
-        if U.ridem[u] == Bmod.lidem[y] and Bmod.ridem[y] == X.lidem[x]
-    )
-    genset = set(gens)
-    lidem = {g: frozenset() for g in gens}
-    ridem = {(u, y, x): X.ridem[x] for (u, y, x) in gens}
-    uchains = _right_d_chains(U, Bmod.max_left_len())
-    table: dict = {}
-    B2 = X.right_alg
-
-    def add(key, val):
-        table.setdefault(key, set())
-        table[key] ^= {val}
-
-    # B fires once; U feeds its left inputs, X's left outputs feed its right.
-    for (argsL, y, argsR), outs in Bmod.table.items():
-        aseq = tuple(reversed(argsL))
-        for (u0, seq1), ust in uchains.items():
-            if seq1 != aseq:
-                continue
-            for u2, par in ust.items():
-                if not par:
-                    continue
-                if len(argsR) == 0:
-                    for x in X.gens:
-                        if (u0, y, x) not in genset:
-                            continue
-                        ib = B2.idempotent_index(X.ridem[x])
-                        for y2 in outs:
-                            add(((), (u0, y, x)), ((u2, y2, x), ib))
-                elif len(argsR) == 1:
-                    for x in X.gens:
-                        if (u0, y, x) not in genset:
-                            continue
-                        for a, x2, b in X.dd(x):
-                            if a != argsR[0]:
-                                continue
-                            for y2 in outs:
-                                add(((), (u0, y, x)), ((u2, y2, x2), b))
-    # X fires an idempotent left output: identity action on B.
-    for x in X.gens:
-        for a, x2, b in X.dd(x):
-            if not A.is_idempotent_elem(a):
-                continue
-            subset = A.elems[a].occupied
-            for (u, y, xx) in gens:
-                if xx == x and Bmod.ridem[y] == subset:
-                    add(((), (u, y, x)), ((u, y, x2), b))
-    # U fires an idempotent emission: identity action on B.
-    for u, u2, subset in _idem_firings_right_d(U):
-        for (uu, y, x) in gens:
-            if uu == u and Bmod.lidem[y] == subset:
-                ib = B2.idempotent_index(X.ridem[x])
-                add(((), (u, y, x)), ((u2, y, x), ib))
-    return ModuleStructure(
-        "AD", None, B2, gens, lidem, ridem, table,
-        name=f"({U.name}x{Bmod.name}x{X.name})",
-    )
-
-
 def pair_d_module(U: ModuleStructure, V: ModuleStructure, ta: TensorAlgebra) -> ModuleStructure:
     """U (x) V as a right type-D module over the tensor algebra.
 
@@ -1147,76 +815,6 @@ def dd_as_left_module(X: ModuleStructure, ta: TensorAlgebra) -> ModuleStructure:
     )
 
 
-def dd_sandwich_left_module(
-    X: ModuleStructure, Bmod: ModuleStructure, V: ModuleStructure
-) -> ModuleStructure:
-    """X box B box V as a left type-D module (X DD, B an AA bimodule)."""
-    _require_left_d(V)
-    if X.kind != "DD" or Bmod.kind != "AA":
-        raise StructureError("shape mismatch")
-    if Bmod.left_alg is not X.right_alg or Bmod.right_alg is not V.left_alg:
-        raise StructureError("algebra mismatch")
-    A = X.left_alg
-    B = X.right_alg
-    gens = tuple(
-        (x, y, v)
-        for x in X.gens
-        for y in Bmod.gens
-        for v in V.gens
-        if X.ridem[x] == Bmod.lidem[y] and Bmod.ridem[y] == V.lidem[v]
-    )
-    genset = set(gens)
-    lidem = {(x, y, v): X.lidem[x] for (x, y, v) in gens}
-    ridem = {g: frozenset() for g in gens}
-    vchains = _left_d_chains(V, Bmod.max_right_len())
-    table: dict = {}
-
-    def add(key, val):
-        table.setdefault(key, set())
-        table[key] ^= {val}
-
-    for (argsL, y, argsR), outs in Bmod.table.items():
-        for (v0, seq2), vst in vchains.items():
-            if seq2 != argsR:
-                continue
-            for v2, par in vst.items():
-                if not par:
-                    continue
-                if len(argsL) == 0:
-                    for x in X.gens:
-                        if (x, y, v0) not in genset:
-                            continue
-                        ia = A.idempotent_index(X.lidem[x])
-                        for y2 in outs:
-                            add(((x, y, v0), ()), (ia, (x, y2, v2)))
-                elif len(argsL) == 1:
-                    for x in X.gens:
-                        if (x, y, v0) not in genset:
-                            continue
-                        for a, x2, b in X.dd(x):
-                            if b != argsL[0]:
-                                continue
-                            for y2 in outs:
-                                add(((x, y, v0), ()), (a, (x2, y2, v2)))
-    for x in X.gens:
-        for a, x2, b in X.dd(x):
-            if not B.is_idempotent_elem(b):
-                continue
-            subset = B.elems[b].occupied
-            for (xx, y, v) in gens:
-                if xx == x and Bmod.lidem[y] == subset:
-                    add(((x, y, v), ()), (a, (x2, y, v)))
-    for v, v2, subset in _idem_firings_left_d(V):
-        for (x, y, vv) in gens:
-            if vv == v and Bmod.ridem[y] == subset:
-                ia = A.idempotent_index(X.lidem[x])
-                add(((x, y, v), ()), (ia, (x, y, v2)))
-    return ModuleStructure(
-        "DA", A, None, gens, lidem, ridem, table,
-        name=f"({X.name}x{Bmod.name}x{V.name})",
-    )
-
-
 def three_joins(
     U: ModuleStructure,
     M: ModuleStructure,
@@ -1242,15 +840,15 @@ def three_joins(
     C3 = mv_complex(dualize(N), V)
 
     # First composition: join at M, then at N.
-    V1 = dd_box_left_module(X, N)
+    V1 = dbox(X, N)
     j1 = join_general(U, M, V1)
-    U2 = sandwich_right_module(U, dual_alg_as_aa(am), X)
+    U2 = _d_sandwich(U, dual_alg_as_aa(am), X)
     j2 = join_general(U2, N, V)
 
     # Second composition: join at N, then at M.
-    U2p = dd_box_right_module(dualize(M), X)
+    U2p = box(dualize(M), X).result
     j2p = join_general(U2p, N, V)
-    V1p = dd_sandwich_left_module(X, dual_alg_as_aa(am), V)
+    V1p = _d_sandwich(X, dual_alg_as_aa(am), V)
     j1p = join_general(U, M, V1p)
 
     # Simultaneous join over the tensor algebra.

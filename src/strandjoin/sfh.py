@@ -163,10 +163,6 @@ def alg_as_right_module(am: AlgebraModel) -> ModuleStructure:
     return ModuleStructure("AA", None, am, gens, lidem, ridem, table, name="A_r")
 
 
-def _restricted_block(am: AlgebraModel, I, J) -> ChainComplexGf2:
-    return gamma_block(am, I, J)
-
-
 def mu_H(am: AlgebraModel, I, J, K) -> Gf2Matrix:
     """Multiplication on homology blocks, verified against the join composite.
 

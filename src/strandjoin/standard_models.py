@@ -12,11 +12,9 @@ together they pin down the idempotent conventions.
 
 from __future__ import annotations
 
-import itertools
-
 from .arc_diagram import reverse
 from .gf2 import ChainComplexGf2, Gf2Matrix, Gf2Vector
-from .strands import AlgebraModel, rotate180
+from .strands import ABasisElem, AlgebraModel, rotate180
 from .ainf import ModuleStructure
 
 
@@ -103,7 +101,7 @@ def dual_alg_as_aa(am: AlgebraModel) -> ModuleStructure:
 
 def da_identity(am: AlgebraModel) -> ModuleStructure:
     """The DA identity bimodule: generators are the ground-ring idempotents."""
-    gens = tuple(("i", tuple(sorted(s))) for s in _subsets(am.k))
+    gens = tuple(("i", tuple(sorted(s))) for s in am.all_idempotent_subsets())
     subset_of = {g: frozenset(g[1]) for g in gens}
     lidem = {g: subset_of[g] for g in gens}
     ridem = {g: subset_of[g] for g in gens}
@@ -118,48 +116,51 @@ def da_identity(am: AlgebraModel) -> ModuleStructure:
     return ModuleStructure("DA", am, am, gens, lidem, ridem, table, name="IdDA")
 
 
-def dd_identity(am: AlgebraModel) -> ModuleStructure:
-    """The DD identity bimodule, via the validated chord-sum formula.
+def identity_firings(am: AlgebraModel) -> dict:
+    """subset I -> list of (left chord, new subset J, right chord).
 
-    Generators x_I carry complementary idempotents (I on the left, its
-    complement on the right).  The structure map sums over moving strands
-    s -> t whose source pair lies in I and target pair outside I; the left
-    output is the chord completed by I minus the source pair, the right
-    output the chord completed by the complement minus the target pair.
-    Right outputs mathematically live in the reversed diagram's algebra and
-    are stored as their rotate180 preimages, so both slots are elements of
-    the algebra itself.
+    The firing data of the identity DD bimodule: movers s -> t with source
+    pair inside I and target pair outside; the left output is completed by
+    I minus the source pair, the right output by the complement minus the
+    target pair.
     """
-    from .strands import ABasisElem
-
     full = frozenset(range(1, am.k + 1))
-    gens = tuple(("x", tuple(sorted(s))) for s in _subsets(am.k))
-    subset_of = {g: frozenset(g[1]) for g in gens}
-    by_subset = {frozenset(g[1]): g for g in gens}
-    lidem = {g: subset_of[g] for g in gens}
-    ridem = {g: full - subset_of[g] for g in gens}
     pair_of = am.arc_diagram.match
-    movers = sorted(
-        {e.movers[0] for e in am.elems if len(e.movers) == 1},
-    )
-    table: dict = {}
-    for g in gens:
-        I = subset_of[g]
+    movers = sorted({e.movers[0] for e in am.elems if len(e.movers) == 1})
+    out: dict = {}
+    for I in am.all_idempotent_subsets():
+        firings = []
         for s, t in movers:
             ps, pt = pair_of[s], pair_of[t]
             if ps not in I or pt in I:
                 continue
             left = am.index[ABasisElem(((s, t),), I - {ps})]
             right = am.index[ABasisElem(((s, t),), (full - I) - {pt})]
-            tgt = by_subset[(I - {ps}) | {pt}]
-            table.setdefault(g, set()).add((left, tgt, right))
+            firings.append((left, (I - {ps}) | {pt}, right))
+        out[I] = firings
+    return out
+
+
+def dd_identity(am: AlgebraModel) -> ModuleStructure:
+    """The DD identity bimodule, via the validated chord-sum formula.
+
+    Generators x_I carry complementary idempotents (I on the left, its
+    complement on the right).  The structure map of x_I sums the firings of
+    identity_firings(am)[I].  Right outputs mathematically live in the
+    reversed diagram's algebra and are stored as their rotate180 preimages,
+    so both slots are elements of the algebra itself.
+    """
+    full = frozenset(range(1, am.k + 1))
+    gens = tuple(("x", tuple(sorted(s))) for s in am.all_idempotent_subsets())
+    subset_of = {g: frozenset(g[1]) for g in gens}
+    by_subset = {frozenset(g[1]): g for g in gens}
+    lidem = {g: subset_of[g] for g in gens}
+    ridem = {g: full - subset_of[g] for g in gens}
+    table = {
+        by_subset[I]: {(left, by_subset[J], right) for left, J, right in firings}
+        for I, firings in identity_firings(am).items()
+    }
     return ModuleStructure("DD", am, am, gens, lidem, ridem, table, name="IdDD")
-
-
-def _subsets(k: int):
-    for r in range(k + 1):
-        for s in itertools.combinations(range(1, k + 1), r):
-            yield frozenset(s)
 
 
 def gamma_block(am: AlgebraModel, I, J) -> ChainComplexGf2:

@@ -5,7 +5,8 @@ type-D side of the right factor over a common algebra.  Iterated firings of
 the D-side factor feed the A-side operations; firings that emit idempotents
 interact only through the unital one-input action.  For a DD right factor
 the second outputs accumulate into a single product, later-generation
-factors multiplying on the left.
+factors multiplying on the left.  A type-D factor on the left (dbox) is
+handled as the opposite of a box over the opposite algebra.
 """
 
 from __future__ import annotations
@@ -15,19 +16,28 @@ from dataclasses import dataclass
 from .arc_diagram import ArcDiagram, reverse
 from .gf2 import Gf2Vector
 from .strands import ABasisElem, AlgebraModel, enumerate_basis, rotate180
-from .ainf import ModuleStructure, Morphism, StructureError
+from .ainf import (
+    ModuleStructure,
+    Morphism,
+    StructureError,
+    f_max_right,
+    oppositize,
+    relabel,
+)
 
 
 @dataclass(frozen=True)
 class BoxProduct:
     result: ModuleStructure
-    provenance: tuple  # (left factor, right factor, variant tag)
 
 
 def _da_chains(n: ModuleStructure, kmax: int) -> dict:
     """For a DA right factor: (y0, bseq) -> {(argsC, y_end): parity} with all
     emitted b non-idempotent and len(bseq) <= kmax."""
     alg = n.left_alg
+    firings: dict = {}
+    for (y, blk), outs in n.table.items():
+        firings.setdefault(y, []).append((blk, outs))
     chains: dict = {}
     for y in n.gens:
         chains.setdefault((y, ()), {})[((), y)] = 1
@@ -38,9 +48,7 @@ def _da_chains(n: ModuleStructure, kmax: int) -> dict:
             for (argsC, y), par in states.items():
                 if not par:
                     continue
-                for (yy, blk), outs in n.table.items():
-                    if yy != y:
-                        continue
+                for blk, outs in firings.get(y, ()):
                     for b, y2 in outs:
                         if alg.is_idempotent_elem(b):
                             continue
@@ -108,7 +116,6 @@ def box(m: ModuleStructure, n: ModuleStructure, validate: bool = True) -> BoxPro
     )
     genset = set(gens)
     kmax = m.max_right_len()
-    variant = f"{m.kind}x{n.kind}"
     table: dict = {}
 
     def add(key, val):
@@ -227,7 +234,17 @@ def box(m: ModuleStructure, n: ModuleStructure, validate: bool = True) -> BoxPro
         )
     else:
         raise StructureError(f"unsupported right factor kind {n.kind}")
-    return BoxProduct(result, (m, n, variant))
+    return BoxProduct(result)
+
+
+def dbox(d: ModuleStructure, a: ModuleStructure, validate: bool = True) -> ModuleStructure:
+    """The box product d box a of a right type-D side with a left type-A side.
+
+    Computed as the opposite of the A-side-first box of the opposites, over
+    the opposite algebra; generators are (y, x) with y from d and x from a.
+    """
+    flipped = oppositize(box(oppositize(a), oppositize(d), validate=False).result)
+    return relabel(flipped, lambda g: (g[1], g[0]), validate=validate)
 
 
 # -- external tensor over disjoint algebras ------------------------------------
@@ -354,7 +371,7 @@ def induced(f: Morphism, other: ModuleStructure, side: str) -> Morphism:
     if side == "right":
         src_box = box(f.src, other, validate=False).result
         dst_box = box(f.dst, other, validate=False).result
-        kmax = f_max_right_morphism(f)
+        kmax = f_max_right(f)
         if other.kind == "DA":
             chains = _da_chains(other, kmax)
         else:
@@ -368,7 +385,7 @@ def induced(f: Morphism, other: ModuleStructure, side: str) -> Morphism:
         if f.kind == "AA" and other.kind == "DA":
             for (argsL, x, bseq), outs in f.table.items():
                 for y in other.gens:
-                    if (x, y) not in set(src_box.gens):
+                    if (x, y) not in src_box.genset:
                         continue
                     for (argsC, y2), par in chains.get((y, bseq), {}).items():
                         if not par:
@@ -379,7 +396,7 @@ def induced(f: Morphism, other: ModuleStructure, side: str) -> Morphism:
             ralg = other.right_alg
             for (argsL, x, bseq), outs in f.table.items():
                 for y in other.gens:
-                    if (x, y) not in set(src_box.gens):
+                    if (x, y) not in src_box.genset:
                         continue
                     for (cseq, y2), par in chains.get((y, bseq), {}).items():
                         if not par:
@@ -433,7 +450,7 @@ def induced(f: Morphism, other: ModuleStructure, side: str) -> Morphism:
                                         continue
                                     full = bseq1 + bmid + bseq2
                                     for x in other.gens:
-                                        if (x, y0) not in set(src_box.gens):
+                                        if (x, y0) not in src_box.genset:
                                             continue
                                         if alg.is_idempotent_elem(bf) and not full:
                                             subset = alg.elems[bf].occupied
@@ -474,10 +491,3 @@ def induced(f: Morphism, other: ModuleStructure, side: str) -> Morphism:
         return Morphism(src_box, dst_box, table)
     raise ValueError("side must be 'left' or 'right'")
 
-
-def f_max_right_morphism(f: Morphism) -> int:
-    if f.kind == "AA":
-        return max((len(k[2]) for k in f.table), default=0)
-    if f.kind == "DA":
-        return max((len(k[1]) for k in f.table), default=0)
-    return 0

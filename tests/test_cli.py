@@ -1,8 +1,12 @@
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
-from strandjoin.arc_diagram import Z1, Z2, serialize
+import strandjoin
+from strandjoin.arc_diagram import Z1, Z2, flip_type, serialize
 from strandjoin.cli import run
 
 
@@ -67,6 +71,29 @@ def test_nice_command(files):
     assert rc == 0 and "isomorphic" in out
     rc, out = _run(["nice", files["Z1"], "bogus"])
     assert rc == 1
+
+
+def test_nice_beta_diagram_is_an_input_error(tmp_path):
+    beta = tmp_path / "Z2beta.arcd"
+    beta.write_text(serialize(flip_type(Z2)))
+    rc, out = _run(["nice", str(beta), "slice"])
+    assert rc == 1
+    assert out.splitlines()[-1].startswith("error: ")
+
+
+def test_module_entry_point(files):
+    src = os.path.dirname(os.path.dirname(strandjoin.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "strandjoin.cli", "validate", files["Z1"]],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert "ok" in proc.stdout.splitlines()
 
 
 def test_check_suites(files):

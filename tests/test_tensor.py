@@ -21,7 +21,7 @@ from strandjoin.standard_models import (
     left_module_from_right_idem,
 )
 from strandjoin.strands import enumerate_basis, rotate180
-from strandjoin.tensor import TensorAlgebra, box, external_tensor, induced
+from strandjoin.tensor import TensorAlgebra, box, dbox, external_tensor, induced
 
 
 def test_box_elementary_pair_compatibility(am1):
@@ -172,6 +172,27 @@ def test_box_associativity_with_dg_middle(am1):
         for (argsL, g, argsR), outs in left_first.table.items():
             relabeled[(argsL, remap[g], argsR)] = frozenset(remap[y] for y in outs)
         assert relabeled == {k: frozenset(v) for k, v in right_first.table.items()}
+
+
+def test_double_reassociates_through_dbox(am1, am2):
+    # (M^ x X) x M == M^ x (X x M) under the re-association map
+    from strandjoin.join import dd_middle, left_module_candidates
+
+    nontrivial = 0
+    for am in (am1, am2):
+        for X in (dd_middle(am), dd_identity(am)):
+            for M in left_module_candidates(am):
+                Md = dualize(M)
+                left_first = dbox(box(Md, X, validate=False).result, M, validate=False)
+                right_first = box(Md, dbox(X, M, validate=False), validate=False).result
+                remap = {((q, x), p): (q, (x, p)) for ((q, x), p) in left_first.gens}
+                assert set(remap.values()) == set(right_first.gens)
+                relabeled = {}
+                for (argsL, g, argsR), outs in left_first.table.items():
+                    relabeled[(argsL, remap[g], argsR)] = frozenset(remap[y] for y in outs)
+                assert relabeled == right_first.table
+                nontrivial += bool(right_first.table)
+    assert nontrivial
 
 
 def test_module_tsv_dump(am1):
