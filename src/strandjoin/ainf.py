@@ -326,17 +326,124 @@ def _insertions(alg: AlgebraModel, args: tuple):
             yield args[:r] + (pa,) + args[r + 2 :]
 
 
+# -- support-driven input enumeration -------------------------------------------
+#
+# Every nonzero term of a structure equation (or of a morphism differential)
+# evaluates a table entry: either two entries composed through a generator, or
+# one entry on the inputs after a mu_1 / mu_2 insertion.  So the only inputs
+# where a sum can be nonzero are concatenations of composable keys and keys
+# with one element pulled back through d or mu_2 (the finite-support argument
+# of Lipshitz-Ozsvath-Thurston, arXiv:1003.0598).  An insertion could also
+# reach the implicit unital action of a lone idempotent input, but in a
+# strands algebra d and mu_2 of non-idempotent elements never contain an
+# idempotent (moving strands never cancel), so no such input arises.  The
+# enumerator below lists exactly those inputs that also lie in the
+# brute-force window, in the order the brute-force enumeration would visit
+# them, so the first failing input is the same witness.
+
+
+def _as_aa_key(kind: str, key) -> tuple:
+    """A table key of an AA, DA or AD table as (left inputs, generator, right inputs)."""
+    if kind == "AA":
+        return key
+    if kind == "DA":
+        return ((), key[0], key[1])
+    return (key[0], key[1], ())
+
+
+def _from_aa_key(kind: str, argsL: tuple, g, argsR: tuple) -> tuple:
+    if kind == "AA":
+        return (argsL, g, argsR)
+    if kind == "DA":
+        return (g, argsR)
+    return (argsL, g)
+
+
+def _out_gens(kind: str, outs) -> set:
+    if kind == "AA":
+        return set(outs)
+    if kind == "DA":
+        return {y for _, y in outs}
+    return {y for y, _ in outs}
+
+
+def _pullbacks(alg: Optional[AlgebraModel], args: tuple):
+    """Tuples that one mu_1 / mu_2 insertion (see `_insertions`) can turn into args."""
+    if alg is None or not args:
+        return
+    dpre, mpre = alg.preimages()
+    for r, c in enumerate(args):
+        head, tail = args[:r], args[r + 1 :]
+        for a in dpre.get(c, ()):
+            yield head + (a,) + tail
+        for pair in mpre.get(c, ()):
+            yield head + pair + tail
+
+
+def _candidate_inputs(src: ModuleStructure, lmax: int, rmax: int, composable, stored) -> list:
+    """The inputs of src's kind where a sum built from the given tables can be nonzero.
+
+    `composable` lists (inner, outer) tables whose entries compose: an inner
+    entry at g with output generator y followed by an outer entry at y.
+    `stored` lists tables whose entries are also evaluated on their own keys
+    and on the inputs that one insertion turns into a key.
+    Candidates are kept only inside the brute-force window (at most lmax left
+    and rmax right inputs, idempotent-chained, no idempotent input) and are
+    returned in brute-force order.
+    """
+    kind = src.kind
+    A, B = src.left_alg, src.right_alg
+    found: set = set()
+    for inner, outer in composable:
+        by_gen: dict = {}
+        for key in outer:
+            oL, y, oR = _as_aa_key(kind, key)
+            by_gen.setdefault(y, []).append((oL, oR))
+        for key, outs in inner.items():
+            iL, g, iR = _as_aa_key(kind, key)
+            for y in _out_gens(kind, outs):
+                for oL, oR in by_gen.get(y, ()):
+                    found.add((oL + iL, g, iR + oR))
+    for keys in stored:
+        for key in keys:
+            kL, g, kR = _as_aa_key(kind, key)
+            found.add((kL, g, kR))
+            found.update((newL, g, kR) for newL in _pullbacks(A, kL))
+            found.update((kL, g, newR) for newR in _pullbacks(B, kR))
+    pos = {g: i for i, g in enumerate(src.gens)}
+    keep = []
+    for argsL, g, argsR in found:
+        if g not in pos or len(argsL) > lmax or len(argsR) > rmax:
+            continue
+        if argsL and (
+            A is None
+            or any(A.is_idempotent_elem(a) for a in argsL)
+            or not src._chain_ok_left(argsL, src.lidem[g])
+        ):
+            continue
+        if argsR and (
+            B is None
+            or any(B.is_idempotent_elem(b) for b in argsR)
+            or not src._chain_ok_right(argsR, src.ridem[g])
+        ):
+            continue
+        keep.append((argsL, g, argsR))
+    keep.sort(key=lambda k: (pos[k[1]], len(k[0]), k[0][::-1], len(k[2]), k[2]))
+    return [_from_aa_key(kind, *k) for k in keep]
+
+
 # -- structure equations ------------------------------------------------------
 
 
 def _aa_equation(m: ModuleStructure, argsL: tuple, g, argsR: tuple) -> frozenset:
+    # The inputs hold no idempotents, so composite terms read the table directly.
     acc: dict = {}
+    table = m.table
     i, j = len(argsL), len(argsR)
     for p in range(i + 1):
         for q in range(j + 1):
-            inner = m.aa(argsL[p:], g, argsR[:q])
-            for y in inner:
-                for z in m.aa(argsL[:p], y, argsR[q:]):
+            for y in table.get((argsL[p:], g, argsR[:q]), ()):
+                for z in table.get((argsL[:p], y, argsR[q:]), ()):
                     _parity_add(acc, z)
     for newL in _insertions(m.left_alg, argsL) if argsL else ():
         for z in m.aa(newL, g, argsR):
@@ -399,40 +506,36 @@ def _dd_equation(m: ModuleStructure, g) -> frozenset:
     return _live(acc)
 
 
+_EQUATIONS = {"AA": _aa_equation, "DA": _da_equation, "AD": _ad_equation}
+
+
 def check_structure(m: ModuleStructure):
     """Evaluate the kind's structure equation over the finite reachable domain.
 
-    Returns None when every sum vanishes, otherwise one violating input.
-    Inputs containing idempotent basis elements are omitted: strict unitality
-    makes those instances hold identically.
+    Returns None when every sum vanishes, otherwise one violating input: the
+    first, in generator order and then by input length, that the exhaustive
+    enumeration of chained inputs (at most one longer than the table's
+    longest on each side) would reach.  Only inputs built from the table's
+    support are evaluated; every other input of that window vanishes
+    identically.  Inputs containing idempotent basis elements are omitted:
+    strict unitality makes those instances hold identically.
     """
-    if m.kind == "AA":
-        lmax, rmax = m.max_left_len() + 1, m.max_right_len() + 1
-        for g in m.gens:
-            lefts = _chains_into(m.left_alg, m.lidem[g], lmax) if m.left_alg else [()]
-            rights = _chains_from(m.right_alg, m.ridem[g], rmax) if m.right_alg else [()]
-            for argsL in lefts:
-                for argsR in rights:
-                    if _aa_equation(m, argsL, g, argsR):
-                        return (argsL, g, argsR)
-    elif m.kind == "DA":
-        rmax = m.max_right_len() + 1
-        for g in m.gens:
-            rights = _chains_from(m.right_alg, m.ridem[g], rmax) if m.right_alg else [()]
-            for argsR in rights:
-                if _da_equation(m, g, argsR):
-                    return (g, argsR)
-    elif m.kind == "AD":
-        lmax = m.max_left_len() + 1
-        for g in m.gens:
-            lefts = _chains_into(m.left_alg, m.lidem[g], lmax) if m.left_alg else [()]
-            for argsL in lefts:
-                if _ad_equation(m, argsL, g):
-                    return (argsL, g)
-    else:
+    if m.kind == "DD":
         for g in m.gens:
             if _dd_equation(m, g):
                 return (g,)
+        return None
+    equation = _EQUATIONS[m.kind]
+    inputs = _candidate_inputs(
+        m,
+        m.max_left_len() + 1,
+        m.max_right_len() + 1,
+        [(m.table, m.table)],
+        [m.table],
+    )
+    for key in inputs:
+        if equation(m, *key):
+            return key
     return None
 
 
@@ -749,113 +852,114 @@ def morphism_compose(g: Morphism, f: Morphism) -> Morphism:
     return Morphism(f.src, g.dst, table)
 
 
-def morphism_diff(f: Morphism) -> Morphism:
-    """The differential of a morphism in the morphism complex of its kind."""
+def _aa_diff(f: Morphism, argsL: tuple, g, argsR: tuple) -> frozenset:
     src, dst = f.src, f.dst
-    kind = f.kind
-    table: dict = {}
+    acc: dict = {}
+    i, j = len(argsL), len(argsR)
+    for p in range(i + 1):
+        for q in range(j + 1):
+            for y in f.aa(argsL[p:], g, argsR[:q]):
+                for z in dst.aa(argsL[:p], y, argsR[q:]):
+                    _parity_add(acc, z)
+            for y in src.aa(argsL[p:], g, argsR[:q]):
+                for z in f.aa(argsL[:p], y, argsR[q:]):
+                    _parity_add(acc, z)
+    for newL in _insertions(src.left_alg, argsL) if argsL else ():
+        for z in f.aa(newL, g, argsR):
+            _parity_add(acc, z)
+    for newR in _insertions(src.right_alg, argsR) if argsR else ():
+        for z in f.aa(argsL, g, newR):
+            _parity_add(acc, z)
+    return _live(acc)
 
-    def add(key, val):
-        table.setdefault(key, set())
-        table[key] ^= {val}
 
-    if kind == "AA":
-        lmax = f_max_left(f) + max(src.max_left_len(), dst.max_left_len(), 1)
-        rmax = f_max_right(f) + max(src.max_right_len(), dst.max_right_len(), 1)
-        for g in src.gens:
-            lefts = _chains_into(src.left_alg, src.lidem[g], lmax) if src.left_alg else [()]
-            rights = _chains_from(src.right_alg, src.ridem[g], rmax) if src.right_alg else [()]
-            for argsL in lefts:
-                for argsR in rights:
-                    acc: dict = {}
-                    i, j = len(argsL), len(argsR)
-                    for p in range(i + 1):
-                        for q in range(j + 1):
-                            for y in f.aa(argsL[p:], g, argsR[:q]):
-                                for z in dst.aa(argsL[:p], y, argsR[q:]):
-                                    _parity_add(acc, z)
-                            for y in src.aa(argsL[p:], g, argsR[:q]):
-                                for z in f.aa(argsL[:p], y, argsR[q:]):
-                                    _parity_add(acc, z)
-                    for newL in _insertions(src.left_alg, argsL) if argsL else ():
-                        for z in f.aa(newL, g, argsR):
-                            _parity_add(acc, z)
-                    for newR in _insertions(src.right_alg, argsR) if argsR else ():
-                        for z in f.aa(argsL, g, newR):
-                            _parity_add(acc, z)
-                    for z in _live(acc):
-                        add((argsL, g, argsR), z)
-    elif kind == "DA":
-        rmax = f_max_right(f) + max(src.max_right_len(), dst.max_right_len(), 1)
-        A = src.left_alg
-        for g in src.gens:
-            rights = _chains_from(src.right_alg, src.ridem[g], rmax) if src.right_alg else [()]
-            for argsR in rights:
-                acc: dict = {}
-                j = len(argsR)
-                for s in range(j + 1):
-                    for a1, y in src.da(g, argsR[:s]):
-                        for a2, z in f.da(y, argsR[s:]):
-                            for prod in A.mult_table[(a1, a2)]:
-                                _parity_add(acc, (prod, z))
-                    for a1, y in f.da(g, argsR[:s]):
-                        for a2, z in dst.da(y, argsR[s:]):
-                            for prod in A.mult_table[(a1, a2)]:
-                                _parity_add(acc, (prod, z))
-                for a, y in f.da(g, argsR):
-                    for da in A.diff_table[a]:
-                        _parity_add(acc, (da, y))
-                for newR in _insertions(src.right_alg, argsR) if argsR else ():
-                    for a, y in f.da(g, newR):
-                        _parity_add(acc, (a, y))
-                for val in _live(acc):
-                    add((g, argsR), val)
-    elif kind == "AD":
-        lmax = f_max_left(f) + max(src.max_left_len(), dst.max_left_len(), 1)
-        B = src.right_alg
-        for g in src.gens:
-            lefts = _chains_into(src.left_alg, src.lidem[g], lmax) if src.left_alg else [()]
-            for argsL in lefts:
-                acc: dict = {}
-                i = len(argsL)
-                for p in range(i + 1):
-                    for y, b1 in src.ad(argsL[p:], g):
-                        for z, b2 in f.ad(argsL[:p], y):
-                            for prod in B.mult_table[(b2, b1)]:
-                                _parity_add(acc, (z, prod))
-                    for y, b1 in f.ad(argsL[p:], g):
-                        for z, b2 in dst.ad(argsL[:p], y):
-                            for prod in B.mult_table[(b2, b1)]:
-                                _parity_add(acc, (z, prod))
-                for y, b in f.ad(argsL, g):
-                    for db in B.diff_table[b]:
-                        _parity_add(acc, (y, db))
-                for newL in _insertions(src.left_alg, argsL) if argsL else ():
-                    for y, b in f.ad(newL, g):
-                        _parity_add(acc, (y, b))
-                for val in _live(acc):
-                    add((argsL, g), val)
-    else:
-        A, B = src.left_alg, src.right_alg
-        for g in src.gens:
-            acc: dict = {}
-            for a1, y, b1 in src.dd(g):
-                for a2, z, b2 in f.dd(y):
-                    for pa in A.mult_table[(a1, a2)]:
-                        for pb in B.mult_table[(b2, b1)]:
-                            _parity_add(acc, (pa, z, pb))
-            for a1, y, b1 in f.dd(g):
-                for a2, z, b2 in dst.dd(y):
-                    for pa in A.mult_table[(a1, a2)]:
-                        for pb in B.mult_table[(b2, b1)]:
-                            _parity_add(acc, (pa, z, pb))
-                for da in A.diff_table[a1]:
-                    _parity_add(acc, (da, y, b1))
-                for db in B.diff_table[b1]:
-                    _parity_add(acc, (a1, y, db))
-            for val in _live(acc):
-                add(g, val)
-    return Morphism(src, dst, table)
+def _da_diff(f: Morphism, g, argsR: tuple) -> frozenset:
+    src, dst = f.src, f.dst
+    A = src.left_alg
+    acc: dict = {}
+    for s in range(len(argsR) + 1):
+        for a1, y in src.da(g, argsR[:s]):
+            for a2, z in f.da(y, argsR[s:]):
+                for prod in A.mult_table[(a1, a2)]:
+                    _parity_add(acc, (prod, z))
+        for a1, y in f.da(g, argsR[:s]):
+            for a2, z in dst.da(y, argsR[s:]):
+                for prod in A.mult_table[(a1, a2)]:
+                    _parity_add(acc, (prod, z))
+    for a, y in f.da(g, argsR):
+        for da in A.diff_table[a]:
+            _parity_add(acc, (da, y))
+    for newR in _insertions(src.right_alg, argsR) if argsR else ():
+        for a, y in f.da(g, newR):
+            _parity_add(acc, (a, y))
+    return _live(acc)
+
+
+def _ad_diff(f: Morphism, argsL: tuple, g) -> frozenset:
+    src, dst = f.src, f.dst
+    B = src.right_alg
+    acc: dict = {}
+    for p in range(len(argsL) + 1):
+        for y, b1 in src.ad(argsL[p:], g):
+            for z, b2 in f.ad(argsL[:p], y):
+                for prod in B.mult_table[(b2, b1)]:
+                    _parity_add(acc, (z, prod))
+        for y, b1 in f.ad(argsL[p:], g):
+            for z, b2 in dst.ad(argsL[:p], y):
+                for prod in B.mult_table[(b2, b1)]:
+                    _parity_add(acc, (z, prod))
+    for y, b in f.ad(argsL, g):
+        for db in B.diff_table[b]:
+            _parity_add(acc, (y, db))
+    for newL in _insertions(src.left_alg, argsL) if argsL else ():
+        for y, b in f.ad(newL, g):
+            _parity_add(acc, (y, b))
+    return _live(acc)
+
+
+def _dd_diff(f: Morphism, g) -> frozenset:
+    src, dst = f.src, f.dst
+    A, B = src.left_alg, src.right_alg
+    acc: dict = {}
+    for a1, y, b1 in src.dd(g):
+        for a2, z, b2 in f.dd(y):
+            for pa in A.mult_table[(a1, a2)]:
+                for pb in B.mult_table[(b2, b1)]:
+                    _parity_add(acc, (pa, z, pb))
+    for a1, y, b1 in f.dd(g):
+        for a2, z, b2 in dst.dd(y):
+            for pa in A.mult_table[(a1, a2)]:
+                for pb in B.mult_table[(b2, b1)]:
+                    _parity_add(acc, (pa, z, pb))
+        for da in A.diff_table[a1]:
+            _parity_add(acc, (da, y, b1))
+        for db in B.diff_table[b1]:
+            _parity_add(acc, (a1, y, db))
+    return _live(acc)
+
+
+_DIFFS = {"AA": _aa_diff, "DA": _da_diff, "AD": _ad_diff}
+
+
+def morphism_diff(f: Morphism) -> Morphism:
+    """The differential of a morphism in the morphism complex of its kind.
+
+    Evaluated on the inputs of the exhaustive window (chained inputs up to the
+    longest entry of f plus the longest of src or dst, and at least one more
+    than f's) that are built from f's support; every other input vanishes.
+    """
+    src, dst = f.src, f.dst
+    if f.kind == "DD":
+        return Morphism(src, dst, {g: _dd_diff(f, g) for g in src.gens})
+    inputs = _candidate_inputs(
+        src,
+        f_max_left(f) + max(src.max_left_len(), dst.max_left_len(), 1),
+        f_max_right(f) + max(src.max_right_len(), dst.max_right_len(), 1),
+        [(f.table, dst.table), (src.table, f.table)],
+        [f.table],
+    )
+    diff = _DIFFS[f.kind]
+    return Morphism(src, dst, {key: diff(f, *key) for key in inputs})
 
 
 def f_max_left(f: Morphism) -> int:

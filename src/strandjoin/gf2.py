@@ -290,7 +290,10 @@ def homology(c: ChainComplexGf2) -> tuple[int, list[Gf2Vector]]:
         if reduce_and_add(v):
             reps.append(Gf2Vector(frozenset(c.basis[i] for i in np.nonzero(v)[0])))
     dim_h = len(kers) - r
-    assert len(reps) == dim_h
+    if len(reps) != dim_h:
+        raise RuntimeError(
+            f"found {len(reps)} homology representatives for dimension {dim_h}"
+        )
     return dim_h, reps
 
 

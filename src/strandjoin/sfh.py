@@ -8,6 +8,8 @@ equivalence.  Both sides are computed here and compared exactly on homology.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .gf2 import (
     ChainComplexGf2,
     Gf2Matrix,
@@ -19,6 +21,15 @@ from .strands import AlgebraModel
 from .ainf import ModuleStructure, StructureError
 from .standard_models import elementary, gamma_block
 from .join import cancel_cA
+
+
+@lru_cache(maxsize=None)
+def _cancellation(am: AlgebraModel):
+    """cancel_cA(am), built and validated once per algebra.
+
+    Kept for the life of the process, as `enumerate_basis` keeps the algebra.
+    """
+    return cancel_cA(am)
 
 
 def homology_blocks(am: AlgebraModel) -> dict:
@@ -130,7 +141,7 @@ def m_H(u: ModuleStructure, I, J) -> Gf2Matrix:
     """
     am = u.right_alg
     I, J = frozenset(I), frozenset(J)
-    cA = cancel_cA(am)
+    cA = _cancellation(am)
     c1 = right_module_block(u, I)
     c2 = gamma_block(am, I, J)
     c3 = right_module_block(u, J)
@@ -170,7 +181,7 @@ def mu_H(am: AlgebraModel, I, J, K) -> Gf2Matrix:
     mismatched middle subsets vanish by idempotent orthogonality.
     """
     I, J, K = frozenset(I), frozenset(J), frozenset(K)
-    cA = cancel_cA(am)
+    cA = _cancellation(am)
     c1 = gamma_block(am, I, J)
     c2 = gamma_block(am, J, K)
     c3 = gamma_block(am, I, K)

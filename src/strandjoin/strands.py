@@ -88,6 +88,7 @@ class AlgebraModel:
         self.mult_table: dict[tuple[int, int], frozenset] = {}
         self._build_tables()
         self._opposite: "AlgebraModel | None" = None
+        self._preimages: "tuple[dict, dict] | None" = None
 
     # -- enumeration -----------------------------------------------------
 
@@ -277,6 +278,25 @@ class AlgebraModel:
     def is_idempotent_elem(self, i: int) -> bool:
         return not self.elems[i].movers
 
+    def preimages(self) -> "tuple[dict, dict]":
+        """The inverse diff and product index, built on first use.
+
+        Maps c to the non-idempotent a with c in d(a), and to the pairs (a, b)
+        of non-idempotents with c in a.b.
+        """
+        if self._preimages is None:
+            dpre: dict = {}
+            mpre: dict = {}
+            for a, outs in self.diff_table.items():
+                for c in outs:
+                    dpre.setdefault(c, []).append(a)
+            for (a, b), outs in self.mult_table.items():
+                if outs and not self.is_idempotent_elem(a) and not self.is_idempotent_elem(b):
+                    for c in outs:
+                        mpre.setdefault(c, []).append((a, b))
+            self._preimages = (dpre, mpre)
+        return self._preimages
+
     def opposite(self) -> "AlgebraModel":
         """The formal opposite: same basis, reversed multiplication, swapped idempotents."""
         if self._opposite is None:
@@ -293,6 +313,7 @@ class AlgebraModel:
             op.diff_table = self.diff_table
             op.mult_table = {(i, j): v for (j, i), v in self.mult_table.items()}
             op._opposite = self
+            op._preimages = None
             self._opposite = op
         return self._opposite
 

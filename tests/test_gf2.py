@@ -125,3 +125,19 @@ def test_solve_agrees_with_rank_criterion(bits, bbits):
         assert x is not None and m.apply(x).entries == b.entries
     else:
         assert x is None
+
+
+def test_homology_representative_shortfall_is_an_error(monkeypatch):
+    # A kernel basis with a repeated vector yields fewer representatives than
+    # the dimension count: homology must raise rather than return them.
+    import strandjoin.gf2 as gf2
+
+    real = gf2._kernel_basis
+
+    def repeated_first(d):
+        kers = real(d)
+        return kers + kers[:1]
+
+    monkeypatch.setattr(gf2, "_kernel_basis", repeated_first)
+    with pytest.raises(RuntimeError, match="representatives"):
+        homology(ChainComplexGf2(("x",)))

@@ -123,3 +123,26 @@ def test_mu_H_block_entries_on_z1(am1):
         (("h", i_pos), (i_pos, i_pos)),
     }
     assert m.nonzero == frozenset(expected)
+
+
+def test_cancellation_built_once_per_algebra(monkeypatch):
+    # The full sfh suite on a fresh Z2 algebra: 16 m_H and 64 mu_H calls share
+    # one cancellation morphism.
+    import random
+
+    import strandjoin.sfh as sfh
+    from strandjoin.arc_diagram import Z2
+    from strandjoin.cli import _suite_sfh
+    from strandjoin.strands import AlgebraModel
+
+    builds = []
+    real = sfh.cancel_cA
+
+    def counting(am):
+        builds.append(am)
+        return real(am)
+
+    monkeypatch.setattr(sfh, "cancel_cA", counting)
+    am = AlgebraModel(Z2)
+    assert _suite_sfh(Z2, am, random.Random(0)) == []
+    assert builds == [am]
