@@ -514,11 +514,13 @@ def check_structure(m: ModuleStructure):
 
     Returns None when every sum vanishes, otherwise one violating input: the
     first, in generator order and then by input length, that the exhaustive
-    enumeration of chained inputs (at most one longer than the table's
-    longest on each side) would reach.  Only inputs built from the table's
-    support are evaluated; every other input of that window vanishes
-    identically.  Inputs containing idempotent basis elements are omitted:
-    strict unitality makes those instances hold identically.
+    enumeration of chained inputs would reach.  On each side the window is
+    max(2L, L + 1) inputs, L the table's longest entry there: two composed
+    entries take at most 2L inputs, one entry after an insertion L + 1.
+    Only inputs built from the table's support are evaluated; every other
+    input of that window vanishes identically.  Inputs containing idempotent
+    basis elements are omitted: strict unitality makes those instances hold
+    identically.
     """
     if m.kind == "DD":
         for g in m.gens:
@@ -526,10 +528,11 @@ def check_structure(m: ModuleStructure):
                 return (g,)
         return None
     equation = _EQUATIONS[m.kind]
+    lmax, rmax = m.max_left_len(), m.max_right_len()
     inputs = _candidate_inputs(
         m,
-        m.max_left_len() + 1,
-        m.max_right_len() + 1,
+        max(2 * lmax, lmax + 1),
+        max(2 * rmax, rmax + 1),
         [(m.table, m.table)],
         [m.table],
     )

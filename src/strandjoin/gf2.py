@@ -93,14 +93,17 @@ class Gf2Matrix:
         """self @ other, requiring self.cols == other.rows."""
         if self.cols != other.rows:
             raise ValueError("composition shape mismatch")
+        self_cols: dict = {}
+        for r, c in self.nonzero:
+            self_cols.setdefault(c, set()).add(r)
         by_col: dict = {}
         for r, c in other.nonzero:
             by_col.setdefault(c, set()).add(r)
         entries = set()
         for c in other.cols:
-            img = Gf2Vector(frozenset())
+            img: set = set()
             for mid in by_col.get(c, ()):
-                img += self.column(mid)
+                img.symmetric_difference_update(self_cols.get(mid, ()))
             for r in img:
                 entries.add((r, c))
         return Gf2Matrix(self.rows, other.cols, frozenset(entries))

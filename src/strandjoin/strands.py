@@ -59,6 +59,17 @@ def _cross_count(z: ArcDiagram, strands: frozenset) -> int:
     return n
 
 
+class ProductTable(dict):
+    """Basis products (i, j) -> product indices, holding only the nonzero ones.
+
+    An absent pair reads as the zero product, so `table[(i, j)]` never fails;
+    `.get`, `in` and iteration see only the stored, nonzero entries.
+    """
+
+    def __missing__(self, key):
+        return frozenset()
+
+
 class SymmetrizationError(RuntimeError):
     """A Z/2 sum of diagrams is not a sum of complete symmetrization orbits."""
 
@@ -85,7 +96,7 @@ class AlgebraModel:
             self.left_idem.append(src_pairs | e.occupied)
             self.right_idem.append(tgt_pairs | e.occupied)
         self.diff_table: dict[int, frozenset] = {}
-        self.mult_table: dict[tuple[int, int], frozenset] = {}
+        self.mult_table = ProductTable()
         self._build_tables()
         self._opposite: "AlgebraModel | None" = None
         self._preimages: "tuple[dict, dict] | None" = None
@@ -189,21 +200,6 @@ class AlgebraModel:
                 out.append(resolved)
         return out
 
-    def _diagram_mul(self, d1: frozenset, d2: frozenset) -> frozenset | None:
-        tgts = frozenset(t for _, t in d1)
-        srcs = frozenset(s for s, _ in d2)
-        if tgts != srcs:
-            return None
-        follow = {s: t for s, t in d2}
-        comp = frozenset((s, follow[t]) for s, t in d1)
-        if len(comp) != len(d1):
-            return None
-        c1 = _cross_count(self.arc_diagram, d1)
-        c2 = _cross_count(self.arc_diagram, d2)
-        if _cross_count(self.arc_diagram, comp) != c1 + c2:
-            return None
-        return comp
-
     def _build_tables(self):
         expansions = [self.expand(e) for e in self.elems]
         for i, e in enumerate(self.elems):
@@ -211,18 +207,34 @@ class AlgebraModel:
             for d in expansions[i]:
                 resolved.extend(self._diagram_diff(d))
             self.diff_table[i] = self.symmetrize(resolved).entries
-        for i in range(len(self.elems)):
-            for j in range(len(self.elems)):
-                if self.right_idem[i] != self.left_idem[j]:
-                    self.mult_table[(i, j)] = frozenset()
-                    continue
+        # a.b can be nonzero only when a's right idempotent is b's left one,
+        # and two diagrams compose only when the targets of the first are the
+        # sources of the second; the product is kept when no crossing is lost.
+        firsts = []  # per element: (diagram, its targets, its crossings)
+        seconds = []  # per element: its sources -> [(strand map, crossings)]
+        for exp in expansions:
+            row, buckets = [], {}
+            for d in exp:
+                c = _cross_count(self.arc_diagram, d)
+                row.append((d, frozenset(t for _, t in d), c))
+                buckets.setdefault(frozenset(s for s, _ in d), []).append((dict(d), c))
+            firsts.append(row)
+            seconds.append(buckets)
+        by_left: dict = {}
+        for j, idem in enumerate(self.left_idem):
+            by_left.setdefault(idem, []).append(j)
+        for i, row in enumerate(firsts):
+            for j in by_left.get(self.right_idem[i], ()):
                 prods = []
-                for d1 in expansions[i]:
-                    for d2 in expansions[j]:
-                        c = self._diagram_mul(d1, d2)
-                        if c is not None:
-                            prods.append(c)
-                self.mult_table[(i, j)] = self.symmetrize(prods).entries
+                for d1, tgts, c1 in row:
+                    for follow, c2 in seconds[j].get(tgts, ()):
+                        comp = frozenset((s, follow[t]) for s, t in d1)
+                        if _cross_count(self.arc_diagram, comp) == c1 + c2:
+                            prods.append(comp)
+                if prods:
+                    v = self.symmetrize(prods).entries
+                    if v:
+                        self.mult_table[(i, j)] = v
 
     # -- public operations -------------------------------------------------
 
@@ -291,7 +303,7 @@ class AlgebraModel:
                 for c in outs:
                     dpre.setdefault(c, []).append(a)
             for (a, b), outs in self.mult_table.items():
-                if outs and not self.is_idempotent_elem(a) and not self.is_idempotent_elem(b):
+                if not self.is_idempotent_elem(a) and not self.is_idempotent_elem(b):
                     for c in outs:
                         mpre.setdefault(c, []).append((a, b))
             self._preimages = (dpre, mpre)
@@ -311,7 +323,9 @@ class AlgebraModel:
             op.left_idem = self.right_idem
             op.right_idem = self.left_idem
             op.diff_table = self.diff_table
-            op.mult_table = {(i, j): v for (j, i), v in self.mult_table.items()}
+            op.mult_table = ProductTable(
+                ((i, j), v) for (j, i), v in self.mult_table.items()
+            )
             op._opposite = self
             op._preimages = None
             self._opposite = op
@@ -366,8 +380,7 @@ def dump_basis_tsv(am: AlgebraModel) -> str:
 def dump_mult_tsv(am: AlgebraModel) -> str:
     lines = []
     for (i, j), v in sorted(am.mult_table.items()):
-        if v:
-            lines.append(f"{i}\t{j}\t" + ",".join(str(l) for l in sorted(v)))
+        lines.append(f"{i}\t{j}\t" + ",".join(str(l) for l in sorted(v)))
     return "\n".join(lines) + "\n"
 
 

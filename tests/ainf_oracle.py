@@ -1,7 +1,7 @@
 """Brute-force reference implementations of `check_structure` and `morphism_diff`.
 
 These evaluate every idempotent-chained input of the window the library
-checks (up to one more input than the longest table entry on each side),
+checks (on each side max(2L, L + 1) inputs, L the longest table entry there),
 for every generator, in the order the chains are enumerated.  The library
 evaluates only inputs built from the tables' support; the differential tests
 compare the two.  Both evaluate each input with the library's own
@@ -46,8 +46,9 @@ def oracle_check_structure(m: ModuleStructure):
                 return (g,)
         return None
     equation = _EQUATIONS[m.kind]
+    lmax, rmax = m.max_left_len(), m.max_right_len()
     for g in m.gens:
-        for key in _window(m, g, m.max_left_len() + 1, m.max_right_len() + 1):
+        for key in _window(m, g, max(2 * lmax, lmax + 1), max(2 * rmax, rmax + 1)):
             if equation(m, *key):
                 return key
     return None

@@ -5,8 +5,6 @@ import random
 import subprocess
 import sys
 
-import pytest
-
 from ainf_oracle import oracle_check_structure, oracle_morphism_diff
 from strandjoin.ainf import (
     ModuleStructure,
@@ -241,27 +239,22 @@ def _first_mover(am):
 
 def _two_input_entries(r):
     # m(r, r; x) = y and m(r, r; y) = z: the equation is nonzero at
-    # (r, r, r, r; x), one input past the window (longest entry plus one).
+    # (r, r, r, r; x), twice the longest entry.
     return {((r, r), "x", ()): {"y"}, ((r, r), "y", ()): {"z"}}
 
 
 def test_window_is_the_brute_force_window(am1):
-    # A corrupted module that fails inside the window (m(r; w) = w makes the
-    # equation nonzero at (r, r; w)) and also past it at the earlier generator
-    # x.  Both checkers stop at the window, so both report the failure at w.
+    # A corrupted module that fails at (r, r; w) (m(r; w) = w) and, with four
+    # inputs, at the earlier generator x.  Both checkers look up to twice the
+    # longest entry, so both report the failure at x.
     r = _first_mover(am1)
     table = _two_input_entries(r)
     table[((r,), "w", ())] = {"w"}
     m = _left_module(am1, ("x", "y", "z", "w"), table)
     assert reevaluate(m, ((r,) * 4, "x", ())) == {"z"}
-    assert check_structure(m) == oracle_check_structure(m) == ((r, r), "w", ())
+    assert check_structure(m) == oracle_check_structure(m) == ((r,) * 4, "x", ())
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the window stops one input past the longest entry, too short for "
-    "two composable entries with two or more inputs",
-)
 def test_checker_sees_failures_past_the_window(am1):
     m = _left_module(am1, ("x", "y", "z"), _two_input_entries(_first_mover(am1)))
     assert check_structure(m) is not None
