@@ -30,6 +30,79 @@ from .strands import AlgebraModel
 
 KINDS = ("AA", "DA", "AD", "DD")
 
+# -- the entry shape ------------------------------------------------------------
+#
+# The four kinds store one shape in four layouts.  Read uniformly, a table key
+# is (left inputs, generator, right inputs) and an output is (a, y, b): a
+# type-D side takes no inputs, so its input tuple is (), and emits one algebra
+# element a (left) or b (right); a type-A side emits none, so its slot is None.
+# Morphism tables use the layout of their endpoints' kind.
+
+
+def _as_aa_key(kind: str, key) -> tuple:
+    """A table key of any kind as (left inputs, generator, right inputs)."""
+    if kind == "AA":
+        return key
+    if kind == "DA":
+        return ((), key[0], key[1])
+    if kind == "AD":
+        return (key[0], key[1], ())
+    return ((), key, ())
+
+
+def _from_aa_key(kind: str, argsL: tuple, g, argsR: tuple):
+    """The table key of the given kind for (left inputs, generator, right inputs)."""
+    if kind == "AA":
+        return (argsL, g, argsR)
+    if kind == "DA":
+        return (g, argsR)
+    if kind == "AD":
+        return (argsL, g)
+    return g
+
+
+def _from_out(kind: str, a, y, b):
+    """The table output of the given kind for (left output, generator, right output)."""
+    if kind == "AA":
+        return y
+    if kind == "DA":
+        return (a, y)
+    if kind == "AD":
+        return (y, b)
+    return (a, y, b)
+
+
+def _out_gens(kind: str, outs) -> set:
+    """The generators among the outputs of one table value of any kind."""
+    if kind == "AA":
+        return set(outs)
+    if kind == "AD":
+        return {o[0] for o in outs}
+    return {o[1] for o in outs}
+
+
+def _entries(m):
+    """The table of a structure or morphism as ((argsL, g, argsR), [(a, y, b), ...]) pairs."""
+    items = m.table.items()
+    if m.kind == "AA":
+        return ((key, [(None, y, None) for y in outs]) for key, outs in items)
+    if m.kind == "DA":
+        return ((((), g, argsR), [(a, y, None) for a, y in outs]) for (g, argsR), outs in items)
+    if m.kind == "AD":
+        return (((argsL, g, ()), [(None, y, b) for y, b in outs]) for (argsL, g), outs in items)
+    return ((((), g, ()), outs) for g, outs in items)
+
+
+def _add(table: dict, key, val) -> None:
+    """Add one term to a table being built, with GF(2) cancellation."""
+    table.setdefault(key, set())
+    table[key] ^= {val}
+
+
+def _max_input_len(m, side: int) -> int:
+    """The longest left (side 0) or right (side 2) input tuple in m's table."""
+    return max((len(_as_aa_key(m.kind, k)[side]) for k in m.table), default=0)
+
 
 def _parity_add(acc: dict, key, count: int = 1) -> None:
     if count % 2:
@@ -124,55 +197,27 @@ class ModuleStructure:
         return self.right_alg.right_idem[argsR[-1]] if argsR else self.ridem[g]
 
     def _check_idempotent_compat(self):
-        for key, outs in self.table.items():
-            if self.kind == "AA":
-                argsL, g, argsR = key
-                if any(self.left_alg.is_idempotent_elem(a) for a in argsL) or any(
-                    self.right_alg.is_idempotent_elem(b) for b in argsR
-                ):
-                    raise StructureError("idempotent input stored in table")
-                if not self._chain_ok_left(argsL, self.lidem[g]):
-                    raise StructureError(f"left idempotent chain broken at {key}")
-                if not self._chain_ok_right(argsR, self.ridem[g]):
-                    raise StructureError(f"right idempotent chain broken at {key}")
-                li, ri = self._entry_lidem(argsL, g), self._entry_ridem(argsR, g)
-                for y in outs:
-                    if self.lidem[y] != li or self.ridem[y] != ri:
-                        raise StructureError(f"output idempotent mismatch at {key}")
-            elif self.kind == "DA":
-                g, argsR = key
-                if any(self.right_alg.is_idempotent_elem(b) for b in argsR):
-                    raise StructureError("idempotent input stored in table")
-                if not self._chain_ok_right(argsR, self.ridem[g]):
-                    raise StructureError(f"right idempotent chain broken at {key}")
-                ri = self._entry_ridem(argsR, g)
-                for a, y in outs:
-                    A = self.left_alg
-                    if A.left_idem[a] != self.lidem[g] or A.right_idem[a] != self.lidem[y]:
-                        raise StructureError(f"left output idempotent mismatch at {key}")
-                    if self.ridem[y] != ri:
-                        raise StructureError(f"output idempotent mismatch at {key}")
-            elif self.kind == "AD":
-                argsL, g = key
-                if any(self.left_alg.is_idempotent_elem(a) for a in argsL):
-                    raise StructureError("idempotent input stored in table")
-                if not self._chain_ok_left(argsL, self.lidem[g]):
-                    raise StructureError(f"left idempotent chain broken at {key}")
-                li = self._entry_lidem(argsL, g)
-                for y, b in outs:
-                    B = self.right_alg
-                    if B.right_idem[b] != self.ridem[g] or B.left_idem[b] != self.ridem[y]:
-                        raise StructureError(f"right output idempotent mismatch at {key}")
-                    if self.lidem[y] != li:
-                        raise StructureError(f"output idempotent mismatch at {key}")
-            else:  # DD
-                g = key
-                for a, y, b in outs:
-                    A, B = self.left_alg, self.right_alg
-                    if A.left_idem[a] != self.lidem[g] or A.right_idem[a] != self.lidem[y]:
-                        raise StructureError(f"left output idempotent mismatch at {g}")
-                    if B.left_idem[b] != self.ridem[y] or B.right_idem[b] != self.ridem[g]:
-                        raise StructureError(f"right output idempotent mismatch at {g}")
+        A, B = self.left_alg, self.right_alg
+        lidem, ridem = self.lidem, self.ridem
+        for key, ((argsL, g, argsR), outs) in zip(self.table, _entries(self)):
+            if any(A.is_idempotent_elem(a) for a in argsL) or any(
+                B.is_idempotent_elem(b) for b in argsR
+            ):
+                raise StructureError("idempotent input stored in table")
+            if not self._chain_ok_left(argsL, lidem[g]):
+                raise StructureError(f"left idempotent chain broken at {key}")
+            if not self._chain_ok_right(argsR, ridem[g]):
+                raise StructureError(f"right idempotent chain broken at {key}")
+            li, ri = self._entry_lidem(argsL, g), self._entry_ridem(argsR, g)
+            for a, y, b in outs:
+                # A type-D side's output carries the idempotents from g to y;
+                # on a type-A side y's idempotent is the entry's.
+                if a is not None and (A.left_idem[a] != li or A.right_idem[a] != lidem[y]):
+                    raise StructureError(f"left output idempotent mismatch at {key}")
+                if b is not None and (B.right_idem[b] != ri or B.left_idem[b] != ridem[y]):
+                    raise StructureError(f"right output idempotent mismatch at {key}")
+                if (a is None and lidem[y] != li) or (b is None and ridem[y] != ri):
+                    raise StructureError(f"output idempotent mismatch at {key}")
 
     # -- evaluation with unital rules ---------------------------------------
 
@@ -221,58 +266,31 @@ class ModuleStructure:
 
     def underlying_complex(self) -> ChainComplexGf2:
         """The scalar part: differential terms whose algebra factors are idempotents."""
-        images: dict = {g: Gf2Vector.zero() for g in self.gens}
-        if self.kind == "AA":
-            for (argsL, g, argsR), outs in self.table.items():
-                if not argsL and not argsR:
-                    images[g] += Gf2Vector(outs)
-        elif self.kind == "DA":
-            for (g, argsR), outs in self.table.items():
-                if argsR:
-                    continue
-                for a, y in outs:
-                    if self.left_alg.is_idempotent_elem(a):
-                        images[g] += Gf2Vector.of(y)
-        elif self.kind == "AD":
-            for (argsL, g), outs in self.table.items():
-                if argsL:
-                    continue
-                for y, b in outs:
-                    if self.right_alg.is_idempotent_elem(b):
-                        images[g] += Gf2Vector.of(y)
-        else:
-            for g, outs in self.table.items():
-                for a, y, b in outs:
-                    if self.left_alg.is_idempotent_elem(a) and self.right_alg.is_idempotent_elem(b):
-                        images[g] += Gf2Vector.of(y)
-        d = Gf2Matrix.from_columns(self.gens, self.gens, images)
-        return ChainComplexGf2(self.gens, d)
+        return ChainComplexGf2(self.gens, _scalar_matrix(self, self, self))
 
     def is_dg_type(self) -> bool:
         """Only the differential and the one-input actions are nonzero."""
-        if self.kind == "AA":
-            return all(
-                len(aL) + len(aR) <= 1 for (aL, _, aR) in self.table
-            )
-        if self.kind == "DA":
-            return all(len(aR) <= 1 for (_, aR) in self.table)
-        if self.kind == "AD":
-            return all(len(aL) <= 1 for (aL, _) in self.table)
-        return True
+        return all(len(aL) + len(aR) <= 1 for (aL, _, aR), _ in _entries(self))
 
     def max_left_len(self) -> int:
-        if self.kind == "AA":
-            return max((len(k[0]) for k in self.table), default=0)
-        if self.kind == "AD":
-            return max((len(k[0]) for k in self.table), default=0)
-        return 0
+        return _max_input_len(self, 0)
 
     def max_right_len(self) -> int:
-        if self.kind == "AA":
-            return max((len(k[2]) for k in self.table), default=0)
-        if self.kind == "DA":
-            return max((len(k[1]) for k in self.table), default=0)
-        return 0
+        return _max_input_len(self, 2)
+
+
+def _scalar_matrix(f, src: ModuleStructure, dst: ModuleStructure) -> Gf2Matrix:
+    """The matrix, src's generators to dst's, of the terms of f's table (a
+    structure's or a morphism's) with no inputs and idempotent outputs."""
+    A, B = src.left_alg, src.right_alg
+    images: dict = {g: set() for g in src.gens}
+    for (argsL, g, argsR), outs in _entries(f):
+        if argsL or argsR:
+            continue
+        for a, y, b in outs:
+            if (a is None or A.is_idempotent_elem(a)) and (b is None or B.is_idempotent_elem(b)):
+                images[g] ^= {y}
+    return Gf2Matrix.from_columns(dst.gens, src.gens, images)
 
 
 # -- chained input enumeration ------------------------------------------------
@@ -340,31 +358,6 @@ def _insertions(alg: AlgebraModel, args: tuple):
 # enumerator below lists exactly those inputs that also lie in the
 # brute-force window, in the order the brute-force enumeration would visit
 # them, so the first failing input is the same witness.
-
-
-def _as_aa_key(kind: str, key) -> tuple:
-    """A table key of an AA, DA or AD table as (left inputs, generator, right inputs)."""
-    if kind == "AA":
-        return key
-    if kind == "DA":
-        return ((), key[0], key[1])
-    return (key[0], key[1], ())
-
-
-def _from_aa_key(kind: str, argsL: tuple, g, argsR: tuple) -> tuple:
-    if kind == "AA":
-        return (argsL, g, argsR)
-    if kind == "DA":
-        return (g, argsR)
-    return (argsL, g)
-
-
-def _out_gens(kind: str, outs) -> set:
-    if kind == "AA":
-        return set(outs)
-    if kind == "DA":
-        return {y for _, y in outs}
-    return {y for y, _ in outs}
 
 
 def _pullbacks(alg: Optional[AlgebraModel], args: tuple):
@@ -585,43 +578,18 @@ def delta_bar(m: ModuleStructure, x, args: tuple, depth: int) -> list:
 
 def dualize(m: ModuleStructure) -> ModuleStructure:
     """Rotate the structure by 180 degrees: AA->AA (sides swapped), DA->AD, DD->DD."""
-    lidem = {g: m.ridem[g] for g in m.gens}
-    ridem = {g: m.lidem[g] for g in m.gens}
+    kind = m.kind[::-1]
     table: dict = {}
-    if m.kind == "AA":
-        kind = "AA"
-        for (argsL, g, argsR), outs in m.table.items():
-            for y in outs:
-                key = (tuple(reversed(argsR)), y, tuple(reversed(argsL)))
-                table.setdefault(key, set())
-                table[key] ^= {g}
-    elif m.kind == "DA":
-        kind = "AD"
-        for (g, argsR), outs in m.table.items():
-            for a, y in outs:
-                key = (tuple(reversed(argsR)), y)
-                table.setdefault(key, set())
-                table[key] ^= {(g, a)}
-    elif m.kind == "AD":
-        kind = "DA"
-        for (argsL, g), outs in m.table.items():
-            for y, b in outs:
-                key = (y, tuple(reversed(argsL)))
-                table.setdefault(key, set())
-                table[key] ^= {(b, g)}
-    else:
-        kind = "DD"
-        for g, outs in m.table.items():
-            for a, y, b in outs:
-                table.setdefault(y, set())
-                table[y] ^= {(b, g, a)}
+    for (argsL, g, argsR), outs in _entries(m):
+        for a, y, b in outs:
+            _add(table, _from_aa_key(kind, argsR[::-1], y, argsL[::-1]), _from_out(kind, b, g, a))
     return ModuleStructure(
         kind,
         m.right_alg,
         m.left_alg,
         m.gens,
-        lidem,
-        ridem,
+        m.ridem,
+        m.lidem,
         table,
         validate=False,
         name=f"dual({m.name})" if m.name else "",
@@ -630,36 +598,15 @@ def dualize(m: ModuleStructure) -> ModuleStructure:
 
 def oppositize(m: ModuleStructure) -> ModuleStructure:
     """Reflect the structure along the vertical axis, over the opposite algebras."""
-    lidem = {g: m.ridem[g] for g in m.gens}
-    ridem = {g: m.lidem[g] for g in m.gens}
+    kind = m.kind[::-1]
     left = m.right_alg.opposite() if m.right_alg is not None else None
     right = m.left_alg.opposite() if m.left_alg is not None else None
     table: dict = {}
-    if m.kind == "AA":
-        kind = "AA"
-        for (argsL, g, argsR), outs in m.table.items():
-            key = (tuple(reversed(argsR)), g, tuple(reversed(argsL)))
-            table.setdefault(key, set())
-            table[key] ^= set(outs)
-    elif m.kind == "DA":
-        kind = "AD"
-        for (g, argsR), outs in m.table.items():
-            key = (tuple(reversed(argsR)), g)
-            table.setdefault(key, set())
-            table[key] ^= {(y, a) for a, y in outs}
-    elif m.kind == "AD":
-        kind = "DA"
-        for (argsL, g), outs in m.table.items():
-            key = (g, tuple(reversed(argsL)))
-            table.setdefault(key, set())
-            table[key] ^= {(b, y) for y, b in outs}
-    else:
-        kind = "DD"
-        for g, outs in m.table.items():
-            table.setdefault(g, set())
-            table[g] ^= {(b, y, a) for a, y, b in outs}
+    for (argsL, g, argsR), outs in _entries(m):
+        key = _from_aa_key(kind, argsR[::-1], g, argsL[::-1])
+        table[key] = table.get(key, frozenset()) ^ {_from_out(kind, b, y, a) for a, y, b in outs}
     return ModuleStructure(
-        kind, left, right, m.gens, lidem, ridem, table, validate=False,
+        kind, left, right, m.gens, m.ridem, m.lidem, table, validate=False,
         name=f"op({m.name})" if m.name else "",
     )
 
@@ -671,21 +618,15 @@ def relabel(m: ModuleStructure, f, validate: bool = True) -> ModuleStructure:
     comparisons of equal generators hit the identity fast path.
     """
     new = {g: f(g) for g in m.gens}
-    table: dict = {}
-    for key, outs in m.table.items():
-        if m.kind == "AA":
-            argsL, g, argsR = key
-            table[(argsL, new[g], argsR)] = frozenset(new[y] for y in outs)
-        elif m.kind == "DA":
-            g, argsR = key
-            table[(new[g], argsR)] = frozenset((a, new[y]) for a, y in outs)
-        elif m.kind == "AD":
-            argsL, g = key
-            table[(argsL, new[g])] = frozenset((new[y], b) for y, b in outs)
-        else:
-            table[new[key]] = frozenset((a, new[y], b) for a, y, b in outs)
+    kind = m.kind
+    table = {
+        _from_aa_key(kind, argsL, new[g], argsR): frozenset(
+            _from_out(kind, a, new[y], b) for a, y, b in outs
+        )
+        for (argsL, g, argsR), outs in _entries(m)
+    }
     return ModuleStructure(
-        m.kind,
+        kind,
         m.left_alg,
         m.right_alg,
         new.values(),
@@ -751,53 +692,16 @@ class Morphism:
 
     def scalar_matrix(self) -> Gf2Matrix:
         """The matrix of the idempotent-coefficient part on underlying complexes."""
-        images = {g: Gf2Vector.zero() for g in self.src.gens}
-        if self.kind == "AA":
-            for (argsL, g, argsR), outs in self.table.items():
-                if not argsL and not argsR:
-                    images[g] += Gf2Vector(outs)
-        elif self.kind == "DA":
-            for (g, argsR), outs in self.table.items():
-                if argsR:
-                    continue
-                for a, y in outs:
-                    if self.src.left_alg.is_idempotent_elem(a):
-                        images[g] += Gf2Vector.of(y)
-        elif self.kind == "AD":
-            for (argsL, g), outs in self.table.items():
-                if argsL:
-                    continue
-                for y, b in outs:
-                    if self.src.right_alg.is_idempotent_elem(b):
-                        images[g] += Gf2Vector.of(y)
-        else:
-            for g, outs in self.table.items():
-                for a, y, b in outs:
-                    if self.src.left_alg.is_idempotent_elem(a) and self.src.right_alg.is_idempotent_elem(b):
-                        images[g] += Gf2Vector.of(y)
-        return Gf2Matrix.from_columns(self.dst.gens, self.src.gens, images)
+        return _scalar_matrix(self, self.src, self.dst)
 
 
 def identity_morphism(m: ModuleStructure) -> Morphism:
+    A, B = m.left_alg, m.right_alg
     table: dict = {}
-    if m.kind == "AA":
-        for g in m.gens:
-            table[((), g, ())] = {g}
-    elif m.kind == "DA":
-        for g in m.gens:
-            table[(g, ())] = {(m.left_alg.idempotent_index(m.lidem[g]), g)}
-    elif m.kind == "AD":
-        for g in m.gens:
-            table[((), g)] = {(g, m.right_alg.idempotent_index(m.ridem[g]))}
-    else:
-        for g in m.gens:
-            table[g] = {
-                (
-                    m.left_alg.idempotent_index(m.lidem[g]),
-                    g,
-                    m.right_alg.idempotent_index(m.ridem[g]),
-                )
-            }
+    for g in m.gens:
+        a = A.idempotent_index(m.lidem[g]) if m.kind[0] == "D" else None
+        b = B.idempotent_index(m.ridem[g]) if m.kind[1] == "D" else None
+        table[_from_aa_key(m.kind, (), g, ())] = {_from_out(m.kind, a, g, b)}
     return Morphism(m, m, table)
 
 
@@ -806,52 +710,28 @@ def zero_morphism(src: ModuleStructure, dst: ModuleStructure) -> Morphism:
 
 
 def morphism_compose(g: Morphism, f: Morphism) -> Morphism:
-    """g after f, per the composition diagrams of the four kinds."""
+    """g after f, per the composition diagrams of the four kinds.
+
+    The outer g consumes the outer inputs: left inputs are g's then f's, right
+    inputs f's then g's.  Left outputs multiply as a_f . a_g, right outputs as
+    b_g . b_f (later outputs outermost).
+    """
     if f.dst is not g.src:
         raise StructureError("composition endpoint mismatch")
     kind = f.kind
+    A, B = f.src.left_alg, f.src.right_alg
+    outer: dict = {}
+    for (argsL2, y, argsR2), outs2 in _entries(g):
+        outer.setdefault(y, []).append((argsL2, argsR2, outs2))
     table: dict = {}
-
-    def add(key, val):
-        table.setdefault(key, set())
-        table[key] ^= {val}
-
-    if kind == "AA":
-        # Outer g around inner f; inner left args are the suffix, inner right
-        # args the prefix, so composed keys concatenate as below.
-        for (argsL1, x, argsR1), outs1 in f.table.items():
-            for y in outs1:
-                for (argsL2, yy, argsR2), outs2 in g.table.items():
-                    if yy != y:
-                        continue
-                    key = (argsL2 + argsL1, x, argsR1 + argsR2)
-                    for z in outs2:
-                        add(key, z)
-    elif kind == "DA":
-        for (x, argsR1), outs1 in f.table.items():
-            for a1, y in outs1:
-                for (yy, argsR2), outs2 in g.table.items():
-                    if yy != y:
-                        continue
-                    for a2, z in outs2:
-                        for prod in f.src.left_alg.mult_table[(a1, a2)]:
-                            add((x, argsR1 + argsR2), (prod, z))
-    elif kind == "AD":
-        for (argsL1, x), outs1 in f.table.items():
-            for y, b1 in outs1:
-                for (argsL2, yy), outs2 in g.table.items():
-                    if yy != y:
-                        continue
-                    for z, b2 in outs2:
-                        for prod in f.src.right_alg.mult_table[(b2, b1)]:
-                            add((argsL2 + argsL1, x), (z, prod))
-    else:
-        for x, outs1 in f.table.items():
-            for a1, y, b1 in outs1:
-                for a2, z, b2 in g.table.get(y, frozenset()):
-                    for pa in f.src.left_alg.mult_table[(a1, a2)]:
-                        for pb in f.src.right_alg.mult_table[(b2, b1)]:
-                            add(x, (pa, z, pb))
+    for (argsL1, x, argsR1), outs1 in _entries(f):
+        for a1, y, b1 in outs1:
+            for argsL2, argsR2, outs2 in outer.get(y, ()):
+                key = _from_aa_key(kind, argsL2 + argsL1, x, argsR1 + argsR2)
+                for a2, z, b2 in outs2:
+                    for pa in (None,) if a1 is None else A.mult_table[(a1, a2)]:
+                        for pb in (None,) if b1 is None else B.mult_table[(b2, b1)]:
+                            _add(table, key, _from_out(kind, pa, z, pb))
     return Morphism(f.src, g.dst, table)
 
 
@@ -966,19 +846,11 @@ def morphism_diff(f: Morphism) -> Morphism:
 
 
 def f_max_left(f: Morphism) -> int:
-    if f.kind in ("AA",):
-        return max((len(k[0]) for k in f.table), default=0)
-    if f.kind == "AD":
-        return max((len(k[0]) for k in f.table), default=0)
-    return 0
+    return _max_input_len(f, 0)
 
 
 def f_max_right(f: Morphism) -> int:
-    if f.kind == "AA":
-        return max((len(k[2]) for k in f.table), default=0)
-    if f.kind == "DA":
-        return max((len(k[1]) for k in f.table), default=0)
-    return 0
+    return _max_input_len(f, 2)
 
 
 def is_homomorphism(f: Morphism) -> bool:
@@ -1000,60 +872,34 @@ def homology_level_equal(f: Morphism, g: Morphism) -> str:
 
 
 def _morphism_slots(src: ModuleStructure, dst: ModuleStructure, max_len: int) -> list:
-    """All idempotent-compatible (key, atom) pairs with input length <= max_len."""
-    slots = []
+    """All idempotent-compatible (key, atom) pairs with input length <= max_len.
+
+    Ordered by generator, left inputs, right inputs, left output, right output
+    and target generator.
+    """
     kind = src.kind
-    if kind == "AA":
-        for g in src.gens:
-            lefts = _chains_into(src.left_alg, src.lidem[g], max_len) if src.left_alg else [()]
-            for argsL in lefts:
-                rights = (
-                    _chains_from(src.right_alg, src.ridem[g], max_len - len(argsL))
-                    if src.right_alg
-                    else [()]
-                )
-                for argsR in rights:
-                    li = src.left_alg.left_idem[argsL[0]] if argsL else src.lidem[g]
-                    ri = src.right_alg.right_idem[argsR[-1]] if argsR else src.ridem[g]
-                    for y in dst.gens:
-                        if dst.lidem[y] == li and dst.ridem[y] == ri:
-                            slots.append(((argsL, g, argsR), y))
-    elif kind == "DA":
-        A = src.left_alg
-        for g in src.gens:
-            rights = _chains_from(src.right_alg, src.ridem[g], max_len) if src.right_alg else [()]
+    A, B = src.left_alg, src.right_alg
+    slots = []
+    for g in src.gens:
+        lefts = _chains_into(A, src.lidem[g], max_len) if kind[0] == "A" and A else [()]
+        for argsL in lefts:
+            rights = (
+                _chains_from(B, src.ridem[g], max_len - len(argsL))
+                if kind[1] == "A" and B
+                else [()]
+            )
             for argsR in rights:
-                ri = src.right_alg.right_idem[argsR[-1]] if argsR else src.ridem[g]
-                for a in range(A.dim):
-                    if A.left_idem[a] != src.lidem[g]:
-                        continue
-                    for y in dst.gens:
-                        if dst.lidem[y] == A.right_idem[a] and dst.ridem[y] == ri:
-                            slots.append(((g, argsR), (a, y)))
-    elif kind == "AD":
-        B = src.right_alg
-        for g in src.gens:
-            lefts = _chains_into(src.left_alg, src.lidem[g], max_len) if src.left_alg else [()]
-            for argsL in lefts:
-                li = src.left_alg.left_idem[argsL[0]] if argsL else src.lidem[g]
-                for b in range(B.dim):
-                    if B.right_idem[b] != src.ridem[g]:
-                        continue
-                    for y in dst.gens:
-                        if dst.lidem[y] == li and dst.ridem[y] == B.left_idem[b]:
-                            slots.append(((argsL, g), (y, b)))
-    else:
-        A, B = src.left_alg, src.right_alg
-        for g in src.gens:
-            for a in range(A.dim):
-                if A.left_idem[a] != src.lidem[g]:
-                    continue
-                for b in range(B.dim):
-                    if B.right_idem[b] != src.ridem[g]:
-                        continue
-                    for y in dst.gens:
-                        if dst.lidem[y] == A.right_idem[a] and dst.ridem[y] == B.left_idem[b]:
-                            slots.append((g, (a, y, b)))
+                key = _from_aa_key(kind, argsL, g, argsR)
+                li, ri = src._entry_lidem(argsL, g), src._entry_ridem(argsR, g)
+                louts = [a for a in range(A.dim) if A.left_idem[a] == li] if kind[0] == "D" else [None]
+                routs = [b for b in range(B.dim) if B.right_idem[b] == ri] if kind[1] == "D" else [None]
+                for a in louts:
+                    yli = li if a is None else A.right_idem[a]
+                    for b in routs:
+                        yri = ri if b is None else B.left_idem[b]
+                        for y in dst.gens:
+                            if dst.lidem[y] == yli and dst.ridem[y] == yri:
+                                slots.append((key, _from_out(kind, a, y, b)))
     return slots
 
 
@@ -1104,29 +950,13 @@ def dump_module_tsv(m: ModuleStructure) -> str:
     lines.append(f"# left: {'-' if m.left_alg is None else 'A(' + str(m.left_alg.arc_diagram.kind) + ',' + str(m.left_alg.dim) + ')'}")
     lines.append(f"# right: {'-' if m.right_alg is None else 'A(' + str(m.right_alg.arc_diagram.kind) + ',' + str(m.right_alg.dim) + ')'}")
 
-    def fmt_args(args):
-        return ",".join(str(a) for a in args)
+    def fmt(*parts):
+        return ",".join(str(p) for p in parts if p is not None)
 
     entries = []
-    if m.kind == "AA":
-        for (argsL, g, argsR), outs in m.table.items():
-            key = f"L:{fmt_args(argsL)}|{g!r}|R:{fmt_args(argsR)}"
-            val = ";".join(sorted(repr(y) for y in outs))
-            entries.append(f"{key}\t{val}")
-    elif m.kind == "DA":
-        for (g, argsR), outs in m.table.items():
-            key = f"L:|{g!r}|R:{fmt_args(argsR)}"
-            val = ";".join(sorted(f"{a},{y!r}" for a, y in outs))
-            entries.append(f"{key}\t{val}")
-    elif m.kind == "AD":
-        for (argsL, g), outs in m.table.items():
-            key = f"L:{fmt_args(argsL)}|{g!r}|R:"
-            val = ";".join(sorted(f"{y!r},{b}" for y, b in outs))
-            entries.append(f"{key}\t{val}")
-    else:
-        for g, outs in m.table.items():
-            key = f"L:|{g!r}|R:"
-            val = ";".join(sorted(f"{a},{y!r},{b}" for a, y, b in outs))
-            entries.append(f"{key}\t{val}")
+    for (argsL, g, argsR), outs in _entries(m):
+        key = f"L:{fmt(*argsL)}|{g!r}|R:{fmt(*argsR)}"
+        val = ";".join(sorted(fmt(a, repr(y), b) for a, y, b in outs))
+        entries.append(f"{key}\t{val}")
     lines.extend(sorted(entries))
     return "\n".join(lines) + "\n"

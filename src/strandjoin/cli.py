@@ -22,7 +22,8 @@ from .strands import (
     dump_mult_tsv,
     enumerate_basis,
 )
-from .standard_models import DescriptorError
+from .ainf import dualize
+from .standard_models import DescriptorError, parse_descriptor
 
 
 class CliError(Exception):
@@ -99,33 +100,23 @@ def cmd_blocks(args, out) -> int:
     return 0
 
 
+# The descriptor prefixes each join role accepts, and how its error names them.
+_JOIN_ROLES = {
+    "U": (("elementary:D:",), "elementary:D:{..}"),
+    "M": (("elementary:A:", "amod:"), "elementary:A:{..} or amod:{..}"),
+    "V": (("elementary:D:",), "elementary:D:{..}"),
+}
+
+
 def _module_for_join(am, desc: str, role: str):
-    from .standard_models import elementary
-
+    """U is a right type-D module, M a bounded left type-A module, V a left type-D module."""
     desc = desc.strip()
-    if role == "U":
-        if desc.startswith("elementary:D:"):
-            from .standard_models import _parse_subset
-
-            return elementary(am, _parse_subset(desc.split(":")[2], am.k), "D", hand="right")
-        raise CliError(f"U descriptor must be elementary:D:{{..}}, got {desc!r}", 1)
-    if role == "V":
-        if desc.startswith("elementary:D:"):
-            from .standard_models import _parse_subset
-
-            return elementary(am, _parse_subset(desc.split(":")[2], am.k), "D", hand="left")
-        raise CliError(f"V descriptor must be elementary:D:{{..}}, got {desc!r}", 1)
-    # role == "M": a bounded left type-A module
-    if desc.startswith("elementary:A:"):
-        from .standard_models import _parse_subset, elementary
-
-        return elementary(am, _parse_subset(desc.split(":")[2], am.k), "A")
-    if desc.startswith("amod:"):
-        from .standard_models import _parse_subset
-        from .standard_models import left_module_from_right_idem
-
-        return left_module_from_right_idem(am, _parse_subset(desc.split(":")[1], am.k))
-    raise CliError(f"M descriptor must be elementary:A:{{..}} or amod:{{..}}, got {desc!r}", 1)
+    prefixes, forms = _JOIN_ROLES[role]
+    if not desc.startswith(prefixes):
+        raise CliError(f"{role} descriptor must be {forms}, got {desc!r}", 1)
+    m = parse_descriptor(am, desc)
+    # elementary:D:{..} parses as a left type-D module; U is its mirror image.
+    return dualize(m) if role == "U" else m
 
 
 def cmd_join(args, out) -> int:
@@ -218,14 +209,24 @@ def _suite_dga(z, am, rng) -> list:
     for i in range(n):
         if vsum(Gf2Vector(am.diff_table[j]) for j in am.diff_table[i]):
             failures.append(f"d^2 != 0 at {i}")
+    # d(i.j), d(i).j and i.d(j) vanish unless (i, j) is a product key, or
+    # (l, j) is one for some l in d(i), or (i, l) is one for some l in d(j);
+    # so only those pairs are visited, in increasing order.
+    d_pre: dict = {}
     for i in range(n):
-        for j in range(n):
-            lhs = am.diff(am.mul(Gf2Vector.of(i), Gf2Vector.of(j)))
-            rhs = am.mul(am.diff(Gf2Vector.of(i)), Gf2Vector.of(j)) + am.mul(
-                Gf2Vector.of(i), am.diff(Gf2Vector.of(j))
-            )
-            if lhs.entries != rhs.entries:
-                failures.append(f"Leibniz fails at ({i},{j})")
+        for l in am.diff_table[i]:
+            d_pre.setdefault(l, []).append(i)
+    pairs = set(am.mult_table)
+    for a, b in am.mult_table:
+        pairs.update((i, b) for i in d_pre.get(a, ()))
+        pairs.update((a, j) for j in d_pre.get(b, ()))
+    for i, j in sorted(pairs):
+        lhs = am.diff(am.mul(Gf2Vector.of(i), Gf2Vector.of(j)))
+        rhs = am.mul(am.diff(Gf2Vector.of(i)), Gf2Vector.of(j)) + am.mul(
+            Gf2Vector.of(i), am.diff(Gf2Vector.of(j))
+        )
+        if lhs.entries != rhs.entries:
+            failures.append(f"Leibniz fails at ({i},{j})")
     # Both sides vanish unless k is in the row support of j or of some l in
     # i.j, so only those k are visited, in increasing order.
     row_support: dict = {}

@@ -20,14 +20,14 @@ from dataclasses import dataclass
 
 from .gf2 import ChainComplexGf2, Gf2Matrix, Gf2Vector
 from .strands import AlgebraModel
-from .ainf import ModuleStructure, Morphism, StructureError, oppositize, relabel
+from .ainf import ModuleStructure, Morphism, StructureError, dualize, oppositize, relabel
 from .standard_models import (
     da_identity,
     dual_alg_as_aa,
     elementary,
     identity_firings,
 )
-from .tensor import TensorAlgebra, _da_chains, box, dbox
+from .tensor import TensorAlgebra, _d_chains, box, dbox
 
 
 # -- module-shape helpers --------------------------------------------------------
@@ -65,8 +65,8 @@ def left_entries_with_units(M: ModuleStructure):
 def _left_d_chains(V: ModuleStructure, kmax: int) -> dict:
     """(v0, temporal output tuple) -> {v_end: parity}, non-idempotent emissions."""
     return {
-        key: {v: par for (_, v), par in states.items()}
-        for key, states in _da_chains(V, kmax).items()
+        key: {v: par for (_, _, v), par in states.items()}
+        for key, states in _d_chains(V, kmax).items()
     }
 
 
@@ -219,7 +219,7 @@ def join_general(U: ModuleStructure, M: ModuleStructure, V: ModuleStructure) -> 
     if U.right_alg is not am or V.left_alg is not am:
         raise StructureError("join factors over different algebras")
     c1 = dm_complex(U, M)
-    c2 = mv_complex(dualize_left_module(M), V)
+    c2 = mv_complex(dualize(M), V)
     domain = tensor_complex(c1, c2)
     codomain = sandwich_complex(U, dual_alg_as_aa(am), V)
     cod_set = set(codomain.basis)
@@ -256,12 +256,6 @@ def join_general(U: ModuleStructure, M: ModuleStructure, V: ModuleStructure) -> 
                                     images[g] += Gf2Vector.of(tgt)
     matrix = Gf2Matrix.from_columns(codomain.basis, domain.basis, images)
     return JoinInstance(am, domain, codomain, matrix)
-
-
-def dualize_left_module(M: ModuleStructure) -> ModuleStructure:
-    from .ainf import dualize
-
-    return dualize(M)
 
 
 def join_dg(U: ModuleStructure, M: ModuleStructure, V: ModuleStructure) -> JoinInstance:
@@ -335,7 +329,7 @@ def double_module(M: ModuleStructure) -> ChainComplexGf2:
     """The double of M: M-dual box (identity, algebra, identity) box M."""
     _require_left_a(M)
     am = M.left_alg
-    c = dd_sandwich_complex(dualize_left_module(M), dd_middle(am), M)
+    c = dd_sandwich_complex(dualize(M), dd_middle(am), M)
     c.check_d_squared()
     return c
 
@@ -652,8 +646,6 @@ def join_general_right(
     am = M.right_alg
     if U.right_alg is not am or V.left_alg is not am:
         raise StructureError("join factors over different algebras")
-    from .ainf import dualize
-
     c1 = dm_right_complex(U, M)
     c2 = md_left_complex(dualize(M), V)
     domain = tensor_complex(c1, c2)
@@ -713,8 +705,6 @@ def join_symmetry_verdict(
     factors swapped; the carrier identification swaps the domain factors and
     reverses the codomain sandwich.
     """
-    from .ainf import dualize
-
     inst = join_general(U, M, V)
     refl = join_general_right(dualize(V), dualize(M), dualize(U))
     # domain identification: ((u,p),(q,v)) of inst <-> ((v,q),(p,u)) of refl
@@ -828,7 +818,6 @@ def three_joins(
     bimodule, V a left type-D module; the middle complex is
     M-dual box X box N.
     """
-    from .ainf import dualize
     from .strands import rotate180
     from .tensor import external_tensor
 
@@ -934,7 +923,6 @@ def self_join(U_pair: ModuleStructure, M: ModuleStructure):
     with its reverse, playing both ends; M must be DG-type (the external
     tensor packaging requires it).
     """
-    from .ainf import dualize
     from .strands import rotate180
     from .tensor import external_tensor
 

@@ -181,10 +181,12 @@ class DescriptorError(ValueError):
 
 
 def parse_descriptor(am: AlgebraModel, text: str):
-    """Parse the CLI mini-language for standard models.
+    """Parse the mini-language for standard models.
 
-    Forms: ``elementary:D:{1,3}``, ``elementary:A:{}``, ``alg``, ``dualalg``,
-    ``id:DA``, ``id:DD``, ``gamma:{1}:{1,2}``.
+    Forms: ``elementary:D:{1,3}`` and ``elementary:A:{}`` (left-handed),
+    ``amod:{1}`` (the left module A.iota_I), ``alg``, ``dualalg``, ``id:DA``,
+    ``id:DD``, ``gamma:{1}:{1,2}``.  The CLI's join and double commands take
+    the elementary and amod forms.
     """
     text = text.strip()
     if text == "alg":
@@ -200,6 +202,11 @@ def parse_descriptor(am: AlgebraModel, text: str):
         if len(parts) != 3 or parts[1] not in ("A", "D"):
             raise DescriptorError(f"bad elementary descriptor {text!r}")
         return elementary(am, _parse_subset(parts[2], am.k), parts[1])
+    if text.startswith("amod:"):
+        parts = text.split(":")
+        if len(parts) != 2:
+            raise DescriptorError(f"bad amod descriptor {text!r}")
+        return left_module_from_right_idem(am, _parse_subset(parts[1], am.k))
     if text.startswith("gamma:"):
         parts = text.split(":")
         if len(parts) != 3:

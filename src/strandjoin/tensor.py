@@ -20,7 +20,11 @@ from .ainf import (
     ModuleStructure,
     Morphism,
     StructureError,
-    f_max_right,
+    _add,
+    _entries,
+    _from_aa_key,
+    _from_out,
+    _max_input_len,
     oppositize,
     relabel,
 )
@@ -31,59 +35,33 @@ class BoxProduct:
     result: ModuleStructure
 
 
-def _da_chains(n: ModuleStructure, kmax: int) -> dict:
-    """For a DA right factor: (y0, bseq) -> {(argsC, y_end): parity} with all
-    emitted b non-idempotent and len(bseq) <= kmax."""
+def _d_chains(n: ModuleStructure, kmax: int) -> dict:
+    """For a left type-D factor (DA or DD): (y0, bseq) -> {(argsC, cseq, y_end): parity}.
+
+    bseq is the tuple of emitted left outputs, all non-idempotent, with
+    len(bseq) <= kmax; argsC concatenates the right inputs the firings
+    consumed and cseq collects their right outputs (so a DA factor's cseq and
+    a DD factor's argsC stay empty).
+    """
     alg = n.left_alg
     firings: dict = {}
-    for (y, blk), outs in n.table.items():
+    for (_, y, blk), outs in _entries(n):
         firings.setdefault(y, []).append((blk, outs))
-    chains: dict = {}
-    for y in n.gens:
-        chains.setdefault((y, ()), {})[((), y)] = 1
-    frontier = {(y, ()): {((), y): 1} for y in n.gens}
+    chains: dict = {(y, ()): {((), (), y): 1} for y in n.gens}
+    frontier = {(y, ()): {((), (), y): 1} for y in n.gens}
     for _ in range(kmax):
         nxt: dict = {}
         for (y0, bseq), states in frontier.items():
-            for (argsC, y), par in states.items():
+            for (argsC, cseq, y), par in states.items():
                 if not par:
                     continue
                 for blk, outs in firings.get(y, ()):
-                    for b, y2 in outs:
+                    for b, y2, c in outs:
                         if alg.is_idempotent_elem(b):
                             continue
-                        key = (y0, bseq + (b,))
-                        st = nxt.setdefault(key, {})
-                        skey = (argsC + blk, y2)
+                        st = nxt.setdefault((y0, bseq + (b,)), {})
+                        skey = (argsC + blk, cseq if c is None else cseq + (c,), y2)
                         st[skey] = st.get(skey, 0) ^ 1
-        for key, states in nxt.items():
-            tgt = chains.setdefault(key, {})
-            for skey, par in states.items():
-                tgt[skey] = tgt.get(skey, 0) ^ par
-        frontier = nxt
-    return chains
-
-
-def _dd_chains(n: ModuleStructure, kmax: int) -> dict:
-    """For a DD right factor: (y0, bseq) -> {(cseq, y_end): parity}."""
-    alg = n.left_alg
-    chains: dict = {}
-    for y in n.gens:
-        chains.setdefault((y, ()), {})[((), y)] = 1
-    frontier = {(y, ()): {((), y): 1} for y in n.gens}
-    for _ in range(kmax):
-        nxt: dict = {}
-        for (y0, bseq), states in frontier.items():
-            for (cseq, y), par in states.items():
-                if not par:
-                    continue
-                for b, y2, c in n.dd(y):
-                    if alg.is_idempotent_elem(b):
-                        continue
-                    key = (y0, bseq + (b,))
-                    st = nxt.setdefault(key, {})
-                    skey = (cseq + (c,), y2)
-                    st[skey] = st.get(skey, 0) ^ 1
         for key, states in nxt.items():
             tgt = chains.setdefault(key, {})
             for skey, par in states.items():
@@ -102,6 +80,26 @@ def _collapse(alg: AlgebraModel, cseq: tuple, empty_idem: frozenset) -> Gf2Vecto
     return acc
 
 
+def _box_table(f, n: ModuleStructure, kind: str, genset: set) -> dict:
+    """The terms of f box n (f a structure or a morphism) in which f's stored
+    entries consume chains of n's firings; the result has the given kind."""
+    ralg = n.right_alg if n.right_type == "D" else None
+    table: dict = {}
+    chains = _d_chains(n, _max_input_len(f, 2))
+    for (argsL, x, bseq), outs in _entries(f):
+        for y in n.gens:
+            if (x, y) not in genset:
+                continue
+            for (argsC, cseq, y2), par in chains.get((y, bseq), {}).items():
+                if not par:
+                    continue
+                key = _from_aa_key(kind, argsL, (x, y), argsC)
+                for c in (None,) if ralg is None else _collapse(ralg, cseq, n.ridem[y]):
+                    for a, x2, _ in outs:
+                        _add(table, key, _from_out(kind, a, (x2, y2), c))
+    return table
+
+
 def box(m: ModuleStructure, n: ModuleStructure, validate: bool = True) -> BoxProduct:
     """The box tensor product of an A-side left factor with a D-side right factor."""
     if m.right_type != "A":
@@ -111,129 +109,33 @@ def box(m: ModuleStructure, n: ModuleStructure, validate: bool = True) -> BoxPro
     if m.right_alg is not n.left_alg:
         raise StructureError("factors are over different algebras")
     alg = m.right_alg
+    kind = m.left_type + n.right_type
     gens = tuple(
         (x, y) for x in m.gens for y in n.gens if m.ridem[x] == n.lidem[y]
     )
     genset = set(gens)
-    kmax = m.max_right_len()
-    table: dict = {}
-
-    def add(key, val):
-        table.setdefault(key, set())
-        table[key] ^= {val}
-
-    if n.kind == "DA":
-        chains = _da_chains(n, kmax)
-        res_kind = m.left_type + "A"
-        lidem = {(x, y): m.lidem[x] for (x, y) in gens}
-        ridem = {(x, y): n.ridem[y] for (x, y) in gens}
-        if m.kind == "AA":
-            for (argsL, x, bseq), outs in m.table.items():
-                for y in n.gens:
-                    if ((x, y)) not in genset:
-                        continue
-                    for (argsC, y2), par in chains.get((y, bseq), {}).items():
-                        if not par:
-                            continue
-                        for x2 in outs:
-                            add((argsL, (x, y), argsC), (x2, y2))
-            # Unital interaction: a single idempotent emission acts as identity.
-            for (y, blk), outs in n.table.items():
-                for b, y2 in outs:
-                    if not alg.is_idempotent_elem(b):
-                        continue
-                    subset = alg.elems[b].occupied
-                    for x in m.gens:
-                        if m.ridem[x] == subset and (x, y) in genset:
-                            add(((), (x, y), blk), (x, y2))
-        else:  # m.kind == "DA"
-            for (x, bseq), outs in m.table.items():
-                for y in n.gens:
-                    if (x, y) not in genset:
-                        continue
-                    for (argsC, y2), par in chains.get((y, bseq), {}).items():
-                        if not par:
-                            continue
-                        for a, x2 in outs:
-                            add(((x, y), argsC), (a, (x2, y2)))
-            for (y, blk), outs in n.table.items():
-                for b, y2 in outs:
-                    if not alg.is_idempotent_elem(b):
-                        continue
-                    subset = alg.elems[b].occupied
-                    for x in m.gens:
-                        if m.ridem[x] == subset and (x, y) in genset:
-                            ia = m.left_alg.idempotent_index(m.lidem[x])
-                            add(((x, y), blk), (ia, (x, y2)))
-        result = ModuleStructure(
-            res_kind,
-            m.left_alg,
-            n.right_alg,
-            gens,
-            lidem,
-            ridem,
-            table,
-            validate=validate,
-            name=f"({m.name}x{n.name})",
-        )
-    elif n.kind == "DD":
-        chains = _dd_chains(n, kmax)
-        res_kind = m.left_type + "D"
-        lidem = {(x, y): m.lidem[x] for (x, y) in gens}
-        ridem = {(x, y): n.ridem[y] for (x, y) in gens}
-        ralg = n.right_alg
-        if m.kind == "AA":
-            for (argsL, x, bseq), outs in m.table.items():
-                for y in n.gens:
-                    if (x, y) not in genset:
-                        continue
-                    for (cseq, y2), par in chains.get((y, bseq), {}).items():
-                        if not par:
-                            continue
-                        for c in _collapse(ralg, cseq, n.ridem[y]):
-                            for x2 in outs:
-                                add((argsL, (x, y)), ((x2, y2), c))
-            for y, outs in n.table.items():
-                for b, y2, c in outs:
-                    if not alg.is_idempotent_elem(b):
-                        continue
-                    subset = alg.elems[b].occupied
-                    for x in m.gens:
-                        if m.ridem[x] == subset and (x, y) in genset:
-                            add(((), (x, y)), ((x, y2), c))
-        else:  # m.kind == "DA"
-            for (x, bseq), outs in m.table.items():
-                for y in n.gens:
-                    if (x, y) not in genset:
-                        continue
-                    for (cseq, y2), par in chains.get((y, bseq), {}).items():
-                        if not par:
-                            continue
-                        for c in _collapse(ralg, cseq, n.ridem[y]):
-                            for a, x2 in outs:
-                                add((x, y), (a, (x2, y2), c))
-            for y, outs in n.table.items():
-                for b, y2, c in outs:
-                    if not alg.is_idempotent_elem(b):
-                        continue
-                    subset = alg.elems[b].occupied
-                    for x in m.gens:
-                        if m.ridem[x] == subset and (x, y) in genset:
-                            ia = m.left_alg.idempotent_index(m.lidem[x])
-                            add((x, y), (ia, (x, y2), c))
-        result = ModuleStructure(
-            res_kind,
-            m.left_alg,
-            n.right_alg,
-            gens,
-            lidem,
-            ridem,
-            table,
-            validate=validate,
-            name=f"({m.name}x{n.name})",
-        )
-    else:
-        raise StructureError(f"unsupported right factor kind {n.kind}")
+    table = _box_table(m, n, kind, genset)
+    # Unital interaction: a single idempotent emission acts as identity.
+    for (_, y, blk), outs in _entries(n):
+        for b, y2, c in outs:
+            if not alg.is_idempotent_elem(b):
+                continue
+            subset = alg.elems[b].occupied
+            for x in m.gens:
+                if m.ridem[x] == subset and (x, y) in genset:
+                    a = m.left_alg.idempotent_index(m.lidem[x]) if m.left_type == "D" else None
+                    _add(table, _from_aa_key(kind, (), (x, y), blk), _from_out(kind, a, (x, y2), c))
+    result = ModuleStructure(
+        kind,
+        m.left_alg,
+        n.right_alg,
+        gens,
+        {(x, y): m.lidem[x] for (x, y) in gens},
+        {(x, y): n.ridem[y] for (x, y) in gens},
+        table,
+        validate=validate,
+        name=f"({m.name}x{n.name})",
+    )
     return BoxProduct(result)
 
 
@@ -369,125 +271,71 @@ def external_tensor(m: ModuleStructure, n: ModuleStructure) -> ModuleStructure:
 def induced(f: Morphism, other: ModuleStructure, side: str) -> Morphism:
     """f boxed with an identity: side names where `other` attaches."""
     if side == "right":
+        if f.kind != "AA":
+            raise StructureError("unsupported induced-map combination")
         src_box = box(f.src, other, validate=False).result
         dst_box = box(f.dst, other, validate=False).result
-        kmax = f_max_right(f)
-        if other.kind == "DA":
-            chains = _da_chains(other, kmax)
-        else:
-            chains = _dd_chains(other, kmax)
-        table: dict = {}
-
-        def add(key, val):
-            table.setdefault(key, set())
-            table[key] ^= {val}
-
-        if f.kind == "AA" and other.kind == "DA":
-            for (argsL, x, bseq), outs in f.table.items():
-                for y in other.gens:
-                    if (x, y) not in src_box.genset:
-                        continue
-                    for (argsC, y2), par in chains.get((y, bseq), {}).items():
-                        if not par:
-                            continue
-                        for x2 in outs:
-                            add((argsL, (x, y), argsC), (x2, y2))
-        elif f.kind == "AA" and other.kind == "DD":
-            ralg = other.right_alg
-            for (argsL, x, bseq), outs in f.table.items():
-                for y in other.gens:
-                    if (x, y) not in src_box.genset:
-                        continue
-                    for (cseq, y2), par in chains.get((y, bseq), {}).items():
-                        if not par:
-                            continue
-                        for c in _collapse(ralg, cseq, other.ridem[y]):
-                            for x2 in outs:
-                                add((argsL, (x, y)), ((x2, y2), c))
-        else:
-            raise StructureError("unsupported induced-map combination")
-        return Morphism(src_box, dst_box, table)
+        return Morphism(src_box, dst_box, _box_table(f, other, src_box.kind, src_box.genset))
     if side == "left":
         # id_other (x) f with f a morphism of left type-D structures.
         if f.kind != "DA" or other.right_type != "A":
             raise StructureError("unsupported induced-map combination")
         src_box = box(other, f.src, validate=False).result
         dst_box = box(other, f.dst, validate=False).result
-        kmax = other.max_right_len()
-        chains_src = _da_chains(f.src, kmax)
-        chains_dst = _da_chains(f.dst, kmax)
-        table = {}
-
-        def add2(key, val):
-            table.setdefault(key, set())
-            table[key] ^= {val}
-
+        kind = src_box.kind
         alg = other.right_alg
+        kmax = other.max_right_len()
+        chains_src = _d_chains(f.src, kmax)
+        chains_dst = _d_chains(f.dst, kmax)
+        by_start: dict = {}
+        for (y0, bseq), states in chains_dst.items():
+            by_start.setdefault(y0, []).append((bseq, states))
+        f_firings: dict = {}
+        for (_, y, blkf), fouts in _entries(f):
+            f_firings.setdefault(y, []).append((blkf, fouts))
+        other_by: dict = {}
+        for (argsL, x, bseq), outs in _entries(other):
+            other_by.setdefault((x, bseq), []).append((argsL, outs))
+        table: dict = {}
         # One f-firing amid structure firings of src then dst.
-        for y0 in f.src.gens:
-            for (y0b, bseq1), sm1 in chains_src.items():
-                if y0b != y0:
+        for (y0, bseq1), sm1 in chains_src.items():
+            for (args1, _, ymid), par1 in sm1.items():
+                if not par1:
                     continue
-                for (args1, ymid), par1 in sm1.items():
-                    if not par1:
-                        continue
-                    for (ymm, blkf), fouts in f.table.items():
-                        if ymm != ymid:
+                for blkf, fouts in f_firings.get(ymid, ()):
+                    for bf, ymid2, _ in fouts:
+                        unital = alg.is_idempotent_elem(bf)
+                        if unital and bseq1:
                             continue
-                        for bf, ymid2 in fouts:
-                            for (y2b, bseq2), sm2 in chains_dst.items():
-                                if y2b != ymid2:
+                        for bseq2, sm2 in by_start.get(ymid2, ()):
+                            if unital and bseq2:
+                                continue
+                            full = bseq1 + (() if unital else (bf,)) + bseq2
+                            for (args2, _, yend), par2 in sm2.items():
+                                if not par2:
                                     continue
-                                for (args2, yend), par2 in sm2.items():
-                                    if not par2:
+                                args = args1 + blkf + args2
+                                for x in other.gens:
+                                    if (x, y0) not in src_box.genset:
                                         continue
-                                    bmid = (
-                                        ()
-                                        if alg.is_idempotent_elem(bf)
-                                        else (bf,)
-                                    )
-                                    if alg.is_idempotent_elem(bf) and (bseq1 or bseq2):
-                                        continue
-                                    full = bseq1 + bmid + bseq2
-                                    for x in other.gens:
-                                        if (x, y0) not in src_box.genset:
+                                    if unital:
+                                        # full is empty: bf acts as the identity.
+                                        if other.ridem[x] != alg.elems[bf].occupied:
                                             continue
-                                        if alg.is_idempotent_elem(bf) and not full:
-                                            subset = alg.elems[bf].occupied
-                                            if other.ridem[x] != subset:
-                                                continue
-                                            if other.kind == "AA":
-                                                add2(
-                                                    ((), (x, y0), args1 + blkf + args2),
-                                                    (x, yend),
-                                                )
-                                            else:
-                                                ia = other.left_alg.idempotent_index(
-                                                    other.lidem[x]
-                                                )
-                                                add2(
-                                                    ((x, y0), args1 + blkf + args2),
-                                                    (ia, (x, yend)),
-                                                )
-                                            continue
-                                        if other.kind == "AA":
-                                            for (argsL, xx, bseq), outs in other.table.items():
-                                                if xx != x or bseq != full:
-                                                    continue
-                                                for x2 in outs:
-                                                    add2(
-                                                        (argsL, (x, y0), args1 + blkf + args2),
-                                                        (x2, yend),
-                                                    )
-                                        else:
-                                            for (xx, bseq), outs in other.table.items():
-                                                if xx != x or bseq != full:
-                                                    continue
-                                                for a, x2 in outs:
-                                                    add2(
-                                                        ((x, y0), args1 + blkf + args2),
-                                                        (a, (x2, yend)),
-                                                    )
+                                        a = (
+                                            other.left_alg.idempotent_index(other.lidem[x])
+                                            if other.left_type == "D"
+                                            else None
+                                        )
+                                        terms = [((), [(a, x, None)])]
+                                    else:
+                                        terms = other_by.get((x, full), ())
+                                    for argsL, outs in terms:
+                                        for a, x2, _ in outs:
+                                            _add(
+                                                table,
+                                                _from_aa_key(kind, argsL, (x, y0), args),
+                                                _from_out(kind, a, (x2, yend), None),
+                                            )
         return Morphism(src_box, dst_box, table)
     raise ValueError("side must be 'left' or 'right'")
-

@@ -11,6 +11,7 @@ from strandjoin.ainf import (
     check_structure,
     delta_bar,
     dualize,
+    dump_module_tsv,
     homology_level_equal,
     identity_morphism,
     is_homomorphism,
@@ -27,6 +28,22 @@ from strandjoin.standard_models import (
     elementary,
     left_module_from_right_idem,
 )
+from strandjoin.strands import ABasisElem
+from strandjoin.tensor import box
+
+
+def ad_models(am):
+    """Right type-D structures and an AD bimodule."""
+    out = [dualize(da_identity(am))]
+    for I in am.all_idempotent_subsets():
+        out.append(elementary(am, I, "D", hand="right"))
+    return out
+
+
+def box_models(am):
+    """Box products of the four factor pairs: AA, DA left times DA, DD right."""
+    A, IdDA, IdDD = alg_as_aa(am), da_identity(am), dd_identity(am)
+    return [box(m, n).result for m in (A, IdDA) for n in (IdDA, IdDD)]
 
 
 def all_models(am):
@@ -35,7 +52,7 @@ def all_models(am):
         out.append(elementary(am, I, "A"))
         out.append(elementary(am, I, "D"))
         out.append(left_module_from_right_idem(am, I))
-    return out
+    return out + ad_models(am) + box_models(am)
 
 
 def test_check_structure_accepts_standard_models(am1, am2):
@@ -61,6 +78,71 @@ def test_check_structure_catches_corruption(am2):
         ModuleStructure(
             "AA", good.left_alg, good.right_alg, good.gens, good.lidem, good.ridem, table
         )
+
+
+def _compat_cases(am):
+    """(kind, lidem, ridem, table, message) for every rejection of the
+    idempotent compatibility check, over generators x and y."""
+    L, R = frozenset({1}), frozenset({2})
+    c = am.index[ABasisElem((("a1", "a2"),), frozenset())]  # from L to R
+    e = am.idempotent_index(L)
+    assert am.left_idem[c] == L and am.right_idem[c] == R
+    cases = [
+        ("AA", (L, L), (L, L), {((e,), "x", ()): {"x"}}, "idempotent input stored in table"),
+        ("AA", (L, R), (L, L), {((c,), "x", ()): {"y"}}, "left idempotent chain broken at {}"),
+        ("AA", (L, L), (R, L), {((), "x", (c,)): {"y"}}, "right idempotent chain broken at {}"),
+        ("AA", (R, R), (L, L), {((c,), "x", ()): {"y"}}, "output idempotent mismatch at {}"),
+        ("DA", (L, L), (L, L), {("x", (e,)): {(e, "x")}}, "idempotent input stored in table"),
+        ("DA", (L, R), (R, L), {("x", (c,)): {(c, "y")}}, "right idempotent chain broken at {}"),
+        ("DA", (R, R), (L, L), {("x", ()): {(c, "y")}}, "left output idempotent mismatch at {}"),
+        ("DA", (L, R), (L, R), {("x", ()): {(c, "y")}}, "output idempotent mismatch at {}"),
+        ("AD", (L, L), (L, L), {((e,), "x"): {("x", e)}}, "idempotent input stored in table"),
+        ("AD", (L, L), (R, L), {((c,), "x"): {("y", c)}}, "left idempotent chain broken at {}"),
+        ("AD", (L, L), (L, L), {((), "x"): {("y", c)}}, "right output idempotent mismatch at {}"),
+        ("AD", (L, R), (R, L), {((), "x"): {("y", c)}}, "output idempotent mismatch at {}"),
+        ("DD", (R, R), (R, L), {"x": {(c, "y", c)}}, "left output idempotent mismatch at {}"),
+        ("DD", (L, R), (L, L), {"x": {(c, "y", c)}}, "right output idempotent mismatch at {}"),
+    ]
+    for kind, (lx, ly), (rx, ry), table, message in cases:
+        (key,) = table
+        yield kind, {"x": lx, "y": ly}, {"x": rx, "y": ry}, table, message.format(key)
+
+
+def test_idempotent_compat_rejections_for_every_kind(am2):
+    seen = set()
+    for kind, lidem, ridem, table, message in _compat_cases(am2):
+        with pytest.raises(StructureError) as err:
+            ModuleStructure(kind, am2, am2, ("x", "y"), lidem, ridem, table, validate=False)
+        assert str(err.value) == message, (kind, table)
+        seen.add((kind, message.split(" at ")[0]))
+    assert len(seen) == 14
+
+
+def test_dump_module_tsv_for_every_kind(am1, am2):
+    assert dump_module_tsv(alg_as_aa(am1)) == (
+        "# kind: AA\n# left: A(alpha,3)\n# right: A(alpha,3)\n"
+        "L:1|2|R:\t1\nL:|2|R:1\t1\n"
+    )
+    assert dump_module_tsv(da_identity(am1)) == (
+        "# kind: DA\n# left: A(alpha,3)\n# right: A(alpha,3)\n"
+        "L:|('i', (1,))|R:1\t1,('i', (1,))\n"
+    )
+    assert dump_module_tsv(dualize(da_identity(am1))) == (
+        "# kind: AD\n# left: A(alpha,3)\n# right: A(alpha,3)\n"
+        "L:1|('i', (1,))|R:\t('i', (1,)),1\n"
+    )
+    assert dump_module_tsv(elementary(am1, {1}, "D", hand="right")) == (
+        "# kind: AD\n# left: -\n# right: A(alpha,3)\n"
+    )
+    assert dump_module_tsv(left_module_from_right_idem(am2, {1})) == (
+        "# kind: AA\n# left: A(alpha,16)\n# right: -\n"
+        "L:1|7|R:\t3\nL:3|11|R:\t3\nL:7|11|R:\t7\n"
+    )
+    assert dump_module_tsv(dd_identity(am2)) == (
+        "# kind: DD\n# left: A(alpha,16)\n# right: A(alpha,16)\n"
+        "L:|('x', (1,))|R:\t1,('x', (2,)),1;10,('x', (2,)),10;5,('x', (2,)),5\n"
+        "L:|('x', (2,))|R:\t7,('x', (1,)),7\n"
+    )
 
 
 def test_delta_bar_identity_bimodule(am1):
@@ -150,6 +232,43 @@ def test_morphism_composition_identity_zero_assoc(am1):
     lhs = morphism_compose(h, morphism_compose(g, f))
     rhs = morphism_compose(morphism_compose(h, g), f)
     assert lhs.table == rhs.table
+
+
+def test_identity_is_a_two_sided_unit_for_every_kind(am1, am2):
+    rng = random.Random(13)
+    for am in (am1, am2):
+        for m in ad_models(am) + box_models(am):
+            slots = _morphism_slots(m, m, 2)
+            f = Morphism(m, m, {k: {v} for k, v in rng.sample(slots, min(3, len(slots)))})
+            assert not f.is_zero(), m.name
+            ident = identity_morphism(m)
+            assert morphism_compose(ident, f).table == f.table, m.name
+            assert morphism_compose(f, ident).table == f.table, m.name
+            assert morphism_compose(ident, ident).table == ident.table, m.name
+
+
+# Each kind's layout: the generator of a key, and an output as (a, y, b).
+KEY_GEN = {"AA": lambda k: k[1], "DA": lambda k: k[0], "AD": lambda k: k[1], "DD": lambda k: k}
+OUT = {
+    "AA": lambda o: (None, o, None),
+    "DA": lambda o: (o[0], o[1], None),
+    "AD": lambda o: (None, o[0], o[1]),
+    "DD": lambda o: o,
+}
+
+
+def test_morphism_slot_order(am2):
+    # check homotopy samples slots by position: with no inputs, slots run by
+    # generator, then left output, right output and target generator.
+    for m in [da_identity(am2), dd_identity(am2)] + ad_models(am2) + box_models(am2):
+        pos = {g: i for i, g in enumerate(m.gens)}
+
+        def order(slot):
+            a, y, b = OUT[m.kind](slot[1])
+            return (pos[KEY_GEN[m.kind](slot[0])], a or -1, b or -1, pos[y])
+
+        slots = _morphism_slots(m, m, 0)
+        assert slots and slots == sorted(slots, key=order), m.name
 
 
 def test_is_homomorphism(am1):

@@ -138,3 +138,23 @@ def test_check_all_on_z2(files):
     rc, out = _run(["check", files["Z2"], "all"])
     assert rc == 0
     assert out.count("PASS") == 7
+
+
+def test_join_descriptor_roles(files):
+    ok = ("elementary:D:{1}", "amod:{1}", "elementary:D:{}")
+    cases = [
+        (0, "elementary:A:{1}", "error: U descriptor must be elementary:D:{..}, got 'elementary:A:{1}'"),
+        (0, " alg ", "error: U descriptor must be elementary:D:{..}, got 'alg'"),
+        (1, "elementary:D:{1}", "error: M descriptor must be elementary:A:{..} or amod:{..}, got 'elementary:D:{1}'"),
+        (1, "amod:{3}", "error: subset '{3}' out of range 1..2"),
+        (2, "amod:{1}", "error: V descriptor must be elementary:D:{..}, got 'amod:{1}'"),
+        (2, "elementary:D:{1", "error: bad subset '{1'"),
+    ]
+    for role, desc, message in cases:
+        args = list(ok)
+        args[role] = desc
+        rc, out = _run(["join", files["Z2"], *args])
+        assert rc == 1 and out == message + "\n", (desc, out)
+    rc, out = _run(["double", files["Z2"], "elementary:D:{1}"])
+    assert rc == 1
+    assert out == "error: M descriptor must be elementary:A:{..} or amod:{..}, got 'elementary:D:{1}'\n"

@@ -11,6 +11,7 @@ from strandjoin.standard_models import (
     dual_alg_as_aa,
     elementary,
     gamma_block,
+    left_module_from_right_idem,
     parse_descriptor,
 )
 from strandjoin.strands import enumerate_basis
@@ -125,3 +126,12 @@ def test_descriptor_parsing(am2):
         parse_descriptor(am2, "gamma:{9}:{1}")
     with pytest.raises(DescriptorError):
         parse_descriptor(am2, "nonsense")
+
+
+def test_amod_descriptor(am2):
+    m = parse_descriptor(am2, "amod:{1}")
+    ref = left_module_from_right_idem(am2, {1})
+    assert (m.kind, m.gens, m.table, m.name) == (ref.kind, ref.gens, ref.table, ref.name)
+    for bad in ("amod:{9}", "amod:{1", "amod:{1}:{2}"):
+        with pytest.raises(DescriptorError):
+            parse_descriptor(am2, bad)
