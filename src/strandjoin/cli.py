@@ -227,22 +227,26 @@ def _suite_dga(z, am, rng) -> list:
         )
         if lhs.entries != rhs.entries:
             failures.append(f"Leibniz fails at ({i},{j})")
-    # Both sides vanish unless k is in the row support of j or of some l in
-    # i.j, so only those k are visited, in increasing order.
-    row_support: dict = {}
+    # (i.j).k vanishes unless (l, k) is a product key for some l in i.j, and
+    # i.(j.k) unless (i, l) is one for some l in j.k; so only those triples
+    # are visited, in increasing order.
+    right_of: dict = {}
+    left_of: dict = {}
     for l, k in am.mult_table:
-        row_support.setdefault(l, set()).add(k)
-    for i in range(n):
-        for j in range(n):
-            ij = am.mult_table[(i, j)]
-            ks = set(row_support.get(j, ()))
-            for l in ij:
-                ks.update(row_support.get(l, ()))
-            for k in sorted(ks):
-                a = vsum(Gf2Vector(am.mult_table[(l, k)]) for l in ij)
-                b = am.mul(Gf2Vector.of(i), Gf2Vector(am.mult_table[(j, k)]))
-                if a.entries != b.entries:
-                    failures.append(f"associativity fails at ({i},{j},{k})")
+        right_of.setdefault(l, []).append(k)
+        left_of.setdefault(k, []).append(l)
+    triples = set()
+    for (i, j), ij in am.mult_table.items():
+        for l in ij:
+            triples.update((i, j, k) for k in right_of.get(l, ()))
+    for (j, k), jk in am.mult_table.items():
+        for l in jk:
+            triples.update((i, j, k) for i in left_of.get(l, ()))
+    for i, j, k in sorted(triples):
+        a = vsum(Gf2Vector(am.mult_table[(l, k)]) for l in am.mult_table[(i, j)])
+        b = am.mul(Gf2Vector.of(i), Gf2Vector(am.mult_table[(j, k)]))
+        if a.entries != b.entries:
+            failures.append(f"associativity fails at ({i},{j},{k})")
     u = am.unit()
     for i in range(n):
         if am.mul(u, Gf2Vector.of(i)).entries != {i}:

@@ -1,17 +1,17 @@
 """Exact sparse linear algebra over GF(2).
 
 Vectors are sets of basis keys (presence = coefficient 1), matrices are sets
-of (row, col) pairs over declared ordered bases.  All elimination is done
-with deterministic pivoting in the declared basis order, so results such as
-homology representatives are reproducible across runs.
+of (row, col) pairs over declared ordered bases.  Elimination packs each row
+into a Python int whose bit j is the entry in column j, adds rows with one
+`^`, and pivots on the lowest set bit, i.e. in the declared column order, so
+results such as homology representatives are reproducible across runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Iterable, Optional, Sequence
-
-import numpy as np
 
 Key = Hashable
 
@@ -79,26 +79,29 @@ class Gf2Matrix:
     def entry(self, row: Key, col: Key) -> int:
         return 1 if (row, col) in self.nonzero else 0
 
+    @cached_property
+    def _by_col(self) -> dict:
+        """col key -> frozenset of the row keys of its nonzeros (absent if none)."""
+        by_col: dict = {}
+        for r, c in self.nonzero:
+            by_col.setdefault(c, set()).add(r)
+        return {c: frozenset(rs) for c, rs in by_col.items()}
+
     def column(self, col: Key) -> Gf2Vector:
-        return Gf2Vector(frozenset(r for r, c in self.nonzero if c == col))
+        return Gf2Vector(self._by_col.get(col, frozenset()))
 
     def apply(self, v: Gf2Vector) -> Gf2Vector:
         """Matrix-vector product; v lives in the column-key space."""
         acc: frozenset = frozenset()
         for c in v:
-            acc ^= frozenset(r for r, cc in self.nonzero if cc == c)
+            acc ^= self._by_col.get(c, frozenset())
         return Gf2Vector(acc)
 
     def compose(self, other: "Gf2Matrix") -> "Gf2Matrix":
         """self @ other, requiring self.cols == other.rows."""
         if self.cols != other.rows:
             raise ValueError("composition shape mismatch")
-        self_cols: dict = {}
-        for r, c in self.nonzero:
-            self_cols.setdefault(c, set()).add(r)
-        by_col: dict = {}
-        for r, c in other.nonzero:
-            by_col.setdefault(c, set()).add(r)
+        self_cols, by_col = self._by_col, other._by_col
         entries = set()
         for c in other.cols:
             img: set = set()
@@ -119,21 +122,6 @@ class Gf2Matrix:
     def is_zero(self) -> bool:
         return not self.nonzero
 
-    def to_dense(self) -> np.ndarray:
-        ri = {r: i for i, r in enumerate(self.rows)}
-        ci = {c: j for j, c in enumerate(self.cols)}
-        a = np.zeros((len(self.rows), len(self.cols)), dtype=np.uint8)
-        for r, c in self.nonzero:
-            a[ri[r], ci[c]] = 1
-        return a
-
-    @staticmethod
-    def from_dense(rows: Sequence[Key], cols: Sequence[Key], a: np.ndarray) -> "Gf2Matrix":
-        nz = frozenset(
-            (rows[i], cols[j]) for i, j in zip(*np.nonzero(a))
-        )
-        return Gf2Matrix(tuple(rows), tuple(cols), nz)
-
     @staticmethod
     def identity(keys: Sequence[Key]) -> "Gf2Matrix":
         keys = tuple(keys)
@@ -153,36 +141,69 @@ class Gf2Matrix:
         return Gf2Matrix(tuple(rows), tuple(cols), frozenset(nz))
 
 
-def _rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Row-reduce over GF(2) with first-available pivoting; returns (rref, pivot cols)."""
-    a = (a & 1).astype(np.uint8).copy()
-    m, n = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        if r >= m:
-            break
-        hits = np.nonzero(a[r:, c])[0]
-        if hits.size == 0:
-            continue
-        p = r + int(hits[0])
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-        others = np.nonzero(a[:, c])[0]
-        for rr in others:
-            if rr != r:
-                a[rr] ^= a[r]
-        pivots.append(c)
-        r += 1
-    return a, pivots
+def _packed_rows(m: Gf2Matrix) -> dict:
+    """row key -> the row as an int whose bit j is the entry in column j."""
+    col_index = {c: j for j, c in enumerate(m.cols)}
+    rows = dict.fromkeys(m.rows, 0)
+    for r, c in m.nonzero:
+        rows[r] |= 1 << col_index[c]
+    return rows
+
+
+def _bit_indices(v: int) -> list[int]:
+    """The set bits of v, in increasing order."""
+    digits = bin(v)[:1:-1]
+    out = []
+    j = digits.find("1")
+    while j >= 0:
+        out.append(j)
+        j = digits.find("1", j + 1)
+    return out
+
+
+def _insert(pivots: dict, v: int) -> bool:
+    """Reduce v by the rows in `pivots` (keyed by lowest set bit) and add the rest.
+
+    Returns whether v was outside their span.
+    """
+    while v:
+        p = (v & -v).bit_length() - 1
+        w = pivots.get(p)
+        if w is None:
+            pivots[p] = v
+            return True
+        v ^= w
+    return False
+
+
+def _rref(rows: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form of packed rows; returns (nonzero rows, pivot cols).
+
+    A row's pivot is its lowest set bit, so this is the RREF for the column
+    order 0, 1, 2, ...  The RREF is unique, so the result does not depend on
+    the order in which the rows are eliminated.
+    """
+    pivots: dict = {}
+    for v in rows:
+        _insert(pivots, v)
+    cols = sorted(pivots)
+    # Back-substitution, highest pivot first: pivots[b] for b > p is already
+    # reduced, so adding it clears bit b of the row and sets no other pivot bit.
+    above = 0
+    for p in reversed(cols):
+        v = pivots[p]
+        for b in _bit_indices(v & above):
+            v ^= pivots[b]
+        pivots[p] = v
+        above |= 1 << p
+    return [pivots[p] for p in cols], cols
 
 
 def rank(m: Gf2Matrix) -> int:
     """Exact GF(2) rank."""
     if not m.nonzero:
         return 0
-    _, piv = _rref(m.to_dense())
-    return len(piv)
+    return len(_rref(_packed_rows(m).values())[1])
 
 
 def solve(m: Gf2Matrix, b: Gf2Vector) -> Optional[Gf2Vector]:
@@ -191,23 +212,16 @@ def solve(m: Gf2Matrix, b: Gf2Vector) -> Optional[Gf2Vector]:
     Free variables are set to 0; the solution is deterministic in the
     declared column order.
     """
-    for k in b:
-        if k not in set(m.rows):
-            raise ValueError(f"rhs key {k!r} not in row space")
-    a = m.to_dense()
-    ri = {r: i for i, r in enumerate(m.rows)}
-    rhs = np.zeros((len(m.rows), 1), dtype=np.uint8)
-    for k in b:
-        rhs[ri[k], 0] = 1
-    aug = np.concatenate([a, rhs], axis=1)
-    red, piv = _rref(aug)
+    rows = _packed_rows(m)
     n = len(m.cols)
-    if n in piv:
+    for k in b:
+        if k not in rows:
+            raise ValueError(f"rhs key {k!r} not in row space")
+        rows[k] |= 1 << n
+    red, piv = _rref(rows.values())
+    if piv and piv[-1] == n:
         return None
-    x = np.zeros(n, dtype=np.uint8)
-    for i, c in enumerate(piv):
-        x[c] = red[i, n]
-    return Gf2Vector(frozenset(m.cols[j] for j in np.nonzero(x)[0]))
+    return Gf2Vector(frozenset(m.cols[c] for v, c in zip(red, piv) if v >> n & 1))
 
 
 class ChainComplexError(ValueError):
@@ -239,59 +253,39 @@ class ChainComplexGf2:
         return len(self.basis)
 
 
-def _kernel_basis(a: np.ndarray) -> list[np.ndarray]:
-    """Deterministic kernel basis (one vector per free column, in column order)."""
-    m, n = a.shape
-    red, piv = _rref(a)
+def _kernel_basis(m: Gf2Matrix) -> list[int]:
+    """Deterministic kernel basis (one packed vector per free column, in column order)."""
+    red, piv = _rref(_packed_rows(m).values())
     pivset = set(piv)
-    out = []
-    for c in range(n):
-        if c in pivset:
-            continue
-        v = np.zeros(n, dtype=np.uint8)
-        v[c] = 1
-        for i, pc in enumerate(piv):
-            if red[i, c]:
-                v[pc] = 1
-        out.append(v)
-    return out
+    kers = {c: 1 << c for c in range(len(m.cols)) if c not in pivset}
+    for v, p in zip(red, piv):
+        for c in _bit_indices(v ^ (1 << p)):
+            kers[c] |= 1 << p
+    return list(kers.values())
 
 
 def homology(c: ChainComplexGf2) -> tuple[int, list[Gf2Vector]]:
     """Homology of an ungraded Z/2 complex: (dimension, cycle representatives).
 
-    dimension = dim ker d - rank d.  Representatives are kernel vectors that
-    extend a basis of the image, chosen greedily in deterministic order.
+    dimension = dim ker d - rank d, with rank d = dim - dim ker d from the one
+    elimination.  Representatives are kernel vectors that extend a basis of
+    the image, chosen greedily in deterministic order.
     """
     c.check_d_squared()
     n = c.dim
     if n == 0:
         return 0, []
-    d = c.differential.to_dense()
-    kers = _kernel_basis(d)
-    r = len(_rref(d)[1])
+    kers = _kernel_basis(c.differential)
+    r = n - len(kers)
     # Echelon structure seeded with the image columns.
-    pool: list[np.ndarray] = []
-    pivot_of: list[int] = []
-
-    def reduce_and_add(v: np.ndarray) -> bool:
-        v = v.copy()
-        for w, p in zip(pool, pivot_of):
-            if v[p]:
-                v ^= w
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return False
-        pool.append(v)
-        pivot_of.append(int(nz[0]))
-        return True
-
-    for j in range(n):
-        reduce_and_add(d[:, j])
-    reps = []
-    for v in kers:
-        if reduce_and_add(v):
-            reps.append(Gf2Vector(frozenset(c.basis[i] for i in np.nonzero(v)[0])))
+    pool: dict = {}
+    for col in _packed_rows(c.differential.transpose()).values():
+        _insert(pool, col)
+    reps = [
+        Gf2Vector(frozenset(c.basis[i] for i in _bit_indices(v)))
+        for v in kers
+        if _insert(pool, v)
+    ]
     dim_h = len(kers) - r
     if len(reps) != dim_h:
         raise RuntimeError(
