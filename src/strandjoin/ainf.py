@@ -14,11 +14,12 @@ evaluation.  Left input tuples (a_1, ..., a_i) act with a_i innermost
 (closest to the module element); right input tuples (b_1, ..., b_j) act with
 b_1 innermost.
 
-Convention note: the composite term of the DD structure equation multiplies
-second-generation right outputs on the left, mu_B(b', b); the same ordering
-is used in DD morphism differentials and compositions.  This choice is
-pinned by the validation suite (the DD identity bimodule must satisfy its
-structure equation and make the cancellation morphism a cycle).
+Convention note: in a composite of two operations, left outputs multiply as
+mu_A(a, a') and right outputs as mu_B(b', b), the later operation's output
+outermost on each side.  Structure equations, morphism differentials and
+compositions of all four kinds use this ordering.  It is pinned by the
+validation suite (the DD identity bimodule must satisfy its structure
+equation and make the cancellation morphism a cycle).
 """
 
 from __future__ import annotations
@@ -81,16 +82,21 @@ def _out_gens(kind: str, outs) -> set:
     return {o[1] for o in outs}
 
 
+def _outputs(kind: str, outs):
+    """One table value of the given kind as (a, y, b) outputs."""
+    if kind == "AA":
+        return [(None, y, None) for y in outs]
+    if kind == "DA":
+        return [(a, y, None) for a, y in outs]
+    if kind == "AD":
+        return [(None, y, b) for y, b in outs]
+    return outs
+
+
 def _entries(m):
     """The table of a structure or morphism as ((argsL, g, argsR), [(a, y, b), ...]) pairs."""
-    items = m.table.items()
-    if m.kind == "AA":
-        return ((key, [(None, y, None) for y in outs]) for key, outs in items)
-    if m.kind == "DA":
-        return ((((), g, argsR), [(a, y, None) for a, y in outs]) for (g, argsR), outs in items)
-    if m.kind == "AD":
-        return (((argsL, g, ()), [(None, y, b) for y, b in outs]) for (argsL, g), outs in items)
-    return ((((), g, ()), outs) for g, outs in items)
+    kind = m.kind
+    return ((_as_aa_key(kind, key), _outputs(kind, outs)) for key, outs in m.table.items())
 
 
 def _add(table: dict, key, val) -> None:
@@ -142,7 +148,6 @@ class ModuleStructure:
         self.lidem = dict(lidem)
         self.ridem = dict(ridem)
         self.table = {k: frozenset(v) for k, v in table.items() if v}
-        self.bounded = True
         self.name = name
         if kind[0] == "D" and left_alg is None:
             raise StructureError("a left type-D side needs an algebra")
@@ -220,21 +225,6 @@ class ModuleStructure:
                     raise StructureError(f"output idempotent mismatch at {key}")
 
     # -- evaluation with unital rules ---------------------------------------
-
-    def aa(self, argsL: tuple, g, argsR: tuple) -> frozenset:
-        """Evaluate an AA operation; idempotent inputs follow strict unitality."""
-        A, B = self.left_alg, self.right_alg
-        idemL = [A.is_idempotent_elem(a) for a in argsL] if argsL else []
-        idemR = [B.is_idempotent_elem(b) for b in argsR] if argsR else []
-        if any(idemL) or any(idemR):
-            if len(argsL) == 1 and not argsR and idemL[0]:
-                subset = A.elems[argsL[0]].occupied
-                return frozenset([g]) if self.lidem[g] == subset else frozenset()
-            if len(argsR) == 1 and not argsL and idemR[0]:
-                subset = B.elems[argsR[0]].occupied
-                return frozenset([g]) if self.ridem[g] == subset else frozenset()
-            return frozenset()
-        return self.table.get((argsL, g, argsR), frozenset())
 
     def da(self, g, argsR: tuple) -> frozenset:
         """Evaluate a DA operation: a set of (left output index, generator)."""
@@ -382,7 +372,7 @@ def _candidate_inputs(src: ModuleStructure, lmax: int, rmax: int, composable, st
     and on the inputs that one insertion turns into a key.
     Candidates are kept only inside the brute-force window (at most lmax left
     and rmax right inputs, idempotent-chained, no idempotent input) and are
-    returned in brute-force order.
+    returned as (argsL, g, argsR) in brute-force order.
     """
     kind = src.kind
     A, B = src.left_alg, src.right_alg
@@ -422,105 +412,82 @@ def _candidate_inputs(src: ModuleStructure, lmax: int, rmax: int, composable, st
             continue
         keep.append((argsL, g, argsR))
     keep.sort(key=lambda k: (pos[k[1]], len(k[0]), k[0][::-1], len(k[2]), k[2]))
-    return [_from_aa_key(kind, *k) for k in keep]
+    return keep
 
 
 # -- structure equations ------------------------------------------------------
+#
+# Lipshitz-Ozsvath-Thurston (arXiv:1003.0598) write the structure equation of
+# all four kinds as one sum over the entry shape: compose the structure map
+# with itself across every split of the inputs, apply the differential to the
+# type-D outputs, and insert mu_1 / mu_2 into the type-A inputs.  A morphism's
+# differential is the same sum with src before f and f before dst in place of
+# the self-composite.  Inputs are (argsL, g, argsR) and hold no idempotent;
+# an insertion never makes one (see above), so the implicit unital entries
+# are never reached and the tables are read as stored.
 
 
-def _aa_equation(m: ModuleStructure, argsL: tuple, g, argsR: tuple) -> frozenset:
-    # The inputs hold no idempotents, so composite terms read the table directly.
-    acc: dict = {}
-    table = m.table
-    i, j = len(argsL), len(argsR)
-    for p in range(i + 1):
-        for q in range(j + 1):
-            for y in table.get((argsL[p:], g, argsR[:q]), ()):
-                for z in table.get((argsL[:p], y, argsR[q:]), ()):
-                    _parity_add(acc, z)
-    for newL in _insertions(m.left_alg, argsL) if argsL else ():
-        for z in m.aa(newL, g, argsR):
-            _parity_add(acc, z)
-    for newR in _insertions(m.right_alg, argsR) if argsR else ():
-        for z in m.aa(argsL, g, newR):
-            _parity_add(acc, z)
-    return _live(acc)
+def _at(m, argsL: tuple, g, argsR: tuple):
+    """The outputs (a, y, b) of m's table (a structure's or a morphism's) at an input."""
+    outs = m.table.get(_from_aa_key(m.kind, argsL, g, argsR))
+    return _outputs(m.kind, outs) if outs else ()
 
 
-def _da_equation(m: ModuleStructure, g, argsR: tuple) -> frozenset:
-    acc: dict = {}
-    A = m.left_alg
-    j = len(argsR)
-    for s in range(j + 1):
-        for a1, y in m.da(g, argsR[:s]):
-            for a2, z in m.da(y, argsR[s:]):
-                for prod in A.mult_table[(a1, a2)]:
-                    _parity_add(acc, (prod, z))
-    for a, y in m.da(g, argsR):
-        for da in A.diff_table[a]:
-            _parity_add(acc, (da, y))
-    for newR in _insertions(m.right_alg, argsR) if argsR else ():
-        for a, y in m.da(g, newR):
-            _parity_add(acc, (a, y))
-    return _live(acc)
+def _composites(acc: dict, inner, outer, key: tuple, A, B) -> None:
+    """Add to acc, over every split of key's inputs, inner's entry on the inner
+    inputs followed by outer's entry at its output on the rest."""
+    argsL, g, argsR = key
+    for p in range(len(argsL) + 1):
+        for q in range(len(argsR) + 1):
+            for a1, y, b1 in _at(inner, argsL[p:], g, argsR[:q]):
+                for a2, z, b2 in _at(outer, argsL[:p], y, argsR[q:]):
+                    for pa in (None,) if a1 is None else A.mult_table[(a1, a2)]:
+                        for pb in (None,) if b1 is None else B.mult_table[(b2, b1)]:
+                            _parity_add(acc, (pa, z, pb))
 
 
-def _ad_equation(m: ModuleStructure, argsL: tuple, g) -> frozenset:
-    acc: dict = {}
-    B = m.right_alg
-    i = len(argsL)
-    for p in range(i + 1):
-        for y, b1 in m.ad(argsL[p:], g):
-            for z, b2 in m.ad(argsL[:p], y):
-                for prod in B.mult_table[(b2, b1)]:
-                    _parity_add(acc, (z, prod))
-    for y, b in m.ad(argsL, g):
-        for db in B.diff_table[b]:
-            _parity_add(acc, (y, db))
-    for newL in _insertions(m.left_alg, argsL) if argsL else ():
-        for y, b in m.ad(newL, g):
-            _parity_add(acc, (y, b))
-    return _live(acc)
-
-
-def _dd_equation(m: ModuleStructure, g) -> frozenset:
-    acc: dict = {}
-    A, B = m.left_alg, m.right_alg
-    for a, y, b in m.dd(g):
-        for da in A.diff_table[a]:
+def _own_terms(acc: dict, f, key: tuple, A, B) -> None:
+    """Add to acc d of f's type-D outputs at key, and f after one mu_1 / mu_2
+    insertion into key's inputs on each side."""
+    argsL, g, argsR = key
+    for a, y, b in _at(f, argsL, g, argsR):
+        for da in () if a is None else A.diff_table[a]:
             _parity_add(acc, (da, y, b))
-        for db in B.diff_table[b]:
+        for db in () if b is None else B.diff_table[b]:
             _parity_add(acc, (a, y, db))
-        for a2, z, b2 in m.dd(y):
-            for pa in A.mult_table[(a, a2)]:
-                # Second-generation right outputs multiply on the left.
-                for pb in B.mult_table[(b2, b)]:
-                    _parity_add(acc, (pa, z, pb))
-    return _live(acc)
+    for newL in _insertions(A, argsL):
+        for out in _at(f, newL, g, argsR):
+            _parity_add(acc, out)
+    for newR in _insertions(B, argsR):
+        for out in _at(f, argsL, g, newR):
+            _parity_add(acc, out)
 
 
-_EQUATIONS = {"AA": _aa_equation, "DA": _da_equation, "AD": _ad_equation}
+def _live_outputs(kind: str, acc: dict) -> frozenset:
+    return frozenset(_from_out(kind, *out) for out, v in acc.items() if v)
+
+
+def _equation(m: ModuleStructure, key: tuple) -> frozenset:
+    """m's structure equation at key = (argsL, g, argsR), in m's output layout."""
+    acc: dict = {}
+    _composites(acc, m, m, key, m.left_alg, m.right_alg)
+    _own_terms(acc, m, key, m.left_alg, m.right_alg)
+    return _live_outputs(m.kind, acc)
 
 
 def check_structure(m: ModuleStructure):
     """Evaluate the kind's structure equation over the finite reachable domain.
 
-    Returns None when every sum vanishes, otherwise one violating input: the
-    first, in generator order and then by input length, that the exhaustive
-    enumeration of chained inputs would reach.  On each side the window is
-    max(2L, L + 1) inputs, L the table's longest entry there: two composed
-    entries take at most 2L inputs, one entry after an insertion L + 1.
-    Only inputs built from the table's support are evaluated; every other
-    input of that window vanishes identically.  Inputs containing idempotent
-    basis elements are omitted: strict unitality makes those instances hold
-    identically.
+    Returns None when every sum vanishes, otherwise one violating input as a
+    key of m's kind (a DD generator g as (g,)): the first, in generator order
+    and then by input length, that the exhaustive enumeration of chained
+    inputs would reach.  On each side the window is max(2L, L + 1) inputs, L
+    the table's longest entry there: two composed entries take at most 2L
+    inputs, one entry after an insertion L + 1.  Only inputs built from the
+    table's support are evaluated; every other input of that window vanishes
+    identically.  Inputs containing idempotent basis elements are omitted:
+    strict unitality makes those instances hold identically.
     """
-    if m.kind == "DD":
-        for g in m.gens:
-            if _dd_equation(m, g):
-                return (g,)
-        return None
-    equation = _EQUATIONS[m.kind]
     lmax, rmax = m.max_left_len(), m.max_right_len()
     inputs = _candidate_inputs(
         m,
@@ -530,8 +497,8 @@ def check_structure(m: ModuleStructure):
         [m.table],
     )
     for key in inputs:
-        if equation(m, *key):
-            return key
+        if _equation(m, key):
+            return (key[1],) if m.kind == "DD" else _from_aa_key(m.kind, *key)
     return None
 
 
@@ -657,26 +624,6 @@ class Morphism:
     def kind(self) -> str:
         return self.src.kind
 
-    def aa(self, argsL, g, argsR) -> frozenset:
-        if argsL and any(self.src.left_alg.is_idempotent_elem(a) for a in argsL):
-            return frozenset()
-        if argsR and any(self.src.right_alg.is_idempotent_elem(b) for b in argsR):
-            return frozenset()
-        return self.table.get((argsL, g, argsR), frozenset())
-
-    def da(self, g, argsR) -> frozenset:
-        if argsR and any(self.src.right_alg.is_idempotent_elem(b) for b in argsR):
-            return frozenset()
-        return self.table.get((g, argsR), frozenset())
-
-    def ad(self, argsL, g) -> frozenset:
-        if argsL and any(self.src.left_alg.is_idempotent_elem(a) for a in argsL):
-            return frozenset()
-        return self.table.get((argsL, g), frozenset())
-
-    def dd(self, g) -> frozenset:
-        return self.table.get(g, frozenset())
-
     def is_zero(self) -> bool:
         return not self.table
 
@@ -735,93 +682,14 @@ def morphism_compose(g: Morphism, f: Morphism) -> Morphism:
     return Morphism(f.src, g.dst, table)
 
 
-def _aa_diff(f: Morphism, argsL: tuple, g, argsR: tuple) -> frozenset:
-    src, dst = f.src, f.dst
+def _diff(f: Morphism, key: tuple) -> frozenset:
+    """f's morphism differential at key = (argsL, g, argsR), in f's output layout."""
     acc: dict = {}
-    i, j = len(argsL), len(argsR)
-    for p in range(i + 1):
-        for q in range(j + 1):
-            for y in f.aa(argsL[p:], g, argsR[:q]):
-                for z in dst.aa(argsL[:p], y, argsR[q:]):
-                    _parity_add(acc, z)
-            for y in src.aa(argsL[p:], g, argsR[:q]):
-                for z in f.aa(argsL[:p], y, argsR[q:]):
-                    _parity_add(acc, z)
-    for newL in _insertions(src.left_alg, argsL) if argsL else ():
-        for z in f.aa(newL, g, argsR):
-            _parity_add(acc, z)
-    for newR in _insertions(src.right_alg, argsR) if argsR else ():
-        for z in f.aa(argsL, g, newR):
-            _parity_add(acc, z)
-    return _live(acc)
-
-
-def _da_diff(f: Morphism, g, argsR: tuple) -> frozenset:
-    src, dst = f.src, f.dst
-    A = src.left_alg
-    acc: dict = {}
-    for s in range(len(argsR) + 1):
-        for a1, y in src.da(g, argsR[:s]):
-            for a2, z in f.da(y, argsR[s:]):
-                for prod in A.mult_table[(a1, a2)]:
-                    _parity_add(acc, (prod, z))
-        for a1, y in f.da(g, argsR[:s]):
-            for a2, z in dst.da(y, argsR[s:]):
-                for prod in A.mult_table[(a1, a2)]:
-                    _parity_add(acc, (prod, z))
-    for a, y in f.da(g, argsR):
-        for da in A.diff_table[a]:
-            _parity_add(acc, (da, y))
-    for newR in _insertions(src.right_alg, argsR) if argsR else ():
-        for a, y in f.da(g, newR):
-            _parity_add(acc, (a, y))
-    return _live(acc)
-
-
-def _ad_diff(f: Morphism, argsL: tuple, g) -> frozenset:
-    src, dst = f.src, f.dst
-    B = src.right_alg
-    acc: dict = {}
-    for p in range(len(argsL) + 1):
-        for y, b1 in src.ad(argsL[p:], g):
-            for z, b2 in f.ad(argsL[:p], y):
-                for prod in B.mult_table[(b2, b1)]:
-                    _parity_add(acc, (z, prod))
-        for y, b1 in f.ad(argsL[p:], g):
-            for z, b2 in dst.ad(argsL[:p], y):
-                for prod in B.mult_table[(b2, b1)]:
-                    _parity_add(acc, (z, prod))
-    for y, b in f.ad(argsL, g):
-        for db in B.diff_table[b]:
-            _parity_add(acc, (y, db))
-    for newL in _insertions(src.left_alg, argsL) if argsL else ():
-        for y, b in f.ad(newL, g):
-            _parity_add(acc, (y, b))
-    return _live(acc)
-
-
-def _dd_diff(f: Morphism, g) -> frozenset:
-    src, dst = f.src, f.dst
-    A, B = src.left_alg, src.right_alg
-    acc: dict = {}
-    for a1, y, b1 in src.dd(g):
-        for a2, z, b2 in f.dd(y):
-            for pa in A.mult_table[(a1, a2)]:
-                for pb in B.mult_table[(b2, b1)]:
-                    _parity_add(acc, (pa, z, pb))
-    for a1, y, b1 in f.dd(g):
-        for a2, z, b2 in dst.dd(y):
-            for pa in A.mult_table[(a1, a2)]:
-                for pb in B.mult_table[(b2, b1)]:
-                    _parity_add(acc, (pa, z, pb))
-        for da in A.diff_table[a1]:
-            _parity_add(acc, (da, y, b1))
-        for db in B.diff_table[b1]:
-            _parity_add(acc, (a1, y, db))
-    return _live(acc)
-
-
-_DIFFS = {"AA": _aa_diff, "DA": _da_diff, "AD": _ad_diff}
+    A, B = f.src.left_alg, f.src.right_alg
+    _composites(acc, f.src, f, key, A, B)
+    _composites(acc, f, f.dst, key, A, B)
+    _own_terms(acc, f, key, A, B)
+    return _live_outputs(f.kind, acc)
 
 
 def morphism_diff(f: Morphism) -> Morphism:
@@ -832,8 +700,6 @@ def morphism_diff(f: Morphism) -> Morphism:
     than f's) that are built from f's support; every other input vanishes.
     """
     src, dst = f.src, f.dst
-    if f.kind == "DD":
-        return Morphism(src, dst, {g: _dd_diff(f, g) for g in src.gens})
     inputs = _candidate_inputs(
         src,
         f_max_left(f) + max(src.max_left_len(), dst.max_left_len(), 1),
@@ -841,8 +707,7 @@ def morphism_diff(f: Morphism) -> Morphism:
         [(f.table, dst.table), (src.table, f.table)],
         [f.table],
     )
-    diff = _DIFFS[f.kind]
-    return Morphism(src, dst, {key: diff(f, *key) for key in inputs})
+    return Morphism(src, dst, {_from_aa_key(f.kind, *key): _diff(f, key) for key in inputs})
 
 
 def f_max_left(f: Morphism) -> int:
@@ -938,9 +803,7 @@ def bounded_homotopy_search(f: Morphism, g: Morphism, max_len: int) -> Optional[
         return None
     table: dict = {}
     for idx in sol:
-        key, val = basis_morphisms[idx]
-        table.setdefault(key, set())
-        table[key] ^= {val}
+        _add(table, *basis_morphisms[idx])
     return Morphism(f.src, f.dst, table)
 
 

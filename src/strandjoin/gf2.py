@@ -294,6 +294,38 @@ def homology(c: ChainComplexGf2) -> tuple[int, list[Gf2Vector]]:
     return dim_h, reps
 
 
+def homology_coordinates(c: ChainComplexGf2, reps: list[Gf2Vector]):
+    """The map sending a cycle z of c to the indices i with [z] = sum of [reps[i]].
+
+    reps must be independent in homology, as `homology` returns them.  The
+    system [image of d | reps] is eliminated once, each rep's row carrying a
+    tag bit above the basis; a cycle then reduces to its tags, which are its
+    unique coordinates.  The map raises ValueError on a vector that is not a
+    cycle or that has keys outside c's basis.
+    """
+    n = c.dim
+    index = {b: j for j, b in enumerate(c.basis)}
+    pivots: dict = {}
+    for col in _packed_rows(c.differential.transpose()).values():
+        _insert(pivots, col)
+    for i, rep in enumerate(reps):
+        _insert(pivots, sum(1 << index[k] for k in rep) | 1 << (n + i))
+    low = (1 << n) - 1
+
+    def coordinates(z: Gf2Vector) -> list[int]:
+        if any(k not in index for k in z):
+            raise ValueError("vector has keys outside the complex's basis")
+        v = sum(1 << index[k] for k in z)
+        while v & low:
+            w = pivots.get((v & -v).bit_length() - 1)
+            if w is None:
+                raise ValueError("vector is not a cycle")
+            v ^= w
+        return _bit_indices(v >> n)
+
+    return coordinates
+
+
 class NotAChainMapError(ValueError):
     pass
 
@@ -311,23 +343,11 @@ def induced_map_on_homology(
         raise NotAChainMapError("not a chain map")
     _, src_reps = homology(src)
     hdim_dst, dst_reps = homology(dst)
-    # Express [f(rep)] in dst homology: solve against [dst reps | image of d_dst].
-    cols: list = [("h", i) for i in range(hdim_dst)]
-    images = {("h", i): v for i, v in enumerate(dst_reps)}
-    for j, bkey in enumerate(dst.basis):
-        col = dst.differential.column(bkey)
-        if col:
-            cols.append(("b", j))
-            images[("b", j)] = col
-    system = Gf2Matrix.from_columns(dst.basis, cols, images)
+    coordinates = homology_coordinates(dst, dst_reps)
     nz = set()
     for i, rep in enumerate(src_reps):
-        x = solve(system, f.apply(rep))
-        if x is None:
-            raise NotAChainMapError("image of a cycle is not a cycle")
-        for key in x:
-            if key[0] == "h":
-                nz.add((("h", key[1]), ("h", i)))
+        for k in coordinates(f.apply(rep)):
+            nz.add((("h", k), ("h", i)))
     hrows = tuple(("h", i) for i in range(hdim_dst))
     hcols = tuple(("h", i) for i in range(len(src_reps)))
     return Gf2Matrix(hrows, hcols, frozenset(nz))

@@ -19,15 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gf2 import ChainComplexGf2, Gf2Matrix, Gf2Vector
-from .strands import AlgebraModel
-from .ainf import ModuleStructure, Morphism, StructureError, dualize, oppositize, relabel
+from .strands import AlgebraModel, rotate180
+from .ainf import ModuleStructure, Morphism, StructureError, _add, dualize, oppositize, relabel
 from .standard_models import (
     da_identity,
     dual_alg_as_aa,
     elementary,
     identity_firings,
+    left_module_from_right_idem,
 )
-from .tensor import TensorAlgebra, _d_chains, box, dbox
+from .tensor import TensorAlgebra, _d_chains, box, dbox, external_tensor
 
 
 # -- module-shape helpers --------------------------------------------------------
@@ -153,20 +154,16 @@ def pair_bimodule(M: ModuleStructure) -> ModuleStructure:
     ridem = {(p, q): M.lidem[q] for (p, q) in gens}
     table: dict = {}
 
-    def add(key, val):
-        table.setdefault(key, set())
-        table[key] ^= {val}
-
     for (argsL, p, _), outs in M.table.items():
         for q in M.gens:
             for p2 in outs:
-                add((argsL, (p, q), ()), (p2, q))
+                _add(table, (argsL, (p, q), ()), (p2, q))
     # The dual right action: <q^ . (b_1..b_j), x> = <q^, m(b_j, ..., b_1, x)>.
     for (argsL, x, _), outs in M.table.items():
         argsR = tuple(reversed(argsL))
         for q in outs:
             for p in M.gens:
-                add(((), (p, q), argsR), (p, x))
+                _add(table, ((), (p, q), argsR), (p, x))
     return ModuleStructure(
         "AA", A, A, gens, lidem, ridem, table, name=f"({M.name}(x)dual)"
     )
@@ -179,10 +176,6 @@ def nabla(M: ModuleStructure) -> Morphism:
     dst = dual_alg_as_aa(M.left_alg)
     table: dict = {}
 
-    def add(key, val):
-        table.setdefault(key, set())
-        table[key] ^= {val}
-
     for args, p, outs in left_entries_with_units(M):
         n = len(args)
         for q in outs:
@@ -190,7 +183,7 @@ def nabla(M: ModuleStructure) -> Morphism:
                 argsR = args[:j]
                 mid = args[j]
                 argsL = args[j + 1 :]
-                add((argsL, (p, q), argsR), mid)
+                _add(table, (argsL, (p, q), argsR), mid)
     return Morphism(src, dst, table)
 
 
@@ -292,22 +285,18 @@ def dd_middle(am: AlgebraModel) -> ModuleStructure:
     ridem = {g: full - frozenset(g[2]) for g in gens}
     table: dict = {}
 
-    def add(key, val):
-        table.setdefault(key, set())
-        table[key] ^= {val}
-
     for g in gens:
         I, a, K = frozenset(g[0]), g[1], frozenset(g[2])
         iI = am.idempotent_index(I)
         iKc = am.idempotent_index(full - K)
         for da in am.diff_table[a]:
-            add(g, (iI, (g[0], da, g[2]), iKc))
+            _add(table, g, (iI, (g[0], da, g[2]), iKc))
         for c, J, ct in firings[I]:
             for a2 in am.mult_table[(ct, a)]:
-                add(g, (c, (tuple(sorted(J)), a2, g[2]), iKc))
+                _add(table, g, (c, (tuple(sorted(J)), a2, g[2]), iKc))
         for c, K2, ct in firings[K]:
             for a2 in am.mult_table[(a, c)]:
-                add(g, (iI, (g[0], a2, tuple(sorted(K2))), ct))
+                _add(table, g, (iI, (g[0], a2, tuple(sorted(K2))), ct))
     return ModuleStructure("DD", am, am, gens, lidem, ridem, table, name="IAI")
 
 
@@ -347,8 +336,9 @@ def diagonal(M: ModuleStructure) -> tuple[ChainComplexGf2, Gf2Vector]:
         key = (p, (tuple(sorted(L)), a, tuple(sorted(full - L))), p)
         entries.add(key)
     vec = Gf2Vector(frozenset(entries))
+    basis = set(c.basis)
     for e in entries:
-        if e not in set(c.basis):
+        if e not in basis:
             raise StructureError("diagonal term outside the double's carrier")
     return c, vec
 
@@ -382,10 +372,6 @@ def dd_sandwich_da_bimodule(am: AlgebraModel) -> ModuleStructure:
     ridem = {g: am.right_idem[g[3]] for g in gens}
     table: dict = {}
 
-    def add(key, val):
-        table.setdefault(key, set())
-        table[key] ^= {val}
-
     nonidem = [e for e in range(am.dim) if not am.is_idempotent_elem(e)]
     for g in gens:
         I, a, K, b = frozenset(g[0]), g[1], frozenset(g[2]), g[3]
@@ -393,24 +379,24 @@ def dd_sandwich_da_bimodule(am: AlgebraModel) -> ModuleStructure:
         # differentials of the dual slot and the algebra slot
         for a2 in range(am.dim):
             if a in am.diff_table[a2] and am.right_idem[a2] == full - I and am.left_idem[a2] == K:
-                add((g, ()), (iI, (g[0], a2, g[2], b)))
+                _add(table, (g, ()), (iI, (g[0], a2, g[2], b)))
         for db in am.diff_table[b]:
-            add((g, ()), (iI, (g[0], a, g[2], db)))
+            _add(table, (g, ()), (iI, (g[0], a, g[2], db)))
         # first identity fires: emits c, acts on the dual slot through x.ct
         for c, J, ct in firings[I]:
             for a2 in range(am.dim):
                 if a in am.mult_table[(a2, ct)] and am.right_idem[a2] == full - J:
-                    add((g, ()), (c, (tuple(sorted(J)), a2, g[2], b)))
+                    _add(table, (g, ()), (c, (tuple(sorted(J)), a2, g[2], b)))
         # second identity fires: left chord into the dual slot, complement into b
         for c, K2, ct in firings[K]:
             for a2 in range(am.dim):
                 if a in am.mult_table[(c, a2)]:
                     for b2 in am.mult_table[(ct, b)]:
-                        add((g, ()), (iI, (g[0], a2, tuple(sorted(K2)), b2)))
+                        _add(table, (g, ()), (iI, (g[0], a2, tuple(sorted(K2)), b2)))
         # external right input
         for e in nonidem:
             for b2 in am.mult_table[(b, e)]:
-                add((g, (e,)), (iI, (g[0], a, g[2], b2)))
+                _add(table, (g, (e,)), (iI, (g[0], a, g[2], b2)))
     return ModuleStructure("DA", am, am, gens, lidem, ridem, table, name="IA^IA")
 
 
@@ -735,8 +721,6 @@ def pair_d_module(U: ModuleStructure, V: ModuleStructure, ta: TensorAlgebra) -> 
     over the algebra whose reversal is the second factor, so V's outputs are
     recorded through the rotation bijection.
     """
-    from .strands import rotate180
-
     _require_right_d(U)
     _require_left_d(V)
     am1, am2rev = ta.factors
@@ -754,19 +738,15 @@ def pair_d_module(U: ModuleStructure, V: ModuleStructure, ta: TensorAlgebra) -> 
     }
     table: dict = {}
 
-    def add(key, val):
-        table.setdefault(key, set())
-        table[key] ^= {val}
-
     for (u, v) in gens:
         for u2, a in U.ad((), u):
             ib = am2rev.idempotent_index(V.lidem[v])
             pair = ta.pair_index[(a, ib)]
-            add(((), (u, v)), ((u2, v), pair))
+            _add(table, ((), (u, v)), ((u2, v), pair))
         for a, v2 in V.da(v, ()):
             ia = am1.idempotent_index(U.ridem[u])
             pair = ta.pair_index[(ia, rot[a])]
-            add(((), (u, v)), ((u, v2), pair))
+            _add(table, ((), (u, v)), ((u, v2), pair))
     return ModuleStructure(
         "AD", None, union, gens, lidem, ridem, table, name=f"({U.name}(x){V.name})"
     )
@@ -774,8 +754,6 @@ def pair_d_module(U: ModuleStructure, V: ModuleStructure, ta: TensorAlgebra) -> 
 
 def dd_as_left_module(X: ModuleStructure, ta: TensorAlgebra) -> ModuleStructure:
     """A DD bimodule as a left type-D module over the tensor algebra."""
-    from .strands import rotate180
-
     if X.kind != "DD":
         raise StructureError("expected a DD bimodule")
     am1, am2rev = ta.factors
@@ -792,14 +770,10 @@ def dd_as_left_module(X: ModuleStructure, ta: TensorAlgebra) -> ModuleStructure:
     ridem = {g: frozenset() for g in gens}
     table: dict = {}
 
-    def add(key, val):
-        table.setdefault(key, set())
-        table[key] ^= {val}
-
     for g in gens:
         for a, y, b in X.dd(g):
             pair = ta.pair_index[(a, rot[b])]
-            add((g, ()), (pair, y))
+            _add(table, (g, ()), (pair, y))
     return ModuleStructure(
         "DA", union, None, gens, lidem, ridem, table, name=f"[{X.name}]"
     )
@@ -818,9 +792,6 @@ def three_joins(
     bimodule, V a left type-D module; the middle complex is
     M-dual box X box N.
     """
-    from .strands import rotate180
-    from .tensor import external_tensor
-
     am = M.left_alg
     if not (M.is_dg_type() and N.is_dg_type()):
         raise StructureError("associativity test requires DG-type modules")
@@ -868,7 +839,6 @@ def three_joins(
         q, x = qx
         return (q, (x, b, v))
 
-    ok = True
     for g1 in C1.basis:
         for g2 in C2.basis:
             for g3 in C3.basis:
@@ -910,7 +880,7 @@ def three_joins(
                 )
                 if acc1.entries != acc3_flat.entries:
                     return False
-    return ok
+    return True
 
 
 # -- self join -----------------------------------------------------------------------
@@ -923,9 +893,6 @@ def self_join(U_pair: ModuleStructure, M: ModuleStructure):
     with its reverse, playing both ends; M must be DG-type (the external
     tensor packaging requires it).
     """
-    from .strands import rotate180
-    from .tensor import external_tensor
-
     _require_left_a(M)
     if not M.is_dg_type():
         raise StructureError("self join implemented for DG-type modules")
@@ -959,8 +926,6 @@ def self_join(U_pair: ModuleStructure, M: ModuleStructure):
 
 def left_module_candidates(am: AlgebraModel):
     """The bounded left modules exercised by the check suites."""
-    from .standard_models import elementary, left_module_from_right_idem
-
     for I in am.all_idempotent_subsets():
         yield elementary(am, I, "A")
         yield left_module_from_right_idem(am, I)

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .arc_diagram import ArcDiagram, validate
 from .strands import ABasisElem, enumerate_basis
-from .ainf import ModuleStructure, check_structure
+from .ainf import ModuleStructure, _add, check_structure
 
 F = Fraction
 
@@ -718,22 +718,18 @@ def count_domains(d: PlanarDiagram) -> ModuleStructure:
     ridem = {g: bocc[g] for g in gens}
     table: dict = {}
 
-    def add(key, val):
-        table.setdefault(key, set())
-        table[key] ^= {val}
-
     if d.family == "slice":
         diff = d.differential_table(gens)
         for g, outs in diff.items():
             for y in outs:
-                add(((), g, ()), y)
+                _add(table, ((), g, ()), y)
         left, right = d.action_tables(gens)
         for (e_idx, g), outs in left.items():
             for y in outs:
-                add(((e_idx,), g, ()), y)
+                _add(table, ((e_idx,), g, ()), y)
         for (e_idx, g), outs in right.items():
             for y in outs:
-                add(((), g, (e_idx,)), y)
+                _add(table, ((), g, (e_idx,)), y)
     return ModuleStructure(
         "AA", am, am, gens, lidem, ridem, table, validate=False, name=f"count({d.family})"
     )

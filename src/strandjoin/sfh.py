@@ -10,13 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .gf2 import (
-    ChainComplexGf2,
-    Gf2Matrix,
-    Gf2Vector,
-    homology,
-    solve,
-)
+from .gf2 import ChainComplexGf2, Gf2Matrix, Gf2Vector, homology, homology_coordinates
 from .strands import AlgebraModel
 from .ainf import ModuleStructure, StructureError
 from .standard_models import elementary, gamma_block
@@ -42,40 +36,30 @@ def homology_blocks(am: AlgebraModel) -> dict:
     return out
 
 
-def _express_in_homology(c: ChainComplexGf2, vec: Gf2Vector, reps) -> Gf2Vector:
-    """Coordinates of a cycle's class in the chosen representative basis."""
-    cols = [("h", i) for i in range(len(reps))]
-    images = {("h", i): v for i, v in enumerate(reps)}
-    for j, b in enumerate(c.basis):
-        col = c.differential.column(b)
-        if col:
-            cols.append(("b", j))
-            images[("b", j)] = col
-    system = Gf2Matrix.from_columns(c.basis, cols, images)
-    x = solve(system, vec)
-    if x is None:
-        raise ValueError("vector is not a cycle class")
-    return Gf2Vector(frozenset(k for k in x if k[0] == "h"))
+def _bilinear_on_homology(c1, c2, c3, *images_of_pair) -> list[Gf2Matrix]:
+    """Induce each chain-level bilinear map C1 (x) C2 -> C3 on homology.
 
-
-def _bilinear_on_homology(c1, c2, c3, image_of_pair) -> Gf2Matrix:
-    """Induce C1 (x) C2 -> C3 on homology from a chain-level bilinear map."""
+    The homologies of the three complexes are computed once for all the maps.
+    """
     _, reps1 = homology(c1)
     _, reps2 = homology(c2)
     _, reps3 = homology(c3)
+    coordinates = homology_coordinates(c3, reps3)
     rows = tuple(("h", i) for i in range(len(reps3)))
     cols = tuple((i, j) for i in range(len(reps1)) for j in range(len(reps2)))
-    nz = set()
-    for i, r1 in enumerate(reps1):
-        for j, r2 in enumerate(reps2):
-            img = Gf2Vector.zero()
-            for x in r1:
-                for y in r2:
-                    img += image_of_pair(x, y)
-            coords = _express_in_homology(c3, img, reps3)
-            for k in coords:
-                nz.add((k, (i, j)))
-    return Gf2Matrix(rows, cols, frozenset(nz))
+    out = []
+    for image_of_pair in images_of_pair:
+        nz = set()
+        for i, r1 in enumerate(reps1):
+            for j, r2 in enumerate(reps2):
+                img = Gf2Vector.zero()
+                for x in r1:
+                    for y in r2:
+                        img += image_of_pair(x, y)
+                for k in coordinates(img):
+                    nz.add((("h", k), (i, j)))
+        out.append(Gf2Matrix(rows, cols, frozenset(nz)))
+    return out
 
 
 def right_module_block(u: ModuleStructure, I) -> ChainComplexGf2:
@@ -146,9 +130,12 @@ def m_H(u: ModuleStructure, I, J) -> Gf2Matrix:
     c2 = gamma_block(am, I, J)
     c3 = right_module_block(u, J)
 
-    direct = _bilinear_on_homology(c1, c2, c3, lambda x, a: _direct_action(u, x, a))
-    composite = _bilinear_on_homology(
-        c1, c2, c3, lambda x, a: _join_composite_action(u, cA.table, I, x, a)
+    direct, composite = _bilinear_on_homology(
+        c1,
+        c2,
+        c3,
+        lambda x, a: _direct_action(u, x, a),
+        lambda x, a: _join_composite_action(u, cA.table, I, x, a),
     )
     if direct.nonzero != composite.nonzero:
         raise StructureError("join-composite action disagrees with the direct action")
@@ -199,8 +186,7 @@ def mu_H(am: AlgebraModel, I, J, K) -> Gf2Matrix:
                 acc += Gf2Vector(am.mult_table[(x, b)])
         return acc
 
-    m1 = _bilinear_on_homology(c1, c2, c3, direct)
-    m2 = _bilinear_on_homology(c1, c2, c3, composite)
+    m1, m2 = _bilinear_on_homology(c1, c2, c3, direct, composite)
     if m1.nonzero != m2.nonzero:
         raise StructureError("join-composite product disagrees with multiplication")
     return m1

@@ -211,23 +211,19 @@ def external_tensor(m: ModuleStructure, n: ModuleStructure) -> ModuleStructure:
     ridem = {g: frozenset() for g in gens}
     table: dict = {}
 
-    def add(key, val):
-        table.setdefault(key, set())
-        table[key] ^= {val}
-
     # Differential: Leibniz.
     for (argsL, x, _), outs in m.table.items():
         if argsL:
             continue
         for y in n.gens:
             for x2 in outs:
-                add(((), (x, y), ()), (x2, y))
+                _add(table, ((), (x, y), ()), (x2, y))
     for (_, y, argsR), outs in n.table.items():
         if argsR:
             continue
         for x in m.gens:
             for y2 in outs:
-                add(((), (x, y), ()), (x, y2))
+                _add(table, ((), (x, y), ()), (x, y2))
     # Combined one-input action by union basis elements.
     rot_inv = {v: k for k, v in brot.items()}
     for u in range(U.dim):
@@ -259,7 +255,7 @@ def external_tensor(m: ModuleStructure, n: ModuleStructure) -> ModuleStructure:
                     continue
                 for x2 in xs:
                     for y2 in ys:
-                        add(((u,), (x, y), ()), (x2, y2))
+                        _add(table, ((u,), (x, y), ()), (x2, y2))
     return ModuleStructure(
         "AA", U, None, gens, lidem, ridem, table, name=f"({m.name}(x){n.name})"
     )

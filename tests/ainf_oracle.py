@@ -4,25 +4,238 @@ These evaluate every idempotent-chained input of the window the library
 checks (on each side max(2L, L + 1) inputs, L the longest table entry there),
 for every generator, in the order the chains are enumerated.  The library
 evaluates only inputs built from the tables' support; the differential tests
-compare the two.  Both evaluate each input with the library's own
-per-input sums (`_EQUATIONS`, `_DIFFS`), so only the enumeration differs.
+compare the two.  Each input is evaluated here with its own per-kind sum
+(`EQUATIONS`, `DIFFS`), written out for each kind and reading the tables in
+their stored layout, so the library's single entry-shape evaluation
+(`ainf._equation`, `ainf._diff`) is checked as well as its enumeration.
 """
 
 from __future__ import annotations
 
 from strandjoin.ainf import (
-    _DIFFS,
-    _EQUATIONS,
     Morphism,
     ModuleStructure,
     _chains_from,
     _chains_into,
-    _dd_diff,
-    _dd_equation,
     _from_aa_key,
+    _insertions,
+    _live,
+    _parity_add,
     f_max_left,
     f_max_right,
 )
+
+# -- table reads ---------------------------------------------------------------
+#
+# A morphism's table has no idempotent inputs; a structure acts strictly
+# unitally, so a lone idempotent input acts as the identity on matching
+# generators and any other idempotent input gives zero.
+
+
+def _at(x, key) -> frozenset:
+    return x.table.get(key, frozenset())
+
+
+def _aa(m: ModuleStructure, argsL: tuple, g, argsR: tuple) -> frozenset:
+    A, B = m.left_alg, m.right_alg
+    idemL = [A.is_idempotent_elem(a) for a in argsL]
+    idemR = [B.is_idempotent_elem(b) for b in argsR]
+    if any(idemL) or any(idemR):
+        if len(argsL) == 1 and not argsR and idemL[0]:
+            return frozenset([g]) if m.lidem[g] == A.elems[argsL[0]].occupied else frozenset()
+        if len(argsR) == 1 and not argsL and idemR[0]:
+            return frozenset([g]) if m.ridem[g] == B.elems[argsR[0]].occupied else frozenset()
+        return frozenset()
+    return _at(m, (argsL, g, argsR))
+
+
+def _da(m: ModuleStructure, g, argsR: tuple) -> frozenset:
+    B = m.right_alg
+    if any(B.is_idempotent_elem(b) for b in argsR):
+        if len(argsR) == 1 and B.elems[argsR[0]].occupied == m.ridem[g]:
+            return frozenset([(m.left_alg.idempotent_index(m.lidem[g]), g)])
+        return frozenset()
+    return _at(m, (g, argsR))
+
+
+def _ad(m: ModuleStructure, argsL: tuple, g) -> frozenset:
+    A = m.left_alg
+    if any(A.is_idempotent_elem(a) for a in argsL):
+        if len(argsL) == 1 and A.elems[argsL[0]].occupied == m.lidem[g]:
+            return frozenset([(g, m.right_alg.idempotent_index(m.ridem[g]))])
+        return frozenset()
+    return _at(m, (argsL, g))
+
+
+# -- structure equations ---------------------------------------------------------
+
+
+def aa_equation(m: ModuleStructure, argsL: tuple, g, argsR: tuple) -> frozenset:
+    acc: dict = {}
+    for p in range(len(argsL) + 1):
+        for q in range(len(argsR) + 1):
+            for y in _at(m, (argsL[p:], g, argsR[:q])):
+                for z in _at(m, (argsL[:p], y, argsR[q:])):
+                    _parity_add(acc, z)
+    for newL in _insertions(m.left_alg, argsL):
+        for z in _aa(m, newL, g, argsR):
+            _parity_add(acc, z)
+    for newR in _insertions(m.right_alg, argsR):
+        for z in _aa(m, argsL, g, newR):
+            _parity_add(acc, z)
+    return _live(acc)
+
+
+def da_equation(m: ModuleStructure, g, argsR: tuple) -> frozenset:
+    acc: dict = {}
+    A = m.left_alg
+    for s in range(len(argsR) + 1):
+        for a1, y in _at(m, (g, argsR[:s])):
+            for a2, z in _at(m, (y, argsR[s:])):
+                for prod in A.mult_table[(a1, a2)]:
+                    _parity_add(acc, (prod, z))
+    for a, y in _at(m, (g, argsR)):
+        for da in A.diff_table[a]:
+            _parity_add(acc, (da, y))
+    for newR in _insertions(m.right_alg, argsR):
+        for out in _da(m, g, newR):
+            _parity_add(acc, out)
+    return _live(acc)
+
+
+def ad_equation(m: ModuleStructure, argsL: tuple, g) -> frozenset:
+    acc: dict = {}
+    B = m.right_alg
+    for p in range(len(argsL) + 1):
+        for y, b1 in _at(m, (argsL[p:], g)):
+            for z, b2 in _at(m, (argsL[:p], y)):
+                for prod in B.mult_table[(b2, b1)]:
+                    _parity_add(acc, (z, prod))
+    for y, b in _at(m, (argsL, g)):
+        for db in B.diff_table[b]:
+            _parity_add(acc, (y, db))
+    for newL in _insertions(m.left_alg, argsL):
+        for out in _ad(m, newL, g):
+            _parity_add(acc, out)
+    return _live(acc)
+
+
+def dd_equation(m: ModuleStructure, g) -> frozenset:
+    acc: dict = {}
+    A, B = m.left_alg, m.right_alg
+    for a, y, b in _at(m, g):
+        for da in A.diff_table[a]:
+            _parity_add(acc, (da, y, b))
+        for db in B.diff_table[b]:
+            _parity_add(acc, (a, y, db))
+        for a2, z, b2 in _at(m, y):
+            for pa in A.mult_table[(a, a2)]:
+                # Second-generation right outputs multiply on the left.
+                for pb in B.mult_table[(b2, b)]:
+                    _parity_add(acc, (pa, z, pb))
+    return _live(acc)
+
+
+EQUATIONS = {"AA": aa_equation, "DA": da_equation, "AD": ad_equation, "DD": dd_equation}
+
+
+# -- morphism differentials ------------------------------------------------------
+
+
+def aa_diff(f: Morphism, argsL: tuple, g, argsR: tuple) -> frozenset:
+    src, dst = f.src, f.dst
+    acc: dict = {}
+    for p in range(len(argsL) + 1):
+        for q in range(len(argsR) + 1):
+            for y in _at(f, (argsL[p:], g, argsR[:q])):
+                for z in _at(dst, (argsL[:p], y, argsR[q:])):
+                    _parity_add(acc, z)
+            for y in _at(src, (argsL[p:], g, argsR[:q])):
+                for z in _at(f, (argsL[:p], y, argsR[q:])):
+                    _parity_add(acc, z)
+    for newL in _insertions(src.left_alg, argsL):
+        for z in _at(f, (newL, g, argsR)):
+            _parity_add(acc, z)
+    for newR in _insertions(src.right_alg, argsR):
+        for z in _at(f, (argsL, g, newR)):
+            _parity_add(acc, z)
+    return _live(acc)
+
+
+def da_diff(f: Morphism, g, argsR: tuple) -> frozenset:
+    src, dst = f.src, f.dst
+    A = src.left_alg
+    acc: dict = {}
+    for s in range(len(argsR) + 1):
+        for a1, y in _at(src, (g, argsR[:s])):
+            for a2, z in _at(f, (y, argsR[s:])):
+                for prod in A.mult_table[(a1, a2)]:
+                    _parity_add(acc, (prod, z))
+        for a1, y in _at(f, (g, argsR[:s])):
+            for a2, z in _at(dst, (y, argsR[s:])):
+                for prod in A.mult_table[(a1, a2)]:
+                    _parity_add(acc, (prod, z))
+    for a, y in _at(f, (g, argsR)):
+        for da in A.diff_table[a]:
+            _parity_add(acc, (da, y))
+    for newR in _insertions(src.right_alg, argsR):
+        for out in _at(f, (g, newR)):
+            _parity_add(acc, out)
+    return _live(acc)
+
+
+def ad_diff(f: Morphism, argsL: tuple, g) -> frozenset:
+    src, dst = f.src, f.dst
+    B = src.right_alg
+    acc: dict = {}
+    for p in range(len(argsL) + 1):
+        for y, b1 in _at(src, (argsL[p:], g)):
+            for z, b2 in _at(f, (argsL[:p], y)):
+                for prod in B.mult_table[(b2, b1)]:
+                    _parity_add(acc, (z, prod))
+        for y, b1 in _at(f, (argsL[p:], g)):
+            for z, b2 in _at(dst, (argsL[:p], y)):
+                for prod in B.mult_table[(b2, b1)]:
+                    _parity_add(acc, (z, prod))
+    for y, b in _at(f, (argsL, g)):
+        for db in B.diff_table[b]:
+            _parity_add(acc, (y, db))
+    for newL in _insertions(src.left_alg, argsL):
+        for out in _at(f, (newL, g)):
+            _parity_add(acc, out)
+    return _live(acc)
+
+
+def dd_diff(f: Morphism, g) -> frozenset:
+    src, dst = f.src, f.dst
+    A, B = src.left_alg, src.right_alg
+    acc: dict = {}
+    for a1, y, b1 in _at(src, g):
+        for a2, z, b2 in _at(f, y):
+            for pa in A.mult_table[(a1, a2)]:
+                for pb in B.mult_table[(b2, b1)]:
+                    _parity_add(acc, (pa, z, pb))
+    for a1, y, b1 in _at(f, g):
+        for a2, z, b2 in _at(dst, y):
+            for pa in A.mult_table[(a1, a2)]:
+                for pb in B.mult_table[(b2, b1)]:
+                    _parity_add(acc, (pa, z, pb))
+        for da in A.diff_table[a1]:
+            _parity_add(acc, (da, y, b1))
+        for db in B.diff_table[b1]:
+            _parity_add(acc, (a1, y, db))
+    return _live(acc)
+
+
+DIFFS = {"AA": aa_diff, "DA": da_diff, "AD": ad_diff, "DD": dd_diff}
+
+
+def _args(kind: str, key) -> tuple:
+    """A table key of the given kind as the argument tuple of its per-kind sum."""
+    return (key,) if kind == "DD" else key
+
+
+# -- brute-force enumeration -----------------------------------------------------
 
 
 def _window(m: ModuleStructure, g, lmax: int, rmax: int):
@@ -38,32 +251,40 @@ def _window(m: ModuleStructure, g, lmax: int, rmax: int):
             yield _from_aa_key(m.kind, argsL, g, argsR)
 
 
-def oracle_check_structure(m: ModuleStructure):
-    """The first input (in enumeration order) whose structure equation is nonzero."""
-    if m.kind == "DD":
-        for g in m.gens:
-            if _dd_equation(m, g):
-                return (g,)
-        return None
-    equation = _EQUATIONS[m.kind]
+def structure_window(m: ModuleStructure):
+    """Every input of the window `check_structure` covers, in enumeration order."""
     lmax, rmax = m.max_left_len(), m.max_right_len()
     for g in m.gens:
-        for key in _window(m, g, max(2 * lmax, lmax + 1), max(2 * rmax, rmax + 1)):
-            if equation(m, *key):
-                return key
+        yield from _window(m, g, max(2 * lmax, lmax + 1), max(2 * rmax, rmax + 1))
+
+
+def diff_window(f: Morphism):
+    """Every input of the window `morphism_diff` covers, in enumeration order."""
+    src, dst = f.src, f.dst
+    lmax = f_max_left(f) + max(src.max_left_len(), dst.max_left_len(), 1)
+    rmax = f_max_right(f) + max(src.max_right_len(), dst.max_right_len(), 1)
+    for g in src.gens:
+        yield from _window(src, g, lmax, rmax)
+
+
+def equation(m: ModuleStructure, key) -> frozenset:
+    """The structure equation of m at a table key of m's kind."""
+    return EQUATIONS[m.kind](m, *_args(m.kind, key))
+
+
+def diff(f: Morphism, key) -> frozenset:
+    """The morphism differential of f at a table key of f's kind."""
+    return DIFFS[f.kind](f, *_args(f.kind, key))
+
+
+def oracle_check_structure(m: ModuleStructure):
+    """The first input (in enumeration order) whose structure equation is nonzero."""
+    for key in structure_window(m):
+        if equation(m, key):
+            return _args(m.kind, key)
     return None
 
 
 def oracle_morphism_diff(f: Morphism) -> Morphism:
     """The morphism differential evaluated on every chained input of the window."""
-    src, dst = f.src, f.dst
-    if f.kind == "DD":
-        return Morphism(src, dst, {g: _dd_diff(f, g) for g in src.gens})
-    lmax = f_max_left(f) + max(src.max_left_len(), dst.max_left_len(), 1)
-    rmax = f_max_right(f) + max(src.max_right_len(), dst.max_right_len(), 1)
-    diff = _DIFFS[f.kind]
-    table = {}
-    for g in src.gens:
-        for key in _window(src, g, lmax, rmax):
-            table[key] = diff(f, *key)
-    return Morphism(src, dst, table)
+    return Morphism(f.src, f.dst, {key: diff(f, key) for key in diff_window(f)})

@@ -5,12 +5,20 @@ import random
 import subprocess
 import sys
 
-from ainf_oracle import oracle_check_structure, oracle_morphism_diff
+from ainf_oracle import (
+    diff,
+    diff_window,
+    equation,
+    oracle_check_structure,
+    oracle_morphism_diff,
+    structure_window,
+)
 from strandjoin.ainf import (
     ModuleStructure,
     Morphism,
-    _EQUATIONS,
-    _dd_equation,
+    _as_aa_key,
+    _diff,
+    _equation,
     _morphism_slots,
     check_structure,
     dualize,
@@ -82,9 +90,7 @@ def valid_families(am):
 
 
 def reevaluate(m, witness) -> frozenset:
-    if m.kind == "DD":
-        return _dd_equation(m, *witness)
-    return _EQUATIONS[m.kind](m, *witness)
+    return equation(m, witness[0] if m.kind == "DD" else witness)
 
 
 def test_checker_agrees_with_oracle_on_valid_families(am0, am1, am2):
@@ -159,10 +165,11 @@ def _single_slot_morphisms(m, rng, n, max_len=2):
     return [Morphism(m, m, {k: {v}}) for k, v in rng.sample(slots, min(n, len(slots)))]
 
 
-def test_morphism_diff_agrees_with_oracle(am0, am1, am2):
+def morphism_families(am0, am1, am2):
     rng = random.Random(4)
+    morphisms = []
     for am in (am0, am1, am2):
-        morphisms = [nabla(M) for M in left_module_candidates(am)]
+        morphisms += [nabla(M) for M in left_module_candidates(am)]
         morphisms.append(cancel_cA(am))
         for m in standard_models(am)[:4] + [left_module_from_right_idem(am, frozenset())]:
             morphisms += [identity_morphism(m), zero_morphism(m, m)]
@@ -170,8 +177,72 @@ def test_morphism_diff_agrees_with_oracle(am0, am1, am2):
             max_len = 1 if am is am2 and m.kind == "AA" else 2
             morphisms += _single_slot_morphisms(m, rng, 6, max_len)
         morphisms += _single_slot_morphisms(dualize(da_identity(am)), rng, 6)
-        for f in morphisms:
-            assert morphism_diff(f).table == oracle_morphism_diff(f).table, f.kind
+    return morphisms
+
+
+def test_morphism_diff_agrees_with_oracle(am0, am1, am2):
+    for f in morphism_families(am0, am1, am2):
+        assert morphism_diff(f).table == oracle_morphism_diff(f).table, f.kind
+
+
+# The library evaluates every kind through one entry-shape sum; the oracle
+# writes a sum out per kind.  These compare the two on every window input,
+# not only where the enumerations meet.
+
+
+def _equation_agrees_on_window(m) -> tuple[int, int]:
+    """(window inputs, inputs where the equation is nonzero), both sums agreeing."""
+    inputs = nonzero = 0
+    for key in structure_window(m):
+        value = equation(m, key)
+        assert _equation(m, _as_aa_key(m.kind, key)) == value, (m.name, key)
+        inputs += 1
+        nonzero += bool(value)
+    return inputs, nonzero
+
+
+def test_equation_agrees_with_per_kind_sums_on_valid_families(am0, am1, am2):
+    seen = set()
+    for am in (am0, am1, am2):
+        for m in valid_families(am):
+            if _equation_agrees_on_window(m)[0]:
+                seen.add(m.kind)
+    assert seen == {"AA", "DA", "AD", "DD"}
+
+
+def test_equation_agrees_with_per_kind_sums_on_corruptions(am1, am2):
+    rng = random.Random(20261018)
+    bases = corruption_bases(am1, am2)
+    failing = 0
+    for trial in range(240):
+        m = _corrupt(bases[trial % len(bases)], rng)
+        failing += bool(_equation_agrees_on_window(m)[1])
+    assert failing >= 120
+
+
+def test_diff_agrees_with_per_kind_sums(am0, am1, am2):
+    seen = set()
+    for f in morphism_families(am0, am1, am2):
+        for key in diff_window(f):
+            assert _diff(f, _as_aa_key(f.kind, key)) == diff(f, key), (f.kind, key)
+            seen.add(f.kind)
+    assert seen == {"AA", "DA", "AD", "DD"}
+
+
+def test_corrupted_dd_witness_is_a_generator(am1, am2):
+    rng = random.Random(11)
+    found = 0
+    for am in (am1, am2):
+        base = dd_identity(am)
+        for _ in range(10):
+            m = _corrupt(base, rng)
+            witness = check_structure(m)
+            assert witness == oracle_check_structure(m)
+            if witness is not None:
+                found += 1
+                assert len(witness) == 1 and witness[0] in m.genset
+                assert reevaluate(m, witness)
+    assert found
 
 
 _WITNESS_SCRIPT = """

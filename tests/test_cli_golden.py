@@ -60,6 +60,7 @@ def commands() -> list[tuple]:
         for s in _subsets(k):
             for form in ("amod:", "elementary:A:"):
                 cmds.append(("double", name, f"{form}{s}"))
+    cmds.extend(("check", "R3", suite) for suite in ("structures", "sfh", "homotopy"))
     return cmds
 
 
