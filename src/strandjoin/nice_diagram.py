@@ -21,6 +21,7 @@ with the closing arc treated as disjoint from the rest of the diagram.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -53,6 +54,45 @@ def _on_segment(p, a, b) -> bool:
     dot = (p[0] - a[0]) * (b[0] - a[0]) + (p[1] - a[1]) * (b[1] - a[1])
     sq = (b[0] - a[0]) ** 2 + (b[1] - a[1]) ** 2
     return 0 < dot < sq
+
+
+def _split_segments(segments) -> list:
+    """Cut each segment at its crossings with the others and at endpoints on it.
+
+    The tests run on integer coordinates: every endpoint is scaled by the
+    common denominator of the chart (4(m+1) for a square of an m-point arc, 4
+    for a handle), and a `Fraction` point is made only for a real crossing.
+    """
+    den = math.lcm(*(c.denominator for p1, p2, _ in segments for c in p1 + p2))
+    scaled = [
+        tuple(c.numerator * (den // c.denominator) for c in p1 + p2)
+        for p1, p2, _ in segments
+    ]
+    pieces = []
+    for (p1, p2, tag), a in zip(segments, scaled):
+        ax, ay, dx, dy = a[0], a[1], a[2] - a[0], a[3] - a[1]
+        cuts = {p1, p2}
+        for (q1, q2, _), b in zip(segments, scaled):
+            if b == a:
+                continue
+            ex, ey = b[2] - b[0], b[3] - b[1]
+            cross = dx * ey - dy * ex
+            if cross:
+                wx, wy = b[0] - ax, b[1] - ay
+                tn, sn = wx * ey - wy * ex, wx * dy - wy * dx
+                if cross < 0:
+                    cross, tn, sn = -cross, -tn, -sn
+                if 0 < tn < cross and 0 < sn < cross:
+                    t = Fraction(tn, cross)
+                    cuts.add((p1[0] + t * (p2[0] - p1[0]), p1[1] + t * (p2[1] - p1[1])))
+            for q, qx, qy in ((q1, b[0], b[1]), (q2, b[2], b[3])):
+                wx, wy = qx - ax, qy - ay
+                if dx * wy == dy * wx and 0 < wx * dx + wy * dy < dx * dx + dy * dy:
+                    cuts.add(q)
+        fdx, fdy = p2[0] - p1[0], p2[1] - p1[1]
+        ordered = sorted(cuts, key=lambda pt: (pt[0] - p1[0]) * fdx + (pt[1] - p1[1]) * fdy)
+        pieces.extend((u, v, tag) for u, v in zip(ordered, ordered[1:]))
+    return pieces
 
 
 def _point_in_polygon(p, poly) -> bool:
@@ -211,27 +251,7 @@ class PlanarDiagram:
 
     def _chart_faces(self, chart: Chart):
         """Faces of one chart's arrangement, with tagged boundary edges."""
-        # split segments at all intersections and endpoints
-        pieces = []
-        for (p1, p2, tag) in chart.segments:
-            cuts = {p1, p2}
-            for (q1, q2, _) in chart.segments:
-                if (q1, q2) == (p1, p2):
-                    continue
-                pt = _seg_intersect(p1, p2, q1, q2)
-                if pt is not None:
-                    cuts.add(pt)
-                for q in (q1, q2):
-                    if _on_segment(q, p1, p2):
-                        cuts.add(q)
-            dx, dy = p2[0] - p1[0], p2[1] - p1[1]
-
-            def param(pt):
-                return (pt[0] - p1[0]) * dx + (pt[1] - p1[1]) * dy
-
-            ordered = sorted(cuts, key=param)
-            for a, b in zip(ordered, ordered[1:]):
-                pieces.append((a, b, tag))
+        pieces = _split_segments(chart.segments)
         # half-edge structure
         out_edges: dict = {}
         halves = []

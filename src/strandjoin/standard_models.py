@@ -165,12 +165,7 @@ def dd_identity(am: AlgebraModel) -> ModuleStructure:
 
 def gamma_block(am: AlgebraModel, I, J) -> ChainComplexGf2:
     """The summand iota_I . A . iota_J as a chain complex."""
-    I, J = frozenset(I), frozenset(J)
-    basis = tuple(
-        g
-        for g in range(am.dim)
-        if am.left_idem[g] == I and am.right_idem[g] == J
-    )
+    basis = am.idem_blocks().get((frozenset(I), frozenset(J)), ())
     images = {g: Gf2Vector(am.diff_table[g]) for g in basis}
     d = Gf2Matrix.from_columns(basis, basis, images)
     return ChainComplexGf2(basis, d)

@@ -37,26 +37,121 @@ class ABasisElem:
         return f"[{ms}|{os_}]"
 
 
-def _cross_count(z: ArcDiagram, strands: frozenset) -> int:
-    """Crossings of a diagram: interleaving pairs of strands on a common arc."""
-    pos = {}
-    for s, t in strands:
-        if s not in pos:
-            pos[s] = z.position(s)
-        if t not in pos:
-            pos[t] = z.position(t)
-    n = 0
-    ss = sorted(strands, key=lambda st: (pos[st[0]], pos[st[1]]))
-    for (s1, t1), (s2, t2) in itertools.combinations(ss, 2):
-        a1, p1 = pos[s1]
-        a2, p2 = pos[s2]
-        if a1 != a2:
-            continue
-        _, q1 = pos[t1]
-        _, q2 = pos[t2]
-        if (p1 - p2) * (q1 - q2) < 0:
-            n += 1
-    return n
+class _Coding:
+    """Diagrams of one arc diagram on integer-coded points, and the orbit index.
+
+    Points are numbered in name order, so sorting coded strands sorts them as
+    the named ones.  A diagram is the tuple of its strands (s, t) sorted by
+    source, horizontals as (p, p); a basis element is found from its orbit key
+    (movers, set of horizontal pairs).
+    """
+
+    def __init__(self, z: ArcDiagram, elems: list):
+        names = sorted(z.points)
+        self.names = names
+        self.code = {p: n for n, p in enumerate(names)}
+        positions = [z.position(p) for p in names]
+        self.arc = [a for a, _ in positions]
+        self.at = [x for _, x in positions]
+        self.pair = [z.pair_of(p) for p in names]
+        self.pair_pts = {
+            i: tuple(self.code[p] for p in z.pair(i)) for i in range(1, z.rank + 1)
+        }
+        self.key_index = {
+            (self._movers(e), e.occupied): i for i, e in enumerate(elems)
+        }
+        self.orbit_keys: dict = {}  # diagram -> orbit key, filled as met
+
+    def _movers(self, e: ABasisElem) -> tuple:
+        code = self.code
+        return tuple((code[s], code[t]) for s, t in e.movers)
+
+    def expand(self, e: ABasisElem) -> list[tuple]:
+        """All diagrams of a basis element: its movers plus one point per occupied pair."""
+        movers = list(self._movers(e))
+        pair_choices = [self.pair_pts[i] for i in sorted(e.occupied)]
+        return [
+            tuple(sorted(movers + [(p, p) for p in combo]))
+            for combo in itertools.product(*pair_choices)
+        ]
+
+    @staticmethod
+    def point_mask(points) -> int:
+        m = 0
+        for p in points:
+            m |= 1 << p
+        return m
+
+    def _crossings(self, d: tuple):
+        """Index pairs (a, b), a < b, of the strands of d that cross."""
+        arc, at = self.arc, self.at
+        for a, b in itertools.combinations(range(len(d)), 2):
+            (s1, t1), (s2, t2) = d[a], d[b]
+            if arc[s1] == arc[s2] and (at[s1] - at[s2]) * (at[t1] - at[t2]) < 0:
+                yield a, b
+
+    def crossing_mask(self, d: tuple, end: int) -> int:
+        """The crossing pairs of d as bits, each strand named by its point at `end`.
+
+        Two strands of a composite cross iff they cross in exactly one factor
+        (the sign of their order flips once per crossing), so a composite keeps
+        all c1 + c2 crossings iff the masks of d1 by targets (end 1) and of d2
+        by sources (end 0) share no bit.
+        """
+        n = len(self.names)
+        m = 0
+        for a, b in self._crossings(d):
+            x, y = d[a][end], d[b][end]
+            m |= 1 << (x * n + y if x < y else y * n + x)
+        return m
+
+    def resolutions(self, d: tuple) -> list[tuple]:
+        """Resolve one crossing at a time, keeping those that lose exactly one."""
+        base = sum(1 for _ in self._crossings(d))
+        out = []
+        for a, b in self._crossings(d):
+            (s1, t1), (s2, t2) = d[a], d[b]
+            r = list(d)
+            r[a], r[b] = (s1, t2), (s2, t1)
+            r = tuple(r)
+            if sum(1 for _ in self._crossings(r)) == base - 1:
+                out.append(r)
+        return out
+
+    def symmetrize(self, diagrams: list) -> frozenset:
+        """Collect a GF(2) multiset of diagrams into basis indices."""
+        parity: dict = {}
+        for d in diagrams:
+            parity[d] = parity.get(d, 0) ^ 1
+        orbit_keys = self.orbit_keys
+        counts: dict = {}
+        for d, odd in parity.items():
+            if odd:
+                key = orbit_keys.get(d) or self._orbit_key(d)
+                counts[key] = counts.get(key, 0) + 1
+        keys = set()
+        for key, n in counts.items():
+            i = self.key_index.get(key)
+            if i is None:
+                raise SymmetrizationError(f"orbit key {self._name(key)} is not a basis element")
+            if n != 1 << len(key[1]):
+                raise SymmetrizationError(f"incomplete orbit for {self._name(key)}")
+            keys.add(i)
+        return frozenset(keys)
+
+    def _orbit_key(self, d: tuple) -> tuple:
+        """The orbit key of a diagram not met before, recorded in `orbit_keys`."""
+        pair = self.pair
+        key = (
+            tuple([st for st in d if st[0] != st[1]]),
+            frozenset([pair[s] for s, t in d if s == t]),
+        )
+        self.orbit_keys[d] = key
+        return key
+
+    def _name(self, key) -> ABasisElem:
+        names = self.names
+        return ABasisElem(tuple((names[s], names[t]) for s, t in key[0]), key[1])
 
 
 class ProductTable(dict):
@@ -83,7 +178,6 @@ class AlgebraModel:
             raise ValueError(f"invalid arc diagram: {problems}")
         self.arc_diagram = arc_diagram
         self.k = arc_diagram.rank
-        self._pair_pts = {i: arc_diagram.pair(i) for i in range(1, self.k + 1)}
         self._pos = {p: arc_diagram.position(p) for p in arc_diagram.points}
         self._pair_of = arc_diagram.match
         self.elems: list[ABasisElem] = self._enumerate_elems()
@@ -100,6 +194,7 @@ class AlgebraModel:
         self._build_tables()
         self._opposite: "AlgebraModel | None" = None
         self._preimages: "tuple[dict, dict] | None" = None
+        self._blocks: "dict | None" = None
 
     # -- enumeration -----------------------------------------------------
 
@@ -144,97 +239,41 @@ class AlgebraModel:
         uniq = sorted(set(elems), key=sort_key)
         return uniq
 
-    # -- diagrams and symmetrization -------------------------------------
-
-    def expand(self, e: ABasisElem) -> list[frozenset]:
-        """All diagrams (strand sets, horizontals as (p, p)) of a basis element."""
-        out = []
-        pair_choices = [self._pair_pts[i] for i in sorted(e.occupied)]
-        for combo in itertools.product(*pair_choices):
-            strands = frozenset(e.movers) | frozenset((p, p) for p in combo)
-            out.append(strands)
-        return out
-
-    def _orbit_key(self, diagram: frozenset) -> ABasisElem:
-        movers = tuple(sorted((s, t) for s, t in diagram if s != t))
-        horiz_pairs = frozenset(self._pair_of[p] for p, q in diagram if p == q)
-        return ABasisElem(movers, horiz_pairs)
-
-    def symmetrize(self, diagrams: list[frozenset]) -> Gf2Vector:
-        """Collect a GF(2) multiset of diagrams into basis elements."""
-        parity: dict[frozenset, int] = {}
-        for d in diagrams:
-            parity[d] = parity.get(d, 0) ^ 1
-        live = [d for d, c in parity.items() if c]
-        groups: dict[ABasisElem, set] = {}
-        for d in live:
-            groups.setdefault(self._orbit_key(d), set()).add(d)
-        keys = set()
-        for key, ds in groups.items():
-            if key not in self.index:
-                raise SymmetrizationError(f"orbit key {key} is not a basis element")
-            if len(ds) != 2 ** len(key.occupied):
-                raise SymmetrizationError(f"incomplete orbit for {key}")
-            keys.add(self.index[key])
-        return Gf2Vector(frozenset(keys))
-
     # -- tables -----------------------------------------------------------
 
-    def _diagram_diff(self, diagram: frozenset) -> list[frozenset]:
-        base = _cross_count(self.arc_diagram, diagram)
-        out = []
-        ss = sorted(diagram)
-        for (s1, t1), (s2, t2) in itertools.combinations(ss, 2):
-            a1, p1 = self._pos[s1]
-            a2, p2 = self._pos[s2]
-            if a1 != a2:
-                continue
-            _, q1 = self._pos[t1]
-            _, q2 = self._pos[t2]
-            if (p1 - p2) * (q1 - q2) >= 0:
-                continue
-            resolved = (diagram - {(s1, t1), (s2, t2)}) | {(s1, t2), (s2, t1)}
-            if len(resolved) != len(diagram):
-                continue
-            if _cross_count(self.arc_diagram, resolved) == base - 1:
-                out.append(resolved)
-        return out
-
     def _build_tables(self):
-        expansions = [self.expand(e) for e in self.elems]
-        for i, e in enumerate(self.elems):
+        coding = _Coding(self.arc_diagram, self.elems)
+        expansions = [coding.expand(e) for e in self.elems]
+        for i, exp in enumerate(expansions):
             resolved = []
-            for d in expansions[i]:
-                resolved.extend(self._diagram_diff(d))
-            self.diff_table[i] = self.symmetrize(resolved).entries
-        # a.b can be nonzero only when a's right idempotent is b's left one,
-        # and two diagrams compose only when the targets of the first are the
-        # sources of the second; the product is kept when no crossing is lost.
-        firsts = []  # per element: (diagram, its targets, its crossings)
-        seconds = []  # per element: its sources -> [(strand map, crossings)]
-        for exp in expansions:
-            row, buckets = [], {}
             for d in exp:
-                c = _cross_count(self.arc_diagram, d)
-                row.append((d, frozenset(t for _, t in d), c))
-                buckets.setdefault(frozenset(s for s, _ in d), []).append((dict(d), c))
-            firsts.append(row)
-            seconds.append(buckets)
-        by_left: dict = {}
-        for j, idem in enumerate(self.left_idem):
-            by_left.setdefault(idem, []).append(j)
-        for i, row in enumerate(firsts):
-            for j in by_left.get(self.right_idem[i], ()):
-                prods = []
-                for d1, tgts, c1 in row:
-                    for follow, c2 in seconds[j].get(tgts, ()):
-                        comp = frozenset((s, follow[t]) for s, t in d1)
-                        if _cross_count(self.arc_diagram, comp) == c1 + c2:
-                            prods.append(comp)
-                if prods:
-                    v = self.symmetrize(prods).entries
-                    if v:
-                        self.mult_table[(i, j)] = v
+                resolved.extend(coding.resolutions(d))
+            self.diff_table[i] = coding.symmetrize(resolved)
+        # Two diagrams compose only when the targets of the first are the
+        # sources of the second (which also matches the idempotents), so every
+        # diagram is indexed by its source set.  The product is kept when no
+        # crossing is lost, that is when no pair of strands crosses in both
+        # factors: the pair masks of d1 (by targets) and d2 (by sources) are
+        # disjoint.
+        by_sources: dict = {}  # source mask -> [(j, strand map, crossing mask)]
+        for j, exp in enumerate(expansions):
+            for d in exp:
+                follow = dict(d)
+                entry = (j, follow, coding.crossing_mask(d, 0))
+                by_sources.setdefault(coding.point_mask(follow), []).append(entry)
+        for i, exp in enumerate(expansions):
+            prods: dict = {}  # j -> composite diagrams, in the order found
+            for d1 in exp:
+                mask1 = coding.crossing_mask(d1, 1)
+                tgts = coding.point_mask(t for _, t in d1)
+                for j, follow, mask2 in by_sources.get(tgts, ()):
+                    if not mask1 & mask2:
+                        comp = tuple([(s, follow[t]) for s, t in d1])
+                        prods.setdefault(j, []).append(comp)
+            for j in sorted(prods):
+                v = coding.symmetrize(prods[j])
+                if v:
+                    self.mult_table[(i, j)] = v
 
     # -- public operations -------------------------------------------------
 
@@ -309,13 +348,21 @@ class AlgebraModel:
             self._preimages = (dpre, mpre)
         return self._preimages
 
+    def idem_blocks(self) -> dict:
+        """The basis by idempotents, built on first use: (left, right) -> ascending indices."""
+        if self._blocks is None:
+            blocks: dict = {}
+            for g in range(self.dim):
+                blocks.setdefault((self.left_idem[g], self.right_idem[g]), []).append(g)
+            self._blocks = {key: tuple(gs) for key, gs in blocks.items()}
+        return self._blocks
+
     def opposite(self) -> "AlgebraModel":
         """The formal opposite: same basis, reversed multiplication, swapped idempotents."""
         if self._opposite is None:
             op = object.__new__(AlgebraModel)
             op.arc_diagram = self.arc_diagram
             op.k = self.k
-            op._pair_pts = self._pair_pts
             op._pos = self._pos
             op._pair_of = self._pair_of
             op.elems = self.elems
@@ -328,6 +375,7 @@ class AlgebraModel:
             )
             op._opposite = self
             op._preimages = None
+            op._blocks = None
             self._opposite = op
         return self._opposite
 

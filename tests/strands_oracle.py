@@ -1,11 +1,21 @@
-"""Brute-force reference for the product table of `AlgebraModel`.
+"""Brute-force reference for the product and differential tables of `AlgebraModel`.
+
+The library builds its tables on integer-coded points, finds composable
+diagrams through an index by source set and tests a lost crossing with one
+AND of two crossing-pair masks.  This oracle keeps the builder it replaced,
+on named points and `ABasisElem` orbit keys, and uses nothing of the
+library's build: `_cross_count` counts interleaving strand pairs, `expand`
+lists the diagrams of a basis element, `symmetrize` regroups a Z/2 multiset
+of diagrams into full orbits, and `_diagram_diff` resolves one crossing at a
+time.
 
 `dense_mult_table` is the builder the library used before it skipped
 idempotent-mismatched pairs and diagram pairs with unequal endpoints: it
 composes every diagram of every basis element with every diagram of every
 other, recomputes all three crossing counts for each composable pair, and
-stores every one of the dim^2 pairs, zeros included.  The differential tests
-compare it with the sparse table the library builds.
+stores every one of the dim^2 pairs, zeros included.  `dense_diff_table`
+resolves the crossings of every diagram of every basis element.  The
+differential tests compare them with the sparse tables the library builds.
 
 `dga_failures` is the `check ... dga` suite as it was before the
 associativity check visited only the k where a product can be nonzero: it
@@ -14,8 +24,89 @@ tries every triple (i, j, k).
 
 from __future__ import annotations
 
+import itertools
+
 from strandjoin.gf2 import Gf2Vector, vsum
-from strandjoin.strands import AlgebraModel, _cross_count
+from strandjoin.strands import ABasisElem, AlgebraModel, SymmetrizationError
+
+
+def _cross_count(z, strands: frozenset) -> int:
+    """Crossings of a diagram: interleaving pairs of strands on a common arc."""
+    pos = {}
+    for s, t in strands:
+        if s not in pos:
+            pos[s] = z.position(s)
+        if t not in pos:
+            pos[t] = z.position(t)
+    n = 0
+    ss = sorted(strands, key=lambda st: (pos[st[0]], pos[st[1]]))
+    for (s1, t1), (s2, t2) in itertools.combinations(ss, 2):
+        a1, p1 = pos[s1]
+        a2, p2 = pos[s2]
+        if a1 != a2:
+            continue
+        _, q1 = pos[t1]
+        _, q2 = pos[t2]
+        if (p1 - p2) * (q1 - q2) < 0:
+            n += 1
+    return n
+
+
+def expand(am: AlgebraModel, e: ABasisElem) -> list[frozenset]:
+    """All diagrams (strand sets, horizontals as (p, p)) of a basis element."""
+    z = am.arc_diagram
+    out = []
+    pair_choices = [z.pair(i) for i in sorted(e.occupied)]
+    for combo in itertools.product(*pair_choices):
+        out.append(frozenset(e.movers) | frozenset((p, p) for p in combo))
+    return out
+
+
+def _orbit_key(am: AlgebraModel, diagram: frozenset) -> ABasisElem:
+    pair_of = am.arc_diagram.match
+    movers = tuple(sorted((s, t) for s, t in diagram if s != t))
+    horiz_pairs = frozenset(pair_of[p] for p, q in diagram if p == q)
+    return ABasisElem(movers, horiz_pairs)
+
+
+def symmetrize(am: AlgebraModel, diagrams: list[frozenset]) -> frozenset:
+    """Collect a GF(2) multiset of diagrams into basis indices."""
+    parity: dict[frozenset, int] = {}
+    for d in diagrams:
+        parity[d] = parity.get(d, 0) ^ 1
+    live = [d for d, c in parity.items() if c]
+    groups: dict[ABasisElem, set] = {}
+    for d in live:
+        groups.setdefault(_orbit_key(am, d), set()).add(d)
+    keys = set()
+    for key, ds in groups.items():
+        if key not in am.index:
+            raise SymmetrizationError(f"orbit key {key} is not a basis element")
+        if len(ds) != 2 ** len(key.occupied):
+            raise SymmetrizationError(f"incomplete orbit for {key}")
+        keys.add(am.index[key])
+    return frozenset(keys)
+
+
+def _diagram_diff(am: AlgebraModel, diagram: frozenset) -> list[frozenset]:
+    z = am.arc_diagram
+    base = _cross_count(z, diagram)
+    out = []
+    for (s1, t1), (s2, t2) in itertools.combinations(sorted(diagram), 2):
+        a1, p1 = z.position(s1)
+        a2, p2 = z.position(s2)
+        if a1 != a2:
+            continue
+        _, q1 = z.position(t1)
+        _, q2 = z.position(t2)
+        if (p1 - p2) * (q1 - q2) >= 0:
+            continue
+        resolved = (diagram - {(s1, t1), (s2, t2)}) | {(s1, t2), (s2, t1)}
+        if len(resolved) != len(diagram):
+            continue
+        if _cross_count(z, resolved) == base - 1:
+            out.append(resolved)
+    return out
 
 
 def _diagram_mul(am: AlgebraModel, d1: frozenset, d2: frozenset) -> frozenset | None:
@@ -34,9 +125,20 @@ def _diagram_mul(am: AlgebraModel, d1: frozenset, d2: frozenset) -> frozenset | 
     return comp
 
 
+def dense_diff_table(am: AlgebraModel) -> dict:
+    """Every basis index mapped to the basis indices of its differential."""
+    table = {}
+    for i, e in enumerate(am.elems):
+        resolved = []
+        for d in expand(am, e):
+            resolved.extend(_diagram_diff(am, d))
+        table[i] = symmetrize(am, resolved)
+    return table
+
+
 def dense_mult_table(am: AlgebraModel) -> dict:
     """Every pair (i, j) of basis indices mapped to the product's basis indices."""
-    expansions = [am.expand(e) for e in am.elems]
+    expansions = [expand(am, e) for e in am.elems]
     table = {}
     for i in range(am.dim):
         for j in range(am.dim):
@@ -49,7 +151,7 @@ def dense_mult_table(am: AlgebraModel) -> dict:
                     c = _diagram_mul(am, d1, d2)
                     if c is not None:
                         prods.append(c)
-            table[(i, j)] = am.symmetrize(prods).entries
+            table[(i, j)] = symmetrize(am, prods)
     return table
 
 

@@ -1,9 +1,14 @@
+import itertools
+
 import pytest
 
-from strandjoin.arc_diagram import Z0, Z1, Z2
+from strandjoin.arc_diagram import Z0, Z1, Z2, ArcDiagram
 from strandjoin.standard_models import alg_as_aa, elementary
 from strandjoin.nice_diagram import (
     PlanarDiagram,
+    _on_segment,
+    _seg_intersect,
+    _split_segments,
     build_cap_diagram,
     build_twisting_slice_diagram,
     compare_with_algebra,
@@ -11,6 +16,44 @@ from strandjoin.nice_diagram import (
     dump_regions,
     enumerate_generators,
 )
+
+
+def _fraction_split(segments):
+    """The segment split on Fraction coordinates: the oracle for `_split_segments`."""
+    pieces = []
+    for (p1, p2, tag) in segments:
+        cuts = {p1, p2}
+        for (q1, q2, _) in segments:
+            if (q1, q2) == (p1, p2):
+                continue
+            pt = _seg_intersect(p1, p2, q1, q2)
+            if pt is not None:
+                cuts.add(pt)
+            for q in (q1, q2):
+                if _on_segment(q, p1, p2):
+                    cuts.add(q)
+        dx, dy = p2[0] - p1[0], p2[1] - p1[1]
+        ordered = sorted(cuts, key=lambda pt: (pt[0] - p1[0]) * dx + (pt[1] - p1[1]) * dy)
+        for a, b in zip(ordered, ordered[1:]):
+            pieces.append((a, b, tag))
+    return pieces
+
+
+def test_integer_split_matches_fraction_split():
+    points = ("x1", "x2", "x3", "x4", "x5", "x6")
+    r3 = ArcDiagram((points,), {p: i % 3 + 1 for i, p in enumerate(points)}, "alpha")
+    crossings = 0
+    for z in (Z1, Z2, r3):
+        diagrams = [build_twisting_slice_diagram(z)]
+        for r in range(z.rank + 1):
+            for cap in itertools.combinations(range(1, z.rank + 1), r):
+                diagrams.append(build_cap_diagram(z, cap))
+        for d in diagrams:
+            for chart in d.charts:
+                pieces = _split_segments(chart.segments)
+                assert pieces == _fraction_split(chart.segments)
+                crossings += len(pieces) - len(chart.segments)
+    assert crossings > 150
 
 
 def test_slice_construction_stats():

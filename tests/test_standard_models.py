@@ -92,6 +92,18 @@ def test_gamma_block_partition(am2):
     assert total == am2.dim
 
 
+def test_gamma_block_basis_is_the_idempotent_scan(am1, am2, am3):
+    for am in (am1, am2, am3, am3.opposite()):
+        for I in am.all_idempotent_subsets():
+            for J in am.all_idempotent_subsets():
+                scan = tuple(
+                    g for g in range(am.dim)
+                    if am.left_idem[g] == I and am.right_idem[g] == J
+                )
+                assert gamma_block(am, I, J).basis == scan
+        assert am.idem_blocks() is am.idem_blocks()
+
+
 def test_gamma_block_matches_sandwich(am1, am2):
     from strandjoin.join import sandwich_complex
     from strandjoin.ainf import dualize

@@ -1,19 +1,33 @@
-"""Differential tests: the sparse product table and the dga suite against brute force."""
+"""Differential tests: the sparse tables and the dga suite against brute force."""
 
 import copy
+import os
 import random
+import subprocess
+import sys
 import time
 
-from strands_oracle import dense_mult_table, dga_failures
+import pytest
+
+from strands_oracle import (
+    _cross_count,
+    dense_diff_table,
+    dense_mult_table,
+    dga_failures,
+)
 from strandjoin.arc_diagram import Z0, Z1, Z2, ArcDiagram, random_diagram
 from strandjoin.cli import _suite_dga
 from strandjoin.strands import (
     AlgebraModel,
     ProductTable,
+    SymmetrizationError,
+    _Coding,
     enumerate_basis,
     reflect,
     rotate180,
 )
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _ladder(k: int, kind: str = "alpha") -> ArcDiagram:
@@ -44,6 +58,87 @@ def _models():
 def test_sparse_table_matches_dense_oracle():
     for am in _models():
         _assert_matches_dense(am.mult_table, dense_mult_table(am))
+
+
+def test_diff_table_matches_dense_oracle():
+    for am in _models():
+        assert am.diff_table == dense_diff_table(am)
+
+
+def test_mask_test_agrees_with_crossing_counts():
+    # Every composable pair of diagrams: the masks are disjoint exactly when
+    # the composite keeps all c1 + c2 crossings.
+    for am in _models():
+        z, coding = am.arc_diagram, _Coding(am.arc_diagram, am.elems)
+        diagrams = [d for e in am.elems for d in coding.expand(e)]
+        for d1 in diagrams:
+            for d2 in diagrams:
+                follow = dict(d2)
+                if sorted(t for _, t in d1) != sorted(follow):
+                    continue
+                c1, c2, c = (
+                    _cross_count(z, frozenset((coding.names[s], coding.names[t]) for s, t in d))
+                    for d in (d1, d2, [(s, follow[t]) for s, t in d1])
+                )
+                kept = c == c1 + c2
+                assert kept == (not coding.crossing_mask(d1, 1) & coding.crossing_mask(d2, 0))
+
+
+def _diagram(coding, *strands):
+    return tuple(sorted((coding.code[s], coding.code[t]) for s, t in strands))
+
+
+def test_symmetrization_rejects_an_incomplete_orbit():
+    am = enumerate_basis(_ladder(3))
+    coding = _Coding(am.arc_diagram, am.elems)
+    e = next(e for e in am.elems if e.movers and e.occupied)
+    diagrams = coding.expand(e)
+    assert coding.symmetrize(diagrams) == {am.index[e]}
+    with pytest.raises(SymmetrizationError, match="incomplete orbit"):
+        coding.symmetrize(diagrams[:1])
+    # A repeated diagram cancels, leaving the orbit incomplete again.
+    with pytest.raises(SymmetrizationError, match="incomplete orbit"):
+        coding.symmetrize(diagrams + diagrams[:1])
+
+
+def test_symmetrization_rejects_a_key_outside_the_basis():
+    am = enumerate_basis(_ladder(3))
+    coding = _Coding(am.arc_diagram, am.elems)
+    # x1 and x4 form pair 1: a mover leaving x1 beside a horizontal at x4
+    # occupies pair 1 twice, which no basis element does.
+    d = _diagram(coding, ("x1", "x2"), ("x4", "x4"))
+    with pytest.raises(SymmetrizationError, match="not a basis element"):
+        coding.symmetrize([d])
+    # Two movers leaving the same pair.
+    d = _diagram(coding, ("x1", "x2"), ("x4", "x5"))
+    with pytest.raises(SymmetrizationError, match="not a basis element"):
+        coding.symmetrize([d])
+
+
+_TABLES_SCRIPT = """
+import random
+from strandjoin.arc_diagram import Z2, ArcDiagram, random_diagram
+from strandjoin.strands import AlgebraModel, dump_diff_tsv, dump_mult_tsv
+points = tuple(f"x{i}" for i in range(1, 7))
+ladder = ArcDiagram((points,), {p: i % 3 + 1 for i, p in enumerate(points)}, "beta")
+rng = random.Random(3)
+for z in [Z2, ladder] + [random_diagram(rng, max_rank=3) for _ in range(3)]:
+    am = AlgebraModel(z)
+    print(dump_mult_tsv(am) + dump_diff_tsv(am))
+    print(list(am.mult_table))
+"""
+
+
+def test_tables_do_not_depend_on_hash_seed():
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC)
+        outs.append(subprocess.run(
+            [sys.executable, "-c", _TABLES_SCRIPT], env=env, capture_output=True,
+            text=True, check=True,
+        ).stdout)
+    assert outs[0].count("\n") > 100
+    assert outs[0] == outs[1]
 
 
 def test_opposite_table_matches_transposed_dense_oracle():
