@@ -22,7 +22,9 @@ from .gf2 import ChainComplexGf2, Gf2Matrix, Gf2Vector
 from .strands import AlgebraModel, rotate180
 from .ainf import ModuleStructure, Morphism, StructureError, _add, dualize, oppositize, relabel
 from .standard_models import (
+    alg_as_aa,
     da_identity,
+    dd_identity,
     dual_alg_as_aa,
     elementary,
     identity_firings,
@@ -64,11 +66,17 @@ def left_entries_with_units(M: ModuleStructure):
 
 
 def _left_d_chains(V: ModuleStructure, kmax: int) -> dict:
-    """(v0, temporal output tuple) -> {v_end: parity}, non-idempotent emissions."""
-    return {
-        key: {v: par for (_, _, v), par in states.items()}
-        for key, states in _d_chains(V, kmax).items()
-    }
+    """temporal output tuple -> [(v0, ends)], non-idempotent emissions.
+
+    ends lists the v_end reached from v0 an odd number of times; starts with
+    no such end are left out.
+    """
+    chains: dict = {}
+    for (v0, seq), states in _d_chains(V, kmax).items():
+        ends = [v for (_, _, v), par in states.items() if par]
+        if ends:
+            chains.setdefault(seq, []).append((v0, ends))
+    return chains
 
 
 def _right_d_chains(U: ModuleStructure, kmax: int) -> dict:
@@ -222,28 +230,15 @@ def join_general(U: ModuleStructure, M: ModuleStructure, V: ModuleStructure) -> 
     vchains = _left_d_chains(V, maxlen)
     images = {g: Gf2Vector.zero() for g in domain.basis}
     for args, p, outs in left_entries_with_units(M):
-        n = len(args)
         for q in outs:
-            for j in range(n):
-                dlist = args[:j]
-                mid = args[j]
-                clist_rev = args[j + 1 :]
-                useq = tuple(reversed(clist_rev))
-                for (u0, seq1), ust in uchains.items():
-                    if seq1 != useq:
-                        continue
-                    for (v0, seq2), vst in vchains.items():
-                        if seq2 != dlist:
-                            continue
+            for j, mid in enumerate(args):
+                for u0, uends in uchains.get(args[j + 1 :][::-1], ()):
+                    for v0, vends in vchains.get(args[:j], ()):
                         g = ((u0, p), (q, v0))
                         if g not in dom_set:
                             continue
-                        for u2, par1 in ust.items():
-                            if not par1:
-                                continue
-                            for v2, par2 in vst.items():
-                                if not par2:
-                                    continue
+                        for u2 in uends:
+                            for v2 in vends:
                                 tgt = (u2, mid, v2)
                                 if tgt in cod_set:
                                     images[g] += Gf2Vector.of(tgt)
@@ -347,57 +342,24 @@ def diagonal(M: ModuleStructure) -> tuple[ChainComplexGf2, Gf2Vector]:
 
 
 def dd_sandwich_da_bimodule(am: AlgebraModel) -> ModuleStructure:
-    """identity (x) dual algebra (x) identity (x) algebra, as a DA bimodule.
+    """identity box dual algebra box identity box algebra, as a DA bimodule.
 
-    Carrier: (I, dual algebra element, K, algebra element) with the dual slot
-    framed by the two identity bimodules and the algebra slot consuming
-    external right inputs.
+    Generators are (I, a, K, b): the first identity's subset I, the dual
+    algebra element a, the second identity's subset K and the algebra
+    element b, listed by I (in subset order), then a, then b.
     """
-    firings = identity_firings(am)
-    full = frozenset(range(1, am.k + 1))
-    gens = []
-    for I in am.all_idempotent_subsets():
-        Ic = full - I
-        for a in range(am.dim):
-            # a^ has left idem = ridem(a), right idem = lidem(a).
-            if am.right_idem[a] != Ic:
-                continue
-            K = am.left_idem[a]
-            for b in range(am.dim):
-                if am.left_idem[b] != full - K:
-                    continue
-                gens.append((tuple(sorted(I)), a, tuple(sorted(K)), b))
-    gens = tuple(gens)
-    lidem = {g: frozenset(g[0]) for g in gens}
-    ridem = {g: am.right_idem[g[3]] for g in gens}
-    table: dict = {}
+    X = dd_identity(am)
+    inner = box(dual_alg_as_aa(am), dbox(X, alg_as_aa(am), validate=False), validate=False)
+    m = dbox(X, inner.result, validate=False)
+    order = {I: n for n, I in enumerate(am.all_idempotent_subsets())}
 
-    nonidem = [e for e in range(am.dim) if not am.is_idempotent_elem(e)]
-    for g in gens:
-        I, a, K, b = frozenset(g[0]), g[1], frozenset(g[2]), g[3]
-        iI = am.idempotent_index(I)
-        # differentials of the dual slot and the algebra slot
-        for a2 in range(am.dim):
-            if a in am.diff_table[a2] and am.right_idem[a2] == full - I and am.left_idem[a2] == K:
-                _add(table, (g, ()), (iI, (g[0], a2, g[2], b)))
-        for db in am.diff_table[b]:
-            _add(table, (g, ()), (iI, (g[0], a, g[2], db)))
-        # first identity fires: emits c, acts on the dual slot through x.ct
-        for c, J, ct in firings[I]:
-            for a2 in range(am.dim):
-                if a in am.mult_table[(a2, ct)] and am.right_idem[a2] == full - J:
-                    _add(table, (g, ()), (c, (tuple(sorted(J)), a2, g[2], b)))
-        # second identity fires: left chord into the dual slot, complement into b
-        for c, K2, ct in firings[K]:
-            for a2 in range(am.dim):
-                if a in am.mult_table[(c, a2)]:
-                    for b2 in am.mult_table[(ct, b)]:
-                        _add(table, (g, ()), (iI, (g[0], a2, tuple(sorted(K2)), b2)))
-        # external right input
-        for e in nonidem:
-            for b2 in am.mult_table[(b, e)]:
-                _add(table, (g, (e,)), (iI, (g[0], a, g[2], b2)))
-    return ModuleStructure("DA", am, am, gens, lidem, ridem, table, name="IA^IA")
+    def flat(g):
+        (_, I), (a, ((_, K), b)) = g
+        return (I, a, K, b)
+
+    m = relabel(m, flat, validate=False)
+    gens = sorted(m.gens, key=lambda g: (order[frozenset(g[0])], g[1], g[3]))
+    return ModuleStructure("DA", am, am, gens, m.lidem, m.ridem, m.table, name="IA^IA")
 
 
 def cancel_cA(am: AlgebraModel) -> Morphism:
@@ -534,12 +496,10 @@ def dm_right_complex(U: ModuleStructure, M: ModuleStructure) -> ChainComplexGf2:
     chains = _right_d_chains(U, M.max_right_len())
     images = {g: Gf2Vector.zero() for g in basis}
     for (_, q, argsR), outs in M.table.items():
-        for (u0, seq), states in chains.items():
-            if seq != argsR or (u0, q) not in basis_set:
+        for u0, ends in chains.get(argsR, ()):
+            if (u0, q) not in basis_set:
                 continue
-            for u2, par in states.items():
-                if not par:
-                    continue
+            for u2 in ends:
                 for q2 in outs:
                     images[(u0, q)] += Gf2Vector.of((u2, q2))
     for u, u2, subset in _idem_firings_right_d(U):
@@ -561,13 +521,10 @@ def md_left_complex(M: ModuleStructure, V: ModuleStructure) -> ChainComplexGf2:
     chains = _left_d_chains(V, M.max_left_len())
     images = {g: Gf2Vector.zero() for g in basis}
     for (argsL, p, _), outs in M.table.items():
-        seq = tuple(reversed(argsL))
-        for (v0, sq), states in chains.items():
-            if sq != seq or (p, v0) not in basis_set:
+        for v0, ends in chains.get(argsL[::-1], ()):
+            if (p, v0) not in basis_set:
                 continue
-            for v2, par in states.items():
-                if not par:
-                    continue
+            for v2 in ends:
                 for p2 in outs:
                     images[(p, v0)] += Gf2Vector.of((p2, v2))
     for v, v2, subset in _idem_firings_left_d(V):
@@ -598,18 +555,14 @@ def sandwich_complex_right(
     vchains = _left_d_chains(V, B.max_left_len())
     images = {g: Gf2Vector.zero() for g in basis}
     for (argsL, x, argsR), outs in B.table.items():
-        vseq = tuple(reversed(argsL))
-        for (u0, seq1), ust in uchains.items():
-            if seq1 != argsR:
-                continue
-            for (v0, seq2), vst in vchains.items():
-                if seq2 != vseq or (u0, x, v0) not in basis_set:
+        for u0, uends in uchains.get(argsR, ()):
+            for v0, vends in vchains.get(argsL[::-1], ()):
+                if (u0, x, v0) not in basis_set:
                     continue
-                for u2, p1 in ust.items():
-                    for v2, p2 in vst.items():
-                        if p1 & p2:
-                            for x2 in outs:
-                                images[(u0, x, v0)] += Gf2Vector.of((u2, x2, v2))
+                for u2 in uends:
+                    for v2 in vends:
+                        for x2 in outs:
+                            images[(u0, x, v0)] += Gf2Vector.of((u2, x2, v2))
     for u, u2, subset in _idem_firings_right_d(U):
         for (uu, x, v) in basis:
             if uu == u and B.ridem[x] == subset:
@@ -653,28 +606,15 @@ def join_general_right(
     # Reflected formula: <m_M(q', c_1..c_k, a'', d_l..d_1), p> with the
     # structure acting on the first domain factor and pairing off the second.
     for q, args, outs in right_entries_with_units(M):
-        n = len(args)
         for p in outs:
-            for j in range(n):
-                clist = args[:j]
-                mid = args[j]
-                dlist_rev = args[j + 1 :]
-                vseq = tuple(reversed(dlist_rev))
-                for (u0, seq1), ust in uchains.items():
-                    if seq1 != clist:
-                        continue
-                    for (v0, seq2), vst in vchains.items():
-                        if seq2 != vseq:
-                            continue
+            for j, mid in enumerate(args):
+                for u0, uends in uchains.get(args[:j], ()):
+                    for v0, vends in vchains.get(args[j + 1 :][::-1], ()):
                         g = ((u0, q), (p, v0))
                         if g not in dom_set:
                             continue
-                        for u2, par1 in ust.items():
-                            if not par1:
-                                continue
-                            for v2, par2 in vst.items():
-                                if not par2:
-                                    continue
+                        for u2 in uends:
+                            for v2 in vends:
                                 tgt = (u2, mid, v2)
                                 if tgt in cod_set:
                                     images[g] += Gf2Vector.of(tgt)

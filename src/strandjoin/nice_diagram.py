@@ -428,16 +428,11 @@ class PlanarDiagram:
     def _region_cycle(self, reg):
         """The merged boundary cycle of a region: (chart, edge) pairs,
         traversed through glued edges."""
-        occurrences = []
-        for fi, (chart, cycle) in enumerate(reg["faces"]):
-            for ei, e in enumerate(cycle):
-                occurrences.append((fi, ei))
         glue_at = {}
         for fi, (chart, cycle) in enumerate(reg["faces"]):
             for ei, e in enumerate(cycle):
                 if e["tag"][0] in ("glue", "handle-glue"):
-                    chart_obj = next(c for c in self.charts if c.name == chart)
-                    key = self._glue_key_from(chart, e)
+                    key = self._glue_key(chart, e)
                     glue_at.setdefault(key, []).append((fi, ei))
         start = None
         for fi, (chart, cycle) in enumerate(reg["faces"]):
@@ -459,7 +454,7 @@ class PlanarDiagram:
                 break
             visited.add((fi, ei))
             if e["tag"][0] in ("glue", "handle-glue"):
-                key = self._glue_key_from(chart, e)
+                key = self._glue_key(chart, e)
                 partners = [o for o in glue_at.get(key, []) if o != (fi, ei)]
                 if partners:
                     fi, ei = partners[0]
@@ -472,9 +467,6 @@ class PlanarDiagram:
             merged.append((chart, e))
             ei = (ei + 1) % len(cycle)
         return merged
-
-    def _glue_key_from(self, chart_name, e):
-        return self._glue_key(chart_name, e)
 
     def differential_table(self, gens) -> dict:
         """Count interior rectangle regions connecting generators.
@@ -508,32 +500,16 @@ class PlanarDiagram:
                     tgt_names.append(nm)
             if len(src_names) != 2 or len(tgt_names) != 2 or None in src_names + tgt_names:
                 continue
-            src = tuple(src_names)
-            tgt = tuple(tgt_names)
+            src = set(src_names)
+            # A rectangle counts only when no other point of g lies inside
+            # or on the boundary of one of its faces.
+            polys = [(chart, [e["from"] for e in cyc]) for chart, cyc in reg["faces"]]
             for g in gens:
-                if src[0] in g and src[1] in g:
-                    new = (g - set(src)) | set(tgt)
-                    if new in genset and self._rect_empty(reg, g, set(src)):
+                if src <= g:
+                    new = (g - src) | set(tgt_names)
+                    if new in genset and self._strip_ok(g, src, polys):
                         out[g].add(new)
         return out
-
-    def _rect_empty(self, reg, g, moving) -> bool:
-        """No generator point of g other than the moving corners inside or on
-        the region's boundary."""
-        for name in g:
-            if name in moving:
-                continue
-            chart, p = self.coords[name]
-            for fchart, cycle in reg["faces"]:
-                if fchart != chart:
-                    continue
-                poly = [e["from"] for e in cycle]
-                if _point_in_polygon(p, poly):
-                    return False
-                for e in cycle:
-                    if _on_segment(p, e["from"], e["to"]) or p == e["from"]:
-                        return False
-        return True
 
     def action_tables(self, gens):
         """Boundary-strip action counts for every algebra basis element.
@@ -653,10 +629,6 @@ class PlanarDiagram:
         else:
             p = a
         t, e = self.tau[p], self.eps[p]
-        square_poly = [
-            ((F(0), self.h[a]) if side == "left" else (F(1), self.h[a])),
-            tgt,
-        ]
         if side == "left":
             square_poly = [
                 (F(0), self.h[a]),

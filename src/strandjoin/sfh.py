@@ -13,7 +13,7 @@ from functools import lru_cache
 from .gf2 import ChainComplexGf2, Gf2Matrix, Gf2Vector, homology, homology_coordinates
 from .strands import AlgebraModel
 from .ainf import ModuleStructure, StructureError
-from .standard_models import elementary, gamma_block
+from .standard_models import algebra_module, gamma_block
 from .join import cancel_cA
 
 
@@ -144,21 +144,7 @@ def m_H(u: ModuleStructure, I, J) -> Gf2Matrix:
 
 def alg_as_right_module(am: AlgebraModel) -> ModuleStructure:
     """The algebra as a right module over itself."""
-    gens = tuple(range(am.dim))
-    lidem = {g: frozenset() for g in gens}
-    ridem = {g: am.right_idem[g] for g in gens}
-    table: dict = {}
-    for g in gens:
-        if am.diff_table[g]:
-            table[((), g, ())] = set(am.diff_table[g])
-    for a in range(am.dim):
-        if am.is_idempotent_elem(a):
-            continue
-        for g in gens:
-            out = am.mult_table.get((g, a), frozenset())
-            if out:
-                table[((), g, (a,))] = set(out)
-    return ModuleStructure("AA", None, am, gens, lidem, ridem, table, name="A_r")
+    return algebra_module(am, range(am.dim), False, True, "A_r")
 
 
 def mu_H(am: AlgebraModel, I, J, K) -> Gf2Matrix:

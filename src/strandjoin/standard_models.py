@@ -15,7 +15,7 @@ from __future__ import annotations
 from .arc_diagram import reverse
 from .gf2 import ChainComplexGf2, Gf2Matrix, Gf2Vector
 from .strands import ABasisElem, AlgebraModel, rotate180
-from .ainf import ModuleStructure
+from .ainf import ModuleStructure, dualize
 
 
 def elementary(am: AlgebraModel, I, side: str, hand: str = "left") -> ModuleStructure:
@@ -45,55 +45,43 @@ def elementary(am: AlgebraModel, I, side: str, hand: str = "left") -> ModuleStru
     )
 
 
+def algebra_module(am: AlgebraModel, gens, left: bool, right: bool, name: str) -> ModuleStructure:
+    """The basis elements `gens` of the algebra as a DG-type module over it.
+
+    The differential is the algebra's; the product acts from the left when
+    `left` is set and from the right when `right` is set (the other side then
+    has no algebra).  `gens` must be closed under d and under the actions
+    kept, so each nonzero product table entry is one action entry.
+    """
+    genset = set(gens)
+    table = {((), g, ()): am.diff_table[g] for g in gens if am.diff_table[g]}
+    for (a, b), out in am.mult_table.items():
+        if left and b in genset and not am.is_idempotent_elem(a):
+            table[((a,), b, ())] = out
+        if right and a in genset and not am.is_idempotent_elem(b):
+            table[((), a, (b,))] = out
+    none = frozenset()
+    lidem = {g: am.left_idem[g] if left else none for g in gens}
+    ridem = {g: am.right_idem[g] if right else none for g in gens}
+    return ModuleStructure(
+        "AA", am if left else None, am if right else None, gens, lidem, ridem, table, name=name
+    )
+
+
 def left_module_from_right_idem(am: AlgebraModel, I) -> ModuleStructure:
     """The left module A.iota_I: basis elements with right idempotent I, left action."""
     I = frozenset(I)
     gens = tuple(g for g in range(am.dim) if am.right_idem[g] == I)
-    lidem = {g: am.left_idem[g] for g in gens}
-    ridem = {g: frozenset() for g in gens}
-    table: dict = {}
-    genset = set(gens)
-    for g in gens:
-        if am.diff_table[g]:
-            table[((), g, ())] = set(am.diff_table[g]) & genset
-    for a in range(am.dim):
-        if am.is_idempotent_elem(a):
-            continue
-        for g in gens:
-            out = am.mult_table.get((a, g), frozenset())
-            if out:
-                table[((a,), g, ())] = set(out) & genset
-    return ModuleStructure(
-        "AA", am, None, gens, lidem, ridem, table, name=f"A.i{sorted(I)}"
-    )
+    return algebra_module(am, gens, True, False, f"A.i{sorted(I)}")
 
 
 def alg_as_aa(am: AlgebraModel) -> ModuleStructure:
     """The algebra as a DG-type bimodule over itself (the negative twisting slice)."""
-    gens = tuple(range(am.dim))
-    lidem = {g: am.left_idem[g] for g in gens}
-    ridem = {g: am.right_idem[g] for g in gens}
-    table: dict = {}
-    for g in gens:
-        if am.diff_table[g]:
-            table[((), g, ())] = set(am.diff_table[g])
-    for a in range(am.dim):
-        if am.is_idempotent_elem(a):
-            continue
-        for g in gens:
-            out = am.mult_table.get((a, g), frozenset())
-            if out:
-                table[((a,), g, ())] = set(out)
-            out = am.mult_table.get((g, a), frozenset())
-            if out:
-                table[((), g, (a,))] = set(out)
-    return ModuleStructure("AA", am, am, gens, lidem, ridem, table, name="A")
+    return algebra_module(am, range(am.dim), True, True, "A")
 
 
 def dual_alg_as_aa(am: AlgebraModel) -> ModuleStructure:
     """The dual bimodule (the positive twisting slice)."""
-    from .ainf import dualize
-
     m = dualize(alg_as_aa(am))
     m.name = "A^"
     return m

@@ -410,10 +410,6 @@ def reflect(am: AlgebraModel) -> tuple[AlgebraModel, dict[int, int]]:
     return target, _mover_bijection(am, target)
 
 
-def map_vector(bij: dict[int, int], x: Gf2Vector) -> Gf2Vector:
-    return Gf2Vector(frozenset(bij[i] for i in x))
-
-
 def dump_basis_tsv(am: AlgebraModel) -> str:
     lines = []
     for i, e in enumerate(am.elems):

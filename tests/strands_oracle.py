@@ -19,7 +19,9 @@ differential tests compare them with the sparse tables the library builds.
 
 `dga_failures` is the `check ... dga` suite as it was before the
 associativity check visited only the k where a product can be nonzero: it
-tries every triple (i, j, k).
+tries every triple (i, j, k).  `variants_failures` is the `check ...
+variants` suite as it was before the anti-homomorphism check visited only
+the pairs where a product can be nonzero: it tries every pair (i, j).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import itertools
 
 from strandjoin.gf2 import Gf2Vector, vsum
-from strandjoin.strands import ABasisElem, AlgebraModel, SymmetrizationError
+from strandjoin.strands import ABasisElem, AlgebraModel, SymmetrizationError, reflect, rotate180
 
 
 def _cross_count(z, strands: frozenset) -> int:
@@ -184,4 +186,19 @@ def dga_failures(am: AlgebraModel) -> list:
             failures.append(f"unit fails at {i}")
         if am.mul(Gf2Vector.of(i), u).entries != {i}:
             failures.append(f"unit fails at {i}")
+    return failures
+
+
+def variants_failures(am: AlgebraModel) -> list:
+    """The failure lines of the variants suite, from a pass over every pair."""
+    failures = []
+    for name, (tgt, bij) in (("rotate180", rotate180(am)), ("reflect", reflect(am))):
+        for i in range(am.dim):
+            if frozenset(bij[j] for j in am.diff_table[i]) != tgt.diff_table[bij[i]]:
+                failures.append(f"{name} differential fails at {i}")
+        for i in range(am.dim):
+            for j in range(am.dim):
+                img = frozenset(bij[l] for l in am.mult_table[(i, j)])
+                if img != tgt.mult_table[(bij[j], bij[i])]:
+                    failures.append(f"{name} anti-homomorphism fails at ({i},{j})")
     return failures

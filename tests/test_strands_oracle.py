@@ -14,9 +14,10 @@ from strands_oracle import (
     dense_diff_table,
     dense_mult_table,
     dga_failures,
+    variants_failures,
 )
 from strandjoin.arc_diagram import Z0, Z1, Z2, ArcDiagram, random_diagram
-from strandjoin.cli import _suite_dga
+from strandjoin.cli import _suite_dga, _suite_variants
 from strandjoin.strands import (
     AlgebraModel,
     ProductTable,
@@ -202,3 +203,18 @@ def test_dga_suite_agrees_with_brute_force_at_rank3():
     expected = dga_failures(bad)
     assert any(f.startswith("associativity") for f in expected)
     assert _suite_dga(z, bad, random.Random(0)) == expected
+
+
+def test_variants_suite_agrees_with_brute_force_on_corruptions():
+    am2 = enumerate_basis(Z2)
+    assert _suite_variants(Z2, am2, random.Random(0)) == variants_failures(am2) == []
+    rng = random.Random(11)
+    failing = 0
+    for z, n in [(Z2, 30), (_ladder(3), 5)]:
+        am = enumerate_basis(z)
+        for _ in range(n):
+            bad = _corrupt(am, rng, rng.randint(1, 3))
+            expected = variants_failures(bad)
+            failing += bool(expected)
+            assert _suite_variants(z, bad, random.Random(0)) == expected
+    assert failing == 35
