@@ -84,23 +84,6 @@ def _right_d_chains(U: ModuleStructure, kmax: int) -> dict:
     return _left_d_chains(oppositize(U), kmax)
 
 
-def _idem_firings_right_d(U: ModuleStructure):
-    """Single firings of a right type-D module that emit an idempotent."""
-    for ((), u), outs in U.table.items():
-        for u2, a in outs:
-            if U.right_alg.is_idempotent_elem(a):
-                yield u, u2, U.right_alg.elems[a].occupied
-
-
-def _idem_firings_left_d(V: ModuleStructure):
-    for (v, argsR), outs in V.table.items():
-        if argsR:
-            continue
-        for a, v2 in outs:
-            if V.left_alg.is_idempotent_elem(a):
-                yield v, v2, V.left_alg.elems[a].occupied
-
-
 # -- basic box complexes -----------------------------------------------------------
 
 
@@ -246,20 +229,6 @@ def join_general(U: ModuleStructure, M: ModuleStructure, V: ModuleStructure) -> 
     return JoinInstance(am, domain, codomain, matrix)
 
 
-def join_dg(U: ModuleStructure, M: ModuleStructure, V: ModuleStructure) -> JoinInstance:
-    """The simplified join for a DG-type M: sum over one-input actions."""
-    if not M.is_dg_type():
-        raise StructureError("join_dg requires a DG-type module")
-    return join_general(U, M, V)
-
-
-def join_elementary(U: ModuleStructure, I, V: ModuleStructure) -> JoinInstance:
-    """The join against the elementary module of the cap for subset I."""
-    am = U.right_alg
-    M = elementary(am, frozenset(I), "A")
-    return join_general(U, M, V)
-
-
 # -- the double and the diagonal ------------------------------------------------------
 
 
@@ -382,49 +351,27 @@ def cancel_cA(am: AlgebraModel) -> Morphism:
 # -- identity check --------------------------------------------------------------
 
 
-def ui_m_complex(U: ModuleStructure, M: ModuleStructure) -> ChainComplexGf2:
-    """The complex of U box identity box M for a type-D module U with no
-    structure map.
-
-    The identity bimodule bridges complementary idempotents: a generator
-    (u, K, p) has ridem(u) = K and lidem(p) = complement of K.  Identity
-    firings emit a chord leftward; with no structure map on U nothing can
-    absorb it, so the differential is that of M's scalar part.
-    """
+def join_identity_check(U: ModuleStructure, M: ModuleStructure) -> bool:
+    """Verify (id x c_A x id) . Psi_M . (id (x) Delta_M) = id on U box I box M."""
     _require_right_d(U)
     _require_left_a(M)
     if U.table:
         raise StructureError("identity check implemented for structureless U only")
     am = M.left_alg
     full = frozenset(range(1, am.k + 1))
+    firings = identity_firings(am)
+    # The carrier of U box I box M: the identity bimodule bridges complementary
+    # idempotents, so a generator (u, K, p) has ridem(u) = K and lidem(p) = full - K.
     basis = tuple(
         (u, tuple(sorted(U.ridem[u])), p)
         for u in U.gens
         for p in M.gens
         if M.lidem[p] == full - U.ridem[u]
     )
-    images = {}
-    for (u, K, p) in basis:
-        img = Gf2Vector.zero()
-        for p2 in M.table.get(((), p, ()), frozenset()):
-            img += Gf2Vector.of((u, K, p2))
-        images[(u, K, p)] = img
-    d = Gf2Matrix.from_columns(basis, basis, images)
-    return ChainComplexGf2(basis, d)
-
-
-def join_identity_check(U: ModuleStructure, M: ModuleStructure) -> bool:
-    """Verify (id x c_A x id) . Psi_M . (id (x) Delta_M) = id on U box I box M."""
-    _require_right_d(U)
-    _require_left_a(M)
-    am = M.left_alg
-    full = frozenset(range(1, am.k + 1))
-    firings = identity_firings(am)
-    C = ui_m_complex(U, M)
     dbl, delta = diagonal(M)
     delta_terms = list(delta.entries)
     nonzero = {}
-    for g in C.basis:
+    for g in basis:
         u, Ktup, p = g
         K = frozenset(Ktup)
         acc = Gf2Vector.zero()
@@ -478,161 +425,22 @@ def join_identity_check(U: ModuleStructure, M: ModuleStructure) -> bool:
                         continue
                     acc += Gf2Vector.of((u, tuple(sorted(K2)), p2))
         nonzero[g] = acc
-    composite = Gf2Matrix.from_columns(C.basis, C.basis, nonzero)
-    return composite.nonzero == Gf2Matrix.identity(C.basis).nonzero
-
-
-# -- reflected join (symmetry) ------------------------------------------------------
-
-
-def dm_right_complex(U: ModuleStructure, M: ModuleStructure) -> ChainComplexGf2:
-    """The complex of (right type-D) box (right type-A): emissions act in firing order."""
-    _require_right_d(U)
-    _require_right_a(M)
-    if U.right_alg is not M.right_alg:
-        raise StructureError("box over different algebras")
-    basis = tuple((u, q) for u in U.gens for q in M.gens if U.ridem[u] == M.ridem[q])
-    basis_set = set(basis)
-    chains = _right_d_chains(U, M.max_right_len())
-    images = {g: Gf2Vector.zero() for g in basis}
-    for (_, q, argsR), outs in M.table.items():
-        for u0, ends in chains.get(argsR, ()):
-            if (u0, q) not in basis_set:
-                continue
-            for u2 in ends:
-                for q2 in outs:
-                    images[(u0, q)] += Gf2Vector.of((u2, q2))
-    for u, u2, subset in _idem_firings_right_d(U):
-        for q in M.gens:
-            if M.ridem[q] == subset and (u, q) in basis_set:
-                images[(u, q)] += Gf2Vector.of((u2, q))
-    d = Gf2Matrix.from_columns(basis, basis, images)
-    return ChainComplexGf2(basis, d)
-
-
-def md_left_complex(M: ModuleStructure, V: ModuleStructure) -> ChainComplexGf2:
-    """The complex of (left type-A) box (left type-D): emissions act outermost-last."""
-    _require_left_a(M)
-    _require_left_d(V)
-    if M.left_alg is not V.left_alg:
-        raise StructureError("box over different algebras")
-    basis = tuple((p, v) for p in M.gens for v in V.gens if M.lidem[p] == V.lidem[v])
-    basis_set = set(basis)
-    chains = _left_d_chains(V, M.max_left_len())
-    images = {g: Gf2Vector.zero() for g in basis}
-    for (argsL, p, _), outs in M.table.items():
-        for v0, ends in chains.get(argsL[::-1], ()):
-            if (p, v0) not in basis_set:
-                continue
-            for v2 in ends:
-                for p2 in outs:
-                    images[(p, v0)] += Gf2Vector.of((p2, v2))
-    for v, v2, subset in _idem_firings_left_d(V):
-        for p in M.gens:
-            if M.lidem[p] == subset and (p, v) in basis_set:
-                images[(p, v)] += Gf2Vector.of((p, v2))
-    d = Gf2Matrix.from_columns(basis, basis, images)
-    return ChainComplexGf2(basis, d)
-
-
-def sandwich_complex_right(
-    U: ModuleStructure, B: ModuleStructure, V: ModuleStructure
-) -> ChainComplexGf2:
-    """The mirror-wired sandwich: U hooks the middle's right side, V its left."""
-    _require_right_d(U)
-    _require_left_d(V)
-    if B.kind != "AA" or B.left_alg is not V.left_alg or B.right_alg is not U.right_alg:
-        raise StructureError("middle factor shape mismatch")
-    basis = tuple(
-        (u, x, v)
-        for u in U.gens
-        for x in B.gens
-        for v in V.gens
-        if U.ridem[u] == B.ridem[x] and B.lidem[x] == V.lidem[v]
-    )
-    basis_set = set(basis)
-    uchains = _right_d_chains(U, B.max_right_len())
-    vchains = _left_d_chains(V, B.max_left_len())
-    images = {g: Gf2Vector.zero() for g in basis}
-    for (argsL, x, argsR), outs in B.table.items():
-        for u0, uends in uchains.get(argsR, ()):
-            for v0, vends in vchains.get(argsL[::-1], ()):
-                if (u0, x, v0) not in basis_set:
-                    continue
-                for u2 in uends:
-                    for v2 in vends:
-                        for x2 in outs:
-                            images[(u0, x, v0)] += Gf2Vector.of((u2, x2, v2))
-    for u, u2, subset in _idem_firings_right_d(U):
-        for (uu, x, v) in basis:
-            if uu == u and B.ridem[x] == subset:
-                images[(u, x, v)] += Gf2Vector.of((u2, x, v))
-    for v, v2, subset in _idem_firings_left_d(V):
-        for (u, x, vv) in basis:
-            if vv == v and B.lidem[x] == subset:
-                images[(u, x, v)] += Gf2Vector.of((u, x, v2))
-    d = Gf2Matrix.from_columns(basis, basis, images)
-    return ChainComplexGf2(basis, d)
-
-
-def join_general_right(
-    U: ModuleStructure, M: ModuleStructure, V: ModuleStructure
-) -> JoinInstance:
-    """The join built from a right type-A module; the mirror of join_general."""
-    _require_right_d(U)
-    _require_right_a(M)
-    _require_left_d(V)
-    am = M.right_alg
-    if U.right_alg is not am or V.left_alg is not am:
-        raise StructureError("join factors over different algebras")
-    c1 = dm_right_complex(U, M)
-    c2 = md_left_complex(dualize(M), V)
-    domain = tensor_complex(c1, c2)
-    codomain = sandwich_complex_right(U, dual_alg_as_aa(am), V)
-    cod_set = set(codomain.basis)
-    dom_set = set(domain.basis)
-    maxlen = M.max_right_len() + 1
-    uchains = _right_d_chains(U, maxlen)
-    vchains = _left_d_chains(V, maxlen)
-    images = {g: Gf2Vector.zero() for g in domain.basis}
-
-    def right_entries_with_units(Mr):
-        for (_, g, argsR), outs in Mr.table.items():
-            yield g, argsR, outs
-        for g in Mr.gens:
-            ia = Mr.right_alg.idempotent_index(Mr.ridem[g])
-            yield g, (ia,), frozenset([g])
-
-    # Reflected formula: <m_M(q', c_1..c_k, a'', d_l..d_1), p> with the
-    # structure acting on the first domain factor and pairing off the second.
-    for q, args, outs in right_entries_with_units(M):
-        for p in outs:
-            for j, mid in enumerate(args):
-                for u0, uends in uchains.get(args[:j], ()):
-                    for v0, vends in vchains.get(args[j + 1 :][::-1], ()):
-                        g = ((u0, q), (p, v0))
-                        if g not in dom_set:
-                            continue
-                        for u2 in uends:
-                            for v2 in vends:
-                                tgt = (u2, mid, v2)
-                                if tgt in cod_set:
-                                    images[g] += Gf2Vector.of(tgt)
-    matrix = Gf2Matrix.from_columns(codomain.basis, domain.basis, images)
-    return JoinInstance(am, domain, codomain, matrix)
+    composite = Gf2Matrix.from_columns(basis, basis, nonzero)
+    return composite.nonzero == Gf2Matrix.identity(basis).nonzero
 
 
 def join_symmetry_verdict(
     U: ModuleStructure, M: ModuleStructure, V: ModuleStructure
 ) -> bool:
-    """Compare the join with the one built from the reflected data.
+    """Compare the join with its reflection through the opposite algebra.
 
-    The reflected data is (dual V, dual M, dual U) with the two tensor
-    factors swapped; the carrier identification swaps the domain factors and
+    The reflected join is join_general(op V, op M-dual, op U) over the formal
+    opposite algebra, so the verdict checks that the join is natural under
+    the op functor.  The carrier identification swaps the domain factors and
     reverses the codomain sandwich.
     """
     inst = join_general(U, M, V)
-    refl = join_general_right(dualize(V), dualize(M), dualize(U))
+    refl = join_general(oppositize(V), oppositize(dualize(M)), oppositize(U))
     # domain identification: ((u,p),(q,v)) of inst <-> ((v,q),(p,u)) of refl
     def dom_map(g):
         (u, p), (q, v) = g

@@ -1,0 +1,192 @@
+"""The hand-wired mirror join: the reference for `join_symmetry_verdict`.
+
+The library builds the reflected side of the symmetry verdict by running
+`join_general` over the formal opposite algebra.  The functions here build
+the same join directly from a right type-A module, with three box complexes
+wired by hand: U hooks the right side of each middle factor and V its left.
+`assert_reflection_matches` checks that `join_general(op V, op M^dual, op U)`
+over the opposite algebra equals `join_general_right(V^dual, M^dual, U^dual)`,
+with identical basis labels, differentials and matrix columns.
+"""
+
+from __future__ import annotations
+
+from strandjoin.ainf import ModuleStructure, StructureError, dualize, oppositize
+from strandjoin.gf2 import ChainComplexGf2, Gf2Matrix, Gf2Vector
+from strandjoin.join import (
+    JoinInstance,
+    _left_d_chains,
+    _require_left_a,
+    _require_left_d,
+    _require_right_a,
+    _require_right_d,
+    _right_d_chains,
+    join_general,
+    tensor_complex,
+)
+from strandjoin.standard_models import dual_alg_as_aa
+
+
+def _idem_firings_right_d(U: ModuleStructure):
+    """Single firings of a right type-D module that emit an idempotent."""
+    for ((), u), outs in U.table.items():
+        for u2, a in outs:
+            if U.right_alg.is_idempotent_elem(a):
+                yield u, u2, U.right_alg.elems[a].occupied
+
+
+def _idem_firings_left_d(V: ModuleStructure):
+    for (v, argsR), outs in V.table.items():
+        if argsR:
+            continue
+        for a, v2 in outs:
+            if V.left_alg.is_idempotent_elem(a):
+                yield v, v2, V.left_alg.elems[a].occupied
+
+
+def dm_right_complex(U: ModuleStructure, M: ModuleStructure) -> ChainComplexGf2:
+    """The complex of (right type-D) box (right type-A): emissions act in firing order."""
+    _require_right_d(U)
+    _require_right_a(M)
+    if U.right_alg is not M.right_alg:
+        raise StructureError("box over different algebras")
+    basis = tuple((u, q) for u in U.gens for q in M.gens if U.ridem[u] == M.ridem[q])
+    basis_set = set(basis)
+    chains = _right_d_chains(U, M.max_right_len())
+    images = {g: Gf2Vector.zero() for g in basis}
+    for (_, q, argsR), outs in M.table.items():
+        for u0, ends in chains.get(argsR, ()):
+            if (u0, q) not in basis_set:
+                continue
+            for u2 in ends:
+                for q2 in outs:
+                    images[(u0, q)] += Gf2Vector.of((u2, q2))
+    for u, u2, subset in _idem_firings_right_d(U):
+        for q in M.gens:
+            if M.ridem[q] == subset and (u, q) in basis_set:
+                images[(u, q)] += Gf2Vector.of((u2, q))
+    d = Gf2Matrix.from_columns(basis, basis, images)
+    return ChainComplexGf2(basis, d)
+
+
+def md_left_complex(M: ModuleStructure, V: ModuleStructure) -> ChainComplexGf2:
+    """The complex of (left type-A) box (left type-D): emissions act outermost-last."""
+    _require_left_a(M)
+    _require_left_d(V)
+    if M.left_alg is not V.left_alg:
+        raise StructureError("box over different algebras")
+    basis = tuple((p, v) for p in M.gens for v in V.gens if M.lidem[p] == V.lidem[v])
+    basis_set = set(basis)
+    chains = _left_d_chains(V, M.max_left_len())
+    images = {g: Gf2Vector.zero() for g in basis}
+    for (argsL, p, _), outs in M.table.items():
+        for v0, ends in chains.get(argsL[::-1], ()):
+            if (p, v0) not in basis_set:
+                continue
+            for v2 in ends:
+                for p2 in outs:
+                    images[(p, v0)] += Gf2Vector.of((p2, v2))
+    for v, v2, subset in _idem_firings_left_d(V):
+        for p in M.gens:
+            if M.lidem[p] == subset and (p, v) in basis_set:
+                images[(p, v)] += Gf2Vector.of((p, v2))
+    d = Gf2Matrix.from_columns(basis, basis, images)
+    return ChainComplexGf2(basis, d)
+
+
+def sandwich_complex_right(
+    U: ModuleStructure, B: ModuleStructure, V: ModuleStructure
+) -> ChainComplexGf2:
+    """The mirror-wired sandwich: U hooks the middle's right side, V its left."""
+    _require_right_d(U)
+    _require_left_d(V)
+    if B.kind != "AA" or B.left_alg is not V.left_alg or B.right_alg is not U.right_alg:
+        raise StructureError("middle factor shape mismatch")
+    basis = tuple(
+        (u, x, v)
+        for u in U.gens
+        for x in B.gens
+        for v in V.gens
+        if U.ridem[u] == B.ridem[x] and B.lidem[x] == V.lidem[v]
+    )
+    basis_set = set(basis)
+    uchains = _right_d_chains(U, B.max_right_len())
+    vchains = _left_d_chains(V, B.max_left_len())
+    images = {g: Gf2Vector.zero() for g in basis}
+    for (argsL, x, argsR), outs in B.table.items():
+        for u0, uends in uchains.get(argsR, ()):
+            for v0, vends in vchains.get(argsL[::-1], ()):
+                if (u0, x, v0) not in basis_set:
+                    continue
+                for u2 in uends:
+                    for v2 in vends:
+                        for x2 in outs:
+                            images[(u0, x, v0)] += Gf2Vector.of((u2, x2, v2))
+    for u, u2, subset in _idem_firings_right_d(U):
+        for (uu, x, v) in basis:
+            if uu == u and B.ridem[x] == subset:
+                images[(u, x, v)] += Gf2Vector.of((u2, x, v))
+    for v, v2, subset in _idem_firings_left_d(V):
+        for (u, x, vv) in basis:
+            if vv == v and B.lidem[x] == subset:
+                images[(u, x, v)] += Gf2Vector.of((u, x, v2))
+    d = Gf2Matrix.from_columns(basis, basis, images)
+    return ChainComplexGf2(basis, d)
+
+
+def join_general_right(
+    U: ModuleStructure, M: ModuleStructure, V: ModuleStructure
+) -> JoinInstance:
+    """The join built from a right type-A module; the mirror of join_general."""
+    _require_right_d(U)
+    _require_right_a(M)
+    _require_left_d(V)
+    am = M.right_alg
+    if U.right_alg is not am or V.left_alg is not am:
+        raise StructureError("join factors over different algebras")
+    c1 = dm_right_complex(U, M)
+    c2 = md_left_complex(dualize(M), V)
+    domain = tensor_complex(c1, c2)
+    codomain = sandwich_complex_right(U, dual_alg_as_aa(am), V)
+    cod_set = set(codomain.basis)
+    dom_set = set(domain.basis)
+    maxlen = M.max_right_len() + 1
+    uchains = _right_d_chains(U, maxlen)
+    vchains = _left_d_chains(V, maxlen)
+    images = {g: Gf2Vector.zero() for g in domain.basis}
+
+    def right_entries_with_units(Mr):
+        for (_, g, argsR), outs in Mr.table.items():
+            yield g, argsR, outs
+        for g in Mr.gens:
+            ia = Mr.right_alg.idempotent_index(Mr.ridem[g])
+            yield g, (ia,), frozenset([g])
+
+    # Reflected formula: <m_M(q', c_1..c_k, a'', d_l..d_1), p> with the
+    # structure acting on the first domain factor and pairing off the second.
+    for q, args, outs in right_entries_with_units(M):
+        for p in outs:
+            for j, mid in enumerate(args):
+                for u0, uends in uchains.get(args[:j], ()):
+                    for v0, vends in vchains.get(args[j + 1 :][::-1], ()):
+                        g = ((u0, q), (p, v0))
+                        if g not in dom_set:
+                            continue
+                        for u2 in uends:
+                            for v2 in vends:
+                                tgt = (u2, mid, v2)
+                                if tgt in cod_set:
+                                    images[g] += Gf2Vector.of(tgt)
+    matrix = Gf2Matrix.from_columns(codomain.basis, domain.basis, images)
+    return JoinInstance(am, domain, codomain, matrix)
+
+
+def assert_reflection_matches(U: ModuleStructure, M: ModuleStructure, V: ModuleStructure):
+    """The reflected side of the symmetry verdict equals the mirror join, label for label."""
+    lib = join_general(oppositize(V), oppositize(dualize(M)), oppositize(U))
+    ref = join_general_right(dualize(V), dualize(M), dualize(U))
+    for a, b in ((lib.domain, ref.domain), (lib.codomain, ref.codomain)):
+        assert a.basis == b.basis
+        assert a.differential.nonzero == b.differential.nonzero
+    for g in lib.domain.basis:
+        assert lib.matrix.column(g).entries == ref.matrix.column(g).entries, g

@@ -1,14 +1,17 @@
 import itertools
 
+import pytest
+
+from join_oracle import assert_reflection_matches
 from strandjoin.arc_diagram import Z1
-from strandjoin.ainf import check_structure, is_homomorphism
+from strandjoin.ainf import StructureError, check_structure, dualize, is_homomorphism
 from strandjoin.standard_models import (
     dd_identity,
     elementary,
     left_module_from_right_idem,
 )
 from strandjoin.strands import ABasisElem, rotate180
-from strandjoin.tensor import TensorAlgebra
+from strandjoin.tensor import TensorAlgebra, box
 from strandjoin.join import (
     cancel_cA,
     dd_middle,
@@ -16,8 +19,6 @@ from strandjoin.join import (
     diagonal,
     double_module,
     identity_firings,
-    join_dg,
-    join_elementary,
     join_general,
     join_identity_check,
     join_symmetry_verdict,
@@ -78,21 +79,12 @@ def test_join_instances_are_chain_maps(am1):
             assert inst.is_chain_map()
 
 
-def test_join_dg_requires_and_matches(am1):
-    U = elementary(am1, frozenset({1}), "D", hand="right")
-    V = elementary(am1, frozenset({1}), "D", hand="left")
-    M = left_module_from_right_idem(am1, {1})
-    a = join_general(U, M, V)
-    b = join_dg(U, M, V)
-    assert a.matrix.nonzero == b.matrix.nonzero
-
-
 def test_join_dg_formula_example(am1):
     # Psi(u x iota1 (x) iota1^ x v) = u x iota1^ x v plus the sigma term
     U = elementary(am1, frozenset({1}), "D", hand="right")
     V = elementary(am1, frozenset({1}), "D", hand="left")
     M = left_module_from_right_idem(am1, {1})
-    inst = join_dg(U, M, V)
+    inst = join_general(U, M, V)
     s = am1.index[ABasisElem((("a1", "a2"),), frozenset())]
     i1 = am1.idempotent_index({1})
     u, v = U.gens[0], V.gens[0]
@@ -109,7 +101,7 @@ def test_join_elementary_blocks(am1):
     for I0 in _subsets(am1):
         U = elementary(am1, I0, "D", hand="right")
         for I in _subsets(am1):
-            inst = join_elementary(U, I, V)
+            inst = join_general(U, elementary(am1, frozenset(I), "A"), V)
             Ic = frozenset(range(1, am1.k + 1)) - frozenset(I)
             # domain is the U.iota block tensor iota.V block
             expected = 1 if (I0 == Ic and frozenset({1}) == Ic) else 0
@@ -195,20 +187,33 @@ def test_dd_middle_and_sandwich_structures(am1, am2):
         assert check_structure(dd_sandwich_da_bimodule(am)) is None
 
 
-def test_join_identity_all_standard_models(am1):
-    for I0 in _subsets(am1):
-        U = elementary(am1, I0, "D", hand="right")
-        for K in _subsets(am1):
-            for M in (elementary(am1, K, "A"), left_module_from_right_idem(am1, K)):
-                assert join_identity_check(U, M)
+def test_join_identity_all_standard_models(am1, am2):
+    for am in (am1, am2):
+        for I0 in _subsets(am):
+            U = elementary(am, I0, "D", hand="right")
+            for M in left_module_candidates(am):
+                assert join_identity_check(U, M), (I0, M.name)
 
 
-def test_join_symmetry_all_standard_models(am1):
-    for I0, J0, K in itertools.product(_subsets(am1), repeat=3):
-        U = elementary(am1, I0, "D", hand="right")
-        V = elementary(am1, J0, "D", hand="left")
-        for M in (elementary(am1, K, "A"), left_module_from_right_idem(am1, K)):
-            assert join_symmetry_verdict(U, M, V)
+def test_join_identity_rejects_structured_u(am2):
+    # M-dual box I as three_joins builds it: a right type-D module whose
+    # structure map is nonzero, which the identity check does not cover.
+    M = left_module_from_right_idem(am2, {2})
+    U = box(dualize(M), dd_identity(am2)).result
+    assert U.table
+    with pytest.raises(StructureError, match="structureless U only"):
+        join_identity_check(U, M)
+
+
+def test_join_symmetry_all_standard_models(am1, am2):
+    # The verdict, and its reflected side against the hand-wired mirror join.
+    for am in (am1, am2):
+        for I0, J0 in itertools.product(_subsets(am), repeat=2):
+            U = elementary(am, I0, "D", hand="right")
+            V = elementary(am, J0, "D", hand="left")
+            for M in left_module_candidates(am):
+                assert join_symmetry_verdict(U, M, V), (I0, J0, M.name)
+                assert_reflection_matches(U, M, V)
 
 
 def test_three_joins_sample(am1):

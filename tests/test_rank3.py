@@ -8,10 +8,16 @@ import time
 
 import pytest
 
+from join_oracle import assert_reflection_matches
 from strandjoin.ainf import check_structure
 from strandjoin.arc_diagram import serialize
 from strandjoin.cli import run
-from strandjoin.join import dd_sandwich_da_bimodule, join_general, pair_bimodule
+from strandjoin.join import (
+    dd_sandwich_da_bimodule,
+    join_general,
+    join_symmetry_verdict,
+    pair_bimodule,
+)
 from strandjoin.nice_diagram import build_twisting_slice_diagram, count_domains
 from strandjoin.standard_models import (
     alg_as_aa,
@@ -81,6 +87,30 @@ def test_join_at_rank3_is_a_chain_map(am3, r3_file):
     )
     assert inst.is_chain_map()
     assert len(inst.matrix.nonzero) == out.split("value 1\n")[1].count("\n")
+
+
+# (U's subset, V's subset, M's kind, K): M is elementary:A ("A") or amod
+# ("amod") on the subset K.  The sample mixes U = V with U != V and ends on the largest join; it
+# runs in about 3 s, where each join costs about 60 ms.
+R3_SYMMETRY_SAMPLE = (
+    ({1}, {1}, "A", {1}),
+    ({1}, {1}, "amod", {1}),
+    ({2}, {1}, "amod", {3}),
+    ({1, 3}, {1, 3}, "A", {1, 3}),
+    ({1, 2}, {1, 2}, "amod", {2, 3}),
+    ({1, 2}, {2, 3}, "amod", {1, 3}),
+    ({2, 3}, {1, 2}, "amod", {2, 3}),
+    ({1, 2, 3}, {1, 2, 3}, "amod", {1, 2, 3}),
+)
+
+
+def test_join_symmetry_and_mirror_oracle_at_rank3(am3):
+    for I0, J0, kind, K in R3_SYMMETRY_SAMPLE:
+        U = elementary(am3, I0, "D", hand="right")
+        V = elementary(am3, J0, "D", hand="left")
+        M = elementary(am3, K, "A") if kind == "A" else left_module_from_right_idem(am3, K)
+        assert join_symmetry_verdict(U, M, V), (I0, J0, M.name)
+        assert_reflection_matches(U, M, V)
 
 
 def test_invalid_counted_slice_is_a_mismatch(r3_file):
