@@ -238,20 +238,6 @@ class ModuleStructure:
             return frozenset()
         return self.table.get((g, argsR), frozenset())
 
-    def ad(self, argsL: tuple, g) -> frozenset:
-        A = self.left_alg
-        if argsL and any(A.is_idempotent_elem(a) for a in argsL):
-            if len(argsL) == 1:
-                subset = A.elems[argsL[0]].occupied
-                if subset == self.lidem[g]:
-                    out = self.right_alg.idempotent_index(self.ridem[g])
-                    return frozenset([(g, out)])
-            return frozenset()
-        return self.table.get((argsL, g), frozenset())
-
-    def dd(self, g) -> frozenset:
-        return self.table.get(g, frozenset())
-
     # -- underlying chain complex -------------------------------------------
 
     def underlying_complex(self) -> ChainComplexGf2:

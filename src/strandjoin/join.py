@@ -287,24 +287,29 @@ def double_module(M: ModuleStructure) -> ChainComplexGf2:
     return c
 
 
+def _diagonal_terms(M: ModuleStructure) -> list:
+    """The terms (p, mid) of M's diagonal cycle: p^ (x) mid (x) p, where mid is
+    the idempotent complementary to p's in I box A box I."""
+    am = M.left_alg
+    full = frozenset(range(1, am.k + 1))
+    terms = []
+    for p in M.gens:
+        L = M.lidem[p]
+        mid = (tuple(sorted(L)), am.idempotent_index(full - L), tuple(sorted(full - L)))
+        terms.append((p, mid))
+    return terms
+
+
 def diagonal(M: ModuleStructure) -> tuple[ChainComplexGf2, Gf2Vector]:
     """The diagonal cycle in the double of M."""
     _require_left_a(M)
-    am = M.left_alg
-    full = frozenset(range(1, am.k + 1))
     c = double_module(M)
-    entries = set()
-    for p in M.gens:
-        L = M.lidem[p]
-        a = am.idempotent_index(full - L)
-        key = (p, (tuple(sorted(L)), a, tuple(sorted(full - L))), p)
-        entries.add(key)
-    vec = Gf2Vector(frozenset(entries))
+    entries = {(p, mid, p) for p, mid in _diagonal_terms(M)}
     basis = set(c.basis)
     for e in entries:
         if e not in basis:
             raise StructureError("diagonal term outside the double's carrier")
-    return c, vec
+    return c, Gf2Vector(frozenset(entries))
 
 
 # -- the cancellation morphism ---------------------------------------------------------
@@ -351,82 +356,45 @@ def cancel_cA(am: AlgebraModel) -> Morphism:
 # -- identity check --------------------------------------------------------------
 
 
-def join_identity_check(U: ModuleStructure, M: ModuleStructure) -> bool:
-    """Verify (id x c_A x id) . Psi_M . (id (x) Delta_M) = id on U box I box M."""
+def _identity_composite(U: ModuleStructure, M: ModuleStructure) -> Gf2Matrix:
+    """(id x c_A x id) . Psi_M . (id (x) Delta_M) on U box I box M.
+
+    U is read as a structureless right type-A module, so U box I is too, with
+    generators (u, x_K).  Psi_M is join_general against I box A box I box M;
+    c_A keeps the codomain terms whose dual slot and middle algebra slot are
+    idempotents and sends each to the basis element (u, K2, p2).
+    """
     _require_right_d(U)
     _require_left_a(M)
     if U.table:
         raise StructureError("identity check implemented for structureless U only")
     am = M.left_alg
-    full = frozenset(range(1, am.k + 1))
-    firings = identity_firings(am)
+    UA = ModuleStructure("AA", None, am, U.gens, U.lidem, U.ridem, {}, name=U.name)
+    UI = box(UA, dd_identity(am), validate=False).result
+    inst = join_general(UI, M, dbox(dd_middle(am), M, validate=False))
+    delta = _diagonal_terms(M)
     # The carrier of U box I box M: the identity bimodule bridges complementary
     # idempotents, so a generator (u, K, p) has ridem(u) = K and lidem(p) = full - K.
-    basis = tuple(
-        (u, tuple(sorted(U.ridem[u])), p)
-        for u in U.gens
-        for p in M.gens
-        if M.lidem[p] == full - U.ridem[u]
-    )
-    dbl, delta = diagonal(M)
-    delta_terms = list(delta.entries)
-    nonzero = {}
-    for g in basis:
-        u, Ktup, p = g
-        K = frozenset(Ktup)
-        acc = Gf2Vector.zero()
-        for (q0, mid, p0) in delta_terms:
-            Ltup, a_mid, Lctup = mid
-            # Evaluate the join around (p, q0^): feed chains of identity
-            # firings of the double's left identity slot into the module
-            # operations, tracking the evolving middle state.
-            # States: (current subset, dual-of-a accumulated?, ...) evolve as
-            # (I', amid', K', p') with emissions d_1..d_j.
-            states = {( (frozenset(Ltup), a_mid, frozenset(Lctup), p0), () ): 1}
-            max_feed = M.max_left_len() + 1
-            for _ in range(max_feed + 1):
-                new_states = dict(states)
-                for (st, seq), par in states.items():
-                    if not par or len(seq) >= max_feed:
-                        continue
-                    I2, a2, K2, p2 = st
-                    for c, J2, ct in firings[I2]:
-                        for a3 in am.mult_table[(ct, a2)]:
-                            key = ((J2, a3, K2, p2), seq + (c,))
-                            new_states[key] = new_states.get(key, 0) ^ 1
-                states = new_states
-            for (st, dlist), par in states.items():
-                if not par:
-                    continue
-                I2, a2, K2, p2 = st
-                for args, pp, outs in left_entries_with_units(M):
-                    if pp != p or q0 not in outs:
-                        continue
-                    n = len(args)
-                    # left feeds are empty (U structureless); right feeds dlist.
-                    if n < 1 or args[: n - 1] != dlist:
-                        continue
-                    if len(dlist) != n - 1:
-                        continue
-                    mid_elem = args[n - 1]
-                    # step 3: cancellation needs the dual slot to hold the
-                    # idempotent complementary to the ambient identity slot.
-                    if not am.is_idempotent_elem(mid_elem):
-                        continue
-                    if am.elems[mid_elem].occupied != full - K:
-                        continue
-                    if I2 != full - K:
-                        continue
-                    # c_A emits the middle algebra content; a structureless U
-                    # only survives idempotent emissions.
-                    if not am.is_idempotent_elem(a2):
-                        continue
-                    if am.elems[a2].occupied != K:
-                        continue
-                    acc += Gf2Vector.of((u, tuple(sorted(K2)), p2))
-        nonzero[g] = acc
-    composite = Gf2Matrix.from_columns(basis, basis, nonzero)
-    return composite.nonzero == Gf2Matrix.identity(basis).nonzero
+    images = {}
+    for ui in UI.gens:
+        u, (_, K) = ui
+        for p in M.gens:
+            if M.lidem[p] != UI.ridem[ui]:
+                continue
+            acc = Gf2Vector.zero()
+            for q, mid in delta:
+                for _, e, ((_, a2, K2), p2) in inst.matrix.column(((ui, p), (q, (mid, q)))):
+                    if am.is_idempotent_elem(e) and am.is_idempotent_elem(a2):
+                        acc += Gf2Vector.of((u, K2, p2))
+            images[(u, K, p)] = acc
+    basis = tuple(images)
+    return Gf2Matrix.from_columns(basis, basis, images)
+
+
+def join_identity_check(U: ModuleStructure, M: ModuleStructure) -> bool:
+    """Verify (id x c_A x id) . Psi_M . (id (x) Delta_M) = id on U box I box M."""
+    composite = _identity_composite(U, M)
+    return composite.nonzero == Gf2Matrix.identity(composite.cols).nonzero
 
 
 def join_symmetry_verdict(
@@ -487,11 +455,11 @@ def pair_d_module(U: ModuleStructure, V: ModuleStructure, ta: TensorAlgebra) -> 
     table: dict = {}
 
     for (u, v) in gens:
-        for u2, a in U.ad((), u):
+        for u2, a in U.table.get(((), u), ()):
             ib = am2rev.idempotent_index(V.lidem[v])
             pair = ta.pair_index[(a, ib)]
             _add(table, ((), (u, v)), ((u2, v), pair))
-        for a, v2 in V.da(v, ()):
+        for a, v2 in V.table.get((v, ()), ()):
             ia = am1.idempotent_index(U.ridem[u])
             pair = ta.pair_index[(ia, rot[a])]
             _add(table, ((), (u, v)), ((u, v2), pair))
@@ -519,7 +487,7 @@ def dd_as_left_module(X: ModuleStructure, ta: TensorAlgebra) -> ModuleStructure:
     table: dict = {}
 
     for g in gens:
-        for a, y, b in X.dd(g):
+        for a, y, b in X.table.get(g, ()):
             pair = ta.pair_index[(a, rot[b])]
             _add(table, (g, ()), (pair, y))
     return ModuleStructure(
@@ -653,18 +621,12 @@ def self_join(U_pair: ModuleStructure, M: ModuleStructure):
     join = join_general(U_pair, Mt, Vmid)
     # Domain: U_pair box Mt; apply the join against the diagonal terms.
     C = dm_complex(U_pair, Mt)
-    full = frozenset(range(1, am.k + 1))
-    delta_terms = []
-    for p in M.gens:
-        L = M.lidem[p]
-        a = am.idempotent_index(full - L)
-        delta_terms.append(((p, p), (tuple(sorted(L)), a, tuple(sorted(full - L)))))
     dom2 = set(join.domain.basis)
     images = {}
     for g in C.basis:
         acc = Gf2Vector.zero()
-        for (qq, mid) in delta_terms:
-            key = (g, (qq, mid))
+        for p, mid in _diagonal_terms(M):
+            key = (g, ((p, p), mid))
             if key in dom2:
                 acc += join.matrix.column(key)
         images[g] = acc

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .gf2 import ChainComplexGf2, Gf2Matrix, Gf2Vector, homology, homology_coordinates
+from .gf2 import ChainComplexGf2, Gf2Matrix, Gf2Vector, homology, homology_coordinates, vsum
 from .strands import AlgebraModel
 from .ainf import ModuleStructure, StructureError
 from .standard_models import algebra_module, gamma_block
@@ -98,23 +98,20 @@ def _direct_action(u: ModuleStructure, x, a) -> Gf2Vector:
     return Gf2Vector(u.table.get(((), x, (a,)), frozenset()))
 
 
-def _join_composite_action(u: ModuleStructure, cA_table, I, x, a) -> Gf2Vector:
-    """The action through the elementary join and the cancellation morphism.
+def _cancel_emissions(cA_table, I, a):
+    """The algebra elements b of the join-and-cancel composite on x (x) a.
 
     The join against the cap module for I sends x (x) a to the state with
-    the dual idempotent slot; the cancellation entry keyed by that state
-    emits the algebra element, absorbed by the right action of u.
+    the dual idempotent slot; the cancellation entry keyed by that state, a
+    source generator (I, a', K, a) with no inputs, emits b, which the caller
+    lets act on x.
     """
-    am = u.right_alg
-    I = frozenset(I)
-    acc = Gf2Vector.zero()
     Ituple = tuple(sorted(I))
     for (g, argsR), outs in cA_table.items():
         if argsR or g[0] != Ituple or g[3] != a:
             continue
         for b, _tgt in outs:
-            acc += _direct_action(u, x, b)
-    return acc
+            yield b
 
 
 def m_H(u: ModuleStructure, I, J) -> Gf2Matrix:
@@ -135,7 +132,7 @@ def m_H(u: ModuleStructure, I, J) -> Gf2Matrix:
         c2,
         c3,
         lambda x, a: _direct_action(u, x, a),
-        lambda x, a: _join_composite_action(u, cA.table, I, x, a),
+        lambda x, a: vsum(_direct_action(u, x, b) for b in _cancel_emissions(cA.table, I, a)),
     )
     if direct.nonzero != composite.nonzero:
         raise StructureError("join-composite action disagrees with the direct action")
@@ -163,14 +160,7 @@ def mu_H(am: AlgebraModel, I, J, K) -> Gf2Matrix:
         return Gf2Vector(am.mult_table[(x, a)])
 
     def composite(x, a):
-        acc = Gf2Vector.zero()
-        Jtuple = tuple(sorted(J))
-        for (g, argsR), outs in cA.table.items():
-            if argsR or g[0] != Jtuple or g[3] != a:
-                continue
-            for b, _tgt in outs:
-                acc += Gf2Vector(am.mult_table[(x, b)])
-        return acc
+        return vsum(Gf2Vector(am.mult_table[(x, b)]) for b in _cancel_emissions(cA.table, J, a))
 
     m1, m2 = _bilinear_on_homology(c1, c2, c3, direct, composite)
     if m1.nonzero != m2.nonzero:

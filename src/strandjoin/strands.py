@@ -303,11 +303,7 @@ class AlgebraModel:
         return self.index[ABasisElem((), frozenset(subset))]
 
     def unit(self) -> Gf2Vector:
-        return vsum(
-            self.idempotent(s)
-            for r in range(self.k + 1)
-            for s in itertools.combinations(range(1, self.k + 1), r)
-        )
+        return vsum(self.idempotent(s) for s in self.all_idempotent_subsets())
 
     def assoc_mult(self, xs) -> Gf2Vector:
         """Left-to-right product of a tuple of vectors; the empty tuple gives the unit."""

@@ -80,26 +80,6 @@ def _collapse(alg: AlgebraModel, cseq: tuple, empty_idem: frozenset) -> Gf2Vecto
     return acc
 
 
-def _box_table(f, n: ModuleStructure, kind: str, genset: set) -> dict:
-    """The terms of f box n (f a structure or a morphism) in which f's stored
-    entries consume chains of n's firings; the result has the given kind."""
-    ralg = n.right_alg if n.right_type == "D" else None
-    table: dict = {}
-    chains = _d_chains(n, _max_input_len(f, 2))
-    for (argsL, x, bseq), outs in _entries(f):
-        for y in n.gens:
-            if (x, y) not in genset:
-                continue
-            for (argsC, cseq, y2), par in chains.get((y, bseq), {}).items():
-                if not par:
-                    continue
-                key = _from_aa_key(kind, argsL, (x, y), argsC)
-                for c in (None,) if ralg is None else _collapse(ralg, cseq, n.ridem[y]):
-                    for a, x2, _ in outs:
-                        _add(table, key, _from_out(kind, a, (x2, y2), c))
-    return table
-
-
 def box(m: ModuleStructure, n: ModuleStructure, validate: bool = True) -> BoxProduct:
     """The box tensor product of an A-side left factor with a D-side right factor."""
     if m.right_type != "A":
@@ -114,7 +94,21 @@ def box(m: ModuleStructure, n: ModuleStructure, validate: bool = True) -> BoxPro
         (x, y) for x in m.gens for y in n.gens if m.ridem[x] == n.lidem[y]
     )
     genset = set(gens)
-    table = _box_table(m, n, kind, genset)
+    ralg = n.right_alg if n.right_type == "D" else None
+    table: dict = {}
+    # m's stored entries consume chains of n's firings.
+    chains = _d_chains(n, _max_input_len(m, 2))
+    for (argsL, x, bseq), outs in _entries(m):
+        for y in n.gens:
+            if (x, y) not in genset:
+                continue
+            for (argsC, cseq, y2), par in chains.get((y, bseq), {}).items():
+                if not par:
+                    continue
+                key = _from_aa_key(kind, argsL, (x, y), argsC)
+                for c in (None,) if ralg is None else _collapse(ralg, cseq, n.ridem[y]):
+                    for a, x2, _ in outs:
+                        _add(table, key, _from_out(kind, a, (x2, y2), c))
     # Unital interaction: a single idempotent emission acts as identity.
     for (_, y, blk), outs in _entries(n):
         for b, y2, c in outs:
@@ -264,74 +258,58 @@ def external_tensor(m: ModuleStructure, n: ModuleStructure) -> ModuleStructure:
 # -- induced morphisms ----------------------------------------------------------
 
 
+def _cone(f: Morphism) -> ModuleStructure:
+    """The mapping cone of f: generators ("s", g) for src, ("t", g) for dst.
+
+    Its table holds src's entries, dst's entries and f's from s to t.  It is
+    not validated: its structure equation is df = 0.
+    """
+    parts = (("s", f.src), ("t", f.dst))
+    gens = [(tag, g) for tag, m in parts for g in m.gens]
+    lidem = {(tag, g): m.lidem[g] for tag, m in parts for g in m.gens}
+    ridem = {(tag, g): m.ridem[g] for tag, m in parts for g in m.gens}
+    kind = f.kind
+    table: dict = {}
+    for m, tag_in, tag_out in ((f.src, "s", "s"), (f.dst, "t", "t"), (f, "s", "t")):
+        for (argsL, g, argsR), outs in _entries(m):
+            key = _from_aa_key(kind, argsL, (tag_in, g), argsR)
+            for a, y, b in outs:
+                _add(table, key, _from_out(kind, a, (tag_out, y), b))
+    return ModuleStructure(
+        kind, f.src.left_alg, f.src.right_alg, gens, lidem, ridem, table, validate=False
+    )
+
+
 def induced(f: Morphism, other: ModuleStructure, side: str) -> Morphism:
-    """f boxed with an identity: side names where `other` attaches."""
+    """f boxed with an identity: side names where `other` attaches.
+
+    The box of f's mapping cone with `other`, restricted to the entries from
+    src's generators to dst's: every chain from src to dst crosses exactly
+    one firing of f, and box's unital term covers a lone idempotent one.
+    """
     if side == "right":
         if f.kind != "AA":
             raise StructureError("unsupported induced-map combination")
-        src_box = box(f.src, other, validate=False).result
-        dst_box = box(f.dst, other, validate=False).result
-        return Morphism(src_box, dst_box, _box_table(f, other, src_box.kind, src_box.genset))
-    if side == "left":
+        boxed, slot = (lambda m: box(m, other, validate=False).result), 0
+    elif side == "left":
         # id_other (x) f with f a morphism of left type-D structures.
         if f.kind != "DA" or other.right_type != "A":
             raise StructureError("unsupported induced-map combination")
-        src_box = box(other, f.src, validate=False).result
-        dst_box = box(other, f.dst, validate=False).result
-        kind = src_box.kind
-        alg = other.right_alg
-        kmax = other.max_right_len()
-        chains_src = _d_chains(f.src, kmax)
-        chains_dst = _d_chains(f.dst, kmax)
-        by_start: dict = {}
-        for (y0, bseq), states in chains_dst.items():
-            by_start.setdefault(y0, []).append((bseq, states))
-        f_firings: dict = {}
-        for (_, y, blkf), fouts in _entries(f):
-            f_firings.setdefault(y, []).append((blkf, fouts))
-        other_by: dict = {}
-        for (argsL, x, bseq), outs in _entries(other):
-            other_by.setdefault((x, bseq), []).append((argsL, outs))
-        table: dict = {}
-        # One f-firing amid structure firings of src then dst.
-        for (y0, bseq1), sm1 in chains_src.items():
-            for (args1, _, ymid), par1 in sm1.items():
-                if not par1:
-                    continue
-                for blkf, fouts in f_firings.get(ymid, ()):
-                    for bf, ymid2, _ in fouts:
-                        unital = alg.is_idempotent_elem(bf)
-                        if unital and bseq1:
-                            continue
-                        for bseq2, sm2 in by_start.get(ymid2, ()):
-                            if unital and bseq2:
-                                continue
-                            full = bseq1 + (() if unital else (bf,)) + bseq2
-                            for (args2, _, yend), par2 in sm2.items():
-                                if not par2:
-                                    continue
-                                args = args1 + blkf + args2
-                                for x in other.gens:
-                                    if (x, y0) not in src_box.genset:
-                                        continue
-                                    if unital:
-                                        # full is empty: bf acts as the identity.
-                                        if other.ridem[x] != alg.elems[bf].occupied:
-                                            continue
-                                        a = (
-                                            other.left_alg.idempotent_index(other.lidem[x])
-                                            if other.left_type == "D"
-                                            else None
-                                        )
-                                        terms = [((), [(a, x, None)])]
-                                    else:
-                                        terms = other_by.get((x, full), ())
-                                    for argsL, outs in terms:
-                                        for a, x2, _ in outs:
-                                            _add(
-                                                table,
-                                                _from_aa_key(kind, argsL, (x, y0), args),
-                                                _from_out(kind, a, (x2, yend), None),
-                                            )
-        return Morphism(src_box, dst_box, table)
-    raise ValueError("side must be 'left' or 'right'")
+        boxed, slot = (lambda m: box(other, m, validate=False).result), 1
+    else:
+        raise ValueError("side must be 'left' or 'right'")
+
+    def untag(g):
+        return (g[0][1], g[1]) if slot == 0 else (g[0], g[1][1])
+
+    cone_box = boxed(_cone(f))
+    kind = cone_box.kind
+    table: dict = {}
+    for (argsL, g, argsR), outs in _entries(cone_box):
+        if g[slot][0] != "s":
+            continue
+        key = _from_aa_key(kind, argsL, untag(g), argsR)
+        for a, y, b in outs:
+            if y[slot][0] == "t":
+                _add(table, key, _from_out(kind, a, untag(y), b))
+    return Morphism(boxed(f.src), boxed(f.dst), table)

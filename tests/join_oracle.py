@@ -1,4 +1,5 @@
-"""The hand-wired mirror join: the reference for `join_symmetry_verdict`.
+"""Hand-wired join walkers: the references for `join_symmetry_verdict` and
+`join_identity_check`.
 
 The library builds the reflected side of the symmetry verdict by running
 `join_general` over the formal opposite algebra.  The functions here build
@@ -7,6 +8,11 @@ wired by hand: U hooks the right side of each middle factor and V its left.
 `assert_reflection_matches` checks that `join_general(op V, op M^dual, op U)`
 over the opposite algebra equals `join_general_right(V^dual, M^dual, U^dual)`,
 with identical basis labels, differentials and matrix columns.
+
+`identity_composite` walks chains of identity firings of the double's left
+identity slot into M's operations by hand and applies the cancellation to
+the surviving states; the library composes the same map from `join_general`
+against the double.
 """
 
 from __future__ import annotations
@@ -15,16 +21,19 @@ from strandjoin.ainf import ModuleStructure, StructureError, dualize, oppositize
 from strandjoin.gf2 import ChainComplexGf2, Gf2Matrix, Gf2Vector
 from strandjoin.join import (
     JoinInstance,
+    _identity_composite,
     _left_d_chains,
     _require_left_a,
     _require_left_d,
     _require_right_a,
     _require_right_d,
     _right_d_chains,
+    diagonal,
     join_general,
+    left_entries_with_units,
     tensor_complex,
 )
-from strandjoin.standard_models import dual_alg_as_aa
+from strandjoin.standard_models import dual_alg_as_aa, identity_firings
 
 
 def _idem_firings_right_d(U: ModuleStructure):
@@ -190,3 +199,90 @@ def assert_reflection_matches(U: ModuleStructure, M: ModuleStructure, V: ModuleS
         assert a.differential.nonzero == b.differential.nonzero
     for g in lib.domain.basis:
         assert lib.matrix.column(g).entries == ref.matrix.column(g).entries, g
+
+
+def identity_composite(U: ModuleStructure, M: ModuleStructure) -> Gf2Matrix:
+    """(id x c_A x id) . Psi_M . (id (x) Delta_M) on U box I box M, walked by hand."""
+    _require_right_d(U)
+    _require_left_a(M)
+    if U.table:
+        raise StructureError("identity check implemented for structureless U only")
+    am = M.left_alg
+    full = frozenset(range(1, am.k + 1))
+    firings = identity_firings(am)
+    # The carrier of U box I box M: the identity bimodule bridges complementary
+    # idempotents, so a generator (u, K, p) has ridem(u) = K and lidem(p) = full - K.
+    basis = tuple(
+        (u, tuple(sorted(U.ridem[u])), p)
+        for u in U.gens
+        for p in M.gens
+        if M.lidem[p] == full - U.ridem[u]
+    )
+    dbl, delta = diagonal(M)
+    delta_terms = list(delta.entries)
+    nonzero = {}
+    for g in basis:
+        u, Ktup, p = g
+        K = frozenset(Ktup)
+        acc = Gf2Vector.zero()
+        for (q0, mid, p0) in delta_terms:
+            Ltup, a_mid, Lctup = mid
+            # Evaluate the join around (p, q0^): feed chains of identity
+            # firings of the double's left identity slot into the module
+            # operations, tracking the evolving middle state.
+            # States: (current subset, dual-of-a accumulated?, ...) evolve as
+            # (I', amid', K', p') with emissions d_1..d_j.
+            states = {( (frozenset(Ltup), a_mid, frozenset(Lctup), p0), () ): 1}
+            max_feed = M.max_left_len() + 1
+            for _ in range(max_feed + 1):
+                new_states = dict(states)
+                for (st, seq), par in states.items():
+                    if not par or len(seq) >= max_feed:
+                        continue
+                    I2, a2, K2, p2 = st
+                    for c, J2, ct in firings[I2]:
+                        for a3 in am.mult_table[(ct, a2)]:
+                            key = ((J2, a3, K2, p2), seq + (c,))
+                            new_states[key] = new_states.get(key, 0) ^ 1
+                states = new_states
+            for (st, dlist), par in states.items():
+                if not par:
+                    continue
+                I2, a2, K2, p2 = st
+                for args, pp, outs in left_entries_with_units(M):
+                    if pp != p or q0 not in outs:
+                        continue
+                    n = len(args)
+                    # left feeds are empty (U structureless); right feeds dlist.
+                    if n < 1 or args[: n - 1] != dlist:
+                        continue
+                    if len(dlist) != n - 1:
+                        continue
+                    mid_elem = args[n - 1]
+                    # step 3: cancellation needs the dual slot to hold the
+                    # idempotent complementary to the ambient identity slot.
+                    if not am.is_idempotent_elem(mid_elem):
+                        continue
+                    if am.elems[mid_elem].occupied != full - K:
+                        continue
+                    if I2 != full - K:
+                        continue
+                    # c_A emits the middle algebra content; a structureless U
+                    # only survives idempotent emissions.
+                    if not am.is_idempotent_elem(a2):
+                        continue
+                    if am.elems[a2].occupied != K:
+                        continue
+                    acc += Gf2Vector.of((u, tuple(sorted(K2)), p2))
+        nonzero[g] = acc
+    return Gf2Matrix.from_columns(basis, basis, nonzero)
+
+
+def assert_identity_matches(U: ModuleStructure, M: ModuleStructure) -> Gf2Matrix:
+    """The library's identity composite equals the hand walk, label for label;
+    returns it."""
+    lib = _identity_composite(U, M)
+    ref = identity_composite(U, M)
+    assert lib.rows == ref.rows and lib.cols == ref.cols
+    assert lib.nonzero == ref.nonzero
+    return lib

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from join_oracle import assert_reflection_matches
+from join_oracle import assert_identity_matches, assert_reflection_matches
 from strandjoin.arc_diagram import Z1
 from strandjoin.ainf import StructureError, check_structure, dualize, is_homomorphism
 from strandjoin.standard_models import (
@@ -188,11 +188,15 @@ def test_dd_middle_and_sandwich_structures(am1, am2):
 
 
 def test_join_identity_all_standard_models(am1, am2):
+    # The verdict, and its composite against the hand walk over identity firings.
+    nonempty = 0
     for am in (am1, am2):
         for I0 in _subsets(am):
             U = elementary(am, I0, "D", hand="right")
             for M in left_module_candidates(am):
                 assert join_identity_check(U, M), (I0, M.name)
+                nonempty += bool(assert_identity_matches(U, M).cols)
+    assert nonempty
 
 
 def test_join_identity_rejects_structured_u(am2):

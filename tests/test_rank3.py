@@ -8,10 +8,11 @@ import time
 
 import pytest
 
-from join_oracle import assert_reflection_matches
+from join_oracle import assert_identity_matches, assert_reflection_matches
 from strandjoin.ainf import check_structure
 from strandjoin.arc_diagram import serialize
 from strandjoin.cli import run
+from strandjoin.gf2 import Gf2Matrix
 from strandjoin.join import (
     dd_sandwich_da_bimodule,
     join_general,
@@ -111,6 +112,27 @@ def test_join_symmetry_and_mirror_oracle_at_rank3(am3):
         M = elementary(am3, K, "A") if kind == "A" else left_module_from_right_idem(am3, K)
         assert join_symmetry_verdict(U, M, V), (I0, J0, M.name)
         assert_reflection_matches(U, M, V)
+
+
+# (I0, module kind, K): U = elementary:D:I0 (right), M = elementary:A:K or
+# amod:K, each with a nonempty carrier U box I box M.
+R3_IDENTITY_SAMPLE = (
+    ({1}, "A", {1}),
+    ({1, 3}, "A", {1, 3}),
+    ({2}, "amod", {1, 2}),
+    ({2, 3}, "amod", {3}),
+    ({1, 2}, "amod", {3}),
+    ({1}, "amod", {2, 3}),
+)
+
+
+def test_join_identity_and_hand_walker_at_rank3(am3):
+    for I0, kind, K in R3_IDENTITY_SAMPLE:
+        U = elementary(am3, I0, "D", hand="right")
+        M = elementary(am3, K, "A") if kind == "A" else left_module_from_right_idem(am3, K)
+        composite = assert_identity_matches(U, M)
+        assert composite.cols, (I0, M.name)
+        assert composite == Gf2Matrix.identity(composite.cols), (I0, M.name)
 
 
 def test_invalid_counted_slice_is_a_mismatch(r3_file):

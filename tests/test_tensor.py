@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import tensor_oracle
 from strandjoin.arc_diagram import Z1, reverse
 from strandjoin.ainf import (
     Morphism,
@@ -20,6 +21,7 @@ from strandjoin.standard_models import (
     elementary,
     left_module_from_right_idem,
 )
+from strandjoin.join import cancel_cA, dd_sandwich_da_bimodule
 from strandjoin.strands import enumerate_basis, rotate180
 from strandjoin.tensor import TensorAlgebra, box, dbox, external_tensor, induced
 
@@ -156,6 +158,66 @@ def test_induced_left_identity(am1):
     ind = induced(idd, A, "left")
     box_mod = box(A, eD).result
     assert ind.table == identity_morphism(box_mod).table
+
+
+def _seeded_morphisms(src, dst, rng, count, size, max_len):
+    slots = _morphism_slots(src, dst, max_len)
+    return [
+        Morphism(src, dst, {k: {v} for k, v in rng.sample(slots, min(size, len(slots)))})
+        for _ in range(count)
+    ]
+
+
+def _a_sides(am):
+    """The algebra bimodule and the dualized amods: right type-A factors."""
+    return [alg_as_aa(am)] + [
+        dualize(left_module_from_right_idem(am, I)) for I in am.all_idempotent_subsets()
+    ]
+
+
+def test_induced_left_is_dg_functor(am1, am2):
+    # d(id x f) = id x df for DA morphisms of the identity bimodule
+    rng = random.Random(3)
+    cases = nonzero = 0
+    for am in (am1, am2):
+        X = da_identity(am)
+        for other in _a_sides(am):
+            for f in _seeded_morphisms(X, X, rng, 12, 3, 2):
+                lhs = morphism_diff(induced(f, other, "left"))
+                rhs = induced(morphism_diff(f), other, "left")
+                assert lhs.table == rhs.table
+                cases += 1
+                nonzero += not lhs.is_zero()
+    assert cases == 96 and nonzero
+
+
+def test_induced_matches_hand_rolled_oracle(am1, am2):
+    # The box of the mapping cone equals the hand-interleaved chains of src,
+    # one f firing and dst, on both sides.
+    rng = random.Random(5)
+    cases = nonzero = 0
+    for am in (am1, am2):
+        X = da_identity(am)
+        S = dd_sandwich_da_bimodule(am)
+        da_maps = [cancel_cA(am), identity_morphism(X), identity_morphism(S)]
+        da_maps += _seeded_morphisms(X, X, rng, 6, 3, 2) + _seeded_morphisms(S, X, rng, 4, 3, 1)
+        aa_maps = []
+        for M in _a_sides(am):
+            aa_maps += [identity_morphism(M)] + _seeded_morphisms(M, M, rng, 3, 3, 2)
+        d_sides = [elementary(am, I, "D", hand="left") for I in am.all_idempotent_subsets()]
+        for maps, others, side in (
+            (da_maps, _a_sides(am), "left"),
+            (aa_maps, d_sides + [X], "right"),
+        ):
+            for f in maps:
+                for other in others:
+                    got = induced(f, other, side)
+                    ref = tensor_oracle.induced(f, other, side)
+                    assert got.src.gens == ref.src.gens and got.dst.gens == ref.dst.gens
+                    assert got.table == ref.table
+                    cases += 1
+                    nonzero += not got.is_zero()
+    assert 2 * nonzero > cases
 
 
 def test_box_associativity_with_dg_middle(am1):
