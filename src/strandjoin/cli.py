@@ -419,12 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="strands algebras, bimodules, and join/gluing maps over Z/2",
     )
     ap.add_argument("--max-homotopy-len", type=int, default=4)
-    ap.add_argument(
-        "--parallel",
-        choices=("on", "off"),
-        default="off",
-        help="kept for compatibility; has no effect (suites always run serially)",
-    )
     ap.add_argument("--seed", type=int, default=0)
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -76,9 +76,6 @@ class Gf2Matrix:
             if r not in rowset or c not in colset:
                 raise ValueError(f"entry {(r, c)} outside declared bases")
 
-    def entry(self, row: Key, col: Key) -> int:
-        return 1 if (row, col) in self.nonzero else 0
-
     @cached_property
     def _by_col(self) -> dict:
         """col key -> frozenset of the row keys of its nonzeros (absent if none)."""

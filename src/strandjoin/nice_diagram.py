@@ -95,21 +95,43 @@ def _split_segments(segments) -> list:
     return pieces
 
 
-def _point_in_polygon(p, poly) -> bool:
-    """Strict interior test by exact ray crossing (horizontal ray to +x)."""
+def _in_closed_polygon(p, poly) -> bool:
+    """Whether p lies inside poly or on its boundary, by exact ray crossing
+    (horizontal ray to +x)."""
     x, y = p
     inside = False
-    n = len(poly)
-    for i in range(n):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % n]
-        if _on_segment(p, poly[i], poly[(i + 1) % n]) or p == poly[i]:
-            return False
-        if (y1 > y) != (y2 > y):
-            xin = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            if xin > x:
-                inside = not inside
+    for q1, q2 in zip(poly, poly[1:] + poly[:1]):
+        if p == q1 or _on_segment(p, q1, q2):
+            return True
+        (x1, y1), (x2, y2) = q1, q2
+        if (y1 > y) != (y2 > y) and x1 + (y - y1) * (x2 - x1) / (y2 - y1) > x:
+            inside = not inside
     return inside
+
+
+def _direction_key(half) -> tuple:
+    """Counterclockwise order of a half-edge's direction: (quadrant, slope)."""
+    (x1, y1), (x2, y2), _ = half
+    dx, dy = x2 - x1, y2 - y1
+    if dx > 0 and dy >= 0:
+        q = 0
+    elif dx <= 0 and dy > 0:
+        q = 1
+    elif dx < 0 and dy <= 0:
+        q = 2
+    else:
+        q = 3
+    # Only quadrants 1 and 3 hold vertical edges; each starts with them.
+    return (q, dy / dx if dx else -math.inf)
+
+
+# The strip through a handle, by the end of the handle the moving point sits at.
+_HANDLE_STRIPS = (
+    ((F(1, 4), F(0)), (F(1, 2), F(1, 2)), (F(3, 4), F(0))),
+    ((F(3, 4), F(1)), (F(1, 2), F(1, 2)), (F(1, 4), F(1))),
+)
+
+_GLUE = ("glue", "handle-glue")
 
 
 @dataclass
@@ -153,6 +175,7 @@ class PlanarDiagram:
             self.handle_ends[i] = (pts[0], pts[1])
         self.points: dict = {}  # name -> (alpha object, beta object)
         self.coords: dict = {}  # name -> (chart, xy)
+        self.point_at: dict = {}  # (chart, xy) -> name
         self._build_points()
         self.charts = self._build_charts()
         self.regions = self._build_regions()
@@ -188,6 +211,7 @@ class PlanarDiagram:
                 name = ("w", i)
                 self.points[name] = (("alpha", i), ("beta_circle", i))
                 self.coords[name] = (("h", i), (F(1, 2), F(1, 2)))
+        self.point_at.update((at, name) for name, at in self.coords.items())
 
     # -- charts ----------------------------------------------------------------
 
@@ -250,82 +274,47 @@ class PlanarDiagram:
     # -- region complex -----------------------------------------------------------
 
     def _chart_faces(self, chart: Chart):
-        """Faces of one chart's arrangement, with tagged boundary edges."""
-        pieces = _split_segments(chart.segments)
-        # half-edge structure
+        """Faces of one chart's arrangement: cycles of (from, to, tag)
+        half-edges, each traversed with the face on its left."""
+        halves = []  # the twin of half-edge i is i ^ 1
+        for a, b, tag in _split_segments(chart.segments):
+            halves += [(a, b, tag), (b, a, tag)]
         out_edges: dict = {}
-        halves = []
-        for idx, (a, b, tag) in enumerate(pieces):
-            halves.append({"from": a, "to": b, "tag": tag, "id": 2 * idx})
-            halves.append({"from": b, "to": a, "tag": tag, "id": 2 * idx + 1})
-        for h in halves:
-            out_edges.setdefault(h["from"], []).append(h)
-
-        for v, lst in out_edges.items():
-            def full_key(h):
-                dx = h["to"][0] - h["from"][0]
-                dy = h["to"][1] - h["from"][1]
-                if dx > 0 and dy >= 0:
-                    q = 0
-                elif dx <= 0 and dy > 0:
-                    q = 1
-                elif dx < 0 and dy <= 0:
-                    q = 2
-                else:
-                    q = 3
-                slope = dy / dx if dx != 0 else None
-                if q in (0, 2):
-                    s = slope if slope is not None else F(10**9)
-                else:
-                    s = slope if slope is not None else F(-10**9)
-                return (q, s)
-
-            lst.sort(key=full_key)
-        twin = {}
-        for h in halves:
-            twin[h["id"]] = h["id"] ^ 1
-        by_id = {h["id"]: h for h in halves}
-
-        def next_half(h):
-            v = h["to"]
-            lst = out_edges[v]
-            rev = by_id[twin[h["id"]]]
-            i = next(j for j, k in enumerate(lst) if k["id"] == rev["id"])
-            return lst[(i - 1) % len(lst)]
-
+        for i, (a, _, _) in enumerate(halves):
+            out_edges.setdefault(a, []).append(i)
+        rank = {}
+        for lst in out_edges.values():
+            lst.sort(key=lambda i: _direction_key(halves[i]))
+            rank.update((i, r) for r, i in enumerate(lst))
         faces = []
         seen = set()
-        for h in halves:
-            if h["id"] in seen:
-                continue
+        for start in range(len(halves)):
             cycle = []
-            cur = h
-            while cur["id"] not in seen:
-                seen.add(cur["id"])
-                cycle.append(cur)
-                cur = next_half(cur)
-            area2 = sum(
-                e["from"][0] * e["to"][1] - e["to"][0] * e["from"][1] for e in cycle
-            )
-            if area2 <= 0:
-                continue  # outer face
-            faces.append(cycle)
+            cur = start
+            while cur not in seen:
+                seen.add(cur)
+                cycle.append(halves[cur])
+                # turn to the clockwise neighbour of the reversed edge
+                cur = out_edges[halves[cur][1]][rank[cur ^ 1] - 1]
+            if sum(a[0] * b[1] - b[0] * a[1] for a, b, _ in cycle) > 0:
+                faces.append(cycle)  # the outer face has nonpositive area
         return faces
 
     def _build_regions(self):
+        """Regions: faces joined across glued edges.  Each region records its
+        corners, whether it meets the boundary, its (chart, cycle) faces, and
+        `glued`, which maps a glued edge (face, edge) to its partner's."""
         face_edges = []
         face_charts = []
-        glue_edge_owner: dict = {}
+        glue_ends: dict = {}  # glue key -> [(face id, edge index)]
         for chart in self.charts:
             for cycle in self._chart_faces(chart):
                 fid = len(face_edges)
                 face_edges.append(cycle)
                 face_charts.append(chart.name)
-                for e in cycle:
-                    tag = e["tag"]
-                    if tag[0] in ("glue", "handle-glue"):
-                        key = self._glue_key(chart.name, e)
-                        glue_edge_owner.setdefault(key, []).append(fid)
+                for ei, e in enumerate(cycle):
+                    if e[2][0] in _GLUE:
+                        glue_ends.setdefault(self._glue_key(e), []).append((fid, ei))
         parent = list(range(len(face_edges)))
 
         def find(i):
@@ -334,37 +323,35 @@ class PlanarDiagram:
                 i = parent[i]
             return i
 
-        def union(i, j):
-            parent[find(i)] = find(j)
-
-        for key, fids in glue_edge_owner.items():
-            for a, b in zip(fids, fids[1:]):
-                union(a, b)
+        for ends in glue_ends.values():
+            for (a, _), (b, _) in zip(ends, ends[1:]):
+                parent[find(a)] = find(b)
         regions: dict = {}
+        local = []  # face id -> its index among its region's faces
         for fid, cycle in enumerate(face_edges):
-            rid = find(fid)
             reg = regions.setdefault(
-                rid, {"corners": [], "boundary": False, "faces": []}
+                find(fid), {"corners": [], "boundary": False, "faces": [], "glued": {}}
             )
+            local.append(len(reg["faces"]))
             reg["faces"].append((face_charts[fid], cycle))
-            for i, e in enumerate(cycle):
-                if e["tag"][0] == "boundary":
-                    reg["boundary"] = True
+            if any(e[2][0] == "boundary" for e in cycle):
+                reg["boundary"] = True
             # corners: vertices where an alpha-type edge meets a beta-type edge
-            n = len(cycle)
-            for i in range(n):
-                t1 = cycle[i]["tag"][0]
-                t2 = cycle[(i + 1) % n]["tag"][0]
-                v = cycle[i]["to"]
-                kinds = {t1, t2}
-                if kinds == {"alpha", "beta"} or kinds == {"alpha", "beta_circle"}:
-                    reg["corners"].append((face_charts[fid], v))
+            for e1, e2 in zip(cycle, cycle[1:] + cycle[:1]):
+                if {e1[2][0], e2[2][0]} in ({"alpha", "beta"}, {"alpha", "beta_circle"}):
+                    reg["corners"].append((face_charts[fid], e1[1]))
+        for ends in glue_ends.values():
+            for fid, ei in ends:
+                partner = next((o for o in ends if o != (fid, ei)), None)
+                if partner is not None:
+                    glued = regions[find(fid)]["glued"]
+                    glued[(local[fid], ei)] = (local[partner[0]], partner[1])
         return list(regions.values())
 
-    def _glue_key(self, chart_name, e):
+    def _glue_key(self, e):
         """A canonical key matching glued edge pieces across charts."""
-        a, b = sorted((e["from"], e["to"]))
-        tag = e["tag"]
+        a, b = sorted(e[:2])
+        tag = e[2]
         if tag[0] == "handle-glue":
             _, i, end = tag
             return ("g", i, end, a[0], b[0])
@@ -398,74 +385,52 @@ class PlanarDiagram:
 
     def enumerate_generators(self) -> list:
         """All point sets: at most one point per alpha/beta object, covering
-        every beta circle."""
-        circles = set()
-        for name, (aobj, bobj) in self.points.items():
-            if bobj[0] == "beta_circle":
-                circles.add(bobj[1])
-        names = sorted(self.points, key=repr)
-        gens = []
-        for r in range(len(names) + 1):
-            for combo in itertools.combinations(names, r):
-                aobjs = [self.points[n][0] for n in combo]
-                bobjs = [self.points[n][1] for n in combo]
-                if len(set(aobjs)) != len(aobjs) or len(set(bobjs)) != len(bobjs):
-                    continue
-                covered = {o[1] for o in bobjs if o[0] == "beta_circle"}
-                if covered != circles:
-                    continue
-                gens.append(frozenset(combo))
-        return gens
+        every beta circle.  Ordered by size, then by the points' positions
+        in `repr` order."""
+        pos = {n: k for k, n in enumerate(sorted(self.points, key=repr))}
+        choices: dict = {}  # alpha object -> [no point, then each of its points]
+        for n, (aobj, _) in self.points.items():
+            choices.setdefault(aobj, [None]).append(n)
+        circles = {b for _, b in self.points.values() if b[0] == "beta_circle"}
+        picked = []
+        for pick in itertools.product(*choices.values()):
+            combo = [n for n in pick if n is not None]
+            bobjs = {self.points[n][1] for n in combo}
+            if len(bobjs) == len(combo) and circles <= bobjs:
+                picked.append(sorted(combo, key=pos.get))
+        picked.sort(key=lambda combo: (len(combo), [pos[n] for n in combo]))
+        return [frozenset(combo) for combo in picked]
 
     # -- structure counting --------------------------------------------------------------
-
-    def _vertex_point_name(self, chart, xy):
-        for name, (c, p) in self.coords.items():
-            if c == chart and p == xy:
-                return name
-        return None
 
     def _region_cycle(self, reg):
         """The merged boundary cycle of a region: (chart, edge) pairs,
         traversed through glued edges."""
-        glue_at = {}
-        for fi, (chart, cycle) in enumerate(reg["faces"]):
-            for ei, e in enumerate(cycle):
-                if e["tag"][0] in ("glue", "handle-glue"):
-                    key = self._glue_key(chart, e)
-                    glue_at.setdefault(key, []).append((fi, ei))
-        start = None
-        for fi, (chart, cycle) in enumerate(reg["faces"]):
-            for ei, e in enumerate(cycle):
-                if e["tag"][0] not in ("glue", "handle-glue"):
-                    start = (fi, ei)
-                    break
-            if start:
-                break
+        faces = reg["faces"]
+        start = next(
+            (
+                (fi, ei)
+                for fi, (_, cycle) in enumerate(faces)
+                for ei, e in enumerate(cycle)
+                if e[2][0] not in _GLUE
+            ),
+            None,
+        )
         if start is None:
             return []
         merged = []
         fi, ei = start
         visited = set()
-        while True:
-            chart, cycle = reg["faces"][fi]
-            e = cycle[ei]
-            if (fi, ei) in visited:
-                break
+        while (fi, ei) not in visited:
             visited.add((fi, ei))
-            if e["tag"][0] in ("glue", "handle-glue"):
-                key = self._glue_key(chart, e)
-                partners = [o for o in glue_at.get(key, []) if o != (fi, ei)]
-                if partners:
-                    fi, ei = partners[0]
-                    visited.add((fi, ei))
-                    _, cyc2 = reg["faces"][fi]
-                    ei = (ei + 1) % len(cyc2)
-                    continue
-                ei = (ei + 1) % len(cycle)
-                continue
-            merged.append((chart, e))
-            ei = (ei + 1) % len(cycle)
+            chart, cycle = faces[fi]
+            e = cycle[ei]
+            if e[2][0] not in _GLUE:
+                merged.append((chart, e))
+            elif (fi, ei) in reg["glued"]:
+                fi, ei = reg["glued"][(fi, ei)]
+                visited.add((fi, ei))
+            ei = (ei + 1) % len(faces[fi][1])
         return merged
 
     def differential_table(self, gens) -> dict:
@@ -483,27 +448,19 @@ class PlanarDiagram:
             cycle = self._region_cycle(reg)
             if not cycle:
                 continue
-            kinds = [e["tag"][0] for _, e in cycle]
-            n = len(cycle)
+            kinds = [e[2][0] for _, e in cycle]
             src_names = []
             tgt_names = []
-            for i in range(n):
-                prev = kinds[(i - 1) % n]
-                cur = kinds[i]
-                if cur.startswith("alpha") and not prev.startswith("alpha"):
-                    chart, e = cycle[i]
-                    nm = self._vertex_point_name(chart, e["from"])
-                    src_names.append(nm)
-                if cur.startswith("beta") and not prev.startswith("beta"):
-                    chart, e = cycle[i]
-                    nm = self._vertex_point_name(chart, e["from"])
-                    tgt_names.append(nm)
+            for (chart, e), cur, prev in zip(cycle, kinds, kinds[-1:] + kinds[:-1]):
+                for kind, names in (("alpha", src_names), ("beta", tgt_names)):
+                    if cur.startswith(kind) and not prev.startswith(kind):
+                        names.append(self.point_at.get((chart, e[0])))
             if len(src_names) != 2 or len(tgt_names) != 2 or None in src_names + tgt_names:
                 continue
             src = set(src_names)
             # A rectangle counts only when no other point of g lies inside
             # or on the boundary of one of its faces.
-            polys = [(chart, [e["from"] for e in cyc]) for chart, cyc in reg["faces"]]
+            polys = [(chart, [e[0] for e in cyc]) for chart, cyc in reg["faces"]]
             for g in gens:
                 if src <= g:
                     new = (g - src) | set(tgt_names)
@@ -521,151 +478,73 @@ class PlanarDiagram:
         Returns (left, right): {(elem index, generator) -> set of outputs}.
         """
         am = enumerate_basis(self.z)
-        left: dict = {}
-        right: dict = {}
-        occ = {g: frozenset(self.points[n][0][1] for n in g) for g in gens}
-        bocc = {g: frozenset(self.points[n][1][1] for n in g) for g in gens}
         genset = set(gens)
-        pair_of = self.z.match
-        for e_idx, elem in enumerate(am.elems):
-            if not elem.movers:
-                continue
-            for g in gens:
-                out = self._multi_strip_move(
-                    elem, g, occ[g], genset, pair_of, side="left"
-                )
-                if out is not None:
-                    left.setdefault((e_idx, g), set()).add(out)
-                out = self._multi_strip_move(
-                    elem, g, bocc[g], genset, pair_of, side="right"
-                )
-                if out is not None:
-                    right.setdefault((e_idx, g), set()).add(out)
-        return left, right
+        tables = ({}, {})
+        for side, table in enumerate(tables):
+            by_obj = {g: {self.points[n][side][1]: n for n in g} for g in gens}
+            for e_idx, elem in enumerate(am.elems):
+                if not elem.movers:
+                    continue
+                for g in gens:
+                    out = self._multi_strip_move(elem, g, by_obj[g], genset, side)
+                    if out is not None:
+                        table.setdefault((e_idx, g), set()).add(out)
+        return tables
 
-    def _multi_strip_move(self, elem, g, side_occ, genset, pair_of, side):
-        """Apply all strands of a basis element at once, or None."""
-        moved_pairs = set()
+    def _multi_strip_move(self, elem, g, by_obj, genset, side):
+        """Apply all strands of a basis element at once, or None.
+
+        side 0 acts at the left edge through alpha objects, side 1 at the
+        right edge through beta objects; by_obj maps g's objects on that
+        side to its points.  A strand (a, b) moves the point of g at b's
+        pair on the left, at a's pair on the right, through a strip in the
+        square from the edge marks of a and b, and through the handle too
+        when that point is the handle crossing x.
+        """
+        # (held, free): the end of each strand whose pair g holds, and the other
+        ends = [(b, a) if side == 0 else (a, b) for a, b in elem.movers]
+        if elem.occupied != by_obj.keys() - {self.z.match[held] for held, _ in ends}:
+            return None
+        edge = (lambda p: (F(0), self.h[p])) if side == 0 else (lambda p: (F(1), self.tau[p]))
         moving = set()
         targets = set()
         polys = []
-        by_alpha = {self.points[n][0][1]: n for n in g if side == "left"}
-        by_beta = {self.points[n][1][1]: n for n in g if side == "right"}
-        for (a, b) in elem.movers:
-            if side == "left":
-                i = pair_of[b]
-                name = by_alpha.get(i)
-                if name is None:
-                    return None
-                if name[0] == "y" and name[1] == b:
-                    c = name[2]
-                    tgt = ("y", a, c)
-                    if tgt not in self.points:
-                        return None
-                    arc = self.arc_of[a]
-                    poly = [
-                        (F(0), self.h[a]),
-                        self.coords[tgt][1],
-                        self.coords[name][1],
-                        (F(0), self.h[b]),
-                    ]
-                    polys.append((("sq", arc), poly))
-                elif name[0] == "x":
-                    tgt = ("y", a, b)
-                    if tgt not in self.points:
-                        return None
-                    hp = self._handle_strip_polys(a, b, i, side="left")
-                    if hp is None:
-                        return None
-                    polys.extend(hp)
-                else:
-                    return None
+        for (a, b), (held, free) in zip(elem.movers, ends):
+            i = self.z.match[held]
+            name = by_obj.get(i)
+            if name is None:
+                return None
+            if name[0] == "y" and name[1 + side] == held:
+                tgt = name[: 1 + side] + (free,) + name[2 + side :]
+                corner = [self.coords[name][1]]
+            elif name[0] == "x":
+                tgt = ("y", a, b)
+                t, e = self.tau[held], self.eps[held]
+                corner = [(t + e, F(1)), (t - e, F(1))]
             else:
-                i = pair_of[a]
-                name = by_beta.get(i)
-                if name is None:
-                    return None
-                if name[0] == "y" and name[2] == a:
-                    c = name[1]
-                    tgt = ("y", c, b)
-                    if tgt not in self.points:
-                        return None
-                    arc = self.arc_of[a]
-                    poly = [
-                        (F(1), self.tau[a]),
-                        self.coords[name][1],
-                        self.coords[tgt][1],
-                        (F(1), self.tau[b]),
-                    ]
-                    polys.append((("sq", arc), poly))
-                elif name[0] == "x":
-                    tgt = ("y", a, b)
-                    if tgt not in self.points:
-                        return None
-                    hp = self._handle_strip_polys(a, b, i, side="right")
-                    if hp is None:
-                        return None
-                    polys.extend(hp)
-                else:
-                    return None
-            moved_pairs.add(pair_of[b] if side == "left" else pair_of[a])
+                return None
+            if tgt not in self.points:
+                return None
+            # Around the strip from a's mark: the target's corner comes first
+            # on the left and last on the right.
+            mid = [self.coords[tgt][1], *corner] if side == 0 else [*corner, self.coords[tgt][1]]
+            polys.append((("sq", self.arc_of[a]), [edge(a), *mid, edge(b)]))
+            if name[0] == "x":
+                end = 0 if self.handle_ends[i][0] == held else 1
+                polys.append((("h", i), _HANDLE_STRIPS[end]))
             moving.add(name)
             targets.add(tgt)
-        if elem.occupied != side_occ - moved_pairs:
-            return None
         if not self._strip_ok(g, moving, polys):
             return None
         new = frozenset((g - moving) | targets)
-        if new not in genset:
-            return None
-        return new
-
-    def _handle_strip_polys(self, a, b, i, side):
-        """Strip through handle i for the horizontal-to-strand move."""
-        arc = self.arc_of[a]
-        tgt = self.coords[("y", a, b)][1]
-        if side == "left":
-            p = b
-        else:
-            p = a
-        t, e = self.tau[p], self.eps[p]
-        if side == "left":
-            square_poly = [
-                (F(0), self.h[a]),
-                tgt,
-                (t + e, F(1)),
-                (t - e, F(1)),
-                (F(0), self.h[b]),
-            ]
-        else:
-            square_poly = [
-                (F(1), self.tau[a]),
-                (t + e, F(1)),
-                (t - e, F(1)),
-                tgt,
-                (F(1), self.tau[b]),
-            ]
-        end = 0 if self.handle_ends[i][0] == p else 1
-        if end == 0:
-            handle_poly = [(F(1, 4), F(0)), (F(1, 2), F(1, 2)), (F(3, 4), F(0))]
-        else:
-            handle_poly = [(F(3, 4), F(1)), (F(1, 2), F(1, 2)), (F(1, 4), F(1))]
-        return [(("sq", arc), square_poly), (("h", i), handle_poly)]
+        return new if new in genset else None
 
     def _strip_ok(self, g, moving, polys) -> bool:
-        for name in g:
-            if name in moving:
-                continue
+        """Whether no point of g outside `moving` lies in one of the polygons."""
+        for name in g - moving:
             chart, p = self.coords[name]
-            for (pchart, poly) in polys:
-                if pchart != chart:
-                    continue
-                if _point_in_polygon(p, poly):
-                    return False
-                n = len(poly)
-                for k in range(n):
-                    if _on_segment(p, poly[k], poly[(k + 1) % n]) or p == poly[k]:
-                        return False
+            if any(pchart == chart and _in_closed_polygon(p, poly) for pchart, poly in polys):
+                return False
         return True
 
 

@@ -90,18 +90,20 @@ def box(m: ModuleStructure, n: ModuleStructure, validate: bool = True) -> BoxPro
         raise StructureError("factors are over different algebras")
     alg = m.right_alg
     kind = m.left_type + n.right_type
-    gens = tuple(
-        (x, y) for x in m.gens for y in n.gens if m.ridem[x] == n.lidem[y]
-    )
-    genset = set(gens)
+    # Generators pair up through matching idempotents; both indexes keep order.
+    n_at: dict = {}
+    for y in n.gens:
+        n_at.setdefault(n.lidem[y], []).append(y)
+    m_at: dict = {}
+    for x in m.gens:
+        m_at.setdefault(m.ridem[x], []).append(x)
+    gens = tuple((x, y) for x in m.gens for y in n_at.get(m.ridem[x], ()))
     ralg = n.right_alg if n.right_type == "D" else None
     table: dict = {}
     # m's stored entries consume chains of n's firings.
     chains = _d_chains(n, _max_input_len(m, 2))
     for (argsL, x, bseq), outs in _entries(m):
-        for y in n.gens:
-            if (x, y) not in genset:
-                continue
+        for y in n_at.get(m.ridem[x], ()):
             for (argsC, cseq, y2), par in chains.get((y, bseq), {}).items():
                 if not par:
                     continue
@@ -115,10 +117,11 @@ def box(m: ModuleStructure, n: ModuleStructure, validate: bool = True) -> BoxPro
             if not alg.is_idempotent_elem(b):
                 continue
             subset = alg.elems[b].occupied
-            for x in m.gens:
-                if m.ridem[x] == subset and (x, y) in genset:
-                    a = m.left_alg.idempotent_index(m.lidem[x]) if m.left_type == "D" else None
-                    _add(table, _from_aa_key(kind, (), (x, y), blk), _from_out(kind, a, (x, y2), c))
+            if n.lidem[y] != subset:
+                continue
+            for x in m_at.get(subset, ()):
+                a = m.left_alg.idempotent_index(m.lidem[x]) if m.left_type == "D" else None
+                _add(table, _from_aa_key(kind, (), (x, y), blk), _from_out(kind, a, (x, y2), c))
     result = ModuleStructure(
         kind,
         m.left_alg,

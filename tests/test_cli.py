@@ -105,13 +105,6 @@ def test_check_suites(files):
         assert f"{name}: PASS" in out
 
 
-def test_check_parallel_matches_serial(files):
-    rc1, out1 = _run(["check", files["Z1"], "all"])
-    rc2, out2 = _run(["--parallel", "on", "check", files["Z1"], "all"])
-    assert rc1 == rc2 == 0
-    assert out1 == out2
-
-
 def test_determinism_byte_identical(files):
     for cmd in (
         ["blocks", files["Z2"]],

@@ -61,6 +61,8 @@ def commands() -> list[tuple]:
             for form in ("amod:", "elementary:A:"):
                 cmds.append(("double", name, f"{form}{s}"))
     cmds.extend(("check", "R3", suite) for suite in ("structures", "sfh", "homotopy"))
+    cmds.append(("nice", "R3", "slice"))
+    cmds.extend(("nice", "R3", f"cap:{s}") for s in _subsets(3))
     return cmds
 
 
