@@ -295,19 +295,7 @@ def _chains_into(alg: AlgebraModel, inner: frozenset, max_len: int) -> list[tupl
 
 def _chains_from(alg: AlgebraModel, inner: frozenset, max_len: int) -> list[tuple]:
     """Tuples (b_1..b_j), j <= max_len, idempotent-chained with b_1's left idem = inner."""
-    out: list[tuple] = [()]
-    layer: list[tuple] = [()]
-    cands = _nonidem(alg)
-    for _ in range(max_len):
-        nxt = []
-        for chain in layer:
-            need = alg.right_idem[chain[-1]] if chain else inner
-            for b in cands:
-                if alg.left_idem[b] == need:
-                    nxt.append(chain + (b,))
-        out.extend(nxt)
-        layer = nxt
-    return out
+    return [c[::-1] for c in _chains_into(alg.opposite(), inner, max_len)]
 
 
 def _insertions(alg: AlgebraModel, args: tuple):

@@ -4,8 +4,9 @@ and its diagonal cycle, the cancellation morphism, and the identity check.
 Everything here is assembled from explicit finite formulas.  A left type-A
 module M over the algebra pairs with its dual through the join morphism; box
 products against type-D modules, built with tensor.box and tensor.dbox,
-produce honest chain complexes; the identity
-DD bimodule mediates between a module and its dual with complementary
+produce honest chain complexes; tensor products over the ground ring and
+modules over the tensor algebra come from tensor.ground_tensor and
+tensor.fold; the identity DD bimodule mediates between a module and its dual with complementary
 idempotents on its two sides (see standard_models.dd_identity).
 
 Conventions (pinned by the validation suite): a right type-D module's
@@ -30,7 +31,7 @@ from .standard_models import (
     identity_firings,
     left_module_from_right_idem,
 )
-from .tensor import TensorAlgebra, _d_chains, box, dbox, external_tensor
+from .tensor import TensorAlgebra, _d_chains, box, dbox, external_tensor, fold, ground_tensor
 
 
 # -- module-shape helpers --------------------------------------------------------
@@ -98,14 +99,14 @@ def mv_complex(Mdual: ModuleStructure, V: ModuleStructure) -> ChainComplexGf2:
     """The chain complex of (right type-A) box (left type-D)."""
     _require_right_a(Mdual)
     _require_left_d(V)
-    return box(Mdual, V, validate=False).result.underlying_complex()
+    return box(Mdual, V, validate=False).underlying_complex()
 
 
 def _d_sandwich(
     U: ModuleStructure, B: ModuleStructure, V: ModuleStructure, validate: bool = True
 ) -> ModuleStructure:
     """U box (B box V) for an AA bimodule B between two type-D sides; generators (u, x, v)."""
-    inner = box(B, V, validate=False).result
+    inner = box(B, V, validate=False)
     return relabel(dbox(U, inner, validate=False), lambda g: (g[0], *g[1]), validate=validate)
 
 
@@ -118,46 +119,15 @@ def sandwich_complex(
     return _d_sandwich(U, B, V, validate=False).underlying_complex()
 
 
-def tensor_complex(c1: ChainComplexGf2, c2: ChainComplexGf2) -> ChainComplexGf2:
-    basis = tuple((a, b) for a in c1.basis for b in c2.basis)
-    images = {}
-    for a in c1.basis:
-        da = c1.differential.column(a)
-        for b in c2.basis:
-            db = c2.differential.column(b)
-            img = Gf2Vector(frozenset((a2, b) for a2 in da)) + Gf2Vector(
-                frozenset((a, b2) for b2 in db)
-            )
-            images[(a, b)] = img
-    d = Gf2Matrix.from_columns(basis, basis, images)
-    return ChainComplexGf2(basis, d)
-
-
 # -- the pair bimodule and nabla ---------------------------------------------------
 
 
 def pair_bimodule(M: ModuleStructure) -> ModuleStructure:
     """M (x) M-dual as an (A, A)-bimodule, operations touching one side at a time."""
     _require_left_a(M)
-    A = M.left_alg
-    gens = tuple((p, q) for p in M.gens for q in M.gens)
-    lidem = {(p, q): M.lidem[p] for (p, q) in gens}
-    ridem = {(p, q): M.lidem[q] for (p, q) in gens}
-    table: dict = {}
-
-    for (argsL, p, _), outs in M.table.items():
-        for q in M.gens:
-            for p2 in outs:
-                _add(table, (argsL, (p, q), ()), (p2, q))
-    # The dual right action: <q^ . (b_1..b_j), x> = <q^, m(b_j, ..., b_1, x)>.
-    for (argsL, x, _), outs in M.table.items():
-        argsR = tuple(reversed(argsL))
-        for q in outs:
-            for p in M.gens:
-                _add(table, ((), (p, q), argsR), (p, x))
-    return ModuleStructure(
-        "AA", A, A, gens, lidem, ridem, table, name=f"({M.name}(x)dual)"
-    )
+    P = ground_tensor(M, dualize(M))
+    P.name = f"({M.name}(x)dual)"
+    return P
 
 
 def nabla(M: ModuleStructure) -> Morphism:
@@ -202,9 +172,9 @@ def join_general(U: ModuleStructure, M: ModuleStructure, V: ModuleStructure) -> 
     am = M.left_alg
     if U.right_alg is not am or V.left_alg is not am:
         raise StructureError("join factors over different algebras")
-    c1 = dm_complex(U, M)
-    c2 = mv_complex(dualize(M), V)
-    domain = tensor_complex(c1, c2)
+    domain = ground_tensor(
+        dbox(U, M, validate=False), box(dualize(M), V, validate=False)
+    ).underlying_complex()
     codomain = sandwich_complex(U, dual_alg_as_aa(am), V)
     cod_set = set(codomain.basis)
     dom_set = set(domain.basis)
@@ -271,7 +241,7 @@ def dd_sandwich_complex(
     _require_right_a(Mdual)
     _require_left_a(N)
     flat = relabel(
-        box(Mdual, dbox(X, N, validate=False), validate=False).result,
+        box(Mdual, dbox(X, N, validate=False), validate=False),
         lambda g: (g[0], *g[1]),
         validate=False,
     )
@@ -324,7 +294,7 @@ def dd_sandwich_da_bimodule(am: AlgebraModel) -> ModuleStructure:
     """
     X = dd_identity(am)
     inner = box(dual_alg_as_aa(am), dbox(X, alg_as_aa(am), validate=False), validate=False)
-    m = dbox(X, inner.result, validate=False)
+    m = dbox(X, inner, validate=False)
     order = {I: n for n, I in enumerate(am.all_idempotent_subsets())}
 
     def flat(g):
@@ -370,7 +340,7 @@ def _identity_composite(U: ModuleStructure, M: ModuleStructure) -> Gf2Matrix:
         raise StructureError("identity check implemented for structureless U only")
     am = M.left_alg
     UA = ModuleStructure("AA", None, am, U.gens, U.lidem, U.ridem, {}, name=U.name)
-    UI = box(UA, dd_identity(am), validate=False).result
+    UI = box(UA, dd_identity(am), validate=False)
     inst = join_general(UI, M, dbox(dd_middle(am), M, validate=False))
     delta = _diagonal_terms(M)
     # The carrier of U box I box M: the identity bimodule bridges complementary
@@ -434,65 +404,14 @@ def pair_d_module(U: ModuleStructure, V: ModuleStructure, ta: TensorAlgebra) -> 
     """U (x) V as a right type-D module over the tensor algebra.
 
     U is a right type-D module over the first factor; V a left type-D module
-    over the algebra whose reversal is the second factor, so V's outputs are
-    recorded through the rotation bijection.
+    over the algebra whose reversal is the second factor.  Built as the dual
+    of the fold of the dual pair.
     """
     _require_right_d(U)
     _require_left_d(V)
-    am1, am2rev = ta.factors
-    if U.right_alg is not am1:
-        raise StructureError("first factor algebra mismatch")
-    rev_alg, rot = rotate180(V.left_alg)
-    if rev_alg is not am2rev:
-        raise StructureError("second factor algebra mismatch")
-    union = ta.union
-    gens = tuple((u, v) for u in U.gens for v in V.gens)
-    lidem = {g: frozenset() for g in gens}
-    ridem = {
-        (u, v): U.ridem[u] | frozenset(j + ta.shift for j in V.lidem[v])
-        for (u, v) in gens
-    }
-    table: dict = {}
-
-    for (u, v) in gens:
-        for u2, a in U.table.get(((), u), ()):
-            ib = am2rev.idempotent_index(V.lidem[v])
-            pair = ta.pair_index[(a, ib)]
-            _add(table, ((), (u, v)), ((u2, v), pair))
-        for a, v2 in V.table.get((v, ()), ()):
-            ia = am1.idempotent_index(U.ridem[u])
-            pair = ta.pair_index[(ia, rot[a])]
-            _add(table, ((), (u, v)), ((u, v2), pair))
-    return ModuleStructure(
-        "AD", None, union, gens, lidem, ridem, table, name=f"({U.name}(x){V.name})"
-    )
-
-
-def dd_as_left_module(X: ModuleStructure, ta: TensorAlgebra) -> ModuleStructure:
-    """A DD bimodule as a left type-D module over the tensor algebra."""
-    if X.kind != "DD":
-        raise StructureError("expected a DD bimodule")
-    am1, am2rev = ta.factors
-    if X.left_alg is not am1:
-        raise StructureError("first factor algebra mismatch")
-    rev_alg, rot = rotate180(X.right_alg)
-    if rev_alg is not am2rev:
-        raise StructureError("second factor algebra mismatch")
-    union = ta.union
-    gens = X.gens
-    lidem = {
-        g: X.lidem[g] | frozenset(j + ta.shift for j in X.ridem[g]) for g in gens
-    }
-    ridem = {g: frozenset() for g in gens}
-    table: dict = {}
-
-    for g in gens:
-        for a, y, b in X.table.get(g, ()):
-            pair = ta.pair_index[(a, rot[b])]
-            _add(table, (g, ()), (pair, y))
-    return ModuleStructure(
-        "DA", union, None, gens, lidem, ridem, table, name=f"[{X.name}]"
-    )
+    P = dualize(fold(ground_tensor(dualize(U), dualize(V)), ta))
+    P.name = f"({U.name}(x){V.name})"
+    return P
 
 
 def three_joins(
@@ -522,7 +441,7 @@ def three_joins(
     j2 = join_general(U2, N, V)
 
     # Second composition: join at N, then at M.
-    U2p = box(dualize(M), X).result
+    U2p = box(dualize(M), X)
     j2p = join_general(U2p, N, V)
     V1p = _d_sandwich(X, dual_alg_as_aa(am), V)
     j1p = join_general(U, M, V1p)
@@ -531,7 +450,7 @@ def three_joins(
     ta = TensorAlgebra(am, rotate180(am)[0])
     Upair = pair_d_module(U, V, ta)
     Mt = external_tensor(M, dualize(N))
-    VX = dd_as_left_module(X, ta)
+    VX = fold(X, ta)
     j3 = join_general(Upair, Mt, VX)
     rot = rotate180(am)[1]
     rotinv = {v: k for k, v in rot.items()}
@@ -617,7 +536,7 @@ def self_join(U_pair: ModuleStructure, M: ModuleStructure):
     if U_pair.right_alg is not ta.union:
         raise StructureError("U_pair must live over the tensor algebra")
     Mt = external_tensor(M, dualize(M))
-    Vmid = dd_as_left_module(dd_middle(am), ta)
+    Vmid = fold(dd_middle(am), ta)
     join = join_general(U_pair, Mt, Vmid)
     # Domain: U_pair box Mt; apply the join against the diagonal terms.
     C = dm_complex(U_pair, Mt)

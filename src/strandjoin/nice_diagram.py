@@ -46,16 +46,6 @@ def _seg_intersect(a1, a2, b1, b2):
     return (a1[0] + t * d1[0], a1[1] + t * d1[1])
 
 
-def _on_segment(p, a, b) -> bool:
-    """Whether p lies strictly inside segment ab."""
-    cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-    if cross != 0:
-        return False
-    dot = (p[0] - a[0]) * (b[0] - a[0]) + (p[1] - a[1]) * (b[1] - a[1])
-    sq = (b[0] - a[0]) ** 2 + (b[1] - a[1]) ** 2
-    return 0 < dot < sq
-
-
 def _split_segments(segments) -> list:
     """Cut each segment at its crossings with the others and at endpoints on it.
 
@@ -97,14 +87,20 @@ def _split_segments(segments) -> list:
 
 def _in_closed_polygon(p, poly) -> bool:
     """Whether p lies inside poly or on its boundary, by exact ray crossing
-    (horizontal ray to +x)."""
-    x, y = p
+    (horizontal ray to +x).
+
+    As in `_split_segments`, the tests run on integers: the point and the
+    corners are scaled by their common denominator.
+    """
+    den = math.lcm(*(c.denominator for q in (p, *poly) for c in q))
+    (x, y), *pts = [tuple(c.numerator * (den // c.denominator) for c in q) for q in (p, *poly)]
     inside = False
-    for q1, q2 in zip(poly, poly[1:] + poly[:1]):
-        if p == q1 or _on_segment(p, q1, q2):
+    for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]):
+        dx, dy, wx, wy = x2 - x1, y2 - y1, x - x1, y - y1
+        if (wx, wy) == (0, 0) or (dx * wy == dy * wx and 0 < wx * dx + wy * dy < dx * dx + dy * dy):
             return True
-        (x1, y1), (x2, y2) = q1, q2
-        if (y1 > y) != (y2 > y) and x1 + (y - y1) * (x2 - x1) / (y2 - y1) > x:
+        # The crossing x1 + wy * dx / dy lies right of x.
+        if (y1 > y) != (y2 > y) and (wy * dx - wx * dy) * dy > 0:
             inside = not inside
     return inside
 

@@ -1,4 +1,5 @@
-"""Box tensor products, external tensor over disjoint algebras, induced morphisms.
+"""Box tensor products, the ground-ring tensor and its fold over disjoint
+algebras, induced morphisms.
 
 The box product pairs the right type-A side of the left factor with the left
 type-D side of the right factor over a common algebra.  Iterated firings of
@@ -7,13 +8,16 @@ interact only through the unital one-input action.  For a DD right factor
 the second outputs accumulate into a single product, later-generation
 factors multiplying on the left.  A type-D factor on the left (dbox) is
 handled as the opposite of a box over the opposite algebra.
+
+The ground-ring tensor of a left and a right structure is a bimodule; fold
+reads a bimodule over (A, B) as a left module over the algebra of the
+disjoint union of A's diagram and the reverse of B's.  Every tensor-algebra
+module (the external tensor, the join's pair modules) is built from the two.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .arc_diagram import ArcDiagram, reverse
+from .arc_diagram import ArcDiagram
 from .gf2 import Gf2Vector
 from .strands import ABasisElem, AlgebraModel, enumerate_basis, rotate180
 from .ainf import (
@@ -21,6 +25,7 @@ from .ainf import (
     Morphism,
     StructureError,
     _add,
+    _at,
     _entries,
     _from_aa_key,
     _from_out,
@@ -28,11 +33,6 @@ from .ainf import (
     oppositize,
     relabel,
 )
-
-
-@dataclass(frozen=True)
-class BoxProduct:
-    result: ModuleStructure
 
 
 def _d_chains(n: ModuleStructure, kmax: int) -> dict:
@@ -80,7 +80,7 @@ def _collapse(alg: AlgebraModel, cseq: tuple, empty_idem: frozenset) -> Gf2Vecto
     return acc
 
 
-def box(m: ModuleStructure, n: ModuleStructure, validate: bool = True) -> BoxProduct:
+def box(m: ModuleStructure, n: ModuleStructure, validate: bool = True) -> ModuleStructure:
     """The box tensor product of an A-side left factor with a D-side right factor."""
     if m.right_type != "A":
         raise StructureError("left factor must be type A on its right side")
@@ -122,7 +122,7 @@ def box(m: ModuleStructure, n: ModuleStructure, validate: bool = True) -> BoxPro
             for x in m_at.get(subset, ()):
                 a = m.left_alg.idempotent_index(m.lidem[x]) if m.left_type == "D" else None
                 _add(table, _from_aa_key(kind, (), (x, y), blk), _from_out(kind, a, (x, y2), c))
-    result = ModuleStructure(
+    return ModuleStructure(
         kind,
         m.left_alg,
         n.right_alg,
@@ -133,7 +133,6 @@ def box(m: ModuleStructure, n: ModuleStructure, validate: bool = True) -> BoxPro
         validate=validate,
         name=f"({m.name}x{n.name})",
     )
-    return BoxProduct(result)
 
 
 def dbox(d: ModuleStructure, a: ModuleStructure, validate: bool = True) -> ModuleStructure:
@@ -142,11 +141,46 @@ def dbox(d: ModuleStructure, a: ModuleStructure, validate: bool = True) -> Modul
     Computed as the opposite of the A-side-first box of the opposites, over
     the opposite algebra; generators are (y, x) with y from d and x from a.
     """
-    flipped = oppositize(box(oppositize(a), oppositize(d), validate=False).result)
+    flipped = oppositize(box(oppositize(a), oppositize(d), validate=False))
     return relabel(flipped, lambda g: (g[1], g[0]), validate=validate)
 
 
-# -- external tensor over disjoint algebras ------------------------------------
+# -- the ground-ring tensor and its fold over disjoint algebras -----------------
+
+
+def ground_tensor(m: ModuleStructure, n: ModuleStructure) -> ModuleStructure:
+    """m (x) n over the ground ring, for a left structure m and a right structure n.
+
+    Generators are (x, y).  Each factor's entries act on its own side, one
+    side at a time; the other side takes no inputs and, if it is type D,
+    emits the idempotent of its factor's generator.
+    """
+    if m.right_alg is not None or n.left_alg is not None:
+        raise StructureError("ground tensor takes a left structure, then a right structure")
+    A, B = m.left_alg, n.right_alg
+    kind = m.left_type + n.right_type
+    gens = tuple((x, y) for x in m.gens for y in n.gens)
+    table: dict = {}
+    for (argsL, x, _), outs in _entries(m):
+        for y in n.gens:
+            b = B.idempotent_index(n.ridem[y]) if kind[1] == "D" else None
+            for a, x2, _ in outs:
+                _add(table, _from_aa_key(kind, argsL, (x, y), ()), _from_out(kind, a, (x2, y), b))
+    for (_, y, argsR), outs in _entries(n):
+        for x in m.gens:
+            a = A.idempotent_index(m.lidem[x]) if kind[0] == "D" else None
+            for _, y2, b in outs:
+                _add(table, _from_aa_key(kind, (), (x, y), argsR), _from_out(kind, a, (x, y2), b))
+    return ModuleStructure(
+        kind,
+        A,
+        B,
+        gens,
+        {(x, y): m.lidem[x] for (x, y) in gens},
+        {(x, y): n.ridem[y] for (x, y) in gens},
+        table,
+        name=f"({m.name}(x){n.name})",
+    )
 
 
 def disjoint_union_diagram(z1: ArcDiagram, z2: ArcDiagram) -> ArcDiagram:
@@ -182,6 +216,61 @@ class TensorAlgebra:
             self.split[i] = (e1, e2)
 
 
+def fold(w: ModuleStructure, ta: TensorAlgebra) -> ModuleStructure:
+    """A bimodule over (A, B) read as a left module over ta.union, where ta's
+    factors are A and the reversal of B (realizing B-opposite).
+
+    A DD bimodule becomes a left type-D module emitting pair_index[(a, rot b)]
+    for each output pair (a, b).  A DG-type AA bimodule becomes a left type-A
+    module with the same differential, on which pair_index[(a, rot b)] acts
+    as a . - . b.
+    """
+    A, B = w.left_alg, w.right_alg
+    if w.kind not in ("AA", "DD") or not w.is_dg_type() or A is None or B is None:
+        raise StructureError("only a DD or a DG-type AA bimodule folds")
+    if A is not ta.factors[0]:
+        raise StructureError("first factor algebra mismatch")
+    brev, rot = rotate180(B)
+    if brev is not ta.factors[1]:
+        raise StructureError("second factor algebra mismatch")
+    kind = w.left_type + "A"
+    table: dict = {}
+    # The differential; a DD output pair (a, b) is emitted as one union element.
+    for (argsL, g, argsR), outs in _entries(w):
+        if argsL or argsR:
+            continue
+        for a, y, b in outs:
+            u = None if a is None else ta.pair_index[(a, rot[b])]
+            _add(table, _from_aa_key(kind, (), g, ()), _from_out(kind, u, y, None))
+    if kind == "AA":
+
+        def act(alg, e, idem, key):
+            """The generators at key, whose one input is e; an idempotent e acts as the unit."""
+            if alg.is_idempotent_elem(e):
+                return (key[1],) if alg.elems[e].occupied == idem[key[1]] else ()
+            return [y for _, y, _ in _at(w, *key)]
+
+        rot_inv = {v: k for k, v in rot.items()}
+        for u, (a, rb) in ta.split.items():
+            b = rot_inv[rb]
+            if A.is_idempotent_elem(a) and B.is_idempotent_elem(b):
+                continue
+            for g in w.gens:
+                for y in act(B, b, w.ridem, ((), g, (b,))):
+                    for z in act(A, a, w.lidem, ((a,), y, ())):
+                        _add(table, ((u,), g, ()), z)
+    return ModuleStructure(
+        kind,
+        ta.union,
+        None,
+        w.gens,
+        {g: w.lidem[g] | frozenset(j + ta.shift for j in w.ridem[g]) for g in w.gens},
+        {g: frozenset() for g in w.gens},
+        table,
+        name=w.name,
+    )
+
+
 def external_tensor(m: ModuleStructure, n: ModuleStructure) -> ModuleStructure:
     """The DG-type module M (x) N over the tensor of their algebras.
 
@@ -196,66 +285,7 @@ def external_tensor(m: ModuleStructure, n: ModuleStructure) -> ModuleStructure:
         raise StructureError("second factor must be a right type-A module")
     if not m.is_dg_type() or not n.is_dg_type():
         raise StructureError("external tensor requires DG-type factors")
-    A, B = m.left_alg, n.right_alg
-    brev, brot = rotate180(B)
-    ta = TensorAlgebra(A, brev)
-    U = ta.union
-    gens = tuple((x, y) for x in m.gens for y in n.gens)
-    lidem = {
-        (x, y): m.lidem[x] | frozenset(j + ta.shift for j in n.ridem[y])
-        for (x, y) in gens
-    }
-    ridem = {g: frozenset() for g in gens}
-    table: dict = {}
-
-    # Differential: Leibniz.
-    for (argsL, x, _), outs in m.table.items():
-        if argsL:
-            continue
-        for y in n.gens:
-            for x2 in outs:
-                _add(table, ((), (x, y), ()), (x2, y))
-    for (_, y, argsR), outs in n.table.items():
-        if argsR:
-            continue
-        for x in m.gens:
-            for y2 in outs:
-                _add(table, ((), (x, y), ()), (x, y2))
-    # Combined one-input action by union basis elements.
-    rot_inv = {v: k for k, v in brot.items()}
-    for u in range(U.dim):
-        e1, e2 = ta.split[u]
-        a_idem = A.is_idempotent_elem(e1)
-        b_idem = brev.is_idempotent_elem(e2)
-        if a_idem and b_idem:
-            continue
-        b_orig = rot_inv[e2]
-        for x in m.gens:
-            xs = (
-                frozenset([x])
-                if a_idem and A.elems[e1].occupied == m.lidem[x]
-                else m.table.get(((e1,), x, ()), frozenset())
-                if not a_idem
-                else frozenset()
-            )
-            if not xs:
-                continue
-            for y in n.gens:
-                ys = (
-                    frozenset([y])
-                    if b_idem and B.elems[b_orig].occupied == n.ridem[y]
-                    else n.table.get(((), y, (b_orig,)), frozenset())
-                    if not b_idem
-                    else frozenset()
-                )
-                if not ys:
-                    continue
-                for x2 in xs:
-                    for y2 in ys:
-                        _add(table, ((u,), (x, y), ()), (x2, y2))
-    return ModuleStructure(
-        "AA", U, None, gens, lidem, ridem, table, name=f"({m.name}(x){n.name})"
-    )
+    return fold(ground_tensor(m, n), TensorAlgebra(m.left_alg, rotate180(n.right_alg)[0]))
 
 
 # -- induced morphisms ----------------------------------------------------------
@@ -293,12 +323,12 @@ def induced(f: Morphism, other: ModuleStructure, side: str) -> Morphism:
     if side == "right":
         if f.kind != "AA":
             raise StructureError("unsupported induced-map combination")
-        boxed, slot = (lambda m: box(m, other, validate=False).result), 0
+        boxed, slot = (lambda m: box(m, other, validate=False)), 0
     elif side == "left":
         # id_other (x) f with f a morphism of left type-D structures.
         if f.kind != "DA" or other.right_type != "A":
             raise StructureError("unsupported induced-map combination")
-        boxed, slot = (lambda m: box(other, m, validate=False).result), 1
+        boxed, slot = (lambda m: box(other, m, validate=False)), 1
     else:
         raise ValueError("side must be 'left' or 'right'")
 

@@ -1,5 +1,5 @@
-"""Hand-wired join walkers: the references for `join_symmetry_verdict` and
-`join_identity_check`.
+"""Hand-wired join walkers: the references for `join_symmetry_verdict`,
+`join_identity_check` and the join's tensor-algebra modules.
 
 The library builds the reflected side of the symmetry verdict by running
 `join_general` over the formal opposite algebra.  The functions here build
@@ -13,11 +13,15 @@ with identical basis labels, differentials and matrix columns.
 identity slot into M's operations by hand and applies the cancellation to
 the surviving states; the library composes the same map from `join_general`
 against the double.
+
+`tensor_complex`, `pair_bimodule`, `pair_d_module` and `dd_as_left_module`
+are the original hand builders of the join's domain and its pair modules;
+the library builds each from the ground-ring tensor and its fold.
 """
 
 from __future__ import annotations
 
-from strandjoin.ainf import ModuleStructure, StructureError, dualize, oppositize
+from strandjoin.ainf import ModuleStructure, StructureError, _add, dualize, oppositize
 from strandjoin.gf2 import ChainComplexGf2, Gf2Matrix, Gf2Vector
 from strandjoin.join import (
     JoinInstance,
@@ -29,11 +33,14 @@ from strandjoin.join import (
     _require_right_d,
     _right_d_chains,
     diagonal,
+    dm_complex,
     join_general,
     left_entries_with_units,
-    tensor_complex,
+    mv_complex,
 )
 from strandjoin.standard_models import dual_alg_as_aa, identity_firings
+from strandjoin.strands import rotate180
+from strandjoin.tensor import TensorAlgebra
 
 
 def _idem_firings_right_d(U: ModuleStructure):
@@ -286,3 +293,119 @@ def assert_identity_matches(U: ModuleStructure, M: ModuleStructure) -> Gf2Matrix
     assert lib.rows == ref.rows and lib.cols == ref.cols
     assert lib.nonzero == ref.nonzero
     return lib
+
+
+# -- the hand-built tensor-algebra modules -----------------------------------------
+#
+# The library builds these from `tensor.ground_tensor` and `tensor.fold`; the
+# functions below are the original hand builders, each reading its factors'
+# table layouts directly.
+
+
+def tensor_complex(c1: ChainComplexGf2, c2: ChainComplexGf2) -> ChainComplexGf2:
+    basis = tuple((a, b) for a in c1.basis for b in c2.basis)
+    images = {}
+    for a in c1.basis:
+        da = c1.differential.column(a)
+        for b in c2.basis:
+            db = c2.differential.column(b)
+            img = Gf2Vector(frozenset((a2, b) for a2 in da)) + Gf2Vector(
+                frozenset((a, b2) for b2 in db)
+            )
+            images[(a, b)] = img
+    d = Gf2Matrix.from_columns(basis, basis, images)
+    return ChainComplexGf2(basis, d)
+
+
+def pair_bimodule(M: ModuleStructure) -> ModuleStructure:
+    """M (x) M-dual as an (A, A)-bimodule, operations touching one side at a time."""
+    _require_left_a(M)
+    A = M.left_alg
+    gens = tuple((p, q) for p in M.gens for q in M.gens)
+    lidem = {(p, q): M.lidem[p] for (p, q) in gens}
+    ridem = {(p, q): M.lidem[q] for (p, q) in gens}
+    table: dict = {}
+
+    for (argsL, p, _), outs in M.table.items():
+        for q in M.gens:
+            for p2 in outs:
+                _add(table, (argsL, (p, q), ()), (p2, q))
+    # The dual right action: <q^ . (b_1..b_j), x> = <q^, m(b_j, ..., b_1, x)>.
+    for (argsL, x, _), outs in M.table.items():
+        argsR = tuple(reversed(argsL))
+        for q in outs:
+            for p in M.gens:
+                _add(table, ((), (p, q), argsR), (p, x))
+    return ModuleStructure(
+        "AA", A, A, gens, lidem, ridem, table, name=f"({M.name}(x)dual)"
+    )
+
+
+def join_domain(U: ModuleStructure, M: ModuleStructure, V: ModuleStructure) -> ChainComplexGf2:
+    """The domain of join_general as first built: the tensor of two box complexes."""
+    return tensor_complex(dm_complex(U, M), mv_complex(dualize(M), V))
+
+
+def pair_d_module(U: ModuleStructure, V: ModuleStructure, ta: TensorAlgebra) -> ModuleStructure:
+    """U (x) V as a right type-D module over the tensor algebra.
+
+    U is a right type-D module over the first factor; V a left type-D module
+    over the algebra whose reversal is the second factor, so V's outputs are
+    recorded through the rotation bijection.
+    """
+    _require_right_d(U)
+    _require_left_d(V)
+    am1, am2rev = ta.factors
+    if U.right_alg is not am1:
+        raise StructureError("first factor algebra mismatch")
+    rev_alg, rot = rotate180(V.left_alg)
+    if rev_alg is not am2rev:
+        raise StructureError("second factor algebra mismatch")
+    union = ta.union
+    gens = tuple((u, v) for u in U.gens for v in V.gens)
+    lidem = {g: frozenset() for g in gens}
+    ridem = {
+        (u, v): U.ridem[u] | frozenset(j + ta.shift for j in V.lidem[v])
+        for (u, v) in gens
+    }
+    table: dict = {}
+
+    for (u, v) in gens:
+        for u2, a in U.table.get(((), u), ()):
+            ib = am2rev.idempotent_index(V.lidem[v])
+            pair = ta.pair_index[(a, ib)]
+            _add(table, ((), (u, v)), ((u2, v), pair))
+        for a, v2 in V.table.get((v, ()), ()):
+            ia = am1.idempotent_index(U.ridem[u])
+            pair = ta.pair_index[(ia, rot[a])]
+            _add(table, ((), (u, v)), ((u, v2), pair))
+    return ModuleStructure(
+        "AD", None, union, gens, lidem, ridem, table, name=f"({U.name}(x){V.name})"
+    )
+
+
+def dd_as_left_module(X: ModuleStructure, ta: TensorAlgebra) -> ModuleStructure:
+    """A DD bimodule as a left type-D module over the tensor algebra."""
+    if X.kind != "DD":
+        raise StructureError("expected a DD bimodule")
+    am1, am2rev = ta.factors
+    if X.left_alg is not am1:
+        raise StructureError("first factor algebra mismatch")
+    rev_alg, rot = rotate180(X.right_alg)
+    if rev_alg is not am2rev:
+        raise StructureError("second factor algebra mismatch")
+    union = ta.union
+    gens = X.gens
+    lidem = {
+        g: X.lidem[g] | frozenset(j + ta.shift for j in X.ridem[g]) for g in gens
+    }
+    ridem = {g: frozenset() for g in gens}
+    table: dict = {}
+
+    for g in gens:
+        for a, y, b in X.table.get(g, ()):
+            pair = ta.pair_index[(a, rot[b])]
+            _add(table, (g, ()), (pair, y))
+    return ModuleStructure(
+        "DA", union, None, gens, lidem, ridem, table, name=f"[{X.name}]"
+    )

@@ -5,14 +5,42 @@ charts and replaces everything after it with the original methods: faces
 walked over dict half-edges, glue keys recomputed per region, generators
 filtered from every subset of points, a mirrored left/right copy of the
 strip move, and a point scan for each vertex name.
+
+`in_closed_polygon` is the strip and rectangle emptiness test on `Fraction`
+coordinates, the reference for the library's integer-scaled
+`_in_closed_polygon`.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from strandjoin.nice_diagram import F, Chart, PlanarDiagram, _on_segment, _split_segments
+from strandjoin.nice_diagram import F, Chart, PlanarDiagram, _split_segments
 from strandjoin.strands import enumerate_basis
+
+
+def _on_segment(p, a, b) -> bool:
+    """Whether p lies strictly inside segment ab."""
+    cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+    if cross != 0:
+        return False
+    dot = (p[0] - a[0]) * (b[0] - a[0]) + (p[1] - a[1]) * (b[1] - a[1])
+    sq = (b[0] - a[0]) ** 2 + (b[1] - a[1]) ** 2
+    return 0 < dot < sq
+
+
+def in_closed_polygon(p, poly) -> bool:
+    """Whether p lies inside poly or on its boundary, by exact ray crossing
+    (horizontal ray to +x)."""
+    x, y = p
+    inside = False
+    for q1, q2 in zip(poly, poly[1:] + poly[:1]):
+        if p == q1 or _on_segment(p, q1, q2):
+            return True
+        (x1, y1), (x2, y2) = q1, q2
+        if (y1 > y) != (y2 > y) and x1 + (y - y1) * (x2 - x1) / (y2 - y1) > x:
+            inside = not inside
+    return inside
 
 
 def _point_in_polygon(p, poly) -> bool:

@@ -1,4 +1,5 @@
-"""The hand-rolled induced map: the reference for `tensor.induced`.
+"""Hand-rolled tensor constructions: the references for `tensor.induced` and
+`tensor.external_tensor`.
 
 The library boxes the mapping cone of f (src and dst side by side, f joining
 them) with the other factor and keeps the entries from src to dst.  The
@@ -6,6 +7,12 @@ functions here build f boxed with an identity directly: on the right, f's
 entries consume chains of the other factor's firings; on the left, chains
 of src's firings, one f firing and chains of dst's firings are interleaved
 by hand, with a lone idempotent f firing acting as the identity.
+
+The library's external tensor is the fold of the ground-ring tensor; the
+`external_tensor` here is the original builder, which walks the union
+algebra's basis and reads both factors' tables directly.
+`assert_same_structure` is the label-for-label comparison the differential
+tests use for every such pair of builders.
 """
 
 from __future__ import annotations
@@ -20,7 +27,8 @@ from strandjoin.ainf import (
     _from_out,
     _max_input_len,
 )
-from strandjoin.tensor import _collapse, _d_chains, box
+from strandjoin.strands import rotate180
+from strandjoin.tensor import TensorAlgebra, _collapse, _d_chains, box
 
 
 def _box_table(f, n: ModuleStructure, kind: str, genset: set) -> dict:
@@ -48,15 +56,15 @@ def induced(f: Morphism, other: ModuleStructure, side: str) -> Morphism:
     if side == "right":
         if f.kind != "AA":
             raise StructureError("unsupported induced-map combination")
-        src_box = box(f.src, other, validate=False).result
-        dst_box = box(f.dst, other, validate=False).result
+        src_box = box(f.src, other, validate=False)
+        dst_box = box(f.dst, other, validate=False)
         return Morphism(src_box, dst_box, _box_table(f, other, src_box.kind, src_box.genset))
     if side == "left":
         # id_other (x) f with f a morphism of left type-D structures.
         if f.kind != "DA" or other.right_type != "A":
             raise StructureError("unsupported induced-map combination")
-        src_box = box(other, f.src, validate=False).result
-        dst_box = box(other, f.dst, validate=False).result
+        src_box = box(other, f.src, validate=False)
+        dst_box = box(other, f.dst, validate=False)
         kind = src_box.kind
         alg = other.right_alg
         kmax = other.max_right_len()
@@ -114,3 +122,88 @@ def induced(f: Morphism, other: ModuleStructure, side: str) -> Morphism:
                                             )
         return Morphism(src_box, dst_box, table)
     raise ValueError("side must be 'left' or 'right'")
+
+
+def assert_same_structure(got: ModuleStructure, ref: ModuleStructure) -> None:
+    """Equal kind, algebras (by identity), generator order, idempotents and table."""
+    assert got.kind == ref.kind
+    assert got.left_alg is ref.left_alg and got.right_alg is ref.right_alg
+    assert got.gens == ref.gens
+    assert got.lidem == ref.lidem and got.ridem == ref.ridem
+    assert got.table == ref.table
+
+
+def external_tensor(m: ModuleStructure, n: ModuleStructure) -> ModuleStructure:
+    """The DG-type module M (x) N over the tensor of their algebras.
+
+    m is a left module over A, n a right module over B; the result is a left
+    module over the algebra of the disjoint union of A's diagram and the
+    reverse of B's (realizing B-opposite), with the combined one-input
+    action.
+    """
+    if not (m.kind == "AA" and m.right_alg is None and m.left_alg is not None):
+        raise StructureError("first factor must be a left type-A module")
+    if not (n.kind == "AA" and n.left_alg is None and n.right_alg is not None):
+        raise StructureError("second factor must be a right type-A module")
+    if not m.is_dg_type() or not n.is_dg_type():
+        raise StructureError("external tensor requires DG-type factors")
+    A, B = m.left_alg, n.right_alg
+    brev, brot = rotate180(B)
+    ta = TensorAlgebra(A, brev)
+    U = ta.union
+    gens = tuple((x, y) for x in m.gens for y in n.gens)
+    lidem = {
+        (x, y): m.lidem[x] | frozenset(j + ta.shift for j in n.ridem[y])
+        for (x, y) in gens
+    }
+    ridem = {g: frozenset() for g in gens}
+    table: dict = {}
+
+    # Differential: Leibniz.
+    for (argsL, x, _), outs in m.table.items():
+        if argsL:
+            continue
+        for y in n.gens:
+            for x2 in outs:
+                _add(table, ((), (x, y), ()), (x2, y))
+    for (_, y, argsR), outs in n.table.items():
+        if argsR:
+            continue
+        for x in m.gens:
+            for y2 in outs:
+                _add(table, ((), (x, y), ()), (x, y2))
+    # Combined one-input action by union basis elements.
+    rot_inv = {v: k for k, v in brot.items()}
+    for u in range(U.dim):
+        e1, e2 = ta.split[u]
+        a_idem = A.is_idempotent_elem(e1)
+        b_idem = brev.is_idempotent_elem(e2)
+        if a_idem and b_idem:
+            continue
+        b_orig = rot_inv[e2]
+        for x in m.gens:
+            xs = (
+                frozenset([x])
+                if a_idem and A.elems[e1].occupied == m.lidem[x]
+                else m.table.get(((e1,), x, ()), frozenset())
+                if not a_idem
+                else frozenset()
+            )
+            if not xs:
+                continue
+            for y in n.gens:
+                ys = (
+                    frozenset([y])
+                    if b_idem and B.elems[b_orig].occupied == n.ridem[y]
+                    else n.table.get(((), y, (b_orig,)), frozenset())
+                    if not b_idem
+                    else frozenset()
+                )
+                if not ys:
+                    continue
+                for x2 in xs:
+                    for y2 in ys:
+                        _add(table, ((u,), (x, y), ()), (x2, y2))
+    return ModuleStructure(
+        "AA", U, None, gens, lidem, ridem, table, name=f"({m.name}(x){n.name})"
+    )

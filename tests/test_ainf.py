@@ -43,7 +43,7 @@ def ad_models(am):
 def box_models(am):
     """Box products of the four factor pairs: AA, DA left times DA, DD right."""
     A, IdDA, IdDD = alg_as_aa(am), da_identity(am), dd_identity(am)
-    return [box(m, n).result for m in (A, IdDA) for n in (IdDA, IdDD)]
+    return [box(m, n) for m in (A, IdDA) for n in (IdDA, IdDD)]
 
 
 def all_models(am):

@@ -61,13 +61,13 @@ def standard_models(am):
 
 def box_results(am):
     out = [
-        box(alg_as_aa(am), dd_identity(am)).result,
-        box(da_identity(am), dd_identity(am)).result,
+        box(alg_as_aa(am), dd_identity(am)),
+        box(da_identity(am), dd_identity(am)),
     ]
     for I in am.all_idempotent_subsets():
         eD = elementary(am, I, "D", hand="left")
-        out.append(box(alg_as_aa(am), eD).result)
-        out.append(box(da_identity(am), eD).result)
+        out.append(box(alg_as_aa(am), eD))
+        out.append(box(da_identity(am), eD))
     return out
 
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -203,7 +204,7 @@ def test_join_identity_rejects_structured_u(am2):
     # M-dual box I as three_joins builds it: a right type-D module whose
     # structure map is nonzero, which the identity check does not cover.
     M = left_module_from_right_idem(am2, {2})
-    U = box(dualize(M), dd_identity(am2)).result
+    U = box(dualize(M), dd_identity(am2))
     assert U.table
     with pytest.raises(StructureError, match="structureless U only"):
         join_identity_check(U, M)
@@ -231,6 +232,18 @@ def test_three_joins_sample(am1):
         assert three_joins(U, M, X, N, V)
 
 
+def test_three_joins_z2_sample(am2):
+    # A seeded sample of the 64 (I0, J0, K) triples; each takes about 0.2 s.
+    X = dd_identity(am2)
+    subs = _subsets(am2)
+    for I0, J0, K in random.Random(14).sample(list(itertools.product(subs, repeat=3)), 8):
+        U = elementary(am2, I0, "D", hand="right")
+        V = elementary(am2, J0, "D", hand="left")
+        M = left_module_from_right_idem(am2, K)
+        N = elementary(am2, K, "A")
+        assert three_joins(U, M, X, N, V), (I0, J0, K)
+
+
 def test_self_join_chain_map_and_elementary_dictionary(am1):
     ta = TensorAlgebra(am1, rotate180(am1)[0])
     U = elementary(am1, frozenset({1}), "D", hand="right")
@@ -249,6 +262,19 @@ def test_self_join_chain_map_and_elementary_dictionary(am1):
         for (uv, ut, mid) in sj.matrix.column(g):
             e1, e2 = ta.split[ut]
             assert am1.is_idempotent_elem(e1)
+
+
+def test_self_join_chain_map_z2(am2):
+    ta = TensorAlgebra(am2, rotate180(am2)[0])
+    U = elementary(am2, frozenset({1}), "D", hand="right")
+    V = elementary(am2, frozenset({1}), "D", hand="left")
+    up = pair_d_module(U, V, ta)
+    nonzero = 0
+    for M in left_module_candidates(am2):
+        sj = self_join(up, M)
+        assert sj.is_chain_map(), M.name
+        nonzero += not sj.matrix.is_zero()
+    assert nonzero
 
 
 def test_self_join_zero_module(am1):

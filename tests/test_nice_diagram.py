@@ -4,9 +4,9 @@ import pytest
 
 from strandjoin.arc_diagram import Z0, Z1, Z2, ArcDiagram
 from strandjoin.standard_models import alg_as_aa, elementary
+from nice_oracle import _on_segment
 from strandjoin.nice_diagram import (
     PlanarDiagram,
-    _on_segment,
     _seg_intersect,
     _split_segments,
     build_cap_diagram,

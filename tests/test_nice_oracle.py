@@ -1,13 +1,17 @@
 """Differential tests: `PlanarDiagram` against the original methods in
 `tests/nice_oracle.py`, on the ladder diagrams and seeded random ones, each
-as a twisting slice and with every cap."""
+as a twisting slice and with every cap.  Every strip and rectangle
+emptiness test the library makes on them is also run on `Fraction`s."""
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
 
-from nice_oracle import OraclePlanarDiagram
+import pytest
+
+from nice_oracle import OraclePlanarDiagram, in_closed_polygon
+from strandjoin import nice_diagram
 from strandjoin.arc_diagram import Z0, Z1, Z2, ArcDiagram, flip_type, random_diagram
 from strandjoin.nice_diagram import PlanarDiagram, count_domains
 
@@ -16,6 +20,23 @@ _POINTS = ("x1", "x2", "x3", "x4", "x5", "x6")
 # tests); the nested diagram matches x_i with x_{7-i}.
 R3_INTERLEAVED = ArcDiagram((_POINTS,), {p: i % 3 + 1 for i, p in enumerate(_POINTS)}, "alpha")
 R3_NESTED = ArcDiagram((_POINTS,), {p: min(i, 5 - i) + 1 for i, p in enumerate(_POINTS)}, "alpha")
+
+
+@pytest.fixture
+def polygon_tests(monkeypatch) -> list:
+    """The outcomes of the library's point-in-polygon tests, each checked
+    against the `Fraction` version as it is made."""
+    outcomes = []
+    scaled = nice_diagram._in_closed_polygon
+
+    def checked(p, poly):
+        got = scaled(p, poly)
+        assert got == in_closed_polygon(p, poly), (p, poly)
+        outcomes.append(got)
+        return got
+
+    monkeypatch.setattr(nice_diagram, "_in_closed_polygon", checked)
+    return outcomes
 
 
 def _random_alpha_diagrams(n: int) -> list:
@@ -72,11 +93,13 @@ def _compare_with_oracle(z) -> int:
     return actions
 
 
-def test_ladders_match_oracle():
+def test_ladders_match_oracle(polygon_tests):
     actions = sum(_compare_with_oracle(z) for z in (Z0, Z1, Z2, R3_INTERLEAVED, R3_NESTED))
     assert actions > 0
+    assert set(polygon_tests) == {False, True}
 
 
-def test_random_diagrams_match_oracle():
+def test_random_diagrams_match_oracle(polygon_tests):
     actions = sum(_compare_with_oracle(z) for z in _random_alpha_diagrams(25))
     assert actions > 0
+    assert set(polygon_tests) == {False, True}

@@ -105,7 +105,7 @@ def test_bsa_blocks_elementary(am1):
 def test_bsa_block_matches_box(am1):
     u = alg_as_right_module(am1)
     for I in am1.all_idempotent_subsets():
-        c = box(u, elementary(am1, I, "D", hand="left")).result.underlying_complex()
+        c = box(u, elementary(am1, I, "D", hand="left")).underlying_complex()
         assert c.dim == bsa_blocks(u)[I][1].dim
 
 

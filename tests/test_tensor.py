@@ -5,6 +5,7 @@ import pytest
 import tensor_oracle
 from strandjoin.arc_diagram import Z1, reverse
 from strandjoin.ainf import (
+    ModuleStructure,
     Morphism,
     StructureError,
     _morphism_slots,
@@ -23,7 +24,15 @@ from strandjoin.standard_models import (
 )
 from strandjoin.join import cancel_cA, dd_sandwich_da_bimodule
 from strandjoin.strands import enumerate_basis, rotate180
-from strandjoin.tensor import TensorAlgebra, box, dbox, external_tensor, induced
+from strandjoin.tensor import (
+    TensorAlgebra,
+    box,
+    dbox,
+    external_tensor,
+    fold,
+    ground_tensor,
+    induced,
+)
 
 
 def test_box_elementary_pair_compatibility(am1):
@@ -32,7 +41,7 @@ def test_box_elementary_pair_compatibility(am1):
         for J in am1.all_idempotent_subsets():
             eA = elementary(am1, I, "A", hand="right")
             eD = elementary(am1, J, "D", hand="left")
-            r = box(eA, eD).result
+            r = box(eA, eD)
             expected = 1 if eA.ridem[eA.gens[0]] == eD.lidem[eD.gens[0]] else 0
             assert len(r.gens) == expected
             assert not r.table
@@ -40,7 +49,7 @@ def test_box_elementary_pair_compatibility(am1):
 
 def test_box_algebra_with_elementary_block(am1):
     eD = elementary(am1, frozenset({1}), "D", hand="left")
-    r = box(alg_as_aa(am1), eD).result
+    r = box(alg_as_aa(am1), eD)
     gens = {am1.elems[g[0]] for g in r.gens}
     assert gens == {am1.elems[g] for g in range(am1.dim) if am1.right_idem[g] == {1}}
     assert r.underlying_complex().differential.is_zero()
@@ -50,7 +59,7 @@ def test_box_da_identity_is_carrier_bijection(am1, am2):
     for am in (am1, am2):
         for I in am.all_idempotent_subsets():
             eD = elementary(am, I, "D", hand="left")
-            r = box(da_identity(am), eD).result
+            r = box(da_identity(am), eD)
             assert len(r.gens) == 1
             assert not r.table
             assert r.lidem[r.gens[0]] == frozenset(I)
@@ -60,9 +69,9 @@ def test_box_results_pass_check_structure(am1, am2):
     for am in (am1, am2):
         for I in am.all_idempotent_subsets():
             eD = elementary(am, I, "D", hand="left")
-            assert check_structure(box(alg_as_aa(am), eD).result) is None
-        assert check_structure(box(alg_as_aa(am), dd_identity(am)).result) is None
-        assert check_structure(box(da_identity(am), dd_identity(am)).result) is None
+            assert check_structure(box(alg_as_aa(am), eD)) is None
+        assert check_structure(box(alg_as_aa(am), dd_identity(am))) is None
+        assert check_structure(box(da_identity(am), dd_identity(am))) is None
 
 
 def test_box_rejects_mismatches(am1, am2):
@@ -127,12 +136,45 @@ def test_external_tensor_requires_shapes(am2):
         external_tensor(M, M)  # second factor must be a right module
 
 
+def test_ground_tensor_requires_a_left_then_a_right_structure(am1):
+    M = left_module_from_right_idem(am1, {1})
+    for m, n in (
+        (dualize(M), dualize(M)),  # the first factor is a right module
+        (M, M),  # the second factor is a left module
+        (alg_as_aa(am1), dualize(M)),  # the first factor is a bimodule
+        (M, da_identity(am1)),  # the second factor is a bimodule
+    ):
+        with pytest.raises(StructureError, match="left structure, then a right"):
+            ground_tensor(m, n)
+
+
+def test_fold_rejects_other_inputs(am1, am2):
+    ta = TensorAlgebra(am1, rotate180(am1)[0])
+    with pytest.raises(StructureError, match="only a DD or a DG-type AA"):
+        fold(da_identity(am1), ta)
+    # a well-typed AA bimodule with a two-input entry m(r; x; r) = y
+    r = next(i for i in range(am1.dim) if not am1.is_idempotent_elem(i))
+    L, R = am1.left_idem[r], am1.right_idem[r]
+    w = ModuleStructure(
+        "AA", am1, am1, ("x", "y"), {"x": R, "y": L}, {"x": L, "y": R},
+        {((r,), "x", (r,)): {"y"}}, validate=False,
+    )
+    assert not w.is_dg_type()
+    with pytest.raises(StructureError, match="only a DD or a DG-type AA"):
+        fold(w, ta)
+    X = dd_identity(am1)
+    with pytest.raises(StructureError, match="first factor algebra mismatch"):
+        fold(X, TensorAlgebra(am2, rotate180(am1)[0]))
+    with pytest.raises(StructureError, match="second factor algebra mismatch"):
+        fold(X, TensorAlgebra(am1, rotate180(am2)[0]))
+
+
 def test_induced_identity_and_zero(am2):
     eD = elementary(am2, frozenset({1}), "D", hand="left")
     A = alg_as_aa(am2)
     idm = identity_morphism(A)
     ind = induced(idm, eD, "right")
-    box_mod = box(A, eD).result
+    box_mod = box(A, eD)
     assert ind.table == identity_morphism(box_mod).table
     z = zero_morphism(A, A)
     assert induced(z, eD, "right").is_zero()
@@ -156,7 +198,7 @@ def test_induced_left_identity(am1):
     A = alg_as_aa(am1)
     idd = identity_morphism(eD)
     ind = induced(idd, A, "left")
-    box_mod = box(A, eD).result
+    box_mod = box(A, eD)
     assert ind.table == identity_morphism(box_mod).table
 
 
@@ -226,8 +268,8 @@ def test_box_associativity_with_dg_middle(am1):
     X = da_identity(am1)
     for I in am1.all_idempotent_subsets():
         eD = elementary(am1, I, "D", hand="left")
-        left_first = box(box(A, X).result, eD).result
-        right_first = box(A, box(X, eD).result).result
+        left_first = box(box(A, X), eD)
+        right_first = box(A, box(X, eD))
         remap = {((x, i), e): (x, (i, e)) for ((x, i), e) in left_first.gens}
         assert set(remap.values()) == set(right_first.gens)
         relabeled = {}
@@ -245,8 +287,8 @@ def test_double_reassociates_through_dbox(am1, am2):
         for X in (dd_middle(am), dd_identity(am)):
             for M in left_module_candidates(am):
                 Md = dualize(M)
-                left_first = dbox(box(Md, X, validate=False).result, M, validate=False)
-                right_first = box(Md, dbox(X, M, validate=False), validate=False).result
+                left_first = dbox(box(Md, X, validate=False), M, validate=False)
+                right_first = box(Md, dbox(X, M, validate=False), validate=False)
                 remap = {((q, x), p): (q, (x, p)) for ((q, x), p) in left_first.gens}
                 assert set(remap.values()) == set(right_first.gens)
                 relabeled = {}
