@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 from .gf2 import ChainComplexGf2, Gf2Matrix, Gf2Vector
 from .strands import AlgebraModel, rotate180
-from .ainf import ModuleStructure, Morphism, StructureError, _add, dualize, oppositize, relabel
+from .ainf import ModuleStructure, Morphism, StructureError, _add, check_structure
+from .ainf import dualize, oppositize, relabel
 from .standard_models import (
     alg_as_aa,
     da_identity,
@@ -127,6 +128,9 @@ def pair_bimodule(M: ModuleStructure) -> ModuleStructure:
     _require_left_a(M)
     P = ground_tensor(M, dualize(M))
     P.name = f"({M.name}(x)dual)"
+    bad = check_structure(P)
+    if bad is not None:
+        raise StructureError(f"structure equation fails at {bad}")
     return P
 
 

@@ -153,7 +153,8 @@ def ground_tensor(m: ModuleStructure, n: ModuleStructure) -> ModuleStructure:
 
     Generators are (x, y).  Each factor's entries act on its own side, one
     side at a time; the other side takes no inputs and, if it is type D,
-    emits the idempotent of its factor's generator.
+    emits the idempotent of its factor's generator.  Not validated: fold
+    validates what it folds, and pair_bimodule checks its own result.
     """
     if m.right_alg is not None or n.left_alg is not None:
         raise StructureError("ground tensor takes a left structure, then a right structure")
@@ -179,6 +180,7 @@ def ground_tensor(m: ModuleStructure, n: ModuleStructure) -> ModuleStructure:
         {(x, y): m.lidem[x] for (x, y) in gens},
         {(x, y): n.ridem[y] for (x, y) in gens},
         table,
+        validate=False,
         name=f"({m.name}(x){n.name})",
     )
 
