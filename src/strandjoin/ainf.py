@@ -24,8 +24,6 @@ equation and make the cancellation morphism a cycle).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .gf2 import ChainComplexGf2, Gf2Matrix, Gf2Vector, homology, induced_map_on_homology, solve
 from .strands import AlgebraModel
 
@@ -129,8 +127,8 @@ class ModuleStructure:
     def __init__(
         self,
         kind: str,
-        left_alg: Optional[AlgebraModel],
-        right_alg: Optional[AlgebraModel],
+        left_alg: AlgebraModel | None,
+        right_alg: AlgebraModel | None,
         gens,
         lidem: dict,
         ridem: dict,
@@ -324,7 +322,7 @@ def _insertions(alg: AlgebraModel, args: tuple):
 # them, so the first failing input is the same witness.
 
 
-def _pullbacks(alg: Optional[AlgebraModel], args: tuple):
+def _pullbacks(alg: AlgebraModel | None, args: tuple):
     """Tuples that one mu_1 / mu_2 insertion (see `_insertions`) can turn into args."""
     if alg is None or not args:
         return
@@ -750,7 +748,7 @@ def morphism_to_atoms(f: Morphism) -> frozenset:
     return frozenset(atoms)
 
 
-def bounded_homotopy_search(f: Morphism, g: Morphism, max_len: int) -> Optional[Morphism]:
+def bounded_homotopy_search(f: Morphism, g: Morphism, max_len: int) -> Morphism | None:
     """Search for H with dH = f - g among morphisms of input length <= max_len.
 
     A None result is inconclusive: it never certifies that f and g are not

@@ -8,29 +8,25 @@ by orientation reversal and type switching.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .gf2 import Frozen
 
 
-@dataclass(frozen=True)
-class SurfaceStats:
-    euler_characteristic: int
-    num_sutures: int
+class SurfaceStats(Frozen):
+    __slots__ = _fields = ("euler_characteristic", "num_sutures")
+
+    def __init__(self, euler_characteristic: int, num_sutures: int):
+        self._init(euler_characteristic, num_sutures)
 
 
-@dataclass(frozen=True)
-class ArcDiagram:
+class ArcDiagram(Frozen):
     """Arcs are ordered tuples of point names; matching maps each point to a pair index 1..k."""
 
-    arcs: tuple
-    matching: tuple  # sorted tuple of (point, pair-index)
-    kind: str = "alpha"
+    __slots__ = _fields = ("arcs", "matching", "kind")  # matching: sorted (point, pair-index)
 
-    def __post_init__(self):
-        object.__setattr__(self, "arcs", tuple(tuple(a) for a in self.arcs))
-        if isinstance(self.matching, dict):
-            object.__setattr__(self, "matching", tuple(sorted(self.matching.items())))
-        else:
-            object.__setattr__(self, "matching", tuple(sorted(self.matching)))
+    def __init__(self, arcs, matching, kind: str = "alpha"):
+        if isinstance(matching, dict):
+            matching = matching.items()
+        self._init(tuple(tuple(a) for a in arcs), tuple(sorted(matching)), kind)
 
     @property
     def match(self) -> dict:

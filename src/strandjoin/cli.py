@@ -10,7 +10,6 @@ and the seed in effect.  Exit codes: 0 success, 1 input or validation error,
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 
 from . import __version__
@@ -21,9 +20,8 @@ from .strands import (
     dump_diff_tsv,
     dump_mult_tsv,
     enumerate_basis,
+    homology_blocks,
 )
-from .ainf import dualize
-from .standard_models import DescriptorError, parse_descriptor
 
 
 class CliError(Exception):
@@ -88,8 +86,6 @@ def cmd_algebra(args, out) -> int:
 
 
 def cmd_blocks(args, out) -> int:
-    from .sfh import homology_blocks
-
     z = _load_diagram(args.diagram)
     am = enumerate_basis(z)
     out.write(_header(args))
@@ -110,11 +106,17 @@ _JOIN_ROLES = {
 
 def _module_for_join(am, desc: str, role: str):
     """U is a right type-D module, M a bounded left type-A module, V a left type-D module."""
+    from .ainf import dualize
+    from .standard_models import DescriptorError, parse_descriptor
+
     desc = desc.strip()
     prefixes, forms = _JOIN_ROLES[role]
     if not desc.startswith(prefixes):
         raise CliError(f"{role} descriptor must be {forms}, got {desc!r}", 1)
-    m = parse_descriptor(am, desc)
+    try:
+        m = parse_descriptor(am, desc)
+    except DescriptorError as e:
+        raise CliError(str(e), 1)
     # elementary:D:{..} parses as a left type-D module; U is its mirror image.
     return dualize(m) if role == "U" else m
 
@@ -337,7 +339,7 @@ def _suite_nice(z, am, rng) -> list:
 
 def _suite_sfh(z, am, rng) -> list:
     from .ainf import StructureError
-    from .sfh import alg_as_right_module, homology_blocks, m_H, mu_H
+    from .sfh import alg_as_right_module, m_H, mu_H
     from .gf2 import ChainComplexGf2, Gf2Matrix, Gf2Vector
 
     failures = []
@@ -384,6 +386,8 @@ def _suite_homotopy(z, am, rng, max_len=4):
 
 
 def cmd_check(args, out) -> int:
+    import random
+
     z = _load_diagram(args.diagram)
     am = enumerate_basis(z)
     rng = random.Random(args.seed)
@@ -470,9 +474,6 @@ def run(argv=None, out=None) -> int:
     except CliError as e:
         out.write(f"error: {e}\n")
         return e.code
-    except DescriptorError as e:
-        out.write(f"error: {e}\n")
-        return 1
 
 
 def main() -> None:

@@ -9,22 +9,63 @@ results such as homology representatives are reproducible across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Hashable, Iterable, Sequence
 from functools import cached_property
-from typing import Hashable, Iterable, Optional, Sequence
 
 Key = Hashable
 
 
-@dataclass(frozen=True)
-class Gf2Vector:
+class Frozen:
+    """Base of the immutable value types, behaving as frozen dataclasses do.
+
+    A subclass names its fields in `_fields` (also its `__slots__`) and sets
+    them once, in `__init__`, through `_init`; `__init__` takes the fields in
+    that order.  Equality and hash compare the tuple of field values, the
+    repr is `Name(field=value, ...)`, and assigning or deleting an attribute
+    afterwards raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Gf2Vector(Frozen):
     """A Z/2 vector: the set of basis keys with coefficient 1."""
 
-    entries: frozenset = frozenset()
+    __slots__ = _fields = ("entries",)
 
-    def __post_init__(self):
-        if not isinstance(self.entries, frozenset):
-            object.__setattr__(self, "entries", frozenset(self.entries))
+    def __init__(self, entries: Iterable = frozenset()):
+        if not isinstance(entries, frozenset):
+            entries = frozenset(entries)
+        object.__setattr__(self, "entries", entries)  # not through _init: built in inner loops
 
     def __add__(self, other: "Gf2Vector") -> "Gf2Vector":
         return Gf2Vector(self.entries ^ other.entries)
@@ -57,18 +98,14 @@ def vsum(vectors: Iterable[Gf2Vector]) -> Gf2Vector:
     return Gf2Vector(acc)
 
 
-@dataclass(frozen=True)
-class Gf2Matrix:
+class Gf2Matrix(Frozen):
     """A sparse GF(2) matrix over ordered row/column bases."""
 
-    rows: tuple
-    cols: tuple
-    nonzero: frozenset = frozenset()
+    _fields = ("rows", "cols", "nonzero")
+    __slots__ = _fields + ("__dict__",)  # __dict__ holds the cached _by_col
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        object.__setattr__(self, "cols", tuple(self.cols))
-        object.__setattr__(self, "nonzero", frozenset(self.nonzero))
+    def __init__(self, rows: Sequence, cols: Sequence, nonzero: Iterable = frozenset()):
+        self._init(tuple(rows), tuple(cols), frozenset(nonzero))
         rowset, colset = set(self.rows), set(self.cols)
         if len(rowset) != len(self.rows) or len(colset) != len(self.cols):
             raise ValueError("duplicate basis keys")
@@ -203,7 +240,7 @@ def rank(m: Gf2Matrix) -> int:
     return len(_rref(_packed_rows(m).values())[1])
 
 
-def solve(m: Gf2Matrix, b: Gf2Vector) -> Optional[Gf2Vector]:
+def solve(m: Gf2Matrix, b: Gf2Vector) -> Gf2Vector | None:
     """Return some x with m @ x = b, or None if the system is inconsistent.
 
     Free variables are set to 0; the solution is deterministic in the
@@ -225,19 +262,15 @@ class ChainComplexError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ChainComplexGf2:
+class ChainComplexGf2(Frozen):
     """An ungraded Z/2 chain complex: ordered basis plus an endomorphism d with d^2 = 0."""
 
-    basis: tuple
-    differential: Gf2Matrix = None  # type: ignore[assignment]
+    __slots__ = _fields = ("basis", "differential")
 
-    def __post_init__(self):
-        object.__setattr__(self, "basis", tuple(self.basis))
-        d = self.differential
-        if d is None:
-            d = Gf2Matrix.zero(self.basis, self.basis)
-            object.__setattr__(self, "differential", d)
+    def __init__(self, basis: Sequence, differential: Gf2Matrix | None = None):
+        basis = tuple(basis)
+        d = Gf2Matrix.zero(basis, basis) if differential is None else differential
+        self._init(basis, d)
         if d.rows != self.basis or d.cols != self.basis:
             raise ChainComplexError("differential not an endomorphism of the declared basis")
 

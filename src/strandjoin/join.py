@@ -17,8 +17,6 @@ module's outputs feed right input slots in temporal order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .gf2 import ChainComplexGf2, Gf2Matrix, Gf2Vector
 from .strands import AlgebraModel, rotate180
 from .ainf import ModuleStructure, Morphism, StructureError, _add, check_structure
@@ -155,12 +153,10 @@ def nabla(M: ModuleStructure) -> Morphism:
 # -- join instances ------------------------------------------------------------------
 
 
-@dataclass
 class JoinInstance:
-    algebra: AlgebraModel
-    domain: ChainComplexGf2
-    codomain: ChainComplexGf2
-    matrix: Gf2Matrix
+    def __init__(self, algebra: AlgebraModel, domain: ChainComplexGf2,
+                 codomain: ChainComplexGf2, matrix: Gf2Matrix):
+        self.algebra, self.domain, self.codomain, self.matrix = algebra, domain, codomain, matrix
 
     def is_chain_map(self) -> bool:
         lhs = self.matrix.compose(self.domain.differential)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arc_diagram import ArcDiagram, validate
@@ -130,12 +129,12 @@ _HANDLE_STRIPS = (
 _GLUE = ("glue", "handle-glue")
 
 
-@dataclass
 class Chart:
     """A planar chart: segments with tags, later assembled into faces."""
 
-    name: tuple
-    segments: list = field(default_factory=list)  # (p1, p2, tag)
+    def __init__(self, name: tuple):
+        self.name = name
+        self.segments: list = []  # (p1, p2, tag)
 
     def add(self, p1, p2, tag):
         self.segments.append((p1, p2, tag))
@@ -602,11 +601,9 @@ def count_domains(d: PlanarDiagram) -> ModuleStructure:
     )
 
 
-@dataclass
 class ComparisonVerdict:
-    isomorphic: bool
-    witness: str = ""
-    bijection: dict = None  # type: ignore[assignment]
+    def __init__(self, isomorphic: bool, witness: str = "", bijection: dict | None = None):
+        self.isomorphic, self.witness, self.bijection = isomorphic, witness, bijection
 
 
 def compare_with_algebra(d: PlanarDiagram, m: ModuleStructure) -> ComparisonVerdict:

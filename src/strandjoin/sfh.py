@@ -11,9 +11,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .gf2 import ChainComplexGf2, Gf2Matrix, Gf2Vector, homology, homology_coordinates, vsum
-from .strands import AlgebraModel
+from .strands import AlgebraModel, gamma_block, homology_blocks  # noqa: F401  (re-exported)
 from .ainf import ModuleStructure, StructureError
-from .standard_models import algebra_module, gamma_block
+from .standard_models import algebra_module
 from .join import cancel_cA
 
 
@@ -24,16 +24,6 @@ def _cancellation(am: AlgebraModel):
     Kept for the life of the process, as `enumerate_basis` keeps the algebra.
     """
     return cancel_cA(am)
-
-
-def homology_blocks(am: AlgebraModel) -> dict:
-    """(I, J) -> homology dimension of the corresponding block."""
-    out = {}
-    for I in am.all_idempotent_subsets():
-        for J in am.all_idempotent_subsets():
-            dim, _ = homology(gamma_block(am, I, J))
-            out[(I, J)] = dim
-    return out
 
 
 def _bilinear_on_homology(c1, c2, c3, *images_of_pair) -> list[Gf2Matrix]:

@@ -13,8 +13,7 @@ together they pin down the idempotent conventions.
 from __future__ import annotations
 
 from .arc_diagram import reverse
-from .gf2 import ChainComplexGf2, Gf2Matrix, Gf2Vector
-from .strands import ABasisElem, AlgebraModel, rotate180
+from .strands import ABasisElem, AlgebraModel, gamma_block, rotate180
 from .ainf import ModuleStructure, dualize
 
 
@@ -149,14 +148,6 @@ def dd_identity(am: AlgebraModel) -> ModuleStructure:
         for I, firings in identity_firings(am).items()
     }
     return ModuleStructure("DD", am, am, gens, lidem, ridem, table, name="IdDD")
-
-
-def gamma_block(am: AlgebraModel, I, J) -> ChainComplexGf2:
-    """The summand iota_I . A . iota_J as a chain complex."""
-    basis = am.idem_blocks().get((frozenset(I), frozenset(J)), ())
-    images = {g: Gf2Vector(am.diff_table[g]) for g in basis}
-    d = Gf2Matrix.from_columns(basis, basis, images)
-    return ChainComplexGf2(basis, d)
 
 
 class DescriptorError(ValueError):

@@ -13,23 +13,21 @@ re-symmetrized; a failure to re-symmetrize indicates a bug and raises.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .arc_diagram import ArcDiagram, reverse, flip_type, validate
-from .gf2 import Gf2Vector, vsum
+from .gf2 import ChainComplexGf2, Frozen, Gf2Matrix, Gf2Vector, homology, vsum
 
 
-@dataclass(frozen=True)
-class ABasisElem:
+class ABasisElem(Frozen):
     """A symmetrized basis element: moving strands plus occupied matched pairs."""
 
-    movers: tuple  # sorted tuple of (source point, target point)
-    occupied: frozenset  # pair indices carried horizontally
+    # movers: sorted tuple of (source point, target point);
+    # occupied: frozenset of the pair indices carried horizontally.
+    __slots__ = _fields = ("movers", "occupied")
 
-    def __post_init__(self):
-        object.__setattr__(self, "movers", tuple(sorted(self.movers)))
-        object.__setattr__(self, "occupied", frozenset(self.occupied))
+    def __init__(self, movers, occupied):
+        self._init(tuple(sorted(movers)), frozenset(occupied))
 
     def __repr__(self):
         ms = ",".join(f"{s}>{t}" for s, t in self.movers)
@@ -404,6 +402,24 @@ def reflect(am: AlgebraModel) -> tuple[AlgebraModel, dict[int, int]]:
     """Reflection along the vertical axis onto the algebra of the type-switched diagram."""
     target = enumerate_basis(flip_type(am.arc_diagram))
     return target, _mover_bijection(am, target)
+
+
+def gamma_block(am: AlgebraModel, I, J) -> ChainComplexGf2:
+    """The summand iota_I . A . iota_J as a chain complex."""
+    basis = am.idem_blocks().get((frozenset(I), frozenset(J)), ())
+    images = {g: Gf2Vector(am.diff_table[g]) for g in basis}
+    d = Gf2Matrix.from_columns(basis, basis, images)
+    return ChainComplexGf2(basis, d)
+
+
+def homology_blocks(am: AlgebraModel) -> dict:
+    """(I, J) -> homology dimension of the corresponding block."""
+    out = {}
+    for I in am.all_idempotent_subsets():
+        for J in am.all_idempotent_subsets():
+            dim, _ = homology(gamma_block(am, I, J))
+            out[(I, J)] = dim
+    return out
 
 
 def dump_basis_tsv(am: AlgebraModel) -> str:
