@@ -24,7 +24,7 @@ equation and make the cancellation morphism a cycle).
 
 from __future__ import annotations
 
-from .gf2 import ChainComplexGf2, Gf2Matrix, Gf2Vector, homology, induced_map_on_homology, solve
+from .gf2 import ChainComplexGf2, Gf2Matrix, Gf2Vector, solve
 from .strands import AlgebraModel
 
 KINDS = ("AA", "DA", "AD", "DD")
@@ -111,10 +111,6 @@ def _max_input_len(m, side: int) -> int:
 def _parity_add(acc: dict, key, count: int = 1) -> None:
     if count % 2:
         acc[key] = acc.get(key, 0) ^ 1
-
-
-def _live(acc: dict) -> frozenset:
-    return frozenset(k for k, v in acc.items() if v)
 
 
 class StructureError(ValueError):
@@ -474,44 +470,6 @@ def check_structure(m: ModuleStructure):
     return None
 
 
-# -- iterated structure maps --------------------------------------------------
-
-
-def delta_bar(m: ModuleStructure, x, args: tuple, depth: int) -> list:
-    """Iterate a DA structure map across splittings of the right inputs.
-
-    Returns the GF(2)-reduced list of (tuple of left outputs, generator)
-    reachable by at most `depth` applications that consume all of `args`.
-    Raises if depth is exhausted while some state could still fire.
-    """
-    if m.kind != "DA":
-        raise StructureError("delta_bar requires a DA structure")
-    acc: dict = {}
-    states = {((), x, tuple(args)): 1}
-    _parity_add(acc, ((), x)) if not args else None
-    for _ in range(depth):
-        nxt: dict = {}
-        for (outs, g, rest), par in states.items():
-            if not par:
-                continue
-            for s in range(len(rest) + 1):
-                block, tail = rest[:s], rest[s:]
-                for a, y in m.da(g, block):
-                    key = (outs + (a,), y, tail)
-                    nxt[key] = nxt.get(key, 0) ^ 1
-        for (outs, g, rest), par in nxt.items():
-            if par and not rest:
-                _parity_add(acc, (outs, g))
-        states = nxt
-    for (outs, g, rest), par in states.items():
-        if not par or not rest:
-            continue
-        for s in range(len(rest) + 1):
-            if m.da(g, rest[:s]):
-                raise StructureError("delta_bar depth exceeded with nonzero continuations")
-    return sorted(_live(acc), key=repr)
-
-
 # -- duals and opposites -------------------------------------------------------
 
 
@@ -609,10 +567,6 @@ class Morphism:
         }
         return Morphism(self.src, self.dst, table)
 
-    def scalar_matrix(self) -> Gf2Matrix:
-        """The matrix of the idempotent-coefficient part on underlying complexes."""
-        return _scalar_matrix(self, self.src, self.dst)
-
 
 def identity_morphism(m: ModuleStructure) -> Morphism:
     A, B = m.left_alg, m.right_alg
@@ -626,32 +580,6 @@ def identity_morphism(m: ModuleStructure) -> Morphism:
 
 def zero_morphism(src: ModuleStructure, dst: ModuleStructure) -> Morphism:
     return Morphism(src, dst, {})
-
-
-def morphism_compose(g: Morphism, f: Morphism) -> Morphism:
-    """g after f, per the composition diagrams of the four kinds.
-
-    The outer g consumes the outer inputs: left inputs are g's then f's, right
-    inputs f's then g's.  Left outputs multiply as a_f . a_g, right outputs as
-    b_g . b_f (later outputs outermost).
-    """
-    if f.dst is not g.src:
-        raise StructureError("composition endpoint mismatch")
-    kind = f.kind
-    A, B = f.src.left_alg, f.src.right_alg
-    outer: dict = {}
-    for (argsL2, y, argsR2), outs2 in _entries(g):
-        outer.setdefault(y, []).append((argsL2, argsR2, outs2))
-    table: dict = {}
-    for (argsL1, x, argsR1), outs1 in _entries(f):
-        for a1, y, b1 in outs1:
-            for argsL2, argsR2, outs2 in outer.get(y, ()):
-                key = _from_aa_key(kind, argsL2 + argsL1, x, argsR1 + argsR2)
-                for a2, z, b2 in outs2:
-                    for pa in (None,) if a1 is None else A.mult_table[(a1, a2)]:
-                        for pb in (None,) if b1 is None else B.mult_table[(b2, b1)]:
-                            _add(table, key, _from_out(kind, pa, z, pb))
-    return Morphism(f.src, g.dst, table)
 
 
 def _diff(f: Morphism, key: tuple) -> frozenset:
@@ -692,17 +620,6 @@ def f_max_right(f: Morphism) -> int:
 
 def is_homomorphism(f: Morphism) -> bool:
     return morphism_diff(f).is_zero()
-
-
-def homology_level_equal(f: Morphism, g: Morphism) -> str:
-    """Compare two homomorphisms on the homology of the underlying complexes."""
-    if f.src is not g.src or f.dst is not g.dst:
-        raise StructureError("comparison endpoint mismatch")
-    src_c = f.src.underlying_complex()
-    dst_c = f.dst.underlying_complex()
-    mf = induced_map_on_homology(f.scalar_matrix(), src_c, dst_c)
-    mg = induced_map_on_homology(g.scalar_matrix(), src_c, dst_c)
-    return "equal" if mf.nonzero == mg.nonzero else "unequal"
 
 
 # -- bounded homotopy search ---------------------------------------------------
@@ -777,21 +694,3 @@ def bounded_homotopy_search(f: Morphism, g: Morphism, max_len: int) -> Morphism 
     for idx in sol:
         _add(table, *basis_morphisms[idx])
     return Morphism(f.src, f.dst, table)
-
-
-def dump_module_tsv(m: ModuleStructure) -> str:
-    """Serialize a structure table: one line per entry, algebra elements by index."""
-    lines = [f"# kind: {m.kind}"]
-    lines.append(f"# left: {'-' if m.left_alg is None else 'A(' + str(m.left_alg.arc_diagram.kind) + ',' + str(m.left_alg.dim) + ')'}")
-    lines.append(f"# right: {'-' if m.right_alg is None else 'A(' + str(m.right_alg.arc_diagram.kind) + ',' + str(m.right_alg.dim) + ')'}")
-
-    def fmt(*parts):
-        return ",".join(str(p) for p in parts if p is not None)
-
-    entries = []
-    for (argsL, g, argsR), outs in _entries(m):
-        key = f"L:{fmt(*argsL)}|{g!r}|R:{fmt(*argsR)}"
-        val = ";".join(sorted(fmt(a, repr(y), b) for a, y, b in outs))
-        entries.append(f"{key}\t{val}")
-    lines.extend(sorted(entries))
-    return "\n".join(lines) + "\n"

@@ -1,21 +1,14 @@
 """Arc diagrams: oriented arcs with 2k marked points matched in pairs.
 
 An arc diagram parametrizes a sutured surface; here we keep only the
-combinatorics (the arcs, the 2-to-1 matching, and the alpha/beta type) plus
-numerical surface statistics.  The four variants of a diagram are generated
-by orientation reversal and type switching.
+combinatorics (the arcs, the 2-to-1 matching, and the alpha/beta type).
+The four variants of a diagram are generated by orientation reversal and
+type switching.
 """
 
 from __future__ import annotations
 
 from .gf2 import Frozen
-
-
-class SurfaceStats(Frozen):
-    __slots__ = _fields = ("euler_characteristic", "num_sutures")
-
-    def __init__(self, euler_characteristic: int, num_sutures: int):
-        self._init(euler_characteristic, num_sutures)
 
 
 class ArcDiagram(Frozen):
@@ -159,13 +152,6 @@ def reverse(z: ArcDiagram) -> ArcDiagram:
 def flip_type(z: ArcDiagram) -> ArcDiagram:
     """Switch alpha <-> beta (the variant Z-bar)."""
     return ArcDiagram(z.arcs, z.matching, "beta" if z.kind == "alpha" else "alpha")
-
-
-def surface_stats(z: ArcDiagram) -> SurfaceStats:
-    return SurfaceStats(
-        euler_characteristic=len(z.arcs) - z.rank,
-        num_sutures=2 * len(z.arcs),
-    )
 
 
 def serialize(z: ArcDiagram) -> str:

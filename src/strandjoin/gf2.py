@@ -354,30 +354,3 @@ def homology_coordinates(c: ChainComplexGf2, reps: list[Gf2Vector]):
         return _bit_indices(v >> n)
 
     return coordinates
-
-
-class NotAChainMapError(ValueError):
-    pass
-
-
-def induced_map_on_homology(
-    f: Gf2Matrix, src: ChainComplexGf2, dst: ChainComplexGf2
-) -> Gf2Matrix:
-    """Matrix of the induced map on homology, in the chosen representative bases.
-
-    Raises NotAChainMapError unless f . d_src = d_dst . f.
-    """
-    if f.cols != src.basis or f.rows != dst.basis:
-        raise ValueError("map shape does not match complexes")
-    if f.compose(src.differential).nonzero != dst.differential.compose(f).nonzero:
-        raise NotAChainMapError("not a chain map")
-    _, src_reps = homology(src)
-    hdim_dst, dst_reps = homology(dst)
-    coordinates = homology_coordinates(dst, dst_reps)
-    nz = set()
-    for i, rep in enumerate(src_reps):
-        for k in coordinates(f.apply(rep)):
-            nz.add((("h", k), ("h", i)))
-    hrows = tuple(("h", i) for i in range(hdim_dst))
-    hcols = tuple(("h", i) for i in range(len(src_reps)))
-    return Gf2Matrix(hrows, hcols, frozenset(nz))

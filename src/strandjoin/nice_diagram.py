@@ -652,12 +652,3 @@ def compare_with_algebra(d: PlanarDiagram, m: ModuleStructure) -> ComparisonVerd
     if m.table or not d.all_regions_boundary():
         return ComparisonVerdict(False, "cap structure not trivial")
     return ComparisonVerdict(True, bijection={g: mg})
-
-
-def dump_regions(d: PlanarDiagram) -> str:
-    lines = []
-    for i, reg in enumerate(d.regions):
-        kind = "boundary" if reg["boundary"] else f"interior({len(reg['corners'])} corners)"
-        charts = sorted({repr(c) for c, _ in reg["faces"]})
-        lines.append(f"region {i}: {kind} across {', '.join(charts)}")
-    return "\n".join(lines) + "\n"

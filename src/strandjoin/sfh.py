@@ -66,17 +66,6 @@ def right_module_block(u: ModuleStructure, I) -> ChainComplexGf2:
     return ChainComplexGf2(basis, d)
 
 
-def bsa_blocks(u: ModuleStructure) -> dict:
-    """I -> (homology dimension, block complex) of a right type-A module."""
-    am = u.right_alg
-    out = {}
-    for I in am.all_idempotent_subsets():
-        c = right_module_block(u, I)
-        dim, _ = homology(c)
-        out[I] = (dim, c)
-    return out
-
-
 def _direct_action(u: ModuleStructure, x, a) -> Gf2Vector:
     am = u.right_alg
     if am.is_idempotent_elem(a):
@@ -156,16 +145,3 @@ def mu_H(am: AlgebraModel, I, J, K) -> Gf2Matrix:
     if m1.nonzero != m2.nonzero:
         raise StructureError("join-composite product disagrees with multiplication")
     return m1
-
-
-def mu_H_cross_zero(am: AlgebraModel, I, J, Jp, K) -> bool:
-    """Products between blocks with mismatched middle idempotents vanish."""
-    if frozenset(J) == frozenset(Jp):
-        return True
-    c1 = gamma_block(am, I, J)
-    c2 = gamma_block(am, Jp, K)
-    for x in c1.basis:
-        for a in c2.basis:
-            if am.mult_table[(x, a)]:
-                return False
-    return True

@@ -12,8 +12,8 @@ together they pin down the idempotent conventions.
 
 from __future__ import annotations
 
-from .arc_diagram import reverse
-from .strands import ABasisElem, AlgebraModel, gamma_block, rotate180
+from .strands import ABasisElem, AlgebraModel
+from .strands import gamma_block  # noqa: F401  (re-exported)
 from .ainf import ModuleStructure, dualize
 
 
@@ -155,22 +155,13 @@ class DescriptorError(ValueError):
 
 
 def parse_descriptor(am: AlgebraModel, text: str):
-    """Parse the mini-language for standard models.
+    """Parse the descriptor of a standard left module, as the CLI's join and
+    double commands take it.
 
-    Forms: ``elementary:D:{1,3}`` and ``elementary:A:{}`` (left-handed),
-    ``amod:{1}`` (the left module A.iota_I), ``alg``, ``dualalg``, ``id:DA``,
-    ``id:DD``, ``gamma:{1}:{1,2}``.  The CLI's join and double commands take
-    the elementary and amod forms.
+    Forms: ``elementary:D:{1,3}`` and ``elementary:A:{}`` (the elementary
+    modules) and ``amod:{1}`` (the left module A.iota_I).
     """
     text = text.strip()
-    if text == "alg":
-        return alg_as_aa(am)
-    if text == "dualalg":
-        return dual_alg_as_aa(am)
-    if text == "id:DA":
-        return da_identity(am)
-    if text == "id:DD":
-        return dd_identity(am)
     if text.startswith("elementary:"):
         parts = text.split(":")
         if len(parts) != 3 or parts[1] not in ("A", "D"):
@@ -181,13 +172,6 @@ def parse_descriptor(am: AlgebraModel, text: str):
         if len(parts) != 2:
             raise DescriptorError(f"bad amod descriptor {text!r}")
         return left_module_from_right_idem(am, _parse_subset(parts[1], am.k))
-    if text.startswith("gamma:"):
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise DescriptorError(f"bad gamma descriptor {text!r}")
-        return gamma_block(
-            am, _parse_subset(parts[1], am.k), _parse_subset(parts[2], am.k)
-        )
     raise DescriptorError(f"unknown descriptor {text!r}")
 
 

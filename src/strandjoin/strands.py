@@ -303,17 +303,6 @@ class AlgebraModel:
     def unit(self) -> Gf2Vector:
         return vsum(self.idempotent(s) for s in self.all_idempotent_subsets())
 
-    def assoc_mult(self, xs) -> Gf2Vector:
-        """Left-to-right product of a tuple of vectors; the empty tuple gives the unit."""
-        acc = self.unit()
-        for x in xs:
-            acc = self.mul(acc, x)
-        return acc
-
-    def chords(self) -> list[int]:
-        """Indices of basis elements with exactly one mover (any occupied set)."""
-        return [i for i, e in enumerate(self.elems) if len(e.movers) == 1]
-
     def all_idempotent_subsets(self):
         for r in range(self.k + 1):
             yield from (

@@ -8,6 +8,11 @@ compare the two.  Each input is evaluated here with its own per-kind sum
 (`EQUATIONS`, `DIFFS`), written out for each kind and reading the tables in
 their stored layout, so the library's single entry-shape evaluation
 (`ainf._equation`, `ainf._diff`) is checked as well as its enumeration.
+
+The last section keeps two references that no command needs: the
+composition of morphisms, which the tests of `morphism_diff` and
+`identity_morphism` use, and a text dump that pins the standard models'
+tables.
 """
 
 from __future__ import annotations
@@ -15,11 +20,14 @@ from __future__ import annotations
 from strandjoin.ainf import (
     Morphism,
     ModuleStructure,
+    StructureError,
+    _add,
     _chains_from,
     _chains_into,
+    _entries,
     _from_aa_key,
+    _from_out,
     _insertions,
-    _live,
     _parity_add,
     f_max_left,
     f_max_right,
@@ -30,6 +38,10 @@ from strandjoin.ainf import (
 # A morphism's table has no idempotent inputs; a structure acts strictly
 # unitally, so a lone idempotent input acts as the identity on matching
 # generators and any other idempotent input gives zero.
+
+
+def _live(acc: dict) -> frozenset:
+    return frozenset(k for k, v in acc.items() if v)
 
 
 def _at(x, key) -> frozenset:
@@ -288,3 +300,50 @@ def oracle_check_structure(m: ModuleStructure):
 def oracle_morphism_diff(f: Morphism) -> Morphism:
     """The morphism differential evaluated on every chained input of the window."""
     return Morphism(f.src, f.dst, {key: diff(f, key) for key in diff_window(f)})
+
+
+# -- composition and table dumps -----------------------------------------------
+
+
+def morphism_compose(g: Morphism, f: Morphism) -> Morphism:
+    """g after f, per the composition diagrams of the four kinds.
+
+    The outer g consumes the outer inputs: left inputs are g's then f's, right
+    inputs f's then g's.  Left outputs multiply as a_f . a_g, right outputs as
+    b_g . b_f (later outputs outermost).
+    """
+    if f.dst is not g.src:
+        raise StructureError("composition endpoint mismatch")
+    kind = f.kind
+    A, B = f.src.left_alg, f.src.right_alg
+    outer: dict = {}
+    for (argsL2, y, argsR2), outs2 in _entries(g):
+        outer.setdefault(y, []).append((argsL2, argsR2, outs2))
+    table: dict = {}
+    for (argsL1, x, argsR1), outs1 in _entries(f):
+        for a1, y, b1 in outs1:
+            for argsL2, argsR2, outs2 in outer.get(y, ()):
+                key = _from_aa_key(kind, argsL2 + argsL1, x, argsR1 + argsR2)
+                for a2, z, b2 in outs2:
+                    for pa in (None,) if a1 is None else A.mult_table[(a1, a2)]:
+                        for pb in (None,) if b1 is None else B.mult_table[(b2, b1)]:
+                            _add(table, key, _from_out(kind, pa, z, pb))
+    return Morphism(f.src, g.dst, table)
+
+
+def dump_module_tsv(m: ModuleStructure) -> str:
+    """Serialize a structure table: one line per entry, algebra elements by index."""
+    lines = [f"# kind: {m.kind}"]
+    lines.append(f"# left: {'-' if m.left_alg is None else 'A(' + str(m.left_alg.arc_diagram.kind) + ',' + str(m.left_alg.dim) + ')'}")
+    lines.append(f"# right: {'-' if m.right_alg is None else 'A(' + str(m.right_alg.arc_diagram.kind) + ',' + str(m.right_alg.dim) + ')'}")
+
+    def fmt(*parts):
+        return ",".join(str(p) for p in parts if p is not None)
+
+    entries = []
+    for (argsL, g, argsR), outs in _entries(m):
+        key = f"L:{fmt(*argsL)}|{g!r}|R:{fmt(*argsR)}"
+        val = ";".join(sorted(fmt(a, repr(y), b) for a, y, b in outs))
+        entries.append(f"{key}\t{val}")
+    lines.extend(sorted(entries))
+    return "\n".join(lines) + "\n"

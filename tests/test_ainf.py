@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ainf_oracle import dump_module_tsv, morphism_compose
 from strandjoin.ainf import (
     ModuleStructure,
     Morphism,
@@ -9,13 +10,9 @@ from strandjoin.ainf import (
     _morphism_slots,
     bounded_homotopy_search,
     check_structure,
-    delta_bar,
     dualize,
-    dump_module_tsv,
-    homology_level_equal,
     identity_morphism,
     is_homomorphism,
-    morphism_compose,
     morphism_diff,
     oppositize,
     zero_morphism,
@@ -145,20 +142,6 @@ def test_dump_module_tsv_for_every_kind(am1, am2):
     )
 
 
-def test_delta_bar_identity_bimodule(am1):
-    ID = da_identity(am1)
-    x = next(g for g in ID.gens if g[1] == (1,))
-    out = delta_bar(ID, x, (1,), 3)
-    assert out == [((1,), x)]
-    assert delta_bar(ID, x, (), 0) == [((), x)]
-
-
-def test_delta_bar_elementary(am1):
-    e = elementary(am1, frozenset({1}), "D", hand="left")
-    g = e.gens[0]
-    assert delta_bar(e, g, (), 2) == [((), g)]
-
-
 def test_dualize_involution_and_verdicts(am1, am2):
     for am in (am1, am2):
         for m in all_models(am):
@@ -284,17 +267,6 @@ def test_is_homomorphism(am1):
             found_noncycle = True
             break
     assert found_noncycle
-
-
-def test_homology_level_equal(am1):
-    M = left_module_from_right_idem(am1, {1})
-    ident = identity_morphism(M)
-    assert homology_level_equal(ident, ident) == "equal"
-    rng = random.Random(4)
-    slots = _morphism_slots(M, M, 2)
-    H = Morphism(M, M, {k: {v} for k, v in rng.sample(slots, 3)})
-    assert homology_level_equal(ident, ident + morphism_diff(H)) == "equal"
-    assert homology_level_equal(ident, zero_morphism(M, M)) == "unequal"
 
 
 def test_bounded_homotopy_search_plant_and_recover(am1):

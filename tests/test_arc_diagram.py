@@ -11,7 +11,6 @@ from strandjoin.arc_diagram import (
     random_diagram,
     reverse,
     serialize,
-    surface_stats,
     validate,
 )
 
@@ -56,14 +55,6 @@ def test_variants_form_klein_four_orbit():
 def test_validate_commutes_with_variants():
     for z in (Z1, Z2):
         assert validate(reverse(z)) == validate(flip_type(z)) == validate(z)
-
-
-def test_surface_stats():
-    assert surface_stats(Z1) == surface_stats(Z1).__class__(0, 2)
-    s1, s2, s0 = surface_stats(Z1), surface_stats(Z2), surface_stats(Z0)
-    assert (s1.euler_characteristic, s1.num_sutures) == (0, 2)
-    assert (s2.euler_characteristic, s2.num_sutures) == (-1, 2)
-    assert (s0.euler_characteristic, s0.num_sutures) == (0, 0)
 
 
 def test_serialize_parse_round_trip():

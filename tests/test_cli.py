@@ -2,12 +2,14 @@ import io
 import os
 import subprocess
 import sys
+from random import Random
 
 import pytest
 
 import strandjoin
-from strandjoin.arc_diagram import Z1, Z2, flip_type, serialize
+from strandjoin.arc_diagram import Z1, Z2, flip_type, random_diagram, serialize
 from strandjoin.cli import run
+from strandjoin.strands import enumerate_basis
 
 
 @pytest.fixture()
@@ -79,6 +81,49 @@ def test_nice_beta_diagram_is_an_input_error(tmp_path):
     rc, out = _run(["nice", str(beta), "slice"])
     assert rc == 1
     assert out.splitlines()[-1].startswith("error: ")
+
+
+def test_check_on_beta_diagrams_skips_nice(tmp_path):
+    beta = tmp_path / "Z2beta.arcd"
+    beta.write_text(serialize(flip_type(Z2)))
+    not_applicable = "nice: not applicable (planar diagrams are constructed for alpha-type input)"
+    rc, out = _run(["check", str(beta), "all"])
+    assert rc == 0
+    assert out.splitlines()[2:] == [
+        "dga: PASS",
+        "variants: PASS",
+        "structures: PASS",
+        "join: PASS",
+        not_applicable,
+        "sfh: PASS",
+        "homotopy: PASS",
+    ]
+    beta.write_text(serialize(flip_type(Z1)))
+    rc, out = _run(["check", str(beta), "nice"])
+    assert rc == 0 and out.splitlines()[2:] == [not_applicable]
+
+
+# The algebraic suites on random 1-3 arc diagrams of both types (dim <= 136).
+# Seeds 0-18 draw 9 alpha and 10 beta diagrams of dim 2-79: about 7 s in all
+# on 2 vCPUs, inside the 15 s this sweep may add to the suite.
+SWEEP = ("dga", "variants", "structures", "join", "sfh")
+
+
+@pytest.mark.parametrize("seed", range(19))
+def test_check_suites_pass_off_ladder(tmp_path, seed):
+    z = random_diagram(Random(seed), max_rank=3)
+    assert enumerate_basis(z).dim <= 136
+    path = tmp_path / "z.arcd"
+    path.write_text(serialize(z))
+    # A beta draw runs every suite in one `check all`, where nice does not apply.
+    verdicts = {}
+    for suite in ("all",) if z.kind == "beta" else SWEEP:
+        rc, out = _run(["check", str(path), suite])
+        assert rc == 0, out
+        verdicts.update(line.split(": ", 1) for line in out.splitlines()[2:])
+    assert all(verdicts[s] == "PASS" for s in SWEEP), verdicts
+    if z.kind == "beta":
+        assert verdicts["nice"].startswith("not applicable"), verdicts
 
 
 def test_module_entry_point(files):

@@ -7,9 +7,7 @@ from strandjoin.gf2 import (
     ChainComplexGf2,
     Gf2Matrix,
     Gf2Vector,
-    NotAChainMapError,
     homology,
-    induced_map_on_homology,
     rank,
     solve,
 )
@@ -73,25 +71,6 @@ def test_homology_of_z1_algebra_complex(am1):
         basis, basis, {i: Gf2Vector(am1.diff_table[i]) for i in basis}
     )
     assert homology(ChainComplexGf2(basis, d))[0] == 3
-
-
-def test_induced_map_identity_and_zero():
-    d = Gf2Matrix.zero(("x",), ("x",))
-    c = ChainComplexGf2(("x",), d)
-    ident = Gf2Matrix.identity(("x",))
-    m = induced_map_on_homology(ident, c, c)
-    assert len(m.nonzero) == 1
-    zero = Gf2Matrix.zero(("x",), ("x",))
-    assert induced_map_on_homology(zero, c, c).is_zero()
-
-
-def test_induced_map_rejects_non_chain_map():
-    # d(x) = y, f sends the boundary y to the generator: f.d /= d.f on x.
-    src = ChainComplexGf2(("x", "y"), Gf2Matrix(("x", "y"), ("x", "y"), {("y", "x")}))
-    dst = ChainComplexGf2(("g",))
-    f = Gf2Matrix(("g",), ("x", "y"), {("g", "y")})
-    with pytest.raises(NotAChainMapError):
-        induced_map_on_homology(f, src, dst)
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,7 +13,6 @@ from strandjoin.nice_diagram import (
     build_twisting_slice_diagram,
     compare_with_algebra,
     count_domains,
-    dump_regions,
     enumerate_generators,
 )
 
@@ -138,12 +137,6 @@ def test_cap_comparison_rejects_wrong_model(am2):
     d = build_cap_diagram(Z2, frozenset({1}))
     v = compare_with_algebra(d, elementary(am2, frozenset({2}), "A"))
     assert not v.isomorphic
-
-
-def test_region_dump(am1):
-    d = build_twisting_slice_diagram(Z1)
-    text = dump_regions(d)
-    assert "region 0" in text
 
 
 def test_beta_diagrams_rejected():

