@@ -7,6 +7,10 @@ A module structure is one of four kinds:
 * ``AD``: the mirror of DA,
 * ``DD``: a single operation emitting one output on each side.
 
+All four store their tables in one layout, described under "the entry
+shape" below; the kind says which sides take inputs and which emit algebra
+elements.
+
 One-sided modules are bimodules with a trivial algebra (None) on one side.
 Tables are finite-support and strictly unital: no stored entry has an
 idempotent algebra input; the unital action of idempotents is implicit in
@@ -31,70 +35,10 @@ KINDS = ("AA", "DA", "AD", "DD")
 
 # -- the entry shape ------------------------------------------------------------
 #
-# The four kinds store one shape in four layouts.  Read uniformly, a table key
-# is (left inputs, generator, right inputs) and an output is (a, y, b): a
-# type-D side takes no inputs, so its input tuple is (), and emits one algebra
-# element a (left) or b (right); a type-A side emits none, so its slot is None.
-# Morphism tables use the layout of their endpoints' kind.
-
-
-def _as_aa_key(kind: str, key) -> tuple:
-    """A table key of any kind as (left inputs, generator, right inputs)."""
-    if kind == "AA":
-        return key
-    if kind == "DA":
-        return ((), key[0], key[1])
-    if kind == "AD":
-        return (key[0], key[1], ())
-    return ((), key, ())
-
-
-def _from_aa_key(kind: str, argsL: tuple, g, argsR: tuple):
-    """The table key of the given kind for (left inputs, generator, right inputs)."""
-    if kind == "AA":
-        return (argsL, g, argsR)
-    if kind == "DA":
-        return (g, argsR)
-    if kind == "AD":
-        return (argsL, g)
-    return g
-
-
-def _from_out(kind: str, a, y, b):
-    """The table output of the given kind for (left output, generator, right output)."""
-    if kind == "AA":
-        return y
-    if kind == "DA":
-        return (a, y)
-    if kind == "AD":
-        return (y, b)
-    return (a, y, b)
-
-
-def _out_gens(kind: str, outs) -> set:
-    """The generators among the outputs of one table value of any kind."""
-    if kind == "AA":
-        return set(outs)
-    if kind == "AD":
-        return {o[0] for o in outs}
-    return {o[1] for o in outs}
-
-
-def _outputs(kind: str, outs):
-    """One table value of the given kind as (a, y, b) outputs."""
-    if kind == "AA":
-        return [(None, y, None) for y in outs]
-    if kind == "DA":
-        return [(a, y, None) for a, y in outs]
-    if kind == "AD":
-        return [(None, y, b) for y, b in outs]
-    return outs
-
-
-def _entries(m):
-    """The table of a structure or morphism as ((argsL, g, argsR), [(a, y, b), ...]) pairs."""
-    kind = m.kind
-    return ((_as_aa_key(kind, key), _outputs(kind, outs)) for key, outs in m.table.items())
+# Every table, a structure's or a morphism's, maps a key (left inputs,
+# generator, right inputs) to a set of outputs (a, y, b).  A type-D side takes
+# no inputs, so its input tuple is (), and emits one algebra element: a on the
+# left, b on the right.  A type-A side emits none, so its slot is None.
 
 
 def _add(table: dict, key, val) -> None:
@@ -105,7 +49,7 @@ def _add(table: dict, key, val) -> None:
 
 def _max_input_len(m, side: int) -> int:
     """The longest left (side 0) or right (side 2) input tuple in m's table."""
-    return max((len(_as_aa_key(m.kind, k)[side]) for k in m.table), default=0)
+    return max((len(k[side]) for k in m.table), default=0)
 
 
 def _parity_add(acc: dict, key, count: int = 1) -> None:
@@ -115,6 +59,20 @@ def _parity_add(acc: dict, key, count: int = 1) -> None:
 
 class StructureError(ValueError):
     pass
+
+
+def _check_shape(kind: str, table: dict) -> None:
+    """Reject an entry that does not fit the kind's shape: a type-D side takes
+    no inputs and emits one algebra element, a type-A side emits none."""
+    left_d, right_d = kind[0] == "D", kind[1] == "D"
+    for key, outs in table.items():
+        if (left_d and key[0]) or (right_d and key[2]):
+            raise StructureError(f"input on a type-D side at {key}")
+        for a, _, b in outs:
+            if (a is None) == left_d:
+                raise StructureError(f"left output slot does not fit the kind at {key}")
+            if (b is None) == right_d:
+                raise StructureError(f"right output slot does not fit the kind at {key}")
 
 
 class ModuleStructure:
@@ -198,7 +156,9 @@ class ModuleStructure:
     def _check_idempotent_compat(self):
         A, B = self.left_alg, self.right_alg
         lidem, ridem = self.lidem, self.ridem
-        for key, ((argsL, g, argsR), outs) in zip(self.table, _entries(self)):
+        _check_shape(self.kind, self.table)
+        for key, outs in self.table.items():
+            argsL, g, argsR = key
             if any(A.is_idempotent_elem(a) for a in argsL) or any(
                 B.is_idempotent_elem(b) for b in argsR
             ):
@@ -218,20 +178,6 @@ class ModuleStructure:
                 if (a is None and lidem[y] != li) or (b is None and ridem[y] != ri):
                     raise StructureError(f"output idempotent mismatch at {key}")
 
-    # -- evaluation with unital rules ---------------------------------------
-
-    def da(self, g, argsR: tuple) -> frozenset:
-        """Evaluate a DA operation: a set of (left output index, generator)."""
-        B = self.right_alg
-        if argsR and any(B.is_idempotent_elem(b) for b in argsR):
-            if len(argsR) == 1:
-                subset = B.elems[argsR[0]].occupied
-                if subset == self.ridem[g]:
-                    out = self.left_alg.idempotent_index(self.lidem[g])
-                    return frozenset([(out, g)])
-            return frozenset()
-        return self.table.get((g, argsR), frozenset())
-
     # -- underlying chain complex -------------------------------------------
 
     def underlying_complex(self) -> ChainComplexGf2:
@@ -240,7 +186,7 @@ class ModuleStructure:
 
     def is_dg_type(self) -> bool:
         """Only the differential and the one-input actions are nonzero."""
-        return all(len(aL) + len(aR) <= 1 for (aL, _, aR), _ in _entries(self))
+        return all(len(aL) + len(aR) <= 1 for aL, _, aR in self.table)
 
     def max_left_len(self) -> int:
         return _max_input_len(self, 0)
@@ -254,7 +200,7 @@ def _scalar_matrix(f, src: ModuleStructure, dst: ModuleStructure) -> Gf2Matrix:
     structure's or a morphism's) with no inputs and idempotent outputs."""
     A, B = src.left_alg, src.right_alg
     images: dict = {g: set() for g in src.gens}
-    for (argsL, g, argsR), outs in _entries(f):
+    for (argsL, g, argsR), outs in f.table.items():
         if argsL or argsR:
             continue
         for a, y, b in outs:
@@ -342,23 +288,20 @@ def _candidate_inputs(src: ModuleStructure, lmax: int, rmax: int, composable, st
     and rmax right inputs, idempotent-chained, no idempotent input) and are
     returned as (argsL, g, argsR) in brute-force order.
     """
-    kind = src.kind
     A, B = src.left_alg, src.right_alg
     found: set = set()
     for inner, outer in composable:
         by_gen: dict = {}
-        for key in outer:
-            oL, y, oR = _as_aa_key(kind, key)
+        for oL, y, oR in outer:
             by_gen.setdefault(y, []).append((oL, oR))
-        for key, outs in inner.items():
-            iL, g, iR = _as_aa_key(kind, key)
-            for y in _out_gens(kind, outs):
+        for (iL, g, iR), outs in inner.items():
+            for y in {y for _, y, _ in outs}:
                 for oL, oR in by_gen.get(y, ()):
                     found.add((oL + iL, g, iR + oR))
     for keys in stored:
         for key in keys:
-            kL, g, kR = _as_aa_key(kind, key)
-            found.add((kL, g, kR))
+            kL, g, kR = key
+            found.add(key)
             found.update((newL, g, kR) for newL in _pullbacks(A, kL))
             found.update((kL, g, newR) for newR in _pullbacks(B, kR))
     pos = {g: i for i, g in enumerate(src.gens)}
@@ -397,8 +340,7 @@ def _candidate_inputs(src: ModuleStructure, lmax: int, rmax: int, composable, st
 
 def _at(m, argsL: tuple, g, argsR: tuple):
     """The outputs (a, y, b) of m's table (a structure's or a morphism's) at an input."""
-    outs = m.table.get(_from_aa_key(m.kind, argsL, g, argsR))
-    return _outputs(m.kind, outs) if outs else ()
+    return m.table.get((argsL, g, argsR), ())
 
 
 def _composites(acc: dict, inner, outer, key: tuple, A, B) -> None:
@@ -431,25 +373,25 @@ def _own_terms(acc: dict, f, key: tuple, A, B) -> None:
             _parity_add(acc, out)
 
 
-def _live_outputs(kind: str, acc: dict) -> frozenset:
-    return frozenset(_from_out(kind, *out) for out, v in acc.items() if v)
+def _live(acc: dict) -> frozenset:
+    return frozenset(out for out, v in acc.items() if v)
 
 
 def _equation(m: ModuleStructure, key: tuple) -> frozenset:
-    """m's structure equation at key = (argsL, g, argsR), in m's output layout."""
+    """m's structure equation at key = (argsL, g, argsR): a set of outputs (a, y, b)."""
     acc: dict = {}
     _composites(acc, m, m, key, m.left_alg, m.right_alg)
     _own_terms(acc, m, key, m.left_alg, m.right_alg)
-    return _live_outputs(m.kind, acc)
+    return _live(acc)
 
 
 def check_structure(m: ModuleStructure):
     """Evaluate the kind's structure equation over the finite reachable domain.
 
-    Returns None when every sum vanishes, otherwise one violating input as a
-    key of m's kind (a DD generator g as (g,)): the first, in generator order
-    and then by input length, that the exhaustive enumeration of chained
-    inputs would reach.  On each side the window is max(2L, L + 1) inputs, L
+    Returns None when every sum vanishes, otherwise one violating input
+    (argsL, g, argsR), for every kind (a DD witness is ((), g, ())): the
+    first, in generator order and then by input length, that the exhaustive
+    enumeration of chained inputs would reach.  On each side the window is max(2L, L + 1) inputs, L
     the table's longest entry there: two composed entries take at most 2L
     inputs, one entry after an insertion L + 1.  Only inputs built from the
     table's support are evaluated; every other input of that window vanishes
@@ -466,7 +408,7 @@ def check_structure(m: ModuleStructure):
     )
     for key in inputs:
         if _equation(m, key):
-            return (key[1],) if m.kind == "DD" else _from_aa_key(m.kind, *key)
+            return key
     return None
 
 
@@ -475,13 +417,12 @@ def check_structure(m: ModuleStructure):
 
 def dualize(m: ModuleStructure) -> ModuleStructure:
     """Rotate the structure by 180 degrees: AA->AA (sides swapped), DA->AD, DD->DD."""
-    kind = m.kind[::-1]
     table: dict = {}
-    for (argsL, g, argsR), outs in _entries(m):
+    for (argsL, g, argsR), outs in m.table.items():
         for a, y, b in outs:
-            _add(table, _from_aa_key(kind, argsR[::-1], y, argsL[::-1]), _from_out(kind, b, g, a))
+            _add(table, (argsR[::-1], y, argsL[::-1]), (b, g, a))
     return ModuleStructure(
-        kind,
+        m.kind[::-1],
         m.right_alg,
         m.left_alg,
         m.gens,
@@ -495,15 +436,14 @@ def dualize(m: ModuleStructure) -> ModuleStructure:
 
 def oppositize(m: ModuleStructure) -> ModuleStructure:
     """Reflect the structure along the vertical axis, over the opposite algebras."""
-    kind = m.kind[::-1]
     left = m.right_alg.opposite() if m.right_alg is not None else None
     right = m.left_alg.opposite() if m.left_alg is not None else None
     table: dict = {}
-    for (argsL, g, argsR), outs in _entries(m):
-        key = _from_aa_key(kind, argsR[::-1], g, argsL[::-1])
-        table[key] = table.get(key, frozenset()) ^ {_from_out(kind, b, y, a) for a, y, b in outs}
+    for (argsL, g, argsR), outs in m.table.items():
+        key = (argsR[::-1], g, argsL[::-1])
+        table[key] = table.get(key, frozenset()) ^ {(b, y, a) for a, y, b in outs}
     return ModuleStructure(
-        kind, left, right, m.gens, m.ridem, m.lidem, table, validate=False,
+        m.kind[::-1], left, right, m.gens, m.ridem, m.lidem, table, validate=False,
         name=f"op({m.name})" if m.name else "",
     )
 
@@ -515,15 +455,12 @@ def relabel(m: ModuleStructure, f, validate: bool = True) -> ModuleStructure:
     comparisons of equal generators hit the identity fast path.
     """
     new = {g: f(g) for g in m.gens}
-    kind = m.kind
     table = {
-        _from_aa_key(kind, argsL, new[g], argsR): frozenset(
-            _from_out(kind, a, new[y], b) for a, y, b in outs
-        )
-        for (argsL, g, argsR), outs in _entries(m)
+        (argsL, new[g], argsR): frozenset((a, new[y], b) for a, y, b in outs)
+        for (argsL, g, argsR), outs in m.table.items()
     }
     return ModuleStructure(
-        kind,
+        m.kind,
         m.left_alg,
         m.right_alg,
         new.values(),
@@ -549,6 +486,7 @@ class Morphism:
         self.src = src
         self.dst = dst
         self.table = {k: frozenset(v) for k, v in table.items() if v}
+        _check_shape(src.kind, self.table)
 
     @property
     def kind(self) -> str:
@@ -574,7 +512,7 @@ def identity_morphism(m: ModuleStructure) -> Morphism:
     for g in m.gens:
         a = A.idempotent_index(m.lidem[g]) if m.kind[0] == "D" else None
         b = B.idempotent_index(m.ridem[g]) if m.kind[1] == "D" else None
-        table[_from_aa_key(m.kind, (), g, ())] = {_from_out(m.kind, a, g, b)}
+        table[((), g, ())] = {(a, g, b)}
     return Morphism(m, m, table)
 
 
@@ -583,13 +521,13 @@ def zero_morphism(src: ModuleStructure, dst: ModuleStructure) -> Morphism:
 
 
 def _diff(f: Morphism, key: tuple) -> frozenset:
-    """f's morphism differential at key = (argsL, g, argsR), in f's output layout."""
+    """f's morphism differential at key = (argsL, g, argsR): a set of outputs (a, y, b)."""
     acc: dict = {}
     A, B = f.src.left_alg, f.src.right_alg
     _composites(acc, f.src, f, key, A, B)
     _composites(acc, f, f.dst, key, A, B)
     _own_terms(acc, f, key, A, B)
-    return _live_outputs(f.kind, acc)
+    return _live(acc)
 
 
 def morphism_diff(f: Morphism) -> Morphism:
@@ -607,7 +545,7 @@ def morphism_diff(f: Morphism) -> Morphism:
         [(f.table, dst.table), (src.table, f.table)],
         [f.table],
     )
-    return Morphism(src, dst, {_from_aa_key(f.kind, *key): _diff(f, key) for key in inputs})
+    return Morphism(src, dst, {key: _diff(f, key) for key in inputs})
 
 
 def f_max_left(f: Morphism) -> int:
@@ -643,7 +581,7 @@ def _morphism_slots(src: ModuleStructure, dst: ModuleStructure, max_len: int) ->
                 else [()]
             )
             for argsR in rights:
-                key = _from_aa_key(kind, argsL, g, argsR)
+                key = (argsL, g, argsR)
                 li, ri = src._entry_lidem(argsL, g), src._entry_ridem(argsR, g)
                 louts = [a for a in range(A.dim) if A.left_idem[a] == li] if kind[0] == "D" else [None]
                 routs = [b for b in range(B.dim) if B.right_idem[b] == ri] if kind[1] == "D" else [None]
@@ -653,7 +591,7 @@ def _morphism_slots(src: ModuleStructure, dst: ModuleStructure, max_len: int) ->
                         yri = ri if b is None else B.left_idem[b]
                         for y in dst.gens:
                             if dst.lidem[y] == yli and dst.ridem[y] == yri:
-                                slots.append((key, _from_out(kind, a, y, b)))
+                                slots.append((key, (a, y, b)))
     return slots
 
 

@@ -57,12 +57,11 @@ def _require_left_d(V: ModuleStructure):
 
 
 def left_entries_with_units(M: ModuleStructure):
-    """Stored left-module operations plus the implicit unital actions."""
-    for (argsL, g, _), outs in M.table.items():
-        yield argsL, g, outs
+    """Stored left-module entries plus the implicit unital actions, as table items."""
+    yield from M.table.items()
     for g in M.gens:
         ia = M.left_alg.idempotent_index(M.lidem[g])
-        yield (ia,), g, frozenset([g])
+        yield ((ia,), g, ()), ((None, g, None),)
 
 
 def _left_d_chains(V: ModuleStructure, kmax: int) -> dict:
@@ -139,14 +138,14 @@ def nabla(M: ModuleStructure) -> Morphism:
     dst = dual_alg_as_aa(M.left_alg)
     table: dict = {}
 
-    for args, p, outs in left_entries_with_units(M):
+    for (args, p, _), outs in left_entries_with_units(M):
         n = len(args)
-        for q in outs:
+        for _, q, _ in outs:
             for j in range(n):
                 argsR = args[:j]
                 mid = args[j]
                 argsL = args[j + 1 :]
-                _add(table, (argsL, (p, q), argsR), mid)
+                _add(table, (argsL, (p, q), argsR), (None, mid, None))
     return Morphism(src, dst, table)
 
 
@@ -182,8 +181,8 @@ def join_general(U: ModuleStructure, M: ModuleStructure, V: ModuleStructure) -> 
     uchains = _right_d_chains(U, maxlen)
     vchains = _left_d_chains(V, maxlen)
     images = {g: Gf2Vector.zero() for g in domain.basis}
-    for args, p, outs in left_entries_with_units(M):
-        for q in outs:
+    for (args, p, _), outs in left_entries_with_units(M):
+        for _, q, _ in outs:
             for j, mid in enumerate(args):
                 for u0, uends in uchains.get(args[j + 1 :][::-1], ()):
                     for v0, vends in vchains.get(args[:j], ()):
@@ -223,14 +222,15 @@ def dd_middle(am: AlgebraModel) -> ModuleStructure:
         I, a, K = frozenset(g[0]), g[1], frozenset(g[2])
         iI = am.idempotent_index(I)
         iKc = am.idempotent_index(full - K)
+        key = ((), g, ())
         for da in am.diff_table[a]:
-            _add(table, g, (iI, (g[0], da, g[2]), iKc))
+            _add(table, key, (iI, (g[0], da, g[2]), iKc))
         for c, J, ct in firings[I]:
             for a2 in am.mult_table[(ct, a)]:
-                _add(table, g, (c, (tuple(sorted(J)), a2, g[2]), iKc))
+                _add(table, key, (c, (tuple(sorted(J)), a2, g[2]), iKc))
         for c, K2, ct in firings[K]:
             for a2 in am.mult_table[(a, c)]:
-                _add(table, g, (iI, (g[0], a2, tuple(sorted(K2))), ct))
+                _add(table, key, (iI, (g[0], a2, tuple(sorted(K2))), ct))
     return ModuleStructure("DD", am, am, gens, lidem, ridem, table, name="IAI")
 
 
@@ -310,16 +310,15 @@ def cancel_cA(am: AlgebraModel) -> Morphism:
     """The cancellation morphism onto the DA identity bimodule."""
     src = dd_sandwich_da_bimodule(am)
     dst = da_identity(am)
-    full = frozenset(range(1, am.k + 1))
     table: dict = {}
     for g in src.gens:
-        I, a, K, b = frozenset(g[0]), g[1], frozenset(g[2]), g[3]
+        a, b = g[1], g[3]
         if not am.is_idempotent_elem(a):
             continue
         # the dual slot holds an idempotent: by the carrier constraints its
         # subset equals both the complement of I and K.
         tgt = ("i", tuple(sorted(am.right_idem[b])))
-        table[(g, ())] = {(b, tgt)}
+        table[((), g, ())] = {(b, tgt, None)}
     return Morphism(src, dst, table)
 
 

@@ -588,14 +588,14 @@ def count_domains(d: PlanarDiagram) -> ModuleStructure:
         diff = d.differential_table(gens)
         for g, outs in diff.items():
             for y in outs:
-                _add(table, ((), g, ()), y)
+                _add(table, ((), g, ()), (None, y, None))
         left, right = d.action_tables(gens)
         for (e_idx, g), outs in left.items():
             for y in outs:
-                _add(table, ((e_idx,), g, ()), y)
+                _add(table, ((e_idx,), g, ()), (None, y, None))
         for (e_idx, g), outs in right.items():
             for y in outs:
-                _add(table, ((), g, (e_idx,)), y)
+                _add(table, ((), g, (e_idx,)), (None, y, None))
     return ModuleStructure(
         "AA", am, am, gens, lidem, ridem, table, validate=False, name=f"count({d.family})"
     )
@@ -630,8 +630,8 @@ def compare_with_algebra(d: PlanarDiagram, m: ModuleStructure) -> ComparisonVerd
         mapped = {}
         for (argsL, g, argsR), outs in counted.table.items():
             key = (argsL, bij[g], argsR)
-            mapped[key] = frozenset(bij[y] for y in outs)
-        theirs = {k: frozenset(v) for k, v in m.table.items()}
+            mapped[key] = frozenset(bij[y] for _, y, _ in outs)
+        theirs = {k: frozenset(y for _, y, _ in v) for k, v in m.table.items()}
         if mapped != theirs:
             for k in set(mapped) | set(theirs):
                 if mapped.get(k, frozenset()) != theirs.get(k, frozenset()):

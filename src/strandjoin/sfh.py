@@ -52,16 +52,18 @@ def _bilinear_on_homology(c1, c2, c3, *images_of_pair) -> list[Gf2Matrix]:
     return out
 
 
+def _targets(u: ModuleStructure, key) -> frozenset:
+    """The generators y of the outputs (a, y, b) of u's table at key."""
+    return frozenset(y for _, y, _ in u.table.get(key, ()))
+
+
 def right_module_block(u: ModuleStructure, I) -> ChainComplexGf2:
     """The summand of a right type-A module with right idempotent I."""
     if u.kind != "AA" or u.right_alg is None:
         raise StructureError("expected a module with a right action")
     I = frozenset(I)
     basis = tuple(g for g in u.gens if u.ridem[g] == I)
-    images = {
-        g: Gf2Vector(u.table.get(((), g, ()), frozenset()) & set(basis))
-        for g in basis
-    }
+    images = {g: Gf2Vector(_targets(u, ((), g, ())) & set(basis)) for g in basis}
     d = Gf2Matrix.from_columns(basis, basis, images)
     return ChainComplexGf2(basis, d)
 
@@ -74,7 +76,7 @@ def _direct_action(u: ModuleStructure, x, a) -> Gf2Vector:
             if u.ridem[x] == am.elems[a].occupied
             else Gf2Vector.zero()
         )
-    return Gf2Vector(u.table.get(((), x, (a,)), frozenset()))
+    return Gf2Vector(_targets(u, ((), x, (a,))))
 
 
 def _cancel_emissions(cA_table, I, a):
@@ -86,10 +88,10 @@ def _cancel_emissions(cA_table, I, a):
     lets act on x.
     """
     Ituple = tuple(sorted(I))
-    for (g, argsR), outs in cA_table.items():
+    for (_, g, argsR), outs in cA_table.items():
         if argsR or g[0] != Ituple or g[3] != a:
             continue
-        for b, _tgt in outs:
+        for b, _tgt, _ in outs:
             yield b
 
 

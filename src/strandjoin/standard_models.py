@@ -53,12 +53,16 @@ def algebra_module(am: AlgebraModel, gens, left: bool, right: bool, name: str) -
     kept, so each nonzero product table entry is one action entry.
     """
     genset = set(gens)
-    table = {((), g, ()): am.diff_table[g] for g in gens if am.diff_table[g]}
+
+    def outs(elems):
+        return frozenset((None, y, None) for y in elems)
+
+    table = {((), g, ()): outs(am.diff_table[g]) for g in gens if am.diff_table[g]}
     for (a, b), out in am.mult_table.items():
         if left and b in genset and not am.is_idempotent_elem(a):
-            table[((a,), b, ())] = out
+            table[((a,), b, ())] = outs(out)
         if right and a in genset and not am.is_idempotent_elem(b):
-            table[((), a, (b,))] = out
+            table[((), a, (b,))] = outs(out)
     none = frozenset()
     lidem = {g: am.left_idem[g] if left else none for g in gens}
     ridem = {g: am.right_idem[g] if right else none for g in gens}
@@ -99,7 +103,7 @@ def da_identity(am: AlgebraModel) -> ModuleStructure:
             continue
         g = by_subset[am.left_idem[b]]
         tgt = by_subset[am.right_idem[b]]
-        table.setdefault((g, (b,)), set()).add((b, tgt))
+        table.setdefault(((), g, (b,)), set()).add((b, tgt, None))
     return ModuleStructure("DA", am, am, gens, lidem, ridem, table, name="IdDA")
 
 
@@ -144,7 +148,7 @@ def dd_identity(am: AlgebraModel) -> ModuleStructure:
     lidem = {g: subset_of[g] for g in gens}
     ridem = {g: full - subset_of[g] for g in gens}
     table = {
-        by_subset[I]: {(left, by_subset[J], right) for left, J, right in firings}
+        ((), by_subset[I], ()): {(left, by_subset[J], right) for left, J, right in firings}
         for I, firings in identity_firings(am).items()
     }
     return ModuleStructure("DD", am, am, gens, lidem, ridem, table, name="IdDD")

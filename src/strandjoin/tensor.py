@@ -26,9 +26,6 @@ from .ainf import (
     StructureError,
     _add,
     _at,
-    _entries,
-    _from_aa_key,
-    _from_out,
     _max_input_len,
     oppositize,
     relabel,
@@ -45,7 +42,7 @@ def _d_chains(n: ModuleStructure, kmax: int) -> dict:
     """
     alg = n.left_alg
     firings: dict = {}
-    for (_, y, blk), outs in _entries(n):
+    for (_, y, blk), outs in n.table.items():
         firings.setdefault(y, []).append((blk, outs))
     chains: dict = {(y, ()): {((), (), y): 1} for y in n.gens}
     frontier = {(y, ()): {((), (), y): 1} for y in n.gens}
@@ -89,7 +86,6 @@ def box(m: ModuleStructure, n: ModuleStructure, validate: bool = True) -> Module
     if m.right_alg is not n.left_alg:
         raise StructureError("factors are over different algebras")
     alg = m.right_alg
-    kind = m.left_type + n.right_type
     # Generators pair up through matching idempotents; both indexes keep order.
     n_at: dict = {}
     for y in n.gens:
@@ -102,17 +98,17 @@ def box(m: ModuleStructure, n: ModuleStructure, validate: bool = True) -> Module
     table: dict = {}
     # m's stored entries consume chains of n's firings.
     chains = _d_chains(n, _max_input_len(m, 2))
-    for (argsL, x, bseq), outs in _entries(m):
+    for (argsL, x, bseq), outs in m.table.items():
         for y in n_at.get(m.ridem[x], ()):
             for (argsC, cseq, y2), par in chains.get((y, bseq), {}).items():
                 if not par:
                     continue
-                key = _from_aa_key(kind, argsL, (x, y), argsC)
+                key = (argsL, (x, y), argsC)
                 for c in (None,) if ralg is None else _collapse(ralg, cseq, n.ridem[y]):
                     for a, x2, _ in outs:
-                        _add(table, key, _from_out(kind, a, (x2, y2), c))
+                        _add(table, key, (a, (x2, y2), c))
     # Unital interaction: a single idempotent emission acts as identity.
-    for (_, y, blk), outs in _entries(n):
+    for (_, y, blk), outs in n.table.items():
         for b, y2, c in outs:
             if not alg.is_idempotent_elem(b):
                 continue
@@ -121,9 +117,9 @@ def box(m: ModuleStructure, n: ModuleStructure, validate: bool = True) -> Module
                 continue
             for x in m_at.get(subset, ()):
                 a = m.left_alg.idempotent_index(m.lidem[x]) if m.left_type == "D" else None
-                _add(table, _from_aa_key(kind, (), (x, y), blk), _from_out(kind, a, (x, y2), c))
+                _add(table, ((), (x, y), blk), (a, (x, y2), c))
     return ModuleStructure(
-        kind,
+        m.left_type + n.right_type,
         m.left_alg,
         n.right_alg,
         gens,
@@ -162,16 +158,16 @@ def ground_tensor(m: ModuleStructure, n: ModuleStructure) -> ModuleStructure:
     kind = m.left_type + n.right_type
     gens = tuple((x, y) for x in m.gens for y in n.gens)
     table: dict = {}
-    for (argsL, x, _), outs in _entries(m):
+    for (argsL, x, _), outs in m.table.items():
         for y in n.gens:
             b = B.idempotent_index(n.ridem[y]) if kind[1] == "D" else None
             for a, x2, _ in outs:
-                _add(table, _from_aa_key(kind, argsL, (x, y), ()), _from_out(kind, a, (x2, y), b))
-    for (_, y, argsR), outs in _entries(n):
+                _add(table, (argsL, (x, y), ()), (a, (x2, y), b))
+    for (_, y, argsR), outs in n.table.items():
         for x in m.gens:
             a = A.idempotent_index(m.lidem[x]) if kind[0] == "D" else None
             for _, y2, b in outs:
-                _add(table, _from_aa_key(kind, (), (x, y), argsR), _from_out(kind, a, (x, y2), b))
+                _add(table, ((), (x, y), argsR), (a, (x, y2), b))
     return ModuleStructure(
         kind,
         A,
@@ -238,12 +234,12 @@ def fold(w: ModuleStructure, ta: TensorAlgebra) -> ModuleStructure:
     kind = w.left_type + "A"
     table: dict = {}
     # The differential; a DD output pair (a, b) is emitted as one union element.
-    for (argsL, g, argsR), outs in _entries(w):
+    for (argsL, g, argsR), outs in w.table.items():
         if argsL or argsR:
             continue
         for a, y, b in outs:
             u = None if a is None else ta.pair_index[(a, rot[b])]
-            _add(table, _from_aa_key(kind, (), g, ()), _from_out(kind, u, y, None))
+            _add(table, ((), g, ()), (u, y, None))
     if kind == "AA":
 
         def act(alg, e, idem, key):
@@ -260,7 +256,7 @@ def fold(w: ModuleStructure, ta: TensorAlgebra) -> ModuleStructure:
             for g in w.gens:
                 for y in act(B, b, w.ridem, ((), g, (b,))):
                     for z in act(A, a, w.lidem, ((a,), y, ())):
-                        _add(table, ((u,), g, ()), z)
+                        _add(table, ((u,), g, ()), (None, z, None))
     return ModuleStructure(
         kind,
         ta.union,
@@ -303,15 +299,14 @@ def _cone(f: Morphism) -> ModuleStructure:
     gens = [(tag, g) for tag, m in parts for g in m.gens]
     lidem = {(tag, g): m.lidem[g] for tag, m in parts for g in m.gens}
     ridem = {(tag, g): m.ridem[g] for tag, m in parts for g in m.gens}
-    kind = f.kind
     table: dict = {}
     for m, tag_in, tag_out in ((f.src, "s", "s"), (f.dst, "t", "t"), (f, "s", "t")):
-        for (argsL, g, argsR), outs in _entries(m):
-            key = _from_aa_key(kind, argsL, (tag_in, g), argsR)
+        for (argsL, g, argsR), outs in m.table.items():
+            key = (argsL, (tag_in, g), argsR)
             for a, y, b in outs:
-                _add(table, key, _from_out(kind, a, (tag_out, y), b))
+                _add(table, key, (a, (tag_out, y), b))
     return ModuleStructure(
-        kind, f.src.left_alg, f.src.right_alg, gens, lidem, ridem, table, validate=False
+        f.kind, f.src.left_alg, f.src.right_alg, gens, lidem, ridem, table, validate=False
     )
 
 
@@ -337,14 +332,12 @@ def induced(f: Morphism, other: ModuleStructure, side: str) -> Morphism:
     def untag(g):
         return (g[0][1], g[1]) if slot == 0 else (g[0], g[1][1])
 
-    cone_box = boxed(_cone(f))
-    kind = cone_box.kind
     table: dict = {}
-    for (argsL, g, argsR), outs in _entries(cone_box):
+    for (argsL, g, argsR), outs in boxed(_cone(f)).table.items():
         if g[slot][0] != "s":
             continue
-        key = _from_aa_key(kind, argsL, untag(g), argsR)
+        key = (argsL, untag(g), argsR)
         for a, y, b in outs:
             if y[slot][0] == "t":
-                _add(table, key, _from_out(kind, a, untag(y), b))
+                _add(table, key, (a, untag(y), b))
     return Morphism(boxed(f.src), boxed(f.dst), table)

@@ -6,8 +6,9 @@ for every generator, in the order the chains are enumerated.  The library
 evaluates only inputs built from the tables' support; the differential tests
 compare the two.  Each input is evaluated here with its own per-kind sum
 (`EQUATIONS`, `DIFFS`), written out for each kind and reading the tables in
-their stored layout, so the library's single entry-shape evaluation
-(`ainf._equation`, `ainf._diff`) is checked as well as its enumeration.
+that kind's own layout (`kind_layout`), so the library's single entry-shape
+evaluation (`ainf._equation`, `ainf._diff`) is checked as well as its
+enumeration.
 
 The last section keeps two references that no command needs: the
 composition of morphisms, which the tests of `morphism_diff` and
@@ -17,6 +18,8 @@ tables.
 
 from __future__ import annotations
 
+import weakref
+
 from strandjoin.ainf import (
     Morphism,
     ModuleStructure,
@@ -24,14 +27,69 @@ from strandjoin.ainf import (
     _add,
     _chains_from,
     _chains_into,
-    _entries,
-    _from_aa_key,
-    _from_out,
     _insertions,
     _parity_add,
     f_max_left,
     f_max_right,
 )
+
+# -- the per-kind layouts ----------------------------------------------------------
+#
+# The library stores every table as (argsL, g, argsR) -> {(a, y, b)}.  The
+# references here read and write each kind's own layout instead: keys
+# (argsL, g, argsR), (g, argsR), (argsL, g) and g, outputs y, (a, y), (y, b)
+# and (a, y, b), for AA, DA, AD and DD.
+
+
+def _kind_key(kind: str, key: tuple):
+    """A key (argsL, g, argsR) in the kind's layout."""
+    argsL, g, argsR = key
+    return {"AA": key, "DA": (g, argsR), "AD": (argsL, g), "DD": g}[kind]
+
+
+def _kind_out(kind: str, out: tuple):
+    """An output (a, y, b) in the kind's layout."""
+    a, y, b = out
+    return {"AA": y, "DA": (a, y), "AD": (y, b), "DD": out}[kind]
+
+
+def _shape_key(kind: str, key) -> tuple:
+    """A key in the kind's layout as (argsL, g, argsR)."""
+    if kind == "AA":
+        return key
+    if kind == "DA":
+        return ((), key[0], key[1])
+    if kind == "AD":
+        return (key[0], key[1], ())
+    return ((), key, ())
+
+
+def _shape_out(kind: str, out) -> tuple:
+    """An output in the kind's layout as (a, y, b)."""
+    if kind == "AA":
+        return (None, out, None)
+    if kind == "DA":
+        return (out[0], out[1], None)
+    if kind == "AD":
+        return (None, out[0], out[1])
+    return out
+
+
+def kind_layout(m) -> dict:
+    """The table of m (a structure or a morphism) in the layout of m's kind."""
+    return {
+        _kind_key(m.kind, key): frozenset(_kind_out(m.kind, out) for out in outs)
+        for key, outs in m.table.items()
+    }
+
+
+def from_kind_layout(kind: str, table: dict) -> dict:
+    """A table written in the kind's layout, in the library's layout."""
+    return {
+        _shape_key(kind, key): {_shape_out(kind, out) for out in outs}
+        for key, outs in table.items()
+    }
+
 
 # -- table reads ---------------------------------------------------------------
 #
@@ -39,13 +97,21 @@ from strandjoin.ainf import (
 # unitally, so a lone idempotent input acts as the identity on matching
 # generators and any other idempotent input gives zero.
 
+# x -> (x.table, kind_layout(x)): each table is converted once, not per read.
+_LAYOUTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
 
 def _live(acc: dict) -> frozenset:
     return frozenset(k for k, v in acc.items() if v)
 
 
 def _at(x, key) -> frozenset:
-    return x.table.get(key, frozenset())
+    """x's entry at a key of its kind's layout."""
+    table, layout = _LAYOUTS.get(x, (None, None))
+    if table is not x.table:
+        layout = kind_layout(x)
+        _LAYOUTS[x] = (x.table, layout)
+    return layout.get(key, frozenset())
 
 
 def _aa(m: ModuleStructure, argsL: tuple, g, argsR: tuple) -> frozenset:
@@ -260,7 +326,7 @@ def _window(m: ModuleStructure, g, lmax: int, rmax: int):
         rights = _chains_from(m.right_alg, m.ridem[g], rmax)
     for argsL in lefts:
         for argsR in rights:
-            yield _from_aa_key(m.kind, argsL, g, argsR)
+            yield (argsL, g, argsR)
 
 
 def structure_window(m: ModuleStructure):
@@ -279,21 +345,23 @@ def diff_window(f: Morphism):
         yield from _window(src, g, lmax, rmax)
 
 
-def equation(m: ModuleStructure, key) -> frozenset:
-    """The structure equation of m at a table key of m's kind."""
-    return EQUATIONS[m.kind](m, *_args(m.kind, key))
+def equation(m: ModuleStructure, key: tuple) -> frozenset:
+    """The structure equation of m at key = (argsL, g, argsR), as outputs (a, y, b)."""
+    value = EQUATIONS[m.kind](m, *_args(m.kind, _kind_key(m.kind, key)))
+    return frozenset(_shape_out(m.kind, out) for out in value)
 
 
-def diff(f: Morphism, key) -> frozenset:
-    """The morphism differential of f at a table key of f's kind."""
-    return DIFFS[f.kind](f, *_args(f.kind, key))
+def diff(f: Morphism, key: tuple) -> frozenset:
+    """The morphism differential of f at key = (argsL, g, argsR), as outputs (a, y, b)."""
+    value = DIFFS[f.kind](f, *_args(f.kind, _kind_key(f.kind, key)))
+    return frozenset(_shape_out(f.kind, out) for out in value)
 
 
 def oracle_check_structure(m: ModuleStructure):
     """The first input (in enumeration order) whose structure equation is nonzero."""
     for key in structure_window(m):
         if equation(m, key):
-            return _args(m.kind, key)
+            return key
     return None
 
 
@@ -314,20 +382,19 @@ def morphism_compose(g: Morphism, f: Morphism) -> Morphism:
     """
     if f.dst is not g.src:
         raise StructureError("composition endpoint mismatch")
-    kind = f.kind
     A, B = f.src.left_alg, f.src.right_alg
     outer: dict = {}
-    for (argsL2, y, argsR2), outs2 in _entries(g):
+    for (argsL2, y, argsR2), outs2 in g.table.items():
         outer.setdefault(y, []).append((argsL2, argsR2, outs2))
     table: dict = {}
-    for (argsL1, x, argsR1), outs1 in _entries(f):
+    for (argsL1, x, argsR1), outs1 in f.table.items():
         for a1, y, b1 in outs1:
             for argsL2, argsR2, outs2 in outer.get(y, ()):
-                key = _from_aa_key(kind, argsL2 + argsL1, x, argsR1 + argsR2)
+                key = (argsL2 + argsL1, x, argsR1 + argsR2)
                 for a2, z, b2 in outs2:
                     for pa in (None,) if a1 is None else A.mult_table[(a1, a2)]:
                         for pb in (None,) if b1 is None else B.mult_table[(b2, b1)]:
-                            _add(table, key, _from_out(kind, pa, z, pb))
+                            _add(table, key, (pa, z, pb))
     return Morphism(f.src, g.dst, table)
 
 
@@ -341,7 +408,7 @@ def dump_module_tsv(m: ModuleStructure) -> str:
         return ",".join(str(p) for p in parts if p is not None)
 
     entries = []
-    for (argsL, g, argsR), outs in _entries(m):
+    for (argsL, g, argsR), outs in m.table.items():
         key = f"L:{fmt(*argsL)}|{g!r}|R:{fmt(*argsR)}"
         val = ";".join(sorted(fmt(a, repr(y), b) for a, y, b in outs))
         entries.append(f"{key}\t{val}")

@@ -17,10 +17,14 @@ against the double.
 `tensor_complex`, `pair_bimodule`, `pair_d_module` and `dd_as_left_module`
 are the original hand builders of the join's domain and its pair modules;
 the library builds each from the ground-ring tensor and its fold.
+
+Every walker reads and writes tables in their kind's own layout, through
+`ainf_oracle.kind_layout` and `ainf_oracle.from_kind_layout`.
 """
 
 from __future__ import annotations
 
+from ainf_oracle import from_kind_layout, kind_layout
 from strandjoin.ainf import ModuleStructure, StructureError, _add, dualize, oppositize
 from strandjoin.gf2 import ChainComplexGf2, Gf2Matrix, Gf2Vector
 from strandjoin.join import (
@@ -35,7 +39,6 @@ from strandjoin.join import (
     diagonal,
     dm_complex,
     join_general,
-    left_entries_with_units,
     mv_complex,
 )
 from strandjoin.standard_models import dual_alg_as_aa, identity_firings
@@ -45,14 +48,14 @@ from strandjoin.tensor import TensorAlgebra
 
 def _idem_firings_right_d(U: ModuleStructure):
     """Single firings of a right type-D module that emit an idempotent."""
-    for ((), u), outs in U.table.items():
+    for ((), u), outs in kind_layout(U).items():
         for u2, a in outs:
             if U.right_alg.is_idempotent_elem(a):
                 yield u, u2, U.right_alg.elems[a].occupied
 
 
 def _idem_firings_left_d(V: ModuleStructure):
-    for (v, argsR), outs in V.table.items():
+    for (v, argsR), outs in kind_layout(V).items():
         if argsR:
             continue
         for a, v2 in outs:
@@ -70,7 +73,7 @@ def dm_right_complex(U: ModuleStructure, M: ModuleStructure) -> ChainComplexGf2:
     basis_set = set(basis)
     chains = _right_d_chains(U, M.max_right_len())
     images = {g: Gf2Vector.zero() for g in basis}
-    for (_, q, argsR), outs in M.table.items():
+    for (_, q, argsR), outs in kind_layout(M).items():
         for u0, ends in chains.get(argsR, ()):
             if (u0, q) not in basis_set:
                 continue
@@ -95,7 +98,7 @@ def md_left_complex(M: ModuleStructure, V: ModuleStructure) -> ChainComplexGf2:
     basis_set = set(basis)
     chains = _left_d_chains(V, M.max_left_len())
     images = {g: Gf2Vector.zero() for g in basis}
-    for (argsL, p, _), outs in M.table.items():
+    for (argsL, p, _), outs in kind_layout(M).items():
         for v0, ends in chains.get(argsL[::-1], ()):
             if (p, v0) not in basis_set:
                 continue
@@ -129,7 +132,7 @@ def sandwich_complex_right(
     uchains = _right_d_chains(U, B.max_right_len())
     vchains = _left_d_chains(V, B.max_left_len())
     images = {g: Gf2Vector.zero() for g in basis}
-    for (argsL, x, argsR), outs in B.table.items():
+    for (argsL, x, argsR), outs in kind_layout(B).items():
         for u0, uends in uchains.get(argsR, ()):
             for v0, vends in vchains.get(argsL[::-1], ()):
                 if (u0, x, v0) not in basis_set:
@@ -172,7 +175,7 @@ def join_general_right(
     images = {g: Gf2Vector.zero() for g in domain.basis}
 
     def right_entries_with_units(Mr):
-        for (_, g, argsR), outs in Mr.table.items():
+        for (_, g, argsR), outs in kind_layout(Mr).items():
             yield g, argsR, outs
         for g in Mr.gens:
             ia = Mr.right_alg.idempotent_index(Mr.ridem[g])
@@ -256,7 +259,7 @@ def identity_composite(U: ModuleStructure, M: ModuleStructure) -> Gf2Matrix:
                 if not par:
                     continue
                 I2, a2, K2, p2 = st
-                for args, pp, outs in left_entries_with_units(M):
+                for args, pp, outs in _left_entries_aa(M):
                     if pp != p or q0 not in outs:
                         continue
                     n = len(args)
@@ -285,6 +288,15 @@ def identity_composite(U: ModuleStructure, M: ModuleStructure) -> Gf2Matrix:
     return Gf2Matrix.from_columns(basis, basis, nonzero)
 
 
+def _left_entries_aa(M: ModuleStructure):
+    """Stored left-module operations plus the implicit unital actions, in the AA layout."""
+    for (argsL, g, _), outs in kind_layout(M).items():
+        yield argsL, g, outs
+    for g in M.gens:
+        ia = M.left_alg.idempotent_index(M.lidem[g])
+        yield (ia,), g, frozenset([g])
+
+
 def assert_identity_matches(U: ModuleStructure, M: ModuleStructure) -> Gf2Matrix:
     """The library's identity composite equals the hand walk, label for label;
     returns it."""
@@ -299,7 +311,7 @@ def assert_identity_matches(U: ModuleStructure, M: ModuleStructure) -> Gf2Matrix
 #
 # The library builds these from `tensor.ground_tensor` and `tensor.fold`; the
 # functions below are the original hand builders, each reading its factors'
-# table layouts directly.
+# tables in their kind's layout directly.
 
 
 def tensor_complex(c1: ChainComplexGf2, c2: ChainComplexGf2) -> ChainComplexGf2:
@@ -326,18 +338,19 @@ def pair_bimodule(M: ModuleStructure) -> ModuleStructure:
     ridem = {(p, q): M.lidem[q] for (p, q) in gens}
     table: dict = {}
 
-    for (argsL, p, _), outs in M.table.items():
+    entries = kind_layout(M)
+    for (argsL, p, _), outs in entries.items():
         for q in M.gens:
             for p2 in outs:
                 _add(table, (argsL, (p, q), ()), (p2, q))
     # The dual right action: <q^ . (b_1..b_j), x> = <q^, m(b_j, ..., b_1, x)>.
-    for (argsL, x, _), outs in M.table.items():
+    for (argsL, x, _), outs in entries.items():
         argsR = tuple(reversed(argsL))
         for q in outs:
             for p in M.gens:
                 _add(table, ((), (p, q), argsR), (p, x))
     return ModuleStructure(
-        "AA", A, A, gens, lidem, ridem, table, name=f"({M.name}(x)dual)"
+        "AA", A, A, gens, lidem, ridem, from_kind_layout("AA", table), name=f"({M.name}(x)dual)"
     )
 
 
@@ -369,18 +382,19 @@ def pair_d_module(U: ModuleStructure, V: ModuleStructure, ta: TensorAlgebra) -> 
         for (u, v) in gens
     }
     table: dict = {}
-
+    utable, vtable = kind_layout(U), kind_layout(V)
     for (u, v) in gens:
-        for u2, a in U.table.get(((), u), ()):
+        for u2, a in utable.get(((), u), ()):
             ib = am2rev.idempotent_index(V.lidem[v])
             pair = ta.pair_index[(a, ib)]
             _add(table, ((), (u, v)), ((u2, v), pair))
-        for a, v2 in V.table.get((v, ()), ()):
+        for a, v2 in vtable.get((v, ()), ()):
             ia = am1.idempotent_index(U.ridem[u])
             pair = ta.pair_index[(ia, rot[a])]
             _add(table, ((), (u, v)), ((u, v2), pair))
     return ModuleStructure(
-        "AD", None, union, gens, lidem, ridem, table, name=f"({U.name}(x){V.name})"
+        "AD", None, union, gens, lidem, ridem, from_kind_layout("AD", table),
+        name=f"({U.name}(x){V.name})",
     )
 
 
@@ -401,11 +415,11 @@ def dd_as_left_module(X: ModuleStructure, ta: TensorAlgebra) -> ModuleStructure:
     }
     ridem = {g: frozenset() for g in gens}
     table: dict = {}
-
+    xtable = kind_layout(X)
     for g in gens:
-        for a, y, b in X.table.get(g, ()):
+        for a, y, b in xtable.get(g, ()):
             pair = ta.pair_index[(a, rot[b])]
             _add(table, (g, ()), (pair, y))
     return ModuleStructure(
-        "DA", union, None, gens, lidem, ridem, table, name=f"[{X.name}]"
+        "DA", union, None, gens, lidem, ridem, from_kind_layout("DA", table), name=f"[{X.name}]"
     )

@@ -10,11 +10,13 @@ pair of the product table, and `dd_sandwich_da_bimodule` writes the carrier
 and the firings of the two identity bimodules out by hand, finding the
 dual-slot terms by scanning the whole algebra for inverse images.  None of
 them is validated here; the differential tests compare their output with the
-library's.
+library's.  Each writes its table in its kind's own layout and converts it with
+`ainf_oracle.from_kind_layout`.
 """
 
 from __future__ import annotations
 
+from ainf_oracle import from_kind_layout
 from strandjoin.ainf import ModuleStructure, _add
 from strandjoin.standard_models import identity_firings
 from strandjoin.strands import AlgebraModel
@@ -39,7 +41,9 @@ def alg_as_aa(am: AlgebraModel) -> ModuleStructure:
             out = am.mult_table.get((g, a), frozenset())
             if out:
                 table[((), g, (a,))] = set(out)
-    return ModuleStructure("AA", am, am, gens, lidem, ridem, table, validate=False, name="A")
+    return ModuleStructure(
+        "AA", am, am, gens, lidem, ridem, from_kind_layout("AA", table), validate=False, name="A"
+    )
 
 
 def left_module_from_right_idem(am: AlgebraModel, I) -> ModuleStructure:
@@ -61,7 +65,8 @@ def left_module_from_right_idem(am: AlgebraModel, I) -> ModuleStructure:
             if out:
                 table[((a,), g, ())] = set(out) & genset
     return ModuleStructure(
-        "AA", am, None, gens, lidem, ridem, table, validate=False, name=f"A.i{sorted(I)}"
+        "AA", am, None, gens, lidem, ridem, from_kind_layout("AA", table), validate=False,
+        name=f"A.i{sorted(I)}",
     )
 
 
@@ -81,7 +86,10 @@ def alg_as_right_module(am: AlgebraModel) -> ModuleStructure:
             out = am.mult_table.get((g, a), frozenset())
             if out:
                 table[((), g, (a,))] = set(out)
-    return ModuleStructure("AA", None, am, gens, lidem, ridem, table, validate=False, name="A_r")
+    return ModuleStructure(
+        "AA", None, am, gens, lidem, ridem, from_kind_layout("AA", table), validate=False,
+        name="A_r",
+    )
 
 
 def dd_sandwich_da_bimodule(am: AlgebraModel) -> ModuleStructure:
@@ -135,4 +143,7 @@ def dd_sandwich_da_bimodule(am: AlgebraModel) -> ModuleStructure:
         for e in nonidem:
             for b2 in am.mult_table[(b, e)]:
                 _add(table, (g, (e,)), (iI, (g[0], a, g[2], b2)))
-    return ModuleStructure("DA", am, am, gens, lidem, ridem, table, validate=False, name="IA^IA")
+    return ModuleStructure(
+        "DA", am, am, gens, lidem, ridem, from_kind_layout("DA", table), validate=False,
+        name="IA^IA",
+    )

@@ -10,44 +10,43 @@ by hand, with a lone idempotent f firing acting as the identity.
 
 The library's external tensor is the fold of the ground-ring tensor; the
 `external_tensor` here is the original builder, which walks the union
-algebra's basis and reads both factors' tables directly.
+algebra's basis and reads both factors' tables directly, in the AA layout of
+`ainf_oracle.kind_layout`.
 `assert_same_structure` is the label-for-label comparison the differential
 tests use for every such pair of builders.
 """
 
 from __future__ import annotations
 
+from ainf_oracle import from_kind_layout, kind_layout
 from strandjoin.ainf import (
     ModuleStructure,
     Morphism,
     StructureError,
     _add,
-    _entries,
-    _from_aa_key,
-    _from_out,
     _max_input_len,
 )
 from strandjoin.strands import rotate180
 from strandjoin.tensor import TensorAlgebra, _collapse, _d_chains, box
 
 
-def _box_table(f, n: ModuleStructure, kind: str, genset: set) -> dict:
+def _box_table(f, n: ModuleStructure, genset: set) -> dict:
     """The terms of f box n (f a structure or a morphism) in which f's stored
-    entries consume chains of n's firings; the result has the given kind."""
+    entries consume chains of n's firings."""
     ralg = n.right_alg if n.right_type == "D" else None
     table: dict = {}
     chains = _d_chains(n, _max_input_len(f, 2))
-    for (argsL, x, bseq), outs in _entries(f):
+    for (argsL, x, bseq), outs in f.table.items():
         for y in n.gens:
             if (x, y) not in genset:
                 continue
             for (argsC, cseq, y2), par in chains.get((y, bseq), {}).items():
                 if not par:
                     continue
-                key = _from_aa_key(kind, argsL, (x, y), argsC)
+                key = (argsL, (x, y), argsC)
                 for c in (None,) if ralg is None else _collapse(ralg, cseq, n.ridem[y]):
                     for a, x2, _ in outs:
-                        _add(table, key, _from_out(kind, a, (x2, y2), c))
+                        _add(table, key, (a, (x2, y2), c))
     return table
 
 
@@ -58,14 +57,13 @@ def induced(f: Morphism, other: ModuleStructure, side: str) -> Morphism:
             raise StructureError("unsupported induced-map combination")
         src_box = box(f.src, other, validate=False)
         dst_box = box(f.dst, other, validate=False)
-        return Morphism(src_box, dst_box, _box_table(f, other, src_box.kind, src_box.genset))
+        return Morphism(src_box, dst_box, _box_table(f, other, src_box.genset))
     if side == "left":
         # id_other (x) f with f a morphism of left type-D structures.
         if f.kind != "DA" or other.right_type != "A":
             raise StructureError("unsupported induced-map combination")
         src_box = box(other, f.src, validate=False)
         dst_box = box(other, f.dst, validate=False)
-        kind = src_box.kind
         alg = other.right_alg
         kmax = other.max_right_len()
         chains_src = _d_chains(f.src, kmax)
@@ -74,10 +72,10 @@ def induced(f: Morphism, other: ModuleStructure, side: str) -> Morphism:
         for (y0, bseq), states in chains_dst.items():
             by_start.setdefault(y0, []).append((bseq, states))
         f_firings: dict = {}
-        for (_, y, blkf), fouts in _entries(f):
+        for (_, y, blkf), fouts in f.table.items():
             f_firings.setdefault(y, []).append((blkf, fouts))
         other_by: dict = {}
-        for (argsL, x, bseq), outs in _entries(other):
+        for (argsL, x, bseq), outs in other.table.items():
             other_by.setdefault((x, bseq), []).append((argsL, outs))
         table: dict = {}
         # One f-firing amid structure firings of src then dst.
@@ -117,8 +115,8 @@ def induced(f: Morphism, other: ModuleStructure, side: str) -> Morphism:
                                         for a, x2, _ in outs:
                                             _add(
                                                 table,
-                                                _from_aa_key(kind, argsL, (x, y0), args),
-                                                _from_out(kind, a, (x2, yend), None),
+                                                (argsL, (x, y0), args),
+                                                (a, (x2, yend), None),
                                             )
         return Morphism(src_box, dst_box, table)
     raise ValueError("side must be 'left' or 'right'")
@@ -158,15 +156,15 @@ def external_tensor(m: ModuleStructure, n: ModuleStructure) -> ModuleStructure:
     }
     ridem = {g: frozenset() for g in gens}
     table: dict = {}
-
+    mtable, ntable = kind_layout(m), kind_layout(n)
     # Differential: Leibniz.
-    for (argsL, x, _), outs in m.table.items():
+    for (argsL, x, _), outs in mtable.items():
         if argsL:
             continue
         for y in n.gens:
             for x2 in outs:
                 _add(table, ((), (x, y), ()), (x2, y))
-    for (_, y, argsR), outs in n.table.items():
+    for (_, y, argsR), outs in ntable.items():
         if argsR:
             continue
         for x in m.gens:
@@ -185,7 +183,7 @@ def external_tensor(m: ModuleStructure, n: ModuleStructure) -> ModuleStructure:
             xs = (
                 frozenset([x])
                 if a_idem and A.elems[e1].occupied == m.lidem[x]
-                else m.table.get(((e1,), x, ()), frozenset())
+                else mtable.get(((e1,), x, ()), frozenset())
                 if not a_idem
                 else frozenset()
             )
@@ -195,7 +193,7 @@ def external_tensor(m: ModuleStructure, n: ModuleStructure) -> ModuleStructure:
                 ys = (
                     frozenset([y])
                     if b_idem and B.elems[b_orig].occupied == n.ridem[y]
-                    else n.table.get(((), y, (b_orig,)), frozenset())
+                    else ntable.get(((), y, (b_orig,)), frozenset())
                     if not b_idem
                     else frozenset()
                 )
@@ -205,5 +203,6 @@ def external_tensor(m: ModuleStructure, n: ModuleStructure) -> ModuleStructure:
                     for y2 in ys:
                         _add(table, ((u,), (x, y), ()), (x2, y2))
     return ModuleStructure(
-        "AA", U, None, gens, lidem, ridem, table, name=f"({m.name}(x){n.name})"
+        "AA", U, None, gens, lidem, ridem, from_kind_layout("AA", table),
+        name=f"({m.name}(x){n.name})",
     )

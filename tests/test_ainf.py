@@ -84,21 +84,30 @@ def _compat_cases(am):
     c = am.index[ABasisElem((("a1", "a2"),), frozenset())]  # from L to R
     e = am.idempotent_index(L)
     assert am.left_idem[c] == L and am.right_idem[c] == R
+    # keys at x: no inputs, or e or c as the one left or right input
+    x, ex, cx = ((), "x", ()), ((e,), "x", ()), ((c,), "x", ())
+    xe, xc = ((), "x", (e,)), ((), "x", (c,))
+    ax, ay = (None, "x", None), (None, "y", None)
     cases = [
-        ("AA", (L, L), (L, L), {((e,), "x", ()): {"x"}}, "idempotent input stored in table"),
-        ("AA", (L, R), (L, L), {((c,), "x", ()): {"y"}}, "left idempotent chain broken at {}"),
-        ("AA", (L, L), (R, L), {((), "x", (c,)): {"y"}}, "right idempotent chain broken at {}"),
-        ("AA", (R, R), (L, L), {((c,), "x", ()): {"y"}}, "output idempotent mismatch at {}"),
-        ("DA", (L, L), (L, L), {("x", (e,)): {(e, "x")}}, "idempotent input stored in table"),
-        ("DA", (L, R), (R, L), {("x", (c,)): {(c, "y")}}, "right idempotent chain broken at {}"),
-        ("DA", (R, R), (L, L), {("x", ()): {(c, "y")}}, "left output idempotent mismatch at {}"),
-        ("DA", (L, R), (L, R), {("x", ()): {(c, "y")}}, "output idempotent mismatch at {}"),
-        ("AD", (L, L), (L, L), {((e,), "x"): {("x", e)}}, "idempotent input stored in table"),
-        ("AD", (L, L), (R, L), {((c,), "x"): {("y", c)}}, "left idempotent chain broken at {}"),
-        ("AD", (L, L), (L, L), {((), "x"): {("y", c)}}, "right output idempotent mismatch at {}"),
-        ("AD", (L, R), (R, L), {((), "x"): {("y", c)}}, "output idempotent mismatch at {}"),
-        ("DD", (R, R), (R, L), {"x": {(c, "y", c)}}, "left output idempotent mismatch at {}"),
-        ("DD", (L, R), (L, L), {"x": {(c, "y", c)}}, "right output idempotent mismatch at {}"),
+        ("AA", (L, L), (L, L), {ex: {ax}}, "idempotent input stored in table"),
+        ("AA", (L, R), (L, L), {cx: {ay}}, "left idempotent chain broken at {}"),
+        ("AA", (L, L), (R, L), {xc: {ay}}, "right idempotent chain broken at {}"),
+        ("AA", (R, R), (L, L), {cx: {ay}}, "output idempotent mismatch at {}"),
+        ("DA", (L, L), (L, L), {xe: {(e, "x", None)}}, "idempotent input stored in table"),
+        ("DA", (L, R), (R, L), {xc: {(c, "y", None)}}, "right idempotent chain broken at {}"),
+        ("DA", (R, R), (L, L), {x: {(c, "y", None)}}, "left output idempotent mismatch at {}"),
+        ("DA", (L, R), (L, R), {x: {(c, "y", None)}}, "output idempotent mismatch at {}"),
+        ("AD", (L, L), (L, L), {ex: {(None, "x", e)}}, "idempotent input stored in table"),
+        ("AD", (L, L), (R, L), {cx: {(None, "y", c)}}, "left idempotent chain broken at {}"),
+        ("AD", (L, L), (L, L), {x: {(None, "y", c)}}, "right output idempotent mismatch at {}"),
+        ("AD", (L, R), (R, L), {x: {(None, "y", c)}}, "output idempotent mismatch at {}"),
+        ("DD", (R, R), (R, L), {x: {(c, "y", c)}}, "left output idempotent mismatch at {}"),
+        ("DD", (L, R), (L, L), {x: {(c, "y", c)}}, "right output idempotent mismatch at {}"),
+        # The layout does not enforce a kind's shape; the check does.  Each
+        # entry below would pass every other check.
+        ("DA", (R, R), (L, L), {cx: {(c, "y", None)}}, "input on a type-D side at {}"),
+        ("AA", (L, L), (L, L), {x: {(e, "x", None)}}, "left output slot does not fit the kind at {}"),
+        ("DD", (L, R), (L, L), {x: {(c, "y", None)}}, "right output slot does not fit the kind at {}"),
     ]
     for kind, (lx, ly), (rx, ry), table, message in cases:
         (key,) = table
@@ -112,7 +121,22 @@ def test_idempotent_compat_rejections_for_every_kind(am2):
             ModuleStructure(kind, am2, am2, ("x", "y"), lidem, ridem, table, validate=False)
         assert str(err.value) == message, (kind, table)
         seen.add((kind, message.split(" at ")[0]))
-    assert len(seen) == 14
+    assert len(seen) == 17
+
+
+def test_morphism_rejects_entries_off_its_kind_shape(am2):
+    X = da_identity(am2)
+    c = next(i for i in range(am2.dim) if not am2.is_idempotent_elem(i))
+    g = X.gens[0]
+    for table, message in (
+        ({((c,), g, ()): {(c, g, None)}}, "input on a type-D side at {}"),
+        ({((), g, ()): {(None, g, None)}}, "left output slot does not fit the kind at {}"),
+        ({((), g, ()): {(c, g, c)}}, "right output slot does not fit the kind at {}"),
+    ):
+        (key,) = table
+        with pytest.raises(StructureError) as err:
+            Morphism(X, X, table)
+        assert str(err.value) == message.format(key)
 
 
 def test_dump_module_tsv_for_every_kind(am1, am2):
@@ -172,7 +196,7 @@ def test_dual_algebra_pairing_identity(am1):
         for phi in Ad.gens:
             outs = Ad.table.get(((b,), phi, ()), frozenset())
             for x in range(am1.dim):
-                lhs = 1 if x in outs else 0
+                lhs = 1 if (None, x, None) in outs else 0
                 rhs = 1 if phi in am1.mult_table[(x, b)] else 0
                 assert lhs == rhs
 
@@ -230,16 +254,6 @@ def test_identity_is_a_two_sided_unit_for_every_kind(am1, am2):
             assert morphism_compose(ident, ident).table == ident.table, m.name
 
 
-# Each kind's layout: the generator of a key, and an output as (a, y, b).
-KEY_GEN = {"AA": lambda k: k[1], "DA": lambda k: k[0], "AD": lambda k: k[1], "DD": lambda k: k}
-OUT = {
-    "AA": lambda o: (None, o, None),
-    "DA": lambda o: (o[0], o[1], None),
-    "AD": lambda o: (None, o[0], o[1]),
-    "DD": lambda o: o,
-}
-
-
 def test_morphism_slot_order(am2):
     # check homotopy samples slots by position: with no inputs, slots run by
     # generator, then left output, right output and target generator.
@@ -247,8 +261,8 @@ def test_morphism_slot_order(am2):
         pos = {g: i for i, g in enumerate(m.gens)}
 
         def order(slot):
-            a, y, b = OUT[m.kind](slot[1])
-            return (pos[KEY_GEN[m.kind](slot[0])], a or -1, b or -1, pos[y])
+            (_, g, _), (a, y, b) = slot
+            return (pos[g], a or -1, b or -1, pos[y])
 
         slots = _morphism_slots(m, m, 0)
         assert slots and slots == sorted(slots, key=order), m.name

@@ -16,7 +16,6 @@ from ainf_oracle import (
 from strandjoin.ainf import (
     ModuleStructure,
     Morphism,
-    _as_aa_key,
     _diff,
     _equation,
     _morphism_slots,
@@ -90,7 +89,7 @@ def valid_families(am):
 
 
 def reevaluate(m, witness) -> frozenset:
-    return equation(m, witness[0] if m.kind == "DD" else witness)
+    return equation(m, witness)
 
 
 def test_checker_agrees_with_oracle_on_valid_families(am0, am1, am2):
@@ -195,7 +194,7 @@ def _equation_agrees_on_window(m) -> tuple[int, int]:
     inputs = nonzero = 0
     for key in structure_window(m):
         value = equation(m, key)
-        assert _equation(m, _as_aa_key(m.kind, key)) == value, (m.name, key)
+        assert _equation(m, key) == value, (m.name, key)
         inputs += 1
         nonzero += bool(value)
     return inputs, nonzero
@@ -224,7 +223,7 @@ def test_diff_agrees_with_per_kind_sums(am0, am1, am2):
     seen = set()
     for f in morphism_families(am0, am1, am2):
         for key in diff_window(f):
-            assert _diff(f, _as_aa_key(f.kind, key)) == diff(f, key), (f.kind, key)
+            assert _diff(f, key) == diff(f, key), (f.kind, key)
             seen.add(f.kind)
     assert seen == {"AA", "DA", "AD", "DD"}
 
@@ -240,7 +239,7 @@ def test_corrupted_dd_witness_is_a_generator(am1, am2):
             assert witness == oracle_check_structure(m)
             if witness is not None:
                 found += 1
-                assert len(witness) == 1 and witness[0] in m.genset
+                assert witness[0] == witness[2] == () and witness[1] in m.genset
                 assert reevaluate(m, witness)
     assert found
 
@@ -311,7 +310,7 @@ def _first_mover(am):
 def _two_input_entries(r):
     # m(r, r; x) = y and m(r, r; y) = z: the equation is nonzero at
     # (r, r, r, r; x), twice the longest entry.
-    return {((r, r), "x", ()): {"y"}, ((r, r), "y", ()): {"z"}}
+    return {((r, r), "x", ()): {(None, "y", None)}, ((r, r), "y", ()): {(None, "z", None)}}
 
 
 def test_window_is_the_brute_force_window(am1):
@@ -320,9 +319,9 @@ def test_window_is_the_brute_force_window(am1):
     # longest entry, so both report the failure at x.
     r = _first_mover(am1)
     table = _two_input_entries(r)
-    table[((r,), "w", ())] = {"w"}
+    table[((r,), "w", ())] = {(None, "w", None)}
     m = _left_module(am1, ("x", "y", "z", "w"), table)
-    assert reevaluate(m, ((r,) * 4, "x", ())) == {"z"}
+    assert reevaluate(m, ((r,) * 4, "x", ())) == {(None, "z", None)}
     assert check_structure(m) == oracle_check_structure(m) == ((r,) * 4, "x", ())
 
 

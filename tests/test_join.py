@@ -52,7 +52,7 @@ def test_nabla_elementary_single_component(am1):
     nb = nabla(M)
     g = M.gens[0]
     assert set(nb.table) == {((), (g, g), ())}
-    (out,) = nb.table[((), (g, g), ())]
+    ((_, out, _),) = nb.table[((), (g, g), ())]
     assert am1.elems[out] == ABasisElem((), frozenset())
 
 
@@ -67,8 +67,9 @@ def test_nabla_dg_specialization(am1):
                 if am1.is_idempotent_elem(a):
                     expect = 1 if (p == q and am1.elems[a].occupied == M.lidem[p]) else 0
                 else:
-                    expect = 1 if q in M.table.get(((a,), p, ()), frozenset()) else 0
-                assert (a in outs) == bool(expect)
+                    acts = M.table.get(((a,), p, ()), frozenset())
+                    expect = 1 if (None, q, None) in acts else 0
+                assert ((None, a, None) in outs) == bool(expect)
 
 
 def test_join_instances_are_chain_maps(am1):
@@ -166,11 +167,11 @@ def test_cancel_cA_table_and_cycle(am1, am2):
         cA = cancel_cA(am)
         assert is_homomorphism(cA)
         # entries: idempotent dual slot emits the algebra content
-        for (g, argsR), outs in cA.table.items():
+        for (argsL, g, argsR), outs in cA.table.items():
             I, a, K, b = g
-            assert argsR == ()
+            assert argsL == argsR == ()
             assert am.is_idempotent_elem(a)
-            ((bb, tgt),) = outs
+            ((bb, tgt, _),) = outs
             assert bb == b
         # sigma-slot states exist in the source but not in the support
         src = cA.src
@@ -179,7 +180,7 @@ def test_cancel_cA_table_and_cycle(am1, am2):
             assert has_nonidem
             for g in src.gens:
                 if not am.is_idempotent_elem(g[1]):
-                    assert (g, ()) not in cA.table
+                    assert ((), g, ()) not in cA.table
 
 
 def test_dd_middle_and_sandwich_structures(am1, am2):

@@ -54,9 +54,9 @@ def test_d_chains_keep_the_ends_reached_an_odd_number_of_times(am2):
         "y3": am2.right_idem[c],
     }
     table = {
-        ("y0", ()): {(b, "y1"), (b, "y2")},
-        ("y1", ()): {(c, "y3")},
-        ("y2", ()): {(c, "y3")},
+        ((), "y0", ()): {(b, "y1", None), (b, "y2", None)},
+        ((), "y1", ()): {(c, "y3", None)},
+        ((), "y2", ()): {(c, "y3", None)},
     }
     V = ModuleStructure(
         "DA", am2, None, tuple(lidem), lidem, {y: frozenset() for y in lidem}, table,

@@ -53,13 +53,23 @@ def test_mu_H_verified_on_all_blocks(am0, am1, am2):
             mu_H(am, I, J, K)  # raises when the join composite disagrees
 
 
+def _unit_position(am):
+    """The position of [iota_1] among the homology representatives of the
+    {1}->{1} block, the order of the columns' second index."""
+    _, reps = homology(gamma_block(am, frozenset({1}), frozenset({1})))
+    iota = am.idempotent_index({1})
+    return next(j for j, r in enumerate(reps) if r.entries == {iota})
+
+
 def test_mu_H_example_action_of_sigma(am1):
     m = mu_H(am1, frozenset({1}), frozenset({1}), frozenset({1}))
     # H(block {1}->{1}) is 2-dimensional: [iota1], [sigma];
     # [iota1].[sigma] = [sigma] so the matrix is the full multiplication table
     assert len(m.rows) == 2
     # unital: [iota1] acts as identity
-    cols = {c for _, c in m.nonzero}
+    unit = _unit_position(am1)
+    for i in range(len(m.rows)):
+        assert m.column((i, unit)).entries == {("h", i)}
     assert len(m.nonzero) >= 2
 
 
@@ -86,8 +96,10 @@ def test_m_H_unit_action(am1):
     u = alg_as_right_module(am1)
     m = m_H(u, frozenset({1}), frozenset({1}))
     # the class of iota_1 acts as the identity on the block homology
-    n = len(homology(gamma_block(am1, frozenset({1}), frozenset({1})))[1])
     assert len(m.rows) == 2
+    unit = _unit_position(am1)
+    for i in range(len(m.rows)):
+        assert m.column((i, unit)).entries == {("h", i)}
 
 
 def _right_blocks(u):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import tensor_oracle
+from ainf_oracle import kind_layout
 from strandjoin.arc_diagram import Z1, reverse
 from strandjoin.ainf import (
     ModuleStructure,
@@ -100,15 +101,16 @@ def test_external_tensor_combined_action_grid(am1):
     ta = TensorAlgebra(am1, enumerate_basis(reverse(Z1)))
     rot = rotate180(am1)[1]
     rot_inv = {v: k for k, v in rot.items()}
+    rt, Mt, Nt = kind_layout(r), kind_layout(M), kind_layout(N)
     # the combined one-input action equals the two one-sided actions
     for u in range(ta.union.dim):
         e1, e2 = ta.split[u]
         for (x, y) in r.gens:
-            got = r.table.get(((u,), (x, y), ()), frozenset())
+            got = rt.get(((u,), (x, y), ()), frozenset())
             xs = (
                 frozenset([x])
                 if am1.is_idempotent_elem(e1) and am1.elems[e1].occupied == M.lidem[x]
-                else M.table.get(((e1,), x, ()), frozenset())
+                else Mt.get(((e1,), x, ()), frozenset())
                 if not am1.is_idempotent_elem(e1)
                 else frozenset()
             )
@@ -116,7 +118,7 @@ def test_external_tensor_combined_action_grid(am1):
             ys = (
                 frozenset([y])
                 if am1.is_idempotent_elem(b) and am1.elems[b].occupied == N.ridem[y]
-                else N.table.get(((), y, (b,)), frozenset())
+                else Nt.get(((), y, (b,)), frozenset())
                 if not am1.is_idempotent_elem(b)
                 else frozenset()
             )
@@ -157,7 +159,7 @@ def test_fold_rejects_other_inputs(am1, am2):
     L, R = am1.left_idem[r], am1.right_idem[r]
     w = ModuleStructure(
         "AA", am1, am1, ("x", "y"), {"x": R, "y": L}, {"x": L, "y": R},
-        {((r,), "x", (r,)): {"y"}}, validate=False,
+        {((r,), "x", (r,)): {(None, "y", None)}}, validate=False,
     )
     assert not w.is_dg_type()
     with pytest.raises(StructureError, match="only a DD or a DG-type AA"):
@@ -274,7 +276,7 @@ def test_box_associativity_with_dg_middle(am1):
         assert set(remap.values()) == set(right_first.gens)
         relabeled = {}
         for (argsL, g, argsR), outs in left_first.table.items():
-            relabeled[(argsL, remap[g], argsR)] = frozenset(remap[y] for y in outs)
+            relabeled[(argsL, remap[g], argsR)] = frozenset((a, remap[y], b) for a, y, b in outs)
         assert relabeled == {k: frozenset(v) for k, v in right_first.table.items()}
 
 
@@ -293,7 +295,9 @@ def test_double_reassociates_through_dbox(am1, am2):
                 assert set(remap.values()) == set(right_first.gens)
                 relabeled = {}
                 for (argsL, g, argsR), outs in left_first.table.items():
-                    relabeled[(argsL, remap[g], argsR)] = frozenset(remap[y] for y in outs)
+                    relabeled[(argsL, remap[g], argsR)] = frozenset(
+                        (a, remap[y], b) for a, y, b in outs
+                    )
                 assert relabeled == right_first.table
                 nontrivial += bool(right_first.table)
     assert nontrivial
