@@ -159,6 +159,8 @@ class ModuleStructure:
         _check_shape(self.kind, self.table)
         for key, outs in self.table.items():
             argsL, g, argsR = key
+            if (argsL and A is None) or (argsR and B is None):
+                raise StructureError(f"input on a side with no algebra at {key}")
             if any(A.is_idempotent_elem(a) for a in argsL) or any(
                 B.is_idempotent_elem(b) for b in argsR
             ):

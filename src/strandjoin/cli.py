@@ -75,24 +75,26 @@ def cmd_validate(args, out) -> int:
 def cmd_algebra(args, out) -> int:
     z = _load_diagram(args.diagram)
     am = enumerate_basis(z)
-    out.write(_header(args))
-    out.write(f"# basis (dim {am.dim})\n")
-    out.write(dump_basis_tsv(am))
-    out.write("# mult\n")
-    out.write(dump_mult_tsv(am))
-    out.write("# diff\n")
-    out.write(dump_diff_tsv(am))
+    out.write("".join([
+        _header(args),
+        f"# basis (dim {am.dim})\n",
+        dump_basis_tsv(am),
+        "# mult\n",
+        dump_mult_tsv(am),
+        "# diff\n",
+        dump_diff_tsv(am),
+    ]))
     return 0
 
 
 def cmd_blocks(args, out) -> int:
     z = _load_diagram(args.diagram)
     am = enumerate_basis(z)
-    out.write(_header(args))
     blocks = homology_blocks(am)
+    lines = [_header(args)]
     for (I, J) in sorted(blocks, key=lambda t: (sorted(t[0]), sorted(t[1]))):
-        dim = blocks[(I, J)]
-        out.write(f"{_subset_label(I)}\t{_subset_label(J)}\t{dim}\n")
+        lines.append(f"{_subset_label(I)}\t{_subset_label(J)}\t{blocks[(I, J)]}\n")
+    out.write("".join(lines))
     return 0
 
 
@@ -130,19 +132,16 @@ def cmd_join(args, out) -> int:
     M = _module_for_join(am, args.M, "M")
     V = _module_for_join(am, args.V, "V")
     inst = join_general(U, M, V)
-    out.write(_header(args))
-    out.write("# domain basis\n")
+    lines = [_header(args), "# domain basis\n"]
     dom = {g: i for i, g in enumerate(sorted(inst.domain.basis, key=repr))}
     cod = {g: i for i, g in enumerate(sorted(inst.codomain.basis, key=repr))}
-    for g, i in sorted(dom.items(), key=lambda kv: kv[1]):
-        out.write(f"{i}\t{g!r}\n")
-    out.write("# codomain basis\n")
-    for g, i in sorted(cod.items(), key=lambda kv: kv[1]):
-        out.write(f"{i}\t{g!r}\n")
-    out.write("# matrix (row col) triplets, value 1\n")
+    lines += [f"{i}\t{g!r}\n" for g, i in sorted(dom.items(), key=lambda kv: kv[1])]
+    lines.append("# codomain basis\n")
+    lines += [f"{i}\t{g!r}\n" for g, i in sorted(cod.items(), key=lambda kv: kv[1])]
+    lines.append("# matrix (row col) triplets, value 1\n")
     trips = sorted((cod[r], dom[c]) for (r, c) in inst.matrix.nonzero)
-    for r, c in trips:
-        out.write(f"{r}\t{c}\n")
+    lines += [f"{r}\t{c}\n" for r, c in trips]
+    out.write("".join(lines))
     return 0
 
 
@@ -153,18 +152,17 @@ def cmd_double(args, out) -> int:
     am = enumerate_basis(z)
     M = _module_for_join(am, args.M, "M")
     c, vec = diagonal(M)
-    out.write(_header(args))
-    out.write(f"# double complex dim {c.dim}\n")
+    lines = [_header(args), f"# double complex dim {c.dim}\n"]
     basis = {g: i for i, g in enumerate(sorted(c.basis, key=repr))}
-    for g, i in sorted(basis.items(), key=lambda kv: kv[1]):
-        out.write(f"{i}\t{g!r}\n")
-    out.write("# differential triplets\n")
-    for r, cc in sorted((basis[r], basis[c2]) for (r, c2) in c.differential.nonzero):
-        out.write(f"{r}\t{cc}\n")
-    out.write("# diagonal cycle\n")
-    out.write(",".join(str(basis[g]) for g in sorted(vec, key=repr)) + "\n")
+    lines += [f"{i}\t{g!r}\n" for g, i in sorted(basis.items(), key=lambda kv: kv[1])]
+    lines.append("# differential triplets\n")
+    trips = sorted((basis[r], basis[c2]) for (r, c2) in c.differential.nonzero)
+    lines += [f"{r}\t{cc}\n" for r, cc in trips]
+    lines.append("# diagonal cycle\n")
+    lines.append(",".join(str(basis[g]) for g in sorted(vec, key=repr)) + "\n")
     dim, _ = homology(c)
-    out.write(f"# homology dimension: {dim}\n")
+    lines.append(f"# homology dimension: {dim}\n")
+    out.write("".join(lines))
     return 0
 
 
@@ -410,21 +408,23 @@ def cmd_check(args, out) -> int:
             z_, am_, rng_, args.max_homotopy_len
         ),
     }
-    out.write(_header(args))
+    lines = [_header(args)]
     bad = False
-    for name in suites:
-        try:
-            failures = registry[name](z, am, rng)
-        except NotApplicable as e:
-            out.write(f"{name}: not applicable ({e})\n")
-            continue
-        if failures:
-            bad = True
-            out.write(f"{name}: FAIL\n")
-            for f in failures[:10]:
-                out.write(f"  {f}\n")
-        else:
-            out.write(f"{name}: PASS\n")
+    try:
+        for name in suites:
+            try:
+                failures = registry[name](z, am, rng)
+            except NotApplicable as e:
+                lines.append(f"{name}: not applicable ({e})\n")
+                continue
+            if failures:
+                bad = True
+                lines.append(f"{name}: FAIL\n")
+                lines += [f"  {f}\n" for f in failures[:10]]
+            else:
+                lines.append(f"{name}: PASS\n")
+    finally:  # a suite that raises still leaves the verdicts before it
+        out.write("".join(lines))
     return 2 if bad else 0
 
 

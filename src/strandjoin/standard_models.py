@@ -53,9 +53,13 @@ def algebra_module(am: AlgebraModel, gens, left: bool, right: bool, name: str) -
     kept, so each nonzero product table entry is one action entry.
     """
     genset = set(gens)
+    shared: dict = {}  # one output set per distinct product or differential
 
     def outs(elems):
-        return frozenset((None, y, None) for y in elems)
+        out = shared.get(elems)
+        if out is None:
+            out = shared[elems] = frozenset((None, y, None) for y in elems)
+        return out
 
     table = {((), g, ()): outs(am.diff_table[g]) for g in gens if am.diff_table[g]}
     for (a, b), out in am.mult_table.items():

@@ -7,13 +7,15 @@ upward-veering for alpha diagrams and downward for beta.  Basis elements of
 the bordered algebra are symmetrized: movers plus a set of occupied matched
 pairs, each standing for the sum over one-point-per-pair horizontal
 completions.  Products and differentials are computed on expansions and
-re-symmetrized; a failure to re-symmetrize indicates a bug and raises.
+re-symmetrized, each table on its first read; a failure to re-symmetrize
+indicates a bug and raises.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import itemgetter, lshift
 
 from .arc_diagram import ArcDiagram, reverse, flip_type, validate
 from .gf2 import ChainComplexGf2, Frozen, Gf2Matrix, Gf2Vector, homology, vsum
@@ -36,49 +38,52 @@ class ABasisElem(Frozen):
 
 
 class _Coding:
-    """Diagrams of one arc diagram on integer-coded points, and the orbit index.
+    """Diagrams of one arc diagram on integer-coded points, and the basis by diagram code.
 
     Points are numbered in name order, so sorting coded strands sorts them as
     the named ones.  A diagram is the tuple of its strands (s, t) sorted by
-    source, horizontals as (p, p); a basis element is found from its orbit key
-    (movers, set of horizontal pairs).
+    source, horizontals as (p, p).  Its code is the int sum of (t + 1) << (w * s)
+    over its strands, where w is n.bit_length() for n points: field s holds
+    the target of the strand leaving s, plus one, or 0 when none leaves s.
+    `basis` maps the code of every diagram of every basis element to (basis
+    index, number of horizontals), which is all symmetrization looks up.
     """
 
     def __init__(self, z: ArcDiagram, elems: list):
         names = sorted(z.points)
         self.names = names
-        self.code = {p: n for n, p in enumerate(names)}
+        self.code = code = {p: n for n, p in enumerate(names)}
+        self.width = len(names).bit_length()
         positions = [z.position(p) for p in names]
         self.arc = [a for a, _ in positions]
         self.at = [x for _, x in positions]
-        self.pair = [z.pair_of(p) for p in names]
-        self.pair_pts = {
-            i: tuple(self.code[p] for p in z.pair(i)) for i in range(1, z.rank + 1)
+        match = z.match
+        self.pair = [match[p] for p in names]
+        self.pair_pts = {i: tuple(code[p] for p in z.pair(i)) for i in range(1, z.rank + 1)}
+        self.elems = elems
+        self.expansions = [self.expand(e) for e in elems]
+        self.basis = {
+            self.encode(d): (i, len(e.occupied))
+            for i, (e, exp) in enumerate(zip(elems, self.expansions))
+            for d in exp
         }
-        self.key_index = {
-            (self._movers(e), e.occupied): i for i, e in enumerate(elems)
-        }
-        self.orbit_keys: dict = {}  # diagram -> orbit key, filled as met
-
-    def _movers(self, e: ABasisElem) -> tuple:
-        code = self.code
-        return tuple((code[s], code[t]) for s, t in e.movers)
+        # One shared set per one-element output, the usual shape of a product.
+        self.single = [frozenset((i,)) for i in range(len(elems))]
 
     def expand(self, e: ABasisElem) -> list[tuple]:
         """All diagrams of a basis element: its movers plus one point per occupied pair."""
-        movers = list(self._movers(e))
+        code = self.code
+        movers = [(code[s], code[t]) for s, t in e.movers]
         pair_choices = [self.pair_pts[i] for i in sorted(e.occupied)]
         return [
             tuple(sorted(movers + [(p, p) for p in combo]))
             for combo in itertools.product(*pair_choices)
         ]
 
-    @staticmethod
-    def point_mask(points) -> int:
-        m = 0
-        for p in points:
-            m |= 1 << p
-        return m
+    def encode(self, d) -> int:
+        """The code of a diagram given as its strands."""
+        w = self.width
+        return sum((t + 1) << (w * s) for s, t in d)
 
     def _crossings(self, d: tuple):
         """Index pairs (a, b), a < b, of the strands of d that cross."""
@@ -88,20 +93,22 @@ class _Coding:
             if arc[s1] == arc[s2] and (at[s1] - at[s2]) * (at[t1] - at[t2]) < 0:
                 yield a, b
 
-    def crossing_mask(self, d: tuple, end: int) -> int:
-        """The crossing pairs of d as bits, each strand named by its point at `end`.
+    def profile(self, d: tuple) -> tuple[int, int, int, int]:
+        """Crossing masks of d by sources and by targets, then its source and target masks.
 
-        Two strands of a composite cross iff they cross in exactly one factor
-        (the sign of their order flips once per crossing), so a composite keeps
-        all c1 + c2 crossings iff the masks of d1 by targets (end 1) and of d2
-        by sources (end 0) share no bit.
+        A crossing pair is one bit, each strand named by its point at that
+        end.  Two strands of a composite cross iff they cross in exactly one
+        factor (the sign of their order flips once per crossing), so a
+        composite keeps all c1 + c2 crossings iff the mask of d1 by targets
+        and that of d2 by sources share no bit.
         """
         n = len(self.names)
-        m = 0
+        by_src = by_tgt = 0
         for a, b in self._crossings(d):
-            x, y = d[a][end], d[b][end]
-            m |= 1 << (x * n + y if x < y else y * n + x)
-        return m
+            (s1, t1), (s2, t2) = d[a], d[b]
+            by_src |= 1 << (s1 * n + s2)  # d is sorted by source
+            by_tgt |= 1 << (t1 * n + t2 if t1 < t2 else t2 * n + t1)
+        return by_src, by_tgt, sum(1 << s for s, _ in d), sum(1 << t for _, t in d)
 
     def resolutions(self, d: tuple) -> list[tuple]:
         """Resolve one crossing at a time, keeping those that lose exactly one."""
@@ -118,38 +125,46 @@ class _Coding:
 
     def symmetrize(self, diagrams: list) -> frozenset:
         """Collect a GF(2) multiset of diagrams into basis indices."""
-        parity: dict = {}
-        for d in diagrams:
-            parity[d] = parity.get(d, 0) ^ 1
-        orbit_keys = self.orbit_keys
+        return self.collect([self.encode(d) for d in diagrams])
+
+    def collect(self, codes: list) -> frozenset:
+        """Collect a GF(2) multiset of diagram codes into basis indices.
+
+        Every code left with odd multiplicity must be a diagram of a basis
+        element, and each element met must have all of its diagrams.
+        """
+        basis = self.basis
+        if len(codes) == 1:
+            hit = basis.get(codes[0])
+            if hit is not None and not hit[1]:
+                return self.single[hit[0]]
+        odd: dict = {}
+        for c in codes:
+            if c in odd:
+                del odd[c]
+            else:
+                odd[c] = None
         counts: dict = {}
-        for d, odd in parity.items():
-            if odd:
-                key = orbit_keys.get(d) or self._orbit_key(d)
-                counts[key] = counts.get(key, 0) + 1
-        keys = set()
-        for key, n in counts.items():
-            i = self.key_index.get(key)
-            if i is None:
-                raise SymmetrizationError(f"orbit key {self._name(key)} is not a basis element")
-            if n != 1 << len(key[1]):
-                raise SymmetrizationError(f"incomplete orbit for {self._name(key)}")
-            keys.add(i)
-        return frozenset(keys)
+        for c in odd:
+            hit = basis.get(c)
+            if hit is None:
+                raise SymmetrizationError(f"orbit key {self._name(c)} is not a basis element")
+            counts[hit] = counts.get(hit, 0) + 1
+        for (i, h), n in counts.items():
+            if n != 1 << h:
+                raise SymmetrizationError(f"incomplete orbit for {self.elems[i]}")
+        if len(counts) == 1:
+            return self.single[next(iter(counts))[0]]
+        return frozenset(i for i, _ in counts)
 
-    def _orbit_key(self, d: tuple) -> tuple:
-        """The orbit key of a diagram not met before, recorded in `orbit_keys`."""
-        pair = self.pair
-        key = (
-            tuple([st for st in d if st[0] != st[1]]),
-            frozenset([pair[s] for s, t in d if s == t]),
+    def _name(self, code: int) -> ABasisElem:
+        """The orbit key of a diagram code: its named movers and the pairs of its horizontals."""
+        names, w = self.names, self.width
+        ends = [(s, (code >> (w * s) & ((1 << w) - 1)) - 1) for s in range(len(names))]
+        return ABasisElem(
+            [(names[s], names[t]) for s, t in ends if t >= 0 and s != t],
+            [self.pair[s] for s, t in ends if s == t],
         )
-        self.orbit_keys[d] = key
-        return key
-
-    def _name(self, key) -> ABasisElem:
-        names = self.names
-        return ABasisElem(tuple((names[s], names[t]) for s, t in key[0]), key[1])
 
 
 class ProductTable(dict):
@@ -176,102 +191,114 @@ class AlgebraModel:
             raise ValueError(f"invalid arc diagram: {problems}")
         self.arc_diagram = arc_diagram
         self.k = arc_diagram.rank
-        self._pos = {p: arc_diagram.position(p) for p in arc_diagram.points}
-        self._pair_of = arc_diagram.match
         self.elems: list[ABasisElem] = self._enumerate_elems()
         self.index = {e: i for i, e in enumerate(self.elems)}
         self.left_idem: list[frozenset] = []
         self.right_idem: list[frozenset] = []
+        pair_of = arc_diagram.match
         for e in self.elems:
-            src_pairs = frozenset(self._pair_of[s] for s, _ in e.movers)
-            tgt_pairs = frozenset(self._pair_of[t] for _, t in e.movers)
+            src_pairs = frozenset(pair_of[s] for s, _ in e.movers)
+            tgt_pairs = frozenset(pair_of[t] for _, t in e.movers)
             self.left_idem.append(src_pairs | e.occupied)
             self.right_idem.append(tgt_pairs | e.occupied)
-        self.diff_table: dict[int, frozenset] = {}
-        self.mult_table = ProductTable()
-        self._build_tables()
         self._opposite: "AlgebraModel | None" = None
         self._preimages: "tuple[dict, dict] | None" = None
         self._blocks: "dict | None" = None
 
     # -- enumeration -----------------------------------------------------
 
-    def _upward(self, s, t) -> bool:
-        (a1, p1), (a2, p2) = self._pos[s], self._pos[t]
-        if a1 != a2:
-            return False
-        return p1 < p2 if self.arc_diagram.kind == "alpha" else p1 > p2
-
     def _enumerate_elems(self) -> list[ABasisElem]:
-        pts = self.arc_diagram.points
-        all_movers = [
-            (s, t) for s in pts for t in pts if s != t and self._upward(s, t)
+        """The basis, ordered by occupied pairs, then by the positions of the movers."""
+        z = self.arc_diagram
+        names = sorted(z.points)
+        # Points are coded in name order, so every subsequence of `movers` is
+        # sorted as ABasisElem sorts its movers; `place` ranks the points by
+        # position, which z.points lists them in.
+        rank_of = {p: r for r, p in enumerate(z.points)}
+        place = [rank_of[p] for p in names]
+        arc = [z.position(p)[0] for p in names]
+        match = z.match
+        pair = [match[p] for p in names]
+        n = len(names)
+        ahead = 1 if z.kind == "alpha" else -1
+        movers = [
+            (s, t)
+            for s in range(n)
+            for t in range(n)
+            if arc[s] == arc[t] and (place[t] - place[s]) * ahead > 0
         ]
-        pair_of = self._pair_of
-        elems = []
+        pairs = range(1, self.k + 1)
+        found = []  # ((occupied, positions of the movers), movers)
 
-        def extend(chosen: list, rest: list):
-            touched_src = {pair_of[s] for s, _ in chosen}
-            touched_tgt = {pair_of[t] for _, t in chosen}
-            free = [
-                i
-                for i in range(1, self.k + 1)
-                if i not in touched_src and i not in touched_tgt
-            ]
+        def extend(chosen: tuple, src: int, tgt: int, start: int):
+            touched = src | tgt
+            free = [i for i in pairs if not touched >> i & 1]
+            where = tuple((place[s], place[t]) for s, t in chosen)
             for r in range(len(free) + 1):
                 for occ in itertools.combinations(free, r):
-                    elems.append(ABasisElem(tuple(chosen), frozenset(occ)))
-            for idx, (s, t) in enumerate(rest):
-                if pair_of[s] in touched_src or pair_of[t] in touched_tgt:
+                    found.append(((occ, where), chosen))
+            for idx in range(start, len(movers)):
+                s, t = movers[idx]
+                if src >> pair[s] & 1 or tgt >> pair[t] & 1:
                     continue
-                extend(chosen + [(s, t)], rest[idx + 1 :])
+                extend(chosen + ((s, t),), src | 1 << pair[s], tgt | 1 << pair[t], idx + 1)
 
-        extend([], all_movers)
-
-        def sort_key(e: ABasisElem):
-            return (
-                sorted(e.occupied),
-                [(self._pos[s], self._pos[t]) for s, t in e.movers],
-            )
-
-        uniq = sorted(set(elems), key=sort_key)
-        return uniq
+        extend((), 0, 0, 0)
+        found.sort(key=itemgetter(0))
+        return [
+            ABasisElem(tuple((names[s], names[t]) for s, t in chosen), occ)
+            for (occ, _), chosen in found
+        ]
 
     # -- tables -----------------------------------------------------------
 
-    def _build_tables(self):
+    @cached_property
+    def diff_table(self) -> dict[int, frozenset]:
+        """Basis index -> indices of its differential, built on first use."""
         coding = _Coding(self.arc_diagram, self.elems)
-        expansions = [coding.expand(e) for e in self.elems]
-        for i, exp in enumerate(expansions):
-            resolved = []
-            for d in exp:
-                resolved.extend(coding.resolutions(d))
-            self.diff_table[i] = coding.symmetrize(resolved)
+        return {
+            i: coding.symmetrize([r for d in exp for r in coding.resolutions(d)])
+            for i, exp in enumerate(coding.expansions)
+        }
+
+    @cached_property
+    def mult_table(self) -> ProductTable:
+        """The nonzero basis products, built on first use."""
+        coding = _Coding(self.arc_diagram, self.elems)
+        w = coding.width
         # Two diagrams compose only when the targets of the first are the
         # sources of the second (which also matches the idempotents), so every
         # diagram is indexed by its source set.  The product is kept when no
-        # crossing is lost, that is when no pair of strands crosses in both
-        # factors: the pair masks of d1 (by targets) and d2 (by sources) are
-        # disjoint.
-        by_sources: dict = {}  # source mask -> [(j, strand map, crossing mask)]
-        for j, exp in enumerate(expansions):
+        # crossing is lost (see `_Coding.profile`).  The sources of d1 listed
+        # by target and the targets of d2 listed by source meet strand by
+        # strand, so the composite's code is one sum of shifted fields.
+        by_sources: dict = {}  # source mask -> [(j, targets + 1 by source, crossing mask)]
+        firsts = []  # per basis element: [(field shifts by target, target mask, crossing mask)]
+        for j, exp in enumerate(coding.expansions):
+            row = []
             for d in exp:
-                follow = dict(d)
-                entry = (j, follow, coding.crossing_mask(d, 0))
-                by_sources.setdefault(coding.point_mask(follow), []).append(entry)
-        for i, exp in enumerate(expansions):
-            prods: dict = {}  # j -> composite diagrams, in the order found
-            for d1 in exp:
-                mask1 = coding.crossing_mask(d1, 1)
-                tgts = coding.point_mask(t for _, t in d1)
-                for j, follow, mask2 in by_sources.get(tgts, ()):
+                by_src, by_tgt, src, tgt = coding.profile(d)
+                by_sources.setdefault(src, []).append((j, tuple([t + 1 for _, t in d]), by_src))
+                shifts = tuple([w * s for s, _ in sorted(d, key=itemgetter(1))])
+                row.append((shifts, tgt, by_tgt))
+            firsts.append(row)
+        collect = coding.collect
+        table = ProductTable()
+        for i, row in enumerate(firsts):
+            prods: dict = {}  # j -> composite codes, in the order found
+            for shifts, tgt, mask1 in row:
+                for j, fields, mask2 in by_sources.get(tgt, ()):
                     if not mask1 & mask2:
-                        comp = tuple([(s, follow[t]) for s, t in d1])
-                        prods.setdefault(j, []).append(comp)
+                        code = sum(map(lshift, fields, shifts))
+                        if j in prods:
+                            prods[j].append(code)
+                        else:
+                            prods[j] = [code]
             for j in sorted(prods):
-                v = coding.symmetrize(prods[j])
+                v = collect(prods[j])
                 if v:
-                    self.mult_table[(i, j)] = v
+                    table[(i, j)] = v
+        return table
 
     # -- public operations -------------------------------------------------
 
@@ -346,8 +373,6 @@ class AlgebraModel:
             op = object.__new__(AlgebraModel)
             op.arc_diagram = self.arc_diagram
             op.k = self.k
-            op._pos = self._pos
-            op._pair_of = self._pair_of
             op.elems = self.elems
             op.index = self.index
             op.left_idem = self.right_idem
@@ -412,21 +437,27 @@ def homology_blocks(am: AlgebraModel) -> dict:
 
 
 def dump_basis_tsv(am: AlgebraModel) -> str:
-    lines = []
-    for i, e in enumerate(am.elems):
+    def row(i: int, e: ABasisElem) -> str:
         movers = ",".join(f"{s}>{t}" for s, t in e.movers)
-        occ = ",".join(str(j) for j in sorted(e.occupied))
-        li = ",".join(str(j) for j in sorted(am.left_idem[i]))
-        ri = ",".join(str(j) for j in sorted(am.right_idem[i]))
-        lines.append(f"{i}\t{occ}\t{movers}\t{li}\t{ri}")
-    return "\n".join(lines) + "\n"
+        occ = ",".join(map(str, sorted(e.occupied)))
+        li = ",".join(map(str, sorted(am.left_idem[i])))
+        ri = ",".join(map(str, sorted(am.right_idem[i])))
+        return f"{i}\t{occ}\t{movers}\t{li}\t{ri}\n"
+
+    return "".join([row(i, e) for i, e in enumerate(am.elems)])
 
 
 def dump_mult_tsv(am: AlgebraModel) -> str:
-    lines = []
-    for (i, j), v in sorted(am.mult_table.items()):
-        lines.append(f"{i}\t{j}\t" + ",".join(str(l) for l in sorted(v)))
-    return "\n".join(lines) + "\n"
+    table = am.mult_table
+    text: dict = {}  # product -> its text, once per distinct output set
+    rows = []
+    for i, j in sorted(table):
+        v = table[i, j]
+        t = text.get(v)
+        if t is None:
+            t = text[v] = ",".join(map(str, sorted(v)))
+        rows.append(f"{i}\t{j}\t{t}\n")
+    return "".join(rows)
 
 
 def dump_diff_tsv(am: AlgebraModel) -> str:

@@ -124,6 +124,20 @@ def test_idempotent_compat_rejections_for_every_kind(am2):
     assert len(seen) == 17
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_inputs_on_a_side_without_an_algebra_are_rejected(am2, side):
+    c = am2.index[ABasisElem((("a1", "a2"),), frozenset())]
+    L, R = frozenset({1}), frozenset({2})
+    if side == "left":
+        algs, key, lidem, ridem = (None, am2), ((c,), "x", ()), {"x": R}, {"x": L}
+    else:
+        algs, key, lidem, ridem = (am2, None), ((), "x", (c,)), {"x": L}, {"x": L}
+    table = {key: {(None, "x", None)}}
+    with pytest.raises(StructureError) as err:
+        ModuleStructure("AA", *algs, ("x",), lidem, ridem, table, validate=False)
+    assert str(err.value) == f"input on a side with no algebra at {key}"
+
+
 def test_morphism_rejects_entries_off_its_kind_shape(am2):
     X = da_identity(am2)
     c = next(i for i in range(am2.dim) if not am2.is_idempotent_elem(i))

@@ -37,6 +37,15 @@ def test_alg_as_aa_is_dg_and_valid(am0, am1, am2):
             assert c.differential.column(g).entries == am.diff_table[g]
 
 
+def test_algebra_module_shares_equal_outputs(am2, am3):
+    for am in (am2, am3):
+        for m in (alg_as_aa(am), left_module_from_right_idem(am, frozenset({1}))):
+            first = {}
+            for outs in m.table.values():
+                assert first.setdefault(outs, outs) is outs
+            assert len(first) <= am.dim + sum(1 for v in am.diff_table.values() if len(v) > 1)
+
+
 def test_dual_alg_double_dual(am1):
     from strandjoin.ainf import dualize
 

@@ -1,6 +1,7 @@
-"""Differential tests: the sparse tables and the dga suite against brute force."""
+"""Differential tests: the tables, their lazy build and the dga suite against the oracles."""
 
 import copy
+import io
 import os
 import random
 import subprocess
@@ -14,16 +15,19 @@ from strands_oracle import (
     dense_diff_table,
     dense_mult_table,
     dga_failures,
+    named_basis,
+    sparse_tables,
     variants_failures,
 )
-from strandjoin.arc_diagram import Z0, Z1, Z2, ArcDiagram, random_diagram
-from strandjoin.cli import _suite_dga, _suite_variants
+from strandjoin.arc_diagram import Z0, Z1, Z2, ArcDiagram, random_diagram, serialize
+from strandjoin.cli import _suite_dga, _suite_variants, run
 from strandjoin.strands import (
     AlgebraModel,
     ProductTable,
     SymmetrizationError,
     _Coding,
     enumerate_basis,
+    homology_blocks,
     reflect,
     rotate180,
 )
@@ -66,6 +70,59 @@ def test_diff_table_matches_dense_oracle():
         assert am.diff_table == dense_diff_table(am)
 
 
+# Z1, Z2, the rank-3 and rank-4 ladders of both types, and the 19 seeded
+# draws of test_cli's off-ladder sweep.
+_DIAGRAMS = [("Z1", Z1), ("Z2", Z2)]
+_DIAGRAMS += [(f"R{k}{kind[0]}", _ladder(k, kind)) for k in (3, 4) for kind in ("alpha", "beta")]
+_DIAGRAMS += [(f"draw{s}", random_diagram(random.Random(s), max_rank=3)) for s in range(19)]
+
+
+@pytest.mark.parametrize("z", [z for _, z in _DIAGRAMS], ids=[name for name, _ in _DIAGRAMS])
+def test_tables_match_sparse_oracle(z):
+    am = AlgebraModel(z)
+    assert am.elems == named_basis(z)
+    diff, mult = sparse_tables(am)
+    assert type(am.mult_table) is ProductTable
+    # equal dicts with equal iteration order
+    assert am.diff_table == diff and list(am.diff_table) == list(diff)
+    assert am.mult_table == mult and list(am.mult_table) == list(mult)
+
+
+def test_equal_products_share_one_set():
+    for z in (Z2, _ladder(3), _ladder(3, "beta")):
+        outs = AlgebraModel(z).mult_table.values()
+        assert all(len(v) == 1 for v in outs)
+        assert len({id(v) for v in outs}) == len(set(outs))
+
+
+def test_blocks_build_no_product_table(tmp_path):
+    am = AlgebraModel(_ladder(3))
+    assert "diff_table" not in am.__dict__ and "mult_table" not in am.__dict__
+    homology_blocks(am)
+    assert "diff_table" in am.__dict__ and "mult_table" not in am.__dict__
+    # The CLI takes its model from enumerate_basis's cache.  No other test
+    # uses these point names, so no earlier test has built this model's
+    # tables.
+    points = tuple(f"lazy{i}" for i in range(1, 7))
+    z = ArcDiagram((points,), {p: i % 3 + 1 for i, p in enumerate(points)}, "alpha")
+    path = tmp_path / "lazy.arcd"
+    path.write_text(serialize(z))
+    assert run(["blocks", str(path)], io.StringIO()) == 0
+    assert "diff_table" in enumerate_basis(z).__dict__
+    assert "mult_table" not in enumerate_basis(z).__dict__
+
+
+def test_opposite_of_a_fresh_model_matches_transposed_oracle():
+    for z in (Z1, Z2, _ladder(3)):
+        am = AlgebraModel(z)
+        op = am.opposite()
+        dense = dense_mult_table(am)
+        _assert_matches_dense(op.mult_table, {(j, i): v for (i, j), v in dense.items()})
+        assert op.diff_table == dense_diff_table(am)
+        assert op.left_idem == am.right_idem and op.right_idem == am.left_idem
+        assert op.opposite() is am
+
+
 def test_mask_test_agrees_with_crossing_counts():
     # Every composable pair of diagrams: the masks are disjoint exactly when
     # the composite keeps all c1 + c2 crossings.
@@ -82,7 +139,7 @@ def test_mask_test_agrees_with_crossing_counts():
                     for d in (d1, d2, [(s, follow[t]) for s, t in d1])
                 )
                 kept = c == c1 + c2
-                assert kept == (not coding.crossing_mask(d1, 1) & coding.crossing_mask(d2, 0))
+                assert kept == (not coding.profile(d1)[1] & coding.profile(d2)[0])
 
 
 def _diagram(coding, *strands):
