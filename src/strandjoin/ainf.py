@@ -76,7 +76,10 @@ def _check_shape(kind: str, table: dict) -> None:
 
 
 class ModuleStructure:
-    """A finite-support A-infinity (bi)module structure of one of the four kinds."""
+    """A finite-support A-infinity (bi)module structure of one of the four kinds.
+
+    Construction checks shapes and idempotents; `validated` checks the structure equation.
+    """
 
     def __init__(
         self,
@@ -87,7 +90,6 @@ class ModuleStructure:
         lidem: dict,
         ridem: dict,
         table: dict,
-        validate: bool = True,
         name: str = "",
     ):
         if kind not in KINDS:
@@ -106,10 +108,6 @@ class ModuleStructure:
         if kind[1] == "D" and right_alg is None:
             raise StructureError("a right type-D side needs an algebra")
         self._check_idempotent_compat()
-        if validate:
-            result = check_structure(self)
-            if result is not None:
-                raise StructureError(f"structure equation fails at {result}")
 
     # -- basic views -------------------------------------------------------
 
@@ -237,7 +235,7 @@ def _chains_into(alg: AlgebraModel, inner: frozenset, max_len: int) -> list[tupl
 
 def _chains_from(alg: AlgebraModel, inner: frozenset, max_len: int) -> list[tuple]:
     """Tuples (b_1..b_j), j <= max_len, idempotent-chained with b_1's left idem = inner."""
-    return [c[::-1] for c in _chains_into(alg.opposite(), inner, max_len)]
+    return [c[::-1] for c in _chains_into(alg.opposite, inner, max_len)]
 
 
 def _insertions(alg: AlgebraModel, args: tuple):
@@ -270,7 +268,7 @@ def _pullbacks(alg: AlgebraModel | None, args: tuple):
     """Tuples that one mu_1 / mu_2 insertion (see `_insertions`) can turn into args."""
     if alg is None or not args:
         return
-    dpre, mpre = alg.preimages()
+    dpre, mpre = alg.preimages
     for r, c in enumerate(args):
         head, tail = args[:r], args[r + 1 :]
         for a in dpre.get(c, ()):
@@ -414,15 +412,28 @@ def check_structure(m: ModuleStructure):
     return None
 
 
+def validated(m: ModuleStructure) -> ModuleStructure:
+    """m itself if its structure equation holds, else a StructureError naming m and a witness."""
+    bad = check_structure(m)
+    if bad is not None:
+        raise StructureError(f"{m.name}: structure equation fails at {bad}")
+    return m
+
+
 # -- duals and opposites -------------------------------------------------------
 
 
-def dualize(m: ModuleStructure) -> ModuleStructure:
-    """Rotate the structure by 180 degrees: AA->AA (sides swapped), DA->AD, DD->DD."""
+def dualize(m: ModuleStructure, name: str | None = None) -> ModuleStructure:
+    """Rotate the structure by 180 degrees: AA->AA (sides swapped), DA->AD, DD->DD.
+
+    The dual is called `name`, by default dual(<m's name>).
+    """
     table: dict = {}
     for (argsL, g, argsR), outs in m.table.items():
         for a, y, b in outs:
             _add(table, (argsR[::-1], y, argsL[::-1]), (b, g, a))
+    if name is None:
+        name = f"dual({m.name})" if m.name else ""
     return ModuleStructure(
         m.kind[::-1],
         m.right_alg,
@@ -431,26 +442,25 @@ def dualize(m: ModuleStructure) -> ModuleStructure:
         m.ridem,
         m.lidem,
         table,
-        validate=False,
-        name=f"dual({m.name})" if m.name else "",
+        name=name,
     )
 
 
 def oppositize(m: ModuleStructure) -> ModuleStructure:
     """Reflect the structure along the vertical axis, over the opposite algebras."""
-    left = m.right_alg.opposite() if m.right_alg is not None else None
-    right = m.left_alg.opposite() if m.left_alg is not None else None
+    left = m.right_alg.opposite if m.right_alg is not None else None
+    right = m.left_alg.opposite if m.left_alg is not None else None
     table: dict = {}
     for (argsL, g, argsR), outs in m.table.items():
         key = (argsR[::-1], g, argsL[::-1])
         table[key] = table.get(key, frozenset()) ^ {(b, y, a) for a, y, b in outs}
     return ModuleStructure(
-        m.kind[::-1], left, right, m.gens, m.ridem, m.lidem, table, validate=False,
+        m.kind[::-1], left, right, m.gens, m.ridem, m.lidem, table,
         name=f"op({m.name})" if m.name else "",
     )
 
 
-def relabel(m: ModuleStructure, f, validate: bool = True) -> ModuleStructure:
+def relabel(m: ModuleStructure, f) -> ModuleStructure:
     """The same structure with every generator g renamed f(g); f must be injective.
 
     Each new name is computed once and shared by every table entry, so later
@@ -469,7 +479,6 @@ def relabel(m: ModuleStructure, f, validate: bool = True) -> ModuleStructure:
         {new[g]: s for g, s in m.lidem.items()},
         {new[g]: s for g, s in m.ridem.items()},
         table,
-        validate=validate,
         name=m.name,
     )
 

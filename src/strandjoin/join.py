@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .gf2 import ChainComplexGf2, Gf2Matrix, Gf2Vector
 from .strands import AlgebraModel, rotate180
-from .ainf import ModuleStructure, Morphism, StructureError, _add, check_structure
+from .ainf import ModuleStructure, Morphism, StructureError, _add, validated
 from .ainf import dualize, oppositize, relabel
 from .standard_models import (
     alg_as_aa,
@@ -29,6 +29,7 @@ from .standard_models import (
     elementary,
     identity_firings,
     left_module_from_right_idem,
+    once_per_algebra,
 )
 from .tensor import TensorAlgebra, _d_chains, box, dbox, external_tensor, fold, ground_tensor
 
@@ -90,22 +91,19 @@ def dm_complex(U: ModuleStructure, M: ModuleStructure) -> ChainComplexGf2:
     """The chain complex of (right type-D) box (left type-A)."""
     _require_right_d(U)
     _require_left_a(M)
-    return dbox(U, M, validate=False).underlying_complex()
+    return dbox(U, M).underlying_complex()
 
 
 def mv_complex(Mdual: ModuleStructure, V: ModuleStructure) -> ChainComplexGf2:
     """The chain complex of (right type-A) box (left type-D)."""
     _require_right_a(Mdual)
     _require_left_d(V)
-    return box(Mdual, V, validate=False).underlying_complex()
+    return box(Mdual, V).underlying_complex()
 
 
-def _d_sandwich(
-    U: ModuleStructure, B: ModuleStructure, V: ModuleStructure, validate: bool = True
-) -> ModuleStructure:
+def _d_sandwich(U: ModuleStructure, B: ModuleStructure, V: ModuleStructure) -> ModuleStructure:
     """U box (B box V) for an AA bimodule B between two type-D sides; generators (u, x, v)."""
-    inner = box(B, V, validate=False)
-    return relabel(dbox(U, inner, validate=False), lambda g: (g[0], *g[1]), validate=validate)
+    return relabel(dbox(U, box(B, V)), lambda g: (g[0], *g[1]))
 
 
 def sandwich_complex(
@@ -114,7 +112,7 @@ def sandwich_complex(
     """The chain complex of U box B box V for an AA bimodule B."""
     _require_right_d(U)
     _require_left_d(V)
-    return _d_sandwich(U, B, V, validate=False).underlying_complex()
+    return _d_sandwich(U, B, V).underlying_complex()
 
 
 # -- the pair bimodule and nabla ---------------------------------------------------
@@ -125,10 +123,7 @@ def pair_bimodule(M: ModuleStructure) -> ModuleStructure:
     _require_left_a(M)
     P = ground_tensor(M, dualize(M))
     P.name = f"({M.name}(x)dual)"
-    bad = check_structure(P)
-    if bad is not None:
-        raise StructureError(f"structure equation fails at {bad}")
-    return P
+    return validated(P)
 
 
 def nabla(M: ModuleStructure) -> Morphism:
@@ -171,9 +166,7 @@ def join_general(U: ModuleStructure, M: ModuleStructure, V: ModuleStructure) -> 
     am = M.left_alg
     if U.right_alg is not am or V.left_alg is not am:
         raise StructureError("join factors over different algebras")
-    domain = ground_tensor(
-        dbox(U, M, validate=False), box(dualize(M), V, validate=False)
-    ).underlying_complex()
+    domain = ground_tensor(dbox(U, M), box(dualize(M), V)).underlying_complex()
     codomain = sandwich_complex(U, dual_alg_as_aa(am), V)
     cod_set = set(codomain.basis)
     dom_set = set(domain.basis)
@@ -201,6 +194,7 @@ def join_general(U: ModuleStructure, M: ModuleStructure, V: ModuleStructure) -> 
 # -- the double and the diagonal ------------------------------------------------------
 
 
+@once_per_algebra
 def dd_middle(am: AlgebraModel) -> ModuleStructure:
     """The identity-algebra-identity sandwich as a DD bimodule over (A, A)."""
     firings = identity_firings(am)
@@ -231,7 +225,7 @@ def dd_middle(am: AlgebraModel) -> ModuleStructure:
         for c, K2, ct in firings[K]:
             for a2 in am.mult_table[(a, c)]:
                 _add(table, key, (iI, (g[0], a2, tuple(sorted(K2))), ct))
-    return ModuleStructure("DD", am, am, gens, lidem, ridem, table, name="IAI")
+    return validated(ModuleStructure("DD", am, am, gens, lidem, ridem, table, name="IAI"))
 
 
 def dd_sandwich_complex(
@@ -240,11 +234,7 @@ def dd_sandwich_complex(
     """The complex of (right type-A) box (DD) box (left type-A)."""
     _require_right_a(Mdual)
     _require_left_a(N)
-    flat = relabel(
-        box(Mdual, dbox(X, N, validate=False), validate=False),
-        lambda g: (g[0], *g[1]),
-        validate=False,
-    )
+    flat = relabel(box(Mdual, dbox(X, N)), lambda g: (g[0], *g[1]))
     return flat.underlying_complex()
 
 
@@ -293,19 +283,19 @@ def dd_sandwich_da_bimodule(am: AlgebraModel) -> ModuleStructure:
     element b, listed by I (in subset order), then a, then b.
     """
     X = dd_identity(am)
-    inner = box(dual_alg_as_aa(am), dbox(X, alg_as_aa(am), validate=False), validate=False)
-    m = dbox(X, inner, validate=False)
+    m = dbox(X, box(dual_alg_as_aa(am), dbox(X, alg_as_aa(am))))
     order = {I: n for n, I in enumerate(am.all_idempotent_subsets())}
 
     def flat(g):
         (_, I), (a, ((_, K), b)) = g
         return (I, a, K, b)
 
-    m = relabel(m, flat, validate=False)
+    m = relabel(m, flat)
     gens = sorted(m.gens, key=lambda g: (order[frozenset(g[0])], g[1], g[3]))
-    return ModuleStructure("DA", am, am, gens, m.lidem, m.ridem, m.table, name="IA^IA")
+    return validated(ModuleStructure("DA", am, am, gens, m.lidem, m.ridem, m.table, name="IA^IA"))
 
 
+@once_per_algebra
 def cancel_cA(am: AlgebraModel) -> Morphism:
     """The cancellation morphism onto the DA identity bimodule."""
     src = dd_sandwich_da_bimodule(am)
@@ -338,9 +328,9 @@ def _identity_composite(U: ModuleStructure, M: ModuleStructure) -> Gf2Matrix:
     if U.table:
         raise StructureError("identity check implemented for structureless U only")
     am = M.left_alg
-    UA = ModuleStructure("AA", None, am, U.gens, U.lidem, U.ridem, {}, name=U.name)
-    UI = box(UA, dd_identity(am), validate=False)
-    inst = join_general(UI, M, dbox(dd_middle(am), M, validate=False))
+    UA = validated(ModuleStructure("AA", None, am, U.gens, U.lidem, U.ridem, {}, name=U.name))
+    UI = box(UA, dd_identity(am))
+    inst = join_general(UI, M, dbox(dd_middle(am), M))
     delta = _diagonal_terms(M)
     # The carrier of U box I box M: the identity bimodule bridges complementary
     # idempotents, so a generator (u, K, p) has ridem(u) = K and lidem(p) = full - K.
@@ -408,9 +398,7 @@ def pair_d_module(U: ModuleStructure, V: ModuleStructure, ta: TensorAlgebra) -> 
     """
     _require_right_d(U)
     _require_left_d(V)
-    P = dualize(fold(ground_tensor(dualize(U), dualize(V)), ta))
-    P.name = f"({U.name}(x){V.name})"
-    return P
+    return dualize(fold(ground_tensor(dualize(U), dualize(V)), ta), name=f"({U.name}(x){V.name})")
 
 
 def three_joins(
@@ -434,15 +422,15 @@ def three_joins(
     C3 = mv_complex(dualize(N), V)
 
     # First composition: join at M, then at N.
-    V1 = dbox(X, N)
+    V1 = validated(dbox(X, N))
     j1 = join_general(U, M, V1)
-    U2 = _d_sandwich(U, dual_alg_as_aa(am), X)
+    U2 = validated(_d_sandwich(U, dual_alg_as_aa(am), X))
     j2 = join_general(U2, N, V)
 
     # Second composition: join at N, then at M.
-    U2p = box(dualize(M), X)
+    U2p = validated(box(dualize(M), X))
     j2p = join_general(U2p, N, V)
-    V1p = _d_sandwich(X, dual_alg_as_aa(am), V)
+    V1p = validated(_d_sandwich(X, dual_alg_as_aa(am), V))
     j1p = join_general(U, M, V1p)
 
     # Simultaneous join over the tensor algebra.

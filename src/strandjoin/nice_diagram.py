@@ -596,9 +596,7 @@ def count_domains(d: PlanarDiagram) -> ModuleStructure:
         for (e_idx, g), outs in right.items():
             for y in outs:
                 _add(table, ((), g, (e_idx,)), (None, y, None))
-    return ModuleStructure(
-        "AA", am, am, gens, lidem, ridem, table, validate=False, name=f"count({d.family})"
-    )
+    return ModuleStructure("AA", am, am, gens, lidem, ridem, table, name=f"count({d.family})")
 
 
 class ComparisonVerdict:

@@ -8,22 +8,11 @@ equivalence.  Both sides are computed here and compared exactly on homology.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .gf2 import ChainComplexGf2, Gf2Matrix, Gf2Vector, homology, homology_coordinates, vsum
 from .strands import AlgebraModel, gamma_block, homology_blocks  # noqa: F401  (re-exported)
 from .ainf import ModuleStructure, StructureError
 from .standard_models import algebra_module
 from .join import cancel_cA
-
-
-@lru_cache(maxsize=None)
-def _cancellation(am: AlgebraModel):
-    """cancel_cA(am), built and validated once per algebra.
-
-    Kept for the life of the process, as `enumerate_basis` keeps the algebra.
-    """
-    return cancel_cA(am)
 
 
 def _bilinear_on_homology(c1, c2, c3, *images_of_pair) -> list[Gf2Matrix]:
@@ -103,7 +92,7 @@ def m_H(u: ModuleStructure, I, J) -> Gf2Matrix:
     """
     am = u.right_alg
     I, J = frozenset(I), frozenset(J)
-    cA = _cancellation(am)
+    cA = cancel_cA(am)
     c1 = right_module_block(u, I)
     c2 = gamma_block(am, I, J)
     c3 = right_module_block(u, J)
@@ -132,7 +121,7 @@ def mu_H(am: AlgebraModel, I, J, K) -> Gf2Matrix:
     mismatched middle subsets vanish by idempotent orthogonality.
     """
     I, J, K = frozenset(I), frozenset(J), frozenset(K)
-    cA = _cancellation(am)
+    cA = cancel_cA(am)
     c1 = gamma_block(am, I, J)
     c2 = gamma_block(am, J, K)
     c3 = gamma_block(am, I, K)

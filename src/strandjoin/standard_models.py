@@ -8,40 +8,51 @@ living in the algebra of the reversed diagram.  The construction is gated
 behind two machine validations: the DD structure equation and the vanishing
 of the differential of the cancellation morphism (see the join module);
 together they pin down the idempotent conventions.
+
+Every builder here validates what it returns except `dual_alg_as_aa`; the
+bimodules of the algebra alone are built once per algebra model.
 """
 
 from __future__ import annotations
 
+import functools
+
 from .strands import ABasisElem, AlgebraModel
 from .strands import gamma_block  # noqa: F401  (re-exported)
-from .ainf import ModuleStructure, dualize
+from .ainf import ModuleStructure, dualize, validated
+
+
+def once_per_algebra(build):
+    """Keep build(am) in am.models, so each algebra model builds it once."""
+    key = build.__name__
+
+    @functools.wraps(build)
+    def once(am: AlgebraModel):
+        if key not in am.models:
+            am.models[key] = build(am)
+        return am.models[key]
+
+    return once
 
 
 def elementary(am: AlgebraModel, I, side: str, hand: str = "left") -> ModuleStructure:
-    """The one-generator module for the cap with elementary dividing set I.
+    """The one-generator left module for the cap with elementary dividing set I.
 
     The type-D module carries the idempotent of I itself, the type-A module
-    that of the complement; all structure maps vanish.
+    that of the complement; all structure maps vanish.  `hand="right"` gives
+    its mirror image, the right module dualize(elementary(am, I, side)) under
+    the same name; perfbench/child.py builds its U that way.
     """
     I = frozenset(I)
     if side not in ("A", "D"):
         raise ValueError("side must be 'A' or 'D'")
     subset = frozenset(range(1, am.k + 1)) - I if side == "A" else I
     gen = ("e", side, tuple(sorted(subset)))
-    if side == "A":
-        kind = "AA"
-        left_alg = am if hand == "left" else None
-        right_alg = None if hand == "left" else am
-    else:
-        kind = "DA" if hand == "left" else "AD"
-        left_alg = am if hand == "left" else None
-        right_alg = None if hand == "left" else am
-    lidem = {gen: subset if left_alg is not None else frozenset()}
-    ridem = {gen: subset if right_alg is not None else frozenset()}
-    return ModuleStructure(
-        kind, left_alg, right_alg, (gen,), lidem, ridem, {},
+    m = validated(ModuleStructure(
+        "AA" if side == "A" else "DA", am, None, (gen,), {gen: subset}, {gen: frozenset()}, {},
         name=f"elem{side}({sorted(I)})",
-    )
+    ))
+    return dualize(m, name=m.name) if hand == "right" else m
 
 
 def algebra_module(am: AlgebraModel, gens, left: bool, right: bool, name: str) -> ModuleStructure:
@@ -70,9 +81,9 @@ def algebra_module(am: AlgebraModel, gens, left: bool, right: bool, name: str) -
     none = frozenset()
     lidem = {g: am.left_idem[g] if left else none for g in gens}
     ridem = {g: am.right_idem[g] if right else none for g in gens}
-    return ModuleStructure(
+    return validated(ModuleStructure(
         "AA", am if left else None, am if right else None, gens, lidem, ridem, table, name=name
-    )
+    ))
 
 
 def left_module_from_right_idem(am: AlgebraModel, I) -> ModuleStructure:
@@ -82,18 +93,20 @@ def left_module_from_right_idem(am: AlgebraModel, I) -> ModuleStructure:
     return algebra_module(am, gens, True, False, f"A.i{sorted(I)}")
 
 
+@once_per_algebra
 def alg_as_aa(am: AlgebraModel) -> ModuleStructure:
     """The algebra as a DG-type bimodule over itself (the negative twisting slice)."""
     return algebra_module(am, range(am.dim), True, True, "A")
 
 
+@once_per_algebra
 def dual_alg_as_aa(am: AlgebraModel) -> ModuleStructure:
-    """The dual bimodule (the positive twisting slice)."""
-    m = dualize(alg_as_aa(am))
-    m.name = "A^"
-    return m
+    """The dual bimodule (the positive twisting slice): the dual of the
+    validated A, checked by `check structures` but not here."""
+    return dualize(alg_as_aa(am), name="A^")
 
 
+@once_per_algebra
 def da_identity(am: AlgebraModel) -> ModuleStructure:
     """The DA identity bimodule: generators are the ground-ring idempotents."""
     gens = tuple(("i", tuple(sorted(s))) for s in am.all_idempotent_subsets())
@@ -108,7 +121,7 @@ def da_identity(am: AlgebraModel) -> ModuleStructure:
         g = by_subset[am.left_idem[b]]
         tgt = by_subset[am.right_idem[b]]
         table.setdefault(((), g, (b,)), set()).add((b, tgt, None))
-    return ModuleStructure("DA", am, am, gens, lidem, ridem, table, name="IdDA")
+    return validated(ModuleStructure("DA", am, am, gens, lidem, ridem, table, name="IdDA"))
 
 
 def identity_firings(am: AlgebraModel) -> dict:
@@ -136,6 +149,7 @@ def identity_firings(am: AlgebraModel) -> dict:
     return out
 
 
+@once_per_algebra
 def dd_identity(am: AlgebraModel) -> ModuleStructure:
     """The DD identity bimodule, via the validated chord-sum formula.
 
@@ -155,7 +169,7 @@ def dd_identity(am: AlgebraModel) -> ModuleStructure:
         ((), by_subset[I], ()): {(left, by_subset[J], right) for left, J, right in firings}
         for I, firings in identity_firings(am).items()
     }
-    return ModuleStructure("DD", am, am, gens, lidem, ridem, table, name="IdDD")
+    return validated(ModuleStructure("DD", am, am, gens, lidem, ridem, table, name="IdDD"))
 
 
 class DescriptorError(ValueError):

@@ -201,9 +201,6 @@ class AlgebraModel:
             tgt_pairs = frozenset(pair_of[t] for _, t in e.movers)
             self.left_idem.append(src_pairs | e.occupied)
             self.right_idem.append(tgt_pairs | e.occupied)
-        self._opposite: "AlgebraModel | None" = None
-        self._preimages: "tuple[dict, dict] | None" = None
-        self._blocks: "dict | None" = None
 
     # -- enumeration -----------------------------------------------------
 
@@ -339,53 +336,54 @@ class AlgebraModel:
     def is_idempotent_elem(self, i: int) -> bool:
         return not self.elems[i].movers
 
+    @cached_property
     def preimages(self) -> "tuple[dict, dict]":
         """The inverse diff and product index, built on first use.
 
         Maps c to the non-idempotent a with c in d(a), and to the pairs (a, b)
         of non-idempotents with c in a.b.
         """
-        if self._preimages is None:
-            dpre: dict = {}
-            mpre: dict = {}
-            for a, outs in self.diff_table.items():
+        dpre: dict = {}
+        mpre: dict = {}
+        for a, outs in self.diff_table.items():
+            for c in outs:
+                dpre.setdefault(c, []).append(a)
+        for (a, b), outs in self.mult_table.items():
+            if not self.is_idempotent_elem(a) and not self.is_idempotent_elem(b):
                 for c in outs:
-                    dpre.setdefault(c, []).append(a)
-            for (a, b), outs in self.mult_table.items():
-                if not self.is_idempotent_elem(a) and not self.is_idempotent_elem(b):
-                    for c in outs:
-                        mpre.setdefault(c, []).append((a, b))
-            self._preimages = (dpre, mpre)
-        return self._preimages
+                    mpre.setdefault(c, []).append((a, b))
+        return dpre, mpre
 
+    @cached_property
     def idem_blocks(self) -> dict:
         """The basis by idempotents, built on first use: (left, right) -> ascending indices."""
-        if self._blocks is None:
-            blocks: dict = {}
-            for g in range(self.dim):
-                blocks.setdefault((self.left_idem[g], self.right_idem[g]), []).append(g)
-            self._blocks = {key: tuple(gs) for key, gs in blocks.items()}
-        return self._blocks
+        blocks: dict = {}
+        for g in range(self.dim):
+            blocks.setdefault((self.left_idem[g], self.right_idem[g]), []).append(g)
+        return {key: tuple(gs) for key, gs in blocks.items()}
 
+    @cached_property
+    def models(self) -> dict:
+        """Builder name -> what it built once for this algebra (see standard_models)."""
+        return {}
+
+    @cached_property
     def opposite(self) -> "AlgebraModel":
-        """The formal opposite: same basis, reversed multiplication, swapped idempotents."""
-        if self._opposite is None:
-            op = object.__new__(AlgebraModel)
-            op.arc_diagram = self.arc_diagram
-            op.k = self.k
-            op.elems = self.elems
-            op.index = self.index
-            op.left_idem = self.right_idem
-            op.right_idem = self.left_idem
-            op.diff_table = self.diff_table
-            op.mult_table = ProductTable(
-                ((i, j), v) for (j, i), v in self.mult_table.items()
-            )
-            op._opposite = self
-            op._preimages = None
-            op._blocks = None
-            self._opposite = op
-        return self._opposite
+        """The formal opposite: same basis, reversed multiplication, swapped idempotents.
+
+        It shares the tables' contents, not the views or models built later.
+        """
+        op = object.__new__(AlgebraModel)
+        op.arc_diagram = self.arc_diagram
+        op.k = self.k
+        op.elems = self.elems
+        op.index = self.index
+        op.left_idem = self.right_idem
+        op.right_idem = self.left_idem
+        op.diff_table = self.diff_table
+        op.mult_table = ProductTable(((i, j), v) for (j, i), v in self.mult_table.items())
+        op.opposite = self
+        return op
 
 
 @lru_cache(maxsize=None)
@@ -420,7 +418,7 @@ def reflect(am: AlgebraModel) -> tuple[AlgebraModel, dict[int, int]]:
 
 def gamma_block(am: AlgebraModel, I, J) -> ChainComplexGf2:
     """The summand iota_I . A . iota_J as a chain complex."""
-    basis = am.idem_blocks().get((frozenset(I), frozenset(J)), ())
+    basis = am.idem_blocks.get((frozenset(I), frozenset(J)), ())
     images = {g: Gf2Vector(am.diff_table[g]) for g in basis}
     d = Gf2Matrix.from_columns(basis, basis, images)
     return ChainComplexGf2(basis, d)

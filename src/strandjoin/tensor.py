@@ -29,6 +29,7 @@ from .ainf import (
     _max_input_len,
     oppositize,
     relabel,
+    validated,
 )
 
 
@@ -77,8 +78,11 @@ def _collapse(alg: AlgebraModel, cseq: tuple, empty_idem: frozenset) -> Gf2Vecto
     return acc
 
 
-def box(m: ModuleStructure, n: ModuleStructure, validate: bool = True) -> ModuleStructure:
-    """The box tensor product of an A-side left factor with a D-side right factor."""
+def box(m: ModuleStructure, n: ModuleStructure) -> ModuleStructure:
+    """The box tensor product of an A-side left factor with a D-side right factor.
+
+    Like every product here but fold, the result is not validated.
+    """
     if m.right_type != "A":
         raise StructureError("left factor must be type A on its right side")
     if n.left_type != "D":
@@ -126,19 +130,18 @@ def box(m: ModuleStructure, n: ModuleStructure, validate: bool = True) -> Module
         {(x, y): m.lidem[x] for (x, y) in gens},
         {(x, y): n.ridem[y] for (x, y) in gens},
         table,
-        validate=validate,
         name=f"({m.name}x{n.name})",
     )
 
 
-def dbox(d: ModuleStructure, a: ModuleStructure, validate: bool = True) -> ModuleStructure:
+def dbox(d: ModuleStructure, a: ModuleStructure) -> ModuleStructure:
     """The box product d box a of a right type-D side with a left type-A side.
 
     Computed as the opposite of the A-side-first box of the opposites, over
     the opposite algebra; generators are (y, x) with y from d and x from a.
     """
-    flipped = oppositize(box(oppositize(a), oppositize(d), validate=False))
-    return relabel(flipped, lambda g: (g[1], g[0]), validate=validate)
+    flipped = oppositize(box(oppositize(a), oppositize(d)))
+    return relabel(flipped, lambda g: (g[1], g[0]))
 
 
 # -- the ground-ring tensor and its fold over disjoint algebras -----------------
@@ -150,7 +153,7 @@ def ground_tensor(m: ModuleStructure, n: ModuleStructure) -> ModuleStructure:
     Generators are (x, y).  Each factor's entries act on its own side, one
     side at a time; the other side takes no inputs and, if it is type D,
     emits the idempotent of its factor's generator.  Not validated: fold
-    validates what it folds, and pair_bimodule checks its own result.
+    validates what it folds, and pair_bimodule validates its own result.
     """
     if m.right_alg is not None or n.left_alg is not None:
         raise StructureError("ground tensor takes a left structure, then a right structure")
@@ -176,7 +179,6 @@ def ground_tensor(m: ModuleStructure, n: ModuleStructure) -> ModuleStructure:
         {(x, y): m.lidem[x] for (x, y) in gens},
         {(x, y): n.ridem[y] for (x, y) in gens},
         table,
-        validate=False,
         name=f"({m.name}(x){n.name})",
     )
 
@@ -257,7 +259,7 @@ def fold(w: ModuleStructure, ta: TensorAlgebra) -> ModuleStructure:
                 for y in act(B, b, w.ridem, ((), g, (b,))):
                     for z in act(A, a, w.lidem, ((a,), y, ())):
                         _add(table, ((u,), g, ()), (None, z, None))
-    return ModuleStructure(
+    return validated(ModuleStructure(
         kind,
         ta.union,
         None,
@@ -266,7 +268,7 @@ def fold(w: ModuleStructure, ta: TensorAlgebra) -> ModuleStructure:
         {g: frozenset() for g in w.gens},
         table,
         name=w.name,
-    )
+    ))
 
 
 def external_tensor(m: ModuleStructure, n: ModuleStructure) -> ModuleStructure:
@@ -305,9 +307,7 @@ def _cone(f: Morphism) -> ModuleStructure:
             key = (argsL, (tag_in, g), argsR)
             for a, y, b in outs:
                 _add(table, key, (a, (tag_out, y), b))
-    return ModuleStructure(
-        f.kind, f.src.left_alg, f.src.right_alg, gens, lidem, ridem, table, validate=False
-    )
+    return ModuleStructure(f.kind, f.src.left_alg, f.src.right_alg, gens, lidem, ridem, table)
 
 
 def induced(f: Morphism, other: ModuleStructure, side: str) -> Morphism:
@@ -320,12 +320,12 @@ def induced(f: Morphism, other: ModuleStructure, side: str) -> Morphism:
     if side == "right":
         if f.kind != "AA":
             raise StructureError("unsupported induced-map combination")
-        boxed, slot = (lambda m: box(m, other, validate=False)), 0
+        boxed, slot = (lambda m: box(m, other)), 0
     elif side == "left":
         # id_other (x) f with f a morphism of left type-D structures.
         if f.kind != "DA" or other.right_type != "A":
             raise StructureError("unsupported induced-map combination")
-        boxed, slot = (lambda m: box(other, m, validate=False)), 1
+        boxed, slot = (lambda m: box(other, m)), 1
     else:
         raise ValueError("side must be 'left' or 'right'")
 

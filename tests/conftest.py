@@ -1,3 +1,7 @@
+import importlib
+import sys
+from collections import Counter
+
 import pytest
 
 from strandjoin.arc_diagram import ArcDiagram, Z0, Z1, Z2
@@ -28,3 +32,74 @@ def am3():
         "alpha",
     )
     return enumerate_basis(ladder)
+
+
+class StructureChecks(list):
+    """The `ainf.check_structure` calls seen, as (module name, its algebra,
+    whether the structures suite asked for the check itself)."""
+
+    PER_ALGEBRA = ("A", "IdDA", "IdDD", "IAI", "IA^IA")
+
+    def names(self) -> set:
+        return {name for name, _, _ in self}
+
+    def repeated(self) -> dict:
+        """The per-algebra models checked more than once on one algebra, not
+        counting the structures suite's own checks: (name, algebra) -> count."""
+        counts = Counter(
+            (name, id(alg)) for name, alg, own in self if name in self.PER_ALGEBRA and not own
+        )
+        return {key: n for key, n in counts.items() if n > 1}
+
+
+@pytest.fixture()
+def structure_checks(monkeypatch):
+    """Record every structure-equation check until the test ends.
+
+    Each module that binds `check_structure` by name is patched too, after
+    every module of the package has been imported.
+    """
+    from strandjoin import ainf
+
+    for module in ("cli", "join", "nice_diagram", "sfh"):
+        importlib.import_module(f"strandjoin.{module}")
+
+    real = ainf.check_structure
+    calls = StructureChecks()
+
+    def recording(m):
+        # The suite's own check: check_structure <- validated <- _suite_structures.
+        caller = sys._getframe(1)
+        own = caller.f_code.co_name == "validated" and (
+            caller.f_back is not None and caller.f_back.f_code.co_name == "_suite_structures"
+        )
+        calls.append((m.name, m.left_alg or m.right_alg, own))
+        return real(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("strandjoin") and getattr(module, "check_structure", None) is real:
+            monkeypatch.setattr(module, "check_structure", recording)
+    return calls
+
+
+def join_suite_names(am) -> set:
+    """The modules whose structure equation `check <diagram> join` checks."""
+    names = {"A", "IAI", "IA^IA", "IdDA", "IdDD"}
+    for I in am.all_idempotent_subsets():
+        for m in (f"A.i{sorted(I)}", f"elemA({sorted(I)})"):
+            names |= {m, f"({m}(x)dual)"}
+    return names
+
+
+def structures_suite_names(am) -> set:
+    """The modules whose structure equation `check <diagram> structures` checks."""
+    names = {"A", "A^", "IdDA", "IdDD"}
+    for I in am.all_idempotent_subsets():
+        names |= {f"elemA({sorted(I)})", f"elemD({sorted(I)})"}
+    return names
+
+
+def forget_models(am) -> None:
+    """Drop the models built once per algebra, so the next command builds
+    (and validates) them as a fresh process would."""
+    am.__dict__.pop("models", None)

@@ -25,7 +25,7 @@ Every walker reads and writes tables in their kind's own layout, through
 from __future__ import annotations
 
 from ainf_oracle import from_kind_layout, kind_layout
-from strandjoin.ainf import ModuleStructure, StructureError, _add, dualize, oppositize
+from strandjoin.ainf import ModuleStructure, StructureError, _add, dualize, oppositize, validated
 from strandjoin.gf2 import ChainComplexGf2, Gf2Matrix, Gf2Vector
 from strandjoin.join import (
     JoinInstance,
@@ -349,9 +349,9 @@ def pair_bimodule(M: ModuleStructure) -> ModuleStructure:
         for q in outs:
             for p in M.gens:
                 _add(table, ((), (p, q), argsR), (p, x))
-    return ModuleStructure(
+    return validated(ModuleStructure(
         "AA", A, A, gens, lidem, ridem, from_kind_layout("AA", table), name=f"({M.name}(x)dual)"
-    )
+    ))
 
 
 def join_domain(U: ModuleStructure, M: ModuleStructure, V: ModuleStructure) -> ChainComplexGf2:
@@ -392,10 +392,10 @@ def pair_d_module(U: ModuleStructure, V: ModuleStructure, ta: TensorAlgebra) -> 
             ia = am1.idempotent_index(U.ridem[u])
             pair = ta.pair_index[(ia, rot[a])]
             _add(table, ((), (u, v)), ((u, v2), pair))
-    return ModuleStructure(
+    return validated(ModuleStructure(
         "AD", None, union, gens, lidem, ridem, from_kind_layout("AD", table),
         name=f"({U.name}(x){V.name})",
-    )
+    ))
 
 
 def dd_as_left_module(X: ModuleStructure, ta: TensorAlgebra) -> ModuleStructure:
@@ -420,6 +420,6 @@ def dd_as_left_module(X: ModuleStructure, ta: TensorAlgebra) -> ModuleStructure:
         for a, y, b in xtable.get(g, ()):
             pair = ta.pair_index[(a, rot[b])]
             _add(table, (g, ()), (pair, y))
-    return ModuleStructure(
+    return validated(ModuleStructure(
         "DA", union, None, gens, lidem, ridem, from_kind_layout("DA", table), name=f"[{X.name}]"
-    )
+    ))

@@ -42,7 +42,7 @@ def alg_as_aa(am: AlgebraModel) -> ModuleStructure:
             if out:
                 table[((), g, (a,))] = set(out)
     return ModuleStructure(
-        "AA", am, am, gens, lidem, ridem, from_kind_layout("AA", table), validate=False, name="A"
+        "AA", am, am, gens, lidem, ridem, from_kind_layout("AA", table), name="A"
     )
 
 
@@ -65,7 +65,7 @@ def left_module_from_right_idem(am: AlgebraModel, I) -> ModuleStructure:
             if out:
                 table[((a,), g, ())] = set(out) & genset
     return ModuleStructure(
-        "AA", am, None, gens, lidem, ridem, from_kind_layout("AA", table), validate=False,
+        "AA", am, None, gens, lidem, ridem, from_kind_layout("AA", table),
         name=f"A.i{sorted(I)}",
     )
 
@@ -87,7 +87,7 @@ def alg_as_right_module(am: AlgebraModel) -> ModuleStructure:
             if out:
                 table[((), g, (a,))] = set(out)
     return ModuleStructure(
-        "AA", None, am, gens, lidem, ridem, from_kind_layout("AA", table), validate=False,
+        "AA", None, am, gens, lidem, ridem, from_kind_layout("AA", table),
         name="A_r",
     )
 
@@ -144,6 +144,6 @@ def dd_sandwich_da_bimodule(am: AlgebraModel) -> ModuleStructure:
             for b2 in am.mult_table[(b, e)]:
                 _add(table, (g, (e,)), (iI, (g[0], a, g[2], b2)))
     return ModuleStructure(
-        "DA", am, am, gens, lidem, ridem, from_kind_layout("DA", table), validate=False,
+        "DA", am, am, gens, lidem, ridem, from_kind_layout("DA", table),
         name="IA^IA",
     )

@@ -25,6 +25,7 @@ from strandjoin.ainf import (
     StructureError,
     _add,
     _max_input_len,
+    validated,
 )
 from strandjoin.strands import rotate180
 from strandjoin.tensor import TensorAlgebra, _collapse, _d_chains, box
@@ -55,15 +56,15 @@ def induced(f: Morphism, other: ModuleStructure, side: str) -> Morphism:
     if side == "right":
         if f.kind != "AA":
             raise StructureError("unsupported induced-map combination")
-        src_box = box(f.src, other, validate=False)
-        dst_box = box(f.dst, other, validate=False)
+        src_box = box(f.src, other)
+        dst_box = box(f.dst, other)
         return Morphism(src_box, dst_box, _box_table(f, other, src_box.genset))
     if side == "left":
         # id_other (x) f with f a morphism of left type-D structures.
         if f.kind != "DA" or other.right_type != "A":
             raise StructureError("unsupported induced-map combination")
-        src_box = box(other, f.src, validate=False)
-        dst_box = box(other, f.dst, validate=False)
+        src_box = box(other, f.src)
+        dst_box = box(other, f.dst)
         alg = other.right_alg
         kmax = other.max_right_len()
         chains_src = _d_chains(f.src, kmax)
@@ -202,7 +203,7 @@ def external_tensor(m: ModuleStructure, n: ModuleStructure) -> ModuleStructure:
                 for x2 in xs:
                     for y2 in ys:
                         _add(table, ((u,), (x, y), ()), (x2, y2))
-    return ModuleStructure(
+    return validated(ModuleStructure(
         "AA", U, None, gens, lidem, ridem, from_kind_layout("AA", table),
         name=f"({m.name}(x){n.name})",
-    )
+    ))

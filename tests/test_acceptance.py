@@ -18,6 +18,7 @@ from strandjoin.ainf import (
     _morphism_slots,
     bounded_homotopy_search,
     check_structure,
+    dualize,
     is_homomorphism,
     morphism_diff,
     zero_morphism,
@@ -177,8 +178,8 @@ def test_criterion_8_join_properties():
     subs = list(am.all_idempotent_subsets())
     X = dd_identity(am)
     for I0, J0 in itertools.product(subs, repeat=2):
-        U = elementary(am, I0, "D", hand="right")
-        V = elementary(am, J0, "D", hand="left")
+        U = dualize(elementary(am, I0, "D"))
+        V = elementary(am, J0, "D")
         for K in subs:
             for M in (elementary(am, K, "A"), left_module_from_right_idem(am, K)):
                 assert join_symmetry_verdict(U, M, V)
@@ -187,7 +188,7 @@ def test_criterion_8_join_properties():
                 for N in (elementary(am, K2, "A"), left_module_from_right_idem(am, K2)):
                     assert three_joins(U, M, X, N, V)
     for I0 in subs:
-        U = elementary(am, I0, "D", hand="right")
+        U = dualize(elementary(am, I0, "D"))
         for K in subs:
             for M in (elementary(am, K, "A"), left_module_from_right_idem(am, K)):
                 assert join_identity_check(U, M)

@@ -15,6 +15,7 @@ from strandjoin.ainf import (
     is_homomorphism,
     morphism_diff,
     oppositize,
+    validated,
     zero_morphism,
 )
 from strandjoin.standard_models import (
@@ -33,7 +34,7 @@ def ad_models(am):
     """Right type-D structures and an AD bimodule."""
     out = [dualize(da_identity(am))]
     for I in am.all_idempotent_subsets():
-        out.append(elementary(am, I, "D", hand="right"))
+        out.append(dualize(elementary(am, I, "D")))
     return out
 
 
@@ -71,10 +72,11 @@ def test_check_structure_catches_corruption(am2):
     key = ((s13,), i1, ())
     assert key in table
     del table[key]
-    with pytest.raises(StructureError):
-        ModuleStructure(
-            "AA", good.left_alg, good.right_alg, good.gens, good.lidem, good.ridem, table
-        )
+    bad = ModuleStructure(
+        "AA", good.left_alg, good.right_alg, good.gens, good.lidem, good.ridem, table, name="bad"
+    )
+    with pytest.raises(StructureError, match=r"^bad: structure equation fails at "):
+        validated(bad)
 
 
 def _compat_cases(am):
@@ -118,7 +120,7 @@ def test_idempotent_compat_rejections_for_every_kind(am2):
     seen = set()
     for kind, lidem, ridem, table, message in _compat_cases(am2):
         with pytest.raises(StructureError) as err:
-            ModuleStructure(kind, am2, am2, ("x", "y"), lidem, ridem, table, validate=False)
+            ModuleStructure(kind, am2, am2, ("x", "y"), lidem, ridem, table)
         assert str(err.value) == message, (kind, table)
         seen.add((kind, message.split(" at ")[0]))
     assert len(seen) == 17
@@ -134,7 +136,7 @@ def test_inputs_on_a_side_without_an_algebra_are_rejected(am2, side):
         algs, key, lidem, ridem = (am2, None), ((), "x", (c,)), {"x": L}, {"x": L}
     table = {key: {(None, "x", None)}}
     with pytest.raises(StructureError) as err:
-        ModuleStructure("AA", *algs, ("x",), lidem, ridem, table, validate=False)
+        ModuleStructure("AA", *algs, ("x",), lidem, ridem, table)
     assert str(err.value) == f"input on a side with no algebra at {key}"
 
 
@@ -166,7 +168,7 @@ def test_dump_module_tsv_for_every_kind(am1, am2):
         "# kind: AD\n# left: A(alpha,3)\n# right: A(alpha,3)\n"
         "L:1|('i', (1,))|R:\t('i', (1,)),1\n"
     )
-    assert dump_module_tsv(elementary(am1, {1}, "D", hand="right")) == (
+    assert dump_module_tsv(dualize(elementary(am1, {1}, "D"))) == (
         "# kind: AD\n# left: -\n# right: A(alpha,3)\n"
     )
     assert dump_module_tsv(left_module_from_right_idem(am2, {1})) == (

@@ -196,3 +196,47 @@ def test_join_descriptor_roles(files):
     rc, out = _run(["double", files["Z2"], "elementary:D:{1}"])
     assert rc == 1
     assert out == "error: M descriptor must be elementary:A:{..} or amod:{..}, got 'elementary:D:{1}'\n"
+
+
+def test_check_all_validates_each_per_algebra_model_once(files, structure_checks):
+    from conftest import forget_models, join_suite_names, structures_suite_names
+
+    am = enumerate_basis(Z2)
+    forget_models(am)
+    rc, out = _run(["check", files["Z2"], "all"])
+    assert rc == 0 and out.count(": PASS\n") == 7
+    expected = join_suite_names(am) | structures_suite_names(am)
+    expected |= {"A_r", "count(cap)", "count(slice)"}  # the sfh and nice suites
+    assert structure_checks.names() == expected
+    assert not structure_checks.repeated()
+    own = sorted(name for name, _, asked in structure_checks if asked)
+    assert own == sorted(structures_suite_names(am))
+
+
+def _failing_check(monkeypatch, name, witness):
+    """Make the structure equation of the modules called `name` fail at `witness`."""
+    from strandjoin import ainf
+
+    real = ainf.check_structure
+    monkeypatch.setattr(ainf, "check_structure", lambda m: witness if m.name == name else real(m))
+
+
+def test_check_structures_reports_a_failing_model(files, monkeypatch):
+    witness = ((), ("i", (1,)), ())
+    _failing_check(monkeypatch, "IdDA", witness)
+    rc, out = _run(["check", files["Z2"], "structures"])
+    assert rc == 2
+    assert out.endswith(f"structures: FAIL\n  IdDA: structure equation fails at {witness}\n")
+
+
+@pytest.mark.parametrize("name", ["(A.i[1](x)dual)", "IAI", "IA^IA"])
+def test_check_join_reports_a_failing_model(files, monkeypatch, name):
+    # A pair bimodule, the middle of the double and the cancellation source.
+    from conftest import forget_models
+
+    forget_models(enumerate_basis(Z2))
+    witness = ((), "w", ())
+    _failing_check(monkeypatch, name, witness)
+    rc, out = _run(["check", files["Z2"], "join"])
+    assert rc == 2 and "join: FAIL\n" in out
+    assert out.endswith(f"  {name}: structure equation fails at {witness}\n")

@@ -74,8 +74,8 @@ def test_nabla_dg_specialization(am1):
 
 def test_join_instances_are_chain_maps(am1):
     for I0, J0, K in itertools.product(_subsets(am1), repeat=3):
-        U = elementary(am1, I0, "D", hand="right")
-        V = elementary(am1, J0, "D", hand="left")
+        U = dualize(elementary(am1, I0, "D"))
+        V = elementary(am1, J0, "D")
         for M in (elementary(am1, K, "A"), left_module_from_right_idem(am1, K)):
             inst = join_general(U, M, V)
             assert inst.is_chain_map()
@@ -83,8 +83,8 @@ def test_join_instances_are_chain_maps(am1):
 
 def test_join_dg_formula_example(am1):
     # Psi(u x iota1 (x) iota1^ x v) = u x iota1^ x v plus the sigma term
-    U = elementary(am1, frozenset({1}), "D", hand="right")
-    V = elementary(am1, frozenset({1}), "D", hand="left")
+    U = dualize(elementary(am1, frozenset({1}), "D"))
+    V = elementary(am1, frozenset({1}), "D")
     M = left_module_from_right_idem(am1, {1})
     inst = join_general(U, M, V)
     s = am1.index[ABasisElem((("a1", "a2"),), frozenset())]
@@ -99,9 +99,9 @@ def test_join_dg_formula_example(am1):
 
 
 def test_join_elementary_blocks(am1):
-    V = elementary(am1, frozenset({1}), "D", hand="left")
+    V = elementary(am1, frozenset({1}), "D")
     for I0 in _subsets(am1):
-        U = elementary(am1, I0, "D", hand="right")
+        U = dualize(elementary(am1, I0, "D"))
         for I in _subsets(am1):
             inst = join_general(U, elementary(am1, frozenset(I), "A"), V)
             Ic = frozenset(range(1, am1.k + 1)) - frozenset(I)
@@ -115,8 +115,8 @@ def test_join_elementary_blocks(am1):
 
 
 def test_join_idempotent_mismatch_zero(am1):
-    U = elementary(am1, frozenset(), "D", hand="right")
-    V = elementary(am1, frozenset({1}), "D", hand="left")
+    U = dualize(elementary(am1, frozenset(), "D"))
+    V = elementary(am1, frozenset({1}), "D")
     M = left_module_from_right_idem(am1, {1})
     inst = join_general(U, M, V)
     for g in inst.domain.basis:
@@ -158,6 +158,7 @@ def test_diagonal_is_cycle_and_basis_stable(am1, am2):
     M2 = ModuleStructure(
         "AA", M.left_alg, None, gens, M.lidem, M.ridem, M.table, name=M.name
     )
+    assert check_structure(M2) is None
     c2, v2 = diagonal(M2)
     assert v1.entries == v2.entries
 
@@ -194,7 +195,7 @@ def test_join_identity_all_standard_models(am1, am2):
     nonempty = 0
     for am in (am1, am2):
         for I0 in _subsets(am):
-            U = elementary(am, I0, "D", hand="right")
+            U = dualize(elementary(am, I0, "D"))
             for M in left_module_candidates(am):
                 assert join_identity_check(U, M), (I0, M.name)
                 nonempty += bool(assert_identity_matches(U, M).cols)
@@ -206,7 +207,7 @@ def test_join_identity_rejects_structured_u(am2):
     # structure map is nonzero, which the identity check does not cover.
     M = left_module_from_right_idem(am2, {2})
     U = box(dualize(M), dd_identity(am2))
-    assert U.table
+    assert U.table and check_structure(U) is None
     with pytest.raises(StructureError, match="structureless U only"):
         join_identity_check(U, M)
 
@@ -215,8 +216,8 @@ def test_join_symmetry_all_standard_models(am1, am2):
     # The verdict, and its reflected side against the hand-wired mirror join.
     for am in (am1, am2):
         for I0, J0 in itertools.product(_subsets(am), repeat=2):
-            U = elementary(am, I0, "D", hand="right")
-            V = elementary(am, J0, "D", hand="left")
+            U = dualize(elementary(am, I0, "D"))
+            V = elementary(am, J0, "D")
             for M in left_module_candidates(am):
                 assert join_symmetry_verdict(U, M, V), (I0, J0, M.name)
                 assert_reflection_matches(U, M, V)
@@ -226,8 +227,8 @@ def test_three_joins_sample(am1):
     X = dd_identity(am1)
     subs = _subsets(am1)
     for I0, J0 in itertools.product(subs, repeat=2):
-        U = elementary(am1, I0, "D", hand="right")
-        V = elementary(am1, J0, "D", hand="left")
+        U = dualize(elementary(am1, I0, "D"))
+        V = elementary(am1, J0, "D")
         M = left_module_from_right_idem(am1, {1})
         N = elementary(am1, J0, "A")
         assert three_joins(U, M, X, N, V)
@@ -238,8 +239,8 @@ def test_three_joins_z2_sample(am2):
     X = dd_identity(am2)
     subs = _subsets(am2)
     for I0, J0, K in random.Random(14).sample(list(itertools.product(subs, repeat=3)), 8):
-        U = elementary(am2, I0, "D", hand="right")
-        V = elementary(am2, J0, "D", hand="left")
+        U = dualize(elementary(am2, I0, "D"))
+        V = elementary(am2, J0, "D")
         M = left_module_from_right_idem(am2, K)
         N = elementary(am2, K, "A")
         assert three_joins(U, M, X, N, V), (I0, J0, K)
@@ -247,8 +248,8 @@ def test_three_joins_z2_sample(am2):
 
 def test_self_join_chain_map_and_elementary_dictionary(am1):
     ta = TensorAlgebra(am1, rotate180(am1)[0])
-    U = elementary(am1, frozenset({1}), "D", hand="right")
-    V = elementary(am1, frozenset(), "D", hand="left")
+    U = dualize(elementary(am1, frozenset({1}), "D"))
+    V = elementary(am1, frozenset(), "D")
     up = pair_d_module(U, V, ta)
     for K in _subsets(am1):
         M = elementary(am1, K, "A")
@@ -267,8 +268,8 @@ def test_self_join_chain_map_and_elementary_dictionary(am1):
 
 def test_self_join_chain_map_z2(am2):
     ta = TensorAlgebra(am2, rotate180(am2)[0])
-    U = elementary(am2, frozenset({1}), "D", hand="right")
-    V = elementary(am2, frozenset({1}), "D", hand="left")
+    U = dualize(elementary(am2, frozenset({1}), "D"))
+    V = elementary(am2, frozenset({1}), "D")
     up = pair_d_module(U, V, ta)
     nonzero = 0
     for M in left_module_candidates(am2):
@@ -280,8 +281,8 @@ def test_self_join_chain_map_z2(am2):
 
 def test_self_join_zero_module(am1):
     ta = TensorAlgebra(am1, rotate180(am1)[0])
-    U = elementary(am1, frozenset(), "D", hand="right")
-    V = elementary(am1, frozenset(), "D", hand="left")
+    U = dualize(elementary(am1, frozenset(), "D"))
+    V = elementary(am1, frozenset(), "D")
     up = pair_d_module(U, V, ta)
     from strandjoin.ainf import ModuleStructure
 
@@ -300,8 +301,8 @@ def test_identity_firings_structure(am2):
 def test_join_zero_module_is_zero_map(am1):
     from strandjoin.ainf import ModuleStructure
 
-    U = elementary(am1, frozenset({1}), "D", hand="right")
-    V = elementary(am1, frozenset(), "D", hand="left")
+    U = dualize(elementary(am1, frozenset({1}), "D"))
+    V = elementary(am1, frozenset(), "D")
     zero = ModuleStructure("AA", am1, None, (), {}, {}, {}, name="0")
     inst = join_general(U, zero, V)
     assert inst.domain.dim == 0 and inst.matrix.is_zero()

@@ -60,7 +60,6 @@ def test_d_chains_keep_the_ends_reached_an_odd_number_of_times(am2):
     }
     V = ModuleStructure(
         "DA", am2, None, tuple(lidem), lidem, {y: frozenset() for y in lidem}, table,
-        validate=False,
     )
     chains = _left_d_chains(V, 2)
     assert chains[()] == [(y, [y]) for y in lidem]

@@ -8,8 +8,9 @@ import time
 
 import pytest
 
+from conftest import forget_models, join_suite_names, structures_suite_names
 from join_oracle import assert_identity_matches, assert_reflection_matches
-from strandjoin.ainf import check_structure
+from strandjoin.ainf import check_structure, dualize
 from strandjoin.arc_diagram import serialize
 from strandjoin.cli import run
 from strandjoin.gf2 import Gf2Matrix
@@ -68,7 +69,8 @@ def test_pair_bimodules_validate_at_rank3(am3):
         assert check_structure(m) is None, m.name
 
 
-def test_check_structures_and_join_pass_at_rank3(r3_file):
+def test_check_structures_and_join_pass_at_rank3(am3, r3_file, structure_checks):
+    forget_models(am3)
     rc, out = _run(["check", r3_file, "structures"])
     assert rc == 0 and out.endswith("structures: PASS\n")
     start = time.time()
@@ -76,15 +78,18 @@ def test_check_structures_and_join_pass_at_rank3(r3_file):
     elapsed = time.time() - start
     assert rc == 0 and out.endswith("join: PASS\n")
     assert elapsed < 60, f"rank-3 check join took {elapsed:.1f}s"
+    # The join run reuses the models the structures run built and validated.
+    assert structure_checks.names() == structures_suite_names(am3) | join_suite_names(am3)
+    assert not structure_checks.repeated()
 
 
 def test_join_at_rank3_is_a_chain_map(am3, r3_file):
     rc, out = _run(["join", r3_file, "elementary:D:{1}", "amod:{1}", "elementary:D:{1}"])
     assert rc == 0 and "# matrix (row col) triplets, value 1" in out
     inst = join_general(
-        elementary(am3, {1}, "D", hand="right"),
+        dualize(elementary(am3, {1}, "D")),
         left_module_from_right_idem(am3, {1}),
-        elementary(am3, {1}, "D", hand="left"),
+        elementary(am3, {1}, "D"),
     )
     assert inst.is_chain_map()
     assert len(inst.matrix.nonzero) == out.split("value 1\n")[1].count("\n")
@@ -107,8 +112,8 @@ R3_SYMMETRY_SAMPLE = (
 
 def test_join_symmetry_and_mirror_oracle_at_rank3(am3):
     for I0, J0, kind, K in R3_SYMMETRY_SAMPLE:
-        U = elementary(am3, I0, "D", hand="right")
-        V = elementary(am3, J0, "D", hand="left")
+        U = dualize(elementary(am3, I0, "D"))
+        V = elementary(am3, J0, "D")
         M = elementary(am3, K, "A") if kind == "A" else left_module_from_right_idem(am3, K)
         assert join_symmetry_verdict(U, M, V), (I0, J0, M.name)
         assert_reflection_matches(U, M, V)
@@ -128,7 +133,7 @@ R3_IDENTITY_SAMPLE = (
 
 def test_join_identity_and_hand_walker_at_rank3(am3):
     for I0, kind, K in R3_IDENTITY_SAMPLE:
-        U = elementary(am3, I0, "D", hand="right")
+        U = dualize(elementary(am3, I0, "D"))
         M = elementary(am3, K, "A") if kind == "A" else left_module_from_right_idem(am3, K)
         composite = assert_identity_matches(U, M)
         assert composite.cols, (I0, M.name)

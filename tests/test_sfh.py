@@ -1,5 +1,6 @@
 import itertools
 
+from strandjoin.ainf import dualize
 from strandjoin.gf2 import ChainComplexGf2, Gf2Matrix, Gf2Vector, homology
 from strandjoin.standard_models import elementary, gamma_block
 from strandjoin.sfh import (
@@ -121,7 +122,7 @@ def test_bsa_blocks(am1):
 
 
 def test_bsa_blocks_elementary(am1):
-    e = elementary(am1, frozenset({1}), "A", hand="right")
+    e = dualize(elementary(am1, frozenset({1}), "A"))
     blocks = _right_blocks(e)
     nonzero = {I: d for I, (d, c) in blocks.items() if c.dim}
     assert list(nonzero.values()) == [1]
@@ -130,7 +131,7 @@ def test_bsa_blocks_elementary(am1):
 def test_bsa_block_matches_box(am1):
     u = alg_as_right_module(am1)
     for I in am1.all_idempotent_subsets():
-        c = box(u, elementary(am1, I, "D", hand="left")).underlying_complex()
+        c = box(u, elementary(am1, I, "D")).underlying_complex()
         assert c.dim == right_module_block(u, I).dim
 
 
@@ -152,22 +153,33 @@ def test_mu_H_block_entries_on_z1(am1):
 
 def test_cancellation_built_once_per_algebra(monkeypatch):
     # The full sfh suite on a fresh Z2 algebra: 16 m_H and 64 mu_H calls share
-    # one cancellation morphism.
+    # one build of the cancellation morphism, counted by builds of its source.
     import random
 
+    import strandjoin.join as join
     import strandjoin.sfh as sfh
     from strandjoin.arc_diagram import Z2
     from strandjoin.cli import _suite_sfh
     from strandjoin.strands import AlgebraModel
 
-    builds = []
-    real = sfh.cancel_cA
+    builds, calls = [], {"m_H": 0, "mu_H": 0}
+    real_source = join.dd_sandwich_da_bimodule
 
-    def counting(am):
+    def counting_source(am):
         builds.append(am)
-        return real(am)
+        return real_source(am)
 
-    monkeypatch.setattr(sfh, "cancel_cA", counting)
+    def counting(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return call
+
+    monkeypatch.setattr(join, "dd_sandwich_da_bimodule", counting_source)
+    for name in calls:
+        monkeypatch.setattr(sfh, name, counting(name, getattr(sfh, name)))
     am = AlgebraModel(Z2)
     assert _suite_sfh(Z2, am, random.Random(0)) == []
+    assert calls == {"m_H": 16, "mu_H": 64}
     assert builds == [am]

@@ -46,6 +46,24 @@ def test_algebra_module_shares_equal_outputs(am2, am3):
             assert len(first) <= am.dim + sum(1 for v in am.diff_table.values() if len(v) > 1)
 
 
+def test_per_algebra_models_are_built_once():
+    from strandjoin.arc_diagram import Z1
+    from strandjoin.join import cancel_cA, dd_middle
+    from strandjoin.strands import AlgebraModel
+
+    am = AlgebraModel(Z1)
+    builds = (alg_as_aa, dual_alg_as_aa, da_identity, dd_identity, dd_middle, cancel_cA)
+    for build in builds:
+        assert build(am) is build(am)
+    assert set(am.models) == {build.__name__ for build in builds}
+    assert dual_alg_as_aa(am).name == "A^"
+    # The opposite algebra builds its own models.
+    op = am.opposite
+    assert "models" not in op.__dict__
+    assert alg_as_aa(op) is not alg_as_aa(am) and alg_as_aa(op).left_alg is op
+    assert set(op.models) == {"alg_as_aa"} and op.opposite is am
+
+
 def test_dual_alg_double_dual(am1):
     from strandjoin.ainf import dualize
 
@@ -102,7 +120,7 @@ def test_gamma_block_partition(am2):
 
 
 def test_gamma_block_basis_is_the_idempotent_scan(am1, am2, am3):
-    for am in (am1, am2, am3, am3.opposite()):
+    for am in (am1, am2, am3, am3.opposite):
         for I in am.all_idempotent_subsets():
             for J in am.all_idempotent_subsets():
                 scan = tuple(
@@ -110,7 +128,7 @@ def test_gamma_block_basis_is_the_idempotent_scan(am1, am2, am3):
                     if am.left_idem[g] == I and am.right_idem[g] == J
                 )
                 assert gamma_block(am, I, J).basis == scan
-        assert am.idem_blocks() is am.idem_blocks()
+        assert am.idem_blocks is am.idem_blocks
 
 
 def test_gamma_block_matches_sandwich(am1, am2):
@@ -120,8 +138,8 @@ def test_gamma_block_matches_sandwich(am1, am2):
     for am in (am1, am2):
         for I in am.all_idempotent_subsets():
             for J in am.all_idempotent_subsets():
-                U = dualize(elementary(am, I, "D", hand="left"))
-                V = elementary(am, J, "D", hand="left")
+                U = dualize(elementary(am, I, "D"))
+                V = elementary(am, J, "D")
                 c = sandwich_complex(U, alg_as_aa(am), V)
                 blk = gamma_block(am, I, J)
                 assert c.dim == blk.dim

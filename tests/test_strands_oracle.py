@@ -115,12 +115,12 @@ def test_blocks_build_no_product_table(tmp_path):
 def test_opposite_of_a_fresh_model_matches_transposed_oracle():
     for z in (Z1, Z2, _ladder(3)):
         am = AlgebraModel(z)
-        op = am.opposite()
+        op = am.opposite
         dense = dense_mult_table(am)
         _assert_matches_dense(op.mult_table, {(j, i): v for (i, j), v in dense.items()})
         assert op.diff_table == dense_diff_table(am)
         assert op.left_idem == am.right_idem and op.right_idem == am.left_idem
-        assert op.opposite() is am
+        assert op.opposite is am
 
 
 def test_mask_test_agrees_with_crossing_counts():
@@ -202,9 +202,9 @@ def test_tables_do_not_depend_on_hash_seed():
 def test_opposite_table_matches_transposed_dense_oracle():
     for am in (enumerate_basis(Z1), enumerate_basis(Z2), enumerate_basis(_ladder(3))):
         dense = dense_mult_table(am)
-        op = am.opposite()
+        op = am.opposite
         _assert_matches_dense(op.mult_table, {(j, i): v for (i, j), v in dense.items()})
-        assert op.opposite() is am
+        assert op.opposite is am
 
 
 def test_table_sizes_at_rank3_and_rank4():

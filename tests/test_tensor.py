@@ -40,8 +40,8 @@ def test_box_elementary_pair_compatibility(am1):
     # one-dimensional exactly when the two idempotents coincide as subsets
     for I in am1.all_idempotent_subsets():
         for J in am1.all_idempotent_subsets():
-            eA = elementary(am1, I, "A", hand="right")
-            eD = elementary(am1, J, "D", hand="left")
+            eA = dualize(elementary(am1, I, "A"))
+            eD = elementary(am1, J, "D")
             r = box(eA, eD)
             expected = 1 if eA.ridem[eA.gens[0]] == eD.lidem[eD.gens[0]] else 0
             assert len(r.gens) == expected
@@ -49,8 +49,9 @@ def test_box_elementary_pair_compatibility(am1):
 
 
 def test_box_algebra_with_elementary_block(am1):
-    eD = elementary(am1, frozenset({1}), "D", hand="left")
+    eD = elementary(am1, frozenset({1}), "D")
     r = box(alg_as_aa(am1), eD)
+    assert check_structure(r) is None
     gens = {am1.elems[g[0]] for g in r.gens}
     assert gens == {am1.elems[g] for g in range(am1.dim) if am1.right_idem[g] == {1}}
     assert r.underlying_complex().differential.is_zero()
@@ -59,7 +60,7 @@ def test_box_algebra_with_elementary_block(am1):
 def test_box_da_identity_is_carrier_bijection(am1, am2):
     for am in (am1, am2):
         for I in am.all_idempotent_subsets():
-            eD = elementary(am, I, "D", hand="left")
+            eD = elementary(am, I, "D")
             r = box(da_identity(am), eD)
             assert len(r.gens) == 1
             assert not r.table
@@ -69,24 +70,24 @@ def test_box_da_identity_is_carrier_bijection(am1, am2):
 def test_box_results_pass_check_structure(am1, am2):
     for am in (am1, am2):
         for I in am.all_idempotent_subsets():
-            eD = elementary(am, I, "D", hand="left")
+            eD = elementary(am, I, "D")
             assert check_structure(box(alg_as_aa(am), eD)) is None
         assert check_structure(box(alg_as_aa(am), dd_identity(am))) is None
         assert check_structure(box(da_identity(am), dd_identity(am))) is None
 
 
 def test_box_rejects_mismatches(am1, am2):
-    eD = elementary(am2, frozenset(), "D", hand="left")
+    eD = elementary(am2, frozenset(), "D")
     with pytest.raises(StructureError):
         box(alg_as_aa(am1), eD)
-    eA = elementary(am1, frozenset(), "A", hand="left")
+    eA = elementary(am1, frozenset(), "A")
     with pytest.raises(StructureError):
-        box(eA, elementary(am1, frozenset(), "A", hand="right"))
+        box(eA, dualize(elementary(am1, frozenset(), "A")))
 
 
 def test_external_tensor_elementary(am1):
-    m = elementary(am1, frozenset({1}), "A", hand="left")
-    n = dualize(elementary(am1, frozenset(), "A", hand="left"))
+    m = elementary(am1, frozenset({1}), "A")
+    n = dualize(elementary(am1, frozenset(), "A"))
     r = external_tensor(m, n)
     assert len(r.gens) == 1
     assert check_structure(r) is None
@@ -159,7 +160,7 @@ def test_fold_rejects_other_inputs(am1, am2):
     L, R = am1.left_idem[r], am1.right_idem[r]
     w = ModuleStructure(
         "AA", am1, am1, ("x", "y"), {"x": R, "y": L}, {"x": L, "y": R},
-        {((r,), "x", (r,)): {(None, "y", None)}}, validate=False,
+        {((r,), "x", (r,)): {(None, "y", None)}},
     )
     assert not w.is_dg_type()
     with pytest.raises(StructureError, match="only a DD or a DG-type AA"):
@@ -172,11 +173,12 @@ def test_fold_rejects_other_inputs(am1, am2):
 
 
 def test_induced_identity_and_zero(am2):
-    eD = elementary(am2, frozenset({1}), "D", hand="left")
+    eD = elementary(am2, frozenset({1}), "D")
     A = alg_as_aa(am2)
     idm = identity_morphism(A)
     ind = induced(idm, eD, "right")
     box_mod = box(A, eD)
+    assert check_structure(box_mod) is None
     assert ind.table == identity_morphism(box_mod).table
     z = zero_morphism(A, A)
     assert induced(z, eD, "right").is_zero()
@@ -185,7 +187,7 @@ def test_induced_identity_and_zero(am2):
 def test_induced_is_dg_functor(am1):
     # d(induced f) = induced(df) for morphisms of the A-side factor
     M = alg_as_aa(am1)
-    eD = elementary(am1, frozenset({1}), "D", hand="left")
+    eD = elementary(am1, frozenset({1}), "D")
     rng = random.Random(13)
     slots = _morphism_slots(M, M, 2)
     for _ in range(8):
@@ -196,11 +198,12 @@ def test_induced_is_dg_functor(am1):
 
 
 def test_induced_left_identity(am1):
-    eD = elementary(am1, frozenset({1}), "D", hand="left")
+    eD = elementary(am1, frozenset({1}), "D")
     A = alg_as_aa(am1)
     idd = identity_morphism(eD)
     ind = induced(idd, A, "left")
     box_mod = box(A, eD)
+    assert check_structure(box_mod) is None
     assert ind.table == identity_morphism(box_mod).table
 
 
@@ -248,7 +251,7 @@ def test_induced_matches_hand_rolled_oracle(am1, am2):
         aa_maps = []
         for M in _a_sides(am):
             aa_maps += [identity_morphism(M)] + _seeded_morphisms(M, M, rng, 3, 3, 2)
-        d_sides = [elementary(am, I, "D", hand="left") for I in am.all_idempotent_subsets()]
+        d_sides = [elementary(am, I, "D") for I in am.all_idempotent_subsets()]
         for maps, others, side in (
             (da_maps, _a_sides(am), "left"),
             (aa_maps, d_sides + [X], "right"),
@@ -269,9 +272,11 @@ def test_box_associativity_with_dg_middle(am1):
     A = alg_as_aa(am1)
     X = da_identity(am1)
     for I in am1.all_idempotent_subsets():
-        eD = elementary(am1, I, "D", hand="left")
-        left_first = box(box(A, X), eD)
-        right_first = box(A, box(X, eD))
+        eD = elementary(am1, I, "D")
+        AX, XeD = box(A, X), box(X, eD)
+        left_first, right_first = box(AX, eD), box(A, XeD)
+        for m in (AX, XeD, left_first, right_first):
+            assert check_structure(m) is None, m.name
         remap = {((x, i), e): (x, (i, e)) for ((x, i), e) in left_first.gens}
         assert set(remap.values()) == set(right_first.gens)
         relabeled = {}
@@ -289,8 +294,8 @@ def test_double_reassociates_through_dbox(am1, am2):
         for X in (dd_middle(am), dd_identity(am)):
             for M in left_module_candidates(am):
                 Md = dualize(M)
-                left_first = dbox(box(Md, X, validate=False), M, validate=False)
-                right_first = box(Md, dbox(X, M, validate=False), validate=False)
+                left_first = dbox(box(Md, X), M)
+                right_first = box(Md, dbox(X, M))
                 remap = {((q, x), p): (q, (x, p)) for ((q, x), p) in left_first.gens}
                 assert set(remap.values()) == set(right_first.gens)
                 relabeled = {}

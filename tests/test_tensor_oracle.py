@@ -10,7 +10,7 @@ import random
 import join_oracle
 import tensor_oracle
 from tensor_oracle import assert_same_structure
-from strandjoin.ainf import dualize
+from strandjoin.ainf import check_structure, dualize
 from strandjoin.join import (
     dd_middle,
     join_general,
@@ -59,11 +59,12 @@ def test_pair_d_module_matches_oracle(am1, am2):
         ta = TensorAlgebra(am, rotate180(am)[0])
         X = dd_identity(am)
         subs = _subsets(am)
-        us = [elementary(am, I, "D", hand="right") for I in subs]
-        vs = [elementary(am, J, "D", hand="left") for J in subs]
+        us = [dualize(elementary(am, I, "D")) for I in subs]
+        vs = [elementary(am, J, "D") for J in subs]
         for M in left_module_candidates(am):
             us.append(box(dualize(M), X))
             vs.append(dbox(X, M))
+            assert check_structure(us[-1]) is None and check_structure(vs[-1]) is None
         for U, V in itertools.product(us, vs):
             got, ref = pair_d_module(U, V, ta), join_oracle.pair_d_module(U, V, ta)
             assert_same_structure(got, ref)
@@ -75,8 +76,8 @@ def test_join_domain_matches_tensor_complex(am2):
     mods = list(left_module_candidates(am2))
     triples = list(itertools.product(range(len(subs)), range(len(mods)), range(len(subs))))
     for i, m, j in random.Random(14).sample(triples, 24):
-        U = elementary(am2, subs[i], "D", hand="right")
-        V = elementary(am2, subs[j], "D", hand="left")
+        U = dualize(elementary(am2, subs[i], "D"))
+        V = elementary(am2, subs[j], "D")
         got = join_general(U, mods[m], V).domain
         ref = join_oracle.join_domain(U, mods[m], V)
         assert got.basis == ref.basis
