@@ -28,7 +28,7 @@ equation and make the cancellation morphism a cycle).
 
 from __future__ import annotations
 
-from .gf2 import ChainComplexGf2, Gf2Matrix, Gf2Vector, solve
+from .gf2 import ChainComplexGf2, Gf2Matrix, solve
 from .strands import AlgebraModel
 
 KINDS = ("AA", "DA", "AD", "DD")
@@ -631,12 +631,12 @@ def bounded_homotopy_search(f: Morphism, g: Morphism, max_len: int) -> Morphism 
         dh = morphism_diff(h)
         atoms = morphism_to_atoms(dh)
         columns.append(idx)
-        images[idx] = Gf2Vector(atoms)
+        images[idx] = atoms
         basis_morphisms[idx] = (key, val)
         atom_rows |= atoms
     rows = sorted(atom_rows, key=repr)
     system = Gf2Matrix.from_columns(rows, columns, images)
-    sol = solve(system, Gf2Vector(morphism_to_atoms(target)))
+    sol = solve(system, morphism_to_atoms(target))
     if sol is None:
         return None
     table: dict = {}

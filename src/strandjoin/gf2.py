@@ -1,10 +1,11 @@
 """Exact sparse linear algebra over GF(2).
 
-Vectors are sets of basis keys (presence = coefficient 1), matrices are sets
-of (row, col) pairs over declared ordered bases.  Elimination packs each row
-into a Python int whose bit j is the entry in column j, adds rows with one
-`^`, and pivots on the lowest set bit, i.e. in the declared column order, so
-results such as homology representatives are reproducible across runs.
+A vector is a frozenset of basis keys (presence = coefficient 1), added with
+`^`; a matrix is a set of (row, col) pairs over declared ordered bases.
+Elimination packs each row into a Python int whose bit j is the entry in
+column j, adds rows with one `^`, and pivots on the lowest set bit, i.e. in
+the declared column order, so results such as homology representatives are
+reproducible across runs.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ Key = Hashable
 
 class Frozen:
     """Base of the immutable value types, behaving as frozen dataclasses do.
+
+    The value types are matrices, chain complexes, arc diagrams and basis
+    elements; a vector needs none, being a plain frozenset of basis keys.
 
     A subclass names its fields in `_fields` (also its `__slots__`) and sets
     them once, in `__init__`, through `_init`; `__init__` takes the fields in
@@ -57,45 +61,12 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class Gf2Vector(Frozen):
-    """A Z/2 vector: the set of basis keys with coefficient 1."""
-
-    __slots__ = _fields = ("entries",)
-
-    def __init__(self, entries: Iterable = frozenset()):
-        if not isinstance(entries, frozenset):
-            entries = frozenset(entries)
-        object.__setattr__(self, "entries", entries)  # not through _init: built in inner loops
-
-    def __add__(self, other: "Gf2Vector") -> "Gf2Vector":
-        return Gf2Vector(self.entries ^ other.entries)
-
-    def __bool__(self) -> bool:
-        return bool(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, key: Key) -> bool:
-        return key in self.entries
-
-    @staticmethod
-    def of(*keys: Key) -> "Gf2Vector":
-        return Gf2Vector(frozenset(keys))
-
-    @staticmethod
-    def zero() -> "Gf2Vector":
-        return Gf2Vector(frozenset())
-
-
-def vsum(vectors: Iterable[Gf2Vector]) -> Gf2Vector:
+def vsum(vectors: Iterable[frozenset]) -> frozenset:
+    """The GF(2) sum of the vectors."""
     acc: frozenset = frozenset()
     for v in vectors:
-        acc ^= v.entries
-    return Gf2Vector(acc)
+        acc ^= v
+    return acc
 
 
 class Gf2Matrix(Frozen):
@@ -121,15 +92,15 @@ class Gf2Matrix(Frozen):
             by_col.setdefault(c, set()).add(r)
         return {c: frozenset(rs) for c, rs in by_col.items()}
 
-    def column(self, col: Key) -> Gf2Vector:
-        return Gf2Vector(self._by_col.get(col, frozenset()))
+    def column(self, col: Key) -> frozenset:
+        return self._by_col.get(col, frozenset())
 
-    def apply(self, v: Gf2Vector) -> Gf2Vector:
+    def apply(self, v: frozenset) -> frozenset:
         """Matrix-vector product; v lives in the column-key space."""
         acc: frozenset = frozenset()
         for c in v:
             acc ^= self._by_col.get(c, frozenset())
-        return Gf2Vector(acc)
+        return acc
 
     def compose(self, other: "Gf2Matrix") -> "Gf2Matrix":
         """self @ other, requiring self.cols == other.rows."""
@@ -167,10 +138,10 @@ class Gf2Matrix(Frozen):
 
     @staticmethod
     def from_columns(rows: Sequence[Key], cols: Sequence[Key], images: dict) -> "Gf2Matrix":
-        """Build from a map col-key -> Gf2Vector of row keys."""
+        """Build from a map col-key -> the set of row keys of its nonzeros."""
         nz = set()
         for c in cols:
-            for r in images.get(c, Gf2Vector.zero()):
+            for r in images.get(c, ()):
                 nz.add((r, c))
         return Gf2Matrix(tuple(rows), tuple(cols), frozenset(nz))
 
@@ -240,7 +211,7 @@ def rank(m: Gf2Matrix) -> int:
     return len(_rref(_packed_rows(m).values())[1])
 
 
-def solve(m: Gf2Matrix, b: Gf2Vector) -> Gf2Vector | None:
+def solve(m: Gf2Matrix, b: frozenset) -> frozenset | None:
     """Return some x with m @ x = b, or None if the system is inconsistent.
 
     Free variables are set to 0; the solution is deterministic in the
@@ -255,7 +226,7 @@ def solve(m: Gf2Matrix, b: Gf2Vector) -> Gf2Vector | None:
     red, piv = _rref(rows.values())
     if piv and piv[-1] == n:
         return None
-    return Gf2Vector(frozenset(m.cols[c] for v, c in zip(red, piv) if v >> n & 1))
+    return frozenset(m.cols[c] for v, c in zip(red, piv) if v >> n & 1)
 
 
 class ChainComplexError(ValueError):
@@ -294,7 +265,7 @@ def _kernel_basis(m: Gf2Matrix) -> list[int]:
     return list(kers.values())
 
 
-def homology(c: ChainComplexGf2) -> tuple[int, list[Gf2Vector]]:
+def homology(c: ChainComplexGf2) -> tuple[int, list[frozenset]]:
     """Homology of an ungraded Z/2 complex: (dimension, cycle representatives).
 
     dimension = dim ker d - rank d, with rank d = dim - dim ker d from the one
@@ -311,11 +282,7 @@ def homology(c: ChainComplexGf2) -> tuple[int, list[Gf2Vector]]:
     pool: dict = {}
     for col in _packed_rows(c.differential.transpose()).values():
         _insert(pool, col)
-    reps = [
-        Gf2Vector(frozenset(c.basis[i] for i in _bit_indices(v)))
-        for v in kers
-        if _insert(pool, v)
-    ]
+    reps = [frozenset(c.basis[i] for i in _bit_indices(v)) for v in kers if _insert(pool, v)]
     dim_h = len(kers) - r
     if len(reps) != dim_h:
         raise RuntimeError(
@@ -324,7 +291,7 @@ def homology(c: ChainComplexGf2) -> tuple[int, list[Gf2Vector]]:
     return dim_h, reps
 
 
-def homology_coordinates(c: ChainComplexGf2, reps: list[Gf2Vector]):
+def homology_coordinates(c: ChainComplexGf2, reps: list[frozenset]):
     """The map sending a cycle z of c to the indices i with [z] = sum of [reps[i]].
 
     reps must be independent in homology, as `homology` returns them.  The
@@ -342,7 +309,7 @@ def homology_coordinates(c: ChainComplexGf2, reps: list[Gf2Vector]):
         _insert(pivots, sum(1 << index[k] for k in rep) | 1 << (n + i))
     low = (1 << n) - 1
 
-    def coordinates(z: Gf2Vector) -> list[int]:
+    def coordinates(z: frozenset) -> list[int]:
         if any(k not in index for k in z):
             raise ValueError("vector has keys outside the complex's basis")
         v = sum(1 << index[k] for k in z)

@@ -17,7 +17,7 @@ module's outputs feed right input slots in temporal order.
 
 from __future__ import annotations
 
-from .gf2 import ChainComplexGf2, Gf2Matrix, Gf2Vector
+from .gf2 import ChainComplexGf2, Gf2Matrix, vsum
 from .strands import AlgebraModel, rotate180
 from .ainf import ModuleStructure, Morphism, StructureError, _add, validated
 from .ainf import dualize, oppositize, relabel
@@ -55,14 +55,6 @@ def _require_right_d(U: ModuleStructure):
 def _require_left_d(V: ModuleStructure):
     if not (V.kind == "DA" and V.right_alg is None):
         raise StructureError("expected a left type-D module")
-
-
-def left_entries_with_units(M: ModuleStructure):
-    """Stored left-module entries plus the implicit unital actions, as table items."""
-    yield from M.table.items()
-    for g in M.gens:
-        ia = M.left_alg.idempotent_index(M.lidem[g])
-        yield ((ia,), g, ()), ((None, g, None),)
 
 
 def _left_d_chains(V: ModuleStructure, kmax: int) -> dict:
@@ -126,22 +118,28 @@ def pair_bimodule(M: ModuleStructure) -> ModuleStructure:
     return validated(P)
 
 
+def _nabla_table(M: ModuleStructure) -> dict:
+    """The table of the join morphism of a left type-A module M.
+
+    Each entry q in m(a_1, ..., a_n, p) gives for each j the term
+    (a_{j+1}, ..., a_n), (p, q), (a_1, ..., a_{j-1}) -> a_j: the inputs after
+    a_j act on the left of the dual algebra, those before it on the right.
+    The unital action m(iota, p) = p gives (), (p, p), () -> iota.
+    """
+    table: dict = {}
+    for (args, p, _), outs in M.table.items():
+        for _, q, _ in outs:
+            for j, mid in enumerate(args):
+                _add(table, (args[j + 1 :], (p, q), args[:j]), (None, mid, None))
+    for p in M.gens:
+        _add(table, ((), (p, p), ()), (None, M.left_alg.idempotent_index(M.lidem[p]), None))
+    return table
+
+
 def nabla(M: ModuleStructure) -> Morphism:
     """The join morphism from M (x) M-dual to the dual algebra bimodule."""
     _require_left_a(M)
-    src = pair_bimodule(M)
-    dst = dual_alg_as_aa(M.left_alg)
-    table: dict = {}
-
-    for (args, p, _), outs in left_entries_with_units(M):
-        n = len(args)
-        for _, q, _ in outs:
-            for j in range(n):
-                argsR = args[:j]
-                mid = args[j]
-                argsL = args[j + 1 :]
-                _add(table, (argsL, (p, q), argsR), (None, mid, None))
-    return Morphism(src, dst, table)
+    return Morphism(pair_bimodule(M), dual_alg_as_aa(M.left_alg), _nabla_table(M))
 
 
 # -- join instances ------------------------------------------------------------------
@@ -159,7 +157,12 @@ class JoinInstance:
 
 
 def join_general(U: ModuleStructure, M: ModuleStructure, V: ModuleStructure) -> JoinInstance:
-    """The chain-level join map for a bounded left type-A module M."""
+    """The chain-level join map id_U box nabla_M box id_V, for a bounded left
+    type-A module M.
+
+    A term of nabla's table with inputs (argsL, argsR) meets the chains of U
+    that emit argsL, in reverse, and those of V that emit argsR.
+    """
     _require_right_d(U)
     _require_left_a(M)
     _require_left_d(V)
@@ -173,20 +176,20 @@ def join_general(U: ModuleStructure, M: ModuleStructure, V: ModuleStructure) -> 
     maxlen = M.max_left_len() + 1
     uchains = _right_d_chains(U, maxlen)
     vchains = _left_d_chains(V, maxlen)
-    images = {g: Gf2Vector.zero() for g in domain.basis}
-    for (args, p, _), outs in left_entries_with_units(M):
-        for _, q, _ in outs:
-            for j, mid in enumerate(args):
-                for u0, uends in uchains.get(args[j + 1 :][::-1], ()):
-                    for v0, vends in vchains.get(args[:j], ()):
-                        g = ((u0, p), (q, v0))
-                        if g not in dom_set:
-                            continue
-                        for u2 in uends:
-                            for v2 in vends:
-                                tgt = (u2, mid, v2)
-                                if tgt in cod_set:
-                                    images[g] += Gf2Vector.of(tgt)
+    images: dict = {}
+    for (argsL, (p, q), argsR), outs in _nabla_table(M).items():
+        for u0, uends in uchains.get(argsL[::-1], ()):
+            for v0, vends in vchains.get(argsR, ()):
+                g = ((u0, p), (q, v0))
+                if g not in dom_set:
+                    continue
+                img = images.setdefault(g, set())
+                for _, mid, _ in outs:
+                    for u2 in uends:
+                        for v2 in vends:
+                            tgt = (u2, mid, v2)
+                            if tgt in cod_set:
+                                img ^= {tgt}
     matrix = Gf2Matrix.from_columns(codomain.basis, domain.basis, images)
     return JoinInstance(am, domain, codomain, matrix)
 
@@ -260,16 +263,14 @@ def _diagonal_terms(M: ModuleStructure) -> list:
     return terms
 
 
-def diagonal(M: ModuleStructure) -> tuple[ChainComplexGf2, Gf2Vector]:
+def diagonal(M: ModuleStructure) -> tuple[ChainComplexGf2, frozenset]:
     """The diagonal cycle in the double of M."""
     _require_left_a(M)
     c = double_module(M)
-    entries = {(p, mid, p) for p, mid in _diagonal_terms(M)}
-    basis = set(c.basis)
-    for e in entries:
-        if e not in basis:
-            raise StructureError("diagonal term outside the double's carrier")
-    return c, Gf2Vector(frozenset(entries))
+    cycle = frozenset((p, mid, p) for p, mid in _diagonal_terms(M))
+    if not cycle <= set(c.basis):
+        raise StructureError("diagonal term outside the double's carrier")
+    return c, cycle
 
 
 # -- the cancellation morphism ---------------------------------------------------------
@@ -340,11 +341,11 @@ def _identity_composite(U: ModuleStructure, M: ModuleStructure) -> Gf2Matrix:
         for p in M.gens:
             if M.lidem[p] != UI.ridem[ui]:
                 continue
-            acc = Gf2Vector.zero()
+            acc: frozenset = frozenset()
             for q, mid in delta:
                 for _, e, ((_, a2, K2), p2) in inst.matrix.column(((ui, p), (q, (mid, q)))):
                     if am.is_idempotent_elem(e) and am.is_idempotent_elem(a2):
-                        acc += Gf2Vector.of((u, K2, p2))
+                        acc ^= {(u, K2, p2)}
             images[(u, K, p)] = acc
     basis = tuple(images)
     return Gf2Matrix.from_columns(basis, basis, images)
@@ -377,13 +378,10 @@ def join_symmetry_verdict(
         u, a, v = g
         return (v, a, u)
 
-    for g in inst.domain.basis:
-        img1 = inst.matrix.column(g)
-        img2 = refl.matrix.column(dom_map(g))
-        mapped = Gf2Vector(frozenset(cod_map(t) for t in img1))
-        if mapped.entries != img2.entries:
-            return False
-    return True
+    return all(
+        frozenset(map(cod_map, inst.matrix.column(g))) == refl.matrix.column(dom_map(g))
+        for g in inst.domain.basis
+    )
 
 
 # -- associativity apparatus ---------------------------------------------------------
@@ -464,29 +462,15 @@ def three_joins(
     for g1 in C1.basis:
         for g2 in C2.basis:
             for g3 in C3.basis:
-                # route 1
-                acc1 = Gf2Vector.zero()
+                # route 1; j2 codomain gens are ((u,a,x), b, v)
                 mid = j1.matrix.column((g1, as_c2(g2)))
-                for t in mid:
-                    acc1 += Gf2Vector(
-                        frozenset(
-                            (tt[0], tt[1], tt[2])
-                            for tt in j2.matrix.column((as_d1(t), g3))
-                        )
-                    )
-                # flatten: j2 codomain gens are ((u,a,x), b, v)
+                acc1 = vsum(j2.matrix.column((as_d1(t), g3)) for t in mid)
                 # route 2
-                acc2 = Gf2Vector.zero()
                 mid2 = j2p.matrix.column((as_c2p(g2), g3))
-                for t in mid2:
-                    acc2 += Gf2Vector(
-                        frozenset(j1p.matrix.column((g1, as_d2(t))))
-                    )
+                acc2 = vsum(j1p.matrix.column((g1, as_d2(t))) for t in mid2)
                 # identify codomains: route1 ((u,a,x),b,v) vs route2 (u,a,(x,b,v))
-                acc2_flat = Gf2Vector(
-                    frozenset(((u, a, x), b, v) for (u, a, xbv) in acc2 for x, b, v in [xbv])
-                )
-                if acc1.entries != acc2_flat.entries:
+                acc2_flat = frozenset(((u, a, x), b, v) for (u, a, (x, b, v)) in acc2)
+                if acc1 != acc2_flat:
                     return False
                 # route 3
                 u1, p1 = g1
@@ -494,13 +478,11 @@ def three_joins(
                 q3, v3 = g3
                 dom3 = (((u1, v3), (p1, q3)), ((q2, p2), x2))
                 acc3 = j3.matrix.column(dom3)
-                acc3_flat = Gf2Vector(
-                    frozenset(
-                        ((uv[0], ta.split[ut][0], xx), rotinv[ta.split[ut][1]], uv[1])
-                        for (uv, ut, xx) in acc3
-                    )
+                acc3_flat = frozenset(
+                    ((uv[0], ta.split[ut][0], xx), rotinv[ta.split[ut][1]], uv[1])
+                    for (uv, ut, xx) in acc3
                 )
-                if acc1.entries != acc3_flat.entries:
+                if acc1 != acc3_flat:
                     return False
     return True
 
@@ -530,12 +512,8 @@ def self_join(U_pair: ModuleStructure, M: ModuleStructure):
     dom2 = set(join.domain.basis)
     images = {}
     for g in C.basis:
-        acc = Gf2Vector.zero()
-        for p, mid in _diagonal_terms(M):
-            key = (g, ((p, p), mid))
-            if key in dom2:
-                acc += join.matrix.column(key)
-        images[g] = acc
+        keys = ((g, ((p, p), mid)) for p, mid in _diagonal_terms(M))
+        images[g] = vsum(join.matrix.column(key) for key in keys if key in dom2)
     matrix = Gf2Matrix.from_columns(join.codomain.basis, C.basis, images)
     return JoinInstance(ta.union, C, join.codomain, matrix)
 

@@ -8,7 +8,7 @@ equivalence.  Both sides are computed here and compared exactly on homology.
 
 from __future__ import annotations
 
-from .gf2 import ChainComplexGf2, Gf2Matrix, Gf2Vector, homology, homology_coordinates, vsum
+from .gf2 import ChainComplexGf2, Gf2Matrix, homology, homology_coordinates, vsum
 from .strands import AlgebraModel, gamma_block, homology_blocks  # noqa: F401  (re-exported)
 from .ainf import ModuleStructure, StructureError
 from .standard_models import algebra_module
@@ -31,10 +31,7 @@ def _bilinear_on_homology(c1, c2, c3, *images_of_pair) -> list[Gf2Matrix]:
         nz = set()
         for i, r1 in enumerate(reps1):
             for j, r2 in enumerate(reps2):
-                img = Gf2Vector.zero()
-                for x in r1:
-                    for y in r2:
-                        img += image_of_pair(x, y)
+                img = vsum(image_of_pair(x, y) for x in r1 for y in r2)
                 for k in coordinates(img):
                     nz.add((("h", k), (i, j)))
         out.append(Gf2Matrix(rows, cols, frozenset(nz)))
@@ -52,20 +49,16 @@ def right_module_block(u: ModuleStructure, I) -> ChainComplexGf2:
         raise StructureError("expected a module with a right action")
     I = frozenset(I)
     basis = tuple(g for g in u.gens if u.ridem[g] == I)
-    images = {g: Gf2Vector(_targets(u, ((), g, ())) & set(basis)) for g in basis}
+    images = {g: _targets(u, ((), g, ())) & set(basis) for g in basis}
     d = Gf2Matrix.from_columns(basis, basis, images)
     return ChainComplexGf2(basis, d)
 
 
-def _direct_action(u: ModuleStructure, x, a) -> Gf2Vector:
+def _direct_action(u: ModuleStructure, x, a) -> frozenset:
     am = u.right_alg
     if am.is_idempotent_elem(a):
-        return (
-            Gf2Vector.of(x)
-            if u.ridem[x] == am.elems[a].occupied
-            else Gf2Vector.zero()
-        )
-    return Gf2Vector(_targets(u, ((), x, (a,))))
+        return frozenset({x}) if u.ridem[x] == am.elems[a].occupied else frozenset()
+    return _targets(u, ((), x, (a,)))
 
 
 def _cancel_emissions(cA_table, I, a):
@@ -127,10 +120,10 @@ def mu_H(am: AlgebraModel, I, J, K) -> Gf2Matrix:
     c3 = gamma_block(am, I, K)
 
     def direct(x, a):
-        return Gf2Vector(am.mult_table[(x, a)])
+        return am.mult_table[(x, a)]
 
     def composite(x, a):
-        return vsum(Gf2Vector(am.mult_table[(x, b)]) for b in _cancel_emissions(cA.table, J, a))
+        return vsum(am.mult_table[(x, b)] for b in _cancel_emissions(cA.table, J, a))
 
     m1, m2 = _bilinear_on_homology(c1, c2, c3, direct, composite)
     if m1.nonzero != m2.nonzero:

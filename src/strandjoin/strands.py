@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 from operator import itemgetter, lshift
 
 from .arc_diagram import ArcDiagram, reverse, flip_type, validate
-from .gf2 import ChainComplexGf2, Frozen, Gf2Matrix, Gf2Vector, homology, vsum
+from .gf2 import ChainComplexGf2, Frozen, Gf2Matrix, homology, vsum
 
 
 class ABasisElem(Frozen):
@@ -303,29 +303,20 @@ class AlgebraModel:
     def dim(self) -> int:
         return len(self.elems)
 
-    def zero(self) -> Gf2Vector:
-        return Gf2Vector.zero()
+    def mul(self, x: frozenset, y: frozenset) -> frozenset:
+        return vsum(self.mult_table[(i, j)] for i in x for j in y)
 
-    def basis_vector(self, e: ABasisElem) -> Gf2Vector:
-        return Gf2Vector.of(self.index[e])
+    def diff(self, x: frozenset) -> frozenset:
+        return vsum(self.diff_table[i] for i in x)
 
-    def mul(self, x: Gf2Vector, y: Gf2Vector) -> Gf2Vector:
-        return vsum(
-            Gf2Vector(self.mult_table[(i, j)]) for i in x for j in y
-        )
-
-    def diff(self, x: Gf2Vector) -> Gf2Vector:
-        return vsum(Gf2Vector(self.diff_table[i]) for i in x)
-
-    def idempotent(self, subset) -> Gf2Vector:
-        e = ABasisElem((), frozenset(subset))
-        return self.basis_vector(e)
+    def idempotent(self, subset) -> frozenset:
+        return frozenset({self.idempotent_index(subset)})
 
     def idempotent_index(self, subset) -> int:
         return self.index[ABasisElem((), frozenset(subset))]
 
-    def unit(self) -> Gf2Vector:
-        return vsum(self.idempotent(s) for s in self.all_idempotent_subsets())
+    def unit(self) -> frozenset:
+        return frozenset(map(self.idempotent_index, self.all_idempotent_subsets()))
 
     def all_idempotent_subsets(self):
         for r in range(self.k + 1):
@@ -419,8 +410,7 @@ def reflect(am: AlgebraModel) -> tuple[AlgebraModel, dict[int, int]]:
 def gamma_block(am: AlgebraModel, I, J) -> ChainComplexGf2:
     """The summand iota_I . A . iota_J as a chain complex."""
     basis = am.idem_blocks.get((frozenset(I), frozenset(J)), ())
-    images = {g: Gf2Vector(am.diff_table[g]) for g in basis}
-    d = Gf2Matrix.from_columns(basis, basis, images)
+    d = Gf2Matrix.from_columns(basis, basis, am.diff_table)
     return ChainComplexGf2(basis, d)
 
 

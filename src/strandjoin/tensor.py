@@ -18,7 +18,6 @@ module (the external tensor, the join's pair modules) is built from the two.
 from __future__ import annotations
 
 from .arc_diagram import ArcDiagram
-from .gf2 import Gf2Vector
 from .strands import ABasisElem, AlgebraModel, enumerate_basis, rotate180
 from .ainf import (
     ModuleStructure,
@@ -68,13 +67,13 @@ def _d_chains(n: ModuleStructure, kmax: int) -> dict:
     return chains
 
 
-def _collapse(alg: AlgebraModel, cseq: tuple, empty_idem: frozenset) -> Gf2Vector:
+def _collapse(alg: AlgebraModel, cseq: tuple, empty_idem: frozenset) -> frozenset:
     """Multiply accumulated right outputs, later firings on the left."""
     if not cseq:
-        return Gf2Vector.of(alg.idempotent_index(empty_idem))
-    acc = Gf2Vector.of(cseq[0])
+        return alg.idempotent(empty_idem)
+    acc = frozenset({cseq[0]})
     for c in cseq[1:]:
-        acc = alg.mul(Gf2Vector.of(c), acc)
+        acc = alg.mul(frozenset({c}), acc)
     return acc
 
 

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from strandjoin.gf2 import ChainComplexGf2, Gf2Matrix, Gf2Vector
+from strandjoin.gf2 import ChainComplexGf2, Gf2Matrix
 
 
 def to_dense(m: Gf2Matrix) -> np.ndarray:
@@ -56,7 +56,7 @@ def rank(m: Gf2Matrix) -> int:
     return len(piv)
 
 
-def solve(m: Gf2Matrix, b: Gf2Vector) -> Optional[Gf2Vector]:
+def solve(m: Gf2Matrix, b: frozenset) -> Optional[frozenset]:
     for k in b:
         if k not in set(m.rows):
             raise ValueError(f"rhs key {k!r} not in row space")
@@ -73,7 +73,7 @@ def solve(m: Gf2Matrix, b: Gf2Vector) -> Optional[Gf2Vector]:
     x = np.zeros(n, dtype=np.uint8)
     for i, c in enumerate(piv):
         x[c] = red[i, n]
-    return Gf2Vector(frozenset(m.cols[j] for j in np.nonzero(x)[0]))
+    return frozenset(m.cols[j] for j in np.nonzero(x)[0])
 
 
 def _kernel_basis(a: np.ndarray) -> list[np.ndarray]:
@@ -94,7 +94,7 @@ def _kernel_basis(a: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def homology(c: ChainComplexGf2) -> tuple[int, list[Gf2Vector]]:
+def homology(c: ChainComplexGf2) -> tuple[int, list[frozenset]]:
     c.check_d_squared()
     n = c.dim
     if n == 0:
@@ -122,7 +122,7 @@ def homology(c: ChainComplexGf2) -> tuple[int, list[Gf2Vector]]:
     reps = []
     for v in kers:
         if reduce_and_add(v):
-            reps.append(Gf2Vector(frozenset(c.basis[i] for i in np.nonzero(v)[0])))
+            reps.append(frozenset(c.basis[i] for i in np.nonzero(v)[0]))
     dim_h = len(kers) - r
     if len(reps) != dim_h:
         raise RuntimeError(

@@ -240,3 +240,55 @@ def test_check_join_reports_a_failing_model(files, monkeypatch, name):
     rc, out = _run(["check", files["Z2"], "join"])
     assert rc == 2 and "join: FAIL\n" in out
     assert out.endswith(f"  {name}: structure equation fails at {witness}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["join", "elementary:D:{1}", "amod:{1}", "elementary:D:{1}"], "A"),
+        (["double", "amod:{1}"], "IAI"),
+    ],
+)
+def test_dump_commands_report_a_failing_model(files, monkeypatch, argv, name):
+    # The algebra bimodule behind the join's codomain; the middle of the double.
+    from conftest import forget_models
+
+    forget_models(enumerate_basis(Z2))
+    witness = ((), "w", ())
+    _failing_check(monkeypatch, name, witness)
+    rc, out = _run([argv[0], files["Z2"], *argv[1:]])
+    assert rc == 2
+    assert out == f"error: {name}: structure equation fails at {witness}\n"
+
+
+def test_double_reports_a_failing_d_squared(files, monkeypatch):
+    from strandjoin.gf2 import ChainComplexError, ChainComplexGf2
+
+    def fail(c):
+        raise ChainComplexError("d^2 != 0")
+
+    monkeypatch.setattr(ChainComplexGf2, "check_d_squared", fail)
+    rc, out = _run(["double", files["Z2"], "amod:{1}"])
+    assert rc == 2 and out == "error: d^2 != 0\n"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="check homotopy plants on A.iota_{}, one generator with an empty table, "
+    "so every planted differential is 0",
+)
+def test_check_homotopy_plants_a_nonzero_differential(monkeypatch):
+    from strandjoin import ainf
+    from strandjoin.cli import _suite_homotopy
+
+    planted = []
+    real = ainf.bounded_homotopy_search
+
+    def recording(f, g, max_len):
+        planted.append(f)
+        return real(f, g, max_len)
+
+    monkeypatch.setattr(ainf, "bounded_homotopy_search", recording)
+    assert _suite_homotopy(Z2, enumerate_basis(Z2), Random(0)) == []
+    assert len(planted) == 5
+    assert not all(f.is_zero() for f in planted)

@@ -6,7 +6,6 @@ from strandjoin.gf2 import (
     ChainComplexError,
     ChainComplexGf2,
     Gf2Matrix,
-    Gf2Vector,
     homology,
     rank,
     solve,
@@ -14,10 +13,10 @@ from strandjoin.gf2 import (
 
 
 def test_vector_addition_is_symmetric_difference():
-    a = Gf2Vector.of("x", "y")
-    b = Gf2Vector.of("y", "z")
-    assert (a + b).entries == {"x", "z"}
-    assert not (a + a)
+    a = frozenset({"x", "y"})
+    b = frozenset({"y", "z"})
+    assert (a ^ b) == {"x", "z"}
+    assert not (a ^ a)
 
 
 def test_rank_zero_and_identity():
@@ -36,21 +35,21 @@ def test_rank_dependent_rows():
 
 
 def test_solve_identity_and_zero():
-    assert solve(Gf2Matrix.identity(("c1",)), Gf2Vector.of("c1")).entries == {"c1"}
+    assert solve(Gf2Matrix.identity(("c1",)), frozenset({"c1"})) == {"c1"}
     z = Gf2Matrix.zero(("c1",), ("c1",))
-    assert solve(z, Gf2Vector.of("c1")) is None
+    assert solve(z, frozenset({"c1"})) is None
 
 
 def test_solve_underdetermined():
     m = Gf2Matrix(("r1",), ("c1", "c2"), {("r1", "c1"), ("r1", "c2")})
-    x = solve(m, Gf2Vector.of("r1"))
+    x = solve(m, frozenset({"r1"}))
     assert x is not None
-    assert m.apply(x).entries == {"r1"}
+    assert m.apply(x) == {"r1"}
 
 
 def test_homology_single_generator():
     c = ChainComplexGf2(("x",))
-    assert homology(c) == (1, [Gf2Vector.of("x")])
+    assert homology(c) == (1, [frozenset({"x"})])
 
 
 def test_homology_acyclic_pair():
@@ -68,7 +67,7 @@ def test_homology_rejects_bad_differential():
 def test_homology_of_z1_algebra_complex(am1):
     basis = tuple(range(am1.dim))
     d = Gf2Matrix.from_columns(
-        basis, basis, {i: Gf2Vector(am1.diff_table[i]) for i in basis}
+        basis, basis, {i: am1.diff_table[i] for i in basis}
     )
     assert homology(ChainComplexGf2(basis, d))[0] == 3
 
@@ -97,11 +96,11 @@ def test_solve_agrees_with_rank_criterion(bits, bbits):
         (rows[i], cols[j]) for i in range(4) for j in range(4) if bits >> (4 * i + j) & 1
     )
     m = Gf2Matrix(rows, cols, nz)
-    b = Gf2Vector(frozenset(rows[i] for i in range(4) if bbits >> i & 1))
+    b = frozenset(rows[i] for i in range(4) if bbits >> i & 1)
     aug = Gf2Matrix(rows, cols + ("_b",), nz | {(r, "_b") for r in b})
     x = solve(m, b)
     if rank(aug) == rank(m):
-        assert x is not None and m.apply(x).entries == b.entries
+        assert x is not None and m.apply(x) == b
     else:
         assert x is None
 

@@ -91,11 +91,11 @@ def test_join_dg_formula_example(am1):
     i1 = am1.idempotent_index({1})
     u, v = U.gens[0], V.gens[0]
     col = inst.matrix.column(((u, i1), (i1, v)))
-    assert col.entries == {(u, i1, v)}
+    assert col == {(u, i1, v)}
     col2 = inst.matrix.column(((u, i1), (s, v)))
-    assert col2.entries == {(u, s, v)}
+    assert col2 == {(u, s, v)}
     col3 = inst.matrix.column(((u, s), (s, v)))
-    assert col3.entries == {(u, i1, v)}
+    assert col3 == {(u, i1, v)}
 
 
 def test_join_elementary_blocks(am1):
@@ -111,7 +111,7 @@ def test_join_elementary_blocks(am1):
             if expected:
                 (g,) = inst.domain.basis
                 col = inst.matrix.column(g)
-                assert col.entries == {(U.gens[0], am1.idempotent_index(Ic), V.gens[0])}
+                assert col == {(U.gens[0], am1.idempotent_index(Ic), V.gens[0])}
 
 
 def test_join_idempotent_mismatch_zero(am1):
@@ -160,7 +160,7 @@ def test_diagonal_is_cycle_and_basis_stable(am1, am2):
     )
     assert check_structure(M2) is None
     c2, v2 = diagonal(M2)
-    assert v1.entries == v2.entries
+    assert v1 == v2
 
 
 def test_cancel_cA_table_and_cycle(am1, am2):

@@ -12,7 +12,7 @@ import pickle
 import pytest
 
 from strandjoin.arc_diagram import ArcDiagram, Z2
-from strandjoin.gf2 import ChainComplexGf2, Frozen, Gf2Matrix, Gf2Vector
+from strandjoin.gf2 import ChainComplexGf2, Frozen, Gf2Matrix
 from strandjoin.join import JoinInstance
 from strandjoin.nice_diagram import Chart, ComparisonVerdict
 from strandjoin.strands import ABasisElem, enumerate_basis
@@ -32,7 +32,7 @@ CASES = [
         ("arcs", "matching", "kind"),
         "ArcDiagram(arcs=(('a', 'b'),), matching=(('a', 1), ('b', 1)), kind='alpha')",
     ),
-    (lambda: Gf2Vector([3]), ("entries",), "Gf2Vector(entries=frozenset({3}))"),
+    (lambda: ABasisElem([("b", "c"), ("a", "b")], {2}), ("movers", "occupied"), "[a>b,b>c|2]"),
     (
         lambda: Gf2Matrix(["r"], ("c", "d"), [("r", "d")]),
         ("rows", "cols", "nonzero"),
@@ -44,7 +44,6 @@ CASES = [
         "ChainComplexGf2(basis=(1, 2), differential="
         "Gf2Matrix(rows=(1, 2), cols=(1, 2), nonzero=frozenset()))",
     ),
-    (lambda: ABasisElem([("b", "c"), ("a", "b")], {2}), ("movers", "occupied"), "[a>b,b>c|2]"),
 ]
 
 
@@ -67,7 +66,7 @@ def test_value_contract(make, fields, text):
 
 
 def test_values_with_different_fields_differ():
-    assert Gf2Vector([3]) != Gf2Vector([4])
+    assert Gf2Matrix(["r"], ["c"], [("r", "c")]) != Gf2Matrix(["r"], ["c"])
     assert ArcDiagram([["a", "b"]], {"a": 1, "b": 1}, "beta") != ArcDiagram(
         [["a", "b"]], {"a": 1, "b": 1}
     )
