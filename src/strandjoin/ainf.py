@@ -551,20 +551,12 @@ def morphism_diff(f: Morphism) -> Morphism:
     src, dst = f.src, f.dst
     inputs = _candidate_inputs(
         src,
-        f_max_left(f) + max(src.max_left_len(), dst.max_left_len(), 1),
-        f_max_right(f) + max(src.max_right_len(), dst.max_right_len(), 1),
+        _max_input_len(f, 0) + max(src.max_left_len(), dst.max_left_len(), 1),
+        _max_input_len(f, 2) + max(src.max_right_len(), dst.max_right_len(), 1),
         [(f.table, dst.table), (src.table, f.table)],
         [f.table],
     )
     return Morphism(src, dst, {key: _diff(f, key) for key in inputs})
-
-
-def f_max_left(f: Morphism) -> int:
-    return _max_input_len(f, 0)
-
-
-def f_max_right(f: Morphism) -> int:
-    return _max_input_len(f, 2)
 
 
 def is_homomorphism(f: Morphism) -> bool:

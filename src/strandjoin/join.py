@@ -3,7 +3,7 @@ and its diagonal cycle, the cancellation morphism, and the identity check.
 
 Everything here is assembled from explicit finite formulas.  A left type-A
 module M over the algebra pairs with its dual through the join morphism; box
-products against type-D modules, built with tensor.box and tensor.dbox,
+products against type-D modules on either hand, built with tensor.box,
 produce honest chain complexes; tensor products over the ground ring and
 modules over the tensor algebra come from tensor.ground_tensor and
 tensor.fold; the identity DD bimodule mediates between a module and its dual with complementary
@@ -12,7 +12,8 @@ idempotents on its two sides (see standard_models.dd_identity).
 Conventions (pinned by the validation suite): a right type-D module's
 iterated outputs feed left input slots outermost-first, so temporal order
 (c_1, ..., c_k) enters an A-side operation as (c_k, ..., c_1); a left type-D
-module's outputs feed right input slots in temporal order.
+module's outputs feed right input slots in temporal order.  tensor._d_chains
+keys the chains of either by the input tuple they fill.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .standard_models import (
     left_module_from_right_idem,
     once_per_algebra,
 )
-from .tensor import TensorAlgebra, _d_chains, box, dbox, external_tensor, fold, ground_tensor
+from .tensor import TensorAlgebra, _d_chains, box, external_tensor, fold, ground_tensor
 
 
 # -- module-shape helpers --------------------------------------------------------
@@ -57,23 +58,16 @@ def _require_left_d(V: ModuleStructure):
         raise StructureError("expected a left type-D module")
 
 
-def _left_d_chains(V: ModuleStructure, kmax: int) -> dict:
-    """temporal output tuple -> [(v0, ends)], non-idempotent emissions.
-
-    ends lists the v_end reached from v0 an odd number of times; starts with
-    no such end are left out.
-    """
+def _d_chain_ends(D: ModuleStructure, kmax: int, side: int) -> dict:
+    """D's chains on its type-D side (0 = left, 2 = right) by the input tuple
+    they fill: bseq -> [(d0, ends)], ends the d_end reached from d0 an odd
+    number of times (starts with none are left out)."""
     chains: dict = {}
-    for (v0, seq), states in _d_chains(V, kmax).items():
-        ends = [v for (_, _, v), par in states.items() if par]
+    for (d0, seq), states in _d_chains(D, kmax, side).items():
+        ends = [d for (_, _, d), par in states.items() if par]
         if ends:
-            chains.setdefault(seq, []).append((v0, ends))
+            chains.setdefault(seq, []).append((d0, ends))
     return chains
-
-
-def _right_d_chains(U: ModuleStructure, kmax: int) -> dict:
-    """The same chains for a right type-D module, read off its opposite."""
-    return _left_d_chains(oppositize(U), kmax)
 
 
 # -- basic box complexes -----------------------------------------------------------
@@ -83,7 +77,7 @@ def dm_complex(U: ModuleStructure, M: ModuleStructure) -> ChainComplexGf2:
     """The chain complex of (right type-D) box (left type-A)."""
     _require_right_d(U)
     _require_left_a(M)
-    return dbox(U, M).underlying_complex()
+    return box(U, M).underlying_complex()
 
 
 def mv_complex(Mdual: ModuleStructure, V: ModuleStructure) -> ChainComplexGf2:
@@ -95,7 +89,7 @@ def mv_complex(Mdual: ModuleStructure, V: ModuleStructure) -> ChainComplexGf2:
 
 def _d_sandwich(U: ModuleStructure, B: ModuleStructure, V: ModuleStructure) -> ModuleStructure:
     """U box (B box V) for an AA bimodule B between two type-D sides; generators (u, x, v)."""
-    return relabel(dbox(U, box(B, V)), lambda g: (g[0], *g[1]))
+    return relabel(box(U, box(B, V)), lambda g: (g[0], *g[1]))
 
 
 def sandwich_complex(
@@ -161,7 +155,7 @@ def join_general(U: ModuleStructure, M: ModuleStructure, V: ModuleStructure) -> 
     type-A module M.
 
     A term of nabla's table with inputs (argsL, argsR) meets the chains of U
-    that emit argsL, in reverse, and those of V that emit argsR.
+    that fill argsL and those of V that fill argsR.
     """
     _require_right_d(U)
     _require_left_a(M)
@@ -169,16 +163,16 @@ def join_general(U: ModuleStructure, M: ModuleStructure, V: ModuleStructure) -> 
     am = M.left_alg
     if U.right_alg is not am or V.left_alg is not am:
         raise StructureError("join factors over different algebras")
-    domain = ground_tensor(dbox(U, M), box(dualize(M), V)).underlying_complex()
+    domain = ground_tensor(box(U, M), box(dualize(M), V)).underlying_complex()
     codomain = sandwich_complex(U, dual_alg_as_aa(am), V)
     cod_set = set(codomain.basis)
     dom_set = set(domain.basis)
     maxlen = M.max_left_len() + 1
-    uchains = _right_d_chains(U, maxlen)
-    vchains = _left_d_chains(V, maxlen)
+    uchains = _d_chain_ends(U, maxlen, 2)
+    vchains = _d_chain_ends(V, maxlen, 0)
     images: dict = {}
     for (argsL, (p, q), argsR), outs in _nabla_table(M).items():
-        for u0, uends in uchains.get(argsL[::-1], ()):
+        for u0, uends in uchains.get(argsL, ()):
             for v0, vends in vchains.get(argsR, ()):
                 g = ((u0, p), (q, v0))
                 if g not in dom_set:
@@ -237,7 +231,7 @@ def dd_sandwich_complex(
     """The complex of (right type-A) box (DD) box (left type-A)."""
     _require_right_a(Mdual)
     _require_left_a(N)
-    flat = relabel(box(Mdual, dbox(X, N)), lambda g: (g[0], *g[1]))
+    flat = relabel(box(Mdual, box(X, N)), lambda g: (g[0], *g[1]))
     return flat.underlying_complex()
 
 
@@ -284,7 +278,7 @@ def dd_sandwich_da_bimodule(am: AlgebraModel) -> ModuleStructure:
     element b, listed by I (in subset order), then a, then b.
     """
     X = dd_identity(am)
-    m = dbox(X, box(dual_alg_as_aa(am), dbox(X, alg_as_aa(am))))
+    m = box(X, box(dual_alg_as_aa(am), box(X, alg_as_aa(am))))
     order = {I: n for n, I in enumerate(am.all_idempotent_subsets())}
 
     def flat(g):
@@ -331,7 +325,7 @@ def _identity_composite(U: ModuleStructure, M: ModuleStructure) -> Gf2Matrix:
     am = M.left_alg
     UA = validated(ModuleStructure("AA", None, am, U.gens, U.lidem, U.ridem, {}, name=U.name))
     UI = box(UA, dd_identity(am))
-    inst = join_general(UI, M, dbox(dd_middle(am), M))
+    inst = join_general(UI, M, box(dd_middle(am), M))
     delta = _diagonal_terms(M)
     # The carrier of U box I box M: the identity bimodule bridges complementary
     # idempotents, so a generator (u, K, p) has ridem(u) = K and lidem(p) = full - K.
@@ -420,7 +414,7 @@ def three_joins(
     C3 = mv_complex(dualize(N), V)
 
     # First composition: join at M, then at N.
-    V1 = validated(dbox(X, N))
+    V1 = validated(box(X, N))
     j1 = join_general(U, M, V1)
     U2 = validated(_d_sandwich(U, dual_alg_as_aa(am), X))
     j2 = join_general(U2, N, V)

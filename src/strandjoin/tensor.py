@@ -1,13 +1,15 @@
 """Box tensor products, the ground-ring tensor and its fold over disjoint
 algebras, induced morphisms.
 
-The box product pairs the right type-A side of the left factor with the left
-type-D side of the right factor over a common algebra.  Iterated firings of
-the D-side factor feed the A-side operations; firings that emit idempotents
-interact only through the unital one-input action.  For a DD right factor
-the second outputs accumulate into a single product, later-generation
-factors multiplying on the left.  A type-D factor on the left (dbox) is
-handled as the opposite of a box over the opposite algebra.
+The box product meets one factor's type-A side with the other's type-D side
+over a common algebra, the type-D factor on either hand.  Its generators are
+(x, y), the left factor's first, in the type-A factor's generator order.
+Chains of the type-D factor's firings feed the type-A factor's operations,
+the first firing's output in the innermost input slot; firings that emit
+idempotents interact only through the unital one-input action.  A chain's
+inputs and outputs on the type-D factor's far side accumulate as placed:
+each firing's inputs outside the earlier ones, its output next to the
+generator, inside theirs.
 
 The ground-ring tensor of a left and a right structure is a bimodule; fold
 reads a bimodule over (A, B) as a left module over the algebra of the
@@ -26,24 +28,33 @@ from .ainf import (
     _add,
     _at,
     _max_input_len,
-    oppositize,
-    relabel,
     validated,
 )
 
 
-def _d_chains(n: ModuleStructure, kmax: int) -> dict:
-    """For a left type-D factor (DA or DD): (y0, bseq) -> {(argsC, cseq, y_end): parity}.
+def _hand(m: ModuleStructure, side: int) -> tuple:
+    """m's type, algebra and generator idempotents on one side (0 = left, 2 = right)."""
+    return (m.left_type, m.left_alg, m.lidem) if side == 0 else (m.right_type, m.right_alg, m.ridem)
 
-    bseq is the tuple of emitted left outputs, all non-idempotent, with
-    len(bseq) <= kmax; argsC concatenates the right inputs the firings
-    consumed and cseq collects their right outputs (so a DA factor's cseq and
-    a DD factor's argsC stay empty).
+
+def _d_chains(n: ModuleStructure, kmax: int, side: int) -> dict:
+    """Chains of firings of n's type-D side (0 = left, 2 = right):
+    (y0, bseq) -> {(argsC, cseq, y_end): parity}.
+
+    bseq is the input tuple the non-idempotent emissions fill on the facing
+    type-A side, len(bseq) <= kmax; argsC and cseq are the far side's inputs
+    and outputs, as placed (see above).  All three list their entries as
+    tuples on the type-D side's hand do: innermost first on the right, last
+    on the left.
     """
-    alg = n.left_alg
+    alg, far = _hand(n, side)[1], 2 - side
+
+    def outside(inner: tuple, outer: tuple) -> tuple:
+        return inner + outer if side == 0 else outer + inner
+
     firings: dict = {}
-    for (_, y, blk), outs in n.table.items():
-        firings.setdefault(y, []).append((blk, outs))
+    for key, outs in n.table.items():
+        firings.setdefault(key[1], []).append((key[far], outs))
     chains: dict = {(y, ()): {((), (), y): 1} for y in n.gens}
     frontier = {(y, ()): {((), (), y): 1} for y in n.gens}
     for _ in range(kmax):
@@ -53,11 +64,12 @@ def _d_chains(n: ModuleStructure, kmax: int) -> dict:
                 if not par:
                     continue
                 for blk, outs in firings.get(y, ()):
-                    for b, y2, c in outs:
+                    for out in outs:
+                        b, y2, c = out[side], out[1], out[far]
                         if alg.is_idempotent_elem(b):
                             continue
-                        st = nxt.setdefault((y0, bseq + (b,)), {})
-                        skey = (argsC + blk, cseq if c is None else cseq + (c,), y2)
+                        st = nxt.setdefault((y0, outside(bseq, (b,))), {})
+                        skey = (outside(argsC, blk), cseq if c is None else outside((c,), cseq), y2)
                         st[skey] = st.get(skey, 0) ^ 1
         for key, states in nxt.items():
             tgt = chains.setdefault(key, {})
@@ -68,79 +80,77 @@ def _d_chains(n: ModuleStructure, kmax: int) -> dict:
 
 
 def _collapse(alg: AlgebraModel, cseq: tuple, empty_idem: frozenset) -> frozenset:
-    """Multiply accumulated right outputs, later firings on the left."""
+    """Multiply accumulated far-side outputs in the order placed."""
     if not cseq:
         return alg.idempotent(empty_idem)
     acc = frozenset({cseq[0]})
     for c in cseq[1:]:
-        acc = alg.mul(frozenset({c}), acc)
+        acc = alg.mul(acc, frozenset({c}))
     return acc
 
 
 def box(m: ModuleStructure, n: ModuleStructure) -> ModuleStructure:
-    """The box tensor product of an A-side left factor with a D-side right factor.
+    """The box tensor product of m and n, a type-D factor on either hand.
 
     Like every product here but fold, the result is not validated.
     """
-    if m.right_type != "A":
-        raise StructureError("left factor must be type A on its right side")
-    if n.left_type != "D":
-        raise StructureError("right factor must be type D on its left side")
+    if m.right_type == "A" and n.left_type == "D":
+        a, d, side = m, n, 0
+    elif m.right_type == "D" and n.left_type == "A":
+        a, d, side = n, m, 2
+    else:
+        raise StructureError("a box meets a type-A side with a type-D side")
     if m.right_alg is not n.left_alg:
         raise StructureError("factors are over different algebras")
-    alg = m.right_alg
+    # d's type-D side is `side`, and a faces it with its `far` side.  Pairs and
+    # triples are written a's part first and reversed when d is on the left.
+    alg, far, order = m.right_alg, 2 - side, 1 if side == 0 else -1
+    a_idem, d_idem = _hand(a, far)[2], _hand(d, side)[2]
+    a_far_type, a_far_alg, a_far_idem = _hand(a, side)
+    d_far_type, d_far_alg, d_far_idem = _hand(d, far)
     # Generators pair up through matching idempotents; both indexes keep order.
-    n_at: dict = {}
-    for y in n.gens:
-        n_at.setdefault(n.lidem[y], []).append(y)
-    m_at: dict = {}
-    for x in m.gens:
-        m_at.setdefault(m.ridem[x], []).append(x)
-    gens = tuple((x, y) for x in m.gens for y in n_at.get(m.ridem[x], ()))
-    ralg = n.right_alg if n.right_type == "D" else None
+    d_at: dict = {}
+    for y in d.gens:
+        d_at.setdefault(d_idem[y], []).append(y)
+    a_at: dict = {}
+    for x in a.gens:
+        a_at.setdefault(a_idem[x], []).append(x)
+    gens = tuple((x, y)[::order] for x in a.gens for y in d_at.get(a_idem[x], ()))
     table: dict = {}
-    # m's stored entries consume chains of n's firings.
-    chains = _d_chains(n, _max_input_len(m, 2))
-    for (argsL, x, bseq), outs in m.table.items():
-        for y in n_at.get(m.ridem[x], ()):
-            for (argsC, cseq, y2), par in chains.get((y, bseq), {}).items():
+    # a's stored entries consume chains of d's firings.
+    chains = _d_chains(d, _max_input_len(a, far), side)
+    for key, outs in a.table.items():
+        x = key[1]
+        for y in d_at.get(a_idem[x], ()):
+            for (argsC, cseq, y2), par in chains.get((y, key[far]), {}).items():
                 if not par:
                     continue
-                key = (argsL, (x, y), argsC)
-                for c in (None,) if ralg is None else _collapse(ralg, cseq, n.ridem[y]):
-                    for a, x2, _ in outs:
-                        _add(table, key, (a, (x2, y2), c))
+                k = (key[side], (x, y)[::order], argsC)[::order]
+                cs = _collapse(d_far_alg, cseq, d_far_idem[y]) if d_far_type == "D" else (None,)
+                for c in cs:
+                    for out in outs:
+                        _add(table, k, (out[side], (out[1], y2)[::order], c)[::order])
     # Unital interaction: a single idempotent emission acts as identity.
-    for (_, y, blk), outs in n.table.items():
-        for b, y2, c in outs:
-            if not alg.is_idempotent_elem(b):
+    for key, outs in d.table.items():
+        y = key[1]
+        for out in outs:
+            b = out[side]
+            if not alg.is_idempotent_elem(b) or d_idem[y] != alg.elems[b].occupied:
                 continue
-            subset = alg.elems[b].occupied
-            if n.lidem[y] != subset:
-                continue
-            for x in m_at.get(subset, ()):
-                a = m.left_alg.idempotent_index(m.lidem[x]) if m.left_type == "D" else None
-                _add(table, ((), (x, y), blk), (a, (x, y2), c))
+            for x in a_at.get(d_idem[y], ()):
+                e = a_far_alg.idempotent_index(a_far_idem[x]) if a_far_type == "D" else None
+                k = ((), (x, y)[::order], key[far])[::order]
+                _add(table, k, (e, (x, out[1])[::order], out[far])[::order])
     return ModuleStructure(
         m.left_type + n.right_type,
         m.left_alg,
         n.right_alg,
         gens,
-        {(x, y): m.lidem[x] for (x, y) in gens},
-        {(x, y): n.ridem[y] for (x, y) in gens},
+        {g: m.lidem[g[0]] for g in gens},
+        {g: n.ridem[g[1]] for g in gens},
         table,
         name=f"({m.name}x{n.name})",
     )
-
-
-def dbox(d: ModuleStructure, a: ModuleStructure) -> ModuleStructure:
-    """The box product d box a of a right type-D side with a left type-A side.
-
-    Computed as the opposite of the A-side-first box of the opposites, over
-    the opposite algebra; generators are (y, x) with y from d and x from a.
-    """
-    flipped = oppositize(box(oppositize(a), oppositize(d)))
-    return relabel(flipped, lambda g: (g[1], g[0]))
 
 
 # -- the ground-ring tensor and its fold over disjoint algebras -----------------

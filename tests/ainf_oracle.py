@@ -28,9 +28,8 @@ from strandjoin.ainf import (
     _chains_from,
     _chains_into,
     _insertions,
+    _max_input_len,
     _parity_add,
-    f_max_left,
-    f_max_right,
 )
 
 # -- the per-kind layouts ----------------------------------------------------------
@@ -339,8 +338,8 @@ def structure_window(m: ModuleStructure):
 def diff_window(f: Morphism):
     """Every input of the window `morphism_diff` covers, in enumeration order."""
     src, dst = f.src, f.dst
-    lmax = f_max_left(f) + max(src.max_left_len(), dst.max_left_len(), 1)
-    rmax = f_max_right(f) + max(src.max_right_len(), dst.max_right_len(), 1)
+    lmax = _max_input_len(f, 0) + max(src.max_left_len(), dst.max_left_len(), 1)
+    rmax = _max_input_len(f, 2) + max(src.max_right_len(), dst.max_right_len(), 1)
     for g in src.gens:
         yield from _window(src, g, lmax, rmax)
 

@@ -14,6 +14,11 @@ identity slot into M's operations by hand and applies the cancellation to
 the surviving states; the library composes the same map from `join_general`
 against the double.
 
+`_left_d_chains` and `_right_d_chains` index a type-D module's chains by its
+emissions in firing order, the right-hand ones read off the opposite
+module: the walkers' own chain index, and the reference for the library's
+one index by filled input tuple (`join._d_chain_ends`).
+
 `tensor_complex`, `pair_bimodule`, `pair_d_module` and `dd_as_left_module`
 are the original hand builders of the join's domain and its pair modules;
 the library builds each from the ground-ring tensor and its fold.
@@ -30,12 +35,10 @@ from strandjoin.gf2 import ChainComplexGf2, Gf2Matrix
 from strandjoin.join import (
     JoinInstance,
     _identity_composite,
-    _left_d_chains,
     _require_left_a,
     _require_left_d,
     _require_right_a,
     _require_right_d,
-    _right_d_chains,
     diagonal,
     dm_complex,
     join_general,
@@ -43,7 +46,26 @@ from strandjoin.join import (
 )
 from strandjoin.standard_models import dual_alg_as_aa, identity_firings
 from strandjoin.strands import rotate180
-from strandjoin.tensor import TensorAlgebra
+from strandjoin.tensor import TensorAlgebra, _d_chains
+
+
+def _left_d_chains(V: ModuleStructure, kmax: int) -> dict:
+    """temporal output tuple -> [(v0, ends)], non-idempotent emissions.
+
+    ends lists the v_end reached from v0 an odd number of times; starts with
+    no such end are left out.
+    """
+    chains: dict = {}
+    for (v0, seq), states in _d_chains(V, kmax, 0).items():
+        ends = [v for (_, _, v), par in states.items() if par]
+        if ends:
+            chains.setdefault(seq, []).append((v0, ends))
+    return chains
+
+
+def _right_d_chains(U: ModuleStructure, kmax: int) -> dict:
+    """The same chains for a right type-D module, read off its opposite."""
+    return _left_d_chains(oppositize(U), kmax)
 
 
 def _idem_firings_right_d(U: ModuleStructure):

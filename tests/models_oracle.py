@@ -4,11 +4,12 @@ The library builds the algebra as a module over itself (`alg_as_aa`,
 `left_module_from_right_idem`, `sfh.alg_as_right_module`) from the nonzero
 entries of the product table, and the cancellation source
 I box A-dual box I box A (`join.dd_sandwich_da_bimodule`) as iterated box
-products with `tensor.box` and `tensor.dbox`.  This oracle keeps the builders
-they replaced: the three module builders probe every (element, generator)
-pair of the product table, and `dd_sandwich_da_bimodule` writes the carrier
-and the firings of the two identity bimodules out by hand, finding the
-dual-slot terms by scanning the whole algebra for inverse images.  None of
+products with `tensor.box`, whose type-D factor stands on either hand.  This
+oracle keeps the builders they replaced: the three module builders probe
+every (element, generator) pair of the product table, and
+`dd_sandwich_da_bimodule` writes the carrier and the firings of the two
+identity bimodules out by hand, finding the dual-slot terms by scanning the
+whole algebra for inverse images.  None of
 them is validated here; the differential tests compare their output with the
 library's.  Each writes its table in its kind's own layout and converts it with
 `ainf_oracle.from_kind_layout`.

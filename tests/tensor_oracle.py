@@ -8,6 +8,10 @@ entries consume chains of the other factor's firings; on the left, chains
 of src's firings, one f firing and chains of dst's firings are interleaved
 by hand, with a lone idempotent f firing acting as the identity.
 
+The library's `box` takes a type-D factor on either hand.  `dbox` is the
+original left-hand builder: the A-side-first box of the two opposites,
+turned back and relabelled.
+
 The library's external tensor is the fold of the ground-ring tensor; the
 `external_tensor` here is the original builder, which walks the union
 algebra's basis and reads both factors' tables directly, in the AA layout of
@@ -25,6 +29,8 @@ from strandjoin.ainf import (
     StructureError,
     _add,
     _max_input_len,
+    oppositize,
+    relabel,
     validated,
 )
 from strandjoin.strands import rotate180
@@ -36,7 +42,7 @@ def _box_table(f, n: ModuleStructure, genset: set) -> dict:
     entries consume chains of n's firings."""
     ralg = n.right_alg if n.right_type == "D" else None
     table: dict = {}
-    chains = _d_chains(n, _max_input_len(f, 2))
+    chains = _d_chains(n, _max_input_len(f, 2), 0)
     for (argsL, x, bseq), outs in f.table.items():
         for y in n.gens:
             if (x, y) not in genset:
@@ -67,8 +73,8 @@ def induced(f: Morphism, other: ModuleStructure, side: str) -> Morphism:
         dst_box = box(other, f.dst)
         alg = other.right_alg
         kmax = other.max_right_len()
-        chains_src = _d_chains(f.src, kmax)
-        chains_dst = _d_chains(f.dst, kmax)
+        chains_src = _d_chains(f.src, kmax, 0)
+        chains_dst = _d_chains(f.dst, kmax, 0)
         by_start: dict = {}
         for (y0, bseq), states in chains_dst.items():
             by_start.setdefault(y0, []).append((bseq, states))
@@ -121,6 +127,14 @@ def induced(f: Morphism, other: ModuleStructure, side: str) -> Morphism:
                                             )
         return Morphism(src_box, dst_box, table)
     raise ValueError("side must be 'left' or 'right'")
+
+
+def dbox(d: ModuleStructure, a: ModuleStructure) -> ModuleStructure:
+    """The box product d box a of a right type-D side with a left type-A side,
+    as the opposite of the A-side-first box of the opposites, over the
+    opposite algebra; generators are (y, x) with y from d and x from a."""
+    flipped = oppositize(box(oppositize(a), oppositize(d)))
+    return relabel(flipped, lambda g: (g[1], g[0]))
 
 
 def assert_same_structure(got: ModuleStructure, ref: ModuleStructure) -> None:

@@ -5,7 +5,7 @@ import pytest
 
 import models_oracle
 from strandjoin.ainf import ModuleStructure, is_homomorphism
-from strandjoin.join import _left_d_chains, cancel_cA, dd_sandwich_da_bimodule
+from strandjoin.join import _d_chain_ends, cancel_cA, dd_sandwich_da_bimodule
 from strandjoin.sfh import alg_as_right_module
 from strandjoin.standard_models import alg_as_aa, left_module_from_right_idem
 
@@ -61,7 +61,7 @@ def test_d_chains_keep_the_ends_reached_an_odd_number_of_times(am2):
     V = ModuleStructure(
         "DA", am2, None, tuple(lidem), lidem, {y: frozenset() for y in lidem}, table,
     )
-    chains = _left_d_chains(V, 2)
+    chains = _d_chain_ends(V, 2, 0)
     assert chains[()] == [(y, [y]) for y in lidem]
     [(start, ends)] = chains[(b,)]
     assert start == "y0" and sorted(ends) == ["y1", "y2"]

@@ -20,15 +20,15 @@ from strandjoin.standard_models import (
     alg_as_aa,
     da_identity,
     dd_identity,
+    dual_alg_as_aa,
     elementary,
     left_module_from_right_idem,
 )
-from strandjoin.join import cancel_cA, dd_sandwich_da_bimodule
+from strandjoin.join import cancel_cA, dd_middle, dd_sandwich_da_bimodule, left_module_candidates
 from strandjoin.strands import enumerate_basis, rotate180
 from strandjoin.tensor import (
     TensorAlgebra,
     box,
-    dbox,
     external_tensor,
     fold,
     ground_tensor,
@@ -83,6 +83,49 @@ def test_box_rejects_mismatches(am1, am2):
     eA = elementary(am1, frozenset(), "A")
     with pytest.raises(StructureError):
         box(eA, dualize(elementary(am1, frozenset(), "A")))
+
+
+def test_box_needs_a_type_a_side_against_a_type_d_side(am1):
+    eA, eD = elementary(am1, frozenset(), "A"), elementary(am1, frozenset(), "D")
+    X = dd_identity(am1)
+    for m, n in ((dualize(eA), eA), (X, X), (dualize(eD), eD), (X, dualize(X))):
+        with pytest.raises(StructureError, match="type-A side with a type-D side"):
+            box(m, n)
+
+
+@pytest.fixture()
+def constructions(monkeypatch):
+    """The names of the ModuleStructures constructed until the test ends."""
+    names = []
+    real = ModuleStructure.__init__
+
+    def counting(self, *args, **kwargs):
+        names.append(kwargs.get("name", ""))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModuleStructure, "__init__", counting)
+    return names
+
+
+def test_box_constructs_one_module_on_either_hand(am2, constructions):
+    X, IAI, A = dd_identity(am2), dd_middle(am2), alg_as_aa(am2)
+    pairs = [(X, A), (IAI, A), (A, X), (A, IAI), (dualize(da_identity(am2)), A)]
+    for M in left_module_candidates(am2):
+        Md = dualize(M)
+        pairs += [(X, M), (IAI, M), (Md, X), (Md, IAI), (box(Md, X), M)]
+    for m, n in pairs:
+        constructions.clear()
+        box(m, n)
+        assert len(constructions) == 1, (m.name, n.name)
+
+
+def test_cancellation_source_constructs_at_most_five_modules(am2, constructions):
+    # Three boxes, the flattened labels and the final order: the models it
+    # boxes are built once per algebra, beforehand.
+    dd_identity(am2), dual_alg_as_aa(am2), alg_as_aa(am2)
+    constructions.clear()
+    dd_sandwich_da_bimodule(am2)
+    assert len(constructions) <= 5, constructions
 
 
 def test_external_tensor_elementary(am1):
@@ -294,8 +337,8 @@ def test_double_reassociates_through_dbox(am1, am2):
         for X in (dd_middle(am), dd_identity(am)):
             for M in left_module_candidates(am):
                 Md = dualize(M)
-                left_first = dbox(box(Md, X), M)
-                right_first = box(Md, dbox(X, M))
+                left_first = box(box(Md, X), M)
+                right_first = box(Md, box(X, M))
                 remap = {((q, x), p): (q, (x, p)) for ((q, x), p) in left_first.gens}
                 assert set(remap.values()) == set(right_first.gens)
                 relabeled = {}

@@ -1,6 +1,7 @@
 """Differential tests: the tensor-algebra modules built from `ground_tensor`
-and `fold` against the original hand builders in `tests/tensor_oracle.py`
-and `tests/join_oracle.py`, label for label."""
+and `fold`, and the box with its type-D factor on the left, against the
+original hand builders in `tests/tensor_oracle.py` and
+`tests/join_oracle.py`, label for label."""
 
 from __future__ import annotations
 
@@ -10,17 +11,18 @@ import random
 import join_oracle
 import tensor_oracle
 from tensor_oracle import assert_same_structure
-from strandjoin.ainf import check_structure, dualize
+from strandjoin.ainf import ModuleStructure, check_structure, dualize
 from strandjoin.join import (
+    _d_chain_ends,
     dd_middle,
     join_general,
     left_module_candidates,
     pair_bimodule,
     pair_d_module,
 )
-from strandjoin.standard_models import dd_identity, elementary
+from strandjoin.standard_models import alg_as_aa, da_identity, dd_identity, elementary
 from strandjoin.strands import rotate180
-from strandjoin.tensor import TensorAlgebra, box, dbox, external_tensor, fold
+from strandjoin.tensor import TensorAlgebra, box, external_tensor, fold
 
 
 def _subsets(am):
@@ -63,7 +65,7 @@ def test_pair_d_module_matches_oracle(am1, am2):
         vs = [elementary(am, J, "D") for J in subs]
         for M in left_module_candidates(am):
             us.append(box(dualize(M), X))
-            vs.append(dbox(X, M))
+            vs.append(box(X, M))
             assert check_structure(us[-1]) is None and check_structure(vs[-1]) is None
         for U, V in itertools.product(us, vs):
             got, ref = pair_d_module(U, V, ta), join_oracle.pair_d_module(U, V, ta)
@@ -82,3 +84,78 @@ def test_join_domain_matches_tensor_complex(am2):
         ref = join_oracle.join_domain(U, mods[m], V)
         assert got.basis == ref.basis
         assert got.differential.nonzero == ref.differential.nonzero
+
+
+def _left_hand_d_factors(am):
+    """Right type-D factors: IdDD, IAI, the dual of IdDA (whose far side takes
+    inputs), the dual elementary D modules and M^dual box IdDD."""
+    X = dd_identity(am)
+    ds = [X, dd_middle(am), dualize(da_identity(am))]
+    ds += [dualize(elementary(am, I, "D")) for I in _subsets(am)]
+    ds += [box(dualize(M), X) for M in left_module_candidates(am)]
+    return ds
+
+
+def _left_hand_pairs(am):
+    return itertools.product(
+        _left_hand_d_factors(am), [*left_module_candidates(am), alg_as_aa(am)]
+    )
+
+
+def _two_input_module(am, d):
+    """A left type-A module with an entry m(a_1, a_2, p_a) = q_a for each
+    input pair a that some two-firing chain of d fills, or None.  It is not
+    an A-infinity module, but it makes a box consume whole chains, which no
+    DG-type module does."""
+    fills = {seq[::-1] for seq in join_oracle._right_d_chains(d, 2) if len(seq) == 2}
+    if not fills:
+        return None
+    lidem, table = {}, {}
+    for args in sorted(fills):
+        lidem[("p", args)] = am.right_idem[args[1]]
+        lidem[("q", args)] = am.left_idem[args[0]]
+        table[(args, ("p", args), ())] = {(None, ("q", args), None)}
+    ridem = dict.fromkeys(lidem, frozenset())
+    return ModuleStructure("AA", am, None, tuple(lidem), lidem, ridem, table)
+
+
+def test_left_hand_box_matches_opposite_round_trip(am1, am2, am3):
+    pairs = [*_left_hand_pairs(am1), *_left_hand_pairs(am2)]
+    for d in _left_hand_d_factors(am2):
+        M = _two_input_module(am2, d)
+        if M is not None:
+            pairs.append((d, M))
+    pairs += random.Random(21).sample(list(_left_hand_pairs(am3)), 24)
+    far_inputs = far_products = 0
+    for d, a in pairs:
+        got = box(d, a)
+        assert_same_structure(got, tensor_oracle.dbox(d, a))
+        far_inputs += any(argsL for argsL, _, _ in got.table)
+        far_products += any(
+            c is not None and not got.left_alg.is_idempotent_elem(c)
+            for outs in got.table.values()
+            for c, _, _ in outs
+        )
+    assert far_inputs and far_products
+
+
+def _by_filled_tuple(chains: dict, fill) -> dict:
+    return {
+        fill(seq): {(u0, frozenset(ends)) for u0, ends in starts} for seq, starts in chains.items()
+    }
+
+
+def test_right_hand_chains_are_the_opposite_chains_reversed(am2):
+    # The library keys a right type-D module's chains by the left input tuple
+    # they fill; the oracle reads them off the opposite in firing order.  The
+    # join looks U's chains up this way; every module it joins today is
+    # DG-type, so only these chains pin the order.
+    X = dd_identity(am2)
+    long_chains = 0
+    for M in left_module_candidates(am2):
+        U = box(dualize(M), X)
+        got = _by_filled_tuple(_d_chain_ends(U, 3, 2), lambda seq: seq)
+        ref = _by_filled_tuple(join_oracle._right_d_chains(U, 3), lambda seq: seq[::-1])
+        assert got == ref
+        long_chains += sum(len(seq) >= 2 for seq in got)
+    assert long_chains
