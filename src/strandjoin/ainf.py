@@ -99,6 +99,8 @@ class ModuleStructure:
         self.right_alg = right_alg
         self.gens = tuple(gens)
         self.genset = set(self.gens)
+        if len(self.genset) != len(self.gens):
+            raise StructureError("duplicate generator")
         self.lidem = dict(lidem)
         self.ridem = dict(ridem)
         self.table = {k: frozenset(v) for k, v in table.items() if v}
@@ -153,10 +155,12 @@ class ModuleStructure:
 
     def _check_idempotent_compat(self):
         A, B = self.left_alg, self.right_alg
-        lidem, ridem = self.lidem, self.ridem
+        lidem, ridem, genset = self.lidem, self.ridem, self.genset
         _check_shape(self.kind, self.table)
         for key, outs in self.table.items():
             argsL, g, argsR = key
+            if g not in genset:
+                raise StructureError(f"entry at a generator the module does not have at {key}")
             if (argsL and A is None) or (argsR and B is None):
                 raise StructureError(f"input on a side with no algebra at {key}")
             if any(A.is_idempotent_elem(a) for a in argsL) or any(
@@ -169,6 +173,8 @@ class ModuleStructure:
                 raise StructureError(f"right idempotent chain broken at {key}")
             li, ri = self._entry_lidem(argsL, g), self._entry_ridem(argsR, g)
             for a, y, b in outs:
+                if y not in genset:
+                    raise StructureError(f"output generator the module does not have at {key}")
                 # A type-D side's output carries the idempotents from g to y;
                 # on a type-A side y's idempotent is the entry's.
                 if a is not None and (A.left_idem[a] != li or A.right_idem[a] != lidem[y]):

@@ -46,12 +46,6 @@ class ArcDiagram(Frozen):
                 return i, arc.index(point)
         raise KeyError(point)
 
-    def before(self, p, q) -> bool:
-        """True iff p and q lie on the same arc with p strictly before q."""
-        ai, pi = self.position(p)
-        aj, qi = self.position(q)
-        return ai == aj and pi < qi
-
 
 def validate(z: ArcDiagram) -> list[str]:
     """Return a list of violations; empty means the diagram is valid."""

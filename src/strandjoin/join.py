@@ -2,12 +2,14 @@
 and its diagonal cycle, the cancellation morphism, and the identity check.
 
 Everything here is assembled from explicit finite formulas.  A left type-A
-module M over the algebra pairs with its dual through the join morphism; box
-products against type-D modules on either hand, built with tensor.box,
-produce honest chain complexes; tensor products over the ground ring and
-modules over the tensor algebra come from tensor.ground_tensor and
-tensor.fold; the identity DD bimodule mediates between a module and its dual with complementary
-idempotents on its two sides (see standard_models.dd_identity).
+module M over the algebra pairs with its dual through the join morphism.
+Every box product is a call to tensor.box, and a chain complex is the
+underlying complex of one; _sandwich flattens the three-factor product
+L box B box R to generators (l, b, r).  Tensor products over the ground ring
+and modules over the tensor algebra come from tensor.ground_tensor and
+tensor.fold; the identity DD bimodule mediates between a module and its
+dual with complementary idempotents on its two sides (see
+standard_models.dd_identity).
 
 Conventions (pinned by the validation suite): a right type-D module's
 iterated outputs feed left input slots outermost-first, so temporal order
@@ -43,11 +45,6 @@ def _require_left_a(M: ModuleStructure):
         raise StructureError("expected a left type-A module")
 
 
-def _require_right_a(M: ModuleStructure):
-    if not (M.kind == "AA" and M.left_alg is None and M.right_alg is not None):
-        raise StructureError("expected a right type-A module")
-
-
 def _require_right_d(U: ModuleStructure):
     if not (U.kind == "AD" and U.left_alg is None):
         raise StructureError("expected a right type-D module")
@@ -70,35 +67,9 @@ def _d_chain_ends(D: ModuleStructure, kmax: int, side: int) -> dict:
     return chains
 
 
-# -- basic box complexes -----------------------------------------------------------
-
-
-def dm_complex(U: ModuleStructure, M: ModuleStructure) -> ChainComplexGf2:
-    """The chain complex of (right type-D) box (left type-A)."""
-    _require_right_d(U)
-    _require_left_a(M)
-    return box(U, M).underlying_complex()
-
-
-def mv_complex(Mdual: ModuleStructure, V: ModuleStructure) -> ChainComplexGf2:
-    """The chain complex of (right type-A) box (left type-D)."""
-    _require_right_a(Mdual)
-    _require_left_d(V)
-    return box(Mdual, V).underlying_complex()
-
-
-def _d_sandwich(U: ModuleStructure, B: ModuleStructure, V: ModuleStructure) -> ModuleStructure:
-    """U box (B box V) for an AA bimodule B between two type-D sides; generators (u, x, v)."""
-    return relabel(box(U, box(B, V)), lambda g: (g[0], *g[1]))
-
-
-def sandwich_complex(
-    U: ModuleStructure, B: ModuleStructure, V: ModuleStructure
-) -> ChainComplexGf2:
-    """The chain complex of U box B box V for an AA bimodule B."""
-    _require_right_d(U)
-    _require_left_d(V)
-    return _d_sandwich(U, B, V).underlying_complex()
+def _sandwich(L: ModuleStructure, B: ModuleStructure, R: ModuleStructure) -> ModuleStructure:
+    """L box (B box R), its generators flattened to (l, b, r)."""
+    return relabel(box(L, box(B, R)), lambda g: (g[0], *g[1]))
 
 
 # -- the pair bimodule and nabla ---------------------------------------------------
@@ -164,7 +135,7 @@ def join_general(U: ModuleStructure, M: ModuleStructure, V: ModuleStructure) -> 
     if U.right_alg is not am or V.left_alg is not am:
         raise StructureError("join factors over different algebras")
     domain = ground_tensor(box(U, M), box(dualize(M), V)).underlying_complex()
-    codomain = sandwich_complex(U, dual_alg_as_aa(am), V)
+    codomain = _sandwich(U, dual_alg_as_aa(am), V).underlying_complex()
     cod_set = set(codomain.basis)
     dom_set = set(domain.basis)
     maxlen = M.max_left_len() + 1
@@ -225,21 +196,11 @@ def dd_middle(am: AlgebraModel) -> ModuleStructure:
     return validated(ModuleStructure("DD", am, am, gens, lidem, ridem, table, name="IAI"))
 
 
-def dd_sandwich_complex(
-    Mdual: ModuleStructure, X: ModuleStructure, N: ModuleStructure
-) -> ChainComplexGf2:
-    """The complex of (right type-A) box (DD) box (left type-A)."""
-    _require_right_a(Mdual)
-    _require_left_a(N)
-    flat = relabel(box(Mdual, box(X, N)), lambda g: (g[0], *g[1]))
-    return flat.underlying_complex()
-
-
 def double_module(M: ModuleStructure) -> ChainComplexGf2:
     """The double of M: M-dual box (identity, algebra, identity) box M."""
     _require_left_a(M)
     am = M.left_alg
-    c = dd_sandwich_complex(dualize(M), dd_middle(am), M)
+    c = _sandwich(dualize(M), dd_middle(am), M).underlying_complex()
     c.check_d_squared()
     return c
 
@@ -285,9 +246,15 @@ def dd_sandwich_da_bimodule(am: AlgebraModel) -> ModuleStructure:
         (_, I), (a, ((_, K), b)) = g
         return (I, a, K, b)
 
+    def position(g):
+        I, a, _, b = flat(g)
+        return (order[frozenset(I)], a, b)
+
+    # Reordering the generators changes nothing the constructor checked.
+    m.gens = tuple(sorted(m.gens, key=position))
     m = relabel(m, flat)
-    gens = sorted(m.gens, key=lambda g: (order[frozenset(g[0])], g[1], g[3]))
-    return validated(ModuleStructure("DA", am, am, gens, m.lidem, m.ridem, m.table, name="IA^IA"))
+    m.name = "IA^IA"
+    return validated(m)
 
 
 @once_per_algebra
@@ -406,23 +373,27 @@ def three_joins(
     bimodule, V a left type-D module; the middle complex is
     M-dual box X box N.
     """
+    _require_right_d(U)
+    _require_left_a(M)
+    _require_left_a(N)
+    _require_left_d(V)
     am = M.left_alg
     if not (M.is_dg_type() and N.is_dg_type()):
         raise StructureError("associativity test requires DG-type modules")
-    C1 = dm_complex(U, M)
-    C2 = dd_sandwich_complex(dualize(M), X, N)
-    C3 = mv_complex(dualize(N), V)
+    C1 = box(U, M).gens
+    C2 = _sandwich(dualize(M), X, N).gens
+    C3 = box(dualize(N), V).gens
 
     # First composition: join at M, then at N.
     V1 = validated(box(X, N))
     j1 = join_general(U, M, V1)
-    U2 = validated(_d_sandwich(U, dual_alg_as_aa(am), X))
+    U2 = validated(_sandwich(U, dual_alg_as_aa(am), X))
     j2 = join_general(U2, N, V)
 
     # Second composition: join at N, then at M.
     U2p = validated(box(dualize(M), X))
     j2p = join_general(U2p, N, V)
-    V1p = validated(_d_sandwich(X, dual_alg_as_aa(am), V))
+    V1p = validated(_sandwich(X, dual_alg_as_aa(am), V))
     j1p = join_general(U, M, V1p)
 
     # Simultaneous join over the tensor algebra.
@@ -453,9 +424,9 @@ def three_joins(
         q, x = qx
         return (q, (x, b, v))
 
-    for g1 in C1.basis:
-        for g2 in C2.basis:
-            for g3 in C3.basis:
+    for g1 in C1:
+        for g2 in C2:
+            for g3 in C3:
                 # route 1; j2 codomain gens are ((u,a,x), b, v)
                 mid = j1.matrix.column((g1, as_c2(g2)))
                 acc1 = vsum(j2.matrix.column((as_d1(t), g3)) for t in mid)
@@ -502,7 +473,7 @@ def self_join(U_pair: ModuleStructure, M: ModuleStructure):
     Vmid = fold(dd_middle(am), ta)
     join = join_general(U_pair, Mt, Vmid)
     # Domain: U_pair box Mt; apply the join against the diagonal terms.
-    C = dm_complex(U_pair, Mt)
+    C = box(U_pair, Mt).underlying_complex()
     dom2 = set(join.domain.basis)
     images = {}
     for g in C.basis:

@@ -15,6 +15,9 @@ The ground-ring tensor of a left and a right structure is a bimodule; fold
 reads a bimodule over (A, B) as a left module over the algebra of the
 disjoint union of A's diagram and the reverse of B's.  Every tensor-algebra
 module (the external tensor, the join's pair modules) is built from the two.
+
+induced boxes a morphism with another factor on either hand, through the box
+of its mapping cone, so it meets whatever box meets.
 """
 
 from __future__ import annotations
@@ -320,20 +323,15 @@ def _cone(f: Morphism) -> ModuleStructure:
 
 
 def induced(f: Morphism, other: ModuleStructure, side: str) -> Morphism:
-    """f boxed with an identity: side names where `other` attaches.
+    """f boxed with the identity of `other`, attached on `side` ("left" or "right").
 
     The box of f's mapping cone with `other`, restricted to the entries from
     src's generators to dst's: every chain from src to dst crosses exactly
     one firing of f, and box's unital term covers a lone idempotent one.
     """
     if side == "right":
-        if f.kind != "AA":
-            raise StructureError("unsupported induced-map combination")
         boxed, slot = (lambda m: box(m, other)), 0
     elif side == "left":
-        # id_other (x) f with f a morphism of left type-D structures.
-        if f.kind != "DA" or other.right_type != "A":
-            raise StructureError("unsupported induced-map combination")
         boxed, slot = (lambda m: box(other, m)), 1
     else:
         raise ValueError("side must be 'left' or 'right'")

@@ -37,16 +37,18 @@ from strandjoin.join import (
     _identity_composite,
     _require_left_a,
     _require_left_d,
-    _require_right_a,
     _require_right_d,
     diagonal,
-    dm_complex,
     join_general,
-    mv_complex,
 )
 from strandjoin.standard_models import dual_alg_as_aa, identity_firings
 from strandjoin.strands import rotate180
-from strandjoin.tensor import TensorAlgebra, _d_chains
+from strandjoin.tensor import TensorAlgebra, _d_chains, box
+
+
+def _require_right_a(M: ModuleStructure):
+    if not (M.kind == "AA" and M.left_alg is None and M.right_alg is not None):
+        raise StructureError("expected a right type-A module")
 
 
 def _left_d_chains(V: ModuleStructure, kmax: int) -> dict:
@@ -376,7 +378,7 @@ def pair_bimodule(M: ModuleStructure) -> ModuleStructure:
 
 def join_domain(U: ModuleStructure, M: ModuleStructure, V: ModuleStructure) -> ChainComplexGf2:
     """The domain of join_general as first built: the tensor of two box complexes."""
-    return tensor_complex(dm_complex(U, M), mv_complex(dualize(M), V))
+    return tensor_complex(box(U, M).underlying_complex(), box(dualize(M), V).underlying_complex())
 
 
 def pair_d_module(U: ModuleStructure, V: ModuleStructure, ta: TensorAlgebra) -> ModuleStructure:

@@ -15,6 +15,7 @@ from strandjoin.ainf import (
     is_homomorphism,
     morphism_diff,
     oppositize,
+    relabel,
     validated,
     zero_morphism,
 )
@@ -138,6 +139,33 @@ def test_inputs_on_a_side_without_an_algebra_are_rejected(am2, side):
     with pytest.raises(StructureError) as err:
         ModuleStructure("AA", *algs, ("x",), lidem, ridem, table)
     assert str(err.value) == f"input on a side with no algebra at {key}"
+
+
+@pytest.mark.parametrize(
+    "gens, known, table, message",
+    [
+        (("x",), ("x", "z"), {((), "z", ()): {(None, "x", None)}},
+         "entry at a generator the module does not have at ((), 'z', ())"),
+        (("x",), ("x", "z"), {((), "x", ()): {(None, "z", None)}},
+         "output generator the module does not have at ((), 'x', ())"),
+        (("x",), ("x",), {((), "x", ()): {(None, "z", None)}},
+         "output generator the module does not have at ((), 'x', ())"),
+        (("x", "z", "x"), ("x", "z"), {}, "duplicate generator"),
+    ],
+    ids=["entry", "output-with-idempotent", "output", "duplicate"],
+)
+def test_module_rejects_generators_it_does_not_have(am1, gens, known, table, message):
+    # `known` lists the generators given idempotents; only `gens` counts.
+    idem = {g: frozenset() for g in known}
+    with pytest.raises(StructureError) as err:
+        ModuleStructure("AA", am1, None, gens, idem, idem, table)
+    assert str(err.value) == message
+
+
+def test_relabel_rejects_a_rename_that_merges_generators(am1):
+    with pytest.raises(StructureError) as err:
+        relabel(alg_as_aa(am1), lambda g: "x")
+    assert str(err.value) == "duplicate generator"
 
 
 def test_morphism_rejects_entries_off_its_kind_shape(am2):

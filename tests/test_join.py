@@ -5,15 +5,24 @@ import pytest
 
 from join_oracle import assert_identity_matches, assert_reflection_matches
 from strandjoin.arc_diagram import Z1
-from strandjoin.ainf import StructureError, check_structure, dualize, is_homomorphism
+from strandjoin.ainf import (
+    Morphism,
+    StructureError,
+    _scalar_matrix,
+    check_structure,
+    dualize,
+    is_homomorphism,
+)
 from strandjoin.standard_models import (
     dd_identity,
+    dual_alg_as_aa,
     elementary,
     left_module_from_right_idem,
 )
 from strandjoin.strands import ABasisElem, rotate180
-from strandjoin.tensor import TensorAlgebra, box
+from strandjoin.tensor import TensorAlgebra, box, ground_tensor, induced
 from strandjoin.join import (
+    _nabla_table,
     cancel_cA,
     dd_middle,
     dd_sandwich_da_bimodule,
@@ -70,6 +79,48 @@ def test_nabla_dg_specialization(am1):
                     acts = M.table.get(((a,), p, ()), frozenset())
                     expect = 1 if (None, q, None) in acts else 0
                 assert ((None, a, None) in outs) == bool(expect)
+
+
+def _join_by_box(U, M, V) -> frozenset:
+    """The scalar part of id_U box nabla_M box id_V, built by boxing nabla's
+    morphism with both identities, in join_general's labels."""
+    am = M.left_alg
+    nb = Morphism(ground_tensor(M, dualize(M)), dual_alg_as_aa(am), _nabla_table(M))
+    f = induced(induced(nb, V, "right"), U, "left")
+    # (u, ((p, q), v)) -> ((u, p), (q, v)) and (u, (a, v)) -> (u, a, v)
+    return frozenset(
+        ((u, a, v), ((u2, p), (q, v2)))
+        for (u, (a, v)), (u2, ((p, q), v2)) in _scalar_matrix(f, f.src, f.dst).nonzero
+    )
+
+
+def test_join_is_nabla_boxed_with_identities(am1, am2, am3):
+    def elementary_triples(am):
+        for I0, J0 in itertools.product(_subsets(am), repeat=2):
+            for M in left_module_candidates(am):
+                yield dualize(elementary(am, I0, "D")), M, elementary(am, J0, "D")
+
+    # U and V with firings: N-dual box IdDD and IdDD box N.
+    structured = []
+    for am in (am1, am2):
+        X = dd_identity(am)
+        for M, N in itertools.product(left_module_candidates(am), repeat=2):
+            structured.append((box(dualize(N), X), M, box(X, N)))
+    elementary_ones = [t for am in (am1, am2) for t in elementary_triples(am)]
+    elementary_ones += random.Random(22).sample(list(elementary_triples(am3)), 24)
+    assert (len(elementary_ones), len(structured)) == (144 + 24, 80)
+
+    def checked_join(U, M, V):
+        inst = join_general(U, M, V)
+        assert inst.matrix.nonzero == _join_by_box(U, M, V), (U.name, M.name, V.name)
+        return inst
+
+    for t in elementary_ones:
+        checked_join(*t)
+    insts = [checked_join(*t) for t in structured]
+    nonzero = [bool(inst.domain.differential.nonzero) for inst in insts if inst.matrix.nonzero]
+    # Not vacuous: 30 structured maps are nonzero, 8 of them on a domain with a differential.
+    assert (len(nonzero), sum(nonzero)) == (30, 8)
 
 
 def test_join_instances_are_chain_maps(am1):
@@ -232,6 +283,23 @@ def test_three_joins_sample(am1):
         M = left_module_from_right_idem(am1, {1})
         N = elementary(am1, J0, "A")
         assert three_joins(U, M, X, N, V)
+
+
+def test_three_joins_checks_the_shape_of_each_factor(am1):
+    X = dd_identity(am1)
+    U = dualize(elementary(am1, frozenset({1}), "D"))
+    V = elementary(am1, frozenset(), "D")
+    M = left_module_from_right_idem(am1, {1})
+    N = elementary(am1, frozenset(), "A")
+    assert three_joins(U, M, X, N, V)
+    for args, message in (
+        ((V, M, X, N, U), "expected a right type-D module"),
+        ((U, dualize(M), X, N, V), "expected a left type-A module"),
+        ((U, M, X, dualize(N), V), "expected a left type-A module"),
+    ):
+        with pytest.raises(StructureError) as err:
+            three_joins(*args)
+        assert str(err.value) == message
 
 
 def test_three_joins_z2_sample(am2):
