@@ -9,7 +9,8 @@ A module structure is one of four kinds:
 
 All four store their tables in one layout, described under "the entry
 shape" below; the kind says which sides take inputs and which emit algebra
-elements.
+elements.  A morphism's table has the same layout, and a structure and a
+morphism are constructed through the same entry check, `_check_entries`.
 
 One-sided modules are bimodules with a trivial algebra (None) on one side.
 Tables are finite-support and strictly unital: no stored entry has an
@@ -61,24 +62,70 @@ class StructureError(ValueError):
     pass
 
 
-def _check_shape(kind: str, table: dict) -> None:
-    """Reject an entry that does not fit the kind's shape: a type-D side takes
-    no inputs and emits one algebra element, a type-A side emits none."""
+def _chain_end(alg: AlgebraModel | None, args: tuple, inner: frozenset, side: int):
+    """The idempotent at the outer end of left (side 0) or right (side 2) inputs
+    chained from `inner`, the generator's idempotent on that side; None when
+    the chain breaks."""
+    if not args:
+        return inner
+    near, far = (alg.right_idem, alg.left_idem) if side == 0 else (alg.left_idem, alg.right_idem)
+    cur = inner
+    for a in reversed(args) if side == 0 else args:
+        if near[a] != cur:
+            return None
+        cur = far[a]
+    return cur
+
+
+def _check_entries(kind: str, table: dict, src, dst) -> None:
+    """Reject an entry of a table from src to dst (src = dst for a structure's
+    own) that does not fit the kind's shape, or src's generators and
+    idempotents at its key, or dst's at its outputs: a type-D side takes no
+    inputs and emits one algebra element, a type-A side emits none."""
+    A, B = src.left_alg, src.right_alg
     left_d, right_d = kind[0] == "D", kind[1] == "D"
     for key, outs in table.items():
-        if (left_d and key[0]) or (right_d and key[2]):
+        argsL, g, argsR = key
+        if (left_d and argsL) or (right_d and argsR):
             raise StructureError(f"input on a type-D side at {key}")
         for a, _, b in outs:
             if (a is None) == left_d:
                 raise StructureError(f"left output slot does not fit the kind at {key}")
             if (b is None) == right_d:
                 raise StructureError(f"right output slot does not fit the kind at {key}")
+        if g not in src.genset:
+            raise StructureError(f"entry at a generator the module does not have at {key}")
+        if (argsL and A is None) or (argsR and B is None):
+            raise StructureError(f"input on a side with no algebra at {key}")
+        if (argsL and any(A.is_idempotent_elem(a) for a in argsL)) or (
+            argsR and any(B.is_idempotent_elem(b) for b in argsR)
+        ):
+            raise StructureError("idempotent input stored in table")
+        li = _chain_end(A, argsL, src.lidem[g], 0)
+        if li is None:
+            raise StructureError(f"left idempotent chain broken at {key}")
+        ri = _chain_end(B, argsR, src.ridem[g], 2)
+        if ri is None:
+            raise StructureError(f"right idempotent chain broken at {key}")
+        for a, y, b in outs:
+            if y not in dst.genset:
+                raise StructureError(f"output generator the module does not have at {key}")
+            # A type-D side's output carries the idempotents from g to y;
+            # on a type-A side y's idempotent is the entry's.
+            yli, yri = dst.lidem[y], dst.ridem[y]
+            if a is not None and (A.left_idem[a] != li or A.right_idem[a] != yli):
+                raise StructureError(f"left output idempotent mismatch at {key}")
+            if b is not None and (B.right_idem[b] != ri or B.left_idem[b] != yri):
+                raise StructureError(f"right output idempotent mismatch at {key}")
+            if (a is None and yli != li) or (b is None and yri != ri):
+                raise StructureError(f"output idempotent mismatch at {key}")
 
 
 class ModuleStructure:
     """A finite-support A-infinity (bi)module structure of one of the four kinds.
 
-    Construction checks shapes and idempotents; `validated` checks the structure equation.
+    Construction checks every entry (`_check_entries`, the structure as source
+    and target); `validated` checks the structure equation.
     """
 
     def __init__(
@@ -109,7 +156,7 @@ class ModuleStructure:
             raise StructureError("a left type-D side needs an algebra")
         if kind[1] == "D" and right_alg is None:
             raise StructureError("a right type-D side needs an algebra")
-        self._check_idempotent_compat()
+        _check_entries(kind, self.table, self, self)
 
     # -- basic views -------------------------------------------------------
 
@@ -126,63 +173,6 @@ class ModuleStructure:
 
     def __repr__(self):
         return f"<ModuleStructure {self.kind} {self.name or hex(id(self))} dim={len(self.gens)}>"
-
-    # -- validation ----------------------------------------------------------
-
-    def _chain_ok_left(self, argsL: tuple, inner: frozenset) -> bool:
-        A = self.left_alg
-        cur = inner
-        for a in reversed(argsL):
-            if A.right_idem[a] != cur:
-                return False
-            cur = A.left_idem[a]
-        return True
-
-    def _chain_ok_right(self, argsR: tuple, inner: frozenset) -> bool:
-        B = self.right_alg
-        cur = inner
-        for b in argsR:
-            if B.left_idem[b] != cur:
-                return False
-            cur = B.right_idem[b]
-        return True
-
-    def _entry_lidem(self, argsL: tuple, g) -> frozenset:
-        return self.left_alg.left_idem[argsL[0]] if argsL else self.lidem[g]
-
-    def _entry_ridem(self, argsR: tuple, g) -> frozenset:
-        return self.right_alg.right_idem[argsR[-1]] if argsR else self.ridem[g]
-
-    def _check_idempotent_compat(self):
-        A, B = self.left_alg, self.right_alg
-        lidem, ridem, genset = self.lidem, self.ridem, self.genset
-        _check_shape(self.kind, self.table)
-        for key, outs in self.table.items():
-            argsL, g, argsR = key
-            if g not in genset:
-                raise StructureError(f"entry at a generator the module does not have at {key}")
-            if (argsL and A is None) or (argsR and B is None):
-                raise StructureError(f"input on a side with no algebra at {key}")
-            if any(A.is_idempotent_elem(a) for a in argsL) or any(
-                B.is_idempotent_elem(b) for b in argsR
-            ):
-                raise StructureError("idempotent input stored in table")
-            if not self._chain_ok_left(argsL, lidem[g]):
-                raise StructureError(f"left idempotent chain broken at {key}")
-            if not self._chain_ok_right(argsR, ridem[g]):
-                raise StructureError(f"right idempotent chain broken at {key}")
-            li, ri = self._entry_lidem(argsL, g), self._entry_ridem(argsR, g)
-            for a, y, b in outs:
-                if y not in genset:
-                    raise StructureError(f"output generator the module does not have at {key}")
-                # A type-D side's output carries the idempotents from g to y;
-                # on a type-A side y's idempotent is the entry's.
-                if a is not None and (A.left_idem[a] != li or A.right_idem[a] != lidem[y]):
-                    raise StructureError(f"left output idempotent mismatch at {key}")
-                if b is not None and (B.right_idem[b] != ri or B.left_idem[b] != ridem[y]):
-                    raise StructureError(f"right output idempotent mismatch at {key}")
-                if (a is None and lidem[y] != li) or (b is None and ridem[y] != ri):
-                    raise StructureError(f"output idempotent mismatch at {key}")
 
     # -- underlying chain complex -------------------------------------------
 
@@ -318,13 +308,13 @@ def _candidate_inputs(src: ModuleStructure, lmax: int, rmax: int, composable, st
         if argsL and (
             A is None
             or any(A.is_idempotent_elem(a) for a in argsL)
-            or not src._chain_ok_left(argsL, src.lidem[g])
+            or _chain_end(A, argsL, src.lidem[g], 0) is None
         ):
             continue
         if argsR and (
             B is None
             or any(B.is_idempotent_elem(b) for b in argsR)
-            or not src._chain_ok_right(argsR, src.ridem[g])
+            or _chain_end(B, argsR, src.ridem[g], 2) is None
         ):
             continue
         keep.append((argsL, g, argsR))
@@ -493,7 +483,10 @@ def relabel(m: ModuleStructure, f) -> ModuleStructure:
 
 
 class Morphism:
-    """A finite-support collection of component maps between equal-kind structures."""
+    """A finite-support collection of component maps between equal-kind structures.
+
+    Construction checks every entry as a structure's is checked, with its key
+    against src and its outputs against dst (`_check_entries`)."""
 
     def __init__(self, src: ModuleStructure, dst: ModuleStructure, table: dict):
         if src.kind != dst.kind:
@@ -503,7 +496,7 @@ class Morphism:
         self.src = src
         self.dst = dst
         self.table = {k: frozenset(v) for k, v in table.items() if v}
-        _check_shape(src.kind, self.table)
+        _check_entries(src.kind, self.table, src, dst)
 
     @property
     def kind(self) -> str:
@@ -591,7 +584,8 @@ def _morphism_slots(src: ModuleStructure, dst: ModuleStructure, max_len: int) ->
             )
             for argsR in rights:
                 key = (argsL, g, argsR)
-                li, ri = src._entry_lidem(argsL, g), src._entry_ridem(argsR, g)
+                li = _chain_end(A, argsL, src.lidem[g], 0)
+                ri = _chain_end(B, argsR, src.ridem[g], 2)
                 louts = [a for a in range(A.dim) if A.left_idem[a] == li] if kind[0] == "D" else [None]
                 routs = [b for b in range(B.dim) if B.right_idem[b] == ri] if kind[1] == "D" else [None]
                 for a in louts:
@@ -605,11 +599,7 @@ def _morphism_slots(src: ModuleStructure, dst: ModuleStructure, max_len: int) ->
 
 
 def morphism_to_atoms(f: Morphism) -> frozenset:
-    atoms = set()
-    for key, outs in f.table.items():
-        for v in outs:
-            atoms.add((key, v))
-    return frozenset(atoms)
+    return frozenset((key, v) for key, outs in f.table.items() for v in outs)
 
 
 def bounded_homotopy_search(f: Morphism, g: Morphism, max_len: int) -> Morphism | None:
@@ -618,26 +608,17 @@ def bounded_homotopy_search(f: Morphism, g: Morphism, max_len: int) -> Morphism 
     A None result is inconclusive: it never certifies that f and g are not
     homotopic.
     """
-    target = f + g
+    target = morphism_to_atoms(f + g)
     slots = _morphism_slots(f.src, f.dst, max_len)
-    columns = []
-    images: dict = {}
-    atom_rows = set(morphism_to_atoms(target))
-    basis_morphisms = {}
-    for idx, (key, val) in enumerate(slots):
-        h = Morphism(f.src, f.dst, {key: {val}})
-        dh = morphism_diff(h)
-        atoms = morphism_to_atoms(dh)
-        columns.append(idx)
-        images[idx] = atoms
-        basis_morphisms[idx] = (key, val)
-        atom_rows |= atoms
-    rows = sorted(atom_rows, key=repr)
-    system = Gf2Matrix.from_columns(rows, columns, images)
-    sol = solve(system, morphism_to_atoms(target))
+    images = {
+        idx: morphism_to_atoms(morphism_diff(Morphism(f.src, f.dst, {key: {val}})))
+        for idx, (key, val) in enumerate(slots)
+    }
+    rows = sorted(target.union(*images.values()), key=repr)
+    sol = solve(Gf2Matrix.from_columns(rows, range(len(slots)), images), target)
     if sol is None:
         return None
     table: dict = {}
     for idx in sol:
-        _add(table, *basis_morphisms[idx])
+        _add(table, *slots[idx])
     return Morphism(f.src, f.dst, table)

@@ -250,9 +250,14 @@ class AlgebraModel:
     # -- tables -----------------------------------------------------------
 
     @cached_property
+    def _coding(self) -> _Coding:
+        """The integer coding that both tables are built from, built on first use."""
+        return _Coding(self.arc_diagram, self.elems)
+
+    @cached_property
     def diff_table(self) -> dict[int, frozenset]:
         """Basis index -> indices of its differential, built on first use."""
-        coding = _Coding(self.arc_diagram, self.elems)
+        coding = self._coding
         return {
             i: coding.symmetrize([r for d in exp for r in coding.resolutions(d)])
             for i, exp in enumerate(coding.expansions)
@@ -261,7 +266,7 @@ class AlgebraModel:
     @cached_property
     def mult_table(self) -> ProductTable:
         """The nonzero basis products, built on first use."""
-        coding = _Coding(self.arc_diagram, self.elems)
+        coding = self._coding
         w = coding.width
         # Two diagrams compose only when the targets of the first are the
         # sources of the second (which also matches the idempotents), so every

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -117,11 +118,18 @@ def _compat_cases(am):
         yield kind, {"x": lx, "y": ly}, {"x": rx, "y": ry}, table, message.format(key)
 
 
-def test_idempotent_compat_rejections_for_every_kind(am2):
+def _morphism(kind, left, right, gens, lidem, ridem, table):
+    """The morphism with this table from, and to, the structure with no entries."""
+    m = ModuleStructure(kind, left, right, gens, lidem, ridem, {})
+    return Morphism(m, m, table)
+
+
+@pytest.mark.parametrize("build", [ModuleStructure, _morphism], ids=["structure", "morphism"])
+def test_idempotent_compat_rejections_for_every_kind(am2, build):
     seen = set()
     for kind, lidem, ridem, table, message in _compat_cases(am2):
         with pytest.raises(StructureError) as err:
-            ModuleStructure(kind, am2, am2, ("x", "y"), lidem, ridem, table)
+            build(kind, am2, am2, ("x", "y"), lidem, ridem, table)
         assert str(err.value) == message, (kind, table)
         seen.add((kind, message.split(" at ")[0]))
     assert len(seen) == 17
@@ -141,24 +149,32 @@ def test_inputs_on_a_side_without_an_algebra_are_rejected(am2, side):
     assert str(err.value) == f"input on a side with no algebra at {key}"
 
 
+_ENTRY = (("x",), ("x", "z"), {((), "z", ()): {(None, "x", None)}},
+          "entry at a generator the module does not have at ((), 'z', ())")
+_OUTPUT = (("x",), ("x",), {((), "x", ()): {(None, "z", None)}},
+           "output generator the module does not have at ((), 'x', ())")
+
+
 @pytest.mark.parametrize(
-    "gens, known, table, message",
+    "build, gens, known, table, message",
     [
-        (("x",), ("x", "z"), {((), "z", ()): {(None, "x", None)}},
-         "entry at a generator the module does not have at ((), 'z', ())"),
-        (("x",), ("x", "z"), {((), "x", ()): {(None, "z", None)}},
+        (ModuleStructure, *_ENTRY),
+        (ModuleStructure, ("x",), ("x", "z"), {((), "x", ()): {(None, "z", None)}},
          "output generator the module does not have at ((), 'x', ())"),
-        (("x",), ("x",), {((), "x", ()): {(None, "z", None)}},
-         "output generator the module does not have at ((), 'x', ())"),
-        (("x", "z", "x"), ("x", "z"), {}, "duplicate generator"),
+        (ModuleStructure, *_OUTPUT),
+        (ModuleStructure, ("x", "z", "x"), ("x", "z"), {}, "duplicate generator"),
+        (_morphism, *_ENTRY),
+        (_morphism, *_OUTPUT),
     ],
-    ids=["entry", "output-with-idempotent", "output", "duplicate"],
+    ids=[
+        "entry", "output-with-idempotent", "output", "duplicate", "entry-morphism", "output-morphism"
+    ],
 )
-def test_module_rejects_generators_it_does_not_have(am1, gens, known, table, message):
+def test_module_rejects_generators_it_does_not_have(am1, build, gens, known, table, message):
     # `known` lists the generators given idempotents; only `gens` counts.
     idem = {g: frozenset() for g in known}
     with pytest.raises(StructureError) as err:
-        ModuleStructure("AA", am1, None, gens, idem, idem, table)
+        build("AA", am1, None, gens, idem, idem, table)
     assert str(err.value) == message
 
 
@@ -310,6 +326,37 @@ def test_morphism_slot_order(am2):
 
         slots = _morphism_slots(m, m, 0)
         assert slots and slots == sorted(slots, key=order), m.name
+
+
+@pytest.mark.parametrize("max_len", [1, 2])
+def test_morphism_slots_are_the_entries_the_check_accepts(am1, am2, max_len):
+    # Brute force over every key and atom of the kind's shape with at most
+    # max_len inputs in all; the shape itself is pinned by the rejection tests.
+    def inputs(alg, side_type, n):
+        if side_type == "D" or alg is None:
+            return [()]
+        return [t for r in range(n + 1) for t in itertools.product(range(alg.dim), repeat=r)]
+
+    def outputs(alg, side_type):
+        return [None] if side_type == "A" else range(alg.dim)
+
+    for am in (am1, am2):
+        models = [left_module_from_right_idem(am, I) for I in am.all_idempotent_subsets()]
+        for M in models + [da_identity(am), dualize(da_identity(am)), dd_identity(am)]:
+            (lt, rt), A, B = M.kind, M.left_alg, M.right_alg
+            accepted = set()
+            for g, argsL in itertools.product(M.gens, inputs(A, lt, max_len)):
+                for argsR in inputs(B, rt, max_len - len(argsL)):
+                    key = (argsL, g, argsR)
+                    for atom in itertools.product(outputs(A, lt), M.gens, outputs(B, rt)):
+                        try:
+                            Morphism(M, M, {key: {atom}})
+                        except StructureError:
+                            continue
+                        accepted.add((key, atom))
+            slots = _morphism_slots(M, M, max_len)
+            assert len(set(slots)) == len(slots), M.name
+            assert set(slots) == accepted, M.name
 
 
 def test_is_homomorphism(am1):
