@@ -20,6 +20,7 @@ from .strands import (
     dump_diff_tsv,
     dump_mult_tsv,
     enumerate_basis,
+    gamma_block,
     homology_blocks,
 )
 
@@ -353,18 +354,18 @@ def _suite_nice(z, am, rng) -> list:
 
 def _suite_sfh(z, am, rng) -> list:
     from .ainf import StructureError
-    from .sfh import alg_as_right_module, m_H, mu_H
+    from .sfh import alg_as_right_module, block_homology, m_H, mu_H
     from .gf2 import ChainComplexGf2, Gf2Matrix
 
     failures = []
-    blocks = homology_blocks(am)
+    subsets = list(am.all_idempotent_subsets())
+    blocks = [block_homology(am, gamma_block(am, I, J))[0] for I in subsets for J in subsets]
     basis = tuple(range(am.dim))
     d = Gf2Matrix.from_columns(basis, basis, am.diff_table)
     total, _ = homology(ChainComplexGf2(basis, d))
-    if sum(blocks.values()) != total:
+    if sum(map(len, blocks)) != total:
         failures.append("block dimensions do not sum to the homology dimension")
     u = alg_as_right_module(am)
-    subsets = list(am.all_idempotent_subsets())
     try:
         for I in subsets:
             for J in subsets:

@@ -1,41 +1,74 @@
-"""Reconstruction of the algebra and its module action from homology blocks.
+"""The algebra's multiplication and module action on homology blocks, read off the join.
 
-The homology of the algebra splits over pairs of idempotents; multiplication
-descends to a map between blocks that the gluing theorem identifies with the
-join against an elementary cap module followed by the cancellation
-equivalence.  Both sides are computed here and compared exactly on homology.
+The join of caps with A.iota_K sends (u, a) (x) (q^, v) to sum_x <q, x.a>
+(u, x^, v): multiplication is a gluing map, a special case of the join
+(arXiv:1010.3496, the section on gluing), so the joins over all K hold the
+whole product.  m_H and mu_H induce it on the homology blocks of the algebra
+and compare it exactly with the direct action and multiplication.
 """
 
 from __future__ import annotations
 
 from .gf2 import ChainComplexGf2, Gf2Matrix, homology, homology_coordinates, vsum
-from .strands import AlgebraModel, gamma_block, homology_blocks  # noqa: F401  (re-exported)
-from .ainf import ModuleStructure, StructureError
-from .standard_models import algebra_module
-from .join import cancel_cA
+from .strands import AlgebraModel, ProductTable, gamma_block
+from .strands import homology_blocks  # noqa: F401  (re-exported)
+from .ainf import ModuleStructure, StructureError, dualize, validated
+from .standard_models import algebra_module, left_module_from_right_idem, once_per_algebra
+from .join import join_general
 
 
-def _bilinear_on_homology(c1, c2, c3, *images_of_pair) -> list[Gf2Matrix]:
-    """Induce each chain-level bilinear map C1 (x) C2 -> C3 on homology.
+def block_homology(am: AlgebraModel, c: ChainComplexGf2) -> tuple:
+    """The homology representatives of a complex over am and their coordinate
+    map, computed once per algebra for each basis and differential."""
+    memo = am.models.setdefault("block_homology", {})
+    key = (c.basis, c.differential.nonzero)
+    if key not in memo:
+        _, reps = homology(c)
+        memo[key] = reps, homology_coordinates(c, reps)
+    return memo[key]
 
-    The homologies of the three complexes are computed once for all the maps.
-    """
-    _, reps1 = homology(c1)
-    _, reps2 = homology(c2)
-    _, reps3 = homology(c3)
-    coordinates = homology_coordinates(c3, reps3)
-    rows = tuple(("h", i) for i in range(len(reps3)))
-    cols = tuple((i, j) for i in range(len(reps1)) for j in range(len(reps2)))
-    out = []
-    for image_of_pair in images_of_pair:
+
+def _verified_on_homology(am, c1, c2, c3, direct, joined, error: str) -> Gf2Matrix:
+    """Induce two chain-level bilinear maps C1 (x) C2 -> C3 on homology and
+    return the first, or raise StructureError(error) where they differ."""
+    reps1, _ = block_homology(am, c1)
+    reps2, _ = block_homology(am, c2)
+    reps3, coordinates = block_homology(am, c3)
+    induced = []
+    for image_of_pair in (direct, joined):
         nz = set()
         for i, r1 in enumerate(reps1):
             for j, r2 in enumerate(reps2):
                 img = vsum(image_of_pair(x, y) for x in r1 for y in r2)
-                for k in coordinates(img):
-                    nz.add((("h", k), (i, j)))
-        out.append(Gf2Matrix(rows, cols, frozenset(nz)))
-    return out
+                nz.update((("h", k), (i, j)) for k in coordinates(img))
+        induced.append(nz)
+    if induced[0] != induced[1]:
+        raise StructureError(error)
+    rows = tuple(("h", i) for i in range(len(reps3)))
+    cols = tuple((i, j) for i in range(len(reps1)) for j in range(len(reps2)))
+    return Gf2Matrix(rows, cols, induced[0])
+
+
+@once_per_algebra
+def joined_products(am: AlgebraModel) -> ProductTable:
+    """The nonzero products x.a of basis elements, read off the joins of caps.
+
+    V is the structureless left type-D module with one generator per subset,
+    every cap at once, and U its dual.  The matrix of
+    join_general(U, A.iota_K, V) has an entry at ((u, x, v), ((u, a), (q, v)))
+    exactly when q occurs in x.a, so the joins over all K give every product.
+    """
+    gens = tuple(("e", "D", tuple(sorted(I))) for I in am.all_idempotent_subsets())
+    lidem = {g: frozenset(g[2]) for g in gens}
+    ridem = dict.fromkeys(gens, frozenset())
+    V = validated(ModuleStructure("DA", am, None, gens, lidem, ridem, {}, name="caps"))
+    U = dualize(V)
+    table = ProductTable()
+    for K in am.all_idempotent_subsets():
+        inst = join_general(U, left_module_from_right_idem(am, K), V)
+        for (_, x, _), ((_, a), (q, _)) in inst.matrix.nonzero:
+            table[(x, a)] ^= {q}
+    return table
 
 
 def _targets(u: ModuleStructure, key) -> frozenset:
@@ -61,45 +94,19 @@ def _direct_action(u: ModuleStructure, x, a) -> frozenset:
     return _targets(u, ((), x, (a,)))
 
 
-def _cancel_emissions(cA_table, I, a):
-    """The algebra elements b of the join-and-cancel composite on x (x) a.
-
-    The join against the cap module for I sends x (x) a to the state with
-    the dual idempotent slot; the cancellation entry keyed by that state, a
-    source generator (I, a', K, a) with no inputs, emits b, which the caller
-    lets act on x.
-    """
-    Ituple = tuple(sorted(I))
-    for (_, g, argsR), outs in cA_table.items():
-        if argsR or g[0] != Ituple or g[3] != a:
-            continue
-        for b, _tgt, _ in outs:
-            yield b
-
-
 def m_H(u: ModuleStructure, I, J) -> Gf2Matrix:
-    """The homology-level action H(u . iota_I) (x) H(block I -> J) -> H(u . iota_J).
-
-    Computed through the join-and-cancel composite; verified against the
-    direct right action.
-    """
+    """x (x) a -> sum x . b over the b in iota_I . a read off the join of caps
+    with A.iota_J (see joined_products), induced on homology as
+    H(u . iota_I) (x) H(block I -> J) -> H(u . iota_J) and verified against
+    the direct right action."""
     am = u.right_alg
-    I, J = frozenset(I), frozenset(J)
-    cA = cancel_cA(am)
-    c1 = right_module_block(u, I)
-    c2 = gamma_block(am, I, J)
-    c3 = right_module_block(u, J)
-
-    direct, composite = _bilinear_on_homology(
-        c1,
-        c2,
-        c3,
+    products = joined_products(am)
+    return _verified_on_homology(
+        am, right_module_block(u, I), gamma_block(am, I, J), right_module_block(u, J),
         lambda x, a: _direct_action(u, x, a),
-        lambda x, a: vsum(_direct_action(u, x, b) for b in _cancel_emissions(cA.table, I, a)),
+        lambda x, a: vsum(_direct_action(u, x, b) for b in products[(am.idempotent_index(I), a)]),
+        "join-composite action disagrees with the direct action",
     )
-    if direct.nonzero != composite.nonzero:
-        raise StructureError("join-composite action disagrees with the direct action")
-    return direct
 
 
 def alg_as_right_module(am: AlgebraModel) -> ModuleStructure:
@@ -108,24 +115,13 @@ def alg_as_right_module(am: AlgebraModel) -> ModuleStructure:
 
 
 def mu_H(am: AlgebraModel, I, J, K) -> Gf2Matrix:
-    """Multiplication on homology blocks, verified against the join composite.
-
-    Maps H(block I->J) (x) H(block J->K) -> H(block I->K); products across
-    mismatched middle subsets vanish by idempotent orthogonality.
-    """
-    I, J, K = frozenset(I), frozenset(J), frozenset(K)
-    cA = cancel_cA(am)
-    c1 = gamma_block(am, I, J)
-    c2 = gamma_block(am, J, K)
-    c3 = gamma_block(am, I, K)
-
-    def direct(x, a):
-        return am.mult_table[(x, a)]
-
-    def composite(x, a):
-        return vsum(am.mult_table[(x, b)] for b in _cancel_emissions(cA.table, J, a))
-
-    m1, m2 = _bilinear_on_homology(c1, c2, c3, direct, composite)
-    if m1.nonzero != m2.nonzero:
-        raise StructureError("join-composite product disagrees with multiplication")
-    return m1
+    """x (x) a -> sum_q <q, x.a> q read off the join of caps with A.iota_K (see
+    joined_products), induced on homology as H(block I->J) (x) H(block J->K)
+    -> H(block I->K) and verified against multiplication."""
+    products = joined_products(am)
+    return _verified_on_homology(
+        am, gamma_block(am, I, J), gamma_block(am, J, K), gamma_block(am, I, K),
+        lambda x, a: am.mult_table[(x, a)],
+        lambda x, a: products[(x, a)],
+        "join-composite product disagrees with multiplication",
+    )

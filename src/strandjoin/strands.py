@@ -193,6 +193,7 @@ class AlgebraModel:
         self.k = arc_diagram.rank
         self.elems: list[ABasisElem] = self._enumerate_elems()
         self.index = {e: i for i, e in enumerate(self.elems)}
+        self.idempotent_at = {e.occupied: i for e, i in self.index.items() if not e.movers}
         self.left_idem: list[frozenset] = []
         self.right_idem: list[frozenset] = []
         pair_of = arc_diagram.match
@@ -318,7 +319,7 @@ class AlgebraModel:
         return frozenset({self.idempotent_index(subset)})
 
     def idempotent_index(self, subset) -> int:
-        return self.index[ABasisElem((), frozenset(subset))]
+        return self.idempotent_at[frozenset(subset)]
 
     def unit(self) -> frozenset:
         return frozenset(map(self.idempotent_index, self.all_idempotent_subsets()))
@@ -374,6 +375,7 @@ class AlgebraModel:
         op.k = self.k
         op.elems = self.elems
         op.index = self.index
+        op.idempotent_at = self.idempotent_at
         op.left_idem = self.right_idem
         op.right_idem = self.left_idem
         op.diff_table = self.diff_table

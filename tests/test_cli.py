@@ -206,11 +206,30 @@ def test_check_all_validates_each_per_algebra_model_once(files, structure_checks
     rc, out = _run(["check", files["Z2"], "all"])
     assert rc == 0 and out.count(": PASS\n") == 7
     expected = join_suite_names(am) | structures_suite_names(am)
-    expected |= {"A_r", "count(cap)", "count(slice)"}  # the sfh and nice suites
+    expected |= {"A_r", "caps", "count(cap)", "count(slice)"}  # the sfh and nice suites
     assert structure_checks.names() == expected
     assert not structure_checks.repeated()
     own = sorted(name for name, _, asked in structure_checks if asked)
     assert own == sorted(structures_suite_names(am))
+
+
+def test_check_all_fails_sfh_on_an_empty_nabla(files, monkeypatch):
+    # The zero join morphism is a cycle, so the join suite passes it; the sfh
+    # suite reads the product off the join and fails.
+    from conftest import forget_models
+    from strandjoin import join
+
+    am = enumerate_basis(Z2)
+    forget_models(am)
+    monkeypatch.setattr(join, "_nabla_table", lambda M: {})
+    try:
+        rc, out = _run(["check", files["Z2"], "all"])
+    finally:  # the models built on the empty nabla go with it
+        forget_models(am)
+    assert rc == 2
+    assert "join: PASS\n" in out
+    assert "sfh: FAIL\n  join-composite action disagrees with the direct action\n" in out
+    assert out.count(": PASS\n") == 6
 
 
 def _failing_check(monkeypatch, name, witness):

@@ -1,11 +1,15 @@
 import itertools
+import random
 
 from strandjoin.ainf import dualize
+from strandjoin.arc_diagram import random_diagram
 from strandjoin.gf2 import ChainComplexGf2, Gf2Matrix, homology
+from strandjoin.strands import enumerate_basis
 from strandjoin.standard_models import elementary, gamma_block
 from strandjoin.sfh import (
     alg_as_right_module,
     homology_blocks,
+    joined_products,
     m_H,
     mu_H,
     right_module_block,
@@ -151,23 +155,35 @@ def test_mu_H_block_entries_on_z1(am1):
     assert m.nonzero == frozenset(expected)
 
 
-def test_cancellation_built_once_per_algebra(monkeypatch):
-    # The full sfh suite on a fresh Z2 algebra: 16 m_H and 64 mu_H calls share
-    # one build of the cancellation morphism, counted by builds of its source.
-    import random
+# Seeded diagrams of rank at most 3, alpha and beta, off the ladder.
+SWEEP = [random_diagram(random.Random(s), max_rank=3) for s in range(19)]
 
+
+def test_joined_products_read_back_the_product_table(am0, am1, am2, am3):
+    for am in [am0, am1, am2, am3] + [enumerate_basis(z) for z in SWEEP]:
+        assert dict(joined_products(am)) == dict(am.mult_table)
+
+
+def test_sfh_suite_passes_on_random_diagrams():
+    from strandjoin.cli import _suite_sfh
+
+    for z in SWEEP:
+        assert _suite_sfh(z, enumerate_basis(z), random.Random(0)) == []
+
+
+def _suite_on_fresh_algebra(z, monkeypatch):
+    """Run the sfh suite on a fresh algebra model of z, counting the calls of
+    m_H, mu_H, join_general and gf2.homology and the builds of the
+    cancellation source."""
+    import sys
+
+    import strandjoin.gf2 as gf2
     import strandjoin.join as join
     import strandjoin.sfh as sfh
-    from strandjoin.arc_diagram import Z2
     from strandjoin.cli import _suite_sfh
     from strandjoin.strands import AlgebraModel
 
-    builds, calls = [], {"m_H": 0, "mu_H": 0}
-    real_source = join.dd_sandwich_da_bimodule
-
-    def counting_source(am):
-        builds.append(am)
-        return real_source(am)
+    calls = {"m_H": 0, "mu_H": 0, "join_general": 0, "homology": 0, "dd_sandwich_da_bimodule": 0}
 
     def counting(name, real):
         def call(*args):
@@ -176,10 +192,35 @@ def test_cancellation_built_once_per_algebra(monkeypatch):
 
         return call
 
-    monkeypatch.setattr(join, "dd_sandwich_da_bimodule", counting_source)
-    for name in calls:
-        monkeypatch.setattr(sfh, name, counting(name, getattr(sfh, name)))
-    am = AlgebraModel(Z2)
-    assert _suite_sfh(Z2, am, random.Random(0)) == []
-    assert calls == {"m_H": 16, "mu_H": 64}
-    assert builds == [am]
+    for name, module in (("m_H", sfh), ("mu_H", sfh), ("join_general", sfh),
+                         ("dd_sandwich_da_bimodule", join)):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    real_homology, homology = gf2.homology, counting("homology", gf2.homology)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("strandjoin") and getattr(module, "homology", None) is real_homology:
+            monkeypatch.setattr(module, "homology", homology)
+    am = AlgebraModel(z)
+    assert _suite_sfh(z, am, random.Random(0)) == []
+    return am, calls
+
+
+def test_sfh_suite_joins_once_per_subset(monkeypatch):
+    # The full sfh suite on a fresh Z2 algebra: 16 m_H and 64 mu_H calls read
+    # one product table, from one join per subset, and never build the
+    # cancellation source.
+    from strandjoin.arc_diagram import Z2
+
+    _, calls = _suite_on_fresh_algebra(Z2, monkeypatch)
+    assert {k: calls[k] for k in ("m_H", "mu_H", "join_general", "dd_sandwich_da_bimodule")} == {
+        "m_H": 16, "mu_H": 64, "join_general": 4, "dd_sandwich_da_bimodule": 0
+    }
+
+
+def test_sfh_suite_computes_each_homology_once(am3, monkeypatch):
+    # At most one homology per gamma block, per right-module block and for
+    # the full complex: 16 + 4 + 1 on Z2, 64 + 8 + 1 on the rank-3 ladder.
+    from strandjoin.arc_diagram import Z2
+
+    for z, bound in ((Z2, 21), (am3.arc_diagram, 73)):
+        _, calls = _suite_on_fresh_algebra(z, monkeypatch)
+        assert 0 < calls["homology"] <= bound

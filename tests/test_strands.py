@@ -236,6 +236,16 @@ def test_diff_examples(am1, am2):
     assert am2.diff_table[x] == frozenset({y})
 
 
+def test_idempotent_lookup_matches_the_basis_index(am0, am1, am2, am3):
+    for am in (am0, am1, am2, am3):
+        for alg in (am, am.opposite):
+            for I in am.all_idempotent_subsets():
+                i = am.index[ABasisElem((), I)]
+                assert alg.idempotent_index(I) == alg.idempotent_index(set(I)) == i
+                assert alg.idempotent(I) == {i}
+            assert alg.unit() == {am.index[ABasisElem((), I)] for I in am.all_idempotent_subsets()}
+
+
 def test_unit_and_idempotents(am2):
     u = am2.unit()
     for i in range(am2.dim):
