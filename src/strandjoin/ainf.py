@@ -11,6 +11,9 @@ All four store their tables in one layout, described under "the entry
 shape" below; the kind says which sides take inputs and which emit algebra
 elements.  A morphism's table has the same layout, and a structure and a
 morphism are constructed through the same entry check, `_check_entries`.
+Structure equations and morphism differentials are summed forward from the
+tables, one generator at a time (`_sums`), so a check holds one generator's
+sums and stops at the first that fails.
 
 One-sided modules are bimodules with a trivial algebra (None) on one side.
 Tables are finite-support and strictly unital: no stored entry has an
@@ -51,11 +54,6 @@ def _add(table: dict, key, val) -> None:
 def _max_input_len(m, side: int) -> int:
     """The longest left (side 0) or right (side 2) input tuple in m's table."""
     return max((len(k[side]) for k in m.table), default=0)
-
-
-def _parity_add(acc: dict, key, count: int = 1) -> None:
-    if count % 2:
-        acc[key] = acc.get(key, 0) ^ 1
 
 
 class StructureError(ValueError):
@@ -234,34 +232,29 @@ def _chains_from(alg: AlgebraModel, inner: frozenset, max_len: int) -> list[tupl
     return [c[::-1] for c in _chains_into(alg.opposite, inner, max_len)]
 
 
-def _insertions(alg: AlgebraModel, args: tuple):
-    """All mu_1 / mu_2 insertions into an input tuple, with GF(2) multiplicity."""
-    for r, a in enumerate(args):
-        for da in alg.diff_table[a]:
-            yield args[:r] + (da,) + args[r + 1 :]
-    for r in range(len(args) - 1):
-        for pa in alg.mult_table[(args[r], args[r + 1])]:
-            yield args[:r] + (pa,) + args[r + 2 :]
-
-
-# -- support-driven input enumeration -------------------------------------------
+# -- structure equations ------------------------------------------------------
 #
-# Every nonzero term of a structure equation (or of a morphism differential)
-# evaluates a table entry: either two entries composed through a generator, or
-# one entry on the inputs after a mu_1 / mu_2 insertion.  So the only inputs
-# where a sum can be nonzero are concatenations of composable keys and keys
-# with one element pulled back through d or mu_2 (the finite-support argument
-# of Lipshitz-Ozsvath-Thurston, arXiv:1003.0598).  An insertion could also
-# reach the implicit unital action of a lone idempotent input, but in a
-# strands algebra d and mu_2 of non-idempotent elements never contain an
-# idempotent (moving strands never cancel), so no such input arises.  The
-# enumerator below lists exactly those inputs that also lie in the
-# brute-force window, in the order the brute-force enumeration would visit
-# them, so the first failing input is the same witness.
+# Lipshitz-Ozsvath-Thurston (arXiv:1003.0598) write the structure equation of
+# all four kinds as one sum over the entry shape: compose the structure map
+# with itself across every split of the inputs, apply the differential to the
+# type-D outputs, and insert mu_1 / mu_2 into the type-A inputs.  A morphism's
+# differential is the same sum with src before f and f before dst in place of
+# the self-composite.
+#
+# Every term of such a sum at an input (argsL, g, argsR) starts from an entry
+# keyed at g, so the sums are built forward from the tables, one generator at
+# a time: each composable pair of entries adds its composite at the
+# concatenation of their inputs, and each entry adds d of its type-D outputs
+# at its own key and its outputs at every input that one insertion turns into
+# its key (the finite-support argument of the same paper).  No other input has
+# a nonzero sum.  An insertion could also reach the implicit unital action of
+# a lone idempotent input, but in a strands algebra d and mu_2 of
+# non-idempotent elements never contain an idempotent (moving strands never
+# cancel), so the tables are read as stored.
 
 
 def _pullbacks(alg: AlgebraModel | None, args: tuple):
-    """Tuples that one mu_1 / mu_2 insertion (see `_insertions`) can turn into args."""
+    """Tuples that one mu_1 / mu_2 insertion into an input tuple turns into args."""
     if alg is None or not args:
         return
     dpre, mpre = alg.preimages
@@ -273,138 +266,71 @@ def _pullbacks(alg: AlgebraModel | None, args: tuple):
             yield head + pair + tail
 
 
-def _candidate_inputs(src: ModuleStructure, lmax: int, rmax: int, composable, stored) -> list:
-    """The inputs of src's kind where a sum built from the given tables can be nonzero.
+def _by_generator(table: dict) -> dict:
+    """A table's entries grouped by generator: g -> [(key, outputs)]."""
+    at: dict = {}
+    for key, outs in table.items():
+        at.setdefault(key[1], []).append((key, outs))
+    return at
 
-    `composable` lists (inner, outer) tables whose entries compose: an inner
-    entry at g with output generator y followed by an outer entry at y.
-    `stored` lists tables whose entries are also evaluated on their own keys
-    and on the inputs that one insertion turns into a key.
-    Candidates are kept only inside the brute-force window (at most lmax left
-    and rmax right inputs, idempotent-chained, no idempotent input) and are
-    returned as (argsL, g, argsR) in brute-force order.
+
+def _sums(gens, composable, own: dict, A, B):
+    """For each generator g of gens, in order, the nonzero sums at the inputs
+    (argsL, g, argsR), as a dict from input to its set of outputs (a, y, b).
+
+    `composable` lists (inner, outer) tables: an inner entry at g with output
+    generator y is followed by each outer entry at y.  `own` is the table whose
+    entries are also evaluated on their own inputs and after one insertion.
     """
-    A, B = src.left_alg, src.right_alg
-    found: set = set()
-    for inner, outer in composable:
-        by_gen: dict = {}
-        for oL, y, oR in outer:
-            by_gen.setdefault(y, []).append((oL, oR))
-        for (iL, g, iR), outs in inner.items():
-            for y in {y for _, y, _ in outs}:
-                for oL, oR in by_gen.get(y, ()):
-                    found.add((oL + iL, g, iR + oR))
-    for keys in stored:
-        for key in keys:
-            kL, g, kR = key
-            found.add(key)
-            found.update((newL, g, kR) for newL in _pullbacks(A, kL))
-            found.update((kL, g, newR) for newR in _pullbacks(B, kR))
-    pos = {g: i for i, g in enumerate(src.gens)}
-    keep = []
-    for argsL, g, argsR in found:
-        if g not in pos or len(argsL) > lmax or len(argsR) > rmax:
-            continue
-        if argsL and (
-            A is None
-            or any(A.is_idempotent_elem(a) for a in argsL)
-            or _chain_end(A, argsL, src.lidem[g], 0) is None
-        ):
-            continue
-        if argsR and (
-            B is None
-            or any(B.is_idempotent_elem(b) for b in argsR)
-            or _chain_end(B, argsR, src.ridem[g], 2) is None
-        ):
-            continue
-        keep.append((argsL, g, argsR))
-    keep.sort(key=lambda k: (pos[k[1]], len(k[0]), k[0][::-1], len(k[2]), k[2]))
-    return keep
+    pairs = [(_by_generator(inner), _by_generator(outer)) for inner, outer in composable]
+    own_at = _by_generator(own)
+    for g in gens:
+        acc: dict = {}
+        for inner_at, outer_at in pairs:
+            for (iL, _, iR), outs in inner_at.get(g, ()):
+                for a1, y, b1 in outs:
+                    for (oL, _, oR), outs2 in outer_at.get(y, ()):
+                        terms = acc.setdefault((oL + iL, g, iR + oR), set())
+                        for a2, z, b2 in outs2:
+                            for pa in (None,) if a1 is None else A.mult_table[(a1, a2)]:
+                                for pb in (None,) if b1 is None else B.mult_table[(b2, b1)]:
+                                    terms ^= {(pa, z, pb)}
+        for key, outs in own_at.get(g, ()):
+            kL, _, kR = key
+            terms = acc.setdefault(key, set())
+            for a, y, b in outs:
+                for da in () if a is None else A.diff_table[a]:
+                    terms ^= {(da, y, b)}
+                for db in () if b is None else B.diff_table[b]:
+                    terms ^= {(a, y, db)}
+            for newL in _pullbacks(A, kL):
+                acc.setdefault((newL, g, kR), set()).symmetric_difference_update(outs)
+            for newR in _pullbacks(B, kR):
+                acc.setdefault((kL, g, newR), set()).symmetric_difference_update(outs)
+        yield {key: terms for key, terms in acc.items() if terms}
 
 
-# -- structure equations ------------------------------------------------------
-#
-# Lipshitz-Ozsvath-Thurston (arXiv:1003.0598) write the structure equation of
-# all four kinds as one sum over the entry shape: compose the structure map
-# with itself across every split of the inputs, apply the differential to the
-# type-D outputs, and insert mu_1 / mu_2 into the type-A inputs.  A morphism's
-# differential is the same sum with src before f and f before dst in place of
-# the self-composite.  Inputs are (argsL, g, argsR) and hold no idempotent;
-# an insertion never makes one (see above), so the implicit unital entries
-# are never reached and the tables are read as stored.
-
-
-def _at(m, argsL: tuple, g, argsR: tuple):
-    """The outputs (a, y, b) of m's table (a structure's or a morphism's) at an input."""
-    return m.table.get((argsL, g, argsR), ())
-
-
-def _composites(acc: dict, inner, outer, key: tuple, A, B) -> None:
-    """Add to acc, over every split of key's inputs, inner's entry on the inner
-    inputs followed by outer's entry at its output on the rest."""
-    argsL, g, argsR = key
-    for p in range(len(argsL) + 1):
-        for q in range(len(argsR) + 1):
-            for a1, y, b1 in _at(inner, argsL[p:], g, argsR[:q]):
-                for a2, z, b2 in _at(outer, argsL[:p], y, argsR[q:]):
-                    for pa in (None,) if a1 is None else A.mult_table[(a1, a2)]:
-                        for pb in (None,) if b1 is None else B.mult_table[(b2, b1)]:
-                            _parity_add(acc, (pa, z, pb))
-
-
-def _own_terms(acc: dict, f, key: tuple, A, B) -> None:
-    """Add to acc d of f's type-D outputs at key, and f after one mu_1 / mu_2
-    insertion into key's inputs on each side."""
-    argsL, g, argsR = key
-    for a, y, b in _at(f, argsL, g, argsR):
-        for da in () if a is None else A.diff_table[a]:
-            _parity_add(acc, (da, y, b))
-        for db in () if b is None else B.diff_table[b]:
-            _parity_add(acc, (a, y, db))
-    for newL in _insertions(A, argsL):
-        for out in _at(f, newL, g, argsR):
-            _parity_add(acc, out)
-    for newR in _insertions(B, argsR):
-        for out in _at(f, argsL, g, newR):
-            _parity_add(acc, out)
-
-
-def _live(acc: dict) -> frozenset:
-    return frozenset(out for out, v in acc.items() if v)
-
-
-def _equation(m: ModuleStructure, key: tuple) -> frozenset:
-    """m's structure equation at key = (argsL, g, argsR): a set of outputs (a, y, b)."""
-    acc: dict = {}
-    _composites(acc, m, m, key, m.left_alg, m.right_alg)
-    _own_terms(acc, m, key, m.left_alg, m.right_alg)
-    return _live(acc)
+def _structure_sums(m: ModuleStructure):
+    """`_sums` of m's structure equation."""
+    return _sums(m.gens, [(m.table, m.table)], m.table, m.left_alg, m.right_alg)
 
 
 def check_structure(m: ModuleStructure):
-    """Evaluate the kind's structure equation over the finite reachable domain.
+    """Evaluate the kind's structure equation wherever it can be nonzero.
 
     Returns None when every sum vanishes, otherwise one violating input
-    (argsL, g, argsR), for every kind (a DD witness is ((), g, ())): the
-    first, in generator order and then by input length, that the exhaustive
-    enumeration of chained inputs would reach.  On each side the window is max(2L, L + 1) inputs, L
-    the table's longest entry there: two composed entries take at most 2L
-    inputs, one entry after an insertion L + 1.  Only inputs built from the
-    table's support are evaluated; every other input of that window vanishes
-    identically.  Inputs containing idempotent basis elements are omitted:
-    strict unitality makes those instances hold identically.
+    (argsL, g, argsR), for every kind (a DD witness is ((), g, ())): at the
+    first generator with a nonzero sum, the least input by (len(argsL),
+    argsL reversed, len(argsR), argsR), which is the one the exhaustive
+    enumeration of chained inputs would reach first.  The sums are built
+    forward from the table one generator at a time (`_sums`), so a failure
+    stops the check at its generator.  Inputs containing idempotent basis
+    elements are never reached: strict unitality makes those instances hold
+    identically.
     """
-    lmax, rmax = m.max_left_len(), m.max_right_len()
-    inputs = _candidate_inputs(
-        m,
-        max(2 * lmax, lmax + 1),
-        max(2 * rmax, rmax + 1),
-        [(m.table, m.table)],
-        [m.table],
-    )
-    for key in inputs:
-        if _equation(m, key):
-            return key
+    for sums in _structure_sums(m):
+        if sums:
+            return min(sums, key=lambda k: (len(k[0]), k[0][::-1], len(k[2]), k[2]))
     return None
 
 
@@ -530,36 +456,26 @@ def zero_morphism(src: ModuleStructure, dst: ModuleStructure) -> Morphism:
     return Morphism(src, dst, {})
 
 
-def _diff(f: Morphism, key: tuple) -> frozenset:
-    """f's morphism differential at key = (argsL, g, argsR): a set of outputs (a, y, b)."""
-    acc: dict = {}
-    A, B = f.src.left_alg, f.src.right_alg
-    _composites(acc, f.src, f, key, A, B)
-    _composites(acc, f, f.dst, key, A, B)
-    _own_terms(acc, f, key, A, B)
-    return _live(acc)
+def _diff_sums(src: ModuleStructure, dst: ModuleStructure, table: dict):
+    """`_sums` of the differential of a morphism table from src to dst."""
+    return _sums(
+        src.gens, [(src.table, table), (table, dst.table)], table, src.left_alg, src.right_alg
+    )
+
+
+def _diff_table(src: ModuleStructure, dst: ModuleStructure, table: dict) -> dict:
+    """The table of the differential of a morphism table from src to dst."""
+    return {key: outs for sums in _diff_sums(src, dst, table) for key, outs in sums.items()}
 
 
 def morphism_diff(f: Morphism) -> Morphism:
-    """The differential of a morphism in the morphism complex of its kind.
-
-    Evaluated on the inputs of the exhaustive window (chained inputs up to the
-    longest entry of f plus the longest of src or dst, and at least one more
-    than f's) that are built from f's support; every other input vanishes.
-    """
-    src, dst = f.src, f.dst
-    inputs = _candidate_inputs(
-        src,
-        _max_input_len(f, 0) + max(src.max_left_len(), dst.max_left_len(), 1),
-        _max_input_len(f, 2) + max(src.max_right_len(), dst.max_right_len(), 1),
-        [(f.table, dst.table), (src.table, f.table)],
-        [f.table],
-    )
-    return Morphism(src, dst, {key: _diff(f, key) for key in inputs})
+    """The differential of a morphism in the morphism complex of its kind,
+    summed forward from the tables of f, its source and its target (`_sums`)."""
+    return Morphism(f.src, f.dst, _diff_table(f.src, f.dst, f.table))
 
 
 def is_homomorphism(f: Morphism) -> bool:
-    return morphism_diff(f).is_zero()
+    return not any(_diff_sums(f.src, f.dst, f.table))
 
 
 # -- bounded homotopy search ---------------------------------------------------
@@ -598,8 +514,8 @@ def _morphism_slots(src: ModuleStructure, dst: ModuleStructure, max_len: int) ->
     return slots
 
 
-def morphism_to_atoms(f: Morphism) -> frozenset:
-    return frozenset((key, v) for key, outs in f.table.items() for v in outs)
+def _atoms(table: dict) -> frozenset:
+    return frozenset((key, v) for key, outs in table.items() for v in outs)
 
 
 def bounded_homotopy_search(f: Morphism, g: Morphism, max_len: int) -> Morphism | None:
@@ -608,10 +524,10 @@ def bounded_homotopy_search(f: Morphism, g: Morphism, max_len: int) -> Morphism 
     A None result is inconclusive: it never certifies that f and g are not
     homotopic.
     """
-    target = morphism_to_atoms(f + g)
+    target = _atoms((f + g).table)
     slots = _morphism_slots(f.src, f.dst, max_len)
     images = {
-        idx: morphism_to_atoms(morphism_diff(Morphism(f.src, f.dst, {key: {val}})))
+        idx: _atoms(_diff_table(f.src, f.dst, {key: {val}}))
         for idx, (key, val) in enumerate(slots)
     }
     rows = sorted(target.union(*images.values()), key=repr)

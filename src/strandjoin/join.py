@@ -138,11 +138,11 @@ def join_general(U: ModuleStructure, M: ModuleStructure, V: ModuleStructure) -> 
     codomain = _sandwich(U, dual_alg_as_aa(am), V).underlying_complex()
     cod_set = set(codomain.basis)
     dom_set = set(domain.basis)
-    maxlen = M.max_left_len() + 1
-    uchains = _d_chain_ends(U, maxlen, 2)
-    vchains = _d_chain_ends(V, maxlen, 0)
+    table = _nabla_table(M)
+    uchains = _d_chain_ends(U, max((len(k[0]) for k in table), default=0), 2)
+    vchains = _d_chain_ends(V, max((len(k[2]) for k in table), default=0), 0)
     images: dict = {}
-    for (argsL, (p, q), argsR), outs in _nabla_table(M).items():
+    for (argsL, (p, q), argsR), outs in table.items():
         for u0, uends in uchains.get(argsL, ()):
             for v0, vends in vchains.get(argsR, ()):
                 g = ((u0, p), (q, v0))

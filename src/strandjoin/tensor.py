@@ -29,7 +29,6 @@ from .ainf import (
     Morphism,
     StructureError,
     _add,
-    _at,
     _max_input_len,
     validated,
 )
@@ -260,7 +259,7 @@ def fold(w: ModuleStructure, ta: TensorAlgebra) -> ModuleStructure:
             """The generators at key, whose one input is e; an idempotent e acts as the unit."""
             if alg.is_idempotent_elem(e):
                 return (key[1],) if alg.elems[e].occupied == idem[key[1]] else ()
-            return [y for _, y, _ in _at(w, *key)]
+            return [y for _, y, _ in w.table.get(key, ())]
 
         rot_inv = {v: k for k, v in rot.items()}
         for u, (a, rb) in ta.split.items():

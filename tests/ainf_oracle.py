@@ -3,12 +3,11 @@
 These evaluate every idempotent-chained input of the window the library
 checks (on each side max(2L, L + 1) inputs, L the longest table entry there),
 for every generator, in the order the chains are enumerated.  The library
-evaluates only inputs built from the tables' support; the differential tests
+sums forward from the tables' support instead; the differential tests
 compare the two.  Each input is evaluated here with its own per-kind sum
 (`EQUATIONS`, `DIFFS`), written out for each kind and reading the tables in
 that kind's own layout (`kind_layout`), so the library's single entry-shape
-evaluation (`ainf._equation`, `ainf._diff`) is checked as well as its
-enumeration.
+sum (`ainf._sums`) is checked input by input as well as its witnesses.
 
 The last section keeps two references that no command needs: the
 composition of morphisms, which the tests of `morphism_diff` and
@@ -27,9 +26,7 @@ from strandjoin.ainf import (
     _add,
     _chains_from,
     _chains_into,
-    _insertions,
     _max_input_len,
-    _parity_add,
 )
 
 # -- the per-kind layouts ----------------------------------------------------------
@@ -100,8 +97,22 @@ def from_kind_layout(kind: str, table: dict) -> dict:
 _LAYOUTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
+def _parity_add(acc: dict, key) -> None:
+    acc[key] = acc.get(key, 0) ^ 1
+
+
 def _live(acc: dict) -> frozenset:
     return frozenset(k for k, v in acc.items() if v)
+
+
+def _insertions(alg, args: tuple):
+    """All mu_1 / mu_2 insertions into an input tuple, with GF(2) multiplicity."""
+    for r, a in enumerate(args):
+        for da in alg.diff_table[a]:
+            yield args[:r] + (da,) + args[r + 1 :]
+    for r in range(len(args) - 1):
+        for pa in alg.mult_table[(args[r], args[r + 1])]:
+            yield args[:r] + (pa,) + args[r + 2 :]
 
 
 def _at(x, key) -> frozenset:

@@ -81,6 +81,31 @@ def test_check_structure_catches_corruption(am2):
         validated(bad)
 
 
+def test_check_structure_stops_at_the_first_failing_generator(am2, monkeypatch):
+    # The sums are built one generator at a time; a corrupted alg_as_aa fails
+    # at a generator before the last, and no later generator is summed.
+    from strandjoin import ainf
+
+    good = alg_as_aa(am2)
+    table = {k: set(v) for k, v in good.table.items()}
+    table[min(table, key=repr)].clear()
+    bad = ModuleStructure("AA", am2, am2, good.gens, good.lidem, good.ridem, table)
+    consumed = []
+    real = ainf._sums
+
+    def recording(*args):
+        for sums in real(*args):
+            consumed.append(bool(sums))
+            yield sums
+
+    monkeypatch.setattr(ainf, "_sums", recording)
+    witness = check_structure(bad)
+    assert witness is not None
+    stop = bad.gens.index(witness[1])
+    assert stop < len(bad.gens) - 1
+    assert consumed == [False] * stop + [True]
+
+
 def _compat_cases(am):
     """(kind, lidem, ridem, table, message) for every rejection of the
     idempotent compatibility check, over generators x and y."""
@@ -384,6 +409,26 @@ def test_bounded_homotopy_search_plant_and_recover(am1):
         H = bounded_homotopy_search(f, zero_morphism(M, M), 4)
         assert H is not None
         assert morphism_diff(H).table == f.table
+
+
+def test_bounded_homotopy_search_builds_no_morphism_per_slot(am2, monkeypatch):
+    # Each slot's image is read off its differential's table: the search
+    # builds f + g and its answer, not a morphism per slot.
+    M = left_module_from_right_idem(am2, {1})
+    slots = _morphism_slots(M, M, 4)
+    assert len(slots) == 420
+    f = morphism_diff(Morphism(M, M, {k: {v} for k, v in random.Random(5).sample(slots, 3)}))
+    g = zero_morphism(M, M)
+    built = []
+    real = Morphism.__init__
+
+    def recording(self, *args):
+        built.append(self)
+        real(self, *args)
+
+    monkeypatch.setattr(Morphism, "__init__", recording)
+    assert bounded_homotopy_search(f, g, 4) is not None
+    assert len(built) <= 2
 
 
 def test_bounded_homotopy_search_obstruction(am1):

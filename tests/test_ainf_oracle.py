@@ -16,9 +16,9 @@ from ainf_oracle import (
 from strandjoin.ainf import (
     ModuleStructure,
     Morphism,
-    _diff,
-    _equation,
+    _diff_table,
     _morphism_slots,
+    _structure_sums,
     check_structure,
     dualize,
     identity_morphism,
@@ -182,19 +182,22 @@ def test_morphism_diff_agrees_with_oracle(am0, am1, am2):
         assert morphism_diff(f).table == oracle_morphism_diff(f).table, f.kind
 
 
-# The library evaluates every kind through one entry-shape sum; the oracle
+# The library sums every kind forward through one entry shape; the oracle
 # writes a sum out per kind.  These compare the two on every window input,
-# not only where the enumerations meet.
+# not only at the witnesses, and check that no nonzero library sum lies
+# outside the window.
 
 
 def _equation_agrees_on_window(m) -> tuple[int, int]:
     """(window inputs, inputs where the equation is nonzero), both sums agreeing."""
+    sums = {key: outs for per_gen in _structure_sums(m) for key, outs in per_gen.items()}
     inputs = nonzero = 0
     for key in structure_window(m):
         value = equation(m, key)
-        assert _equation(m, key) == value, (m.name, key)
+        assert sums.pop(key, frozenset()) == value, (m.name, key)
         inputs += 1
         nonzero += bool(value)
+    assert not sums, (m.name, "sums outside the window", sorted(sums, key=repr)[:3])
     return inputs, nonzero
 
 
@@ -220,9 +223,11 @@ def test_equation_agrees_with_per_kind_sums_on_corruptions(am1, am2):
 def test_diff_agrees_with_per_kind_sums(am0, am1, am2):
     seen = set()
     for f in morphism_families(am0, am1, am2):
+        table = _diff_table(f.src, f.dst, f.table)
         for key in diff_window(f):
-            assert _diff(f, key) == diff(f, key), (f.kind, key)
+            assert table.pop(key, frozenset()) == diff(f, key), (f.kind, key)
             seen.add(f.kind)
+        assert not table, (f.kind, "sums outside the window", sorted(table, key=repr)[:3])
     assert seen == {"AA", "DA", "AD", "DD"}
 
 

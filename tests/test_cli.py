@@ -291,11 +291,6 @@ def test_double_reports_a_failing_d_squared(files, monkeypatch):
     assert rc == 2 and out == "error: d^2 != 0\n"
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="check homotopy plants on A.iota_{}, one generator with an empty table, "
-    "so every planted differential is 0",
-)
 def test_check_homotopy_plants_a_nonzero_differential(monkeypatch):
     from strandjoin import ainf
     from strandjoin.cli import _suite_homotopy
