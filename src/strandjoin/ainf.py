@@ -166,9 +166,6 @@ class ModuleStructure:
     def right_type(self) -> str:
         return self.kind[1]
 
-    def dim(self) -> int:
-        return len(self.gens)
-
     def __repr__(self):
         return f"<ModuleStructure {self.kind} {self.name or hex(id(self))} dim={len(self.gens)}>"
 
@@ -274,19 +271,18 @@ def _by_generator(table: dict) -> dict:
     return at
 
 
-def _sums(gens, composable, own: dict, A, B):
+def _sums(gens, composable, own_at: dict, A, B):
     """For each generator g of gens, in order, the nonzero sums at the inputs
     (argsL, g, argsR), as a dict from input to its set of outputs (a, y, b).
 
-    `composable` lists (inner, outer) tables: an inner entry at g with output
-    generator y is followed by each outer entry at y.  `own` is the table whose
-    entries are also evaluated on their own inputs and after one insertion.
+    Every table comes grouped by generator (`_by_generator`).  `composable`
+    lists (inner, outer) tables: an inner entry at g with output generator y
+    is followed by each outer entry at y.  `own_at` is the table whose entries
+    are also evaluated on their own inputs and after one insertion.
     """
-    pairs = [(_by_generator(inner), _by_generator(outer)) for inner, outer in composable]
-    own_at = _by_generator(own)
     for g in gens:
         acc: dict = {}
-        for inner_at, outer_at in pairs:
+        for inner_at, outer_at in composable:
             for (iL, _, iR), outs in inner_at.get(g, ()):
                 for a1, y, b1 in outs:
                     for (oL, _, oR), outs2 in outer_at.get(y, ()):
@@ -312,7 +308,8 @@ def _sums(gens, composable, own: dict, A, B):
 
 def _structure_sums(m: ModuleStructure):
     """`_sums` of m's structure equation."""
-    return _sums(m.gens, [(m.table, m.table)], m.table, m.left_alg, m.right_alg)
+    at = _by_generator(m.table)
+    return _sums(m.gens, [(at, at)], at, m.left_alg, m.right_alg)
 
 
 def check_structure(m: ModuleStructure):
@@ -458,9 +455,9 @@ def zero_morphism(src: ModuleStructure, dst: ModuleStructure) -> Morphism:
 
 def _diff_sums(src: ModuleStructure, dst: ModuleStructure, table: dict):
     """`_sums` of the differential of a morphism table from src to dst."""
-    return _sums(
-        src.gens, [(src.table, table), (table, dst.table)], table, src.left_alg, src.right_alg
-    )
+    at = _by_generator(table)
+    composable = [(_by_generator(src.table), at), (at, _by_generator(dst.table))]
+    return _sums(src.gens, composable, at, src.left_alg, src.right_alg)
 
 
 def _diff_table(src: ModuleStructure, dst: ModuleStructure, table: dict) -> dict:

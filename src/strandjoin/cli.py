@@ -176,32 +176,35 @@ def cmd_double(args, out) -> int:
     return 0
 
 
+def _nice_pair(z, am, I=None) -> tuple:
+    """The nice diagram of the twisting slice, or of the cap of I, and the model
+    it is compared with.  A diagram that cannot be drawn raises ValueError, a
+    failing model StructureError, which is a ValueError too."""
+    from .nice_diagram import build_cap_diagram, build_twisting_slice_diagram
+    from .standard_models import alg_as_aa, elementary
+
+    if I is None:
+        return build_twisting_slice_diagram(z), alg_as_aa(am)
+    return build_cap_diagram(z, I), elementary(am, I, "A")
+
+
 def cmd_nice(args, out) -> int:
-    from .nice_diagram import (
-        build_cap_diagram,
-        build_twisting_slice_diagram,
-        compare_with_algebra,
-    )
+    from .nice_diagram import compare_with_algebra
     from .ainf import StructureError
-    from .standard_models import alg_as_aa, elementary, _parse_subset
+    from .standard_models import _parse_subset
 
     z = _load_diagram(args.diagram)
     am = enumerate_basis(z)
     out.write(_header(args))
+    if args.model != "slice" and not args.model.startswith("cap:"):
+        raise CliError(f"model must be slice or cap:{{..}}, got {args.model!r}", 1)
     try:
-        if args.model == "slice":
-            d = build_twisting_slice_diagram(z)
-        elif args.model.startswith("cap:"):
-            I = _parse_subset(args.model.split(":", 1)[1], am.k)
-            d = build_cap_diagram(z, I)
-        else:
-            raise CliError(f"model must be slice or cap:{{..}}, got {args.model!r}", 1)
+        I = None if args.model == "slice" else _parse_subset(args.model.split(":", 1)[1], am.k)
+        d, model = _nice_pair(z, am, I)
+    except StructureError as e:  # a model whose structure equation fails is a check failure
+        raise CliError(str(e), 2)
     except ValueError as e:  # e.g. a beta-type diagram, which cannot be drawn
         raise CliError(str(e), 1)
-    try:  # a model whose structure equation fails is a check failure
-        model = alg_as_aa(am) if args.model == "slice" else elementary(am, I, "A")
-    except StructureError as e:
-        raise CliError(str(e), 2)
     verdict = compare_with_algebra(d, model)
     out.write(f"generators: {len(d.enumerate_generators())}\n")
     out.write(f"regions: {len(d.regions)}\n")
@@ -300,8 +303,10 @@ def _suite_structures(z, am, rng) -> list:
     builds = [(build,) for build in (alg_as_aa, dual_alg_as_aa, da_identity, dd_identity)]
     builds += [(elementary, I, side) for I in am.all_idempotent_subsets() for side in "AD"]
     for build, *args in builds:
-        try:  # a builder that validates reports a failing model by raising
-            validated(build(am, *args))
+        try:  # every builder but dual_alg_as_aa validates what it returns
+            m = build(am, *args)
+            if build is dual_alg_as_aa:
+                validated(m)
         except StructureError as e:
             failures.append(str(e))
     return failures
@@ -330,26 +335,19 @@ def _suite_join(z, am, rng) -> list:
 
 
 def _suite_nice(z, am, rng) -> list:
-    from .nice_diagram import (
-        build_cap_diagram,
-        build_twisting_slice_diagram,
-        compare_with_algebra,
-    )
-    from .standard_models import alg_as_aa, elementary
+    from .ainf import StructureError
+    from .nice_diagram import compare_with_algebra
 
-    failures = []
     try:
-        d = build_twisting_slice_diagram(z)
+        pairs = [("slice", *_nice_pair(z, am))]
+        for I in am.all_idempotent_subsets():
+            pairs.append((f"cap {_subset_label(I)}", *_nice_pair(z, am, I)))
+    except StructureError as e:  # a model that fails its structure equation
+        return [str(e)]
     except ValueError as e:  # a beta-type diagram, which cannot be drawn
         raise NotApplicable(str(e))
-    v = compare_with_algebra(d, alg_as_aa(am))
-    if not v.isomorphic:
-        failures.append(f"slice: {v.witness}")
-    for I in am.all_idempotent_subsets():
-        vc = compare_with_algebra(build_cap_diagram(z, I), elementary(am, I, "A"))
-        if not vc.isomorphic:
-            failures.append(f"cap {_subset_label(I)}: {vc.witness}")
-    return failures
+    verdicts = ((label, compare_with_algebra(d, model)) for label, d, model in pairs)
+    return [f"{label}: {v.witness}" for label, v in verdicts if not v.isomorphic]
 
 
 def _suite_sfh(z, am, rng) -> list:

@@ -17,15 +17,12 @@ from .standard_models import algebra_module, left_module_from_right_idem, once_p
 from .join import join_general
 
 
+@once_per_algebra(key=lambda c: (c.basis, c.differential.nonzero))
 def block_homology(am: AlgebraModel, c: ChainComplexGf2) -> tuple:
     """The homology representatives of a complex over am and their coordinate
     map, computed once per algebra for each basis and differential."""
-    memo = am.models.setdefault("block_homology", {})
-    key = (c.basis, c.differential.nonzero)
-    if key not in memo:
-        _, reps = homology(c)
-        memo[key] = reps, homology_coordinates(c, reps)
-    return memo[key]
+    _, reps = homology(c)
+    return reps, homology_coordinates(c, reps)
 
 
 def _verified_on_homology(am, c1, c2, c3, direct, joined, error: str) -> Gf2Matrix:

@@ -9,8 +9,8 @@ behind two machine validations: the DD structure equation and the vanishing
 of the differential of the cancellation morphism (see the join module);
 together they pin down the idempotent conventions.
 
-Every builder here validates what it returns except `dual_alg_as_aa`; the
-bimodules of the algebra alone are built once per algebra model.
+Every builder here validates what it returns except `dual_alg_as_aa`, and
+each model is built once per algebra model and argument (`once_per_algebra`).
 """
 
 from __future__ import annotations
@@ -22,19 +22,24 @@ from .strands import gamma_block  # noqa: F401  (re-exported)
 from .ainf import ModuleStructure, dualize, validated
 
 
-def once_per_algebra(build):
-    """Keep build(am) in am.models, so each algebra model builds it once."""
-    key = build.__name__
+def once_per_algebra(build=None, *, key=lambda: ()):
+    """Keep build(am, *args) in am.models under build's name and key(*args),
+    which normalizes the arguments (a subset to a frozenset, defaults filled
+    in).  Callers share what it returns and must not change it."""
+    if build is None:
+        return functools.partial(once_per_algebra, key=key)
 
     @functools.wraps(build)
-    def once(am: AlgebraModel):
-        if key not in am.models:
-            am.models[key] = build(am)
-        return am.models[key]
+    def once(am: AlgebraModel, *args, **kwargs):
+        memo = (build.__name__, *key(*args, **kwargs))
+        if memo not in am.models:
+            am.models[memo] = build(am, *args, **kwargs)
+        return am.models[memo]
 
     return once
 
 
+@once_per_algebra(key=lambda I, side, hand="left": (frozenset(I), side, hand))
 def elementary(am: AlgebraModel, I, side: str, hand: str = "left") -> ModuleStructure:
     """The one-generator left module for the cap with elementary dividing set I.
 
@@ -43,16 +48,18 @@ def elementary(am: AlgebraModel, I, side: str, hand: str = "left") -> ModuleStru
     its mirror image, the right module dualize(elementary(am, I, side)) under
     the same name; perfbench/child.py builds its U that way.
     """
-    I = frozenset(I)
     if side not in ("A", "D"):
         raise ValueError("side must be 'A' or 'D'")
+    if hand == "right":
+        m = elementary(am, I, side)
+        return dualize(m, name=m.name)
+    I = frozenset(I)
     subset = frozenset(range(1, am.k + 1)) - I if side == "A" else I
     gen = ("e", side, tuple(sorted(subset)))
-    m = validated(ModuleStructure(
+    return validated(ModuleStructure(
         "AA" if side == "A" else "DA", am, None, (gen,), {gen: subset}, {gen: frozenset()}, {},
         name=f"elem{side}({sorted(I)})",
     ))
-    return dualize(m, name=m.name) if hand == "right" else m
 
 
 def algebra_module(am: AlgebraModel, gens, left: bool, right: bool, name: str) -> ModuleStructure:
@@ -86,6 +93,7 @@ def algebra_module(am: AlgebraModel, gens, left: bool, right: bool, name: str) -
     ))
 
 
+@once_per_algebra(key=lambda I: (frozenset(I),))
 def left_module_from_right_idem(am: AlgebraModel, I) -> ModuleStructure:
     """The left module A.iota_I: basis elements with right idempotent I, left action."""
     I = frozenset(I)

@@ -35,21 +35,21 @@ def am3():
 
 
 class StructureChecks(list):
-    """The `ainf.check_structure` calls seen, as (module name, its algebra,
-    whether the structures suite asked for the check itself)."""
-
-    PER_ALGEBRA = ("A", "IdDA", "IdDD", "IAI", "IA^IA")
+    """The `ainf.check_structure` calls seen, as (the module checked, whether
+    the structures suite asked for the check itself).  Each module is kept
+    alive, so distinct modules never share an id."""
 
     def names(self) -> set:
-        return {name for name, _, _ in self}
+        return {m.name for m, _ in self}
 
     def repeated(self) -> dict:
-        """The per-algebra models checked more than once on one algebra, not
-        counting the structures suite's own checks: (name, algebra) -> count."""
-        counts = Counter(
-            (name, id(alg)) for name, alg, own in self if name in self.PER_ALGEBRA and not own
-        )
-        return {key: n for key, n in counts.items() if n > 1}
+        """The module objects checked more than once: name -> their check counts."""
+        counts = Counter(id(m) for m, _ in self)
+        repeats: dict = {}
+        for m in {id(m): m for m, _ in self}.values():
+            if counts[id(m)] > 1:
+                repeats.setdefault(m.name, []).append(counts[id(m)])
+        return repeats
 
 
 @pytest.fixture()
@@ -73,7 +73,7 @@ def structure_checks(monkeypatch):
         own = caller.f_code.co_name == "validated" and (
             caller.f_back is not None and caller.f_back.f_code.co_name == "_suite_structures"
         )
-        calls.append((m.name, m.left_alg or m.right_alg, own))
+        calls.append((m, own))
         return real(m)
 
     for name, module in list(sys.modules.items()):

@@ -55,13 +55,39 @@ def test_per_algebra_models_are_built_once():
     builds = (alg_as_aa, dual_alg_as_aa, da_identity, dd_identity, dd_middle, cancel_cA)
     for build in builds:
         assert build(am) is build(am)
-    assert set(am.models) == {build.__name__ for build in builds}
+    assert set(am.models) == {(build.__name__,) for build in builds}
     assert dual_alg_as_aa(am).name == "A^"
     # The opposite algebra builds its own models.
     op = am.opposite
     assert "models" not in op.__dict__
     assert alg_as_aa(op) is not alg_as_aa(am) and alg_as_aa(op).left_alg is op
-    assert set(op.models) == {"alg_as_aa"} and op.opposite is am
+    assert set(op.models) == {("alg_as_aa",)} and op.opposite is am
+
+
+def test_models_with_arguments_are_built_once_per_normalized_argument():
+    from strandjoin.gf2 import ChainComplexGf2
+    from strandjoin.sfh import block_homology
+    from strandjoin.strands import AlgebraModel
+
+    am = AlgebraModel(Z2)
+    e = elementary(am, {1}, "D")
+    for I in ({1}, frozenset({1}), (1,)):
+        assert elementary(am, I, "D") is e
+        assert elementary(am, I, "D", "left") is elementary(am, I, "D", hand="left") is e
+    others = [elementary(am, {1}, "A"), elementary(am, {2}, "D"), elementary(am, (), "D")]
+    right = elementary(am, {1}, "D", hand="right")
+    assert right is elementary(am, (1,), "D", "right") and right.kind == "AD"
+    assert len({id(m) for m in [e, right, *others]}) == 5
+    m = left_module_from_right_idem(am, {1, 2})
+    for I in ({2, 1}, frozenset({1, 2}), (2, 1)):
+        assert left_module_from_right_idem(am, I) is m
+    assert left_module_from_right_idem(am, {1}) is not m
+    assert elementary(AlgebraModel(Z2), {1}, "D") is not e
+    # block_homology keys a complex by its basis and differential.
+    c = gamma_block(am, {1}, {1, 2})
+    h = block_homology(am, c)
+    assert block_homology(am, ChainComplexGf2(c.basis, c.differential)) is h
+    assert block_homology(am, gamma_block(am, {1}, {1})) is not h
 
 
 def test_dual_alg_double_dual(am1):
