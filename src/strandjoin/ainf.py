@@ -453,16 +453,18 @@ def zero_morphism(src: ModuleStructure, dst: ModuleStructure) -> Morphism:
     return Morphism(src, dst, {})
 
 
-def _diff_sums(src: ModuleStructure, dst: ModuleStructure, table: dict):
-    """`_sums` of the differential of a morphism table from src to dst."""
+def _diff_sums(src: ModuleStructure, dst: ModuleStructure, table: dict, grouped=None):
+    """`_sums` of the differential of a morphism table from src to dst; `grouped`
+    is src's and dst's tables grouped by generator, when the caller has them."""
+    src_at, dst_at = grouped or (_by_generator(src.table), _by_generator(dst.table))
     at = _by_generator(table)
-    composable = [(_by_generator(src.table), at), (at, _by_generator(dst.table))]
-    return _sums(src.gens, composable, at, src.left_alg, src.right_alg)
+    return _sums(src.gens, [(src_at, at), (at, dst_at)], at, src.left_alg, src.right_alg)
 
 
-def _diff_table(src: ModuleStructure, dst: ModuleStructure, table: dict) -> dict:
+def _diff_table(src: ModuleStructure, dst: ModuleStructure, table: dict, grouped=None) -> dict:
     """The table of the differential of a morphism table from src to dst."""
-    return {key: outs for sums in _diff_sums(src, dst, table) for key, outs in sums.items()}
+    sums = _diff_sums(src, dst, table, grouped)
+    return {key: outs for per_gen in sums for key, outs in per_gen.items()}
 
 
 def morphism_diff(f: Morphism) -> Morphism:
@@ -523,8 +525,9 @@ def bounded_homotopy_search(f: Morphism, g: Morphism, max_len: int) -> Morphism 
     """
     target = _atoms((f + g).table)
     slots = _morphism_slots(f.src, f.dst, max_len)
+    grouped = _by_generator(f.src.table), _by_generator(f.dst.table)
     images = {
-        idx: _atoms(_diff_table(f.src, f.dst, {key: {val}}))
+        idx: _atoms(_diff_table(f.src, f.dst, {key: {val}}, grouped))
         for idx, (key, val) in enumerate(slots)
     }
     rows = sorted(target.union(*images.values()), key=repr)

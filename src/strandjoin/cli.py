@@ -14,7 +14,6 @@ import sys
 
 from . import __version__
 from .arc_diagram import ArcDiagram, ParseError, parse, validate
-from .gf2 import homology
 from .strands import (
     dump_basis_tsv,
     dump_diff_tsv,
@@ -53,6 +52,14 @@ def _load_diagram(path: str) -> ArcDiagram:
 
 def _subset_label(s) -> str:
     return "{" + ",".join(str(i) for i in sorted(s)) + "}"
+
+
+def _numbered(basis, lines: list) -> dict:
+    """Number the basis in repr order: append a line 'i<TAB>repr' for each
+    element and return the element -> i map."""
+    named = sorted(((repr(g), g) for g in basis), key=lambda pair: pair[0])
+    lines += [f"{i}\t{r}\n" for i, (r, _) in enumerate(named)]
+    return {g: i for i, (_, g) in enumerate(named)}
 
 
 def cmd_validate(args, out) -> int:
@@ -139,11 +146,9 @@ def cmd_join(args, out) -> int:
     except (StructureError, ChainComplexError) as e:
         raise CliError(str(e), 2)
     lines = [_header(args), "# domain basis\n"]
-    dom = {g: i for i, g in enumerate(sorted(inst.domain.basis, key=repr))}
-    cod = {g: i for i, g in enumerate(sorted(inst.codomain.basis, key=repr))}
-    lines += [f"{i}\t{g!r}\n" for g, i in sorted(dom.items(), key=lambda kv: kv[1])]
+    dom = _numbered(inst.domain.basis, lines)
     lines.append("# codomain basis\n")
-    lines += [f"{i}\t{g!r}\n" for g, i in sorted(cod.items(), key=lambda kv: kv[1])]
+    cod = _numbered(inst.codomain.basis, lines)
     lines.append("# matrix (row col) triplets, value 1\n")
     trips = sorted((cod[r], dom[c]) for (r, c) in inst.matrix.nonzero)
     lines += [f"{r}\t{c}\n" for r, c in trips]
@@ -153,7 +158,7 @@ def cmd_join(args, out) -> int:
 
 def cmd_double(args, out) -> int:
     from .ainf import StructureError
-    from .gf2 import ChainComplexError
+    from .gf2 import ChainComplexError, rank
     from .join import diagonal
 
     z = _load_diagram(args.diagram)
@@ -163,15 +168,14 @@ def cmd_double(args, out) -> int:
     except (StructureError, ChainComplexError) as e:
         raise CliError(str(e), 2)
     lines = [_header(args), f"# double complex dim {c.dim}\n"]
-    basis = {g: i for i, g in enumerate(sorted(c.basis, key=repr))}
-    lines += [f"{i}\t{g!r}\n" for g, i in sorted(basis.items(), key=lambda kv: kv[1])]
+    basis = _numbered(c.basis, lines)
     lines.append("# differential triplets\n")
     trips = sorted((basis[r], basis[c2]) for (r, c2) in c.differential.nonzero)
     lines += [f"{r}\t{cc}\n" for r, cc in trips]
     lines.append("# diagonal cycle\n")
-    lines.append(",".join(str(basis[g]) for g in sorted(vec, key=repr)) + "\n")
-    dim, _ = homology(c)
-    lines.append(f"# homology dimension: {dim}\n")
+    lines.append(",".join(map(str, sorted(basis[g] for g in vec))) + "\n")
+    # diagonal has checked d^2 = 0, so dim H = dim ker d - rank d = dim - 2 rank d.
+    lines.append(f"# homology dimension: {c.dim - 2 * rank(c.differential)}\n")
     out.write("".join(lines))
     return 0
 
@@ -215,6 +219,8 @@ def cmd_nice(args, out) -> int:
     return 2
 
 
+# The suites of `check`, in the order `all` runs them; suite NAME is the
+# function _suite_NAME, looked up when it runs.
 SUITES = ("dga", "variants", "structures", "join", "nice", "sfh", "homotopy")
 
 
@@ -353,37 +359,41 @@ def _suite_nice(z, am, rng) -> list:
 def _suite_sfh(z, am, rng) -> list:
     from .ainf import StructureError
     from .sfh import alg_as_right_module, block_homology, m_H, mu_H
-    from .gf2 import ChainComplexGf2, Gf2Matrix
+    from .gf2 import ChainComplexError, ChainComplexGf2, Gf2Matrix, rank
 
     failures = []
     subsets = list(am.all_idempotent_subsets())
-    blocks = [block_homology(am, gamma_block(am, I, J))[0] for I in subsets for J in subsets]
-    basis = tuple(range(am.dim))
-    d = Gf2Matrix.from_columns(basis, basis, am.diff_table)
-    total, _ = homology(ChainComplexGf2(basis, d))
-    if sum(map(len, blocks)) != total:
-        failures.append("block dimensions do not sum to the homology dimension")
-    u = alg_as_right_module(am)
-    try:
+    try:  # a complex whose d^2 or a module whose structure equation fails
+        blocks = [block_homology(am, gamma_block(am, I, J))[0] for I in subsets for J in subsets]
+        basis = tuple(range(am.dim))
+        c = ChainComplexGf2(basis, Gf2Matrix.from_columns(basis, basis, am.diff_table))
+        c.check_d_squared()
+        if sum(map(len, blocks)) != c.dim - 2 * rank(c.differential):
+            failures.append("block dimensions do not sum to the homology dimension")
+        u = alg_as_right_module(am)
         for I in subsets:
             for J in subsets:
                 m_H(u, I, J)
                 for K in subsets:
                     mu_H(am, I, J, K)
-    except StructureError as e:
+    except (StructureError, ChainComplexError) as e:
         failures.append(str(e))
     return failures
 
 
-def _suite_homotopy(z, am, rng, max_len=4):
+def _suite_homotopy(z, am, rng) -> list:
     """Seeded plant-and-recover runs of the bounded homotopy search."""
-    from .ainf import Morphism, _morphism_slots, bounded_homotopy_search, morphism_diff, zero_morphism
+    from .ainf import Morphism, StructureError, _morphism_slots, bounded_homotopy_search
+    from .ainf import morphism_diff, zero_morphism
     from .standard_models import left_module_from_right_idem
 
+    max_len = 4
+    try:  # A.iota_{} is one generator with an empty table, so plant on A.iota_{1}.
+        M = left_module_from_right_idem(am, {1} if am.k else ())
+    except StructureError as e:
+        return [str(e)]
+    slots = _morphism_slots(M, M, max_len - 1)
     failures = []
-    # A.iota_{} is one generator with an empty table, so plant on A.iota_{1}.
-    M = left_module_from_right_idem(am, {1} if am.k else ())
-    slots = _morphism_slots(M, M, max(1, max_len - 1))
     if not slots:
         return failures
     for trial in range(5):
@@ -402,24 +412,12 @@ def cmd_check(args, out) -> int:
     z = _load_diagram(args.diagram)
     am = enumerate_basis(z)
     rng = random.Random(args.seed)
-    suites = SUITES if args.suite == "all" else (args.suite,)
-    registry = {
-        "dga": _suite_dga,
-        "variants": _suite_variants,
-        "structures": _suite_structures,
-        "join": _suite_join,
-        "nice": _suite_nice,
-        "sfh": _suite_sfh,
-        "homotopy": lambda z_, am_, rng_: _suite_homotopy(
-            z_, am_, rng_, args.max_homotopy_len
-        ),
-    }
     lines = [_header(args)]
     bad = False
     try:
-        for name in suites:
+        for name in SUITES if args.suite == "all" else (args.suite,):
             try:
-                failures = registry[name](z, am, rng)
+                failures = globals()[f"_suite_{name}"](z, am, rng)
             except NotApplicable as e:
                 lines.append(f"{name}: not applicable ({e})\n")
                 continue
@@ -439,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="strandjoin",
         description="strands algebras, bimodules, and join/gluing maps over Z/2",
     )
-    ap.add_argument("--max-homotopy-len", type=int, default=4)
     ap.add_argument("--seed", type=int, default=0)
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -116,11 +116,6 @@ class Gf2Matrix(Frozen):
                 entries.add((r, c))
         return Gf2Matrix(self.rows, other.cols, frozenset(entries))
 
-    def __add__(self, other: "Gf2Matrix") -> "Gf2Matrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("addition shape mismatch")
-        return Gf2Matrix(self.rows, self.cols, self.nonzero ^ other.nonzero)
-
     def transpose(self) -> "Gf2Matrix":
         return Gf2Matrix(self.cols, self.rows, frozenset((c, r) for r, c in self.nonzero))
 
@@ -205,10 +200,9 @@ def _rref(rows: Iterable[int]) -> tuple[list[int], list[int]]:
 
 
 def rank(m: Gf2Matrix) -> int:
-    """Exact GF(2) rank."""
-    if not m.nonzero:
-        return 0
-    return len(_rref(_packed_rows(m).values())[1])
+    """Exact GF(2) rank: the number of pivots, without back-substitution."""
+    pivots: dict = {}
+    return sum(_insert(pivots, v) for v in _packed_rows(m).values())
 
 
 def solve(m: Gf2Matrix, b: frozenset) -> frozenset | None:

@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 from operator import itemgetter, lshift
 
 from .arc_diagram import ArcDiagram, reverse, flip_type, validate
-from .gf2 import ChainComplexGf2, Frozen, Gf2Matrix, homology, vsum
+from .gf2 import ChainComplexGf2, Frozen, Gf2Matrix, rank, vsum
 
 
 class ABasisElem(Frozen):
@@ -422,12 +422,13 @@ def gamma_block(am: AlgebraModel, I, J) -> ChainComplexGf2:
 
 
 def homology_blocks(am: AlgebraModel) -> dict:
-    """(I, J) -> homology dimension of the corresponding block."""
+    """(I, J) -> homology dimension of the corresponding block, dim - 2 rank d."""
     out = {}
     for I in am.all_idempotent_subsets():
         for J in am.all_idempotent_subsets():
-            dim, _ = homology(gamma_block(am, I, J))
-            out[(I, J)] = dim
+            c = gamma_block(am, I, J)
+            c.check_d_squared()
+            out[(I, J)] = c.dim - 2 * rank(c.differential)
     return out
 
 

@@ -431,6 +431,41 @@ def test_bounded_homotopy_search_builds_no_morphism_per_slot(am2, monkeypatch):
     assert len(built) <= 2
 
 
+@pytest.mark.parametrize(
+    "fixture, I, J",
+    [("am1", {1}, {1}), ("am2", {1}, {1}), ("am2", {1}, {2}), ("am3", {1}, {1})],
+    ids=["Z1", "Z2", "Z2-1-to-2", "R3"],
+)
+def test_bounded_homotopy_search_groups_the_tables_once(request, monkeypatch, fixture, I, J):
+    # The same matrix and answer as the route that regroups the source's and
+    # target's tables for every slot's differential, with both grouped once.
+    from strandjoin import ainf
+    from strandjoin.gf2 import Gf2Matrix, solve
+
+    am = request.getfixturevalue(fixture)
+    src, dst = left_module_from_right_idem(am, I), left_module_from_right_idem(am, J)
+    slots = _morphism_slots(src, dst, 4)
+    planted = random.Random(5).sample(slots, min(3, len(slots)))
+    f = morphism_diff(Morphism(src, dst, {k: {v} for k, v in planted}))
+    target = ainf._atoms(f.table)
+    images = {
+        i: ainf._atoms(ainf._diff_table(src, dst, {k: {v}})) for i, (k, v) in enumerate(slots)
+    }
+    rows = sorted(target.union(*images.values()), key=repr)
+    want = Gf2Matrix.from_columns(rows, range(len(slots)), images)
+    answer: dict = {}
+    for i in solve(want, target):
+        ainf._add(answer, *slots[i])
+    solved, grouped = [], []
+    real_solve, real_group = ainf.solve, ainf._by_generator
+    monkeypatch.setattr(ainf, "solve", lambda m, b: solved.append(m) or real_solve(m, b))
+    monkeypatch.setattr(ainf, "_by_generator", lambda t: grouped.append(t) or real_group(t))
+    H = bounded_homotopy_search(f, zero_morphism(src, dst), 4)
+    assert solved == [want] and H.table == Morphism(src, dst, answer).table
+    # src's and dst's tables once, and each one-entry slot table once.
+    assert len(grouped) == 2 + len(slots)
+
+
 def test_bounded_homotopy_search_obstruction(am1):
     M = left_module_from_right_idem(am1, {1})
     ident = identity_morphism(M)

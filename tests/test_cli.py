@@ -170,6 +170,8 @@ def test_seed_appears_in_header(files):
 def test_bad_flags_exit_one(files, capsys):
     rc, _ = _run(["--max-homotopy-len", "nope", "blocks", files["Z1"]])
     assert rc == 1
+    rc, _ = _run(["--seed", "nope", "blocks", files["Z1"]])
+    assert rc == 1
 
 
 def test_check_all_on_z2(files):
@@ -361,3 +363,92 @@ def test_check_homotopy_plants_a_nonzero_differential(monkeypatch):
     assert _suite_homotopy(Z2, enumerate_basis(Z2), Random(0)) == []
     assert len(planted) == 5
     assert not all(f.is_zero() for f in planted)
+
+
+@pytest.mark.parametrize(
+    "suite, name", [("sfh", "A_r"), ("homotopy", "A.i[1]"), ("sfh", "A.i[1]")]
+)
+def test_suites_report_a_failing_model(files, monkeypatch, suite, name):
+    # The right module of the sfh suite; the module the homotopy suite plants
+    # on, which the sfh suite's joins of caps also build.
+    from conftest import forget_models
+
+    forget_models(enumerate_basis(Z2))
+    witness = ((), "w", ())
+    _failing_check(monkeypatch, name, witness)
+    rc, out = _run(["check", files["Z2"], suite])
+    assert rc == 2
+    assert out.endswith(f"{suite}: FAIL\n  {name}: structure equation fails at {witness}\n")
+
+
+def test_sfh_suite_reports_a_failing_d_squared(files, monkeypatch):
+    from conftest import forget_models
+    from strandjoin.gf2 import ChainComplexError, ChainComplexGf2
+
+    def fail(c):
+        raise ChainComplexError("d^2 != 0")
+
+    forget_models(enumerate_basis(Z2))
+    monkeypatch.setattr(ChainComplexGf2, "check_d_squared", fail)
+    rc, out = _run(["check", files["Z2"], "sfh"])
+    assert rc == 2 and out.endswith("sfh: FAIL\n  d^2 != 0\n")
+
+
+def _counting_homology(monkeypatch) -> dict:
+    """Count the calls of gf2.homology, wherever it is bound, and list the
+    complexes ChainComplexGf2.check_d_squared is called on."""
+    import strandjoin.gf2 as gf2
+
+    calls = {"homology": 0, "d_squared": []}
+    real_homology, real_check = gf2.homology, gf2.ChainComplexGf2.check_d_squared
+
+    def homology(c):
+        calls["homology"] += 1
+        return real_homology(c)
+
+    def check_d_squared(c):
+        calls["d_squared"].append(c)
+        real_check(c)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("strandjoin") and getattr(module, "homology", None) is real_homology:
+            monkeypatch.setattr(module, "homology", homology)
+    monkeypatch.setattr(gf2.ChainComplexGf2, "check_d_squared", check_d_squared)
+    return calls
+
+
+def test_blocks_and_double_read_dimensions_off_one_rank(files, monkeypatch):
+    # No cycle representatives are built, and each complex's d^2 is checked
+    # once: one complex per block, and the double.
+    from conftest import forget_models
+
+    am = enumerate_basis(Z2)
+    forget_models(am)
+    calls = _counting_homology(monkeypatch)
+    rc, _ = _run(["blocks", files["Z2"]])
+    checked = calls["d_squared"]
+    blocks = len(list(am.all_idempotent_subsets())) ** 2
+    assert rc == 0 and calls["homology"] == 0
+    assert len(checked) == len({id(c) for c in checked}) == blocks
+    checked.clear()
+    rc, _ = _run(["double", files["Z2"], "amod:{1}"])
+    assert rc == 0 and calls["homology"] == 0 and len(checked) == 1
+
+
+@pytest.mark.parametrize("z", [Z1, Z2], ids=["Z1", "Z2"])
+def test_double_dimension_matches_homology(tmp_path, z):
+    # The printed dim - 2 rank d against the homology of the same complex.
+    from strandjoin.gf2 import homology
+    from strandjoin.join import diagonal
+    from strandjoin.standard_models import parse_descriptor
+
+    path = tmp_path / "z.arcd"
+    path.write_text(serialize(z))
+    am = enumerate_basis(z)
+    for I in am.all_idempotent_subsets():
+        for form in ("amod:", "elementary:A:"):
+            desc = form + "{" + ",".join(map(str, sorted(I))) + "}"
+            rc, out = _run(["double", str(path), desc])
+            assert rc == 0
+            want = homology(diagonal(parse_descriptor(am, desc))[0])[0]
+            assert out.endswith(f"# homology dimension: {want}\n")

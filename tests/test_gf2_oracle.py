@@ -1,6 +1,7 @@
 """Differential tests: the packed-int GF(2) kernel against the dense numpy oracle."""
 
 import os
+import random
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import gf2_oracle
 from strandjoin.arc_diagram import Z1, Z2, ArcDiagram, serialize
-from strandjoin.gf2 import ChainComplexGf2, Gf2Matrix, homology, rank, solve
+from strandjoin.gf2 import ChainComplexGf2, Gf2Matrix, _packed_rows, _rref, homology, rank, solve
 from strandjoin.join import diagonal
 from strandjoin.standard_models import gamma_block, parse_descriptor
 from strandjoin.strands import enumerate_basis
@@ -44,6 +45,18 @@ def matrices(draw, max_side=9):
 @given(matrices())
 def test_rank_matches_oracle(m):
     assert rank(m) == gf2_oracle.rank(m)
+
+
+def test_rank_counts_the_pivots_of_the_rref_on_seeded_matrices():
+    # rank stops at the echelon form; _rref back-substitutes to the same pivots.
+    rng = random.Random(31)
+    for _ in range(300):
+        nr, nc = rng.randint(0, 40), rng.randint(0, 40)
+        density = rng.choice((0.02, 0.1, 0.3, 0.5))
+        rows, cols = range(nr), range(nc)
+        m = Gf2Matrix(rows, cols, {(r, c) for r in rows for c in cols if rng.random() < density})
+        pivots = len(_rref(_packed_rows(m).values())[1])
+        assert rank(m) == pivots == gf2_oracle.rank(m)
 
 
 @settings(max_examples=200, deadline=None)

@@ -171,6 +171,14 @@ def test_sfh_suite_passes_on_random_diagrams():
         assert _suite_sfh(z, enumerate_basis(z), random.Random(0)) == []
 
 
+def test_block_dimensions_match_homology(am0, am1, am2, am3):
+    # homology_blocks reads dim - 2 rank d; homology eliminates for cycles too.
+    for am in [am0, am1, am2, am3] + [enumerate_basis(z) for z in SWEEP]:
+        subsets = list(am.all_idempotent_subsets())
+        want = {(I, J): homology(gamma_block(am, I, J))[0] for I in subsets for J in subsets}
+        assert homology_blocks(am) == want
+
+
 def _suite_on_fresh_algebra(z, monkeypatch):
     """Run the sfh suite on a fresh algebra model of z, counting the calls of
     m_H, mu_H, join_general and gf2.homology and the builds of the
