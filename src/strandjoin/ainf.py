@@ -32,7 +32,7 @@ equation and make the cancellation morphism a cycle).
 
 from __future__ import annotations
 
-from .gf2 import ChainComplexGf2, Gf2Matrix, solve
+from .gf2 import ChainComplexGf2, Gf2Matrix, span_coordinates, tagged_span
 from .strands import AlgebraModel
 
 KINDS = ("AA", "DA", "AD", "DD")
@@ -203,15 +203,11 @@ def _scalar_matrix(f, src: ModuleStructure, dst: ModuleStructure) -> Gf2Matrix:
 # -- chained input enumeration ------------------------------------------------
 
 
-def _nonidem(alg: AlgebraModel) -> list[int]:
-    return [i for i in range(alg.dim) if not alg.is_idempotent_elem(i)]
-
-
 def _chains_into(alg: AlgebraModel, inner: frozenset, max_len: int) -> list[tuple]:
     """Tuples (a_1..a_i), i <= max_len, idempotent-chained with a_i's right idem = inner."""
     out: list[tuple] = [()]
     layer: list[tuple] = [()]
-    cands = _nonidem(alg)
+    cands = [i for i in range(alg.dim) if not alg.is_idempotent_elem(i)]
     for _ in range(max_len):
         nxt = []
         for chain in layer:
@@ -428,16 +424,6 @@ class Morphism:
     def is_zero(self) -> bool:
         return not self.table
 
-    def __add__(self, other: "Morphism") -> "Morphism":
-        if self.src is not other.src or self.dst is not other.dst:
-            raise StructureError("morphism addition endpoint mismatch")
-        keys = set(self.table) | set(other.table)
-        table = {
-            k: self.table.get(k, frozenset()) ^ other.table.get(k, frozenset())
-            for k in keys
-        }
-        return Morphism(self.src, self.dst, table)
-
 
 def identity_morphism(m: ModuleStructure) -> Morphism:
     A, B = m.left_alg, m.right_alg
@@ -453,18 +439,15 @@ def zero_morphism(src: ModuleStructure, dst: ModuleStructure) -> Morphism:
     return Morphism(src, dst, {})
 
 
-def _diff_sums(src: ModuleStructure, dst: ModuleStructure, table: dict, grouped=None):
-    """`_sums` of the differential of a morphism table from src to dst; `grouped`
-    is src's and dst's tables grouped by generator, when the caller has them."""
-    src_at, dst_at = grouped or (_by_generator(src.table), _by_generator(dst.table))
-    at = _by_generator(table)
+def _diff_sums(src: ModuleStructure, dst: ModuleStructure, table: dict):
+    """`_sums` of the differential of a morphism table from src to dst."""
+    src_at, dst_at, at = _by_generator(src.table), _by_generator(dst.table), _by_generator(table)
     return _sums(src.gens, [(src_at, at), (at, dst_at)], at, src.left_alg, src.right_alg)
 
 
-def _diff_table(src: ModuleStructure, dst: ModuleStructure, table: dict, grouped=None) -> dict:
+def _diff_table(src: ModuleStructure, dst: ModuleStructure, table: dict) -> dict:
     """The table of the differential of a morphism table from src to dst."""
-    sums = _diff_sums(src, dst, table, grouped)
-    return {key: outs for per_gen in sums for key, outs in per_gen.items()}
+    return {key: outs for per_gen in _diff_sums(src, dst, table) for key, outs in per_gen.items()}
 
 
 def morphism_diff(f: Morphism) -> Morphism:
@@ -481,24 +464,14 @@ def is_homomorphism(f: Morphism) -> bool:
 
 
 def _morphism_slots(src: ModuleStructure, dst: ModuleStructure, max_len: int) -> list:
-    """All idempotent-compatible (key, atom) pairs with input length <= max_len.
-
-    Ordered by generator, left inputs, right inputs, left output, right output
-    and target generator.
-    """
-    kind = src.kind
-    A, B = src.left_alg, src.right_alg
-    slots = []
+    """All idempotent-compatible (key, atom) pairs with input length <= max_len, ordered
+    by generator, left inputs, right inputs, left output, right output and target."""
+    kind, A, B, slots = src.kind, src.left_alg, src.right_alg, []
     for g in src.gens:
         lefts = _chains_into(A, src.lidem[g], max_len) if kind[0] == "A" and A else [()]
         for argsL in lefts:
-            rights = (
-                _chains_from(B, src.ridem[g], max_len - len(argsL))
-                if kind[1] == "A" and B
-                else [()]
-            )
-            for argsR in rights:
-                key = (argsL, g, argsR)
+            right_len = max_len - len(argsL)
+            for argsR in _chains_from(B, src.ridem[g], right_len) if kind[1] == "A" and B else [()]:
                 li = _chain_end(A, argsL, src.lidem[g], 0)
                 ri = _chain_end(B, argsR, src.ridem[g], 2)
                 louts = [a for a in range(A.dim) if A.left_idem[a] == li] if kind[0] == "D" else [None]
@@ -509,32 +482,63 @@ def _morphism_slots(src: ModuleStructure, dst: ModuleStructure, max_len: int) ->
                         yri = ri if b is None else B.left_idem[b]
                         for y in dst.gens:
                             if dst.lidem[y] == yli and dst.ridem[y] == yri:
-                                slots.append((key, (a, y, b)))
+                                slots.append(((argsL, g, argsR), (a, y, b)))
     return slots
 
 
-def _atoms(table: dict) -> frozenset:
-    return frozenset((key, v) for key, outs in table.items() for v in outs)
+def _reaching(m: ModuleStructure) -> dict:
+    """g -> the set of generators where a morphism entry at g can have a
+    nonzero differential: g and each generator with an entry of m into g."""
+    into: dict = {g: {g} for g in m.gens}
+    for (_, h, _), outs in m.table.items():
+        for _, y, _ in outs:
+            into[y].add(h)
+    return into
+
+
+def _slot_images(src: ModuleStructure, dst: ModuleStructure, slots: list):
+    """Each slot's differential as a list of atoms (key, output), summed only where
+    `_reaching` allows and sorted by generator positions and inputs, not hashes."""
+    src_at, dst_at = _by_generator(src.table), _by_generator(dst.table)
+    reach, A, B = _reaching(src), src.left_alg, src.right_alg
+    gpos, ypos = ({g: i for i, g in enumerate(m.gens)} for m in (src, dst))
+    for key, val in slots:
+        at = {key[1]: [(key, (val,))]}
+        sums = _sums(reach[key[1]], [(src_at, at), (at, dst_at)], at, A, B)
+        atoms = [(k, v) for per_gen in sums for k, outs in per_gen.items() for v in outs]
+        yield sorted(atoms, key=lambda t: (gpos[t[0][1]], t[0], t[1][0], ypos[t[1][1]], t[1][2]))
+
+
+def homotopy_solver(src: ModuleStructure, dst: ModuleStructure, max_len: int):
+    """The map from a morphism table t from src to dst to an H of input length
+    <= max_len with dH = t, or to None, which is inconclusive.  The slots'
+    images are listed and eliminated once, each tagged with its slot."""
+    slots = _morphism_slots(src, dst, max_len)
+    index: dict = {}
+    images = _slot_images(src, dst, slots)
+    supports = [[index.setdefault(a, len(index)) for a in atoms] for atoms in images]
+    n = len(index)
+    pivots = tagged_span(supports, n)
+
+    def solve(t: dict) -> Morphism | None:
+        atoms = {(key, v) for key, outs in t.items() for v in outs}
+        if not atoms <= index.keys():  # outside every slot's image
+            return None
+        tags = span_coordinates(pivots, n, sum(1 << index[a] for a in atoms))
+        if tags is None:
+            return None
+        table: dict = {}
+        for i in tags:
+            _add(table, *slots[i])
+        return Morphism(src, dst, table)
+
+    return solve
 
 
 def bounded_homotopy_search(f: Morphism, g: Morphism, max_len: int) -> Morphism | None:
     """Search for H with dH = f - g among morphisms of input length <= max_len.
-
-    A None result is inconclusive: it never certifies that f and g are not
-    homotopic.
-    """
-    target = _atoms((f + g).table)
-    slots = _morphism_slots(f.src, f.dst, max_len)
-    grouped = _by_generator(f.src.table), _by_generator(f.dst.table)
-    images = {
-        idx: _atoms(_diff_table(f.src, f.dst, {key: {val}}, grouped))
-        for idx, (key, val) in enumerate(slots)
-    }
-    rows = sorted(target.union(*images.values()), key=repr)
-    sol = solve(Gf2Matrix.from_columns(rows, range(len(slots)), images), target)
-    if sol is None:
-        return None
-    table: dict = {}
-    for idx in sol:
-        _add(table, *slots[idx])
-    return Morphism(f.src, f.dst, table)
+    A None result is inconclusive: it never certifies that f and g are not homotopic."""
+    if f.src is not g.src or f.dst is not g.dst:
+        raise StructureError("morphism endpoints differ")
+    t = {k: f.table.get(k, frozenset()) ^ g.table.get(k, frozenset()) for k in f.table | g.table}
+    return homotopy_solver(f.src, f.dst, max_len)(t)

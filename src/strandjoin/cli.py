@@ -382,9 +382,8 @@ def _suite_sfh(z, am, rng) -> list:
 
 
 def _suite_homotopy(z, am, rng) -> list:
-    """Seeded plant-and-recover runs of the bounded homotopy search."""
-    from .ainf import Morphism, StructureError, _morphism_slots, bounded_homotopy_search
-    from .ainf import morphism_diff, zero_morphism
+    """Seeded plant-and-recover trials, all solved by one homotopy solver."""
+    from .ainf import Morphism, StructureError, _morphism_slots, homotopy_solver, morphism_diff
     from .standard_models import left_module_from_right_idem
 
     max_len = 4
@@ -393,14 +392,13 @@ def _suite_homotopy(z, am, rng) -> list:
     except StructureError as e:
         return [str(e)]
     slots = _morphism_slots(M, M, max_len - 1)
-    failures = []
     if not slots:
-        return failures
+        return []
+    solve, failures = homotopy_solver(M, M, max_len), []
     for trial in range(5):
         picks = rng.sample(slots, k=min(3, len(slots)))
-        H0 = Morphism(M, M, {k: {v} for k, v in picks})
-        f = morphism_diff(H0)
-        H = bounded_homotopy_search(f, zero_morphism(M, M), max_len)
+        f = morphism_diff(Morphism(M, M, {k: {v} for k, v in picks}))
+        H = solve(f.table)
         if H is None or morphism_diff(H).table != f.table:
             failures.append(f"plant-and-recover trial {trial} failed")
     return failures

@@ -10,6 +10,7 @@ reproducible across runs.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Hashable, Iterable, Sequence
 from functools import cached_property
 
@@ -161,19 +162,37 @@ def _bit_indices(v: int) -> list[int]:
     return out
 
 
-def _insert(pivots: dict, v: int) -> bool:
-    """Reduce v by the rows in `pivots` (keyed by lowest set bit) and add the rest.
-
-    Returns whether v was outside their span.
-    """
-    while v:
-        p = (v & -v).bit_length() - 1
+def _insert(pivots: dict, v: int, n: int = sys.maxsize) -> bool:
+    """Reduce v by the rows in `pivots` (keyed by lowest set bit) and add the rest
+    if its lowest set bit is below n; returns whether it was added."""
+    while v and (p := (v & -v).bit_length() - 1) < n:
         w = pivots.get(p)
         if w is None:
             pivots[p] = v
             return True
         v ^= w
     return False
+
+
+def tagged_span(supports: Sequence[Sequence[int]], n: int) -> dict:
+    """Pivots for `span_coordinates`: the vectors with these sets of bits, all
+    below bit n, eliminated once, the i-th tagged with bit n + i."""
+    pivots: dict = {}
+    for i, s in enumerate(supports):
+        _insert(pivots, sum(1 << j for j in s) | 1 << (n + i), n)
+    return pivots
+
+
+def span_coordinates(pivots: dict, n: int, v: int) -> list[int] | None:
+    """The tags of the pivots' rows that sum to v, a vector below bit n, or
+    None if v is outside their span."""
+    low = (1 << n) - 1
+    while v & low:
+        w = pivots.get((v & -v).bit_length() - 1)
+        if w is None:
+            return None
+        v ^= w
+    return _bit_indices(v >> n)
 
 
 def _rref(rows: Iterable[int]) -> tuple[list[int], list[int]]:
@@ -203,24 +222,6 @@ def rank(m: Gf2Matrix) -> int:
     """Exact GF(2) rank: the number of pivots, without back-substitution."""
     pivots: dict = {}
     return sum(_insert(pivots, v) for v in _packed_rows(m).values())
-
-
-def solve(m: Gf2Matrix, b: frozenset) -> frozenset | None:
-    """Return some x with m @ x = b, or None if the system is inconsistent.
-
-    Free variables are set to 0; the solution is deterministic in the
-    declared column order.
-    """
-    rows = _packed_rows(m)
-    n = len(m.cols)
-    for k in b:
-        if k not in rows:
-            raise ValueError(f"rhs key {k!r} not in row space")
-        rows[k] |= 1 << n
-    red, piv = _rref(rows.values())
-    if piv and piv[-1] == n:
-        return None
-    return frozenset(m.cols[c] for v, c in zip(red, piv) if v >> n & 1)
 
 
 class ChainComplexError(ValueError):
@@ -301,17 +302,13 @@ def homology_coordinates(c: ChainComplexGf2, reps: list[frozenset]):
         _insert(pivots, col)
     for i, rep in enumerate(reps):
         _insert(pivots, sum(1 << index[k] for k in rep) | 1 << (n + i))
-    low = (1 << n) - 1
 
     def coordinates(z: frozenset) -> list[int]:
         if any(k not in index for k in z):
             raise ValueError("vector has keys outside the complex's basis")
-        v = sum(1 << index[k] for k in z)
-        while v & low:
-            w = pivots.get((v & -v).bit_length() - 1)
-            if w is None:
-                raise ValueError("vector is not a cycle")
-            v ^= w
-        return _bit_indices(v >> n)
+        tags = span_coordinates(pivots, n, sum(1 << index[k] for k in z))
+        if tags is None:
+            raise ValueError("vector is not a cycle")
+        return tags
 
     return coordinates

@@ -349,20 +349,22 @@ def test_double_reports_a_failing_d_squared(files, monkeypatch):
 
 
 def test_check_homotopy_plants_a_nonzero_differential(monkeypatch):
+    # The suite builds one solver and hands it five planted targets.
     from strandjoin import ainf
     from strandjoin.cli import _suite_homotopy
 
-    planted = []
-    real = ainf.bounded_homotopy_search
+    solvers, targets = [], []
+    real = ainf.homotopy_solver
 
-    def recording(f, g, max_len):
-        planted.append(f)
-        return real(f, g, max_len)
+    def recording(src, dst, max_len):
+        solve = real(src, dst, max_len)
+        solvers.append(solve)
+        return lambda t: targets.append(t) or solve(t)
 
-    monkeypatch.setattr(ainf, "bounded_homotopy_search", recording)
+    monkeypatch.setattr(ainf, "homotopy_solver", recording)
     assert _suite_homotopy(Z2, enumerate_basis(Z2), Random(0)) == []
-    assert len(planted) == 5
-    assert not all(f.is_zero() for f in planted)
+    assert len(solvers) == 1 and len(targets) == 5
+    assert any(targets)
 
 
 @pytest.mark.parametrize(

@@ -8,8 +8,18 @@ from strandjoin.gf2 import (
     Gf2Matrix,
     homology,
     rank,
-    solve,
+    span_coordinates,
+    tagged_span,
 )
+
+
+def span_solve(m: Gf2Matrix, b: frozenset):
+    """Some x with m @ x = b, read off the tagged span of m's columns, or None."""
+    index = {r: i for i, r in enumerate(m.rows)}
+    n = len(m.rows)
+    pivots = tagged_span([[index[r] for r in m.column(c)] for c in m.cols], n)
+    tags = span_coordinates(pivots, n, sum(1 << index[r] for r in b))
+    return None if tags is None else frozenset(m.cols[i] for i in tags)
 
 
 def test_vector_addition_is_symmetric_difference():
@@ -35,16 +45,16 @@ def test_rank_dependent_rows():
 
 
 def test_solve_identity_and_zero():
-    assert solve(Gf2Matrix.identity(("c1",)), frozenset({"c1"})) == {"c1"}
+    assert span_solve(Gf2Matrix.identity(("c1",)), frozenset({"c1"})) == {"c1"}
     z = Gf2Matrix.zero(("c1",), ("c1",))
-    assert solve(z, frozenset({"c1"})) is None
+    assert span_solve(z, frozenset({"c1"})) is None
 
 
 def test_solve_underdetermined():
     m = Gf2Matrix(("r1",), ("c1", "c2"), {("r1", "c1"), ("r1", "c2")})
-    x = solve(m, frozenset({"r1"}))
-    assert x is not None
-    assert m.apply(x) == {"r1"}
+    # c2 lies in the span of c1, so it adds no pivot and the answer is {c1}.
+    assert span_solve(m, frozenset({"r1"})) == {"c1"}
+    assert list(tagged_span([[0], [0]], 1).values()) == [0b011]
 
 
 def test_homology_single_generator():
@@ -98,7 +108,7 @@ def test_solve_agrees_with_rank_criterion(bits, bbits):
     m = Gf2Matrix(rows, cols, nz)
     b = frozenset(rows[i] for i in range(4) if bbits >> i & 1)
     aug = Gf2Matrix(rows, cols + ("_b",), nz | {(r, "_b") for r in b})
-    x = solve(m, b)
+    x = span_solve(m, b)
     if rank(aug) == rank(m):
         assert x is not None and m.apply(x) == b
     else:

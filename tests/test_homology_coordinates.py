@@ -1,16 +1,18 @@
 """`gf2.homology_coordinates`: a cycle's class in the representative basis.
 
 A cycle built as a chosen sum of representatives plus boundaries has exactly
-the chosen indices as coordinates, and the coordinates equal the h-part of a
-`solve` against [representatives | image of d], the system the map replaces.
+the chosen indices as coordinates, and the coordinates equal the h-part of the
+dense oracle's solution of [representatives | image of d], the system the map
+replaces.
 """
 
 import random
 
 import pytest
 
+import gf2_oracle
 from strandjoin.arc_diagram import Z1, Z2
-from strandjoin.gf2 import Gf2Matrix, homology, homology_coordinates, solve
+from strandjoin.gf2 import Gf2Matrix, homology, homology_coordinates
 from strandjoin.standard_models import gamma_block
 from strandjoin.strands import enumerate_basis
 from test_gf2_oracle import R3
@@ -20,7 +22,7 @@ def _solve_coordinates(c, reps, z) -> list[int]:
     cols = [("h", i) for i in range(len(reps))] + [("b", b) for b in c.basis]
     images = {("h", i): v for i, v in enumerate(reps)}
     images.update({("b", b): c.differential.column(b) for b in c.basis})
-    x = solve(Gf2Matrix.from_columns(c.basis, cols, images), z)
+    x = gf2_oracle.solve(Gf2Matrix.from_columns(c.basis, cols, images), z)
     return sorted(k[1] for k in x if k[0] == "h")
 
 
