@@ -57,13 +57,15 @@ def _require_left_d(V: ModuleStructure):
 
 def _d_chain_ends(D: ModuleStructure, kmax: int, side: int) -> dict:
     """D's chains on its type-D side (0 = left, 2 = right) by the input tuple
-    they fill: bseq -> [(d0, ends)], ends the d_end reached from d0 an odd
-    number of times (starts with none are left out)."""
+    they fill and their start's idempotent on that side: (bseq, idem) ->
+    [(d0, ends)], ends the d_end reached from d0 an odd number of times
+    (starts with none are left out)."""
+    idem = D.lidem if side == 0 else D.ridem
     chains: dict = {}
     for (d0, seq), states in _d_chains(D, kmax, side).items():
         ends = [d for (_, _, d), par in states.items() if par]
         if ends:
-            chains.setdefault(seq, []).append((d0, ends))
+            chains.setdefault((seq, idem[d0]), []).append((d0, ends))
     return chains
 
 
@@ -78,9 +80,7 @@ def _sandwich(L: ModuleStructure, B: ModuleStructure, R: ModuleStructure) -> Mod
 def pair_bimodule(M: ModuleStructure) -> ModuleStructure:
     """M (x) M-dual as an (A, A)-bimodule, operations touching one side at a time."""
     _require_left_a(M)
-    P = ground_tensor(M, dualize(M))
-    P.name = f"({M.name}(x)dual)"
-    return validated(P)
+    return validated(ground_tensor(M, dualize(M, name="dual")))
 
 
 def _nabla_table(M: ModuleStructure) -> dict:
@@ -121,42 +121,44 @@ class JoinInstance:
         return lhs.nonzero == rhs.nonzero
 
 
-def join_general(U: ModuleStructure, M: ModuleStructure, V: ModuleStructure) -> JoinInstance:
-    """The chain-level join map id_U box nabla_M box id_V, for a bounded left
-    type-A module M.
+def join_columns(U: ModuleStructure, M: ModuleStructure, V: ModuleStructure) -> dict:
+    """The columns of the chain-level join map id_U box nabla_M box id_V, for a
+    bounded left type-A module M: {((u, p), (q, v)): set of (u2, a, v2)}.
 
-    A term of nabla's table with inputs (argsL, argsR) meets the chains of U
-    that fill argsL and those of V that fill argsR.
+    A term of nabla's table with inputs (argsL, (p, q), argsR) meets the chains
+    of U that fill argsL from a start with p's idempotent and those of V that
+    fill argsR from a start with q's, so each key is a generator of the domain
+    (U box M) (x) (M-dual box V) and no basis is built.
     """
     _require_right_d(U)
     _require_left_a(M)
     _require_left_d(V)
-    am = M.left_alg
-    if U.right_alg is not am or V.left_alg is not am:
+    if U.right_alg is not M.left_alg or V.left_alg is not M.left_alg:
         raise StructureError("join factors over different algebras")
-    domain = ground_tensor(box(U, M), box(dualize(M), V)).underlying_complex()
-    codomain = _sandwich(U, dual_alg_as_aa(am), V).underlying_complex()
-    cod_set = set(codomain.basis)
-    dom_set = set(domain.basis)
     table = _nabla_table(M)
     uchains = _d_chain_ends(U, max((len(k[0]) for k in table), default=0), 2)
     vchains = _d_chain_ends(V, max((len(k[2]) for k in table), default=0), 0)
-    images: dict = {}
+    columns: dict = {}
     for (argsL, (p, q), argsR), outs in table.items():
-        for u0, uends in uchains.get(argsL, ()):
-            for v0, vends in vchains.get(argsR, ()):
-                g = ((u0, p), (q, v0))
-                if g not in dom_set:
-                    continue
-                img = images.setdefault(g, set())
+        for u0, uends in uchains.get((argsL, M.lidem[p]), ()):
+            for v0, vends in vchains.get((argsR, M.lidem[q]), ()):
+                img = columns.setdefault(((u0, p), (q, v0)), set())
                 for _, mid, _ in outs:
                     for u2 in uends:
                         for v2 in vends:
-                            tgt = (u2, mid, v2)
-                            if tgt in cod_set:
-                                img ^= {tgt}
-    matrix = Gf2Matrix.from_columns(codomain.basis, domain.basis, images)
-    return JoinInstance(am, domain, codomain, matrix)
+                            img ^= {(u2, mid, v2)}
+    return columns
+
+
+def join_general(U: ModuleStructure, M: ModuleStructure, V: ModuleStructure) -> JoinInstance:
+    """The join map of join_columns with its domain (U box M) (x) (M-dual box V)
+    and its codomain U box A-dual box V as complexes."""
+    columns = join_columns(U, M, V)
+    am = M.left_alg
+    domain = ground_tensor(box(U, M), box(dualize(M), V)).underlying_complex()
+    codomain = _sandwich(U, dual_alg_as_aa(am), V).underlying_complex()
+    nonzero = ((r, c) for c, rows in columns.items() for r in rows)
+    return JoinInstance(am, domain, codomain, Gf2Matrix(codomain.basis, domain.basis, nonzero))
 
 
 # -- the double and the diagonal ------------------------------------------------------
@@ -281,7 +283,7 @@ def _identity_composite(U: ModuleStructure, M: ModuleStructure) -> Gf2Matrix:
     """(id x c_A x id) . Psi_M . (id (x) Delta_M) on U box I box M.
 
     U is read as a structureless right type-A module, so U box I is too, with
-    generators (u, x_K).  Psi_M is join_general against I box A box I box M;
+    generators (u, x_K).  Psi_M is join_columns against I box A box I box M;
     c_A keeps the codomain terms whose dual slot and middle algebra slot are
     idempotents and sends each to the basis element (u, K2, p2).
     """
@@ -292,7 +294,7 @@ def _identity_composite(U: ModuleStructure, M: ModuleStructure) -> Gf2Matrix:
     am = M.left_alg
     UA = validated(ModuleStructure("AA", None, am, U.gens, U.lidem, U.ridem, {}, name=U.name))
     UI = box(UA, dd_identity(am))
-    inst = join_general(UI, M, box(dd_middle(am), M))
+    psi = join_columns(UI, M, box(dd_middle(am), M))
     delta = _diagonal_terms(M)
     # The carrier of U box I box M: the identity bimodule bridges complementary
     # idempotents, so a generator (u, K, p) has ridem(u) = K and lidem(p) = full - K.
@@ -304,7 +306,7 @@ def _identity_composite(U: ModuleStructure, M: ModuleStructure) -> Gf2Matrix:
                 continue
             acc: frozenset = frozenset()
             for q, mid in delta:
-                for _, e, ((_, a2, K2), p2) in inst.matrix.column(((ui, p), (q, (mid, q)))):
+                for _, e, ((_, a2, K2), p2) in psi.get(((ui, p), (q, (mid, q))), ()):
                     if am.is_idempotent_elem(e) and am.is_idempotent_elem(a2):
                         acc ^= {(u, K2, p2)}
             images[(u, K, p)] = acc
@@ -323,26 +325,18 @@ def join_symmetry_verdict(
 ) -> bool:
     """Compare the join with its reflection through the opposite algebra.
 
-    The reflected join is join_general(op V, op M-dual, op U) over the formal
+    The reflected join is join_columns(op V, op M-dual, op U) over the formal
     opposite algebra, so the verdict checks that the join is natural under
     the op functor.  The carrier identification swaps the domain factors and
-    reverses the codomain sandwich.
+    reverses the codomain sandwich: the nonzero columns of the two must agree.
     """
-    inst = join_general(U, M, V)
-    refl = join_general(oppositize(V), oppositize(dualize(M)), oppositize(U))
-    # domain identification: ((u,p),(q,v)) of inst <-> ((v,q),(p,u)) of refl
-    def dom_map(g):
-        (u, p), (q, v) = g
-        return ((v, q), (p, u))
-
-    def cod_map(g):
-        u, a, v = g
-        return (v, a, u)
-
-    return all(
-        frozenset(map(cod_map, inst.matrix.column(g))) == refl.matrix.column(dom_map(g))
-        for g in inst.domain.basis
-    )
+    refl = join_columns(oppositize(V), oppositize(dualize(M)), oppositize(U))
+    reflected = {
+        ((v, q), (p, u)): {(v2, a, u2) for u2, a, v2 in rows}
+        for ((u, p), (q, v)), rows in join_columns(U, M, V).items()
+        if rows
+    }
+    return reflected == {g: rows for g, rows in refl.items() if rows}
 
 
 # -- associativity apparatus ---------------------------------------------------------
@@ -386,22 +380,22 @@ def three_joins(
 
     # First composition: join at M, then at N.
     V1 = validated(box(X, N))
-    j1 = join_general(U, M, V1)
+    j1 = join_columns(U, M, V1)
     U2 = validated(_sandwich(U, dual_alg_as_aa(am), X))
-    j2 = join_general(U2, N, V)
+    j2 = join_columns(U2, N, V)
 
     # Second composition: join at N, then at M.
     U2p = validated(box(dualize(M), X))
-    j2p = join_general(U2p, N, V)
+    j2p = join_columns(U2p, N, V)
     V1p = validated(_sandwich(X, dual_alg_as_aa(am), V))
-    j1p = join_general(U, M, V1p)
+    j1p = join_columns(U, M, V1p)
 
     # Simultaneous join over the tensor algebra.
     ta = TensorAlgebra(am, rotate180(am)[0])
     Upair = pair_d_module(U, V, ta)
     Mt = external_tensor(M, dualize(N))
     VX = fold(X, ta)
-    j3 = join_general(Upair, Mt, VX)
+    j3 = join_columns(Upair, Mt, VX)
     rot = rotate180(am)[1]
     rotinv = {v: k for k, v in rot.items()}
 
@@ -428,11 +422,11 @@ def three_joins(
         for g2 in C2:
             for g3 in C3:
                 # route 1; j2 codomain gens are ((u,a,x), b, v)
-                mid = j1.matrix.column((g1, as_c2(g2)))
-                acc1 = vsum(j2.matrix.column((as_d1(t), g3)) for t in mid)
+                mid = j1.get((g1, as_c2(g2)), ())
+                acc1 = vsum(j2.get((as_d1(t), g3), frozenset()) for t in mid)
                 # route 2
-                mid2 = j2p.matrix.column((as_c2p(g2), g3))
-                acc2 = vsum(j1p.matrix.column((g1, as_d2(t))) for t in mid2)
+                mid2 = j2p.get((as_c2p(g2), g3), ())
+                acc2 = vsum(j1p.get((g1, as_d2(t)), frozenset()) for t in mid2)
                 # identify codomains: route1 ((u,a,x),b,v) vs route2 (u,a,(x,b,v))
                 acc2_flat = frozenset(((u, a, x), b, v) for (u, a, (x, b, v)) in acc2)
                 if acc1 != acc2_flat:
@@ -442,7 +436,7 @@ def three_joins(
                 q2, x2, p2 = g2
                 q3, v3 = g3
                 dom3 = (((u1, v3), (p1, q3)), ((q2, p2), x2))
-                acc3 = j3.matrix.column(dom3)
+                acc3 = j3.get(dom3, ())
                 acc3_flat = frozenset(
                     ((uv[0], ta.split[ut][0], xx), rotinv[ta.split[ut][1]], uv[1])
                     for (uv, ut, xx) in acc3
@@ -474,11 +468,9 @@ def self_join(U_pair: ModuleStructure, M: ModuleStructure):
     join = join_general(U_pair, Mt, Vmid)
     # Domain: U_pair box Mt; apply the join against the diagonal terms.
     C = box(U_pair, Mt).underlying_complex()
-    dom2 = set(join.domain.basis)
     images = {}
     for g in C.basis:
-        keys = ((g, ((p, p), mid)) for p, mid in _diagonal_terms(M))
-        images[g] = vsum(join.matrix.column(key) for key in keys if key in dom2)
+        images[g] = vsum(join.matrix.column((g, ((p, p), mid))) for p, mid in _diagonal_terms(M))
     matrix = Gf2Matrix.from_columns(join.codomain.basis, C.basis, images)
     return JoinInstance(ta.union, C, join.codomain, matrix)
 

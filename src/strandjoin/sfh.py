@@ -14,7 +14,7 @@ from .strands import AlgebraModel, ProductTable, gamma_block
 from .strands import homology_blocks  # noqa: F401  (re-exported)
 from .ainf import ModuleStructure, StructureError, dualize, validated
 from .standard_models import algebra_module, left_module_from_right_idem, once_per_algebra
-from .join import join_general
+from .join import join_columns
 
 
 @once_per_algebra(key=lambda c: (c.basis, c.differential.nonzero))
@@ -51,9 +51,9 @@ def joined_products(am: AlgebraModel) -> ProductTable:
     """The nonzero products x.a of basis elements, read off the joins of caps.
 
     V is the structureless left type-D module with one generator per subset,
-    every cap at once, and U its dual.  The matrix of
-    join_general(U, A.iota_K, V) has an entry at ((u, x, v), ((u, a), (q, v)))
-    exactly when q occurs in x.a, so the joins over all K give every product.
+    every cap at once, and U its dual.  The column ((u, a), (q, v)) of
+    join_columns(U, A.iota_K, V) holds (u, x, v) exactly when q occurs in
+    x.a, so the joins over all K give every product.
     """
     gens = tuple(("e", "D", tuple(sorted(I))) for I in am.all_idempotent_subsets())
     lidem = {g: frozenset(g[2]) for g in gens}
@@ -62,9 +62,10 @@ def joined_products(am: AlgebraModel) -> ProductTable:
     U = dualize(V)
     table = ProductTable()
     for K in am.all_idempotent_subsets():
-        inst = join_general(U, left_module_from_right_idem(am, K), V)
-        for (_, x, _), ((_, a), (q, _)) in inst.matrix.nonzero:
-            table[(x, a)] ^= {q}
+        columns = join_columns(U, left_module_from_right_idem(am, K), V)
+        for ((_, a), (q, _)), rows in columns.items():
+            for _, x, _ in rows:
+                table[(x, a)] ^= {q}
     return table
 
 

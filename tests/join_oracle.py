@@ -1,5 +1,13 @@
-"""Hand-wired join walkers: the references for `join_symmetry_verdict`,
-`join_identity_check` and the join's tensor-algebra modules.
+"""Hand-wired join walkers: the references for `join_columns`,
+`join_symmetry_verdict`, `join_identity_check` and the join's tensor-algebra
+modules.
+
+`reference_join` is the join as `join_general` first built it: the domain
+(U box M) (x) (M^dual box V) and the codomain U box A^dual box V as
+complexes, and a walk over nabla's table that keeps only the pairs of chain
+starts forming a domain generator and only the ends forming a codomain
+generator.  `assert_columns_match` checks `join_columns`, which builds
+neither complex, against it.
 
 The library builds the reflected side of the symmetry verdict by running
 `join_general` over the formal opposite algebra.  The functions here build
@@ -35,15 +43,18 @@ from strandjoin.gf2 import ChainComplexGf2, Gf2Matrix
 from strandjoin.join import (
     JoinInstance,
     _identity_composite,
+    _nabla_table,
     _require_left_a,
     _require_left_d,
     _require_right_d,
+    _sandwich,
     diagonal,
+    join_columns,
     join_general,
 )
 from strandjoin.standard_models import dual_alg_as_aa, identity_firings
 from strandjoin.strands import rotate180
-from strandjoin.tensor import TensorAlgebra, _d_chains, box
+from strandjoin.tensor import TensorAlgebra, _d_chains, box, ground_tensor
 
 
 def _require_right_a(M: ModuleStructure):
@@ -175,6 +186,55 @@ def sandwich_complex_right(
                 images[(u, x, v)] ^= frozenset({(u, x, v2)})
     d = Gf2Matrix.from_columns(basis, basis, images)
     return ChainComplexGf2(basis, d)
+
+
+def reference_join(U: ModuleStructure, M: ModuleStructure, V: ModuleStructure) -> JoinInstance:
+    """The join built on its two complexes, its walk filtered through their bases."""
+    _require_right_d(U)
+    _require_left_a(M)
+    _require_left_d(V)
+    am = M.left_alg
+    if U.right_alg is not am or V.left_alg is not am:
+        raise StructureError("join factors over different algebras")
+    domain = ground_tensor(box(U, M), box(dualize(M), V)).underlying_complex()
+    codomain = _sandwich(U, dual_alg_as_aa(am), V).underlying_complex()
+    cod_set = set(codomain.basis)
+    dom_set = set(domain.basis)
+    table = _nabla_table(M)
+    uchains = _right_d_chains(U, max((len(k[0]) for k in table), default=0))
+    vchains = _left_d_chains(V, max((len(k[2]) for k in table), default=0))
+    images: dict = {}
+    for (argsL, (p, q), argsR), outs in table.items():
+        # U's chains fill argsL innermost-first: its firing order reversed.
+        for u0, uends in uchains.get(argsL[::-1], ()):
+            for v0, vends in vchains.get(argsR, ()):
+                g = ((u0, p), (q, v0))
+                if g not in dom_set:
+                    continue
+                img = images.setdefault(g, set())
+                for _, mid, _ in outs:
+                    for u2 in uends:
+                        for v2 in vends:
+                            tgt = (u2, mid, v2)
+                            if tgt in cod_set:
+                                img ^= {tgt}
+    matrix = Gf2Matrix.from_columns(codomain.basis, domain.basis, images)
+    return JoinInstance(am, domain, codomain, matrix)
+
+
+def assert_columns_match(U: ModuleStructure, M: ModuleStructure, V: ModuleStructure) -> dict:
+    """join_columns(U, M, V) against the reference: every key a domain
+    generator, every row a codomain generator, and the nonzero columns equal.
+    Returns the nonzero columns."""
+    got = join_columns(U, M, V)
+    ref = reference_join(U, M, V)
+    dom, cod = set(ref.domain.basis), set(ref.codomain.basis)
+    assert set(got) <= dom, (U.name, M.name, V.name)
+    assert all(rows <= cod for rows in got.values()), (U.name, M.name, V.name)
+    nonzero = {g: frozenset(rows) for g, rows in got.items() if rows}
+    want = {g: ref.matrix.column(g) for g in ref.domain.basis if ref.matrix.column(g)}
+    assert nonzero == want, (U.name, M.name, V.name)
+    return nonzero
 
 
 def join_general_right(

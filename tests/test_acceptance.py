@@ -174,27 +174,28 @@ def test_criterion_7_cancellation():
 
 def test_criterion_8_join_properties():
     start = time.time()
-    am = enumerate_basis(Z1)
-    subs = list(am.all_idempotent_subsets())
-    X = dd_identity(am)
-    for I0, J0 in itertools.product(subs, repeat=2):
-        U = dualize(elementary(am, I0, "D"))
-        V = elementary(am, J0, "D")
-        for K in subs:
-            for M in (elementary(am, K, "A"), left_module_from_right_idem(am, K)):
-                assert join_symmetry_verdict(U, M, V)
-        for K1, K2 in itertools.product(subs, repeat=2):
-            for M in (elementary(am, K1, "A"), left_module_from_right_idem(am, K1)):
-                for N in (elementary(am, K2, "A"), left_module_from_right_idem(am, K2)):
-                    assert three_joins(U, M, X, N, V)
-    for I0 in subs:
-        U = dualize(elementary(am, I0, "D"))
-        for K in subs:
-            for M in (elementary(am, K, "A"), left_module_from_right_idem(am, K)):
-                assert join_identity_check(U, M)
+    for z in (Z1, Z2):
+        am = enumerate_basis(z)
+        subs = list(am.all_idempotent_subsets())
+        X = dd_identity(am)
+        for I0, J0 in itertools.product(subs, repeat=2):
+            U = dualize(elementary(am, I0, "D"))
+            V = elementary(am, J0, "D")
+            for K in subs:
+                for M in (elementary(am, K, "A"), left_module_from_right_idem(am, K)):
+                    assert join_symmetry_verdict(U, M, V)
+            for K1, K2 in itertools.product(subs, repeat=2):
+                for M in (elementary(am, K1, "A"), left_module_from_right_idem(am, K1)):
+                    for N in (elementary(am, K2, "A"), left_module_from_right_idem(am, K2)):
+                        assert three_joins(U, M, X, N, V)
+        for I0 in subs:
+            U = dualize(elementary(am, I0, "D"))
+            for K in subs:
+                for M in (elementary(am, K, "A"), left_module_from_right_idem(am, K)):
+                    assert join_identity_check(U, M)
     elapsed = time.time() - start
     assert elapsed < 120, f"criterion 8 exceeded budget: {elapsed:.1f}s"
-    print(f"\nPASS criterion 8: join symmetry, associativity, identity ({elapsed:.1f}s)")
+    print(f"\nPASS criterion 8: join symmetry, associativity, identity, Z1 and Z2 ({elapsed:.1f}s)")
 
 
 def test_criterion_9_nice_diagram_oracle():

@@ -11,9 +11,11 @@ import io
 
 import pytest
 
+from conftest import forget_models
 from strandjoin import ainf, join
 from strandjoin.arc_diagram import Z2, serialize
 from strandjoin.cli import run
+from strandjoin.strands import enumerate_basis
 
 
 def _check(tmp_path, suite) -> tuple[int, str]:
@@ -21,6 +23,23 @@ def _check(tmp_path, suite) -> tuple[int, str]:
     p.write_text(serialize(Z2))
     buf = io.StringIO()
     return run(["check", str(p), suite], buf), buf.getvalue()
+
+
+@pytest.fixture()
+def fresh_z2():
+    """Z2's algebra with no models kept, before the test and after it: a
+    planted fault reaches the builds kept once per algebra, and nothing built
+    under it outlives the test."""
+    am = enumerate_basis(Z2)
+    forget_models(am)
+    yield
+    forget_models(am)
+
+
+def _unit_terms(M) -> dict:
+    """nabla's table reduced to its unital terms (), (p, p), () -> iota."""
+    am = M.left_alg
+    return {((), (p, p), ()): {(None, am.idempotent_index(M.lidem[p]), None)} for p in M.gens}
 
 
 def test_homotopy_catches_slots_summed_at_their_own_generator_only(tmp_path, monkeypatch):
@@ -41,3 +60,39 @@ def test_join_catches_a_zero_cancellation_morphism(tmp_path, monkeypatch):
     monkeypatch.setattr(join, "cancel_cA", lambda am: ainf.zero_morphism(real(am).src, real(am).dst))
     rc, out = _check(tmp_path, "join")
     assert rc == 2 and "join: FAIL\n" in out
+
+
+def test_sfh_catches_an_empty_nabla(tmp_path, monkeypatch, fresh_z2):
+    # The joins of caps are then zero, so they read back no product.
+    monkeypatch.setattr(join, "_nabla_table", lambda M: {})
+    rc, out = _check(tmp_path, "sfh")
+    assert rc == 2 and "sfh: FAIL\n" in out
+
+
+@pytest.mark.parametrize("suite", ["join", "sfh"])
+def test_join_and_sfh_catch_nabla_with_only_its_unit_terms(tmp_path, monkeypatch, fresh_z2,
+                                                           suite):
+    # d(nabla) != 0 without the action terms, and the joins of caps read back
+    # only the products by idempotents.
+    monkeypatch.setattr(join, "_nabla_table", _unit_terms)
+    rc, out = _check(tmp_path, suite)
+    assert rc == 2 and f"{suite}: FAIL\n" in out
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP items 5 and 12: every module the suites join is DG-type, so nabla's "
+    "terms fill no input slot and only empty chains of U are looked up",
+)
+def test_join_reading_suites_catch_u_chains_looked_up_in_reverse(tmp_path, monkeypatch, fresh_z2):
+    # U's chains keyed by the tuple they fill read backwards (FOUND 91).
+    real = join._d_chain_ends
+
+    def reversed_on_u(D, kmax, side):
+        chains = real(D, kmax, side)
+        return {(seq[::-1] if side == 2 else seq, idem): v for (seq, idem), v in chains.items()}
+
+    monkeypatch.setattr(join, "_d_chain_ends", reversed_on_u)
+    rc, out = _check(tmp_path, "all")
+    assert rc == 2 and "FAIL\n" in out

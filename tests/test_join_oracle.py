@@ -1,0 +1,101 @@
+"""Differential tests: `join_columns`, the walk over nabla's table that builds
+no complex, against `join_oracle.reference_join`, which builds the join's
+domain and codomain and filters its walk through their bases.  The inputs
+are those the library joins: elementary U and V, the caps of
+`sfh.joined_products`, the factors of the identity check and, on Z2, the
+structured factors of `three_joins`."""
+
+from __future__ import annotations
+
+import itertools
+import random
+
+from join_oracle import assert_columns_match, reference_join
+from strandjoin import join, sfh
+from strandjoin.ainf import dualize
+from strandjoin.join import join_general, join_identity_check, left_module_candidates, three_joins
+from strandjoin.standard_models import dd_identity, elementary, left_module_from_right_idem
+
+
+def _subsets(am):
+    return list(am.all_idempotent_subsets())
+
+
+def _joins_made(monkeypatch, module, run) -> list:
+    """The (U, M, V) that run() passes to module.join_columns."""
+    seen, real = [], join.join_columns
+
+    def recording(U, M, V):
+        seen.append((U, M, V))
+        return real(U, M, V)
+
+    with monkeypatch.context() as m:
+        m.setattr(module, "join_columns", recording)
+        run()
+    return seen
+
+
+def _elementary_triples(am):
+    for I0, J0 in itertools.product(_subsets(am), repeat=2):
+        for M in left_module_candidates(am):
+            yield dualize(elementary(am, I0, "D")), M, elementary(am, J0, "D")
+
+
+def test_columns_match_on_elementary_modules(am1, am2, am3):
+    triples = [t for am in (am1, am2) for t in _elementary_triples(am)]
+    triples += random.Random(33).sample(list(_elementary_triples(am3)), 24)
+    nonzero = 0
+    for U, M, V in triples:
+        nonzero += bool(assert_columns_match(U, M, V))
+        # join_general's matrix holds the same columns over the reference bases.
+        got, ref = join_general(U, M, V), reference_join(U, M, V)
+        assert (got.domain.basis, got.codomain.basis) == (ref.domain.basis, ref.codomain.basis)
+        assert got.matrix.nonzero == ref.matrix.nonzero
+    assert nonzero
+
+
+def test_columns_match_on_the_caps_of_joined_products(am1, am2, am3, monkeypatch):
+    for am in (am1, am2, am3):
+        # The build behind the memo, so each algebra walks once per subset here.
+        joins = _joins_made(monkeypatch, sfh, lambda: sfh.joined_products.__wrapped__(am))
+        assert [M for _, M, _ in joins] == [
+            left_module_from_right_idem(am, K) for K in _subsets(am)
+        ]
+        assert all(assert_columns_match(*t) for t in joins)
+
+
+def test_columns_match_on_the_identity_check(am1, am2, am3, monkeypatch):
+    pairs = [
+        (dualize(elementary(am, I0, "D")), M)
+        for am in (am1, am2)
+        for I0 in _subsets(am)
+        for M in left_module_candidates(am)
+    ]
+    pairs += [
+        (dualize(elementary(am3, I0, "D")), left_module_from_right_idem(am3, K))
+        for I0, K in (({1}, {1}), ({2}, {1, 2}), ({1, 2}, {3}), ({1}, {2, 3}))
+    ]
+    nonzero = 0
+    for U, M in pairs:
+        joins = _joins_made(monkeypatch, join, lambda: join_identity_check(U, M))
+        assert len(joins) == 1
+        nonzero += bool(assert_columns_match(*joins[0]))
+    assert nonzero
+
+
+def test_columns_match_on_the_factors_of_three_joins(am2, monkeypatch):
+    # All 64 (I0, J0, K) of test_three_joins_z2_sample: each of the five joins,
+    # the simultaneous one over the tensor algebra too, has a nonzero column
+    # on some triple.
+    X = dd_identity(am2)
+    nonzero = [0] * 5
+    for I0, J0, K in itertools.product(_subsets(am2), repeat=3):
+        U = dualize(elementary(am2, I0, "D"))
+        V = elementary(am2, J0, "D")
+        M = left_module_from_right_idem(am2, K)
+        N = elementary(am2, K, "A")
+        joins = _joins_made(monkeypatch, join, lambda: three_joins(U, M, X, N, V))
+        assert len(joins) == 5
+        for i, t in enumerate(joins):
+            nonzero[i] += bool(assert_columns_match(*t))
+    assert all(nonzero), nonzero

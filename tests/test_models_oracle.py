@@ -62,8 +62,12 @@ def test_d_chains_keep_the_ends_reached_an_odd_number_of_times(am2):
         "DA", am2, None, tuple(lidem), lidem, {y: frozenset() for y in lidem}, table,
     )
     chains = _d_chain_ends(V, 2, 0)
-    assert chains[()] == [(y, [y]) for y in lidem]
-    [(start, ends)] = chains[(b,)]
+    # Each chain is keyed by the tuple it fills and its start's idempotent.
+    assert all(lidem[y] == idem for (_, idem), starts in chains.items() for y, _ in starts)
+    assert sorted(s for (seq, _), starts in chains.items() if seq == () for s in starts) == [
+        (y, [y]) for y in lidem
+    ]
+    [(start, ends)] = chains[((b,), lidem["y0"])]
     assert start == "y0" and sorted(ends) == ["y1", "y2"]
-    assert chains[(c,)] == [("y1", ["y3"]), ("y2", ["y3"])]
-    assert (b, c) not in chains
+    assert chains[((c,), lidem["y1"])] == [("y1", ["y3"]), ("y2", ["y3"])]
+    assert (b, c) not in {seq for seq, _ in chains}

@@ -1,7 +1,9 @@
 """Structure equations, joins and the nice-diagram oracle on the rank-3 ladder."""
 
 import io
+import itertools
 import os
+import random
 import subprocess
 import sys
 import time
@@ -17,8 +19,11 @@ from strandjoin.gf2 import Gf2Matrix
 from strandjoin.join import (
     dd_sandwich_da_bimodule,
     join_general,
+    join_identity_check,
     join_symmetry_verdict,
+    left_module_candidates,
     pair_bimodule,
+    three_joins,
 )
 from strandjoin.nice_diagram import build_twisting_slice_diagram, count_domains
 from strandjoin.standard_models import (
@@ -138,6 +143,37 @@ def test_join_identity_and_hand_walker_at_rank3(am3):
         composite = assert_identity_matches(U, M)
         assert composite.cols, (I0, M.name)
         assert composite == Gf2Matrix.identity(composite.cols), (I0, M.name)
+
+
+def test_join_identity_on_every_cap_and_candidate_at_rank3(am3):
+    start = time.time()
+    for I0 in am3.all_idempotent_subsets():
+        U = dualize(elementary(am3, I0, "D"))
+        for M in left_module_candidates(am3):
+            assert join_identity_check(U, M), (I0, M.name)
+    elapsed = time.time() - start
+    assert elapsed < 30, f"128 rank-3 identity checks took {elapsed:.1f}s"
+
+
+def test_join_symmetry_on_128_triples_at_rank3(am3):
+    subs = list(am3.all_idempotent_subsets())
+    mods = list(left_module_candidates(am3))
+    start = time.time()
+    for I0, J0, m in random.Random(33).sample(list(itertools.product(subs, subs, mods)), 128):
+        U = dualize(elementary(am3, I0, "D"))
+        assert join_symmetry_verdict(U, m, elementary(am3, J0, "D")), (I0, J0, m.name)
+    elapsed = time.time() - start
+    assert elapsed < 30, f"128 rank-3 symmetry verdicts took {elapsed:.1f}s"
+
+
+def test_three_joins_at_rank3(am3):
+    start = time.time()
+    U = dualize(elementary(am3, {1}, "D"))
+    V = elementary(am3, {1}, "D")
+    M = left_module_from_right_idem(am3, {1})
+    assert three_joins(U, M, dd_identity(am3), M, V)
+    elapsed = time.time() - start
+    assert elapsed < 30, f"one rank-3 three_joins took {elapsed:.1f}s"
 
 
 def test_invalid_counted_slice_is_a_mismatch(r3_file):

@@ -181,7 +181,7 @@ def test_block_dimensions_match_homology(am0, am1, am2, am3):
 
 def _suite_on_fresh_algebra(z, monkeypatch):
     """Run the sfh suite on a fresh algebra model of z, counting the calls of
-    m_H, mu_H, join_general and gf2.homology and the builds of the
+    m_H, mu_H, join_columns and gf2.homology and the builds of the
     cancellation source."""
     import sys
 
@@ -191,7 +191,7 @@ def _suite_on_fresh_algebra(z, monkeypatch):
     from strandjoin.cli import _suite_sfh
     from strandjoin.strands import AlgebraModel
 
-    calls = {"m_H": 0, "mu_H": 0, "join_general": 0, "homology": 0, "dd_sandwich_da_bimodule": 0}
+    calls = {"m_H": 0, "mu_H": 0, "join_columns": 0, "homology": 0, "dd_sandwich_da_bimodule": 0}
 
     def counting(name, real):
         def call(*args):
@@ -200,7 +200,7 @@ def _suite_on_fresh_algebra(z, monkeypatch):
 
         return call
 
-    for name, module in (("m_H", sfh), ("mu_H", sfh), ("join_general", sfh),
+    for name, module in (("m_H", sfh), ("mu_H", sfh), ("join_columns", sfh),
                          ("dd_sandwich_da_bimodule", join)):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     real_homology, homology = gf2.homology, counting("homology", gf2.homology)
@@ -214,13 +214,13 @@ def _suite_on_fresh_algebra(z, monkeypatch):
 
 def test_sfh_suite_joins_once_per_subset(monkeypatch):
     # The full sfh suite on a fresh Z2 algebra: 16 m_H and 64 mu_H calls read
-    # one product table, from one join per subset, and never build the
-    # cancellation source.
+    # one product table, from one walk over nabla's table per subset, and never
+    # build the cancellation source.
     from strandjoin.arc_diagram import Z2
 
     _, calls = _suite_on_fresh_algebra(Z2, monkeypatch)
-    assert {k: calls[k] for k in ("m_H", "mu_H", "join_general", "dd_sandwich_da_bimodule")} == {
-        "m_H": 16, "mu_H": 64, "join_general": 4, "dd_sandwich_da_bimodule": 0
+    assert {k: calls[k] for k in ("m_H", "mu_H", "join_columns", "dd_sandwich_da_bimodule")} == {
+        "m_H": 16, "mu_H": 64, "join_columns": 4, "dd_sandwich_da_bimodule": 0
     }
 
 

@@ -139,23 +139,25 @@ def test_left_hand_box_matches_opposite_round_trip(am1, am2, am3):
     assert far_inputs and far_products
 
 
-def _by_filled_tuple(chains: dict, fill) -> dict:
+def _by_filled_tuple(chains: dict, fill) -> set:
     return {
-        fill(seq): {(u0, frozenset(ends)) for u0, ends in starts} for seq, starts in chains.items()
+        (fill(key), u0, frozenset(ends)) for key, starts in chains.items() for u0, ends in starts
     }
 
 
 def test_right_hand_chains_are_the_opposite_chains_reversed(am2):
     # The library keys a right type-D module's chains by the left input tuple
-    # they fill; the oracle reads them off the opposite in firing order.  The
-    # join looks U's chains up this way; every module it joins today is
-    # DG-type, so only these chains pin the order.
+    # they fill and their start's right idempotent; the oracle reads them off
+    # the opposite in firing order.  The join looks U's chains up this way;
+    # every module it joins today is DG-type, so only these chains pin the order.
     X = dd_identity(am2)
     long_chains = 0
     for M in left_module_candidates(am2):
         U = box(dualize(M), X)
-        got = _by_filled_tuple(_d_chain_ends(U, 3, 2), lambda seq: seq)
+        chains = _d_chain_ends(U, 3, 2)
+        assert all(U.ridem[u0] == idem for (_, idem), starts in chains.items() for u0, _ in starts)
+        got = _by_filled_tuple(chains, lambda key: key[0])
         ref = _by_filled_tuple(join_oracle._right_d_chains(U, 3), lambda seq: seq[::-1])
         assert got == ref
-        long_chains += sum(len(seq) >= 2 for seq in got)
+        long_chains += sum(len(seq) >= 2 for seq, _ in chains)
     assert long_chains
