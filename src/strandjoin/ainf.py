@@ -375,13 +375,15 @@ def oppositize(m: ModuleStructure) -> ModuleStructure:
     )
 
 
-def relabel(m: ModuleStructure, f) -> ModuleStructure:
+def relabel(m: ModuleStructure, f, order=None, name: str | None = None) -> ModuleStructure:
     """The same structure with every generator g renamed f(g); f must be injective.
 
-    Each new name is computed once and shared by every table entry, so later
-    comparisons of equal generators hit the identity fast path.
+    The generators keep m's order, or are sorted by order(g) when it is
+    given; the result is called `name`, by default m's name.  Each new name
+    is computed once and shared by every table entry, so later comparisons
+    of equal generators hit the identity fast path.
     """
-    new = {g: f(g) for g in m.gens}
+    new = {g: f(g) for g in (m.gens if order is None else sorted(m.gens, key=order))}
     table = {
         (argsL, new[g], argsR): frozenset((a, new[y], b) for a, y, b in outs)
         for (argsL, g, argsR), outs in m.table.items()
@@ -394,7 +396,7 @@ def relabel(m: ModuleStructure, f) -> ModuleStructure:
         {new[g]: s for g, s in m.lidem.items()},
         {new[g]: s for g, s in m.ridem.items()},
         table,
-        name=m.name,
+        name=m.name if name is None else name,
     )
 
 
@@ -516,15 +518,13 @@ def homotopy_solver(src: ModuleStructure, dst: ModuleStructure, max_len: int):
     slots = _morphism_slots(src, dst, max_len)
     index: dict = {}
     images = _slot_images(src, dst, slots)
-    supports = [[index.setdefault(a, len(index)) for a in atoms] for atoms in images]
-    n = len(index)
-    pivots = tagged_span(supports, n)
+    pivots = tagged_span([index.setdefault(a, len(index)) for a in atoms] for atoms in images)
 
     def solve(t: dict) -> Morphism | None:
         atoms = {(key, v) for key, outs in t.items() for v in outs}
         if not atoms <= index.keys():  # outside every slot's image
             return None
-        tags = span_coordinates(pivots, n, sum(1 << index[a] for a in atoms))
+        tags = span_coordinates(pivots, sum(1 << index[a] for a in atoms))
         if tags is None:
             return None
         table: dict = {}

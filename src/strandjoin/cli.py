@@ -358,7 +358,8 @@ def _suite_nice(z, am, rng) -> list:
 
 def _suite_sfh(z, am, rng) -> list:
     from .ainf import StructureError
-    from .sfh import alg_as_right_module, block_homology, m_H, mu_H
+    from .join import left_module_candidates
+    from .sfh import action_on_homology, block_homology
     from .gf2 import ChainComplexError, ChainComplexGf2, Gf2Matrix, rank
 
     failures = []
@@ -370,12 +371,8 @@ def _suite_sfh(z, am, rng) -> list:
         c.check_d_squared()
         if sum(map(len, blocks)) != c.dim - 2 * rank(c.differential):
             failures.append("block dimensions do not sum to the homology dimension")
-        u = alg_as_right_module(am)
-        for I in subsets:
-            for J in subsets:
-                m_H(u, I, J)
-                for K in subsets:
-                    mu_H(am, I, J, K)
+        for N in left_module_candidates(am):
+            action_on_homology(N)
     except (StructureError, ChainComplexError) as e:
         failures.append(str(e))
     return failures

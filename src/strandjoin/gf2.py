@@ -10,7 +10,6 @@ reproducible across runs.
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Hashable, Iterable, Sequence
 from functools import cached_property
 
@@ -162,10 +161,11 @@ def _bit_indices(v: int) -> list[int]:
     return out
 
 
-def _insert(pivots: dict, v: int, n: int = sys.maxsize) -> bool:
-    """Reduce v by the rows in `pivots` (keyed by lowest set bit) and add the rest
-    if its lowest set bit is below n; returns whether it was added."""
-    while v and (p := (v & -v).bit_length() - 1) < n:
+def _insert(pivots: dict, v: int) -> bool:
+    """Reduce v by the rows in `pivots` (keyed by lowest set bit) and add the
+    rest if it is nonzero; returns whether it was added."""
+    while v:
+        p = (v & -v).bit_length() - 1
         w = pivots.get(p)
         if w is None:
             pivots[p] = v
@@ -174,25 +174,39 @@ def _insert(pivots: dict, v: int, n: int = sys.maxsize) -> bool:
     return False
 
 
-def tagged_span(supports: Sequence[Sequence[int]], n: int) -> dict:
-    """Pivots for `span_coordinates`: the vectors with these sets of bits, all
-    below bit n, eliminated once, the i-th tagged with bit n + i."""
+def _insert_tagged(pivots: dict, v: int, tags: int) -> None:
+    """As `_insert`, for rows stored as (bits, tags): the tags ride along in a
+    second int, so a row is no longer than its own highest bit and tag."""
+    while v:
+        p = (v & -v).bit_length() - 1
+        row = pivots.get(p)
+        if row is None:
+            pivots[p] = (v, tags)
+            return
+        v ^= row[0]
+        tags ^= row[1]
+
+
+def tagged_span(supports: Iterable[Sequence[int]]) -> dict:
+    """Pivots for `span_coordinates`: the vectors with these sets of bits
+    eliminated once, the i-th tagged with bit i of the tags."""
     pivots: dict = {}
     for i, s in enumerate(supports):
-        _insert(pivots, sum(1 << j for j in s) | 1 << (n + i), n)
+        _insert_tagged(pivots, sum(1 << j for j in s), 1 << i)
     return pivots
 
 
-def span_coordinates(pivots: dict, n: int, v: int) -> list[int] | None:
-    """The tags of the pivots' rows that sum to v, a vector below bit n, or
-    None if v is outside their span."""
-    low = (1 << n) - 1
-    while v & low:
-        w = pivots.get((v & -v).bit_length() - 1)
-        if w is None:
+def span_coordinates(pivots: dict, v: int) -> list[int] | None:
+    """The tags of the pivots' rows that sum to v, or None if v is outside
+    their span."""
+    tags = 0
+    while v:
+        row = pivots.get((v & -v).bit_length() - 1)
+        if row is None:
             return None
-        v ^= w
-    return _bit_indices(v >> n)
+        v ^= row[0]
+        tags ^= row[1]
+    return _bit_indices(tags)
 
 
 def _rref(rows: Iterable[int]) -> tuple[list[int], list[int]]:
@@ -290,23 +304,22 @@ def homology_coordinates(c: ChainComplexGf2, reps: list[frozenset]):
     """The map sending a cycle z of c to the indices i with [z] = sum of [reps[i]].
 
     reps must be independent in homology, as `homology` returns them.  The
-    system [image of d | reps] is eliminated once, each rep's row carrying a
-    tag bit above the basis; a cycle then reduces to its tags, which are its
-    unique coordinates.  The map raises ValueError on a vector that is not a
-    cycle or that has keys outside c's basis.
+    system [image of d | reps] is eliminated once, each rep's row tagged with
+    its index; a cycle then reduces to its tags, which are its unique
+    coordinates.  The map raises ValueError on a vector that is not a cycle
+    or that has keys outside c's basis.
     """
-    n = c.dim
     index = {b: j for j, b in enumerate(c.basis)}
     pivots: dict = {}
     for col in _packed_rows(c.differential.transpose()).values():
-        _insert(pivots, col)
+        _insert_tagged(pivots, col, 0)
     for i, rep in enumerate(reps):
-        _insert(pivots, sum(1 << index[k] for k in rep) | 1 << (n + i))
+        _insert_tagged(pivots, sum(1 << index[k] for k in rep), 1 << i)
 
     def coordinates(z: frozenset) -> list[int]:
         if any(k not in index for k in z):
             raise ValueError("vector has keys outside the complex's basis")
-        tags = span_coordinates(pivots, n, sum(1 << index[k] for k in z))
+        tags = span_coordinates(pivots, sum(1 << index[k] for k in z))
         if tags is None:
             raise ValueError("vector is not a cycle")
         return tags

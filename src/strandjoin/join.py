@@ -252,11 +252,7 @@ def dd_sandwich_da_bimodule(am: AlgebraModel) -> ModuleStructure:
         I, a, _, b = flat(g)
         return (order[frozenset(I)], a, b)
 
-    # Reordering the generators changes nothing the constructor checked.
-    m.gens = tuple(sorted(m.gens, key=position))
-    m = relabel(m, flat)
-    m.name = "IA^IA"
-    return validated(m)
+    return validated(relabel(m, flat, order=position, name="IA^IA"))
 
 
 @once_per_algebra

@@ -1,19 +1,19 @@
-"""The algebra's multiplication and module action on homology blocks, read off the join.
+"""The algebra's action on a module, on homology blocks, read off the join.
 
-The join of caps with A.iota_K sends (u, a) (x) (q^, v) to sum_x <q, x.a>
-(u, x^, v): multiplication is a gluing map, a special case of the join
-(arXiv:1010.3496, the section on gluing), so the joins over all K hold the
-whole product.  m_H and mu_H induce it on the homology blocks of the algebra
-and compare it exactly with the direct action and multiplication.
+The join of caps with a left module N sends (u, p) (x) (q^, v) to
+sum_x <q, x.p> (u, x^, v): the action is a gluing map, a special case of the
+join (arXiv:1010.3496, the section on gluing), and the multiplication is the
+case N = A.iota_K.  action_on_homology induces N's action on the homology
+blocks and compares it exactly with the direct action.
 """
 
 from __future__ import annotations
 
 from .gf2 import ChainComplexGf2, Gf2Matrix, homology, homology_coordinates, vsum
-from .strands import AlgebraModel, ProductTable, gamma_block
+from .strands import AlgebraModel, gamma_block
 from .strands import homology_blocks  # noqa: F401  (re-exported)
-from .ainf import ModuleStructure, StructureError, dualize, validated
-from .standard_models import algebra_module, left_module_from_right_idem, once_per_algebra
+from .ainf import ModuleStructure, StructureError, _add, dualize, validated
+from .standard_models import once_per_algebra
 from .join import join_columns
 
 
@@ -47,79 +47,58 @@ def _verified_on_homology(am, c1, c2, c3, direct, joined, error: str) -> Gf2Matr
 
 
 @once_per_algebra
-def joined_products(am: AlgebraModel) -> ProductTable:
-    """The nonzero products x.a of basis elements, read off the joins of caps.
-
-    V is the structureless left type-D module with one generator per subset,
-    every cap at once, and U its dual.  The column ((u, a), (q, v)) of
-    join_columns(U, A.iota_K, V) holds (u, x, v) exactly when q occurs in
-    x.a, so the joins over all K give every product.
-    """
+def caps(am: AlgebraModel) -> ModuleStructure:
+    """The structureless left type-D module with one generator per subset:
+    every cap at once."""
     gens = tuple(("e", "D", tuple(sorted(I))) for I in am.all_idempotent_subsets())
     lidem = {g: frozenset(g[2]) for g in gens}
     ridem = dict.fromkeys(gens, frozenset())
-    V = validated(ModuleStructure("DA", am, None, gens, lidem, ridem, {}, name="caps"))
-    U = dualize(V)
-    table = ProductTable()
-    for K in am.all_idempotent_subsets():
-        columns = join_columns(U, left_module_from_right_idem(am, K), V)
-        for ((_, a), (q, _)), rows in columns.items():
-            for _, x, _ in rows:
-                table[(x, a)] ^= {q}
-    return table
+    return validated(ModuleStructure("DA", am, None, gens, lidem, ridem, {}, name="caps"))
 
 
-def _targets(u: ModuleStructure, key) -> frozenset:
-    """The generators y of the outputs (a, y, b) of u's table at key."""
-    return frozenset(y for _, y, _ in u.table.get(key, ()))
+def joined_action(N: ModuleStructure) -> dict:
+    """N's action {(x, p): set of q}, unit terms included, read off the join
+    of caps with N: the column ((u, p), (q, v)) of join_columns(U, N, V), V
+    the caps and U their dual, holds (u, x, v) exactly when q occurs in x.p."""
+    V = caps(N.left_alg)
+    action: dict = {}
+    for ((_, p), (q, _)), rows in join_columns(dualize(V), N, V).items():
+        for _, x, _ in rows:
+            _add(action, (x, p), q)
+    return action
 
 
-def right_module_block(u: ModuleStructure, I) -> ChainComplexGf2:
-    """The summand of a right type-A module with right idempotent I."""
-    if u.kind != "AA" or u.right_alg is None:
-        raise StructureError("expected a module with a right action")
+def module_block(N: ModuleStructure, I) -> ChainComplexGf2:
+    """The summand iota_I . N of a left type-A module N."""
     I = frozenset(I)
-    basis = tuple(g for g in u.gens if u.ridem[g] == I)
-    images = {g: _targets(u, ((), g, ())) & set(basis) for g in basis}
-    d = Gf2Matrix.from_columns(basis, basis, images)
-    return ChainComplexGf2(basis, d)
+    basis = tuple(p for p in N.gens if N.lidem[p] == I)
+    images = {p: {q for _, q, _ in N.table.get(((), p, ()), ())} for p in basis}
+    return ChainComplexGf2(basis, Gf2Matrix.from_columns(basis, basis, images))
 
 
-def _direct_action(u: ModuleStructure, x, a) -> frozenset:
-    am = u.right_alg
-    if am.is_idempotent_elem(a):
-        return frozenset({x}) if u.ridem[x] == am.elems[a].occupied else frozenset()
-    return _targets(u, ((), x, (a,)))
+def action_on_homology(N: ModuleStructure) -> dict:
+    """(I, J) -> N's action H(iota_I.A.iota_J) (x) H(iota_J.N) -> H(iota_I.N),
+    for each (I, J) with both domain blocks non-empty, read off
+    joined_action(N) and verified against N's table and unit terms."""
+    am = N.left_alg
+    joined = joined_action(N)
+    unit = {p: am.idempotent_index(N.lidem[p]) for p in N.gens}
 
+    def direct(x, p) -> frozenset:
+        out = frozenset(q for _, q, _ in N.table.get(((x,), p, ()), ()))
+        return out ^ {p} if x == unit[p] else out
 
-def m_H(u: ModuleStructure, I, J) -> Gf2Matrix:
-    """x (x) a -> sum x . b over the b in iota_I . a read off the join of caps
-    with A.iota_J (see joined_products), induced on homology as
-    H(u . iota_I) (x) H(block I -> J) -> H(u . iota_J) and verified against
-    the direct right action."""
-    am = u.right_alg
-    products = joined_products(am)
-    return _verified_on_homology(
-        am, right_module_block(u, I), gamma_block(am, I, J), right_module_block(u, J),
-        lambda x, a: _direct_action(u, x, a),
-        lambda x, a: vsum(_direct_action(u, x, b) for b in products[(am.idempotent_index(I), a)]),
-        "join-composite action disagrees with the direct action",
-    )
+    def read_off(x, p) -> frozenset:
+        return frozenset(joined.get((x, p), ()))
 
-
-def alg_as_right_module(am: AlgebraModel) -> ModuleStructure:
-    """The algebra as a right module over itself."""
-    return algebra_module(am, range(am.dim), False, True, "A_r")
-
-
-def mu_H(am: AlgebraModel, I, J, K) -> Gf2Matrix:
-    """x (x) a -> sum_q <q, x.a> q read off the join of caps with A.iota_K (see
-    joined_products), induced on homology as H(block I->J) (x) H(block J->K)
-    -> H(block I->K) and verified against multiplication."""
-    products = joined_products(am)
-    return _verified_on_homology(
-        am, gamma_block(am, I, J), gamma_block(am, J, K), gamma_block(am, I, K),
-        lambda x, a: am.mult_table[(x, a)],
-        lambda x, a: products[(x, a)],
-        "join-composite product disagrees with multiplication",
-    )
+    subsets = list(am.all_idempotent_subsets())
+    blocks = {I: module_block(N, I) for I in subsets}
+    induced = {}
+    for I in subsets:
+        for J in subsets:
+            if blocks[J].dim and (c := gamma_block(am, I, J)).dim:
+                induced[(I, J)] = _verified_on_homology(
+                    am, c, blocks[J], blocks[I], direct, read_off,
+                    "join-composite action disagrees with the direct action",
+                )
+    return induced

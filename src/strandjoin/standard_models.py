@@ -62,13 +62,13 @@ def elementary(am: AlgebraModel, I, side: str, hand: str = "left") -> ModuleStru
     ))
 
 
-def algebra_module(am: AlgebraModel, gens, left: bool, right: bool, name: str) -> ModuleStructure:
+def algebra_module(am: AlgebraModel, gens, right: bool, name: str) -> ModuleStructure:
     """The basis elements `gens` of the algebra as a DG-type module over it.
 
-    The differential is the algebra's; the product acts from the left when
-    `left` is set and from the right when `right` is set (the other side then
-    has no algebra).  `gens` must be closed under d and under the actions
-    kept, so each nonzero product table entry is one action entry.
+    The differential is the algebra's; the product acts from the left, and
+    from the right too when `right` is set (the right side otherwise has no
+    algebra).  `gens` must be closed under d and under the actions kept, so
+    each nonzero product table entry is one action entry.
     """
     genset = set(gens)
     shared: dict = {}  # one output set per distinct product or differential
@@ -81,15 +81,14 @@ def algebra_module(am: AlgebraModel, gens, left: bool, right: bool, name: str) -
 
     table = {((), g, ()): outs(am.diff_table[g]) for g in gens if am.diff_table[g]}
     for (a, b), out in am.mult_table.items():
-        if left and b in genset and not am.is_idempotent_elem(a):
+        if b in genset and not am.is_idempotent_elem(a):
             table[((a,), b, ())] = outs(out)
         if right and a in genset and not am.is_idempotent_elem(b):
             table[((), a, (b,))] = outs(out)
-    none = frozenset()
-    lidem = {g: am.left_idem[g] if left else none for g in gens}
-    ridem = {g: am.right_idem[g] if right else none for g in gens}
+    lidem = {g: am.left_idem[g] for g in gens}
+    ridem = {g: am.right_idem[g] if right else frozenset() for g in gens}
     return validated(ModuleStructure(
-        "AA", am if left else None, am if right else None, gens, lidem, ridem, table, name=name
+        "AA", am, am if right else None, gens, lidem, ridem, table, name=name
     ))
 
 
@@ -98,13 +97,13 @@ def left_module_from_right_idem(am: AlgebraModel, I) -> ModuleStructure:
     """The left module A.iota_I: basis elements with right idempotent I, left action."""
     I = frozenset(I)
     gens = tuple(g for g in range(am.dim) if am.right_idem[g] == I)
-    return algebra_module(am, gens, True, False, f"A.i{sorted(I)}")
+    return algebra_module(am, gens, False, f"A.i{sorted(I)}")
 
 
 @once_per_algebra
 def alg_as_aa(am: AlgebraModel) -> ModuleStructure:
     """The algebra as a DG-type bimodule over itself (the negative twisting slice)."""
-    return algebra_module(am, range(am.dim), True, True, "A")
+    return algebra_module(am, range(am.dim), True, "A")
 
 
 @once_per_algebra

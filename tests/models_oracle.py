@@ -1,11 +1,11 @@
 """Hand-rolled references for the algebra modules and the cancellation source.
 
 The library builds the algebra as a module over itself (`alg_as_aa`,
-`left_module_from_right_idem`, `sfh.alg_as_right_module`) from the nonzero
+`left_module_from_right_idem`) from the nonzero
 entries of the product table, and the cancellation source
 I box A-dual box I box A (`join.dd_sandwich_da_bimodule`) as iterated box
 products with `tensor.box`, whose type-D factor stands on either hand.  This
-oracle keeps the builders they replaced: the three module builders probe
+oracle keeps the builders they replaced: the two module builders probe
 every (element, generator) pair of the product table, and
 `dd_sandwich_da_bimodule` writes the carrier and the firings of the two
 identity bimodules out by hand, finding the dual-slot terms by scanning the
@@ -68,28 +68,6 @@ def left_module_from_right_idem(am: AlgebraModel, I) -> ModuleStructure:
     return ModuleStructure(
         "AA", am, None, gens, lidem, ridem, from_kind_layout("AA", table),
         name=f"A.i{sorted(I)}",
-    )
-
-
-def alg_as_right_module(am: AlgebraModel) -> ModuleStructure:
-    """The algebra as a right module over itself."""
-    gens = tuple(range(am.dim))
-    lidem = {g: frozenset() for g in gens}
-    ridem = {g: am.right_idem[g] for g in gens}
-    table: dict = {}
-    for g in gens:
-        if am.diff_table[g]:
-            table[((), g, ())] = set(am.diff_table[g])
-    for a in range(am.dim):
-        if am.is_idempotent_elem(a):
-            continue
-        for g in gens:
-            out = am.mult_table.get((g, a), frozenset())
-            if out:
-                table[((), g, (a,))] = set(out)
-    return ModuleStructure(
-        "AA", None, am, gens, lidem, ridem, from_kind_layout("AA", table),
-        name="A_r",
     )
 
 

@@ -214,7 +214,7 @@ def test_check_all_validates_each_per_algebra_model_once(files, tmp_path, am3, s
         else:
             assert rc == 0 and out.count(": PASS\n") == 7
         expected = join_suite_names(am) | structures_suite_names(am)
-        expected |= {"A_r", "caps", "count(cap)", "count(slice)"}  # the sfh and nice suites
+        expected |= {"caps", "count(cap)", "count(slice)"}  # the sfh and nice suites
         assert structure_checks.names() == expected
         assert not structure_checks.repeated()
         # The suite's builders validate what they build; it checks only the dual.
@@ -368,11 +368,11 @@ def test_check_homotopy_plants_a_nonzero_differential(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "suite, name", [("sfh", "A_r"), ("homotopy", "A.i[1]"), ("sfh", "A.i[1]")]
+    "suite, name", [("homotopy", "A.i[1]"), ("sfh", "A.i[1]")]
 )
 def test_suites_report_a_failing_model(files, monkeypatch, suite, name):
-    # The right module of the sfh suite; the module the homotopy suite plants
-    # on, which the sfh suite's joins of caps also build.
+    # The module the homotopy suite plants on, which the sfh suite also joins
+    # with caps.
     from conftest import forget_models
 
     forget_models(enumerate_basis(Z2))

@@ -42,6 +42,14 @@ def _unit_terms(M) -> dict:
     return {((), (p, p), ()): {(None, am.idempotent_index(M.lidem[p]), None)} for p in M.gens}
 
 
+def _without_unit_terms(M, nabla_table=join._nabla_table) -> dict:
+    """nabla's table without its unital terms."""
+    table = {key: set(outs) for key, outs in nabla_table(M).items()}
+    for key, outs in _unit_terms(M).items():
+        table[key] -= outs
+    return {key: outs for key, outs in table.items() if outs}
+
+
 def test_homotopy_catches_slots_summed_at_their_own_generator_only(tmp_path, monkeypatch):
     # The solver drops the terms that start at a generator with an entry into
     # the slot's, so the H it returns, if any, has dH != t.
@@ -77,6 +85,21 @@ def test_join_and_sfh_catch_nabla_with_only_its_unit_terms(tmp_path, monkeypatch
     monkeypatch.setattr(join, "_nabla_table", _unit_terms)
     rc, out = _check(tmp_path, suite)
     assert rc == 2 and f"{suite}: FAIL\n" in out
+
+
+@pytest.mark.parametrize(
+    "suite, line",
+    [("join", "d(nabla) != 0 for A.i[1]"),
+     ("sfh", "join-composite action disagrees with the direct action")],
+    ids=["join", "sfh"],
+)
+def test_join_and_sfh_catch_nabla_without_its_unit_terms(tmp_path, monkeypatch, fresh_z2,
+                                                         suite, line):
+    # d(nabla) != 0 without the unit terms, and the joins of caps read back
+    # no action of an idempotent.
+    monkeypatch.setattr(join, "_nabla_table", _without_unit_terms)
+    rc, out = _check(tmp_path, suite)
+    assert rc == 2 and f"{suite}: FAIL\n" in out and f"\n  {line}\n" in out
 
 
 @pytest.mark.xfail(

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,9 +18,8 @@ from strandjoin.gf2 import (
 def span_solve(m: Gf2Matrix, b: frozenset):
     """Some x with m @ x = b, read off the tagged span of m's columns, or None."""
     index = {r: i for i, r in enumerate(m.rows)}
-    n = len(m.rows)
-    pivots = tagged_span([[index[r] for r in m.column(c)] for c in m.cols], n)
-    tags = span_coordinates(pivots, n, sum(1 << index[r] for r in b))
+    pivots = tagged_span([index[r] for r in m.column(c)] for c in m.cols)
+    tags = span_coordinates(pivots, sum(1 << index[r] for r in b))
     return None if tags is None else frozenset(m.cols[i] for i in tags)
 
 
@@ -54,7 +55,34 @@ def test_solve_underdetermined():
     m = Gf2Matrix(("r1",), ("c1", "c2"), {("r1", "c1"), ("r1", "c2")})
     # c2 lies in the span of c1, so it adds no pivot and the answer is {c1}.
     assert span_solve(m, frozenset({"r1"})) == {"c1"}
-    assert list(tagged_span([[0], [0]], 1).values()) == [0b011]
+    assert tagged_span([[0], [0]]) == {0: (0b1, 0b01)}
+
+
+def test_tagged_span_keeps_each_rows_tags_beside_its_bits():
+    # A pivot row is (bits, tags), keyed by the lowest set bit: the bits are
+    # the sum of the tagged vectors and reach no higher than the vectors do;
+    # a vector in the span of earlier ones adds no row.
+    rng = random.Random(185)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        supports = [rng.sample(range(n), rng.randint(0, n)) for _ in range(rng.randint(0, 15))]
+        vectors = [sum(1 << j for j in s) for s in supports]
+
+        def summed(tags):
+            acc = 0
+            for i in tags:
+                acc ^= vectors[i]
+            return acc
+
+        pivots = tagged_span(supports)
+        for p, (v, tags) in pivots.items():
+            assert (v & -v).bit_length() - 1 == p and v.bit_length() <= n
+            assert summed(i for i in range(len(vectors)) if tags >> i & 1) == v
+        m = Gf2Matrix(range(n), range(len(supports)),
+                      {(j, i) for i, s in enumerate(supports) for j in s})
+        assert len(pivots) == rank(m)
+        for v in vectors:
+            assert summed(span_coordinates(pivots, v)) == v
 
 
 def test_homology_single_generator():

@@ -2,8 +2,8 @@
 no complex, against `join_oracle.reference_join`, which builds the join's
 domain and codomain and filters its walk through their bases.  The inputs
 are those the library joins: elementary U and V, the caps of
-`sfh.joined_products`, the factors of the identity check and, on Z2, the
-structured factors of `three_joins`."""
+`sfh.joined_action` with every candidate, the factors of the identity check
+and, on Z2, the structured factors of `three_joins`."""
 
 from __future__ import annotations
 
@@ -55,12 +55,11 @@ def test_columns_match_on_elementary_modules(am1, am2, am3):
 
 
 def test_columns_match_on_the_caps_of_joined_products(am1, am2, am3, monkeypatch):
+    # The products are the joins with the A.iota_K, among the candidates.
     for am in (am1, am2, am3):
-        # The build behind the memo, so each algebra walks once per subset here.
-        joins = _joins_made(monkeypatch, sfh, lambda: sfh.joined_products.__wrapped__(am))
-        assert [M for _, M, _ in joins] == [
-            left_module_from_right_idem(am, K) for K in _subsets(am)
-        ]
+        candidates = list(left_module_candidates(am))
+        joins = _joins_made(monkeypatch, sfh, lambda: [sfh.joined_action(N) for N in candidates])
+        assert [M for _, M, _ in joins] == candidates
         assert all(assert_columns_match(*t) for t in joins)
 
 

@@ -6,7 +6,6 @@ import pytest
 import models_oracle
 from strandjoin.ainf import ModuleStructure, is_homomorphism
 from strandjoin.join import _d_chain_ends, cancel_cA, dd_sandwich_da_bimodule
-from strandjoin.sfh import alg_as_right_module
 from strandjoin.standard_models import alg_as_aa, left_module_from_right_idem
 
 RANKS = ("am0", "am1", "am2", "am3")
@@ -25,7 +24,6 @@ def _assert_same(m, ref):
 def test_algebra_modules_match_dense_builders(name, request):
     am = request.getfixturevalue(name)
     _assert_same(alg_as_aa(am), models_oracle.alg_as_aa(am))
-    _assert_same(alg_as_right_module(am), models_oracle.alg_as_right_module(am))
     for I in am.all_idempotent_subsets():
         _assert_same(
             left_module_from_right_idem(am, I), models_oracle.left_module_from_right_idem(am, I)
