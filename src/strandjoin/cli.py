@@ -38,7 +38,7 @@ def _load_diagram(path: str) -> ArcDiagram:
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise CliError(f"cannot read {path}: {e}", 1)
     try:
         z = parse(text)
@@ -66,7 +66,7 @@ def cmd_validate(args, out) -> int:
     try:
         with open(args.diagram) as fh:
             z = parse(fh.read())
-    except (OSError, ParseError) as e:
+    except (OSError, UnicodeDecodeError, ParseError) as e:
         out.write(_header(args))
         out.write(f"error: {e}\n")
         return 1

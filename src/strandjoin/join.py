@@ -21,7 +21,7 @@ keys the chains of either by the input tuple they fill.
 from __future__ import annotations
 
 from .gf2 import ChainComplexGf2, Gf2Matrix, vsum
-from .strands import AlgebraModel, rotate180
+from .strands import AlgebraModel
 from .ainf import ModuleStructure, Morphism, StructureError, _add, validated
 from .ainf import dualize, oppositize, relabel
 from .standard_models import (
@@ -34,7 +34,7 @@ from .standard_models import (
     left_module_from_right_idem,
     once_per_algebra,
 )
-from .tensor import TensorAlgebra, _d_chains, box, external_tensor, fold, ground_tensor
+from .tensor import _d_chains, box, external_tensor, fold, ground_tensor, tensor_algebra
 
 
 # -- module-shape helpers --------------------------------------------------------
@@ -338,16 +338,14 @@ def join_symmetry_verdict(
 # -- associativity apparatus ---------------------------------------------------------
 
 
-def pair_d_module(U: ModuleStructure, V: ModuleStructure, ta: TensorAlgebra) -> ModuleStructure:
-    """U (x) V as a right type-D module over the tensor algebra.
-
-    U is a right type-D module over the first factor; V a left type-D module
-    over the algebra whose reversal is the second factor.  Built as the dual
-    of the fold of the dual pair.
+def pair_d_module(U: ModuleStructure, V: ModuleStructure) -> ModuleStructure:
+    """U (x) V as a right type-D module over A (x) A-opposite, for a right
+    type-D module U and a left type-D module V over A.  Built as the dual of
+    the fold of the dual pair.
     """
     _require_right_d(U)
     _require_left_d(V)
-    return dualize(fold(ground_tensor(dualize(U), dualize(V)), ta), name=f"({U.name}(x){V.name})")
+    return dualize(fold(ground_tensor(dualize(U), dualize(V))), name=f"({U.name}(x){V.name})")
 
 
 def three_joins(
@@ -387,13 +385,8 @@ def three_joins(
     j1p = join_columns(U, M, V1p)
 
     # Simultaneous join over the tensor algebra.
-    ta = TensorAlgebra(am, rotate180(am)[0])
-    Upair = pair_d_module(U, V, ta)
-    Mt = external_tensor(M, dualize(N))
-    VX = fold(X, ta)
-    j3 = join_columns(Upair, Mt, VX)
-    rot = rotate180(am)[1]
-    rotinv = {v: k for k, v in rot.items()}
+    j3 = join_columns(pair_d_module(U, V), external_tensor(M, dualize(N)), fold(X))
+    split = tensor_algebra(am).split
 
     # Composite 1 on C1 (x) C2 (x) C3 vs composite 2 vs simultaneous.
     def as_c2(g):
@@ -434,8 +427,7 @@ def three_joins(
                 dom3 = (((u1, v3), (p1, q3)), ((q2, p2), x2))
                 acc3 = j3.get(dom3, ())
                 acc3_flat = frozenset(
-                    ((uv[0], ta.split[ut][0], xx), rotinv[ta.split[ut][1]], uv[1])
-                    for (uv, ut, xx) in acc3
+                    ((uv[0], split[ut][0], xx), split[ut][1], uv[1]) for (uv, ut, xx) in acc3
                 )
                 if acc1 != acc3_flat:
                     return False
@@ -448,27 +440,25 @@ def three_joins(
 def self_join(U_pair: ModuleStructure, M: ModuleStructure):
     """The self-join map, the join against the diagonal cycle of the double.
 
-    U_pair is a right type-D module over the tensor algebra of M's algebra
-    with its reverse, playing both ends; M must be DG-type (the external
-    tensor packaging requires it).
+    U_pair is a right type-D module over A (x) A-opposite, A being M's
+    algebra, playing both ends; M must be DG-type (the external tensor
+    packaging requires it).
     """
     _require_left_a(M)
     if not M.is_dg_type():
         raise StructureError("self join implemented for DG-type modules")
-    am = M.left_alg
-    ta = TensorAlgebra(am, rotate180(am)[0])
-    if U_pair.right_alg is not ta.union:
-        raise StructureError("U_pair must live over the tensor algebra")
     Mt = external_tensor(M, dualize(M))
-    Vmid = fold(dd_middle(am), ta)
-    join = join_general(U_pair, Mt, Vmid)
+    Vmid = fold(dd_middle(M.left_alg))
+    columns = join_columns(U_pair, Mt, Vmid)
+    codomain = _sandwich(U_pair, dual_alg_as_aa(Mt.left_alg), Vmid).underlying_complex()
     # Domain: U_pair box Mt; apply the join against the diagonal terms.
     C = box(U_pair, Mt).underlying_complex()
-    images = {}
-    for g in C.basis:
-        images[g] = vsum(join.matrix.column((g, ((p, p), mid))) for p, mid in _diagonal_terms(M))
-    matrix = Gf2Matrix.from_columns(join.codomain.basis, C.basis, images)
-    return JoinInstance(ta.union, C, join.codomain, matrix)
+    terms = _diagonal_terms(M)
+    images = {
+        g: vsum(columns.get((g, ((p, p), mid)), frozenset()) for p, mid in terms) for g in C.basis
+    }
+    matrix = Gf2Matrix.from_columns(codomain.basis, C.basis, images)
+    return JoinInstance(Mt.left_alg, C, codomain, matrix)
 
 
 def left_module_candidates(am: AlgebraModel):

@@ -12,8 +12,8 @@ each firing's inputs outside the earlier ones, its output next to the
 generator, inside theirs.
 
 The ground-ring tensor of a left and a right structure is a bimodule; fold
-reads a bimodule over (A, B) as a left module over the algebra of the
-disjoint union of A's diagram and the reverse of B's.  Every tensor-algebra
+reads a bimodule over (A, A) as a left module over A (x) A-opposite, which
+tensor_algebra builds once per algebra on Z beside -Z.  Every tensor-algebra
 module (the external tensor, the join's pair modules) is built from the two.
 
 induced boxes a morphism with another factor on either hand, through the box
@@ -22,8 +22,10 @@ of its mapping cone, so it meets whatever box meets.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 from .arc_diagram import ArcDiagram
-from .strands import ABasisElem, AlgebraModel, enumerate_basis, rotate180
+from .strands import ABasisElem, AlgebraModel, enumerate_basis
 from .ainf import (
     ModuleStructure,
     Morphism,
@@ -32,6 +34,7 @@ from .ainf import (
     _max_input_len,
     validated,
 )
+from .standard_models import once_per_algebra
 
 
 def _hand(m: ModuleStructure, side: int) -> tuple:
@@ -194,56 +197,49 @@ def ground_tensor(m: ModuleStructure, n: ModuleStructure) -> ModuleStructure:
     )
 
 
-def disjoint_union_diagram(z1: ArcDiagram, z2: ArcDiagram) -> ArcDiagram:
-    if z1.kind != z2.kind:
-        raise ValueError("disjoint union requires matching diagram kinds")
-    arcs = tuple(tuple(("L", p) for p in arc) for arc in z1.arcs) + tuple(
-        tuple(("R", p) for p in arc) for arc in z2.arcs
-    )
-    matching = {("L", p): i for p, i in z1.matching}
-    matching.update({("R", p): i + z1.rank for p, i in z2.matching})
-    return ArcDiagram(arcs, matching, z1.kind)
+@once_per_algebra
+def tensor_algebra(am: AlgebraModel) -> SimpleNamespace:
+    """A (x) A-opposite as the algebra `union` of Z beside -Z, Z's points
+    tagged "L" and -Z's "R", -Z's pairs numbered after Z's k pairs.
 
-
-class TensorAlgebra:
-    """The algebra of a disjoint union, with the pairing onto factor elements."""
-
-    def __init__(self, am1: AlgebraModel, am2: AlgebraModel):
-        self.factors = (am1, am2)
-        self.union = enumerate_basis(
-            disjoint_union_diagram(am1.arc_diagram, am2.arc_diagram)
-        )
-        self.shift = am1.k
-        self.pair_index: dict = {}
-        self.split: dict = {}
-        for i, e in enumerate(self.union.elems):
-            movers1 = tuple((s[1], t[1]) for s, t in e.movers if s[0] == "L")
-            movers2 = tuple((s[1], t[1]) for s, t in e.movers if s[0] == "R")
-            occ1 = frozenset(j for j in e.occupied if j <= self.shift)
-            occ2 = frozenset(j - self.shift for j in e.occupied if j > self.shift)
-            e1 = am1.index[ABasisElem(movers1, occ1)]
-            e2 = am2.index[ABasisElem(movers2, occ2)]
-            self.pair_index[(e1, e2)] = i
-            self.split[i] = (e1, e2)
-
-
-def fold(w: ModuleStructure, ta: TensorAlgebra) -> ModuleStructure:
-    """A bimodule over (A, B) read as a left module over ta.union, where ta's
-    factors are A and the reversal of B (realizing B-opposite).
-
-    A DD bimodule becomes a left type-D module emitting pair_index[(a, rot b)]
-    for each output pair (a, b).  A DG-type AA bimodule becomes a left type-A
-    module with the same differential, on which pair_index[(a, rot b)] acts
-    as a . - . b.
+    pair_index[(a, b)] is the union element a (x) b, and split its inverse.
+    A strand s -> t on -Z is the element of A with the strand t -> s, so
+    (a (x) b)(a' (x) b') = aa' (x) b'b.
     """
-    A, B = w.left_alg, w.right_alg
-    if w.kind not in ("AA", "DD") or not w.is_dg_type() or A is None or B is None:
-        raise StructureError("only a DD or a DG-type AA bimodule folds")
-    if A is not ta.factors[0]:
-        raise StructureError("first factor algebra mismatch")
-    brev, rot = rotate180(B)
-    if brev is not ta.factors[1]:
-        raise StructureError("second factor algebra mismatch")
+    z = am.arc_diagram
+    arcs = tuple(tuple(("L", p) for p in arc) for arc in z.arcs)
+    arcs += tuple(tuple(("R", p) for p in reversed(arc)) for arc in z.arcs)
+    matching = {("L", p): i for p, i in z.matching}
+    matching.update({("R", p): i + am.k for p, i in z.matching})
+    union = enumerate_basis(ArcDiagram(arcs, matching, z.kind))
+    pair_index: dict = {}
+    split: dict = {}
+    for u, e in enumerate(union.elems):
+        a = am.index[ABasisElem(
+            ((s[1], t[1]) for s, t in e.movers if s[0] == "L"),
+            (j for j in e.occupied if j <= am.k),
+        )]
+        b = am.index[ABasisElem(
+            ((t[1], s[1]) for s, t in e.movers if s[0] == "R"),
+            (j - am.k for j in e.occupied if j > am.k),
+        )]
+        pair_index[(a, b)] = u
+        split[u] = (a, b)
+    return SimpleNamespace(union=union, pair_index=pair_index, split=split)
+
+
+def fold(w: ModuleStructure) -> ModuleStructure:
+    """A bimodule over (A, A) read as a left module over tensor_algebra(A).
+
+    A DD bimodule becomes a left type-D module emitting pair_index[(a, b)]
+    for each output pair (a, b).  A DG-type AA bimodule becomes a left type-A
+    module with the same differential, on which pair_index[(a, b)] acts as
+    a . - . b.
+    """
+    A = w.left_alg
+    if w.kind not in ("AA", "DD") or not w.is_dg_type() or A is None or w.right_alg is not A:
+        raise StructureError("only a DD or a DG-type AA bimodule over one algebra folds")
+    ta = tensor_algebra(A)
     kind = w.left_type + "A"
     table: dict = {}
     # The differential; a DD output pair (a, b) is emitted as one union element.
@@ -251,31 +247,29 @@ def fold(w: ModuleStructure, ta: TensorAlgebra) -> ModuleStructure:
         if argsL or argsR:
             continue
         for a, y, b in outs:
-            u = None if a is None else ta.pair_index[(a, rot[b])]
+            u = None if a is None else ta.pair_index[(a, b)]
             _add(table, ((), g, ()), (u, y, None))
     if kind == "AA":
 
-        def act(alg, e, idem, key):
+        def act(e, idem, key):
             """The generators at key, whose one input is e; an idempotent e acts as the unit."""
-            if alg.is_idempotent_elem(e):
-                return (key[1],) if alg.elems[e].occupied == idem[key[1]] else ()
+            if A.is_idempotent_elem(e):
+                return (key[1],) if A.elems[e].occupied == idem[key[1]] else ()
             return [y for _, y, _ in w.table.get(key, ())]
 
-        rot_inv = {v: k for k, v in rot.items()}
-        for u, (a, rb) in ta.split.items():
-            b = rot_inv[rb]
-            if A.is_idempotent_elem(a) and B.is_idempotent_elem(b):
+        for u, (a, b) in ta.split.items():
+            if A.is_idempotent_elem(a) and A.is_idempotent_elem(b):
                 continue
             for g in w.gens:
-                for y in act(B, b, w.ridem, ((), g, (b,))):
-                    for z in act(A, a, w.lidem, ((a,), y, ())):
+                for y in act(b, w.ridem, ((), g, (b,))):
+                    for z in act(a, w.lidem, ((a,), y, ())):
                         _add(table, ((u,), g, ()), (None, z, None))
     return validated(ModuleStructure(
         kind,
         ta.union,
         None,
         w.gens,
-        {g: w.lidem[g] | frozenset(j + ta.shift for j in w.ridem[g]) for g in w.gens},
+        {g: w.lidem[g] | frozenset(j + A.k for j in w.ridem[g]) for g in w.gens},
         {g: frozenset() for g in w.gens},
         table,
         name=w.name,
@@ -283,20 +277,9 @@ def fold(w: ModuleStructure, ta: TensorAlgebra) -> ModuleStructure:
 
 
 def external_tensor(m: ModuleStructure, n: ModuleStructure) -> ModuleStructure:
-    """The DG-type module M (x) N over the tensor of their algebras.
-
-    m is a left module over A, n a right module over B; the result is a left
-    module over the algebra of the disjoint union of A's diagram and the
-    reverse of B's (realizing B-opposite), with the combined one-input
-    action.
-    """
-    if not (m.kind == "AA" and m.right_alg is None and m.left_alg is not None):
-        raise StructureError("first factor must be a left type-A module")
-    if not (n.kind == "AA" and n.left_alg is None and n.right_alg is not None):
-        raise StructureError("second factor must be a right type-A module")
-    if not m.is_dg_type() or not n.is_dg_type():
-        raise StructureError("external tensor requires DG-type factors")
-    return fold(ground_tensor(m, n), TensorAlgebra(m.left_alg, rotate180(n.right_alg)[0]))
+    """The DG-type module M (x) N over A (x) A-opposite, for a left module m
+    and a right module n over A, with the combined one-input action."""
+    return fold(ground_tensor(m, n))
 
 
 # -- induced morphisms ----------------------------------------------------------

@@ -38,6 +38,7 @@ Every walker reads and writes tables in their kind's own layout, through
 from __future__ import annotations
 
 from ainf_oracle import from_kind_layout, kind_layout
+from tensor_oracle import TensorAlgebra
 from strandjoin.ainf import ModuleStructure, StructureError, _add, dualize, oppositize, validated
 from strandjoin.gf2 import ChainComplexGf2, Gf2Matrix
 from strandjoin.join import (
@@ -54,7 +55,7 @@ from strandjoin.join import (
 )
 from strandjoin.standard_models import dual_alg_as_aa, identity_firings
 from strandjoin.strands import rotate180
-from strandjoin.tensor import TensorAlgebra, _d_chains, box, ground_tensor
+from strandjoin.tensor import _d_chains, box, ground_tensor
 
 
 def _require_right_a(M: ModuleStructure):

@@ -16,6 +16,12 @@ The library's external tensor is the fold of the ground-ring tensor; the
 `external_tensor` here is the original builder, which walks the union
 algebra's basis and reads both factors' tables directly, in the AA layout of
 `ainf_oracle.kind_layout`.
+
+`TensorAlgebra(am1, am2)` is the original two-factor pairing: the algebra of
+the disjoint union of any two diagrams, with its elements split into an
+element of each factor's algebra.  The library's `tensor.tensor_algebra(am)`
+is the case am2 = A(-Z), read back onto A through `rotate180`.
+
 `assert_same_structure` is the label-for-label comparison the differential
 tests use for every such pair of builders.
 """
@@ -33,8 +39,9 @@ from strandjoin.ainf import (
     relabel,
     validated,
 )
-from strandjoin.strands import rotate180
-from strandjoin.tensor import TensorAlgebra, _collapse, _d_chains, box
+from strandjoin.arc_diagram import ArcDiagram
+from strandjoin.strands import ABasisElem, AlgebraModel, enumerate_basis, rotate180
+from strandjoin.tensor import _collapse, _d_chains, box
 
 
 def _box_table(f, n: ModuleStructure, genset: set) -> dict:
@@ -135,6 +142,39 @@ def dbox(d: ModuleStructure, a: ModuleStructure) -> ModuleStructure:
     opposite algebra; generators are (y, x) with y from d and x from a."""
     flipped = oppositize(box(oppositize(a), oppositize(d)))
     return relabel(flipped, lambda g: (g[1], g[0]))
+
+
+def disjoint_union_diagram(z1: ArcDiagram, z2: ArcDiagram) -> ArcDiagram:
+    if z1.kind != z2.kind:
+        raise ValueError("disjoint union requires matching diagram kinds")
+    arcs = tuple(tuple(("L", p) for p in arc) for arc in z1.arcs) + tuple(
+        tuple(("R", p) for p in arc) for arc in z2.arcs
+    )
+    matching = {("L", p): i for p, i in z1.matching}
+    matching.update({("R", p): i + z1.rank for p, i in z2.matching})
+    return ArcDiagram(arcs, matching, z1.kind)
+
+
+class TensorAlgebra:
+    """The algebra of a disjoint union, with the pairing onto factor elements."""
+
+    def __init__(self, am1: AlgebraModel, am2: AlgebraModel):
+        self.factors = (am1, am2)
+        self.union = enumerate_basis(
+            disjoint_union_diagram(am1.arc_diagram, am2.arc_diagram)
+        )
+        self.shift = am1.k
+        self.pair_index: dict = {}
+        self.split: dict = {}
+        for i, e in enumerate(self.union.elems):
+            movers1 = tuple((s[1], t[1]) for s, t in e.movers if s[0] == "L")
+            movers2 = tuple((s[1], t[1]) for s, t in e.movers if s[0] == "R")
+            occ1 = frozenset(j for j in e.occupied if j <= self.shift)
+            occ2 = frozenset(j - self.shift for j in e.occupied if j > self.shift)
+            e1 = am1.index[ABasisElem(movers1, occ1)]
+            e2 = am2.index[ABasisElem(movers2, occ2)]
+            self.pair_index[(e1, e2)] = i
+            self.split[i] = (e1, e2)
 
 
 def assert_same_structure(got: ModuleStructure, ref: ModuleStructure) -> None:

@@ -9,7 +9,9 @@ import io
 import itertools
 import random
 import time
+from collections import Counter
 
+from strandjoin import tensor
 from strandjoin.arc_diagram import Z0, Z1, Z2, random_diagram
 from strandjoin.gf2 import vsum
 from strandjoin.strands import enumerate_basis, reflect, rotate180
@@ -172,7 +174,11 @@ def test_criterion_7_cancellation():
     print("\nPASS criterion 7: d(c_A) = 0 over Z1 and Z2 (validates the DD identity)")
 
 
-def test_criterion_8_join_properties():
+def test_criterion_8_join_properties(monkeypatch):
+    # Each build of tensor.tensor_algebra enumerates its union algebra once.
+    builds: Counter = Counter()
+    real = tensor.enumerate_basis
+    monkeypatch.setattr(tensor, "enumerate_basis", lambda z: builds.update([z]) or real(z))
     start = time.time()
     for z in (Z1, Z2):
         am = enumerate_basis(z)
@@ -195,6 +201,7 @@ def test_criterion_8_join_properties():
                     assert join_identity_check(U, M)
     elapsed = time.time() - start
     assert elapsed < 120, f"criterion 8 exceeded budget: {elapsed:.1f}s"
+    assert len(builds) <= 2 and max(builds.values(), default=0) <= 1, builds
     print(f"\nPASS criterion 8: join symmetry, associativity, identity, Z1 and Z2 ({elapsed:.1f}s)")
 
 

@@ -42,6 +42,18 @@ def test_validate_ok_and_errors(files):
     assert rc == 1
 
 
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path):
+    path = tmp_path / "binary.arcd"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    rc, out = _run(["validate", str(path)])
+    header, seed, error = out.splitlines()
+    assert rc == 1 and header.startswith("# strandjoin ") and seed == "# seed: 0"
+    assert error.startswith("error: ") and "can't decode byte 0xff" in error
+    for argv in (["algebra", str(path)], ["check", str(path)]):
+        rc, out = _run(argv)
+        assert rc == 1 and out == f"error: cannot read {path}: {error[len('error: '):]}\n", argv
+
+
 def test_blocks_output(files):
     rc, out = _run(["blocks", files["Z1"]])
     assert rc == 0

@@ -19,8 +19,9 @@ from strandjoin.standard_models import (
     elementary,
     left_module_from_right_idem,
 )
-from strandjoin.strands import ABasisElem, rotate180
-from strandjoin.tensor import TensorAlgebra, box, ground_tensor, induced
+from strandjoin.strands import ABasisElem, AlgebraModel
+from strandjoin import tensor
+from strandjoin.tensor import box, ground_tensor, induced, tensor_algebra
 from strandjoin.join import (
     _nabla_table,
     cancel_cA,
@@ -314,11 +315,25 @@ def test_three_joins_z2_sample(am2):
         assert three_joins(U, M, X, N, V), (I0, J0, K)
 
 
+def test_three_joins_builds_one_tensor_algebra(monkeypatch):
+    # A fresh algebra model, so nothing is memoized yet.  Every build of
+    # tensor_algebra enumerates the union algebra's basis once.
+    am = AlgebraModel(Z1)
+    builds = []
+    real = tensor.enumerate_basis
+    monkeypatch.setattr(tensor, "enumerate_basis", lambda z: builds.append(z) or real(z))
+    U = dualize(elementary(am, frozenset({1}), "D"))
+    V = elementary(am, frozenset(), "D")
+    M = left_module_from_right_idem(am, {1})
+    for N in (elementary(am, frozenset(), "A"), M):
+        assert three_joins(U, M, dd_identity(am), N, V)
+        assert len(builds) == 1
+
+
 def test_self_join_chain_map_and_elementary_dictionary(am1):
-    ta = TensorAlgebra(am1, rotate180(am1)[0])
     U = dualize(elementary(am1, frozenset({1}), "D"))
     V = elementary(am1, frozenset(), "D")
-    up = pair_d_module(U, V, ta)
+    up = pair_d_module(U, V)
     for K in _subsets(am1):
         M = elementary(am1, K, "A")
         sj = self_join(up, M)
@@ -330,15 +345,14 @@ def test_self_join_chain_map_and_elementary_dictionary(am1):
     sj = self_join(up, M)
     for g in sj.domain.basis:
         for (uv, ut, mid) in sj.matrix.column(g):
-            e1, e2 = ta.split[ut]
+            e1, _ = tensor_algebra(am1).split[ut]
             assert am1.is_idempotent_elem(e1)
 
 
 def test_self_join_chain_map_z2(am2):
-    ta = TensorAlgebra(am2, rotate180(am2)[0])
     U = dualize(elementary(am2, frozenset({1}), "D"))
     V = elementary(am2, frozenset({1}), "D")
-    up = pair_d_module(U, V, ta)
+    up = pair_d_module(U, V)
     nonzero = 0
     for M in left_module_candidates(am2):
         sj = self_join(up, M)
@@ -348,10 +362,9 @@ def test_self_join_chain_map_z2(am2):
 
 
 def test_self_join_zero_module(am1):
-    ta = TensorAlgebra(am1, rotate180(am1)[0])
     U = dualize(elementary(am1, frozenset(), "D"))
     V = elementary(am1, frozenset(), "D")
-    up = pair_d_module(U, V, ta)
+    up = pair_d_module(U, V)
     from strandjoin.ainf import ModuleStructure
 
     zero = ModuleStructure("AA", am1, None, (), {}, {}, {}, name="0")

@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 import tensor_oracle
 from ainf_oracle import kind_layout
-from strandjoin.arc_diagram import Z1, reverse
+from strandjoin.arc_diagram import Z2, flip_type
 from strandjoin.ainf import (
     ModuleStructure,
     Morphism,
@@ -25,14 +26,14 @@ from strandjoin.standard_models import (
     left_module_from_right_idem,
 )
 from strandjoin.join import cancel_cA, dd_middle, dd_sandwich_da_bimodule, left_module_candidates
-from strandjoin.strands import enumerate_basis, rotate180
+from strandjoin.strands import enumerate_basis
 from strandjoin.tensor import (
-    TensorAlgebra,
     box,
     external_tensor,
     fold,
     ground_tensor,
     induced,
+    tensor_algebra,
 )
 
 
@@ -142,13 +143,11 @@ def test_external_tensor_combined_action_grid(am1):
     N = dualize(left_module_from_right_idem(am1, {1}))
     r = external_tensor(M, N)
     assert check_structure(r) is None
-    ta = TensorAlgebra(am1, enumerate_basis(reverse(Z1)))
-    rot = rotate180(am1)[1]
-    rot_inv = {v: k for k, v in rot.items()}
+    ta = tensor_algebra(am1)
     rt, Mt, Nt = kind_layout(r), kind_layout(M), kind_layout(N)
     # the combined one-input action equals the two one-sided actions
     for u in range(ta.union.dim):
-        e1, e2 = ta.split[u]
+        e1, b = ta.split[u]
         for (x, y) in r.gens:
             got = rt.get(((u,), (x, y), ()), frozenset())
             xs = (
@@ -158,7 +157,6 @@ def test_external_tensor_combined_action_grid(am1):
                 if not am1.is_idempotent_elem(e1)
                 else frozenset()
             )
-            b = rot_inv[e2]
             ys = (
                 frozenset([y])
                 if am1.is_idempotent_elem(b) and am1.elems[b].occupied == N.ridem[y]
@@ -195,9 +193,8 @@ def test_ground_tensor_requires_a_left_then_a_right_structure(am1):
 
 
 def test_fold_rejects_other_inputs(am1, am2):
-    ta = TensorAlgebra(am1, rotate180(am1)[0])
     with pytest.raises(StructureError, match="only a DD or a DG-type AA"):
-        fold(da_identity(am1), ta)
+        fold(da_identity(am1))
     # a well-typed AA bimodule with a two-input entry m(r; x; r) = y
     r = next(i for i in range(am1.dim) if not am1.is_idempotent_elem(i))
     L, R = am1.left_idem[r], am1.right_idem[r]
@@ -207,12 +204,46 @@ def test_fold_rejects_other_inputs(am1, am2):
     )
     assert not w.is_dg_type()
     with pytest.raises(StructureError, match="only a DD or a DG-type AA"):
-        fold(w, ta)
-    X = dd_identity(am1)
-    with pytest.raises(StructureError, match="first factor algebra mismatch"):
-        fold(X, TensorAlgebra(am2, rotate180(am1)[0]))
-    with pytest.raises(StructureError, match="second factor algebra mismatch"):
-        fold(X, TensorAlgebra(am1, rotate180(am2)[0]))
+        fold(w)
+    # ground tensors over two different algebras, an AA and a DD bimodule
+    M1, M2 = left_module_from_right_idem(am1, {1}), left_module_from_right_idem(am2, {1})
+    D1, D2 = elementary(am1, {1}, "D"), elementary(am2, {1}, "D")
+    for m, n in ((M1, dualize(M2)), (D1, dualize(D2)), (M2, dualize(M1))):
+        w = ground_tensor(m, n)
+        assert w.kind in ("AA", "DD") and w.is_dg_type() and w.left_alg is not w.right_alg
+        with pytest.raises(StructureError, match="over one algebra"):
+            fold(w)
+
+
+def test_tensor_algebra_is_a_tensor_a_opposite(am1, am2, am3):
+    # split is a bijection onto A x A; a (x) b has the idempotents
+    # L(a) u shift(R(b)) on the left and R(a) u shift(L(b)) on the right,
+    # d(a (x) b) = da (x) b + a (x) db and (a (x) b)(a' (x) b') = aa' (x) b'b.
+    for am in (am1, am2, enumerate_basis(flip_type(Z2)), am3):
+        ta = tensor_algebra(am)
+        union, k = ta.union, am.k
+        assert sorted(ta.split.values()) == list(itertools.product(range(am.dim), repeat=2))
+        assert all(ta.pair_index[ab] == u for u, ab in ta.split.items())
+
+        def tensor(xs, ys):
+            return frozenset(ta.pair_index[(x, y)] for x in xs for y in ys)
+
+        def shift(subset):
+            return frozenset(j + k for j in subset)
+
+        for u, (a, b) in ta.split.items():
+            assert union.left_idem[u] == am.left_idem[a] | shift(am.right_idem[b])
+            assert union.right_idem[u] == am.right_idem[a] | shift(am.left_idem[b])
+            assert union.diff({u}) == tensor(am.diff({a}), {b}) ^ tensor({a}, am.diff({b}))
+        if am is am3:
+            # The stored (nonzero) products, and as many as A's squared.
+            products = union.mult_table
+            assert len(products) == len(am.mult_table) ** 2
+        else:
+            products = itertools.product(ta.split, repeat=2)
+        for u, v in products:
+            (a, b), (a2, b2) = ta.split[u], ta.split[v]
+            assert union.mult_table[(u, v)] == tensor(am.mult_table[(a, a2)], am.mult_table[(b2, b)])
 
 
 def test_induced_identity_and_zero(am2):

@@ -20,13 +20,29 @@ from strandjoin.join import (
     pair_bimodule,
     pair_d_module,
 )
+from strandjoin.arc_diagram import Z2, flip_type
 from strandjoin.standard_models import alg_as_aa, da_identity, dd_identity, elementary
-from strandjoin.strands import rotate180
-from strandjoin.tensor import TensorAlgebra, box, external_tensor, fold
+from strandjoin.strands import enumerate_basis, rotate180
+from strandjoin.tensor import box, external_tensor, fold, tensor_algebra
 
 
 def _subsets(am):
     return list(am.all_idempotent_subsets())
+
+
+def _oracle_pairing(am):
+    """The two-factor pairing of A with the algebra of -Z, onto which
+    rotate180 carries A's elements."""
+    return tensor_oracle.TensorAlgebra(am, rotate180(am)[0])
+
+
+def test_tensor_algebra_matches_the_two_factor_pairing(am1, am2, am3):
+    for am in (am1, am2, enumerate_basis(flip_type(Z2)), am3):
+        ta, ref = tensor_algebra(am), _oracle_pairing(am)
+        rot = rotate180(am)[1]
+        assert ta.union is ref.union
+        assert ta.pair_index == {(a, b): ref.pair_index[(a, rot[b])] for a, b in ta.pair_index}
+        assert ta.split == {u: (a, b) for (a, b), u in ta.pair_index.items()}
 
 
 def test_pair_bimodule_matches_oracle(am1, am2, am3):
@@ -51,14 +67,14 @@ def test_external_tensor_matches_oracle(am1, am2):
 
 def test_fold_of_dd_matches_oracle(am1, am2):
     for am in (am1, am2):
-        ta = TensorAlgebra(am, rotate180(am)[0])
+        ta = _oracle_pairing(am)
         for X in (dd_identity(am), dd_middle(am)):
-            assert_same_structure(fold(X, ta), join_oracle.dd_as_left_module(X, ta))
+            assert_same_structure(fold(X), join_oracle.dd_as_left_module(X, ta))
 
 
 def test_pair_d_module_matches_oracle(am1, am2):
     for am in (am1, am2):
-        ta = TensorAlgebra(am, rotate180(am)[0])
+        ta = _oracle_pairing(am)
         X = dd_identity(am)
         subs = _subsets(am)
         us = [dualize(elementary(am, I, "D")) for I in subs]
@@ -68,7 +84,7 @@ def test_pair_d_module_matches_oracle(am1, am2):
             vs.append(box(X, M))
             assert check_structure(us[-1]) is None and check_structure(vs[-1]) is None
         for U, V in itertools.product(us, vs):
-            got, ref = pair_d_module(U, V, ta), join_oracle.pair_d_module(U, V, ta)
+            got, ref = pair_d_module(U, V), join_oracle.pair_d_module(U, V, ta)
             assert_same_structure(got, ref)
             assert got.name == ref.name
 
