@@ -96,9 +96,14 @@ def cmd_algebra(args, out) -> int:
 
 
 def cmd_blocks(args, out) -> int:
+    from .gf2 import ChainComplexError
+
     z = _load_diagram(args.diagram)
     am = enumerate_basis(z)
-    blocks = homology_blocks(am)
+    try:  # a block whose d^2 fails is a check failure
+        blocks = homology_blocks(am)
+    except ChainComplexError as e:
+        raise CliError(str(e), 2)
     lines = [_header(args)]
     for (I, J) in sorted(blocks, key=lambda t: (sorted(t[0]), sorted(t[1]))):
         lines.append(f"{_subset_label(I)}\t{_subset_label(J)}\t{blocks[(I, J)]}\n")
@@ -323,15 +328,15 @@ def _suite_join(z, am, rng) -> list:
     from .join import cancel_cA, diagonal, left_module_candidates, nabla
 
     failures = []
-    for M in left_module_candidates(am):
-        try:  # a module built on the way may fail its structure equation
+    try:  # a candidate or a module built on the way may fail its structure equation
+        for M in left_module_candidates(am):
             if not is_homomorphism(nabla(M)):
                 failures.append(f"d(nabla) != 0 for {M.name}")
             c, vec = diagonal(M)
             if c.differential.apply(vec):
                 failures.append(f"d(Delta) != 0 for {M.name}")
-        except StructureError as e:
-            failures.append(str(e))
+    except StructureError as e:
+        failures.append(str(e))
     try:
         if not is_homomorphism(cancel_cA(am)):
             failures.append("d(c_A) != 0")

@@ -359,7 +359,8 @@ def three_joins(
 
     U is a right type-D module, M and N DG-type left modules, X a DD
     bimodule, V a left type-D module; the middle complex is
-    M-dual box X box N.
+    M-dual box X box N.  Each route is composed from the nonzero columns of
+    its join maps, so no generator of a domain is listed.
     """
     _require_right_d(U)
     _require_left_a(M)
@@ -368,9 +369,6 @@ def three_joins(
     am = M.left_alg
     if not (M.is_dg_type() and N.is_dg_type()):
         raise StructureError("associativity test requires DG-type modules")
-    C1 = box(U, M).gens
-    C2 = _sandwich(dualize(M), X, N).gens
-    C3 = box(dualize(N), V).gens
 
     # First composition: join at M, then at N.
     V1 = validated(box(X, N))
@@ -388,50 +386,29 @@ def three_joins(
     j3 = join_columns(pair_d_module(U, V), external_tensor(M, dualize(N)), fold(X))
     split = tensor_algebra(am).split
 
-    # Composite 1 on C1 (x) C2 (x) C3 vs composite 2 vs simultaneous.
-    def as_c2(g):
-        q, x, p = g
-        return (q, (x, p))
-
-    def as_d1(g):
-        u, a, xp = g
-        x, p = xp
-        return ((u, a, x), p)
-
-    def as_c2p(g):
-        q, x, p = g
-        return ((q, x), p)
-
-    def as_d2(g):
-        qx, b, v = g
-        q, x = qx
-        return (q, (x, b, v))
-
-    for g1 in C1:
-        for g2 in C2:
-            for g3 in C3:
-                # route 1; j2 codomain gens are ((u,a,x), b, v)
-                mid = j1.get((g1, as_c2(g2)), ())
-                acc1 = vsum(j2.get((as_d1(t), g3), frozenset()) for t in mid)
-                # route 2
-                mid2 = j2p.get((as_c2p(g2), g3), ())
-                acc2 = vsum(j1p.get((g1, as_d2(t)), frozenset()) for t in mid2)
-                # identify codomains: route1 ((u,a,x),b,v) vs route2 (u,a,(x,b,v))
-                acc2_flat = frozenset(((u, a, x), b, v) for (u, a, (x, b, v)) in acc2)
-                if acc1 != acc2_flat:
-                    return False
-                # route 3
-                u1, p1 = g1
-                q2, x2, p2 = g2
-                q3, v3 = g3
-                dom3 = (((u1, v3), (p1, q3)), ((q2, p2), x2))
-                acc3 = j3.get(dom3, ())
-                acc3_flat = frozenset(
-                    ((uv[0], split[ut][0], xx), split[ut][1], uv[1]) for (uv, ut, xx) in acc3
-                )
-                if acc1 != acc3_flat:
-                    return False
-    return True
+    # Each route as {(g1, (q, x, p), g3): codomain generators ((u, a, x), b, v)},
+    # g1 in U box M, (q, x, p) in M-dual box X box N and g3 in N-dual box V.
+    j2_at, j1p_at, route1, route2 = {}, {}, {}, {}
+    for (d1, g3), img in j2.items():
+        j2_at.setdefault(d1, []).append((g3, img))
+    for (g1, d2), img in j1p.items():
+        j1p_at.setdefault(d2, []).append((g1, {((u, a, x), b, v) for u, a, (x, b, v) in img}))
+    for (g1, (q, (x, p))), mid in j1.items():
+        for u, a, (x2, p2) in mid:
+            for g3, img in j2_at.get(((u, a, x2), p2), ()):
+                route1[g1, (q, x, p), g3] = route1.get((g1, (q, x, p), g3), set()) ^ img
+    for (((q, x), p), g3), mid in j2p.items():
+        for (q2, x2), b, v in mid:
+            for g1, img in j1p_at.get((q2, (x2, b, v)), ()):
+                route2[g1, (q, x, p), g3] = route2.get((g1, (q, x, p), g3), set()) ^ img
+    route3 = {
+        ((u, p), (q2, x, p2), (q, v)): {
+            ((u2, split[e][0], x2), split[e][1], v2) for (u2, v2), e, x2 in img
+        }
+        for (((u, v), (p, q)), ((q2, p2), x)), img in j3.items()
+    }
+    nonzero = [{g: img for g, img in route.items() if img} for route in (route1, route2, route3)]
+    return nonzero[0] == nonzero[1] == nonzero[2]
 
 
 # -- self join -----------------------------------------------------------------------

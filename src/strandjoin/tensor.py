@@ -234,7 +234,7 @@ def fold(w: ModuleStructure) -> ModuleStructure:
     A DD bimodule becomes a left type-D module emitting pair_index[(a, b)]
     for each output pair (a, b).  A DG-type AA bimodule becomes a left type-A
     module with the same differential, on which pair_index[(a, b)] acts as
-    a . - . b.
+    a . - . b, read off w's one-input entries with no union element listed.
     """
     A = w.left_alg
     if w.kind not in ("AA", "DD") or not w.is_dg_type() or A is None or w.right_alg is not A:
@@ -250,20 +250,19 @@ def fold(w: ModuleStructure) -> ModuleStructure:
             u = None if a is None else ta.pair_index[(a, b)]
             _add(table, ((), g, ()), (u, y, None))
     if kind == "AA":
-
-        def act(e, idem, key):
-            """The generators at key, whose one input is e; an idempotent e acts as the unit."""
-            if A.is_idempotent_elem(e):
-                return (key[1],) if A.elems[e].occupied == idem[key[1]] else ()
-            return [y for _, y, _ in w.table.get(key, ())]
-
-        for u, (a, b) in ta.split.items():
-            if A.is_idempotent_elem(a) and A.is_idempotent_elem(b):
-                continue
-            for g in w.gens:
-                for y in act(b, w.ridem, ((), g, (b,))):
-                    for z in act(a, w.lidem, ((a,), y, ())):
-                        _add(table, ((u,), g, ()), (None, z, None))
+        # Each generator's one-input actions as (input, output), its unit first.
+        left = {g: [(A.idempotent_index(w.lidem[g]), g)] for g in w.gens}
+        right = {g: [(A.idempotent_index(w.ridem[g]), g)] for g in w.gens}
+        for (argsL, g, argsR), outs in w.table.items():
+            if argsL or argsR:
+                acts = left[g] if argsL else right[g]
+                acts += [((argsL or argsR)[0], y) for _, y, _ in outs]
+        # (a (x) b) . g = a . (g . b), but for the unit acting on both sides.
+        for g in w.gens:
+            for b, y in right[g]:
+                for a, z in left[y]:
+                    if not (A.is_idempotent_elem(a) and A.is_idempotent_elem(b)):
+                        _add(table, ((ta.pair_index[(a, b)],), g, ()), (None, z, None))
     return validated(ModuleStructure(
         kind,
         ta.union,

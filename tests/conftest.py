@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import sys
 from collections import Counter
 
@@ -103,3 +104,38 @@ def forget_models(am) -> None:
     """Drop the models built once per algebra, so the next command builds
     (and validates) them as a fresh process would."""
     am.__dict__.pop("models", None)
+
+
+def three_join_tuples(am):
+    """The (U, M, X, N, V) on which criterion 8 runs `three_joins`: U and V the
+    elementary type-D caps, M and N the bounded candidates, X the DD identity
+    (64 on Z1, 1,024 on Z2)."""
+    from strandjoin.ainf import dualize
+    from strandjoin.standard_models import dd_identity, elementary, left_module_from_right_idem
+
+    subs = list(am.all_idempotent_subsets())
+    X = dd_identity(am)
+    for I0, J0, K1, K2 in itertools.product(subs, repeat=4):
+        for M in (elementary(am, K1, "A"), left_module_from_right_idem(am, K1)):
+            for N in (elementary(am, K2, "A"), left_module_from_right_idem(am, K2)):
+                yield dualize(elementary(am, I0, "D")), M, X, N, elementary(am, J0, "D")
+
+
+def nabla_unit_terms(M) -> dict:
+    """nabla's table reduced to its unital terms (), (p, p), () -> iota."""
+    am = M.left_alg
+    return {((), (p, p), ()): {(None, am.idempotent_index(M.lidem[p]), None)} for p in M.gens}
+
+
+def nabla_one_action_term_dropped(nabla_table):
+    """nabla_table with one action term dropped: at the least key (by repr)
+    pairing two different generators p != q, its least term."""
+
+    def dropped(M) -> dict:
+        table = nabla_table(M)
+        key = min((k for k in table if k[1][0] != k[1][1]), key=repr, default=None)
+        if key is None:
+            return table
+        return {**table, key: set(table[key]) - {min(table[key], key=repr)}}
+
+    return dropped

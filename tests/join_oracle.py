@@ -31,6 +31,13 @@ one index by filled input tuple (`join._d_chain_ends`).
 are the original hand builders of the join's domain and its pair modules;
 the library builds each from the ground-ring tensor and its fold.
 
+`three_joins` is the associativity verdict as first written: it lists the
+generators of C1 = U box M, C2 = M^dual box X box N and C3 = N^dual box V and
+compares the three routes at every triple of C1 x C2 x C3.  The library
+builds each route from the nonzero columns of its join maps only.  It calls
+the library's `join_columns` through the module, so a test that patches
+`strandjoin.join.join_columns` reaches both.
+
 Every walker reads and writes tables in their kind's own layout, through
 `ainf_oracle.kind_layout` and `ainf_oracle.from_kind_layout`.
 """
@@ -39,8 +46,9 @@ from __future__ import annotations
 
 from ainf_oracle import from_kind_layout, kind_layout
 from tensor_oracle import TensorAlgebra
+from strandjoin import join
 from strandjoin.ainf import ModuleStructure, StructureError, _add, dualize, oppositize, validated
-from strandjoin.gf2 import ChainComplexGf2, Gf2Matrix
+from strandjoin.gf2 import ChainComplexGf2, Gf2Matrix, vsum
 from strandjoin.join import (
     JoinInstance,
     _identity_composite,
@@ -55,7 +63,7 @@ from strandjoin.join import (
 )
 from strandjoin.standard_models import dual_alg_as_aa, identity_firings
 from strandjoin.strands import rotate180
-from strandjoin.tensor import _d_chains, box, ground_tensor
+from strandjoin.tensor import _d_chains, box, external_tensor, fold, ground_tensor, tensor_algebra
 
 
 def _require_right_a(M: ModuleStructure):
@@ -506,3 +514,92 @@ def dd_as_left_module(X: ModuleStructure, ta: TensorAlgebra) -> ModuleStructure:
     return validated(ModuleStructure(
         "DA", union, None, gens, lidem, ridem, from_kind_layout("DA", table), name=f"[{X.name}]"
     ))
+
+
+# -- the associativity verdict over C1 x C2 x C3 ---------------------------------------
+
+
+def three_joins(
+    U: ModuleStructure,
+    M: ModuleStructure,
+    X: ModuleStructure,
+    N: ModuleStructure,
+    V: ModuleStructure,
+) -> bool:
+    """Verify the three ways of composing two joins agree on the nose.
+
+    U is a right type-D module, M and N DG-type left modules, X a DD
+    bimodule, V a left type-D module; the middle complex is
+    M-dual box X box N.
+    """
+    _require_right_d(U)
+    _require_left_a(M)
+    _require_left_a(N)
+    _require_left_d(V)
+    am = M.left_alg
+    if not (M.is_dg_type() and N.is_dg_type()):
+        raise StructureError("associativity test requires DG-type modules")
+    C1 = box(U, M).gens
+    C2 = _sandwich(dualize(M), X, N).gens
+    C3 = box(dualize(N), V).gens
+
+    # First composition: join at M, then at N.
+    V1 = validated(box(X, N))
+    j1 = join.join_columns(U, M, V1)
+    U2 = validated(_sandwich(U, dual_alg_as_aa(am), X))
+    j2 = join.join_columns(U2, N, V)
+
+    # Second composition: join at N, then at M.
+    U2p = validated(box(dualize(M), X))
+    j2p = join.join_columns(U2p, N, V)
+    V1p = validated(_sandwich(X, dual_alg_as_aa(am), V))
+    j1p = join.join_columns(U, M, V1p)
+
+    # Simultaneous join over the tensor algebra.
+    j3 = join.join_columns(join.pair_d_module(U, V), external_tensor(M, dualize(N)), fold(X))
+    split = tensor_algebra(am).split
+
+    # Composite 1 on C1 (x) C2 (x) C3 vs composite 2 vs simultaneous.
+    def as_c2(g):
+        q, x, p = g
+        return (q, (x, p))
+
+    def as_d1(g):
+        u, a, xp = g
+        x, p = xp
+        return ((u, a, x), p)
+
+    def as_c2p(g):
+        q, x, p = g
+        return ((q, x), p)
+
+    def as_d2(g):
+        qx, b, v = g
+        q, x = qx
+        return (q, (x, b, v))
+
+    for g1 in C1:
+        for g2 in C2:
+            for g3 in C3:
+                # route 1; j2 codomain gens are ((u,a,x), b, v)
+                mid = j1.get((g1, as_c2(g2)), ())
+                acc1 = vsum(j2.get((as_d1(t), g3), frozenset()) for t in mid)
+                # route 2
+                mid2 = j2p.get((as_c2p(g2), g3), ())
+                acc2 = vsum(j1p.get((g1, as_d2(t)), frozenset()) for t in mid2)
+                # identify codomains: route1 ((u,a,x),b,v) vs route2 (u,a,(x,b,v))
+                acc2_flat = frozenset(((u, a, x), b, v) for (u, a, (x, b, v)) in acc2)
+                if acc1 != acc2_flat:
+                    return False
+                # route 3
+                u1, p1 = g1
+                q2, x2, p2 = g2
+                q3, v3 = g3
+                dom3 = (((u1, v3), (p1, q3)), ((q2, p2), x2))
+                acc3 = j3.get(dom3, ())
+                acc3_flat = frozenset(
+                    ((uv[0], split[ut][0], xx), split[ut][1], uv[1]) for (uv, ut, xx) in acc3
+                )
+                if acc1 != acc3_flat:
+                    return False
+    return True

@@ -22,6 +22,10 @@ the disjoint union of any two diagrams, with its elements split into an
 element of each factor's algebra.  The library's `tensor.tensor_algebra(am)`
 is the case am2 = A(-Z), read back onto A through `rotate180`.
 
+`fold` is the library's fold as first written: its AA branch runs every
+union-algebra element against every generator, an idempotent factor acting
+as the unit.  The library reads each generator's own one-input entries.
+
 `assert_same_structure` is the label-for-label comparison the differential
 tests use for every such pair of builders.
 """
@@ -41,7 +45,7 @@ from strandjoin.ainf import (
 )
 from strandjoin.arc_diagram import ArcDiagram
 from strandjoin.strands import ABasisElem, AlgebraModel, enumerate_basis, rotate180
-from strandjoin.tensor import _collapse, _d_chains, box
+from strandjoin.tensor import _collapse, _d_chains, box, tensor_algebra
 
 
 def _box_table(f, n: ModuleStructure, genset: set) -> dict:
@@ -260,4 +264,52 @@ def external_tensor(m: ModuleStructure, n: ModuleStructure) -> ModuleStructure:
     return validated(ModuleStructure(
         "AA", U, None, gens, lidem, ridem, from_kind_layout("AA", table),
         name=f"({m.name}(x){n.name})",
+    ))
+
+
+def fold(w: ModuleStructure) -> ModuleStructure:
+    """A bimodule over (A, A) read as a left module over tensor_algebra(A).
+
+    A DD bimodule becomes a left type-D module emitting pair_index[(a, b)]
+    for each output pair (a, b).  A DG-type AA bimodule becomes a left type-A
+    module with the same differential, on which pair_index[(a, b)] acts as
+    a . - . b.
+    """
+    A = w.left_alg
+    if w.kind not in ("AA", "DD") or not w.is_dg_type() or A is None or w.right_alg is not A:
+        raise StructureError("only a DD or a DG-type AA bimodule over one algebra folds")
+    ta = tensor_algebra(A)
+    kind = w.left_type + "A"
+    table: dict = {}
+    # The differential; a DD output pair (a, b) is emitted as one union element.
+    for (argsL, g, argsR), outs in w.table.items():
+        if argsL or argsR:
+            continue
+        for a, y, b in outs:
+            u = None if a is None else ta.pair_index[(a, b)]
+            _add(table, ((), g, ()), (u, y, None))
+    if kind == "AA":
+
+        def act(e, idem, key):
+            """The generators at key, whose one input is e; an idempotent e acts as the unit."""
+            if A.is_idempotent_elem(e):
+                return (key[1],) if A.elems[e].occupied == idem[key[1]] else ()
+            return [y for _, y, _ in w.table.get(key, ())]
+
+        for u, (a, b) in ta.split.items():
+            if A.is_idempotent_elem(a) and A.is_idempotent_elem(b):
+                continue
+            for g in w.gens:
+                for y in act(b, w.ridem, ((), g, (b,))):
+                    for z in act(a, w.lidem, ((a,), y, ())):
+                        _add(table, ((u,), g, ()), (None, z, None))
+    return validated(ModuleStructure(
+        kind,
+        ta.union,
+        None,
+        w.gens,
+        {g: w.lidem[g] | frozenset(j + A.k for j in w.ridem[g]) for g in w.gens},
+        {g: frozenset() for g in w.gens},
+        table,
+        name=w.name,
     ))

@@ -11,18 +11,22 @@ import io
 
 import pytest
 
-from conftest import forget_models
-from strandjoin import ainf, join
+from conftest import forget_models, nabla_one_action_term_dropped, nabla_unit_terms
+from strandjoin import ainf, join, standard_models
 from strandjoin.arc_diagram import Z2, serialize
-from strandjoin.cli import run
-from strandjoin.strands import enumerate_basis
+from strandjoin.cli import SUITES, run
+from strandjoin.strands import ProductTable, enumerate_basis
 
 
-def _check(tmp_path, suite) -> tuple[int, str]:
+def _run(tmp_path, command, *args) -> tuple[int, str]:
     p = tmp_path / "Z2.arcd"
     p.write_text(serialize(Z2))
     buf = io.StringIO()
-    return run(["check", str(p), suite], buf), buf.getvalue()
+    return run([command, str(p), *args], buf), buf.getvalue()
+
+
+def _check(tmp_path, suite) -> tuple[int, str]:
+    return _run(tmp_path, "check", suite)
 
 
 @pytest.fixture()
@@ -36,16 +40,24 @@ def fresh_z2():
     forget_models(am)
 
 
-def _unit_terms(M) -> dict:
-    """nabla's table reduced to its unital terms (), (p, p), () -> iota."""
-    am = M.left_alg
-    return {((), (p, p), ()): {(None, am.idempotent_index(M.lidem[p]), None)} for p in M.gens}
+def _plant_table(monkeypatch, name: str, table: dict) -> None:
+    """Z2's diff_table or mult_table replaced for the test, and the caches
+    read off it dropped until the test ends."""
+    am = enumerate_basis(Z2)
+    monkeypatch.setitem(am.__dict__, name, table)
+    for derived in ("preimages", "opposite"):
+        monkeypatch.delitem(am.__dict__, derived, raising=False)
+
+
+def _verdicts(out: str) -> dict:
+    """suite -> PASS or FAIL, off the verdict lines of `check all`."""
+    return dict(line.split(": ") for line in out.splitlines() if line.split(":")[0] in SUITES)
 
 
 def _without_unit_terms(M, nabla_table=join._nabla_table) -> dict:
     """nabla's table without its unital terms."""
     table = {key: set(outs) for key, outs in nabla_table(M).items()}
-    for key, outs in _unit_terms(M).items():
+    for key, outs in nabla_unit_terms(M).items():
         table[key] -= outs
     return {key: outs for key, outs in table.items() if outs}
 
@@ -82,7 +94,7 @@ def test_join_and_sfh_catch_nabla_with_only_its_unit_terms(tmp_path, monkeypatch
                                                            suite):
     # d(nabla) != 0 without the action terms, and the joins of caps read back
     # only the products by idempotents.
-    monkeypatch.setattr(join, "_nabla_table", _unit_terms)
+    monkeypatch.setattr(join, "_nabla_table", nabla_unit_terms)
     rc, out = _check(tmp_path, suite)
     assert rc == 2 and f"{suite}: FAIL\n" in out
 
@@ -100,6 +112,62 @@ def test_join_and_sfh_catch_nabla_without_its_unit_terms(tmp_path, monkeypatch, 
     monkeypatch.setattr(join, "_nabla_table", _without_unit_terms)
     rc, out = _check(tmp_path, suite)
     assert rc == 2 and f"{suite}: FAIL\n" in out and f"\n  {line}\n" in out
+
+
+@pytest.mark.parametrize("suite", ["join", "sfh"])
+def test_join_and_sfh_catch_one_nabla_action_term_dropped(tmp_path, monkeypatch, fresh_z2,
+                                                          suite):
+    # d(nabla) != 0, and the join of caps reads back one action term short.
+    monkeypatch.setattr(join, "_nabla_table", nabla_one_action_term_dropped(join._nabla_table))
+    rc, out = _check(tmp_path, suite)
+    assert rc == 2 and f"{suite}: FAIL\n" in out
+
+
+def test_every_suite_but_homotopy_catches_a_missing_product(tmp_path, monkeypatch, fresh_z2):
+    # The product of two non-idempotents, 1.7 = 3, read as 0: associativity,
+    # the anti-homomorphisms and every model built on the algebra fail, and the
+    # join suite reports its failing candidate instead of raising.
+    am = enumerate_basis(Z2)
+    assert am.mult_table[(1, 7)] == {3} and not (am.is_idempotent_elem(1) or am.is_idempotent_elem(7))
+    table = ProductTable(am.mult_table)
+    del table[(1, 7)]
+    _plant_table(monkeypatch, "mult_table", table)
+    rc, out = _check(tmp_path, "all")
+    assert rc == 2
+    assert _verdicts(out) == {s: "PASS" if s == "homotopy" else "FAIL" for s in SUITES}
+
+
+def test_dga_sfh_and_blocks_catch_d_squared_nonzero(tmp_path, monkeypatch, fresh_z2):
+    # d(2) = 6 and d(6) = 4, so d^2(2) = 4.
+    am = enumerate_basis(Z2)
+    assert not am.diff_table[2] and am.diff_table[6] == {4}
+    _plant_table(monkeypatch, "diff_table", {**am.diff_table, 2: frozenset({6})})
+    rc, out = _check(tmp_path, "all")
+    verdicts = _verdicts(out)
+    assert rc == 2 and list(verdicts) == list(SUITES)
+    assert verdicts["dga"] == verdicts["sfh"] == "FAIL"
+    assert _run(tmp_path, "blocks") == (2, "error: d^2 != 0\n")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 14: IdDD without one chord still satisfies its structure equation, "
+    "and no suite checks that c_A induces an isomorphism at each cap pair",
+)
+def test_suites_catch_dd_identity_missing_one_chord(tmp_path, monkeypatch, fresh_z2):
+    # The first firing of x_{1}: every suite still prints PASS, while the cap
+    # homologies of IA^IA differ from those of IdDA at four cap pairs.
+    real = standard_models.identity_firings
+
+    def one_chord_short(am):
+        firings = dict(real(am))
+        firings[frozenset({1})] = firings[frozenset({1})][1:]
+        return firings
+
+    monkeypatch.setattr(standard_models, "identity_firings", one_chord_short)
+    rc, out = _check(tmp_path, "all")
+    assert rc == 2 and "FAIL\n" in out
 
 
 @pytest.mark.xfail(

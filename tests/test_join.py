@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from conftest import nabla_one_action_term_dropped, nabla_unit_terms, three_join_tuples
 from join_oracle import assert_identity_matches, assert_reflection_matches
+from strandjoin import join
 from strandjoin.arc_diagram import Z1
 from strandjoin.ainf import (
     Morphism,
@@ -328,6 +330,23 @@ def test_three_joins_builds_one_tensor_algebra(monkeypatch):
     for N in (elementary(am, frozenset(), "A"), M):
         assert three_joins(U, M, dd_identity(am), N, V)
         assert len(builds) == 1
+
+
+def test_three_joins_fails_with_one_nabla_action_term_dropped(am2, monkeypatch):
+    # The fault of the catalogue's join and sfh tests: 16 of the 1,024 Z2 tuples.
+    monkeypatch.setattr(join, "_nabla_table", nabla_one_action_term_dropped(join._nabla_table))
+    assert not all(three_joins(*t) for t in three_join_tuples(am2))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP items 15 and 20: with nabla reduced to its unit terms, three_joins "
+    "still passes every tuple of criterion 8 on Z1 and Z2",
+)
+def test_three_joins_fails_with_nabla_reduced_to_its_unit_terms(am1, am2, monkeypatch):
+    monkeypatch.setattr(join, "_nabla_table", nabla_unit_terms)
+    assert not all(three_joins(*t) for am in (am1, am2) for t in three_join_tuples(am))
 
 
 def test_self_join_chain_map_and_elementary_dictionary(am1):

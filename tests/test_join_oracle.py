@@ -3,13 +3,20 @@ no complex, against `join_oracle.reference_join`, which builds the join's
 domain and codomain and filters its walk through their bases.  The inputs
 are those the library joins: elementary U and V, the caps of
 `sfh.joined_action` with every candidate, the factors of the identity check
-and, on Z2, the structured factors of `three_joins`."""
+and, on Z2, the structured factors of `three_joins`.
+
+`three_joins`, which composes its routes from the nonzero columns of its
+joins, against `join_oracle.three_joins`, which compares them at every triple
+of the three box products' generators: on the tuples of criterion 8, at rank
+3, and with one of the five join maps perturbed."""
 
 from __future__ import annotations
 
 import itertools
 import random
 
+import join_oracle
+from conftest import three_join_tuples
 from join_oracle import assert_columns_match, reference_join
 from strandjoin import join, sfh
 from strandjoin.ainf import dualize
@@ -98,3 +105,42 @@ def test_columns_match_on_the_factors_of_three_joins(am2, monkeypatch):
         for i, t in enumerate(joins):
             nonzero[i] += bool(assert_columns_match(*t))
     assert all(nonzero), nonzero
+
+
+def test_three_joins_matches_oracle(am1, am2, am3):
+    tuples = [t for am in (am1, am2) for t in three_join_tuples(am)]
+    U = dualize(elementary(am3, {1}, "D"))
+    M = left_module_from_right_idem(am3, {1})
+    tuples.append((U, M, dd_identity(am3), M, elementary(am3, {1}, "D")))
+    assert len(tuples) == 1089
+    for t in tuples:
+        assert three_joins(*t) is join_oracle.three_joins(*t) is True
+
+
+def _one_join_perturbed(seed: int, real=join.join_columns):
+    """join_columns with one term dropped from one of the five joins that a
+    three_joins call makes, the join, column and term drawn from seed."""
+    rng, calls = random.Random(seed), itertools.count()
+    which = rng.randrange(5)
+
+    def perturbed(U, M, V):
+        columns = real(U, M, V)
+        nonzero = sorted((g for g, img in columns.items() if img), key=repr)
+        if next(calls) == which and nonzero:
+            g = rng.choice(nonzero)
+            columns[g] = columns[g] - {rng.choice(sorted(columns[g], key=repr))}
+        return columns
+
+    return perturbed
+
+
+def test_three_joins_matches_oracle_with_one_join_perturbed(am1, am2, monkeypatch):
+    verdicts = []
+    for seed, t in enumerate(t for am in (am1, am2) for t in three_join_tuples(am)):
+        got = []
+        for three in (three_joins, join_oracle.three_joins):
+            monkeypatch.setattr(join, "join_columns", _one_join_perturbed(seed))
+            got.append(three(*t))
+        assert got[0] is got[1], seed
+        verdicts.append(got[0])
+    assert 0 < verdicts.count(False) < len(verdicts), verdicts.count(False)

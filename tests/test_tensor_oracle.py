@@ -1,7 +1,9 @@
 """Differential tests: the tensor-algebra modules built from `ground_tensor`
 and `fold`, and the box with its type-D factor on the left, against the
 original hand builders in `tests/tensor_oracle.py` and
-`tests/join_oracle.py`, label for label."""
+`tests/join_oracle.py`, label for label; and `fold`, which reads each
+generator's own one-input actions, against `tensor_oracle.fold`, which runs
+every union-algebra element against every generator."""
 
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from strandjoin.join import (
 from strandjoin.arc_diagram import Z2, flip_type
 from strandjoin.standard_models import alg_as_aa, da_identity, dd_identity, elementary
 from strandjoin.strands import enumerate_basis, rotate180
-from strandjoin.tensor import box, external_tensor, fold, tensor_algebra
+from strandjoin.tensor import box, external_tensor, fold, ground_tensor, tensor_algebra
 
 
 def _subsets(am):
@@ -70,6 +72,26 @@ def test_fold_of_dd_matches_oracle(am1, am2):
         ta = _oracle_pairing(am)
         for X in (dd_identity(am), dd_middle(am)):
             assert_same_structure(fold(X), join_oracle.dd_as_left_module(X, ta))
+
+
+def _candidate_ground_tensors(am) -> list:
+    """M (x) N-dual for the candidates M and N, the AA bimodules that
+    external_tensor folds."""
+    mods = list(left_module_candidates(am))
+    return [ground_tensor(M, dualize(N)) for M, N in itertools.product(mods, repeat=2)]
+
+
+def test_fold_matches_its_first_form(am1, am2, am3):
+    ws = [w for am in (am1, am2) for w in (dd_identity(am), dd_middle(am), alg_as_aa(am))]
+    ws += [w for am in (am1, am2) for w in _candidate_ground_tensors(am)]
+    ws += random.Random(36).sample(_candidate_ground_tensors(am3), 6)
+    acting = 0
+    for w in ws:
+        got, ref = fold(w), tensor_oracle.fold(w)
+        assert_same_structure(got, ref)
+        assert got.name == ref.name
+        acting += any(len(argsL) == 1 for argsL, _, _ in got.table)
+    assert acting
 
 
 def test_pair_d_module_matches_oracle(am1, am2):
