@@ -179,12 +179,6 @@ class ModuleStructure:
         """Only the differential and the one-input actions are nonzero."""
         return all(len(aL) + len(aR) <= 1 for aL, _, aR in self.table)
 
-    def max_left_len(self) -> int:
-        return _max_input_len(self, 0)
-
-    def max_right_len(self) -> int:
-        return _max_input_len(self, 2)
-
 
 def _scalar_matrix(f, src: ModuleStructure, dst: ModuleStructure) -> Gf2Matrix:
     """The matrix, src's generators to dst's, of the terms of f's table (a
@@ -341,12 +335,15 @@ def validated(m: ModuleStructure) -> ModuleStructure:
 def dualize(m: ModuleStructure, name: str | None = None) -> ModuleStructure:
     """Rotate the structure by 180 degrees: AA->AA (sides swapped), DA->AD, DD->DD.
 
-    The dual is called `name`, by default dual(<m's name>).
+    Every arrow is reversed over the same algebras, so the inputs keep their
+    order: the input outermost on g, next to its output y, is innermost on y
+    in the dual.  `oppositize`, a reflection, reverses them.  The dual
+    is called `name`, by default dual(<m's name>).
     """
     table: dict = {}
     for (argsL, g, argsR), outs in m.table.items():
         for a, y, b in outs:
-            _add(table, (argsR[::-1], y, argsL[::-1]), (b, g, a))
+            _add(table, (argsR, y, argsL), (b, g, a))
     if name is None:
         name = f"dual({m.name})" if m.name else ""
     return ModuleStructure(
@@ -425,20 +422,6 @@ class Morphism:
 
     def is_zero(self) -> bool:
         return not self.table
-
-
-def identity_morphism(m: ModuleStructure) -> Morphism:
-    A, B = m.left_alg, m.right_alg
-    table: dict = {}
-    for g in m.gens:
-        a = A.idempotent_index(m.lidem[g]) if m.kind[0] == "D" else None
-        b = B.idempotent_index(m.ridem[g]) if m.kind[1] == "D" else None
-        table[((), g, ())] = {(a, g, b)}
-    return Morphism(m, m, table)
-
-
-def zero_morphism(src: ModuleStructure, dst: ModuleStructure) -> Morphism:
-    return Morphism(src, dst, {})
 
 
 def _diff_sums(src: ModuleStructure, dst: ModuleStructure, table: dict):
@@ -533,12 +516,3 @@ def homotopy_solver(src: ModuleStructure, dst: ModuleStructure, max_len: int):
         return Morphism(src, dst, table)
 
     return solve
-
-
-def bounded_homotopy_search(f: Morphism, g: Morphism, max_len: int) -> Morphism | None:
-    """Search for H with dH = f - g among morphisms of input length <= max_len.
-    A None result is inconclusive: it never certifies that f and g are not homotopic."""
-    if f.src is not g.src or f.dst is not g.dst:
-        raise StructureError("morphism endpoints differ")
-    t = {k: f.table.get(k, frozenset()) ^ g.table.get(k, frozenset()) for k in f.table | g.table}
-    return homotopy_solver(f.src, f.dst, max_len)(t)

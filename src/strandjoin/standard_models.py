@@ -19,13 +19,15 @@ import functools
 
 from .strands import ABasisElem, AlgebraModel
 from .strands import gamma_block  # noqa: F401  (re-exported)
-from .ainf import ModuleStructure, dualize, validated
+from .ainf import ModuleStructure, StructureError, dualize, validated
 
 
 def once_per_algebra(build=None, *, key=lambda: ()):
     """Keep build(am, *args) in am.models under build's name and key(*args),
     which normalizes the arguments (a subset to a frozenset, defaults filled
-    in).  Callers share what it returns and must not change it."""
+    in).  Callers share what it returns and must not change it.  A build
+    that raises StructureError is kept too, and each later call raises it
+    again, so a model that fails validation is built and validated once."""
     if build is None:
         return functools.partial(once_per_algebra, key=key)
 
@@ -33,8 +35,14 @@ def once_per_algebra(build=None, *, key=lambda: ()):
     def once(am: AlgebraModel, *args, **kwargs):
         memo = (build.__name__, *key(*args, **kwargs))
         if memo not in am.models:
-            am.models[memo] = build(am, *args, **kwargs)
-        return am.models[memo]
+            try:
+                am.models[memo] = build(am, *args, **kwargs)
+            except StructureError as err:
+                am.models[memo] = err
+        kept = am.models[memo]
+        if isinstance(kept, StructureError):
+            raise kept
+        return kept
 
     return once
 

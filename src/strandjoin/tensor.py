@@ -1,5 +1,5 @@
 """Box tensor products, the ground-ring tensor and its fold over disjoint
-algebras, induced morphisms.
+algebras.
 
 The box product meets one factor's type-A side with the other's type-D side
 over a common algebra, the type-D factor on either hand.  Its generators are
@@ -15,9 +15,6 @@ The ground-ring tensor of a left and a right structure is a bimodule; fold
 reads a bimodule over (A, A) as a left module over A (x) A-opposite, which
 tensor_algebra builds once per algebra on Z beside -Z.  Every tensor-algebra
 module (the external tensor, the join's pair modules) is built from the two.
-
-induced boxes a morphism with another factor on either hand, through the box
-of its mapping cone, so it meets whatever box meets.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ from .arc_diagram import ArcDiagram
 from .strands import ABasisElem, AlgebraModel, enumerate_basis
 from .ainf import (
     ModuleStructure,
-    Morphism,
     StructureError,
     _add,
     _max_input_len,
@@ -279,53 +275,3 @@ def external_tensor(m: ModuleStructure, n: ModuleStructure) -> ModuleStructure:
     """The DG-type module M (x) N over A (x) A-opposite, for a left module m
     and a right module n over A, with the combined one-input action."""
     return fold(ground_tensor(m, n))
-
-
-# -- induced morphisms ----------------------------------------------------------
-
-
-def _cone(f: Morphism) -> ModuleStructure:
-    """The mapping cone of f: generators ("s", g) for src, ("t", g) for dst.
-
-    Its table holds src's entries, dst's entries and f's from s to t.  It is
-    not validated: its structure equation is df = 0.
-    """
-    parts = (("s", f.src), ("t", f.dst))
-    gens = [(tag, g) for tag, m in parts for g in m.gens]
-    lidem = {(tag, g): m.lidem[g] for tag, m in parts for g in m.gens}
-    ridem = {(tag, g): m.ridem[g] for tag, m in parts for g in m.gens}
-    table: dict = {}
-    for m, tag_in, tag_out in ((f.src, "s", "s"), (f.dst, "t", "t"), (f, "s", "t")):
-        for (argsL, g, argsR), outs in m.table.items():
-            key = (argsL, (tag_in, g), argsR)
-            for a, y, b in outs:
-                _add(table, key, (a, (tag_out, y), b))
-    return ModuleStructure(f.kind, f.src.left_alg, f.src.right_alg, gens, lidem, ridem, table)
-
-
-def induced(f: Morphism, other: ModuleStructure, side: str) -> Morphism:
-    """f boxed with the identity of `other`, attached on `side` ("left" or "right").
-
-    The box of f's mapping cone with `other`, restricted to the entries from
-    src's generators to dst's: every chain from src to dst crosses exactly
-    one firing of f, and box's unital term covers a lone idempotent one.
-    """
-    if side == "right":
-        boxed, slot = (lambda m: box(m, other)), 0
-    elif side == "left":
-        boxed, slot = (lambda m: box(other, m)), 1
-    else:
-        raise ValueError("side must be 'left' or 'right'")
-
-    def untag(g):
-        return (g[0][1], g[1]) if slot == 0 else (g[0], g[1][1])
-
-    table: dict = {}
-    for (argsL, g, argsR), outs in boxed(_cone(f)).table.items():
-        if g[slot][0] != "s":
-            continue
-        key = (argsL, untag(g), argsR)
-        for a, y, b in outs:
-            if y[slot][0] == "t":
-                _add(table, key, (a, untag(y), b))
-    return Morphism(boxed(f.src), boxed(f.dst), table)

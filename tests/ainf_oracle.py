@@ -9,10 +9,10 @@ compare the two.  Each input is evaluated here with its own per-kind sum
 that kind's own layout (`kind_layout`), so the library's single entry-shape
 sum (`ainf._sums`) is checked input by input as well as its witnesses.
 
-The last section keeps two references that no command needs: the
-composition of morphisms, which the tests of `morphism_diff` and
-`identity_morphism` use, and a text dump that pins the standard models'
-tables.
+The last section keeps what the tests need and no command does: the
+identity morphism and the composition of morphisms, which the tests of
+`morphism_diff` (the Leibniz rule) and of the unit law use, and a text dump
+that pins the standard models' tables.
 """
 
 from __future__ import annotations
@@ -341,7 +341,7 @@ def _window(m: ModuleStructure, g, lmax: int, rmax: int):
 
 def structure_window(m: ModuleStructure):
     """Every input of the window `check_structure` covers, in enumeration order."""
-    lmax, rmax = m.max_left_len(), m.max_right_len()
+    lmax, rmax = _max_input_len(m, 0), _max_input_len(m, 2)
     for g in m.gens:
         yield from _window(m, g, max(2 * lmax, lmax + 1), max(2 * rmax, rmax + 1))
 
@@ -349,8 +349,8 @@ def structure_window(m: ModuleStructure):
 def diff_window(f: Morphism):
     """Every input of the window `morphism_diff` covers, in enumeration order."""
     src, dst = f.src, f.dst
-    lmax = _max_input_len(f, 0) + max(src.max_left_len(), dst.max_left_len(), 1)
-    rmax = _max_input_len(f, 2) + max(src.max_right_len(), dst.max_right_len(), 1)
+    lmax = _max_input_len(f, 0) + max(_max_input_len(src, 0), _max_input_len(dst, 0), 1)
+    rmax = _max_input_len(f, 2) + max(_max_input_len(src, 2), _max_input_len(dst, 2), 1)
     for g in src.gens:
         yield from _window(src, g, lmax, rmax)
 
@@ -380,7 +380,19 @@ def oracle_morphism_diff(f: Morphism) -> Morphism:
     return Morphism(f.src, f.dst, {key: diff(f, key) for key in diff_window(f)})
 
 
-# -- composition and table dumps -----------------------------------------------
+# -- identity, composition and table dumps ---------------------------------------
+
+
+def identity_morphism(m: ModuleStructure) -> Morphism:
+    """The identity of m: each generator to itself, with the idempotent of its
+    type-D sides as their outputs."""
+    A, B = m.left_alg, m.right_alg
+    table: dict = {}
+    for g in m.gens:
+        a = A.idempotent_index(m.lidem[g]) if m.kind[0] == "D" else None
+        b = B.idempotent_index(m.ridem[g]) if m.kind[1] == "D" else None
+        table[((), g, ())] = {(a, g, b)}
+    return Morphism(m, m, table)
 
 
 def morphism_compose(g: Morphism, f: Morphism) -> Morphism:

@@ -47,7 +47,15 @@ from __future__ import annotations
 from ainf_oracle import from_kind_layout, kind_layout
 from tensor_oracle import TensorAlgebra
 from strandjoin import join
-from strandjoin.ainf import ModuleStructure, StructureError, _add, dualize, oppositize, validated
+from strandjoin.ainf import (
+    ModuleStructure,
+    StructureError,
+    _add,
+    _max_input_len,
+    dualize,
+    oppositize,
+    validated,
+)
 from strandjoin.gf2 import ChainComplexGf2, Gf2Matrix, vsum
 from strandjoin.join import (
     JoinInstance,
@@ -115,7 +123,7 @@ def dm_right_complex(U: ModuleStructure, M: ModuleStructure) -> ChainComplexGf2:
         raise StructureError("box over different algebras")
     basis = tuple((u, q) for u in U.gens for q in M.gens if U.ridem[u] == M.ridem[q])
     basis_set = set(basis)
-    chains = _right_d_chains(U, M.max_right_len())
+    chains = _right_d_chains(U, _max_input_len(M, 2))
     images = {g: frozenset() for g in basis}
     for (_, q, argsR), outs in kind_layout(M).items():
         for u0, ends in chains.get(argsR, ()):
@@ -140,7 +148,7 @@ def md_left_complex(M: ModuleStructure, V: ModuleStructure) -> ChainComplexGf2:
         raise StructureError("box over different algebras")
     basis = tuple((p, v) for p in M.gens for v in V.gens if M.lidem[p] == V.lidem[v])
     basis_set = set(basis)
-    chains = _left_d_chains(V, M.max_left_len())
+    chains = _left_d_chains(V, _max_input_len(M, 0))
     images = {g: frozenset() for g in basis}
     for (argsL, p, _), outs in kind_layout(M).items():
         for v0, ends in chains.get(argsL[::-1], ()):
@@ -173,8 +181,8 @@ def sandwich_complex_right(
         if U.ridem[u] == B.ridem[x] and B.lidem[x] == V.lidem[v]
     )
     basis_set = set(basis)
-    uchains = _right_d_chains(U, B.max_right_len())
-    vchains = _left_d_chains(V, B.max_left_len())
+    uchains = _right_d_chains(U, _max_input_len(B, 2))
+    vchains = _left_d_chains(V, _max_input_len(B, 0))
     images = {g: frozenset() for g in basis}
     for (argsL, x, argsR), outs in kind_layout(B).items():
         for u0, uends in uchains.get(argsR, ()):
@@ -262,7 +270,7 @@ def join_general_right(
     codomain = sandwich_complex_right(U, dual_alg_as_aa(am), V)
     cod_set = set(codomain.basis)
     dom_set = set(domain.basis)
-    maxlen = M.max_right_len() + 1
+    maxlen = _max_input_len(M, 2) + 1
     uchains = _right_d_chains(U, maxlen)
     vchains = _left_d_chains(V, maxlen)
     images = {g: frozenset() for g in domain.basis}
@@ -336,7 +344,7 @@ def identity_composite(U: ModuleStructure, M: ModuleStructure) -> Gf2Matrix:
             # States: (current subset, dual-of-a accumulated?, ...) evolve as
             # (I', amid', K', p') with emissions d_1..d_j.
             states = {( (frozenset(Ltup), a_mid, frozenset(Lctup), p0), () ): 1}
-            max_feed = M.max_left_len() + 1
+            max_feed = _max_input_len(M, 0) + 1
             for _ in range(max_feed + 1):
                 new_states = dict(states)
                 for (st, seq), par in states.items():

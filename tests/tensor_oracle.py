@@ -1,12 +1,14 @@
-"""Hand-rolled tensor constructions: the references for `tensor.induced` and
-`tensor.external_tensor`.
+"""Tensor constructions the tests use, and hand-rolled references for the
+library's.
 
-The library boxes the mapping cone of f (src and dst side by side, f joining
-them) with the other factor and keeps the entries from src to dst.  The
-functions here build f boxed with an identity directly: on the right, f's
-entries consume chains of the other factor's firings; on the left, chains
-of src's firings, one f firing and chains of dst's firings are interleaved
-by hand, with a lone idempotent f firing acting as the identity.
+`cone_induced(f, other, side)` is f boxed with the identity of `other` on
+either hand: the box of f's mapping cone (src and dst side by side, f joining
+them) with the other factor, keeping the entries from src to dst, so it meets
+whatever `box` meets.  `induced` builds the same map directly, for the
+combinations it supports: on the right, f's entries consume chains of the
+other factor's firings; on the left, chains of src's firings, one f firing
+and chains of dst's firings are interleaved by hand, with a lone idempotent f
+firing acting as the identity.
 
 The library's `box` takes a type-D factor on either hand.  `dbox` is the
 original left-hand builder: the A-side-first box of the two opposites,
@@ -68,8 +70,55 @@ def _box_table(f, n: ModuleStructure, genset: set) -> dict:
     return table
 
 
+def _cone(f: Morphism) -> ModuleStructure:
+    """The mapping cone of f: generators ("s", g) for src, ("t", g) for dst.
+
+    Its table holds src's entries, dst's entries and f's from s to t.  It is
+    not validated: its structure equation is df = 0.
+    """
+    parts = (("s", f.src), ("t", f.dst))
+    gens = [(tag, g) for tag, m in parts for g in m.gens]
+    lidem = {(tag, g): m.lidem[g] for tag, m in parts for g in m.gens}
+    ridem = {(tag, g): m.ridem[g] for tag, m in parts for g in m.gens}
+    table: dict = {}
+    for m, tag_in, tag_out in ((f.src, "s", "s"), (f.dst, "t", "t"), (f, "s", "t")):
+        for (argsL, g, argsR), outs in m.table.items():
+            key = (argsL, (tag_in, g), argsR)
+            for a, y, b in outs:
+                _add(table, key, (a, (tag_out, y), b))
+    return ModuleStructure(f.kind, f.src.left_alg, f.src.right_alg, gens, lidem, ridem, table)
+
+
+def cone_induced(f: Morphism, other: ModuleStructure, side: str) -> Morphism:
+    """f boxed with the identity of `other`, attached on `side` ("left" or "right").
+
+    The box of f's mapping cone with `other`, restricted to the entries from
+    src's generators to dst's: every chain from src to dst crosses exactly
+    one firing of f, and box's unital term covers a lone idempotent one.
+    """
+    if side == "right":
+        boxed, slot = (lambda m: box(m, other)), 0
+    elif side == "left":
+        boxed, slot = (lambda m: box(other, m)), 1
+    else:
+        raise ValueError("side must be 'left' or 'right'")
+
+    def untag(g):
+        return (g[0][1], g[1]) if slot == 0 else (g[0], g[1][1])
+
+    table: dict = {}
+    for (argsL, g, argsR), outs in boxed(_cone(f)).table.items():
+        if g[slot][0] != "s":
+            continue
+        key = (argsL, untag(g), argsR)
+        for a, y, b in outs:
+            if y[slot][0] == "t":
+                _add(table, key, (a, untag(y), b))
+    return Morphism(boxed(f.src), boxed(f.dst), table)
+
+
 def induced(f: Morphism, other: ModuleStructure, side: str) -> Morphism:
-    """f boxed with an identity: side names where `other` attaches."""
+    """f boxed with an identity, built directly: side names where `other` attaches."""
     if side == "right":
         if f.kind != "AA":
             raise StructureError("unsupported induced-map combination")
@@ -83,7 +132,7 @@ def induced(f: Morphism, other: ModuleStructure, side: str) -> Morphism:
         src_box = box(other, f.src)
         dst_box = box(other, f.dst)
         alg = other.right_alg
-        kmax = other.max_right_len()
+        kmax = _max_input_len(other, 2)
         chains_src = _d_chains(f.src, kmax, 0)
         chains_dst = _d_chains(f.dst, kmax, 0)
         by_start: dict = {}

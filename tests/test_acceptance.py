@@ -11,19 +11,19 @@ import random
 import time
 from collections import Counter
 
+from diagrams import random_diagram
 from strandjoin import tensor
-from strandjoin.arc_diagram import Z0, Z1, Z2, random_diagram
+from strandjoin.arc_diagram import Z0, Z1, Z2
 from strandjoin.gf2 import vsum
 from strandjoin.strands import enumerate_basis, reflect, rotate180
 from strandjoin.ainf import (
     Morphism,
     _morphism_slots,
-    bounded_homotopy_search,
     check_structure,
     dualize,
+    homotopy_solver,
     is_homomorphism,
     morphism_diff,
-    zero_morphism,
 )
 from strandjoin.standard_models import (
     alg_as_aa,
@@ -232,11 +232,12 @@ def test_criterion_11_homotopy_tooling():
     M = left_module_from_right_idem(am, {1})
     slots = _morphism_slots(M, M, 3)
     rng = random.Random(20260810)
+    solve = homotopy_solver(M, M, 4)
     recovered = 0
     for _ in range(20):
         H0 = Morphism(M, M, {k: {v} for k, v in rng.sample(slots, 3)})
         f = morphism_diff(H0)
-        H = bounded_homotopy_search(f, zero_morphism(M, M), 4)
+        H = solve(f.table)
         assert H is not None and morphism_diff(H).table == f.table
         recovered += 1
     assert recovered == 20

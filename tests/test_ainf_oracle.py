@@ -9,6 +9,7 @@ from ainf_oracle import (
     diff,
     diff_window,
     equation,
+    identity_morphism,
     oracle_check_structure,
     oracle_morphism_diff,
     structure_window,
@@ -17,14 +18,13 @@ from strandjoin.ainf import (
     ModuleStructure,
     Morphism,
     _diff_table,
+    _max_input_len,
     _morphism_slots,
     _structure_sums,
     check_structure,
     dualize,
-    identity_morphism,
     morphism_diff,
     oppositize,
-    zero_morphism,
 )
 from strandjoin.arc_diagram import Z0, Z1, Z2
 from strandjoin.join import (
@@ -109,7 +109,7 @@ def _corrupt(m, rng):
         key = rng.choice(sorted(table, key=repr))
         table[key].discard(rng.choice(sorted(table[key], key=repr)))
     else:
-        slots = _morphism_slots(m, m, max(1, m.max_left_len(), m.max_right_len()))
+        slots = _morphism_slots(m, m, max(1, _max_input_len(m, 0), _max_input_len(m, 2)))
         key, val = rng.choice([s for s in slots if s[1] not in table.get(s[0], ())])
         table.setdefault(key, set()).add(val)
     return ModuleStructure(
@@ -169,7 +169,7 @@ def morphism_families(am0, am1, am2):
         morphisms += [nabla(M) for M in left_module_candidates(am)]
         morphisms.append(cancel_cA(am))
         for m in standard_models(am)[:4] + [left_module_from_right_idem(am, frozenset())]:
-            morphisms += [identity_morphism(m), zero_morphism(m, m)]
+            morphisms += [identity_morphism(m), Morphism(m, m, {})]
             # the oracle needs seconds per two-input slot of the Z2 algebra bimodules
             max_len = 1 if am is am2 and m.kind == "AA" else 2
             morphisms += _single_slot_morphisms(m, rng, 6, max_len)

@@ -1,5 +1,6 @@
 import pytest
 
+from diagrams import random_diagram
 from strandjoin.arc_diagram import (
     ArcDiagram,
     ParseError,
@@ -8,7 +9,6 @@ from strandjoin.arc_diagram import (
     Z2,
     flip_type,
     parse,
-    random_diagram,
     reverse,
     serialize,
     validate,

@@ -7,7 +7,8 @@ from random import Random
 import pytest
 
 import strandjoin
-from strandjoin.arc_diagram import Z1, Z2, flip_type, random_diagram, serialize
+from diagrams import random_diagram
+from strandjoin.arc_diagram import Z1, Z2, flip_type, serialize
 from strandjoin.cli import run
 from strandjoin.strands import enumerate_basis
 

@@ -77,7 +77,7 @@ def test_homotopy_catches_slots_summed_at_their_own_generator_only(tmp_path, mon
 )
 def test_join_catches_a_zero_cancellation_morphism(tmp_path, monkeypatch):
     real = join.cancel_cA
-    monkeypatch.setattr(join, "cancel_cA", lambda am: ainf.zero_morphism(real(am).src, real(am).dst))
+    monkeypatch.setattr(join, "cancel_cA", lambda am: ainf.Morphism(real(am).src, real(am).dst, {}))
     rc, out = _check(tmp_path, "join")
     assert rc == 2 and "join: FAIL\n" in out
 
@@ -136,6 +136,27 @@ def test_every_suite_but_homotopy_catches_a_missing_product(tmp_path, monkeypatc
     assert rc == 2
     assert _verdicts(out) == {s: "PASS" if s == "homotopy" else "FAIL" for s in SUITES}
 
+
+
+@pytest.mark.parametrize("suite", ["structures", "join"])
+def test_a_model_that_fails_validation_is_built_once(tmp_path, monkeypatch, fresh_z2, suite):
+    # With 1.7 = 3 missing, A fails its structure equation.  The models built
+    # on A raise its kept failure instead of building and validating A again,
+    # and each still reports it.
+    am = enumerate_basis(Z2)
+    table = ProductTable(am.mult_table)
+    del table[(1, 7)]
+    _plant_table(monkeypatch, "mult_table", table)
+    real, built = standard_models.algebra_module, []
+
+    def counting(am, gens, right, name):
+        built.append(name)
+        return real(am, gens, right, name)
+
+    monkeypatch.setattr(standard_models, "algebra_module", counting)
+    rc, out = _check(tmp_path, suite)
+    assert rc == 2 and out.count("  A: structure equation fails at ((), 1, (7, 10))\n") == 2
+    assert built.count("A") == 1
 
 def test_dga_sfh_and_blocks_catch_d_squared_nonzero(tmp_path, monkeypatch, fresh_z2):
     # d(2) = 6 and d(6) = 4, so d^2(2) = 4.

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import nabla_one_action_term_dropped, nabla_unit_terms, three_join_tuples
 from join_oracle import assert_identity_matches, assert_reflection_matches
+from tensor_oracle import cone_induced as induced
 from strandjoin import join
 from strandjoin.arc_diagram import Z1
 from strandjoin.ainf import (
@@ -23,7 +24,7 @@ from strandjoin.standard_models import (
 )
 from strandjoin.strands import ABasisElem, AlgebraModel
 from strandjoin import tensor
-from strandjoin.tensor import box, ground_tensor, induced, tensor_algebra
+from strandjoin.tensor import box, ground_tensor, tensor_algebra
 from strandjoin.join import (
     _nabla_table,
     cancel_cA,

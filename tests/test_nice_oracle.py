@@ -11,8 +11,9 @@ from itertools import combinations
 import pytest
 
 from nice_oracle import OraclePlanarDiagram, in_closed_polygon
+from diagrams import random_diagram
 from strandjoin import nice_diagram
-from strandjoin.arc_diagram import Z0, Z1, Z2, ArcDiagram, flip_type, random_diagram
+from strandjoin.arc_diagram import Z0, Z1, Z2, ArcDiagram, flip_type
 from strandjoin.nice_diagram import PlanarDiagram, count_domains
 
 _POINTS = ("x1", "x2", "x3", "x4", "x5", "x6")

@@ -1,8 +1,8 @@
 import itertools
 import random
 
+from diagrams import random_diagram
 from strandjoin.ainf import dualize
-from strandjoin.arc_diagram import random_diagram
 from strandjoin.gf2 import ChainComplexGf2, Gf2Matrix, homology
 from strandjoin.join import left_module_candidates
 from strandjoin.strands import enumerate_basis

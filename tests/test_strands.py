@@ -8,7 +8,8 @@ symmetrization orbits by exhaustive swapping.
 
 import itertools
 
-from strandjoin.arc_diagram import Z0, Z1, Z2, random_diagram, reverse, flip_type
+from diagrams import random_diagram
+from strandjoin.arc_diagram import Z0, Z1, Z2, reverse, flip_type
 from strandjoin.strands import (
     ABasisElem,
     enumerate_basis,

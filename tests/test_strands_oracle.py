@@ -19,7 +19,8 @@ from strands_oracle import (
     sparse_tables,
     variants_failures,
 )
-from strandjoin.arc_diagram import Z0, Z1, Z2, ArcDiagram, random_diagram, serialize
+from diagrams import random_diagram
+from strandjoin.arc_diagram import Z0, Z1, Z2, ArcDiagram, serialize
 from strandjoin.cli import _suite_dga, _suite_variants, run
 from strandjoin.strands import (
     AlgebraModel,
@@ -175,7 +176,8 @@ def test_symmetrization_rejects_a_key_outside_the_basis():
 
 _TABLES_SCRIPT = """
 import random
-from strandjoin.arc_diagram import Z2, ArcDiagram, random_diagram
+from diagrams import random_diagram
+from strandjoin.arc_diagram import Z2, ArcDiagram
 from strandjoin.strands import AlgebraModel, dump_diff_tsv, dump_mult_tsv
 points = tuple(f"x{i}" for i in range(1, 7))
 ladder = ArcDiagram((points,), {p: i % 3 + 1 for i, p in enumerate(points)}, "beta")
@@ -189,8 +191,9 @@ for z in [Z2, ladder] + [random_diagram(rng, max_rank=3) for _ in range(3)]:
 
 def test_tables_do_not_depend_on_hash_seed():
     outs = []
+    tests = os.path.dirname(os.path.abspath(__file__))
     for seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join([SRC, tests]))
         outs.append(subprocess.run(
             [sys.executable, "-c", _TABLES_SCRIPT], env=env, capture_output=True,
             text=True, check=True,
