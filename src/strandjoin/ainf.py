@@ -32,7 +32,7 @@ equation and make the cancellation morphism a cycle).
 
 from __future__ import annotations
 
-from .gf2 import ChainComplexGf2, Gf2Matrix, span_coordinates, tagged_span
+from .gf2 import ChainComplexGf2, Gf2Matrix, StructureError, span_coordinates, tagged_span
 from .strands import AlgebraModel
 
 KINDS = ("AA", "DA", "AD", "DD")
@@ -54,10 +54,6 @@ def _add(table: dict, key, val) -> None:
 def _max_input_len(m, side: int) -> int:
     """The longest left (side 0) or right (side 2) input tuple in m's table."""
     return max((len(k[side]) for k in m.table), default=0)
-
-
-class StructureError(ValueError):
-    pass
 
 
 def _chain_end(alg: AlgebraModel | None, args: tuple, inner: frozenset, side: int):
@@ -415,13 +411,6 @@ class Morphism:
         self.dst = dst
         self.table = {k: frozenset(v) for k, v in table.items() if v}
         _check_entries(src.kind, self.table, src, dst)
-
-    @property
-    def kind(self) -> str:
-        return self.src.kind
-
-    def is_zero(self) -> bool:
-        return not self.table
 
 
 def _diff_sums(src: ModuleStructure, dst: ModuleStructure, table: dict):

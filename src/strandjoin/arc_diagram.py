@@ -161,7 +161,12 @@ def serialize(z: ArcDiagram) -> str:
     return "\n".join(lines) + "\n"
 
 
-class ParseError(ValueError):
+class InputError(ValueError):
+    """Input the program cannot use: a file it cannot read, a diagram or
+    descriptor it cannot parse, or a diagram a construction does not take."""
+
+
+class ParseError(InputError):
     pass
 
 

@@ -3,8 +3,17 @@ join instances, and the invariant check suites.
 
 All outputs are deterministic: orderings are fixed by the canonical basis
 order and every report starts with '#' header lines naming the tool version
-and the seed in effect.  Exit codes: 0 success, 1 input or validation error,
-2 mathematical check failure.
+and the seed in effect.
+
+Failures have two roots, and `run` alone turns them into exit codes, each as
+one `error: <message>` line.  `arc_diagram.InputError` is input the program
+cannot use (an unreadable, unparsable or invalid diagram file, a bad
+descriptor or model, a beta-type diagram for `nice`): exit 1.
+`gf2.StructureError` is an object that fails its own equation (a module's
+structure equation, d^2 = 0 on a complex): exit 2.  `check` turns a
+StructureError raised inside a suite into that suite's FAIL line, and an
+InputError into its `not applicable` line; a failed suite or comparison also
+exits 2.  Exit 0 is success.
 """
 
 from __future__ import annotations
@@ -13,7 +22,8 @@ import argparse
 import sys
 
 from . import __version__
-from .arc_diagram import ArcDiagram, ParseError, parse, validate
+from .arc_diagram import ArcDiagram, InputError, ParseError, parse, validate
+from .gf2 import StructureError
 from .strands import (
     dump_basis_tsv,
     dump_diff_tsv,
@@ -24,29 +34,29 @@ from .strands import (
 )
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
-
-
 def _header(args) -> str:
     return f"# strandjoin {__version__}\n# seed: {args.seed}\n"
 
 
-def _load_diagram(path: str) -> ArcDiagram:
+def _read(path: str) -> str:
     try:
         with open(path) as fh:
-            text = fh.read()
+            return fh.read()
     except (OSError, UnicodeDecodeError) as e:
-        raise CliError(f"cannot read {path}: {e}", 1)
+        raise InputError(e)
+
+
+def _load_diagram(path: str) -> ArcDiagram:
+    """The valid diagram in the file at path; an InputError naming the path
+    if the file cannot be read or parsed, or the diagram is invalid."""
     try:
-        z = parse(text)
-    except ParseError as e:
-        raise CliError(f"parse error in {path}: {e}", 1)
+        z = parse(_read(path))
+    except InputError as e:
+        what = "parse error in" if isinstance(e, ParseError) else "cannot read"
+        raise InputError(f"{what} {path}: {e}")
     problems = validate(z)
     if problems:
-        raise CliError(f"invalid diagram {path}: " + "; ".join(problems), 1)
+        raise InputError(f"invalid diagram {path}: " + "; ".join(problems))
     return z
 
 
@@ -63,15 +73,8 @@ def _numbered(basis, lines: list) -> dict:
 
 
 def cmd_validate(args, out) -> int:
-    try:
-        with open(args.diagram) as fh:
-            z = parse(fh.read())
-    except (OSError, UnicodeDecodeError, ParseError) as e:
-        out.write(_header(args))
-        out.write(f"error: {e}\n")
-        return 1
-    problems = validate(z)
-    out.write(_header(args))
+    out.write(_header(args))  # a file that cannot be read or parsed is reported below it
+    problems = validate(parse(_read(args.diagram)))
     if problems:
         for p in problems:
             out.write(f"violation: {p}\n")
@@ -96,14 +99,9 @@ def cmd_algebra(args, out) -> int:
 
 
 def cmd_blocks(args, out) -> int:
-    from .gf2 import ChainComplexError
-
     z = _load_diagram(args.diagram)
     am = enumerate_basis(z)
-    try:  # a block whose d^2 fails is a check failure
-        blocks = homology_blocks(am)
-    except ChainComplexError as e:
-        raise CliError(str(e), 2)
+    blocks = homology_blocks(am)
     lines = [_header(args)]
     for (I, J) in sorted(blocks, key=lambda t: (sorted(t[0]), sorted(t[1]))):
         lines.append(f"{_subset_label(I)}\t{_subset_label(J)}\t{blocks[(I, J)]}\n")
@@ -122,34 +120,26 @@ _JOIN_ROLES = {
 def _module_for_join(am, desc: str, role: str):
     """U is a right type-D module, M a bounded left type-A module, V a left type-D module."""
     from .ainf import dualize
-    from .standard_models import DescriptorError, parse_descriptor
+    from .standard_models import parse_descriptor
 
     desc = desc.strip()
     prefixes, forms = _JOIN_ROLES[role]
     if not desc.startswith(prefixes):
-        raise CliError(f"{role} descriptor must be {forms}, got {desc!r}", 1)
-    try:
-        m = parse_descriptor(am, desc)
-    except DescriptorError as e:
-        raise CliError(str(e), 1)
+        raise InputError(f"{role} descriptor must be {forms}, got {desc!r}")
+    m = parse_descriptor(am, desc)
     # elementary:D:{..} parses as a left type-D module; U is its mirror image.
     return dualize(m) if role == "U" else m
 
 
 def cmd_join(args, out) -> int:
-    from .ainf import StructureError
-    from .gf2 import ChainComplexError
     from .join import join_general
 
     z = _load_diagram(args.diagram)
     am = enumerate_basis(z)
-    try:  # a model whose structure equation or d^2 fails is a check failure
-        U = _module_for_join(am, args.U, "U")
-        M = _module_for_join(am, args.M, "M")
-        V = _module_for_join(am, args.V, "V")
-        inst = join_general(U, M, V)
-    except (StructureError, ChainComplexError) as e:
-        raise CliError(str(e), 2)
+    U = _module_for_join(am, args.U, "U")
+    M = _module_for_join(am, args.M, "M")
+    V = _module_for_join(am, args.V, "V")
+    inst = join_general(U, M, V)
     lines = [_header(args), "# domain basis\n"]
     dom = _numbered(inst.domain.basis, lines)
     lines.append("# codomain basis\n")
@@ -162,16 +152,12 @@ def cmd_join(args, out) -> int:
 
 
 def cmd_double(args, out) -> int:
-    from .ainf import StructureError
-    from .gf2 import ChainComplexError, rank
+    from .gf2 import rank
     from .join import diagonal
 
     z = _load_diagram(args.diagram)
     am = enumerate_basis(z)
-    try:  # a model whose structure equation or d^2 fails is a check failure
-        c, vec = diagonal(_module_for_join(am, args.M, "M"))
-    except (StructureError, ChainComplexError) as e:
-        raise CliError(str(e), 2)
+    c, vec = diagonal(_module_for_join(am, args.M, "M"))
     lines = [_header(args), f"# double complex dim {c.dim}\n"]
     basis = _numbered(c.basis, lines)
     lines.append("# differential triplets\n")
@@ -187,8 +173,8 @@ def cmd_double(args, out) -> int:
 
 def _nice_pair(z, am, I=None) -> tuple:
     """The nice diagram of the twisting slice, or of the cap of I, and the model
-    it is compared with.  A diagram that cannot be drawn raises ValueError, a
-    failing model StructureError, which is a ValueError too."""
+    it is compared with.  A diagram that cannot be drawn raises NotDrawable,
+    an InputError; a failing model StructureError."""
     from .nice_diagram import build_cap_diagram, build_twisting_slice_diagram
     from .standard_models import alg_as_aa, elementary
 
@@ -199,21 +185,15 @@ def _nice_pair(z, am, I=None) -> tuple:
 
 def cmd_nice(args, out) -> int:
     from .nice_diagram import compare_with_algebra
-    from .ainf import StructureError
     from .standard_models import _parse_subset
 
     z = _load_diagram(args.diagram)
     am = enumerate_basis(z)
     out.write(_header(args))
     if args.model != "slice" and not args.model.startswith("cap:"):
-        raise CliError(f"model must be slice or cap:{{..}}, got {args.model!r}", 1)
-    try:
-        I = None if args.model == "slice" else _parse_subset(args.model.split(":", 1)[1], am.k)
-        d, model = _nice_pair(z, am, I)
-    except StructureError as e:  # a model whose structure equation fails is a check failure
-        raise CliError(str(e), 2)
-    except ValueError as e:  # e.g. a beta-type diagram, which cannot be drawn
-        raise CliError(str(e), 1)
+        raise InputError(f"model must be slice or cap:{{..}}, got {args.model!r}")
+    I = None if args.model == "slice" else _parse_subset(args.model.split(":", 1)[1], am.k)
+    d, model = _nice_pair(z, am, I)
     verdict = compare_with_algebra(d, model)
     out.write(f"generators: {len(d.enumerate_generators())}\n")
     out.write(f"regions: {len(d.regions)}\n")
@@ -227,10 +207,6 @@ def cmd_nice(args, out) -> int:
 # The suites of `check`, in the order `all` runs them; suite NAME is the
 # function _suite_NAME, looked up when it runs.
 SUITES = ("dga", "variants", "structures", "join", "nice", "sfh", "homotopy")
-
-
-class NotApplicable(Exception):
-    """A suite that cannot run on this diagram; the message says why."""
 
 
 def _suite_dga(z, am, rng) -> list:
@@ -307,7 +283,7 @@ def _suite_variants(z, am, rng) -> list:
 
 
 def _suite_structures(z, am, rng) -> list:
-    from .ainf import StructureError, validated
+    from .ainf import validated
     from .standard_models import alg_as_aa, da_identity, dd_identity, dual_alg_as_aa, elementary
 
     failures = []
@@ -324,11 +300,11 @@ def _suite_structures(z, am, rng) -> list:
 
 
 def _suite_join(z, am, rng) -> list:
-    from .ainf import StructureError, is_homomorphism
+    from .ainf import is_homomorphism
     from .join import cancel_cA, diagonal, left_module_candidates, nabla
 
     failures = []
-    try:  # a candidate or a module built on the way may fail its structure equation
+    try:  # a candidate, a module built on the way or a double may fail its equation
         for M in left_module_candidates(am):
             if not is_homomorphism(nabla(M)):
                 failures.append(f"d(nabla) != 0 for {M.name}")
@@ -346,26 +322,19 @@ def _suite_join(z, am, rng) -> list:
 
 
 def _suite_nice(z, am, rng) -> list:
-    from .ainf import StructureError
     from .nice_diagram import compare_with_algebra
 
-    try:
-        pairs = [("slice", *_nice_pair(z, am))]
-        for I in am.all_idempotent_subsets():
-            pairs.append((f"cap {_subset_label(I)}", *_nice_pair(z, am, I)))
-    except StructureError as e:  # a model that fails its structure equation
-        return [str(e)]
-    except ValueError as e:  # a beta-type diagram, which cannot be drawn
-        raise NotApplicable(str(e))
+    pairs = [("slice", *_nice_pair(z, am))]
+    for I in am.all_idempotent_subsets():
+        pairs.append((f"cap {_subset_label(I)}", *_nice_pair(z, am, I)))
     verdicts = ((label, compare_with_algebra(d, model)) for label, d, model in pairs)
     return [f"{label}: {v.witness}" for label, v in verdicts if not v.isomorphic]
 
 
 def _suite_sfh(z, am, rng) -> list:
-    from .ainf import StructureError
     from .join import left_module_candidates
     from .sfh import action_on_homology, block_homology
-    from .gf2 import ChainComplexError, ChainComplexGf2, Gf2Matrix, rank
+    from .gf2 import ChainComplexGf2, Gf2Matrix, rank
 
     failures = []
     subsets = list(am.all_idempotent_subsets())
@@ -378,21 +347,19 @@ def _suite_sfh(z, am, rng) -> list:
             failures.append("block dimensions do not sum to the homology dimension")
         for N in left_module_candidates(am):
             action_on_homology(N)
-    except (StructureError, ChainComplexError) as e:
+    except StructureError as e:
         failures.append(str(e))
     return failures
 
 
 def _suite_homotopy(z, am, rng) -> list:
     """Seeded plant-and-recover trials, all solved by one homotopy solver."""
-    from .ainf import Morphism, StructureError, _morphism_slots, homotopy_solver, morphism_diff
+    from .ainf import Morphism, _morphism_slots, homotopy_solver, morphism_diff
     from .standard_models import left_module_from_right_idem
 
     max_len = 4
-    try:  # A.iota_{} is one generator with an empty table, so plant on A.iota_{1}.
-        M = left_module_from_right_idem(am, {1} if am.k else ())
-    except StructureError as e:
-        return [str(e)]
+    # A.iota_{} is one generator with an empty table, so plant on A.iota_{1}.
+    M = left_module_from_right_idem(am, {1} if am.k else ())
     slots = _morphism_slots(M, M, max_len - 1)
     if not slots:
         return []
@@ -418,9 +385,11 @@ def cmd_check(args, out) -> int:
         for name in SUITES if args.suite == "all" else (args.suite,):
             try:
                 failures = globals()[f"_suite_{name}"](z, am, rng)
-            except NotApplicable as e:
+            except InputError as e:  # the suite cannot take this (valid) diagram
                 lines.append(f"{name}: not applicable ({e})\n")
                 continue
+            except StructureError as e:  # a model or complex the suite built
+                failures = [str(e)]
             if failures:
                 bad = True
                 lines.append(f"{name}: FAIL\n")
@@ -485,9 +454,9 @@ def run(argv=None, out=None) -> int:
         return 1 if e.code else 0
     try:
         return args.func(args, out)
-    except CliError as e:
+    except (InputError, StructureError) as e:
         out.write(f"error: {e}\n")
-        return e.code
+        return 1 if isinstance(e, InputError) else 2
 
 
 def main() -> None:

@@ -238,8 +238,14 @@ def rank(m: Gf2Matrix) -> int:
     return sum(_insert(pivots, v) for v in _packed_rows(m).values())
 
 
-class ChainComplexError(ValueError):
-    pass
+class StructureError(ValueError):
+    """An object that fails its own equation, such as a module's structure
+    equation, or structures that cannot meet: a failed check, not bad input."""
+
+
+class ChainComplexError(StructureError):
+    """A complex that fails d^2 = 0, its structure equation, or whose
+    differential does not act on its basis."""
 
 
 class ChainComplexGf2(Frozen):

@@ -24,7 +24,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .arc_diagram import ArcDiagram, validate
+from .arc_diagram import ArcDiagram, InputError, validate
 from .strands import ABasisElem, enumerate_basis
 from .ainf import ModuleStructure, _add, check_structure
 
@@ -140,6 +140,10 @@ class Chart:
         self.segments.append((p1, p2, tag))
 
 
+class NotDrawable(InputError):
+    """A diagram that has no planar nice diagram here: a beta-type one."""
+
+
 class PlanarDiagram:
     """A nice diagram built from squares and handle charts."""
 
@@ -148,7 +152,7 @@ class PlanarDiagram:
         if problems:
             raise ValueError(f"invalid arc diagram: {problems}")
         if z.kind != "alpha":
-            raise ValueError("planar diagrams are constructed for alpha-type input")
+            raise NotDrawable("planar diagrams are constructed for alpha-type input")
         self.z = z
         self.family = family
         self.cap_subset = frozenset(cap_subset) if cap_subset is not None else None
@@ -555,10 +559,6 @@ def build_cap_diagram(z: ArcDiagram, I) -> PlanarDiagram:
     return PlanarDiagram(z, "cap", cap_subset=I)
 
 
-def enumerate_generators(d: PlanarDiagram) -> list:
-    return d.enumerate_generators()
-
-
 def generator_to_elem(d: PlanarDiagram, g) -> ABasisElem:
     movers = tuple(sorted((name[1], name[2]) for name in g if name[0] == "y"))
     occupied = frozenset(name[1] for name in g if name[0] == "x")
@@ -600,8 +600,8 @@ def count_domains(d: PlanarDiagram) -> ModuleStructure:
 
 
 class ComparisonVerdict:
-    def __init__(self, isomorphic: bool, witness: str = "", bijection: dict | None = None):
-        self.isomorphic, self.witness, self.bijection = isomorphic, witness, bijection
+    def __init__(self, isomorphic: bool, witness: str = ""):
+        self.isomorphic, self.witness = isomorphic, witness
 
 
 def compare_with_algebra(d: PlanarDiagram, m: ModuleStructure) -> ComparisonVerdict:
@@ -636,7 +636,7 @@ def compare_with_algebra(d: PlanarDiagram, m: ModuleStructure) -> ComparisonVerd
                     return ComparisonVerdict(
                         False, f"table mismatch at {k}: {mapped.get(k)} vs {theirs.get(k)}"
                     )
-        return ComparisonVerdict(True, bijection=bij)
+        return ComparisonVerdict(True)
     # caps: one generator, all operations vanish, idempotent = complement
     gens = d.enumerate_generators()
     if len(gens) != 1 or len(m.gens) != 1:
@@ -649,4 +649,4 @@ def compare_with_algebra(d: PlanarDiagram, m: ModuleStructure) -> ComparisonVerd
         return ComparisonVerdict(False, f"cap idempotent mismatch: {occ} vs {idem}")
     if m.table or not d.all_regions_boundary():
         return ComparisonVerdict(False, "cap structure not trivial")
-    return ComparisonVerdict(True, bijection={g: mg})
+    return ComparisonVerdict(True)

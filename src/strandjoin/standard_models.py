@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 
+from .arc_diagram import InputError
 from .strands import ABasisElem, AlgebraModel
 from .strands import gamma_block  # noqa: F401  (re-exported)
 from .ainf import ModuleStructure, StructureError, dualize, validated
@@ -187,7 +188,7 @@ def dd_identity(am: AlgebraModel) -> ModuleStructure:
     return validated(ModuleStructure("DD", am, am, gens, lidem, ridem, table, name="IdDD"))
 
 
-class DescriptorError(ValueError):
+class DescriptorError(InputError):
     pass
 
 

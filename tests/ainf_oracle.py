@@ -73,8 +73,9 @@ def _shape_out(kind: str, out) -> tuple:
 
 def kind_layout(m) -> dict:
     """The table of m (a structure or a morphism) in the layout of m's kind."""
+    kind = m.src.kind if isinstance(m, Morphism) else m.kind
     return {
-        _kind_key(m.kind, key): frozenset(_kind_out(m.kind, out) for out in outs)
+        _kind_key(kind, key): frozenset(_kind_out(kind, out) for out in outs)
         for key, outs in m.table.items()
     }
 
@@ -363,8 +364,9 @@ def equation(m: ModuleStructure, key: tuple) -> frozenset:
 
 def diff(f: Morphism, key: tuple) -> frozenset:
     """The morphism differential of f at key = (argsL, g, argsR), as outputs (a, y, b)."""
-    value = DIFFS[f.kind](f, *_args(f.kind, _kind_key(f.kind, key)))
-    return frozenset(_shape_out(f.kind, out) for out in value)
+    kind = f.src.kind
+    value = DIFFS[kind](f, *_args(kind, _kind_key(kind, key)))
+    return frozenset(_shape_out(kind, out) for out in value)
 
 
 def oracle_check_structure(m: ModuleStructure):

@@ -236,7 +236,7 @@ def reference_join(U: ModuleStructure, M: ModuleStructure, V: ModuleStructure) -
                             if tgt in cod_set:
                                 img ^= {tgt}
     matrix = Gf2Matrix.from_columns(codomain.basis, domain.basis, images)
-    return JoinInstance(am, domain, codomain, matrix)
+    return JoinInstance(domain, codomain, matrix)
 
 
 def assert_columns_match(U: ModuleStructure, M: ModuleStructure, V: ModuleStructure) -> dict:
@@ -298,7 +298,7 @@ def join_general_right(
                                 if tgt in cod_set:
                                     images[g] ^= frozenset({tgt})
     matrix = Gf2Matrix.from_columns(codomain.basis, domain.basis, images)
-    return JoinInstance(am, domain, codomain, matrix)
+    return JoinInstance(domain, codomain, matrix)
 
 
 def assert_reflection_matches(U: ModuleStructure, M: ModuleStructure, V: ModuleStructure):

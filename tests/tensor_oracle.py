@@ -86,7 +86,7 @@ def _cone(f: Morphism) -> ModuleStructure:
             key = (argsL, (tag_in, g), argsR)
             for a, y, b in outs:
                 _add(table, key, (a, (tag_out, y), b))
-    return ModuleStructure(f.kind, f.src.left_alg, f.src.right_alg, gens, lidem, ridem, table)
+    return ModuleStructure(f.src.kind, f.src.left_alg, f.src.right_alg, gens, lidem, ridem, table)
 
 
 def cone_induced(f: Morphism, other: ModuleStructure, side: str) -> Morphism:
@@ -120,14 +120,14 @@ def cone_induced(f: Morphism, other: ModuleStructure, side: str) -> Morphism:
 def induced(f: Morphism, other: ModuleStructure, side: str) -> Morphism:
     """f boxed with an identity, built directly: side names where `other` attaches."""
     if side == "right":
-        if f.kind != "AA":
+        if f.src.kind != "AA":
             raise StructureError("unsupported induced-map combination")
         src_box = box(f.src, other)
         dst_box = box(f.dst, other)
         return Morphism(src_box, dst_box, _box_table(f, other, src_box.genset))
     if side == "left":
         # id_other (x) f with f a morphism of left type-D structures.
-        if f.kind != "DA" or other.right_type != "A":
+        if f.src.kind != "DA" or other.right_type != "A":
             raise StructureError("unsupported induced-map combination")
         src_box = box(other, f.src)
         dst_box = box(other, f.dst)

@@ -315,7 +315,7 @@ def test_morphism_diff_squares_to_zero(am1):
     for _ in range(10):
         f = Morphism(M, M, {k: {v} for k, v in rng.sample(slots, 4)})
         df = morphism_diff(f)
-        assert morphism_diff(df).is_zero()
+        assert not morphism_diff(df).table
 
 
 def test_diff_of_composition_leibniz(am1):
@@ -342,7 +342,7 @@ def test_morphism_composition_identity_zero_assoc(am1):
     h = Morphism(M, M, {k: {v} for k, v in rng.sample(slots, 3)})
     assert morphism_compose(ident, f).table == f.table
     assert morphism_compose(f, ident).table == f.table
-    assert morphism_compose(f, Morphism(M, M, {})).is_zero()
+    assert not morphism_compose(f, Morphism(M, M, {})).table
     lhs = morphism_compose(h, morphism_compose(g, f))
     rhs = morphism_compose(morphism_compose(h, g), f)
     assert lhs.table == rhs.table
@@ -354,7 +354,7 @@ def test_identity_is_a_two_sided_unit_for_every_kind(am1, am2):
         for m in ad_models(am) + box_models(am):
             slots = _morphism_slots(m, m, 2)
             f = Morphism(m, m, {k: {v} for k, v in rng.sample(slots, min(3, len(slots)))})
-            assert not f.is_zero(), m.name
+            assert f.table, m.name
             ident = identity_morphism(m)
             assert morphism_compose(ident, f).table == f.table, m.name
             assert morphism_compose(f, ident).table == f.table, m.name
@@ -521,4 +521,4 @@ def test_bounded_homotopy_search_obstruction(am1):
 def test_trivial_search_finds_zero(am1):
     M = left_module_from_right_idem(am1, {1})
     H = homotopy_solver(M, M, 4)({})
-    assert H is not None and morphism_diff(H).is_zero()
+    assert H is not None and not morphism_diff(H).table

@@ -12,9 +12,10 @@ import io
 import pytest
 
 from conftest import forget_models, nabla_one_action_term_dropped, nabla_unit_terms
-from strandjoin import ainf, join, standard_models
+from strandjoin import ainf, join, standard_models, tensor
 from strandjoin.arc_diagram import Z2, serialize
 from strandjoin.cli import SUITES, run
+from strandjoin.gf2 import ChainComplexError, ChainComplexGf2
 from strandjoin.strands import ProductTable, enumerate_basis
 
 
@@ -52,6 +53,14 @@ def _plant_table(monkeypatch, name: str, table: dict) -> None:
 def _verdicts(out: str) -> dict:
     """suite -> PASS or FAIL, off the verdict lines of `check all`."""
     return dict(line.split(": ") for line in out.splitlines() if line.split(":")[0] in SUITES)
+
+
+def _plant_function(monkeypatch, real, fake) -> None:
+    """fake in place of the library function real, in every module that binds it."""
+    for module in (ainf, join, standard_models, tensor):
+        for name, value in vars(module).items():
+            if value is real:
+                monkeypatch.setattr(module, name, fake)
 
 
 def _without_unit_terms(M, nabla_table=join._nabla_table) -> dict:
@@ -168,6 +177,63 @@ def test_dga_sfh_and_blocks_catch_d_squared_nonzero(tmp_path, monkeypatch, fresh
     assert rc == 2 and list(verdicts) == list(SUITES)
     assert verdicts["dga"] == verdicts["sfh"] == "FAIL"
     assert _run(tmp_path, "blocks") == (2, "error: d^2 != 0\n")
+
+
+@pytest.mark.parametrize("suite", ["join", "all"])
+def test_join_reports_a_double_whose_d_squared_fails(tmp_path, monkeypatch, fresh_z2, suite):
+    # Every complex's d^2 check fails, the doubles' included: the join suite
+    # reports it as its FAIL line, as sfh does, instead of raising.
+    def fail(c):
+        raise ChainComplexError("d^2 != 0")
+
+    monkeypatch.setattr(ChainComplexGf2, "check_d_squared", fail)
+    rc, out = _check(tmp_path, suite)
+    assert rc == 2 and "join: FAIL\n  d^2 != 0\n" in out
+
+
+def test_join_catches_a_box_without_its_unital_interaction(tmp_path, monkeypatch, fresh_z2):
+    # The type-D factor's idempotent emissions dropped before each box: the
+    # chains skip them anyway, so only the unital one-input action is lost.
+    # The join suite's doubles and c_A stop being cycles; sfh boxes only
+    # structureless caps, which emit nothing.
+    real = tensor.box
+
+    def box(m, n):
+        side = 0 if n.left_type == "D" and m.right_type == "A" else 2
+        d = n if side == 0 else m
+        alg = d.left_alg if side == 0 else d.right_alg
+        table = {k: {o for o in outs if not alg.is_idempotent_elem(o[side])}
+                 for k, outs in d.table.items()}
+        d = ainf.ModuleStructure(d.kind, d.left_alg, d.right_alg, d.gens, d.lidem, d.ridem,
+                                 table, name=d.name)
+        return real(m, d) if side == 0 else real(d, n)
+
+    _plant_function(monkeypatch, real, box)
+    rc, out = _check(tmp_path, "all")
+    assert rc == 2
+    assert _verdicts(out) == {s: "FAIL" if s == "join" else "PASS" for s in SUITES}
+    assert "\n  d(c_A) != 0\n" in out
+
+
+def test_suites_reading_the_algebra_bimodule_catch_a_failing_alg_as_aa(tmp_path, monkeypatch,
+                                                                      fresh_z2):
+    # A without its right action 1.7 = 3, while the algebra's own tables stay
+    # whole: dga, variants and the suites that never build A as a bimodule pass.
+    real = standard_models.alg_as_aa
+
+    def alg_as_aa(am):
+        A = real(am)
+        assert A.table[((), 1, (7,))] == {(None, 3, None)}
+        table = {k: v for k, v in A.table.items() if k != ((), 1, (7,))}
+        return ainf.validated(ainf.ModuleStructure("AA", am, am, A.gens, A.lidem, A.ridem, table,
+                                                   name="A"))
+
+    _plant_function(monkeypatch, real, alg_as_aa)
+    rc, out = _check(tmp_path, "all")
+    assert rc == 2
+    failing = {"structures", "join", "nice"}
+    assert _verdicts(out) == {s: "FAIL" if s in failing else "PASS" for s in SUITES}
+    assert out.count("  A: structure equation fails at ((), 1, (7, 10))\n") == 5
 
 
 @pytest.mark.xfail(

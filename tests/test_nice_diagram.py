@@ -13,7 +13,6 @@ from strandjoin.nice_diagram import (
     build_twisting_slice_diagram,
     compare_with_algebra,
     count_domains,
-    enumerate_generators,
 )
 
 
@@ -73,15 +72,15 @@ def test_slice_is_nice():
 
 
 def test_generator_counts_match_dimensions(am1, am2):
-    assert len(enumerate_generators(build_twisting_slice_diagram(Z1))) == am1.dim
-    assert len(enumerate_generators(build_twisting_slice_diagram(Z2))) == am2.dim
+    assert len(build_twisting_slice_diagram(Z1).enumerate_generators()) == am1.dim
+    assert len(build_twisting_slice_diagram(Z2).enumerate_generators()) == am2.dim
 
 
 def test_cap_generators(am1, am2):
     for am, z in ((am1, Z1), (am2, Z2)):
         for I in am.all_idempotent_subsets():
             d = build_cap_diagram(z, I)
-            gens = enumerate_generators(d)
+            gens = d.enumerate_generators()
             assert len(gens) == 1
             occ = frozenset(d.points[n][0][1] for n in gens[0])
             assert occ == frozenset(range(1, am.k + 1)) - I

@@ -109,9 +109,9 @@ def test_matrix_rejects_duplicate_and_outside_keys(rows, cols, nonzero):
 
 def test_records_keep_their_constructors():
     verdict = ComparisonVerdict(False, "why")
-    assert (verdict.isomorphic, verdict.witness, verdict.bijection) == (False, "why", None)
+    assert (verdict.isomorphic, verdict.witness) == (False, "why")
     c1, c2 = Chart(("sq", 0)), Chart(("sq", 1))
     c1.add((0, 0), (1, 1), "alpha")
     assert c1.segments == [((0, 0), (1, 1), "alpha")] and c2.segments == []
-    inst = JoinInstance("A", "dom", "cod", "mat")
-    assert (inst.algebra, inst.domain, inst.codomain, inst.matrix) == ("A", "dom", "cod", "mat")
+    inst = JoinInstance("dom", "cod", "mat")
+    assert (inst.domain, inst.codomain, inst.matrix) == ("dom", "cod", "mat")
