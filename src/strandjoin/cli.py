@@ -304,13 +304,17 @@ def _suite_join(z, am, rng) -> list:
     from .join import cancel_cA, diagonal, left_module_candidates, nabla
 
     failures = []
-    try:  # a candidate, a module built on the way or a double may fail its equation
+    try:  # a candidate whose own build fails its equation ends the list
         for M in left_module_candidates(am):
-            if not is_homomorphism(nabla(M)):
-                failures.append(f"d(nabla) != 0 for {M.name}")
-            c, vec = diagonal(M)
-            if c.differential.apply(vec):
-                failures.append(f"d(Delta) != 0 for {M.name}")
+            try:  # a module built on the way or a double may fail its equation
+                if not is_homomorphism(nabla(M)):
+                    failures.append(f"d(nabla) != 0 for {M.name}")
+                c, vec = diagonal(M)
+                if c.differential.apply(vec):
+                    failures.append(f"d(Delta) != 0 for {M.name}")
+            except StructureError as e:  # a shared model's failure is listed once
+                if str(e) not in failures:
+                    failures.append(str(e))
     except StructureError as e:
         failures.append(str(e))
     try:

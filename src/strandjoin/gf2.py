@@ -161,30 +161,21 @@ def _bit_indices(v: int) -> list[int]:
     return out
 
 
-def _insert(pivots: dict, v: int) -> bool:
-    """Reduce v by the rows in `pivots` (keyed by lowest set bit) and add the
-    rest if it is nonzero; returns whether it was added."""
-    while v:
-        p = (v & -v).bit_length() - 1
-        w = pivots.get(p)
-        if w is None:
-            pivots[p] = v
-            return True
-        v ^= w
-    return False
-
-
-def _insert_tagged(pivots: dict, v: int, tags: int) -> None:
-    """As `_insert`, for rows stored as (bits, tags): the tags ride along in a
+def _insert(pivots: dict, v: int, tags: int) -> int | None:
+    """Reduce v by the rows in `pivots`, stored as (bits, tags) and keyed by
+    their lowest set bit, each step adding the row's tags to `tags`.  Stores
+    what is left of v as a row and returns None if it is nonzero; otherwise
+    returns the tags v was reduced to 0 with.  The tags ride along in a
     second int, so a row is no longer than its own highest bit and tag."""
     while v:
         p = (v & -v).bit_length() - 1
         row = pivots.get(p)
         if row is None:
             pivots[p] = (v, tags)
-            return
+            return None
         v ^= row[0]
         tags ^= row[1]
+    return tags
 
 
 def tagged_span(supports: Iterable[Sequence[int]]) -> dict:
@@ -192,7 +183,7 @@ def tagged_span(supports: Iterable[Sequence[int]]) -> dict:
     eliminated once, the i-th tagged with bit i of the tags."""
     pivots: dict = {}
     for i, s in enumerate(supports):
-        _insert_tagged(pivots, sum(1 << j for j in s), 1 << i)
+        _insert(pivots, sum(1 << j for j in s), 1 << i)
     return pivots
 
 
@@ -209,33 +200,10 @@ def span_coordinates(pivots: dict, v: int) -> list[int] | None:
     return _bit_indices(tags)
 
 
-def _rref(rows: Iterable[int]) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form of packed rows; returns (nonzero rows, pivot cols).
-
-    A row's pivot is its lowest set bit, so this is the RREF for the column
-    order 0, 1, 2, ...  The RREF is unique, so the result does not depend on
-    the order in which the rows are eliminated.
-    """
-    pivots: dict = {}
-    for v in rows:
-        _insert(pivots, v)
-    cols = sorted(pivots)
-    # Back-substitution, highest pivot first: pivots[b] for b > p is already
-    # reduced, so adding it clears bit b of the row and sets no other pivot bit.
-    above = 0
-    for p in reversed(cols):
-        v = pivots[p]
-        for b in _bit_indices(v & above):
-            v ^= pivots[b]
-        pivots[p] = v
-        above |= 1 << p
-    return [pivots[p] for p in cols], cols
-
-
 def rank(m: Gf2Matrix) -> int:
-    """Exact GF(2) rank: the number of pivots, without back-substitution."""
+    """Exact GF(2) rank: the number of pivots of m's rows."""
     pivots: dict = {}
-    return sum(_insert(pivots, v) for v in _packed_rows(m).values())
+    return sum(_insert(pivots, v, 0) is None for v in _packed_rows(m).values())
 
 
 class StructureError(ValueError):
@@ -269,58 +237,38 @@ class ChainComplexGf2(Frozen):
         return len(self.basis)
 
 
-def _kernel_basis(m: Gf2Matrix) -> list[int]:
-    """Deterministic kernel basis (one packed vector per free column, in column order)."""
-    red, piv = _rref(_packed_rows(m).values())
-    pivset = set(piv)
-    kers = {c: 1 << c for c in range(len(m.cols)) if c not in pivset}
-    for v, p in zip(red, piv):
-        for c in _bit_indices(v ^ (1 << p)):
-            kers[c] |= 1 << p
-    return list(kers.values())
+def homology(c: ChainComplexGf2) -> tuple:
+    """Homology of an ungraded Z/2 complex: (dimension, cycle representatives,
+    coordinate map), read off one reduction of d's columns.
 
-
-def homology(c: ChainComplexGf2) -> tuple[int, list[frozenset]]:
-    """Homology of an ungraded Z/2 complex: (dimension, cycle representatives).
-
-    dimension = dim ker d - rank d, with rank d = dim - dim ker d from the one
-    elimination.  Representatives are kernel vectors that extend a basis of
-    the image, chosen greedily in deterministic order.
+    Column j is reduced in basis order, tagged with bit j.  A column that
+    reduces to 0 gives its tags as a kernel vector: e_j plus the unique sum
+    of earlier independent columns equal to column j, the kernel vector that
+    free column j has in the RREF of d.  The columns that are kept span the
+    image.  The kernel vectors are then inserted over the image in order;
+    those that are added are the representatives, each tagged with its
+    index, so a cycle z reduces to the indices i with [z] = sum of
+    [reps[i]].  The coordinate map raises ValueError on a vector that is
+    not a cycle or that has keys outside c's basis.
     """
     c.check_d_squared()
-    n = c.dim
-    if n == 0:
-        return 0, []
-    kers = _kernel_basis(c.differential)
-    r = n - len(kers)
-    # Echelon structure seeded with the image columns.
-    pool: dict = {}
-    for col in _packed_rows(c.differential.transpose()).values():
-        _insert(pool, col)
-    reps = [frozenset(c.basis[i] for i in _bit_indices(v)) for v in kers if _insert(pool, v)]
-    dim_h = len(kers) - r
+    pivots: dict = {}
+    kers = []
+    for j, col in enumerate(_packed_rows(c.differential.transpose()).values()):
+        tags = _insert(pivots, col, 1 << j)
+        if tags is not None:
+            kers.append(tags)
+    dim_h = len(kers) - len(pivots)
+    pivots = {p: (v, 0) for p, (v, _) in pivots.items()}  # boundaries: coordinates 0
+    reps = []
+    for v in kers:
+        if _insert(pivots, v, 1 << len(reps)) is None:
+            reps.append(frozenset(c.basis[i] for i in _bit_indices(v)))
     if len(reps) != dim_h:
         raise RuntimeError(
             f"found {len(reps)} homology representatives for dimension {dim_h}"
         )
-    return dim_h, reps
-
-
-def homology_coordinates(c: ChainComplexGf2, reps: list[frozenset]):
-    """The map sending a cycle z of c to the indices i with [z] = sum of [reps[i]].
-
-    reps must be independent in homology, as `homology` returns them.  The
-    system [image of d | reps] is eliminated once, each rep's row tagged with
-    its index; a cycle then reduces to its tags, which are its unique
-    coordinates.  The map raises ValueError on a vector that is not a cycle
-    or that has keys outside c's basis.
-    """
     index = {b: j for j, b in enumerate(c.basis)}
-    pivots: dict = {}
-    for col in _packed_rows(c.differential.transpose()).values():
-        _insert_tagged(pivots, col, 0)
-    for i, rep in enumerate(reps):
-        _insert_tagged(pivots, sum(1 << index[k] for k in rep), 1 << i)
 
     def coordinates(z: frozenset) -> list[int]:
         if any(k not in index for k in z):
@@ -330,4 +278,4 @@ def homology_coordinates(c: ChainComplexGf2, reps: list[frozenset]):
             raise ValueError("vector is not a cycle")
         return tags
 
-    return coordinates
+    return dim_h, reps, coordinates

@@ -9,7 +9,7 @@ blocks and compares it exactly with the direct action.
 
 from __future__ import annotations
 
-from .gf2 import ChainComplexGf2, Gf2Matrix, homology, homology_coordinates, vsum
+from .gf2 import ChainComplexGf2, Gf2Matrix, homology, vsum
 from .strands import AlgebraModel, gamma_block
 from .strands import homology_blocks  # noqa: F401  (re-exported)
 from .ainf import ModuleStructure, StructureError, _add, dualize, validated
@@ -21,8 +21,7 @@ from .join import join_columns
 def block_homology(am: AlgebraModel, c: ChainComplexGf2) -> tuple:
     """The homology representatives of a complex over am and their coordinate
     map, computed once per algebra for each basis and differential."""
-    _, reps = homology(c)
-    return reps, homology_coordinates(c, reps)
+    return homology(c)[1:]
 
 
 def _verified_on_homology(am, c1, c2, c3, direct, joined, error: str) -> Gf2Matrix:

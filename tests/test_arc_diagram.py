@@ -81,3 +81,39 @@ def test_random_diagrams_are_valid():
         z = random_diagram(rng)
         assert validate(z) == []
         assert z.rank <= 3
+
+
+@pytest.mark.parametrize(
+    "z, message",
+    [(ArcDiagram((("a1", "a2"), ("a1", "a2")), {"a1": 1, "a2": 1}),
+      "duplicate point identifiers across arcs"),
+     (ArcDiagram(Z1.arcs, Z1.matching, "gamma"), "unknown kind 'gamma'"),
+     (ArcDiagram(Z1.arcs, {"a1": 2, "a2": 2}), "pair indices are not 1..k")],
+    ids=["duplicate-points", "unknown-kind", "pair-indices"],
+)
+def test_validate_names_each_violation(z, message):
+    assert message in validate(z)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("type: alpha\ntype: beta\n", "line 2: duplicate type line"),
+     ("type: gamma\n", "line 1: type must be alpha or beta"),
+     ("type: alpha\narc:\n", "line 2: empty arc"),
+     ("type: alpha\narc: a1 a2\nmatch x: a1 a2\n", "line 3: bad match index"),
+     ("type: alpha\narc: a1 a2 a3\nmatch 1: a1 a2\nmatch 2: a1 a3\n",
+      "line 4: point a1 matched twice")],
+    ids=["duplicate-type", "bad-type", "empty-arc", "bad-match-index", "matched-twice"],
+)
+def test_parse_names_each_error(text, message):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert str(e.value) == message
+
+
+def test_parse_skips_blank_and_comment_lines():
+    # The skipped lines still count: the duplicate type line is line 5.
+    text = "# Z1\n\ntype: alpha\n   \narc: a1 a2\n  # one pair\nmatch 1: a1 a2\n"
+    assert parse(text) == Z1
+    with pytest.raises(ParseError, match="^line 5: duplicate type line$"):
+        parse("# Z1\n\ntype: alpha\n   \ntype: alpha\n")

@@ -213,6 +213,29 @@ def test_join_descriptor_roles(files):
     assert out == "error: M descriptor must be elementary:A:{..} or amod:{..}, got 'elementary:D:{1}'\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["algebra"], ["blocks"], ["check"], ["nice", "slice"], ["double", "amod:{1}"],
+     ["join", "elementary:D:{1}", "amod:{1}", "elementary:D:{1}"]],
+    ids=lambda argv: argv[0],
+)
+def test_commands_other_than_validate_reject_an_invalid_diagram(files, argv):
+    # a1 a2 a3 on the arc, only a1 and a2 matched: one error line, no header.
+    rc, out = _run([argv[0], files["bad"], *argv[1:]])
+    message = "matching domain differs from the set of marked points"
+    assert rc == 1 and out == f"error: invalid diagram {files['bad']}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["double", "amod:{a}"], ["join", "elementary:D:{1}", "amod:{a}", "elementary:D:{1}"]],
+    ids=lambda argv: argv[0],
+)
+def test_a_subset_that_is_not_integers_is_a_bad_subset(files, argv):
+    rc, out = _run([argv[0], files["Z2"], *argv[1:]])
+    assert rc == 1 and out == "error: bad subset '{a}'\n"
+
+
 def test_check_all_validates_each_per_algebra_model_once(files, tmp_path, am3, structure_checks):
     from conftest import forget_models, join_suite_names, structures_suite_names
 

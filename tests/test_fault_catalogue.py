@@ -15,7 +15,7 @@ from conftest import forget_models, nabla_one_action_term_dropped, nabla_unit_te
 from strandjoin import ainf, join, standard_models, tensor
 from strandjoin.arc_diagram import Z2, serialize
 from strandjoin.cli import SUITES, run
-from strandjoin.gf2 import ChainComplexError, ChainComplexGf2
+from strandjoin.gf2 import ChainComplexError, ChainComplexGf2, StructureError
 from strandjoin.strands import ProductTable, enumerate_basis
 
 
@@ -189,6 +189,19 @@ def test_join_reports_a_double_whose_d_squared_fails(tmp_path, monkeypatch, fres
     monkeypatch.setattr(ChainComplexGf2, "check_d_squared", fail)
     rc, out = _check(tmp_path, suite)
     assert rc == 2 and "join: FAIL\n  d^2 != 0\n" in out
+
+
+def test_join_lists_every_candidate_whose_nabla_fails(tmp_path, monkeypatch, fresh_z2):
+    # Each candidate's pair bimodule fails with its own message: one failing
+    # candidate hides none of the later ones.
+    def planted(M):
+        raise StructureError(f"{M.name}: planted")
+
+    monkeypatch.setattr(join, "pair_bimodule", planted)
+    rc, out = _check(tmp_path, "join")
+    names = ["elemA([])", "A.i[]", "elemA([1])", "A.i[1]",
+             "elemA([2])", "A.i[2]", "elemA([1, 2])", "A.i[1, 2]"]
+    assert rc == 2 and out.endswith("join: FAIL\n" + "".join(f"  {n}: planted\n" for n in names))
 
 
 def test_join_catches_a_box_without_its_unital_interaction(tmp_path, monkeypatch, fresh_z2):

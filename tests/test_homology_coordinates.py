@@ -1,9 +1,10 @@
-"""`gf2.homology_coordinates`: a cycle's class in the representative basis.
+"""The coordinate map `gf2.homology(c)[2]`: a cycle's class in the
+representative basis.
 
 A cycle built as a chosen sum of representatives plus boundaries has exactly
 the chosen indices as coordinates, and the coordinates equal the h-part of the
-dense oracle's solution of [representatives | image of d], the system the map
-replaces.
+dense oracle's solution of [representatives | image of d], the system the
+map's pivots eliminate.
 """
 
 import random
@@ -12,7 +13,7 @@ import pytest
 
 import gf2_oracle
 from strandjoin.arc_diagram import Z1, Z2
-from strandjoin.gf2 import Gf2Matrix, homology, homology_coordinates
+from strandjoin.gf2 import Gf2Matrix, homology
 from strandjoin.standard_models import gamma_block
 from strandjoin.strands import enumerate_basis
 from test_gf2_oracle import R3
@@ -38,8 +39,7 @@ def test_coordinates_of_built_cycles():
     rng = random.Random(3)
     checked = 0
     for c in _blocks():
-        _, reps = homology(c)
-        coordinates = homology_coordinates(c, reps)
+        _, reps, coordinates = homology(c)
         for _ in range(4):
             chosen = sorted(i for i in range(len(reps)) if rng.random() < 0.5)
             z = frozenset()
@@ -58,6 +58,6 @@ def test_non_cycles_are_rejected():
         for b in c.basis:
             if c.differential.column(b):
                 with pytest.raises(ValueError):
-                    homology_coordinates(c, homology(c)[1])(frozenset({b}))
+                    homology(c)[2](frozenset({b}))
                 return
     raise AssertionError("no block with a nonzero differential")

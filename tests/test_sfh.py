@@ -62,7 +62,7 @@ def test_mu_H_verified_on_all_blocks(am0, am1, am2):
 def _unit_position(am, I=frozenset({1})):
     """The position of [iota_I] among the homology representatives of the
     I->I block, the order of the columns' first index."""
-    _, reps = homology(gamma_block(am, I, I))
+    _, reps, _ = homology(gamma_block(am, I, I))
     iota = am.idempotent_index(I)
     return next(j for j, r in enumerate(reps) if r == {iota})
 
@@ -157,7 +157,7 @@ def test_mu_H_block_entries_on_z1(am1):
     one = frozenset({1})
     m = action_on_homology(left_module_from_right_idem(am1, one))[(one, one)]
     blk = gamma_block(am1, frozenset({1}), frozenset({1}))
-    _, reps = homology(blk)
+    _, reps, _ = homology(blk)
     rep_elems = [next(iter(r)) for r in reps]  # zero differential: reps are basis
     s_pos = rep_elems.index(1)   # the moving generator
     i_pos = rep_elems.index(2)   # the idempotent
