@@ -7,8 +7,9 @@ and the seed in effect.
 
 Failures have two roots, and `run` alone turns them into exit codes, each as
 one `error: <message>` line.  `arc_diagram.InputError` is input the program
-cannot use (an unreadable, unparsable or invalid diagram file, a bad
-descriptor or model, a beta-type diagram for `nice`): exit 1.
+cannot use (an argv outside the grammar, reported on stderr; an unreadable,
+unparsable or invalid diagram file, a bad descriptor or model, a beta-type
+diagram for `nice`): exit 1.
 `gf2.StructureError` is an object that fails its own equation (a module's
 structure equation, d^2 = 0 on a complex): exit 2.  `check` turns a
 StructureError raised inside a suite into that suite's FAIL line, and an
@@ -18,8 +19,9 @@ exits 2.  Exit 0 is success.
 
 from __future__ import annotations
 
-import argparse
+import gc
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .arc_diagram import ArcDiagram, InputError, ParseError, parse, validate
@@ -136,9 +138,9 @@ def cmd_join(args, out) -> int:
 
     z = _load_diagram(args.diagram)
     am = enumerate_basis(z)
-    U = _module_for_join(am, args.U, "U")
-    M = _module_for_join(am, args.M, "M")
-    V = _module_for_join(am, args.V, "V")
+    U = _module_for_join(am, args.u, "U")
+    M = _module_for_join(am, args.m, "M")
+    V = _module_for_join(am, args.v, "V")
     inst = join_general(U, M, V)
     lines = [_header(args), "# domain basis\n"]
     dom = _numbered(inst.domain.basis, lines)
@@ -157,7 +159,7 @@ def cmd_double(args, out) -> int:
 
     z = _load_diagram(args.diagram)
     am = enumerate_basis(z)
-    c, vec = diagonal(_module_for_join(am, args.M, "M"))
+    c, vec = diagonal(_module_for_join(am, args.m, "M"))
     lines = [_header(args), f"# double complex dim {c.dim}\n"]
     basis = _numbered(c.basis, lines)
     lines.append("# differential triplets\n")
@@ -405,59 +407,72 @@ def cmd_check(args, out) -> int:
     return 2 if bad else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="strandjoin",
-        description="strands algebras, bimodules, and join/gluing maps over Z/2",
-    )
-    ap.add_argument("--seed", type=int, default=0)
-    sub = ap.add_subparsers(dest="command", required=True)
+# command -> (its arguments, one line of help).  Command NAME runs cmd_NAME,
+# looked up when it runs, with each argument an attribute named in lower case.
+COMMANDS = {
+    "validate": ("DIAGRAM", "validate an arc diagram file"),
+    "algebra": ("DIAGRAM", "dump the algebra basis and tables"),
+    "blocks": ("DIAGRAM", "homology block decomposition"),
+    "join": ("DIAGRAM U M V", "dump a join instance"),
+    "double": ("DIAGRAM M", "dump the double of a module with its diagonal"),
+    "check": ("DIAGRAM [SUITE]", f"run checks; SUITE is all (default), {', '.join(SUITES)}"),
+    "nice": ("DIAGRAM MODEL", "compare a nice diagram, slice or cap:{..}, with the algebra"),
+}
 
-    p = sub.add_parser("validate", help="validate an arc diagram file")
-    p.add_argument("diagram")
-    p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("algebra", help="dump the algebra basis and tables")
-    p.add_argument("diagram")
-    p.set_defaults(func=cmd_algebra)
+def _help(commands) -> str:
+    lines = [f"  {c + ' ' + COMMANDS[c][0]:<24}{COMMANDS[c][1]}\n" for c in commands]
+    return "".join(["usage: strandjoin [--seed N] COMMAND ARGS...  (N seeds checks)\n", *lines])
 
-    p = sub.add_parser("blocks", help="homology block decomposition")
-    p.add_argument("diagram")
-    p.set_defaults(func=cmd_blocks)
 
-    p = sub.add_parser("join", help="dump a join instance")
-    p.add_argument("diagram")
-    p.add_argument("U")
-    p.add_argument("M")
-    p.add_argument("V")
-    p.set_defaults(func=cmd_join)
-
-    p = sub.add_parser("double", help="dump the double of a module with its diagonal")
-    p.add_argument("diagram")
-    p.add_argument("M")
-    p.set_defaults(func=cmd_double)
-
-    p = sub.add_parser("check", help="run invariant check suites")
-    p.add_argument("diagram")
-    p.add_argument("suite", nargs="?", default="all", choices=SUITES + ("all",))
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("nice", help="build a nice diagram and compare with the algebra")
-    p.add_argument("diagram")
-    p.add_argument("model", help="slice or cap:{..}")
-    p.set_defaults(func=cmd_nice)
-    return ap
+def _parse(argv: list):
+    """The seed, the command and its arguments as attributes, or the help that
+    -h or --help asks for at the top or after the command.  An InputError for
+    an argv outside `[--seed N | --seed=N] COMMAND ARGS...`."""
+    seed, argv = 0, list(argv)
+    while argv and argv[0].startswith("-"):
+        flag = argv.pop(0)
+        if flag in ("-h", "--help"):
+            return _help(COMMANDS)
+        if flag == "--seed" and argv:
+            flag += "=" + argv.pop(0)
+        name, _, value = flag.partition("=")
+        if name != "--seed":
+            raise InputError(f"unknown option {flag!r}; the one option is --seed N")
+        try:
+            seed = int(value)
+        except ValueError:
+            raise InputError(f"--seed takes an integer, got {value!r}") from None
+    if not argv or argv[0] not in COMMANDS:
+        raise InputError(f"COMMAND is one of {', '.join(COMMANDS)}; got {argv[:1]}")
+    command, *rest = argv
+    if "-h" in rest or "--help" in rest:
+        return _help([command])
+    names = [n.strip("[]").lower() for n in COMMANDS[command][0].split()]
+    if command == "check" and len(rest) == 1:
+        rest.append("all")
+    if (len(rest) != len(names) or any(a.startswith("-") for a in rest)
+            or command == "check" and rest[1] not in SUITES + ("all",)):
+        raise InputError(f"{command} takes {COMMANDS[command][0]}; got {rest}")
+    return SimpleNamespace(seed=seed, command=command, **dict(zip(names, rest)))
 
 
 def run(argv=None, out=None) -> int:
     out = out or sys.stdout
-    ap = build_parser()
+    # Each command is its own process, and the collections at its exit walked
+    # every object that start-up and the imports built: freeze those once.
+    if gc.get_freeze_count() == 0:
+        gc.freeze()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as e:
-        return 1 if e.code else 0
+        args = _parse(sys.argv[1:] if argv is None else argv)
+    except InputError as e:  # a usage error leaves out empty
+        sys.stderr.write(f"strandjoin: error: {e}\n")
+        return 1
+    if isinstance(args, str):
+        out.write(args)
+        return 0
     try:
-        return args.func(args, out)
+        return globals()[f"cmd_{args.command}"](args, out)
     except (InputError, StructureError) as e:
         out.write(f"error: {e}\n")
         return 1 if isinstance(e, InputError) else 2

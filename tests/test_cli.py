@@ -9,7 +9,7 @@ import pytest
 import strandjoin
 from diagrams import random_diagram
 from strandjoin.arc_diagram import Z1, Z2, flip_type, serialize
-from strandjoin.cli import run
+from strandjoin.cli import SUITES, run
 from strandjoin.strands import enumerate_basis
 
 
@@ -181,10 +181,60 @@ def test_seed_appears_in_header(files):
 
 
 def test_bad_flags_exit_one(files, capsys):
-    rc, _ = _run(["--max-homotopy-len", "nope", "blocks", files["Z1"]])
-    assert rc == 1
-    rc, _ = _run(["--seed", "nope", "blocks", files["Z1"]])
-    assert rc == 1
+    assert _run(["--max-homotopy-len", "nope", "blocks", files["Z1"]]) == (1, "")
+    assert _run(["--seed", "nope", "blocks", files["Z1"]]) == (1, "")
+
+
+# The grammar `[--seed N | --seed=N] COMMAND ARGS...`, with help at the top or
+# after a command.  Help may go to out or to sys.stdout; a usage error writes
+# nothing to out.
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (["--help"], ["validate", "algebra", "blocks", "join", "double", "check", "nice", "--seed"]),
+        (["-h"], ["validate", "check", "nice"]),
+        (["--seed", "3", "--help"], ["validate", "check", "nice"]),
+        (["check", "--help"], ["check", "dga", "homotopy", "all"]),
+        (["blocks", "-h"], ["blocks"]),
+        (["blocks", "Z1", "--help"], ["blocks"]),
+    ],
+)
+def test_help_exits_zero(files, capsys, argv, shown):
+    rc, out = _run([files.get(a, a) for a in argv])
+    printed = out + capsys.readouterr().out
+    assert rc == 0 and all(word in printed for word in shown), printed
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus", "Z1"],
+        ["blocks"],
+        ["join", "Z1", "elementary:D:{1}", "amod:{1}"],
+        ["blocks", "Z1", "extra"],
+        ["check", "Z1", "all", "extra"],
+        ["--seed"],
+        ["--seed=", "blocks", "Z1"],
+        ["--seed", "5"],
+        ["check", "Z1", "bogus"],
+        ["blocks", "Z1", "--seed", "3"],
+        ["blocks", "--foo", "Z1"],
+        ["--foo", "blocks", "Z1"],
+    ],
+)
+def test_usage_errors_exit_one_and_write_nothing(files, capsys, argv):
+    rc, out = _run([files.get(a, a) for a in argv])
+    assert rc == 1 and out == ""
+    assert "error" in capsys.readouterr().err
+
+
+def test_seed_may_be_joined_to_its_flag(files):
+    rc, out = _run(["--seed=5", "blocks", files["Z1"]])
+    assert rc == 0 and out.splitlines()[1] == "# seed: 5"
+    rc, out = _run(["--seed", "-7", "--seed", "8", "check", files["Z1"]])
+    assert rc == 0 and out.splitlines()[1] == "# seed: 8"
+    assert out.splitlines()[2:] == [f"{s}: PASS" for s in SUITES]
 
 
 def test_check_all_on_z2(files):

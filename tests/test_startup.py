@@ -15,18 +15,23 @@ import pytest
 from strandjoin.arc_diagram import Z2, serialize
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-HEAVY_STDLIB = {"dataclasses", "inspect", "typing", "random"}
+HEAVY_STDLIB = {"dataclasses", "inspect", "typing", "random", "argparse", "gettext"}
 LIBRARY_ONLY = {"ainf", "standard_models", "tensor", "join", "sfh", "nice_diagram"}
 
 
-def _loaded(code: str) -> set:
-    """The names in sys.modules after running code in a fresh `python -S`."""
-    script = f"import sys\nsys.path.insert(0, {SRC!r})\n{code}\nprint(' '.join(sys.modules))\n"
+def _fresh(code: str) -> str:
+    """The stdout of code run in a fresh `python -S` that imports from src."""
+    script = f"import sys\nsys.path.insert(0, {SRC!r})\n{code}\n"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.split())
+    return proc.stdout
+
+
+def _loaded(code: str) -> set:
+    """The names in sys.modules after running code in a fresh `python -S`."""
+    return set(_fresh(f"{code}\nprint(' '.join(sys.modules))").split())
 
 
 def _package(modules: set) -> set:
@@ -50,9 +55,24 @@ def test_table_commands_load_no_module_theory(tmp_path, argv):
         "import io\nfrom strandjoin.cli import run\n"
         f"assert run({argv!r}, io.StringIO()) == 0"
     )
-    loaded = _package(_loaded(code))
-    assert loaded >= {"cli", "strands"}
-    assert not loaded & LIBRARY_ONLY
+    loaded = _loaded(code)
+    assert _package(loaded) >= {"cli", "strands"}
+    assert not _package(loaded) & LIBRARY_ONLY
+    assert not loaded & HEAVY_STDLIB - {"random"}  # check imports random when it runs
+
+
+def test_run_freezes_the_start_up_heap_once(tmp_path):
+    # Objects frozen by gc.freeze() are never collected, so a command's own
+    # objects must not join them: a second run in the process freezes nothing.
+    path = tmp_path / "Z2.arcd"
+    path.write_text(serialize(Z2))
+    code = (
+        "import gc, io\nfrom strandjoin.cli import run\ncounts = [gc.get_freeze_count()]\n"
+        f"for _ in range(2):\n    assert run(['blocks', {str(path)!r}], io.StringIO()) == 0\n"
+        "    counts.append(gc.get_freeze_count())\nprint(*counts)"
+    )
+    before, first, second = map(int, _fresh(code).split())
+    assert before == 0 and first > 0 and second == first
 
 
 def test_library_import_loads_no_dataclasses():

@@ -11,7 +11,8 @@ alive.  An attribute (`x.name`) counts for every definition of that name,
 since the scan cannot tell whose method it reads.
 
 Exempt are special methods, which Python calls; the suites named in
-`cli.SUITES`, which `cmd_check` looks up as `_suite_<name>`; and `KEPT`,
+`cli.SUITES`, which `cmd_check` looks up as `_suite_<name>`; the commands
+named in `cli.COMMANDS`, which `run` looks up as `cmd_<name>`; and `KEPT`,
 each with its reason.
 """
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 import ast
 import pathlib
 
-from strandjoin.cli import SUITES
+from strandjoin.cli import COMMANDS, SUITES
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "strandjoin"
 
@@ -96,9 +97,10 @@ def _scan() -> tuple[list, list]:
 
 def unreferenced(kept=KEPT) -> list[str]:
     """Each definition that no reference outside its own body reaches, less
-    the special methods, the suites and `kept`."""
+    the special methods, the suites, the commands and `kept`."""
     defs, refs = _scan()
     exempt = set(kept) | {f"cli._suite_{name}" for name in SUITES}
+    exempt |= {f"cli.cmd_{name}" for name in COMMANDS}
     out = []
     for qual, node in defs:
         if qual in exempt or (node.name.startswith("__") and node.name.endswith("__")):
