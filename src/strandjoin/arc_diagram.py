@@ -48,7 +48,8 @@ class ArcDiagram(Frozen):
 
 
 def validate(z: ArcDiagram) -> list[str]:
-    """Return a list of violations; empty means the diagram is valid."""
+    """Return a list of violations; empty means the diagram is well formed,
+    though it may be degenerate (`closed_components`)."""
     problems: list[str] = []
     pts = list(z.points)
     if len(pts) != len(set(pts)):
@@ -67,75 +68,40 @@ def validate(z: ArcDiagram) -> list[str]:
     for i, ps in sorted(by_pair.items()):
         if len(ps) != 2:
             problems.append(f"matching not 2-to-1: pair {i} has {len(ps)} points")
-    if problems:
-        return problems
-    if _has_closed_component(z):
-        problems.append("0-surgery on matched pairs produces a closed component")
     return problems
 
 
-def _has_closed_component(z: ArcDiagram) -> bool:
-    """Check the 1-manifold obtained by 0-surgery on each matched pair.
+def closed_components(z: ArcDiagram) -> int:
+    """The number c of closed components left by surgery on every matched pair.
 
-    Surgery on {p, q} cuts the arcs at both points, leaving four loose ends
-    (the sides before/after p and q), and reglues them pairwise away from the
-    original configuration.  There are two such regluings per pair (crosswise
-    and same-side); the diagram is accepted when some choice of regluing, one
-    per pair, produces no closed components.  Both canonical small diagrams
-    (an adjacent pair on one arc, an interleaved rank-2 pair) are valid under
-    exactly one of the two regluings each, so the choice must be per pair.
+    Zarev (arXiv:0908.1106, section 2) asks that 0-surgery on all pairs leave
+    no closed component, the surgery being the boundary of the oriented
+    surface F(Z): one orientable 1-handle per pair, so the strand that arrives
+    at p leaves from p's mate.  Naming each strand segment by the point it
+    leaves, that is the map x -> mate(succ(x)), which ends at an arc's last
+    point.  The walks from the arcs' starts reach every point off a closed
+    component; the cycles among the points left are the closed components.
+    A diagram with c > 0 is degenerate; the program still accepts it.
     """
-    import itertools
-
-    # Segments between consecutive cut points; half-ends labeled by the
-    # bounding node and incidence side.
-    segments = []
-    ends_at: dict = {}  # ("pt", p) -> {"in": half, "out": half}
-    free_halves = []
-    for ai, arc in enumerate(z.arcs):
-        nodes = [("end", ai, 0)] + [("pt", p) for p in arc] + [("end", ai, 1)]
-        for si, (a, b) in enumerate(zip(nodes, nodes[1:])):
-            seg = (ai, si)
-            segments.append(seg)
-            for node, half in ((a, (seg, 0)), (b, (seg, 1))):
-                if node[0] == "end":
-                    free_halves.append(half)
-                else:
-                    side = "out" if half[1] == 0 else "in"
-                    ends_at.setdefault(node, {})[side] = half
-    pairs = [z.pair(i) for i in range(1, z.rank + 1)]
-    if not segments:
-        return False
-
-    def closed_exists(choice: tuple[bool, ...]) -> bool:
-        mate: dict = {}
-        for (p, q), crosswise in zip(pairs, choice):
-            hp, hq = ends_at[("pt", p)], ends_at[("pt", q)]
-            if crosswise:
-                links = [(hp["in"], hq["out"]), (hq["in"], hp["out"])]
-            else:
-                links = [(hp["in"], hq["in"]), (hp["out"], hq["out"])]
-            for a, b in links:
-                mate[a] = b
-                mate[b] = a
-        visited = set()
-        for start in free_halves:
-            half = start
-            while True:
-                seg, side = half
-                if seg in visited:
-                    break
-                visited.add(seg)
-                other = (seg, 1 - side)
-                if other not in mate:
-                    break
-                half = mate[other]
-        return len(visited) != len(segments)
-
-    return all(
-        closed_exists(choice)
-        for choice in itertools.product((True, False), repeat=len(pairs))
-    )
+    mate = {}
+    for i in range(1, z.rank + 1):
+        p, q = z.pair(i)
+        mate[p], mate[q] = q, p
+    succ = {a: b for arc in z.arcs for a, b in zip(arc, arc[1:])}
+    seen: set = set()
+    for arc in z.arcs:
+        x = mate[arc[0]] if arc else None
+        while x is not None:
+            seen.add(x)
+            x = mate[succ[x]] if x in succ else None
+    c = 0
+    for x in mate:
+        if x not in seen:
+            c += 1
+            while x not in seen:
+                seen.add(x)
+                x = mate[succ[x]]
+    return c
 
 
 def reverse(z: ArcDiagram) -> ArcDiagram:

@@ -24,7 +24,7 @@ import sys
 from types import SimpleNamespace
 
 from . import __version__
-from .arc_diagram import ArcDiagram, InputError, ParseError, parse, validate
+from .arc_diagram import ArcDiagram, InputError, ParseError, closed_components, parse, validate
 from .gf2 import StructureError
 from .strands import (
     dump_basis_tsv,
@@ -76,12 +76,13 @@ def _numbered(basis, lines: list) -> dict:
 
 def cmd_validate(args, out) -> int:
     out.write(_header(args))  # a file that cannot be read or parsed is reported below it
-    problems = validate(parse(_read(args.diagram)))
+    z = parse(_read(args.diagram))
+    problems = validate(z)
     if problems:
         for p in problems:
             out.write(f"violation: {p}\n")
         return 1
-    out.write("ok\n")
+    out.write(f"ok\nclosed components: {closed_components(z)}\n")
     return 0
 
 

@@ -5,7 +5,8 @@ from collections import Counter
 
 import pytest
 
-from strandjoin.arc_diagram import ArcDiagram, Z0, Z1, Z2
+from diagrams import ladder
+from strandjoin.arc_diagram import Z0, Z1, Z2
 from strandjoin.strands import enumerate_basis
 
 
@@ -27,12 +28,7 @@ def am2():
 @pytest.fixture(scope="session")
 def am3():
     """The rank-3 interleaved ladder: x1..x6 on one arc, x_i matched with x_{i+3} (dim 124)."""
-    ladder = ArcDiagram(
-        (("x1", "x2", "x3", "x4", "x5", "x6"),),
-        {"x1": 1, "x4": 1, "x2": 2, "x5": 2, "x3": 3, "x6": 3},
-        "alpha",
-    )
-    return enumerate_basis(ladder)
+    return enumerate_basis(ladder(3))
 
 
 class StructureChecks(list):

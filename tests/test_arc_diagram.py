@@ -1,12 +1,15 @@
+import itertools
+
 import pytest
 
-from diagrams import random_diagram
+from diagrams import closed_components_by_half_edges, ladder, random_diagram
 from strandjoin.arc_diagram import (
     ArcDiagram,
     ParseError,
     Z0,
     Z1,
     Z2,
+    closed_components,
     flip_type,
     parse,
     reverse,
@@ -117,3 +120,56 @@ def test_parse_skips_blank_and_comment_lines():
     assert parse(text) == Z1
     with pytest.raises(ParseError, match="^line 5: duplicate type line$"):
         parse("# Z1\n\ntype: alpha\n   \ntype: alpha\n")
+
+
+def test_closed_components_on_the_canonical_diagrams_and_ladders():
+    assert [closed_components(z) for z in (Z0, Z1, Z2)] == [0, 1, 0]
+    assert [closed_components(ladder(k)) for k in range(1, 7)] == [1, 0, 1, 0, 1, 0]
+    # x1 | x2 ... x2k with the ladder's matching: no closed component at odd rank.
+    assert closed_components(ladder(3, split=True)) == closed_components(ladder(5, split=True)) == 0
+
+
+def _matchings(points: tuple):
+    """Every perfect matching of points, as {point: pair index 1..k}."""
+    if not points:
+        yield {}
+        return
+    first, rest, k = points[0], points[1:], len(points) // 2
+    for j, q in enumerate(rest):
+        for m in _matchings(rest[:j] + rest[j + 1:]):
+            yield {**m, first: k, q: k}
+
+
+def _diagrams(n: int):
+    """Every alpha diagram on the points 1..n, cut into one to four arcs."""
+    points = tuple(str(i) for i in range(1, n + 1))
+    for cuts in itertools.chain.from_iterable(
+        itertools.combinations(range(1, n), m) for m in range(min(4, n))
+    ):
+        bounds = (0, *cuts, n)
+        arcs = tuple(points[a:b] for a, b in zip(bounds, bounds[1:]))
+        for matching in _matchings(points):
+            yield ArcDiagram(arcs, matching)
+
+
+def test_one_arc_diagrams_with_no_closed_component():
+    # One arc has no closed component only at even rank: F(Z) then has one
+    # boundary component and Euler characteristic 1 - k, so k = 2 * genus.
+    counts = []
+    for k in range(1, 5):
+        cs = [closed_components(z) for z in _diagrams(2 * k) if len(z.arcs) == 1]
+        counts.append((cs.count(0), len(cs)))
+    assert counts == [(0, 1), (1, 3), (0, 15), (21, 105)]
+
+
+def test_closed_components_match_the_half_edge_oracle():
+    total = degenerate = 0
+    for n in (2, 4, 6, 8):
+        for z in _diagrams(n):
+            c = closed_components(z)
+            assert c == closed_components_by_half_edges(z), z
+            assert closed_components(reverse(z)) == c, z
+            assert validate(z) == [], z  # a degenerate diagram stays accepted
+            total += 1
+            degenerate += c > 0
+    assert (total, degenerate) == (7136, 4434)

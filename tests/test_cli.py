@@ -43,6 +43,17 @@ def test_validate_ok_and_errors(files):
     assert rc == 1
 
 
+def test_validate_reports_closed_components(files):
+    rc, out = _run(["validate", files["Z1"]])
+    assert rc == 0 and out.splitlines()[2:] == ["ok", "closed components: 1"]
+    rc, out = _run(["validate", files["Z2"]])
+    assert rc == 0 and out.splitlines()[2:] == ["ok", "closed components: 0"]
+    # A malformed diagram prints only its violations.
+    rc, out = _run(["validate", files["bad"]])
+    assert rc == 1
+    assert out.splitlines()[2:] == ["violation: matching domain differs from the set of marked points"]
+
+
 def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path):
     path = tmp_path / "binary.arcd"
     path.write_bytes(b"\xff\xfe\x00bad")

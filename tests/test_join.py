@@ -4,10 +4,11 @@ import random
 import pytest
 
 from conftest import nabla_one_action_term_dropped, nabla_unit_terms, three_join_tuples
+from diagrams import ladder, random_diagram
 from join_oracle import assert_identity_matches, assert_reflection_matches
 from tensor_oracle import cone_induced as induced
 from strandjoin import join
-from strandjoin.arc_diagram import Z1
+from strandjoin.arc_diagram import Z1, Z2, closed_components
 from strandjoin.ainf import (
     Morphism,
     StructureError,
@@ -16,13 +17,15 @@ from strandjoin.ainf import (
     dualize,
     is_homomorphism,
 )
+from strandjoin.gf2 import homology
 from strandjoin.standard_models import (
+    da_identity,
     dd_identity,
     dual_alg_as_aa,
     elementary,
     left_module_from_right_idem,
 )
-from strandjoin.strands import ABasisElem, AlgebraModel
+from strandjoin.strands import ABasisElem, AlgebraModel, enumerate_basis
 from strandjoin import tensor
 from strandjoin.tensor import box, ground_tensor, tensor_algebra
 from strandjoin.join import (
@@ -243,6 +246,42 @@ def test_dd_middle_and_sandwich_structures(am1, am2):
     for am in (am1, am2):
         assert check_structure(dd_middle(am)) is None
         assert check_structure(dd_sandwich_da_bimodule(am)) is None
+
+
+def _distinct_draws(n: int) -> list:
+    """The first n distinct diagrams among random_diagram(Random(s)), s = 0, 1, ..."""
+    draws: list = []
+    for s in itertools.count():
+        z = random_diagram(random.Random(s), max_rank=3)
+        if z not in draws:
+            draws.append(z)
+        if len(draws) == n:
+            return draws
+
+
+# The rank-4 ladder is left out: building its IA^IA alone takes about 12 s.
+CAP_LAW_DIAGRAMS = {"Z1": Z1, "Z2": Z2, "R3": ladder(3), "R3split": ladder(3, split=True)}
+CAP_LAW_DIAGRAMS.update((f"draw{i}", z) for i, z in enumerate(_distinct_draws(10)))
+
+
+@pytest.mark.parametrize("z", CAP_LAW_DIAGRAMS.values(), ids=CAP_LAW_DIAGRAMS.keys())
+def test_cap_homologies_obey_the_two_to_the_c_law(z):
+    # dim H(N_I x IA^IA x V_J) = 2^c dim H(N_I x IdDA x V_J) at every cap pair,
+    # with N_I the dual of elementary:A:I, V_J elementary:D:J and c the
+    # diagram's closed components: cancellation is exact when c = 0.
+    am = enumerate_basis(z)
+    factor = 2 ** closed_components(z)
+    sandwich, identity = dd_sandwich_da_bimodule(am), da_identity(am)
+    nonzero = 0
+    for I in _subsets(am):
+        N = dualize(elementary(am, I, "A"))
+        for J in _subsets(am):
+            V = elementary(am, J, "D")
+            big, small = (homology(box(box(N, m), V).underlying_complex())[0]
+                          for m in (sandwich, identity))
+            assert big == factor * small, (sorted(I), sorted(J), big, small)
+            nonzero += small > 0
+    assert nonzero
 
 
 def test_join_identity_all_standard_models(am1, am2):

@@ -19,7 +19,7 @@ from strands_oracle import (
     sparse_tables,
     variants_failures,
 )
-from diagrams import random_diagram
+from diagrams import ladder, random_diagram
 from strandjoin.arc_diagram import Z0, Z1, Z2, ArcDiagram, serialize
 from strandjoin.cli import _suite_dga, _suite_variants, run
 from strandjoin.strands import (
@@ -36,13 +36,6 @@ from strandjoin.strands import (
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def _ladder(k: int, kind: str = "alpha") -> ArcDiagram:
-    """The rank-k interleaved ladder: x1..x2k on one arc, x_i matched with x_{i+k}."""
-    points = tuple(f"x{i}" for i in range(1, 2 * k + 1))
-    match = {p: (i % k) + 1 for i, p in enumerate(points)}
-    return ArcDiagram((points,), match, kind)
-
-
 def _assert_matches_dense(table, dense):
     assert type(table) is ProductTable
     assert all(table.values()), "a stored product is zero"
@@ -54,7 +47,7 @@ def _assert_matches_dense(table, dense):
 
 
 def _models():
-    ams = [enumerate_basis(z) for z in (Z0, Z1, Z2, _ladder(3), _ladder(3, "beta"))]
+    ams = [enumerate_basis(z) for z in (Z0, Z1, Z2, ladder(3), ladder(3, "beta"))]
     ams += [variant(am)[0] for am in ams[1:4] for variant in (rotate180, reflect)]
     rng = random.Random(11)
     ams += [enumerate_basis(random_diagram(rng, max_rank=3)) for _ in range(4)]
@@ -74,7 +67,7 @@ def test_diff_table_matches_dense_oracle():
 # Z1, Z2, the rank-3 and rank-4 ladders of both types, and the 19 seeded
 # draws of test_cli's off-ladder sweep.
 _DIAGRAMS = [("Z1", Z1), ("Z2", Z2)]
-_DIAGRAMS += [(f"R{k}{kind[0]}", _ladder(k, kind)) for k in (3, 4) for kind in ("alpha", "beta")]
+_DIAGRAMS += [(f"R{k}{kind[0]}", ladder(k, kind)) for k in (3, 4) for kind in ("alpha", "beta")]
 _DIAGRAMS += [(f"draw{s}", random_diagram(random.Random(s), max_rank=3)) for s in range(19)]
 
 
@@ -90,14 +83,14 @@ def test_tables_match_sparse_oracle(z):
 
 
 def test_equal_products_share_one_set():
-    for z in (Z2, _ladder(3), _ladder(3, "beta")):
+    for z in (Z2, ladder(3), ladder(3, "beta")):
         outs = AlgebraModel(z).mult_table.values()
         assert all(len(v) == 1 for v in outs)
         assert len({id(v) for v in outs}) == len(set(outs))
 
 
 def test_blocks_build_no_product_table(tmp_path):
-    am = AlgebraModel(_ladder(3))
+    am = AlgebraModel(ladder(3))
     assert "diff_table" not in am.__dict__ and "mult_table" not in am.__dict__
     homology_blocks(am)
     assert "diff_table" in am.__dict__ and "mult_table" not in am.__dict__
@@ -114,7 +107,7 @@ def test_blocks_build_no_product_table(tmp_path):
 
 
 def test_opposite_of_a_fresh_model_matches_transposed_oracle():
-    for z in (Z1, Z2, _ladder(3)):
+    for z in (Z1, Z2, ladder(3)):
         am = AlgebraModel(z)
         op = am.opposite
         dense = dense_mult_table(am)
@@ -148,7 +141,7 @@ def _diagram(coding, *strands):
 
 
 def test_symmetrization_rejects_an_incomplete_orbit():
-    am = enumerate_basis(_ladder(3))
+    am = enumerate_basis(ladder(3))
     coding = _Coding(am.arc_diagram, am.elems)
     e = next(e for e in am.elems if e.movers and e.occupied)
     diagrams = coding.expand(e)
@@ -161,7 +154,7 @@ def test_symmetrization_rejects_an_incomplete_orbit():
 
 
 def test_symmetrization_rejects_a_key_outside_the_basis():
-    am = enumerate_basis(_ladder(3))
+    am = enumerate_basis(ladder(3))
     coding = _Coding(am.arc_diagram, am.elems)
     # x1 and x4 form pair 1: a mover leaving x1 beside a horizontal at x4
     # occupies pair 1 twice, which no basis element does.
@@ -203,7 +196,7 @@ def test_tables_do_not_depend_on_hash_seed():
 
 
 def test_opposite_table_matches_transposed_dense_oracle():
-    for am in (enumerate_basis(Z1), enumerate_basis(Z2), enumerate_basis(_ladder(3))):
+    for am in (enumerate_basis(Z1), enumerate_basis(Z2), enumerate_basis(ladder(3))):
         dense = dense_mult_table(am)
         op = am.opposite
         _assert_matches_dense(op.mult_table, {(j, i): v for (i, j), v in dense.items()})
@@ -211,9 +204,9 @@ def test_opposite_table_matches_transposed_dense_oracle():
 
 
 def test_table_sizes_at_rank3_and_rank4():
-    assert len(enumerate_basis(_ladder(3)).mult_table) == 575
+    assert len(enumerate_basis(ladder(3)).mult_table) == 575
     start = time.time()
-    am4 = AlgebraModel(_ladder(4))
+    am4 = AlgebraModel(ladder(4))
     elapsed = time.time() - start
     assert am4.dim == 1240
     assert len(am4.mult_table) == 13855
@@ -258,7 +251,7 @@ def test_dga_suite_agrees_with_brute_force_on_corruptions():
 def test_dga_suite_agrees_with_brute_force_at_rank3():
     # One brute-force pass costs seconds at rank 3, so one table carries
     # several corruptions at once.
-    z = _ladder(3)
+    z = ladder(3)
     bad = _corrupt(enumerate_basis(z), random.Random(7), 6)
     expected = dga_failures(bad)
     assert any(f.startswith("associativity") for f in expected)
@@ -270,7 +263,7 @@ def test_variants_suite_agrees_with_brute_force_on_corruptions():
     assert _suite_variants(Z2, am2, random.Random(0)) == variants_failures(am2) == []
     rng = random.Random(11)
     failing = 0
-    for z, n in [(Z2, 30), (_ladder(3), 5)]:
+    for z, n in [(Z2, 30), (ladder(3), 5)]:
         am = enumerate_basis(z)
         for _ in range(n):
             bad = _corrupt(am, rng, rng.randint(1, 3))
