@@ -36,9 +36,6 @@ class ArcDiagram(Frozen):
     def pair(self, i: int) -> tuple:
         return tuple(p for p, j in self.matching if j == i)
 
-    def pair_of(self, point) -> int:
-        return self.match[point]
-
     def position(self, point) -> tuple[int, int]:
         """(arc index, index along the arc) of a point."""
         for i, arc in enumerate(self.arcs):

@@ -24,7 +24,7 @@ import sys
 from types import SimpleNamespace
 
 from . import __version__
-from .arc_diagram import ArcDiagram, InputError, ParseError, closed_components, parse, validate
+from .arc_diagram import InputError, ParseError, closed_components, parse, validate
 from .gf2 import StructureError
 from .strands import (
     dump_basis_tsv,
@@ -48,9 +48,10 @@ def _read(path: str) -> str:
         raise InputError(e)
 
 
-def _load_diagram(path: str) -> ArcDiagram:
-    """The valid diagram in the file at path; an InputError naming the path
-    if the file cannot be read or parsed, or the diagram is invalid."""
+def _load_algebra(path: str):
+    """The algebra of the valid diagram in the file at path; an InputError
+    naming the path if the file cannot be read or parsed, or the diagram is
+    invalid."""
     try:
         z = parse(_read(path))
     except InputError as e:
@@ -59,7 +60,7 @@ def _load_diagram(path: str) -> ArcDiagram:
     problems = validate(z)
     if problems:
         raise InputError(f"invalid diagram {path}: " + "; ".join(problems))
-    return z
+    return enumerate_basis(z)
 
 
 def _subset_label(s) -> str:
@@ -87,8 +88,7 @@ def cmd_validate(args, out) -> int:
 
 
 def cmd_algebra(args, out) -> int:
-    z = _load_diagram(args.diagram)
-    am = enumerate_basis(z)
+    am = _load_algebra(args.diagram)
     out.write("".join([
         _header(args),
         f"# basis (dim {am.dim})\n",
@@ -102,8 +102,7 @@ def cmd_algebra(args, out) -> int:
 
 
 def cmd_blocks(args, out) -> int:
-    z = _load_diagram(args.diagram)
-    am = enumerate_basis(z)
+    am = _load_algebra(args.diagram)
     blocks = homology_blocks(am)
     lines = [_header(args)]
     for (I, J) in sorted(blocks, key=lambda t: (sorted(t[0]), sorted(t[1]))):
@@ -112,36 +111,64 @@ def cmd_blocks(args, out) -> int:
     return 0
 
 
-# The descriptor prefixes each join role accepts, and how its error names them.
-_JOIN_ROLES = {
-    "U": (("elementary:D:",), "elementary:D:{..}"),
-    "M": (("elementary:A:", "amod:"), "elementary:A:{..} or amod:{..}"),
-    "V": (("elementary:D:",), "elementary:D:{..}"),
+# The forms each argument role takes, and the name its error gives the role.
+# A form ending in ':' is followed by a subset {i,j,..} of 1..k.  U, M and V
+# are read with surrounding spaces stripped, MODEL as given.
+_ROLES = {
+    "U": ("U descriptor", ("elementary:D:",)),
+    "M": ("M descriptor", ("elementary:A:", "amod:")),
+    "V": ("V descriptor", ("elementary:D:",)),
+    "MODEL": ("model", ("slice", "cap:")),
 }
 
 
-def _module_for_join(am, desc: str, role: str):
-    """U is a right type-D module, M a bounded left type-A module, V a left type-D module."""
-    from .ainf import dualize
-    from .standard_models import parse_descriptor
+def _subset(text: str, k: int) -> frozenset:
+    """The subset of 1..k that text names as {i,j,..}; spaces may surround
+    it and its entries."""
+    text = text.strip()
+    try:
+        if not (text.startswith("{") and text.endswith("}")):
+            raise ValueError
+        inner = text[1:-1].strip()
+        I = frozenset(int(t) for t in inner.split(",")) if inner else frozenset()
+    except ValueError:
+        raise InputError(f"bad subset {text!r}") from None
+    if not all(1 <= i <= k for i in I):
+        raise InputError(f"subset {text!r} out of range 1..{k}")
+    return I
 
-    desc = desc.strip()
-    prefixes, forms = _JOIN_ROLES[role]
-    if not desc.startswith(prefixes):
-        raise InputError(f"{role} descriptor must be {forms}, got {desc!r}")
-    m = parse_descriptor(am, desc)
-    # elementary:D:{..} parses as a left type-D module; U is its mirror image.
+
+def _argument(am, text: str, role: str):
+    """What text names in the given role: U a right type-D module, M a
+    bounded left type-A module, V a left type-D module, MODEL the cap subset
+    of a nice diagram, or None for the twisting slice."""
+    name, forms = _ROLES[role]
+    if role != "MODEL":
+        text = text.strip()
+    form = next((f for f in forms if text == f or f.endswith(":") and text.startswith(f)), None)
+    if form is None:
+        shown = " or ".join(f + "{..}" if f.endswith(":") else f for f in forms)
+        raise InputError(f"{name} must be {shown}, got {text!r}")
+    if form == "slice":
+        return None
+    I = _subset(text[len(form):], am.k)
+    if form == "cap:":
+        return I
+    from .ainf import dualize
+    from .standard_models import elementary, left_module_from_right_idem
+
+    if form == "amod:":
+        return left_module_from_right_idem(am, I)
+    m = elementary(am, I, form[-2])  # the side: elementary:A: or elementary:D:
+    # elementary:D:{..} is a left type-D module; U is its mirror image.
     return dualize(m) if role == "U" else m
 
 
 def cmd_join(args, out) -> int:
     from .join import join_general
 
-    z = _load_diagram(args.diagram)
-    am = enumerate_basis(z)
-    U = _module_for_join(am, args.u, "U")
-    M = _module_for_join(am, args.m, "M")
-    V = _module_for_join(am, args.v, "V")
+    am = _load_algebra(args.diagram)
+    U, M, V = (_argument(am, text, role) for text, role in zip((args.u, args.m, args.v), "UMV"))
     inst = join_general(U, M, V)
     lines = [_header(args), "# domain basis\n"]
     dom = _numbered(inst.domain.basis, lines)
@@ -158,9 +185,8 @@ def cmd_double(args, out) -> int:
     from .gf2 import rank
     from .join import diagonal
 
-    z = _load_diagram(args.diagram)
-    am = enumerate_basis(z)
-    c, vec = diagonal(_module_for_join(am, args.m, "M"))
+    am = _load_algebra(args.diagram)
+    c, vec = diagonal(_argument(am, args.m, "M"))
     lines = [_header(args), f"# double complex dim {c.dim}\n"]
     basis = _numbered(c.basis, lines)
     lines.append("# differential triplets\n")
@@ -174,7 +200,7 @@ def cmd_double(args, out) -> int:
     return 0
 
 
-def _nice_pair(z, am, I=None) -> tuple:
+def _nice_pair(am, I=None) -> tuple:
     """The nice diagram of the twisting slice, or of the cap of I, and the model
     it is compared with.  A diagram that cannot be drawn raises NotDrawable,
     an InputError; a failing model StructureError."""
@@ -182,21 +208,16 @@ def _nice_pair(z, am, I=None) -> tuple:
     from .standard_models import alg_as_aa, elementary
 
     if I is None:
-        return build_twisting_slice_diagram(z), alg_as_aa(am)
-    return build_cap_diagram(z, I), elementary(am, I, "A")
+        return build_twisting_slice_diagram(am.arc_diagram), alg_as_aa(am)
+    return build_cap_diagram(am.arc_diagram, I), elementary(am, I, "A")
 
 
 def cmd_nice(args, out) -> int:
     from .nice_diagram import compare_with_algebra
-    from .standard_models import _parse_subset
 
-    z = _load_diagram(args.diagram)
-    am = enumerate_basis(z)
+    am = _load_algebra(args.diagram)
     out.write(_header(args))
-    if args.model != "slice" and not args.model.startswith("cap:"):
-        raise InputError(f"model must be slice or cap:{{..}}, got {args.model!r}")
-    I = None if args.model == "slice" else _parse_subset(args.model.split(":", 1)[1], am.k)
-    d, model = _nice_pair(z, am, I)
+    d, model = _nice_pair(am, _argument(am, args.model, "MODEL"))
     verdict = compare_with_algebra(d, model)
     out.write(f"generators: {len(d.enumerate_generators())}\n")
     out.write(f"regions: {len(d.regions)}\n")
@@ -212,7 +233,7 @@ def cmd_nice(args, out) -> int:
 SUITES = ("dga", "variants", "structures", "join", "nice", "sfh", "homotopy")
 
 
-def _suite_dga(z, am, rng) -> list:
+def _suite_dga(am, rng) -> list:
     from .gf2 import vsum
 
     failures = []
@@ -264,7 +285,7 @@ def _suite_dga(z, am, rng) -> list:
     return failures
 
 
-def _suite_variants(z, am, rng) -> list:
+def _suite_variants(am, rng) -> list:
     from .strands import reflect, rotate180
 
     failures = []
@@ -285,7 +306,7 @@ def _suite_variants(z, am, rng) -> list:
     return failures
 
 
-def _suite_structures(z, am, rng) -> list:
+def _suite_structures(am, rng) -> list:
     from .ainf import validated
     from .standard_models import alg_as_aa, da_identity, dd_identity, dual_alg_as_aa, elementary
 
@@ -302,7 +323,7 @@ def _suite_structures(z, am, rng) -> list:
     return failures
 
 
-def _suite_join(z, am, rng) -> list:
+def _suite_join(am, rng) -> list:
     from .ainf import is_homomorphism
     from .join import cancel_cA, diagonal, left_module_candidates, nabla
 
@@ -328,17 +349,17 @@ def _suite_join(z, am, rng) -> list:
     return failures
 
 
-def _suite_nice(z, am, rng) -> list:
+def _suite_nice(am, rng) -> list:
     from .nice_diagram import compare_with_algebra
 
-    pairs = [("slice", *_nice_pair(z, am))]
+    pairs = [("slice", *_nice_pair(am))]
     for I in am.all_idempotent_subsets():
-        pairs.append((f"cap {_subset_label(I)}", *_nice_pair(z, am, I)))
+        pairs.append((f"cap {_subset_label(I)}", *_nice_pair(am, I)))
     verdicts = ((label, compare_with_algebra(d, model)) for label, d, model in pairs)
     return [f"{label}: {v.witness}" for label, v in verdicts if not v.isomorphic]
 
 
-def _suite_sfh(z, am, rng) -> list:
+def _suite_sfh(am, rng) -> list:
     from .join import left_module_candidates
     from .sfh import action_on_homology, block_homology
     from .gf2 import ChainComplexGf2, Gf2Matrix, rank
@@ -359,7 +380,7 @@ def _suite_sfh(z, am, rng) -> list:
     return failures
 
 
-def _suite_homotopy(z, am, rng) -> list:
+def _suite_homotopy(am, rng) -> list:
     """Seeded plant-and-recover trials, all solved by one homotopy solver."""
     from .ainf import Morphism, _morphism_slots, homotopy_solver, morphism_diff
     from .standard_models import left_module_from_right_idem
@@ -383,15 +404,14 @@ def _suite_homotopy(z, am, rng) -> list:
 def cmd_check(args, out) -> int:
     import random
 
-    z = _load_diagram(args.diagram)
-    am = enumerate_basis(z)
+    am = _load_algebra(args.diagram)
     rng = random.Random(args.seed)
     lines = [_header(args)]
     bad = False
     try:
         for name in SUITES if args.suite == "all" else (args.suite,):
             try:
-                failures = globals()[f"_suite_{name}"](z, am, rng)
+                failures = globals()[f"_suite_{name}"](am, rng)
             except InputError as e:  # the suite cannot take this (valid) diagram
                 lines.append(f"{name}: not applicable ({e})\n")
                 continue

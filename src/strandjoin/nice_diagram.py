@@ -25,6 +25,7 @@ import math
 from fractions import Fraction
 
 from .arc_diagram import ArcDiagram, InputError, validate
+from .gf2 import StructureError
 from .strands import ABasisElem, enumerate_basis
 from .ainf import ModuleStructure, _add, check_structure
 
@@ -145,17 +146,21 @@ class NotDrawable(InputError):
 
 
 class PlanarDiagram:
-    """A nice diagram built from squares and handle charts."""
+    """A nice diagram built from squares and handle charts: of the twisting
+    slice when cap is None, else of the cap whose elementary dividing set is
+    the subset cap, with a beta circle at each pair outside it."""
 
-    def __init__(self, z: ArcDiagram, family: str, cap_subset=None):
+    def __init__(self, z: ArcDiagram, cap=None):
         problems = validate(z)
         if problems:
-            raise ValueError(f"invalid arc diagram: {problems}")
+            raise InputError(f"invalid arc diagram: {problems}")
         if z.kind != "alpha":
             raise NotDrawable("planar diagrams are constructed for alpha-type input")
         self.z = z
-        self.family = family
-        self.cap_subset = frozenset(cap_subset) if cap_subset is not None else None
+        self.cap = None if cap is None else frozenset(cap)
+        pairs = range(1, z.rank + 1)
+        self.circles = frozenset() if cap is None else frozenset(pairs) - self.cap
+        self.match = z.match
         self.h: dict = {}
         self.tau: dict = {}
         self.eps: dict = {}
@@ -169,7 +174,7 @@ class PlanarDiagram:
                 self.arc_of[p] = ai
         # handle i: bottom end at the globally-first point of the pair
         self.handle_ends: dict = {}
-        for i in range(1, z.rank + 1):
+        for i in pairs:
             pts = sorted(z.pair(i), key=lambda p: z.position(p))
             self.handle_ends[i] = (pts[0], pts[1])
         self.points: dict = {}  # name -> (alpha object, beta object)
@@ -189,24 +194,22 @@ class PlanarDiagram:
         return ((F(1), self.tau[p]), (self.tau[p] + self.eps[p], F(1)))
 
     def _build_points(self):
-        z = self.z
-        if self.family == "slice":
+        z, match = self.z, self.match
+        if self.cap is None:
             for ai, arc in enumerate(z.arcs):
                 for a, b in itertools.combinations(arc, 2):
                     pt = _seg_intersect(*self._alpha_piece(a), *self._beta_piece(b))
                     if pt is None:
-                        raise AssertionError("expected crossing missing")
+                        raise StructureError("expected crossing missing")
                     name = ("y", a, b)
-                    self.points[name] = (("alpha", z.pair_of(a)), ("beta", z.pair_of(b)))
+                    self.points[name] = (("alpha", match[a]), ("beta", match[b]))
                     self.coords[name] = (("sq", ai), pt)
             for i in range(1, z.rank + 1):
                 name = ("x", i)
                 self.points[name] = (("alpha", i), ("beta", i))
                 self.coords[name] = (("h", i), (F(1, 2), F(1, 2)))
         else:
-            for i in range(1, z.rank + 1):
-                if i in self.cap_subset:
-                    continue
+            for i in sorted(self.circles):
                 name = ("w", i)
                 self.points[name] = (("alpha", i), ("beta_circle", i))
                 self.coords[name] = (("h", i), (F(1, 2), F(1, 2)))
@@ -228,10 +231,10 @@ class PlanarDiagram:
             glue_info = []
             for p in arc:
                 t, e = self.tau[p], self.eps[p]
-                i = z.pair_of(p)
+                i = self.match[p]
                 end = 0 if self.handle_ends[i][0] == p else 1
                 cuts = [t - 2 * e, t - e, t + e, t + 2 * e]
-                if self.family == "cap" and i not in self.cap_subset:
+                if i in self.circles:
                     cuts.append(t)
                 marks.extend(cuts)
                 # sub-interval -> (handle, end, relative span on the handle edge)
@@ -245,9 +248,9 @@ class PlanarDiagram:
                         break
                 c.add((m1, one), (m2, one), tag)
             for p in arc:
-                c.add(*self._alpha_piece(p), ("alpha", z.pair_of(p)))
-                if self.family == "slice":
-                    c.add(*self._beta_piece(p), ("beta", z.pair_of(p)))
+                c.add(*self._alpha_piece(p), ("alpha", self.match[p]))
+                if self.cap is None:
+                    c.add(*self._beta_piece(p), ("beta", self.match[p]))
             charts.append(c)
         for i in range(1, z.rank + 1):
             c = Chart(("h", i))
@@ -256,17 +259,16 @@ class PlanarDiagram:
             c.add((one, F(0)), (one, one), ("boundary",))
             for y, end in ((F(0), 0), (one, 1)):
                 cuts = [F(0), F(1, 4), F(3, 4), one]
-                if self.family == "cap" and i not in self.cap_subset:
+                if i in self.circles:
                     cuts.append(F(1, 2))
                 cuts = sorted(set(cuts))
                 for m1, m2 in zip(cuts, cuts[1:]):
                     c.add((m1, y), (m2, y), ("handle-glue", i, end))
             c.add((F(1, 4), F(0)), (F(3, 4), one), ("alpha", i))
-            if self.family == "slice":
+            if self.cap is None:
                 c.add((F(3, 4), F(0)), (F(1, 4), one), ("beta", i))
-            else:
-                if i not in self.cap_subset:
-                    c.add((F(1, 2), F(0)), (F(1, 2), one), ("beta_circle", i))
+            elif i in self.circles:
+                c.add((F(1, 2), F(0)), (F(1, 2), one), ("beta_circle", i))
             charts.append(c)
         return charts
 
@@ -502,14 +504,14 @@ class PlanarDiagram:
         """
         # (held, free): the end of each strand whose pair g holds, and the other
         ends = [(b, a) if side == 0 else (a, b) for a, b in elem.movers]
-        if elem.occupied != by_obj.keys() - {self.z.match[held] for held, _ in ends}:
+        if elem.occupied != by_obj.keys() - {self.match[held] for held, _ in ends}:
             return None
         edge = (lambda p: (F(0), self.h[p])) if side == 0 else (lambda p: (F(1), self.tau[p]))
         moving = set()
         targets = set()
         polys = []
         for (a, b), (held, free) in zip(elem.movers, ends):
-            i = self.z.match[held]
+            i = self.match[held]
             name = by_obj.get(i)
             if name is None:
                 return None
@@ -548,15 +550,15 @@ class PlanarDiagram:
 
 
 def build_twisting_slice_diagram(z: ArcDiagram) -> PlanarDiagram:
-    d = PlanarDiagram(z, "slice")
+    d = PlanarDiagram(z)
     problems = d.check_nice()
     if problems:
-        raise AssertionError(f"slice diagram not nice: {problems}")
+        raise StructureError(f"slice diagram not nice: {problems}")
     return d
 
 
 def build_cap_diagram(z: ArcDiagram, I) -> PlanarDiagram:
-    return PlanarDiagram(z, "cap", cap_subset=I)
+    return PlanarDiagram(z, I)
 
 
 def generator_to_elem(d: PlanarDiagram, g) -> ABasisElem:
@@ -583,8 +585,7 @@ def count_domains(d: PlanarDiagram) -> ModuleStructure:
     lidem = {g: occ[g] for g in gens}
     ridem = {g: bocc[g] for g in gens}
     table: dict = {}
-
-    if d.family == "slice":
+    if d.cap is None:
         diff = d.differential_table(gens)
         for g, outs in diff.items():
             for y in outs:
@@ -596,7 +597,7 @@ def count_domains(d: PlanarDiagram) -> ModuleStructure:
         for (e_idx, g), outs in right.items():
             for y in outs:
                 _add(table, ((), g, (e_idx,)), (None, y, None))
-    return ModuleStructure("AA", am, am, gens, lidem, ridem, table, name=f"count({d.family})")
+    return ModuleStructure("AA", am, am, gens, lidem, ridem, table, name="count(slice)" if d.cap is None else "count(cap)")
 
 
 class ComparisonVerdict:
@@ -606,6 +607,18 @@ class ComparisonVerdict:
 
 def compare_with_algebra(d: PlanarDiagram, m: ModuleStructure) -> ComparisonVerdict:
     """Match diagram generators with module generators and compare all tables."""
+    if d.cap is not None:  # one generator, all operations vanish, idempotent = complement
+        gens = d.enumerate_generators()
+        if len(gens) != 1 or len(m.gens) != 1:
+            return ComparisonVerdict(False, "cap should have exactly one generator")
+        occ = frozenset(d.points[n][0][1] for n in gens[0])
+        mg = m.gens[0]
+        idem = m.lidem[mg] if m.left_alg is not None else m.ridem[mg]
+        if occ != idem:
+            return ComparisonVerdict(False, f"cap idempotent mismatch: {occ} vs {idem}")
+        if m.table or not d.all_regions_boundary():
+            return ComparisonVerdict(False, "cap structure not trivial")
+        return ComparisonVerdict(True)
     am = enumerate_basis(d.z)
     counted = count_domains(d)
     bad = check_structure(counted)
@@ -613,40 +626,26 @@ def compare_with_algebra(d: PlanarDiagram, m: ModuleStructure) -> ComparisonVerd
         argsL, g, argsR = bad
         where = f"({argsL}, {generator_to_elem(d, g)!r}, {argsR})"
         return ComparisonVerdict(False, f"counted model fails its structure equation at {where}")
-    if d.family == "slice":
-        bij = {}
-        for g in counted.gens:
-            elem = generator_to_elem(d, g)
-            if elem not in am.index:
-                return ComparisonVerdict(False, f"generator {g} has no algebra image")
-            bij[g] = am.index[elem]
-        if len(set(bij.values())) != len(bij) or len(bij) != len(m.gens):
-            return ComparisonVerdict(False, "generator counts differ")
-        for g in counted.gens:
-            if counted.lidem[g] != m.lidem[bij[g]] or counted.ridem[g] != m.ridem[bij[g]]:
-                return ComparisonVerdict(False, f"idempotent mismatch at {g}")
-        mapped = {}
-        for (argsL, g, argsR), outs in counted.table.items():
-            key = (argsL, bij[g], argsR)
-            mapped[key] = frozenset(bij[y] for _, y, _ in outs)
-        theirs = {k: frozenset(y for _, y, _ in v) for k, v in m.table.items()}
-        if mapped != theirs:
-            for k in set(mapped) | set(theirs):
-                if mapped.get(k, frozenset()) != theirs.get(k, frozenset()):
-                    return ComparisonVerdict(
-                        False, f"table mismatch at {k}: {mapped.get(k)} vs {theirs.get(k)}"
-                    )
-        return ComparisonVerdict(True)
-    # caps: one generator, all operations vanish, idempotent = complement
-    gens = d.enumerate_generators()
-    if len(gens) != 1 or len(m.gens) != 1:
-        return ComparisonVerdict(False, "cap should have exactly one generator")
-    g = gens[0]
-    occ = frozenset(d.points[n][0][1] for n in g)
-    mg = m.gens[0]
-    idem = m.lidem[mg] if m.left_alg is not None else m.ridem[mg]
-    if occ != idem:
-        return ComparisonVerdict(False, f"cap idempotent mismatch: {occ} vs {idem}")
-    if m.table or not d.all_regions_boundary():
-        return ComparisonVerdict(False, "cap structure not trivial")
+    bij = {}
+    for g in counted.gens:
+        elem = generator_to_elem(d, g)
+        if elem not in am.index:
+            return ComparisonVerdict(False, f"generator {g} has no algebra image")
+        bij[g] = am.index[elem]
+    if len(set(bij.values())) != len(bij) or len(bij) != len(m.gens):
+        return ComparisonVerdict(False, "generator counts differ")
+    for g in counted.gens:
+        if counted.lidem[g] != m.lidem[bij[g]] or counted.ridem[g] != m.ridem[bij[g]]:
+            return ComparisonVerdict(False, f"idempotent mismatch at {g}")
+    mapped = {}
+    for (argsL, g, argsR), outs in counted.table.items():
+        key = (argsL, bij[g], argsR)
+        mapped[key] = frozenset(bij[y] for _, y, _ in outs)
+    theirs = {k: frozenset(y for _, y, _ in v) for k, v in m.table.items()}
+    if mapped != theirs:
+        for k in set(mapped) | set(theirs):
+            if mapped.get(k, frozenset()) != theirs.get(k, frozenset()):
+                return ComparisonVerdict(
+                    False, f"table mismatch at {k}: {mapped.get(k)} vs {theirs.get(k)}"
+                )
     return ComparisonVerdict(True)

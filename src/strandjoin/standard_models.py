@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 
-from .arc_diagram import InputError
 from .strands import ABasisElem, AlgebraModel
 from .strands import gamma_block  # noqa: F401  (re-exported)
 from .ainf import ModuleStructure, StructureError, dualize, validated
@@ -187,43 +186,3 @@ def dd_identity(am: AlgebraModel) -> ModuleStructure:
     }
     return validated(ModuleStructure("DD", am, am, gens, lidem, ridem, table, name="IdDD"))
 
-
-class DescriptorError(InputError):
-    pass
-
-
-def parse_descriptor(am: AlgebraModel, text: str):
-    """Parse the descriptor of a standard left module, as the CLI's join and
-    double commands take it.
-
-    Forms: ``elementary:D:{1,3}`` and ``elementary:A:{}`` (the elementary
-    modules) and ``amod:{1}`` (the left module A.iota_I).
-    """
-    text = text.strip()
-    if text.startswith("elementary:"):
-        parts = text.split(":")
-        if len(parts) != 3 or parts[1] not in ("A", "D"):
-            raise DescriptorError(f"bad elementary descriptor {text!r}")
-        return elementary(am, _parse_subset(parts[2], am.k), parts[1])
-    if text.startswith("amod:"):
-        parts = text.split(":")
-        if len(parts) != 2:
-            raise DescriptorError(f"bad amod descriptor {text!r}")
-        return left_module_from_right_idem(am, _parse_subset(parts[1], am.k))
-    raise DescriptorError(f"unknown descriptor {text!r}")
-
-
-def _parse_subset(text: str, k: int) -> frozenset:
-    text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise DescriptorError(f"bad subset {text!r}")
-    inner = text[1:-1].strip()
-    if not inner:
-        return frozenset()
-    try:
-        vals = frozenset(int(t) for t in inner.split(","))
-    except ValueError as e:
-        raise DescriptorError(f"bad subset {text!r}") from e
-    if not all(1 <= v <= k for v in vals):
-        raise DescriptorError(f"subset {text!r} out of range 1..{k}")
-    return vals

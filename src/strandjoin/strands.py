@@ -17,7 +17,7 @@ import itertools
 from functools import cached_property, lru_cache
 from operator import itemgetter, lshift
 
-from .arc_diagram import ArcDiagram, reverse, flip_type, validate
+from .arc_diagram import ArcDiagram, InputError, reverse, flip_type, validate
 from .gf2 import ChainComplexGf2, Frozen, Gf2Matrix, rank, vsum
 
 
@@ -188,7 +188,7 @@ class AlgebraModel:
     def __init__(self, arc_diagram: ArcDiagram):
         problems = validate(arc_diagram)
         if problems:
-            raise ValueError(f"invalid arc diagram: {problems}")
+            raise InputError(f"invalid arc diagram: {problems}")
         self.arc_diagram = arc_diagram
         self.k = arc_diagram.rank
         self.elems: list[ABasisElem] = self._enumerate_elems()

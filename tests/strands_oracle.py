@@ -227,7 +227,7 @@ class _OrbitCoding:
         positions = [z.position(p) for p in names]
         self.arc = [a for a, _ in positions]
         self.at = [x for _, x in positions]
-        self.pair = [z.pair_of(p) for p in names]
+        self.pair = [z.match[p] for p in names]
         self.pair_pts = {
             i: tuple(self.code[p] for p in z.pair(i)) for i in range(1, z.rank + 1)
         }

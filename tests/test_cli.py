@@ -297,6 +297,136 @@ def test_a_subset_that_is_not_integers_is_a_bad_subset(files, argv):
     assert rc == 1 and out == "error: bad subset '{a}'\n"
 
 
+# The grammar of each argument role on Z2: (text, error line), the error None
+# for a form the role takes.  U, M and V are read with surrounding spaces
+# stripped, MODEL as given; a subset is read with spaces stripped around it
+# and its entries.  The prefix of another role, or of no role, is a role error.
+_ROLE_OF_U = "error: U descriptor must be elementary:D:{..}, got "
+_ROLE_OF_M = "error: M descriptor must be elementary:A:{..} or amod:{..}, got "
+_ROLE_OF_MODEL = "error: model must be slice or cap:{..}, got "
+ARGUMENTS = {
+    "U": [
+        ("elementary:D:{1}", None),
+        (" elementary:D:{} ", None),
+        ("elementary:D: { 1 , 2 } ", None),
+        ("elementary:A:{1}", _ROLE_OF_U + "'elementary:A:{1}'"),
+        ("elementary:D", _ROLE_OF_U + "'elementary:D'"),
+        (" alg ", _ROLE_OF_U + "'alg'"),
+        ("elementary:D:{9}", "error: subset '{9}' out of range 1..2"),
+        ("elementary:D:{0}", "error: subset '{0}' out of range 1..2"),
+        ("elementary:D:{1", "error: bad subset '{1'"),
+        ("elementary:D:{1}x", "error: bad subset '{1}x'"),
+        ("elementary:D:{1}:x", "error: bad subset '{1}:x'"),
+    ],
+    "M": [
+        ("amod:{1}", None),
+        ("amod:{}", None),
+        ("elementary:A:{}", None),
+        (" elementary:A:{} ", None),
+        ("amod:{9}", "error: subset '{9}' out of range 1..2"),
+        ("amod:{1", "error: bad subset '{1'"),
+        ("amod:{a}", "error: bad subset '{a}'"),
+        ("amod:{1,}", "error: bad subset '{1,}'"),
+        ("amod:1", "error: bad subset '1'"),
+        ("amod:", "error: bad subset ''"),
+        ("amod:{1}:{2}", "error: bad subset '{1}:{2}'"),
+        ("elementary:A:{1}:x", "error: bad subset '{1}:x'"),
+        ("elementary:X:{1}", _ROLE_OF_M + "'elementary:X:{1}'"),
+        ("elementary:D:{1}", _ROLE_OF_M + "'elementary:D:{1}'"),
+        ("AMOD:{1}", _ROLE_OF_M + "'AMOD:{1}'"),
+        ("", _ROLE_OF_M + "''"),
+        # Forms no role takes.
+        ("nonsense", _ROLE_OF_M + "'nonsense'"),
+        ("alg", _ROLE_OF_M + "'alg'"),
+        ("dualalg", _ROLE_OF_M + "'dualalg'"),
+        ("id:DA", _ROLE_OF_M + "'id:DA'"),
+        ("id:DD", _ROLE_OF_M + "'id:DD'"),
+        ("gamma:{1}:{1,2}", _ROLE_OF_M + "'gamma:{1}:{1,2}'"),
+    ],
+    "V": [
+        ("elementary:D:{1,2}", None),
+        ("amod:{1}", "error: V descriptor must be elementary:D:{..}, got 'amod:{1}'"),
+    ],
+    "MODEL": [
+        ("slice", None),
+        ("cap:{1,2}", None),
+        ("cap:{}", None),
+        ("cap: {1} ", None),
+        (" slice", _ROLE_OF_MODEL + "' slice'"),
+        ("slice ", _ROLE_OF_MODEL + "'slice '"),
+        ("slicex", _ROLE_OF_MODEL + "'slicex'"),
+        ("Slice", _ROLE_OF_MODEL + "'Slice'"),
+        ("cap", _ROLE_OF_MODEL + "'cap'"),
+        (" cap:{1}", _ROLE_OF_MODEL + "' cap:{1}'"),
+        ("bogus", _ROLE_OF_MODEL + "'bogus'"),
+        ("cap:", "error: bad subset ''"),
+        ("cap:{3}", "error: subset '{3}' out of range 1..2"),
+        ("cap:{1}:x", "error: bad subset '{1}:x'"),
+    ],
+}
+
+
+@pytest.mark.parametrize("role", list(ARGUMENTS))
+def test_argument_grammar(files, role):
+    # Each argument in its role, the others fixed: exit 1 and one error line
+    # after the header (nice writes it before reading MODEL), or exit 0.
+    argv = {
+        "U": ["join", "{}", "amod:{1}", "elementary:D:{1}"],
+        "M": ["double", "{}"],
+        "V": ["join", "elementary:D:{1}", "amod:{1}", "{}"],
+        "MODEL": ["nice", "{}"],
+    }[role]
+    for text, error in ARGUMENTS[role]:
+        rc, out = _run([argv[0], files["Z2"], *(text if a == "{}" else a for a in argv[1:])])
+        lines = [line for line in out.splitlines() if not line.startswith("#")]
+        if error is None:
+            assert rc == 0, (text, out)
+        else:
+            assert (rc, lines) == (1, [error]), text
+
+
+def test_arguments_name_the_builders_models(am2):
+    from strandjoin.ainf import dualize
+    from strandjoin.cli import _argument
+    from strandjoin.standard_models import elementary, left_module_from_right_idem
+
+    assert _argument(am2, "amod:{1}", "M") is left_module_from_right_idem(am2, {1})
+    assert _argument(am2, " elementary:A:{} ", "M") is elementary(am2, (), "A")
+    assert _argument(am2, "elementary:D:{1}", "V") is elementary(am2, {1}, "D")
+    u, ref = _argument(am2, "elementary:D:{1}", "U"), dualize(elementary(am2, {1}, "D"))
+    assert (u.kind, u.gens, u.lidem, u.ridem, u.table) == (
+        ref.kind, ref.gens, ref.lidem, ref.ridem, ref.table
+    )
+    assert u.left_alg is None and u.right_alg is am2
+    assert _argument(am2, "slice", "MODEL") is None
+    assert _argument(am2, "cap: {1} ", "MODEL") == {1}
+
+
+def test_a_slice_diagram_that_is_not_nice_is_a_structure_error(files, monkeypatch):
+    from strandjoin.nice_diagram import PlanarDiagram
+
+    monkeypatch.setattr(PlanarDiagram, "check_nice", lambda d: ["interior region with 6 corners"])
+    error = "slice diagram not nice: ['interior region with 6 corners']"
+    rc, out = _run(["nice", files["Z2"], "slice"])
+    assert rc == 2 and out.splitlines()[2:] == [f"error: {error}"]
+    rc, out = _run(["check", files["Z2"], "nice"])
+    assert rc == 2 and out.splitlines()[2:] == ["nice: FAIL", f"  {error}"]
+
+
+def test_the_constructors_reject_an_invalid_diagram_as_input(files):
+    from strandjoin.arc_diagram import InputError, parse
+    from strandjoin.nice_diagram import PlanarDiagram
+    from strandjoin.strands import AlgebraModel
+
+    with open(files["bad"]) as fh:
+        z = parse(fh.read())
+    message = "invalid arc diagram: ['matching domain differs from the set of marked points']"
+    for build in (AlgebraModel, PlanarDiagram):
+        with pytest.raises(InputError) as err:
+            build(z)
+        assert str(err.value) == message
+
+
 def test_check_all_validates_each_per_algebra_model_once(files, tmp_path, am3, structure_checks):
     from conftest import forget_models, join_suite_names, structures_suite_names
 
@@ -311,7 +441,7 @@ def test_check_all_validates_each_per_algebra_model_once(files, tmp_path, am3, s
         else:
             assert rc == 0 and out.count(": PASS\n") == 7
         expected = join_suite_names(am) | structures_suite_names(am)
-        expected |= {"caps", "count(cap)", "count(slice)"}  # the sfh and nice suites
+        expected |= {"caps", "count(slice)"}  # the sfh and nice suites
         assert structure_checks.names() == expected
         assert not structure_checks.repeated()
         # The suite's builders validate what they build; it checks only the dual.
@@ -459,7 +589,7 @@ def test_check_homotopy_plants_a_nonzero_differential(monkeypatch):
         return lambda t: targets.append(t) or solve(t)
 
     monkeypatch.setattr(ainf, "homotopy_solver", recording)
-    assert _suite_homotopy(Z2, enumerate_basis(Z2), Random(0)) == []
+    assert _suite_homotopy(enumerate_basis(Z2), Random(0)) == []
     assert len(solvers) == 1 and len(targets) == 5
     assert any(targets)
 
@@ -539,15 +669,16 @@ def test_double_dimension_matches_homology(tmp_path, z):
     # The printed dim - 2 rank d against the homology of the same complex.
     from strandjoin.gf2 import homology
     from strandjoin.join import diagonal
-    from strandjoin.standard_models import parse_descriptor
+    from strandjoin.standard_models import elementary, left_module_from_right_idem
 
     path = tmp_path / "z.arcd"
     path.write_text(serialize(z))
     am = enumerate_basis(z)
     for I in am.all_idempotent_subsets():
-        for form in ("amod:", "elementary:A:"):
-            desc = form + "{" + ",".join(map(str, sorted(I))) + "}"
-            rc, out = _run(["double", str(path), desc])
+        label = "{" + ",".join(map(str, sorted(I))) + "}"
+        for form, m in (("amod:", left_module_from_right_idem(am, I)),
+                        ("elementary:A:", elementary(am, I, "A"))):
+            rc, out = _run(["double", str(path), form + label])
             assert rc == 0
-            want = homology(diagonal(parse_descriptor(am, desc))[0])[0]
+            want = homology(diagonal(m)[0])[0]
             assert out.endswith(f"# homology dimension: {want}\n")

@@ -13,7 +13,7 @@ import gf2_oracle
 from strandjoin.arc_diagram import Z1, Z2, ArcDiagram, serialize
 from strandjoin.gf2 import ChainComplexGf2, Gf2Matrix, homology, rank
 from strandjoin.join import diagonal
-from strandjoin.standard_models import gamma_block, parse_descriptor
+from strandjoin.standard_models import elementary, gamma_block, left_module_from_right_idem
 from strandjoin.strands import enumerate_basis
 from test_gf2 import span_solve
 
@@ -124,9 +124,8 @@ def test_homology_matches_oracle_on_rank3_doubles():
     am = enumerate_basis(R3)
     dims = []
     for s in am.all_idempotent_subsets():
-        label = "{" + ",".join(str(i) for i in sorted(s)) + "}"
-        for form in ("amod:", "elementary:A:"):
-            c, _ = diagonal(parse_descriptor(am, form + label))
+        for m in (left_module_from_right_idem(am, s), elementary(am, s, "A")):
+            c, _ = diagonal(m)
             expected = gf2_oracle.homology(c)
             assert homology(c)[:2] == expected
             dims.append(expected[0])

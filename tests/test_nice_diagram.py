@@ -61,7 +61,7 @@ def test_slice_construction_stats():
     d2 = build_twisting_slice_diagram(Z2)
     assert len([c for c in d2.charts if c.name[0] == "sq"]) == 1
     assert len([c for c in d2.charts if c.name[0] == "h"]) == 2
-    d0 = PlanarDiagram(Z0, "slice")
+    d0 = PlanarDiagram(Z0)
     assert d0.enumerate_generators() == [frozenset()]
 
 
@@ -142,7 +142,7 @@ def test_beta_diagrams_rejected():
     from strandjoin.arc_diagram import flip_type
 
     with pytest.raises(ValueError, match="alpha"):
-        PlanarDiagram(flip_type(Z1), "slice")
+        PlanarDiagram(flip_type(Z1))
 
 
 def test_cap_circle_counts(am1, am2):

@@ -202,7 +202,7 @@ def test_sfh_suite_passes_on_random_diagrams():
     from strandjoin.cli import _suite_sfh
 
     for z in SWEEP:
-        assert _suite_sfh(z, enumerate_basis(z), random.Random(0)) == []
+        assert _suite_sfh(enumerate_basis(z), random.Random(0)) == []
 
 
 def test_block_dimensions_match_homology(am0, am1, am2, am3):
@@ -243,7 +243,7 @@ def _suite_on_fresh_algebra(z, monkeypatch):
         if name.startswith("strandjoin") and getattr(module, "homology", None) is real_homology:
             monkeypatch.setattr(module, "homology", homology)
     am = AlgebraModel(z)
-    assert _suite_sfh(z, am, random.Random(0)) == []
+    assert _suite_sfh(am, random.Random(0)) == []
     return am, calls
 
 

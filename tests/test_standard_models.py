@@ -1,10 +1,7 @@
-import pytest
-
 from strandjoin.arc_diagram import ArcDiagram, Z2, validate
 from strandjoin.gf2 import homology
 from strandjoin.ainf import check_structure
 from strandjoin.standard_models import (
-    DescriptorError,
     alg_as_aa,
     da_identity,
     dd_identity,
@@ -12,7 +9,6 @@ from strandjoin.standard_models import (
     elementary,
     gamma_block,
     left_module_from_right_idem,
-    parse_descriptor,
 )
 from strandjoin.strands import enumerate_basis
 
@@ -174,26 +170,3 @@ def test_gamma_block_matches_sandwich(am1, am2):
                     img = blk.differential.column(g)
                     img2 = c.differential.column(mapping[g])
                     assert {mapping[x] for x in img} == set(img2)
-
-
-def test_descriptor_parsing(am2):
-    e = parse_descriptor(am2, "elementary:D:{1}")
-    assert e.lidem[e.gens[0]] == {1}
-    a, ref = parse_descriptor(am2, " elementary:A:{} "), elementary(am2, frozenset(), "A")
-    assert (a.kind, a.gens) == (ref.kind, ref.gens)
-    for bad in ("elementary:X:{1}", "elementary:D:{9}", "nonsense"):
-        with pytest.raises(DescriptorError):
-            parse_descriptor(am2, bad)
-    # only the forms the CLI takes are parsed
-    for form in ("alg", "dualalg", "id:DA", "id:DD", "gamma:{1}:{1,2}"):
-        with pytest.raises(DescriptorError, match="unknown descriptor"):
-            parse_descriptor(am2, form)
-
-
-def test_amod_descriptor(am2):
-    m = parse_descriptor(am2, "amod:{1}")
-    ref = left_module_from_right_idem(am2, {1})
-    assert (m.kind, m.gens, m.table, m.name) == (ref.kind, ref.gens, ref.table, ref.name)
-    for bad in ("amod:{9}", "amod:{1", "amod:{1}:{2}"):
-        with pytest.raises(DescriptorError):
-            parse_descriptor(am2, bad)

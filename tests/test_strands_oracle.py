@@ -237,14 +237,14 @@ def _corrupt(am, rng, n):
 
 def test_dga_suite_agrees_with_brute_force_on_corruptions():
     am2 = enumerate_basis(Z2)
-    assert _suite_dga(Z2, am2, random.Random(0)) == dga_failures(am2) == []
+    assert _suite_dga(am2, random.Random(0)) == dga_failures(am2) == []
     rng = random.Random(5)
     failing = 0
     for _ in range(30):
         bad = _corrupt(am2, rng, rng.randint(1, 3))
         expected = dga_failures(bad)
         failing += any(f.startswith("associativity") for f in expected)
-        assert _suite_dga(Z2, bad, random.Random(0)) == expected
+        assert _suite_dga(bad, random.Random(0)) == expected
     assert failing >= 25
 
 
@@ -255,12 +255,12 @@ def test_dga_suite_agrees_with_brute_force_at_rank3():
     bad = _corrupt(enumerate_basis(z), random.Random(7), 6)
     expected = dga_failures(bad)
     assert any(f.startswith("associativity") for f in expected)
-    assert _suite_dga(z, bad, random.Random(0)) == expected
+    assert _suite_dga(bad, random.Random(0)) == expected
 
 
 def test_variants_suite_agrees_with_brute_force_on_corruptions():
     am2 = enumerate_basis(Z2)
-    assert _suite_variants(Z2, am2, random.Random(0)) == variants_failures(am2) == []
+    assert _suite_variants(am2, random.Random(0)) == variants_failures(am2) == []
     rng = random.Random(11)
     failing = 0
     for z, n in [(Z2, 30), (ladder(3), 5)]:
@@ -269,5 +269,5 @@ def test_variants_suite_agrees_with_brute_force_on_corruptions():
             bad = _corrupt(am, rng, rng.randint(1, 3))
             expected = variants_failures(bad)
             failing += bool(expected)
-            assert _suite_variants(z, bad, random.Random(0)) == expected
+            assert _suite_variants(bad, random.Random(0)) == expected
     assert failing == 35
