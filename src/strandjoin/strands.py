@@ -6,9 +6,9 @@ arcs, embedded (distinct sources, distinct targets), with moving strands
 upward-veering for alpha diagrams and downward for beta.  Basis elements of
 the bordered algebra are symmetrized: movers plus a set of occupied matched
 pairs, each standing for the sum over one-point-per-pair horizontal
-completions.  Products and differentials are computed on expansions and
-re-symmetrized, each table on its first read; a failure to re-symmetrize
-indicates a bug and raises.
+completions.  Products and differentials are computed on the diagrams of
+basis elements and collected back into basis elements, each table on its
+first read; a sum that does not collect indicates a bug and raises.
 """
 
 from __future__ import annotations
@@ -38,47 +38,78 @@ class ABasisElem(Frozen):
 
 
 class _Coding:
-    """Diagrams of one arc diagram on integer-coded points, and the basis by diagram code.
+    """The points of one arc diagram as ints, the basis on them, and its diagrams by code.
 
     Points are numbered in name order, so sorting coded strands sorts them as
-    the named ones.  A diagram is the tuple of its strands (s, t) sorted by
-    source, horizontals as (p, p).  Its code is the int sum of (t + 1) << (w * s)
-    over its strands, where w is n.bit_length() for n points: field s holds
-    the target of the strand leaving s, plus one, or 0 when none leaves s.
-    `basis` maps the code of every diagram of every basis element to (basis
-    index, number of horizontals), which is all symmetrization looks up.
+    the named ones; `place` ranks them by position, so the places of one
+    arc's points are consecutive.  A diagram is the tuple of its strands
+    (s, t) sorted by source, horizontals as (p, p).  Its code is the int sum
+    of (t + 1) << (w * s) over its strands, where w is n.bit_length() for n
+    points: field s holds the target of the strand leaving s, plus one, or 0
+    when none leaves s.
+
+    The basis is enumerated on the coded points, ordered by occupied pairs,
+    then by the places of the movers, and named once into `elems`, with its
+    idempotents in `left_idem` and `right_idem`: one shared set per subset
+    of the pairs.  `diagrams[i]` lists the diagrams of element i, its movers
+    plus one point per occupied pair, and `by_code` maps the code of each to
+    (i, number of horizontals), which is all collecting looks up.
     """
 
-    def __init__(self, z: ArcDiagram, elems: list):
-        names = sorted(z.points)
-        self.names = names
-        self.code = code = {p: n for n, p in enumerate(names)}
-        self.width = len(names).bit_length()
-        positions = [z.position(p) for p in names]
-        self.arc = [a for a, _ in positions]
-        self.at = [x for _, x in positions]
+    def __init__(self, z: ArcDiagram):
+        self.names = names = sorted(z.points)
+        n = len(names)
+        self.width = n.bit_length()
+        rank_of = {p: r for r, p in enumerate(z.points)}
+        self.place = place = [rank_of[p] for p in names]
+        self.arc = arc = [z.position(p)[0] for p in names]
         match = z.match
-        self.pair = [match[p] for p in names]
-        self.pair_pts = {i: tuple(code[p] for p in z.pair(i)) for i in range(1, z.rank + 1)}
-        self.elems = elems
-        self.expansions = [self.expand(e) for e in elems]
-        self.basis = {
-            self.encode(d): (i, len(e.occupied))
-            for i, (e, exp) in enumerate(zip(elems, self.expansions))
-            for d in exp
-        }
-        # One shared set per one-element output, the usual shape of a product.
-        self.single = [frozenset((i,)) for i in range(len(elems))]
-
-    def expand(self, e: ABasisElem) -> list[tuple]:
-        """All diagrams of a basis element: its movers plus one point per occupied pair."""
-        code = self.code
-        movers = [(code[s], code[t]) for s, t in e.movers]
-        pair_choices = [self.pair_pts[i] for i in sorted(e.occupied)]
-        return [
-            tuple(sorted(movers + [(p, p) for p in combo]))
-            for combo in itertools.product(*pair_choices)
+        self.pair = pair = [match[p] for p in names]
+        pairs = range(1, z.rank + 1)
+        horizontals = {i: tuple((p, p) for p in range(n) if pair[p] == i) for i in pairs}
+        ahead = 1 if z.kind == "alpha" else -1
+        movers = [
+            (s, t)
+            for s in range(n)
+            for t in range(n)
+            if arc[s] == arc[t] and (place[t] - place[s]) * ahead > 0
         ]
+        found = []  # ((occupied, places of the movers), movers, source pairs, target pairs)
+
+        def extend(chosen: tuple, src: int, tgt: int, start: int):
+            touched = src | tgt
+            free = [i for i in pairs if not touched >> i & 1]
+            where = tuple((place[s], place[t]) for s, t in chosen)
+            for r in range(len(free) + 1):
+                for occ in itertools.combinations(free, r):
+                    found.append(((occ, where), chosen, src, tgt))
+            for idx in range(start, len(movers)):
+                s, t = movers[idx]
+                if src >> pair[s] & 1 or tgt >> pair[t] & 1:
+                    continue
+                extend(chosen + ((s, t),), src | 1 << pair[s], tgt | 1 << pair[t], idx + 1)
+
+        extend((), 0, 0, 0)
+        found.sort(key=itemgetter(0))
+        named = {(s, t): (names[s], names[t]) for s, t in movers}
+        subsets = [frozenset(i for i in pairs if m >> i & 1) for m in range(2 << z.rank)]
+        self.elems, self.left_idem, self.right_idem = [], [], []
+        self.diagrams, self.by_code = [], {}
+        for i, ((occ, _), chosen, src, tgt) in enumerate(found):
+            m = sum(1 << p for p in occ)
+            self.elems.append(ABasisElem([named[st] for st in chosen], subsets[m]))
+            self.left_idem.append(subsets[src | m])
+            self.right_idem.append(subsets[tgt | m])
+            ds = [
+                tuple(sorted(chosen + combo))
+                for combo in itertools.product(*[horizontals[p] for p in occ])
+            ]
+            self.diagrams.append(ds)
+            hit = (i, len(occ))
+            for d in ds:
+                self.by_code[self.encode(d)] = hit
+        # One shared set per one-element output, the usual shape of a product.
+        self.single = [frozenset((i,)) for i in range(len(found))]
 
     def encode(self, d) -> int:
         """The code of a diagram given as its strands."""
@@ -86,12 +117,11 @@ class _Coding:
         return sum((t + 1) << (w * s) for s, t in d)
 
     def _crossings(self, d: tuple):
-        """Index pairs (a, b), a < b, of the strands of d that cross."""
-        arc, at = self.arc, self.at
-        for a, b in itertools.combinations(range(len(d)), 2):
-            (s1, t1), (s2, t2) = d[a], d[b]
-            if arc[s1] == arc[s2] and (at[s1] - at[s2]) * (at[t1] - at[t2]) < 0:
-                yield a, b
+        """The pairs of strands of d that cross, each in the order of d."""
+        arc, place = self.arc, self.place
+        for (s1, t1), (s2, t2) in itertools.combinations(d, 2):
+            if arc[s1] == arc[s2] and (place[s1] - place[s2]) * (place[t1] - place[t2]) < 0:
+                yield (s1, t1), (s2, t2)
 
     def profile(self, d: tuple) -> tuple[int, int, int, int]:
         """Crossing masks of d by sources and by targets, then its source and target masks.
@@ -104,28 +134,33 @@ class _Coding:
         """
         n = len(self.names)
         by_src = by_tgt = 0
-        for a, b in self._crossings(d):
-            (s1, t1), (s2, t2) = d[a], d[b]
+        for (s1, t1), (s2, t2) in self._crossings(d):
             by_src |= 1 << (s1 * n + s2)  # d is sorted by source
             by_tgt |= 1 << (t1 * n + t2 if t1 < t2 else t2 * n + t1)
         return by_src, by_tgt, sum(1 << s for s, _ in d), sum(1 << t for _, t in d)
 
-    def resolutions(self, d: tuple) -> list[tuple]:
-        """Resolve one crossing at a time, keeping those that lose exactly one."""
-        base = sum(1 for _ in self._crossings(d))
-        out = []
-        for a, b in self._crossings(d):
-            (s1, t1), (s2, t2) = d[a], d[b]
-            r = list(d)
-            r[a], r[b] = (s1, t2), (s2, t1)
-            r = tuple(r)
-            if sum(1 for _ in self._crossings(r)) == base - 1:
-                out.append(r)
-        return out
+    def resolutions(self, d: tuple) -> list[int]:
+        """The codes of d with one crossing resolved, kept when exactly one crossing is lost.
 
-    def symmetrize(self, diagrams: list) -> frozenset:
-        """Collect a GF(2) multiset of diagrams into basis indices."""
-        return self.collect([self.encode(d) for d in diagrams])
+        Swapping the targets of crossing strands (s1, t1) and (s2, t2) loses
+        1 + 2m crossings, where m counts the strands of d whose source's place
+        is strictly between those of s1 and s2 and whose target's is strictly
+        between those of t1 and t2 (so they lie on the same arc): each crossed
+        both before and crosses neither after, and every other strand crosses
+        as many of the pair as before.  So the swap is kept iff m = 0, and
+        its code is d's code plus the two fields' changes.
+        """
+        place, w = self.place, self.width
+        code = self.encode(d)
+        out = []
+        for (s1, t1), (s2, t2) in self._crossings(d):
+            x1, x2, y1, y2 = place[s1], place[s2], place[t1], place[t2]
+            if not any(
+                (place[s] - x1) * (place[s] - x2) < 0 and (place[t] - y1) * (place[t] - y2) < 0
+                for s, t in d
+            ):
+                out.append(code + (t2 - t1) * ((1 << w * s1) - (1 << w * s2)))
+        return out
 
     def collect(self, codes: list) -> frozenset:
         """Collect a GF(2) multiset of diagram codes into basis indices.
@@ -133,9 +168,9 @@ class _Coding:
         Every code left with odd multiplicity must be a diagram of a basis
         element, and each element met must have all of its diagrams.
         """
-        basis = self.basis
+        by_code = self.by_code
         if len(codes) == 1:
-            hit = basis.get(codes[0])
+            hit = by_code.get(codes[0])
             if hit is not None and not hit[1]:
                 return self.single[hit[0]]
         odd: dict = {}
@@ -146,7 +181,7 @@ class _Coding:
                 odd[c] = None
         counts: dict = {}
         for c in odd:
-            hit = basis.get(c)
+            hit = by_code.get(c)
             if hit is None:
                 raise SymmetrizationError(f"orbit key {self._name(c)} is not a basis element")
             counts[hit] = counts.get(hit, 0) + 1
@@ -191,77 +226,22 @@ class AlgebraModel:
             raise InputError(f"invalid arc diagram: {problems}")
         self.arc_diagram = arc_diagram
         self.k = arc_diagram.rank
-        self.elems: list[ABasisElem] = self._enumerate_elems()
+        self._coding = coding = _Coding(arc_diagram)
+        self.elems: list[ABasisElem] = coding.elems
+        self.left_idem: list[frozenset] = coding.left_idem
+        self.right_idem: list[frozenset] = coding.right_idem
         self.index = {e: i for i, e in enumerate(self.elems)}
         self.idempotent_at = {e.occupied: i for e, i in self.index.items() if not e.movers}
-        self.left_idem: list[frozenset] = []
-        self.right_idem: list[frozenset] = []
-        pair_of = arc_diagram.match
-        for e in self.elems:
-            src_pairs = frozenset(pair_of[s] for s, _ in e.movers)
-            tgt_pairs = frozenset(pair_of[t] for _, t in e.movers)
-            self.left_idem.append(src_pairs | e.occupied)
-            self.right_idem.append(tgt_pairs | e.occupied)
-
-    # -- enumeration -----------------------------------------------------
-
-    def _enumerate_elems(self) -> list[ABasisElem]:
-        """The basis, ordered by occupied pairs, then by the positions of the movers."""
-        z = self.arc_diagram
-        names = sorted(z.points)
-        # Points are coded in name order, so every subsequence of `movers` is
-        # sorted as ABasisElem sorts its movers; `place` ranks the points by
-        # position, which z.points lists them in.
-        rank_of = {p: r for r, p in enumerate(z.points)}
-        place = [rank_of[p] for p in names]
-        arc = [z.position(p)[0] for p in names]
-        match = z.match
-        pair = [match[p] for p in names]
-        n = len(names)
-        ahead = 1 if z.kind == "alpha" else -1
-        movers = [
-            (s, t)
-            for s in range(n)
-            for t in range(n)
-            if arc[s] == arc[t] and (place[t] - place[s]) * ahead > 0
-        ]
-        pairs = range(1, self.k + 1)
-        found = []  # ((occupied, positions of the movers), movers)
-
-        def extend(chosen: tuple, src: int, tgt: int, start: int):
-            touched = src | tgt
-            free = [i for i in pairs if not touched >> i & 1]
-            where = tuple((place[s], place[t]) for s, t in chosen)
-            for r in range(len(free) + 1):
-                for occ in itertools.combinations(free, r):
-                    found.append(((occ, where), chosen))
-            for idx in range(start, len(movers)):
-                s, t = movers[idx]
-                if src >> pair[s] & 1 or tgt >> pair[t] & 1:
-                    continue
-                extend(chosen + ((s, t),), src | 1 << pair[s], tgt | 1 << pair[t], idx + 1)
-
-        extend((), 0, 0, 0)
-        found.sort(key=itemgetter(0))
-        return [
-            ABasisElem(tuple((names[s], names[t]) for s, t in chosen), occ)
-            for (occ, _), chosen in found
-        ]
 
     # -- tables -----------------------------------------------------------
-
-    @cached_property
-    def _coding(self) -> _Coding:
-        """The integer coding that both tables are built from, built on first use."""
-        return _Coding(self.arc_diagram, self.elems)
 
     @cached_property
     def diff_table(self) -> dict[int, frozenset]:
         """Basis index -> indices of its differential, built on first use."""
         coding = self._coding
         return {
-            i: coding.symmetrize([r for d in exp for r in coding.resolutions(d)])
-            for i, exp in enumerate(coding.expansions)
+            i: coding.collect([r for d in ds for r in coding.resolutions(d)])
+            for i, ds in enumerate(coding.diagrams)
         }
 
     @cached_property
@@ -277,9 +257,9 @@ class AlgebraModel:
         # strand, so the composite's code is one sum of shifted fields.
         by_sources: dict = {}  # source mask -> [(j, targets + 1 by source, crossing mask)]
         firsts = []  # per basis element: [(field shifts by target, target mask, crossing mask)]
-        for j, exp in enumerate(coding.expansions):
+        for j, ds in enumerate(coding.diagrams):
             row = []
-            for d in exp:
+            for d in ds:
                 by_src, by_tgt, src, tgt = coding.profile(d)
                 by_sources.setdefault(src, []).append((j, tuple([t + 1 for _, t in d]), by_src))
                 shifts = tuple([w * s for s, _ in sorted(d, key=itemgetter(1))])

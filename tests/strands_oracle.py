@@ -26,6 +26,14 @@ stores every one of the dim^2 pairs, zeros included.  `dense_diff_table`
 resolves the crossings of every diagram of every basis element.  The
 differential tests compare them with the sparse tables the library builds.
 
+The library keeps a resolution by the third-strand rule: swapping the
+targets of two crossing strands loses 1 + 2m crossings, m counting the
+strands that start strictly between their sources and end strictly between
+their targets, so it keeps the swap iff m = 0 and never rebuilds the
+resolved diagram.  The recount is its oracle: `_diagram_diff` and
+`_OrbitCoding.resolutions` build each resolution and keep it when its
+crossing count is one less than the diagram's.
+
 `dga_failures` is the `check ... dga` suite as it was before the
 associativity check visited only the k where a product can be nonzero: it
 tries every triple (i, j, k).  `variants_failures` is the `check ...

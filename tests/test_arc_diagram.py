@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -127,6 +128,21 @@ def test_closed_components_on_the_canonical_diagrams_and_ladders():
     assert [closed_components(ladder(k)) for k in range(1, 7)] == [1, 0, 1, 0, 1, 0]
     # x1 | x2 ... x2k with the ladder's matching: no closed component at odd rank.
     assert closed_components(ladder(3, split=True)) == closed_components(ladder(5, split=True)) == 0
+
+
+def test_closed_components_on_the_rank5_variants_and_the_seeded_sweeps():
+    z = ladder(5)
+    assert [closed_components(v) for v in (reverse(z), flip_type(z), reverse(flip_type(z)))] == [
+        1, 1, 1,
+    ]
+    # The draws of test_strands_oracle._models and of
+    # test_strands.test_random_diagram_oracle_dimension_agreement.
+    rng = random.Random(11)
+    assert [closed_components(random_diagram(rng, max_rank=3)) for _ in range(4)] == [1, 1, 1, 3]
+    rng = random.Random(2024)
+    assert [closed_components(random_diagram(rng, max_rank=2)) for _ in range(6)] == [
+        2, 0, 1, 0, 2, 0,
+    ]
 
 
 def _matchings(points: tuple):

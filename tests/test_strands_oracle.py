@@ -11,6 +11,7 @@ import time
 import pytest
 
 from strands_oracle import (
+    _OrbitCoding,
     _cross_count,
     dense_diff_table,
     dense_mult_table,
@@ -26,7 +27,6 @@ from strandjoin.strands import (
     AlgebraModel,
     ProductTable,
     SymmetrizationError,
-    _Coding,
     enumerate_basis,
     homology_blocks,
     reflect,
@@ -121,8 +121,8 @@ def test_mask_test_agrees_with_crossing_counts():
     # Every composable pair of diagrams: the masks are disjoint exactly when
     # the composite keeps all c1 + c2 crossings.
     for am in _models():
-        z, coding = am.arc_diagram, _Coding(am.arc_diagram, am.elems)
-        diagrams = [d for e in am.elems for d in coding.expand(e)]
+        z, coding = am.arc_diagram, am._coding
+        diagrams = [d for ds in coding.diagrams for d in ds]
         for d1 in diagrams:
             for d2 in diagrams:
                 follow = dict(d2)
@@ -136,35 +136,50 @@ def test_mask_test_agrees_with_crossing_counts():
                 assert kept == (not coding.profile(d1)[1] & coding.profile(d2)[0])
 
 
-def _diagram(coding, *strands):
-    return tuple(sorted((coding.code[s], coding.code[t]) for s, t in strands))
+def test_resolutions_match_the_recount():
+    # The third-strand rule against the oracle, which rebuilds every
+    # resolution and recounts its crossings.
+    crossings = rejected = 0
+    for am in _models() + [enumerate_basis(ladder(4))]:
+        coding, oracle = am._coding, _OrbitCoding(am.arc_diagram, am.elems)
+        for ds in coding.diagrams:
+            for d in ds:
+                kept = [coding.encode(r) for r in oracle.resolutions(d)]
+                assert coding.resolutions(d) == kept, d
+                n = sum(1 for _ in oracle._crossings(d))
+                crossings, rejected = crossings + n, rejected + n - len(kept)
+    assert 0 < rejected < crossings
+
+
+def _code(coding, *strands):
+    return coding.encode((coding.names.index(s), coding.names.index(t)) for s, t in strands)
 
 
 def test_symmetrization_rejects_an_incomplete_orbit():
     am = enumerate_basis(ladder(3))
-    coding = _Coding(am.arc_diagram, am.elems)
+    coding = am._coding
     e = next(e for e in am.elems if e.movers and e.occupied)
-    diagrams = coding.expand(e)
-    assert coding.symmetrize(diagrams) == {am.index[e]}
+    codes = [coding.encode(d) for d in coding.diagrams[am.index[e]]]
+    assert coding.collect(codes) == {am.index[e]}
     with pytest.raises(SymmetrizationError, match="incomplete orbit"):
-        coding.symmetrize(diagrams[:1])
+        coding.collect(codes[:1])
     # A repeated diagram cancels, leaving the orbit incomplete again.
     with pytest.raises(SymmetrizationError, match="incomplete orbit"):
-        coding.symmetrize(diagrams + diagrams[:1])
+        coding.collect(codes + codes[:1])
 
 
 def test_symmetrization_rejects_a_key_outside_the_basis():
     am = enumerate_basis(ladder(3))
-    coding = _Coding(am.arc_diagram, am.elems)
+    coding = am._coding
     # x1 and x4 form pair 1: a mover leaving x1 beside a horizontal at x4
     # occupies pair 1 twice, which no basis element does.
-    d = _diagram(coding, ("x1", "x2"), ("x4", "x4"))
+    d = _code(coding, ("x1", "x2"), ("x4", "x4"))
     with pytest.raises(SymmetrizationError, match="not a basis element"):
-        coding.symmetrize([d])
+        coding.collect([d])
     # Two movers leaving the same pair.
-    d = _diagram(coding, ("x1", "x2"), ("x4", "x5"))
+    d = _code(coding, ("x1", "x2"), ("x4", "x5"))
     with pytest.raises(SymmetrizationError, match="not a basis element"):
-        coding.symmetrize([d])
+        coding.collect([d])
 
 
 _TABLES_SCRIPT = """
