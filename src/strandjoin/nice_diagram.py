@@ -128,6 +128,8 @@ _HANDLE_STRIPS = (
 )
 
 _GLUE = ("glue", "handle-glue")
+# The kinds of the two edges at a corner, a point where alpha meets beta.
+_CORNER_KINDS = ({"alpha", "beta"}, {"alpha", "beta_circle"})
 
 
 class Chart:
@@ -303,19 +305,18 @@ class PlanarDiagram:
 
     def _build_regions(self):
         """Regions: faces joined across glued edges.  Each region records its
-        corners, whether it meets the boundary, its (chart, cycle) faces, and
-        `glued`, which maps a glued edge (face, edge) to its partner's."""
+        corners, whether it meets the boundary, and its (chart, cycle) faces."""
         face_edges = []
         face_charts = []
-        glue_ends: dict = {}  # glue key -> [(face id, edge index)]
+        glue_faces: dict = {}  # glue key -> [face id]
         for chart in self.charts:
             for cycle in self._chart_faces(chart):
                 fid = len(face_edges)
                 face_edges.append(cycle)
                 face_charts.append(chart.name)
-                for ei, e in enumerate(cycle):
+                for e in cycle:
                     if e[2][0] in _GLUE:
-                        glue_ends.setdefault(self._glue_key(e), []).append((fid, ei))
+                        glue_faces.setdefault(self._glue_key(e), []).append(fid)
         parent = list(range(len(face_edges)))
 
         def find(i):
@@ -324,29 +325,18 @@ class PlanarDiagram:
                 i = parent[i]
             return i
 
-        for ends in glue_ends.values():
-            for (a, _), (b, _) in zip(ends, ends[1:]):
+        for fids in glue_faces.values():
+            for a, b in zip(fids, fids[1:]):
                 parent[find(a)] = find(b)
         regions: dict = {}
-        local = []  # face id -> its index among its region's faces
         for fid, cycle in enumerate(face_edges):
-            reg = regions.setdefault(
-                find(fid), {"corners": [], "boundary": False, "faces": [], "glued": {}}
-            )
-            local.append(len(reg["faces"]))
+            reg = regions.setdefault(find(fid), {"corners": [], "boundary": False, "faces": []})
             reg["faces"].append((face_charts[fid], cycle))
             if any(e[2][0] == "boundary" for e in cycle):
                 reg["boundary"] = True
-            # corners: vertices where an alpha-type edge meets a beta-type edge
             for e1, e2 in zip(cycle, cycle[1:] + cycle[:1]):
-                if {e1[2][0], e2[2][0]} in ({"alpha", "beta"}, {"alpha", "beta_circle"}):
+                if {e1[2][0], e2[2][0]} in _CORNER_KINDS:
                     reg["corners"].append((face_charts[fid], e1[1]))
-        for ends in glue_ends.values():
-            for fid, ei in ends:
-                partner = next((o for o in ends if o != (fid, ei)), None)
-                if partner is not None:
-                    glued = regions[find(fid)]["glued"]
-                    glued[(local[fid], ei)] = (local[partner[0]], partner[1])
         return list(regions.values())
 
     def _glue_key(self, e):
@@ -404,58 +394,26 @@ class PlanarDiagram:
 
     # -- structure counting --------------------------------------------------------------
 
-    def _region_cycle(self, reg):
-        """The merged boundary cycle of a region: (chart, edge) pairs,
-        traversed through glued edges."""
-        faces = reg["faces"]
-        start = next(
-            (
-                (fi, ei)
-                for fi, (_, cycle) in enumerate(faces)
-                for ei, e in enumerate(cycle)
-                if e[2][0] not in _GLUE
-            ),
-            None,
-        )
-        if start is None:
-            return []
-        merged = []
-        fi, ei = start
-        visited = set()
-        while (fi, ei) not in visited:
-            visited.add((fi, ei))
-            chart, cycle = faces[fi]
-            e = cycle[ei]
-            if e[2][0] not in _GLUE:
-                merged.append((chart, e))
-            elif (fi, ei) in reg["glued"]:
-                fi, ei = reg["glued"][(fi, ei)]
-                visited.add((fi, ei))
-            ei = (ei + 1) % len(faces[fi][1])
-        return merged
-
     def differential_table(self, gens) -> dict:
         """Count interior rectangle regions connecting generators.
 
-        The boundary of a counted rectangle, traversed with the region on
-        the left, runs along alpha curves from source corners to target
-        corners, so source corners sit at the starts of the alpha runs.
+        Traversed with the region on the left, a rectangle's alpha runs go
+        from source to target corners: a face turns onto alpha at a source
+        and off it at a target.  No corner lies on a glued edge, so both of
+        its edges are in one face.
         """
         genset = set(gens)
         out = {g: set() for g in gens}
         for reg in self.regions:
             if reg["boundary"] or len(reg["corners"]) != 4:
                 continue
-            cycle = self._region_cycle(reg)
-            if not cycle:
-                continue
-            kinds = [e[2][0] for _, e in cycle]
             src_names = []
             tgt_names = []
-            for (chart, e), cur, prev in zip(cycle, kinds, kinds[-1:] + kinds[:-1]):
-                for kind, names in (("alpha", src_names), ("beta", tgt_names)):
-                    if cur.startswith(kind) and not prev.startswith(kind):
-                        names.append(self.point_at.get((chart, e[0])))
+            for chart, cycle in reg["faces"]:
+                for e1, e2 in zip(cycle, cycle[1:] + cycle[:1]):
+                    if {e1[2][0], e2[2][0]} in _CORNER_KINDS:
+                        names = src_names if e2[2][0] == "alpha" else tgt_names
+                        names.append(self.point_at.get((chart, e2[0])))
             if len(src_names) != 2 or len(tgt_names) != 2 or None in src_names + tgt_names:
                 continue
             src = set(src_names)
@@ -585,18 +543,18 @@ def count_domains(d: PlanarDiagram) -> ModuleStructure:
     lidem = {g: occ[g] for g in gens}
     ridem = {g: bocc[g] for g in gens}
     table: dict = {}
-    if d.cap is None:
-        diff = d.differential_table(gens)
-        for g, outs in diff.items():
-            for y in outs:
-                _add(table, ((), g, ()), (None, y, None))
-        left, right = d.action_tables(gens)
-        for (e_idx, g), outs in left.items():
-            for y in outs:
-                _add(table, ((e_idx,), g, ()), (None, y, None))
-        for (e_idx, g), outs in right.items():
-            for y in outs:
-                _add(table, ((), g, (e_idx,)), (None, y, None))
+    # A cap's regions all meet the boundary and its w-points never move, so
+    # its table comes out empty.
+    for g, outs in d.differential_table(gens).items():
+        for y in outs:
+            _add(table, ((), g, ()), (None, y, None))
+    left, right = d.action_tables(gens)
+    for (e_idx, g), outs in left.items():
+        for y in outs:
+            _add(table, ((e_idx,), g, ()), (None, y, None))
+    for (e_idx, g), outs in right.items():
+        for y in outs:
+            _add(table, ((), g, (e_idx,)), (None, y, None))
     return ModuleStructure("AA", am, am, gens, lidem, ridem, table, name="count(slice)" if d.cap is None else "count(cap)")
 
 

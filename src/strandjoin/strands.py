@@ -109,7 +109,7 @@ class _Coding:
             for d in ds:
                 self.by_code[self.encode(d)] = hit
         # One shared set per one-element output, the usual shape of a product.
-        self.single = [frozenset((i,)) for i in range(len(found))]
+        self.single = _Singles()
 
     def encode(self, d) -> int:
         """The code of a diagram given as its strands."""
@@ -200,6 +200,14 @@ class _Coding:
             [(names[s], names[t]) for s, t in ends if t >= 0 and s != t],
             [self.pair[s] for s, t in ends if s == t],
         )
+
+
+class _Singles(dict):
+    """The sets {i}, each made when first read and shared after."""
+
+    def __missing__(self, i):
+        one = self[i] = frozenset((i,))
+        return one
 
 
 class ProductTable(dict):
