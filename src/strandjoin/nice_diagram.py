@@ -27,7 +27,7 @@ from fractions import Fraction
 from .arc_diagram import ArcDiagram, InputError, validate
 from .gf2 import StructureError
 from .strands import ABasisElem, enumerate_basis
-from .ainf import ModuleStructure, _add, check_structure
+from .ainf import ModuleStructure, check_structure
 
 F = Fraction
 
@@ -432,7 +432,10 @@ class PlanarDiagram:
 
         A basis element with k moving strands acts through k simultaneous
         strips, one per strand; the shadows may overlap, and emptiness is
-        measured against the stationary points of the generator.
+        measured against the stationary points of the generator.  The pairs
+        its strands hold and its occupied pairs make up its right idempotent on
+        the left and its left idempotent on the right, so it meets only the
+        generators whose alpha (left) or beta (right) objects are that set.
 
         Returns (left, right): {(elem index, generator) -> set of outputs}.
         """
@@ -441,10 +444,14 @@ class PlanarDiagram:
         tables = ({}, {})
         for side, table in enumerate(tables):
             by_obj = {g: {self.points[n][side][1]: n for n in g} for g in gens}
+            holding: dict = {}  # object set -> its generators, in gens order
+            for g in gens:
+                holding.setdefault(frozenset(by_obj[g]), []).append(g)
+            idem = am.right_idem if side == 0 else am.left_idem
             for e_idx, elem in enumerate(am.elems):
                 if not elem.movers:
                     continue
-                for g in gens:
+                for g in holding.get(idem[e_idx], ()):
                     out = self._multi_strip_move(elem, g, by_obj[g], genset, side)
                     if out is not None:
                         table.setdefault((e_idx, g), set()).add(out)
@@ -455,24 +462,18 @@ class PlanarDiagram:
 
         side 0 acts at the left edge through alpha objects, side 1 at the
         right edge through beta objects; by_obj maps g's objects on that
-        side to its points.  A strand (a, b) moves the point of g at b's
-        pair on the left, at a's pair on the right, through a strip in the
-        square from the edge marks of a and b, and through the handle too
-        when that point is the handle crossing x.
+        side, elem's idempotent there, to g's points.  A strand (a, b) moves
+        the point of g at b's pair on the left, at a's pair on the right,
+        through a strip in the square from the edge marks of a and b, and
+        through the handle too when that point is the handle crossing x.
         """
-        # (held, free): the end of each strand whose pair g holds, and the other
-        ends = [(b, a) if side == 0 else (a, b) for a, b in elem.movers]
-        if elem.occupied != by_obj.keys() - {self.match[held] for held, _ in ends}:
-            return None
         edge = (lambda p: (F(0), self.h[p])) if side == 0 else (lambda p: (F(1), self.tau[p]))
-        moving = set()
-        targets = set()
-        polys = []
-        for (a, b), (held, free) in zip(elem.movers, ends):
+        moving, targets, polys = set(), set(), []
+        for a, b in elem.movers:
+            # the end of the strand whose pair g holds, and the other
+            held, free = (b, a) if side == 0 else (a, b)
             i = self.match[held]
-            name = by_obj.get(i)
-            if name is None:
-                return None
+            name = by_obj[i]
             if name[0] == "y" and name[1 + side] == held:
                 tgt = name[: 1 + side] + (free,) + name[2 + side :]
                 corner = [self.coords[name][1]]
@@ -532,29 +533,16 @@ def count_domains(d: PlanarDiagram) -> ModuleStructure:
     as `compare_with_algebra` does.
     """
     am = enumerate_basis(d.z)
-    gens = d.enumerate_generators()
     # Point names sort the same under every hash seed; set reprs do not.
-    gens = tuple(sorted(gens, key=sorted))
-    occ = {}
-    bocc = {}
-    for g in gens:
-        occ[g] = frozenset(d.points[n][0][1] for n in g)
-        bocc[g] = frozenset(d.points[n][1][1] for n in g)
-    lidem = {g: occ[g] for g in gens}
-    ridem = {g: bocc[g] for g in gens}
-    table: dict = {}
+    gens = tuple(sorted(d.enumerate_generators(), key=sorted))
+    lidem = {g: frozenset(d.points[n][0][1] for n in g) for g in gens}
+    ridem = {g: frozenset(d.points[n][1][1] for n in g) for g in gens}
     # A cap's regions all meet the boundary and its w-points never move, so
     # its table comes out empty.
-    for g, outs in d.differential_table(gens).items():
-        for y in outs:
-            _add(table, ((), g, ()), (None, y, None))
     left, right = d.action_tables(gens)
-    for (e_idx, g), outs in left.items():
-        for y in outs:
-            _add(table, ((e_idx,), g, ()), (None, y, None))
-    for (e_idx, g), outs in right.items():
-        for y in outs:
-            _add(table, ((), g, (e_idx,)), (None, y, None))
+    table = {((), g, ()): {(None, y, None) for y in outs} for g, outs in d.differential_table(gens).items() if outs}
+    table.update({((e,), g, ()): {(None, y, None) for y in outs} for (e, g), outs in left.items()})
+    table.update({((), g, (e,)): {(None, y, None) for y in outs} for (e, g), outs in right.items()})
     return ModuleStructure("AA", am, am, gens, lidem, ridem, table, name="count(slice)" if d.cap is None else "count(cap)")
 
 

@@ -24,27 +24,6 @@ def block_homology(am: AlgebraModel, c: ChainComplexGf2) -> tuple:
     return homology(c)[1:]
 
 
-def _verified_on_homology(am, c1, c2, c3, direct, joined, error: str) -> Gf2Matrix:
-    """Induce two chain-level bilinear maps C1 (x) C2 -> C3 on homology and
-    return the first, or raise StructureError(error) where they differ."""
-    reps1, _ = block_homology(am, c1)
-    reps2, _ = block_homology(am, c2)
-    reps3, coordinates = block_homology(am, c3)
-    induced = []
-    for image_of_pair in (direct, joined):
-        nz = set()
-        for i, r1 in enumerate(reps1):
-            for j, r2 in enumerate(reps2):
-                img = vsum(image_of_pair(x, y) for x in r1 for y in r2)
-                nz.update((("h", k), (i, j)) for k in coordinates(img))
-        induced.append(nz)
-    if induced[0] != induced[1]:
-        raise StructureError(error)
-    rows = tuple(("h", i) for i in range(len(reps3)))
-    cols = tuple((i, j) for i in range(len(reps1)) for j in range(len(reps2)))
-    return Gf2Matrix(rows, cols, induced[0])
-
-
 @once_per_algebra
 def caps(am: AlgebraModel) -> ModuleStructure:
     """The structureless left type-D module with one generator per subset:
@@ -78,7 +57,8 @@ def module_block(N: ModuleStructure, I) -> ChainComplexGf2:
 def action_on_homology(N: ModuleStructure) -> dict:
     """(I, J) -> N's action H(iota_I.A.iota_J) (x) H(iota_J.N) -> H(iota_I.N),
     for each (I, J) with both domain blocks non-empty, read off
-    joined_action(N) and verified against N's table and unit terms."""
+    joined_action(N) and verified against N's table and unit terms: both
+    chain-level actions are induced on homology, and they must agree."""
     am = N.left_alg
     joined = joined_action(N)
     unit = {p: am.idempotent_index(N.lidem[p]) for p in N.gens}
@@ -95,9 +75,19 @@ def action_on_homology(N: ModuleStructure) -> dict:
     induced = {}
     for I in subsets:
         for J in subsets:
-            if blocks[J].dim and (c := gamma_block(am, I, J)).dim:
-                induced[(I, J)] = _verified_on_homology(
-                    am, c, blocks[J], blocks[I], direct, read_off,
-                    "join-composite action disagrees with the direct action",
-                )
+            if not blocks[J].dim or not (c := gamma_block(am, I, J)).dim:
+                continue
+            reps_a, _ = block_homology(am, c)
+            reps_n, _ = block_homology(am, blocks[J])
+            reps_out, coordinates = block_homology(am, blocks[I])
+            cols = tuple((i, j) for i in range(len(reps_a)) for j in range(len(reps_n)))
+            on_direct, on_joined = (
+                {(("h", k), (i, j)) for i, j in cols
+                 for k in coordinates(vsum(act(x, p) for x in reps_a[i] for p in reps_n[j]))}
+                for act in (direct, read_off)
+            )
+            if on_direct != on_joined:
+                raise StructureError("join-composite action disagrees with the direct action")
+            rows = tuple(("h", k) for k in range(len(reps_out)))
+            induced[(I, J)] = Gf2Matrix(rows, cols, on_direct)
     return induced

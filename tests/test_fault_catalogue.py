@@ -12,7 +12,7 @@ import io
 import pytest
 
 from conftest import forget_models, nabla_one_action_term_dropped, nabla_unit_terms
-from strandjoin import ainf, join, standard_models, tensor
+from strandjoin import ainf, join, nice_diagram, standard_models, tensor
 from strandjoin.arc_diagram import Z2, serialize
 from strandjoin.cli import SUITES, run
 from strandjoin.gf2 import ChainComplexError, ChainComplexGf2, StructureError
@@ -77,6 +77,29 @@ def test_homotopy_catches_slots_summed_at_their_own_generator_only(tmp_path, mon
     monkeypatch.setattr(ainf, "_reaching", lambda m: {g: {g} for g in m.gens})
     rc, out = _check(tmp_path, "homotopy")
     assert rc == 2 and "homotopy: FAIL\n  plant-and-recover trial " in out
+
+
+def test_nice_catches_strips_never_blocked(tmp_path, monkeypatch):
+    # Every strip and rectangle counts, whatever points of g lie inside it, so
+    # the counted slice is no longer a bimodule.
+    monkeypatch.setattr(nice_diagram.PlanarDiagram, "_strip_ok", lambda self, g, moving, polys: True)
+    rc, out = _check(tmp_path, "nice")
+    assert rc == 2
+    assert "nice: FAIL\n  slice: counted model fails its structure equation at " in out
+
+
+def test_nice_catches_a_dropped_right_action(tmp_path, monkeypatch):
+    # The count keeps its differential and left action, which still satisfy
+    # the structure equation, but its right action is missing from the table.
+    real = nice_diagram.PlanarDiagram._multi_strip_move
+
+    def left_only(self, elem, g, by_obj, genset, side):
+        return None if side == 1 else real(self, elem, g, by_obj, genset, side)
+
+    monkeypatch.setattr(nice_diagram.PlanarDiagram, "_multi_strip_move", left_only)
+    rc, out = _check(tmp_path, "nice")
+    assert rc == 2
+    assert "nice: FAIL\n  slice: table mismatch at " in out
 
 
 @pytest.mark.xfail(

@@ -4,6 +4,8 @@ import pytest
 
 from strandjoin.arc_diagram import Z0, Z1, Z2, ArcDiagram
 from strandjoin.standard_models import alg_as_aa, elementary
+from strandjoin.strands import enumerate_basis
+from diagrams import ladder
 from nice_oracle import _on_segment
 from strandjoin.nice_diagram import (
     PlanarDiagram,
@@ -152,3 +154,28 @@ def test_cap_circle_counts(am1, am2):
     assert set(d.points) == {("w", 1)}
     d = build_cap_diagram(Z2, frozenset({2}))
     assert set(d.points) == {("w", 1)}
+
+
+def test_action_tables_meet_only_generators_holding_the_idempotent(monkeypatch):
+    """A basis element is tried on the left only against generators whose
+    alpha objects are its right idempotent, and on the right only against
+    those whose beta objects are its left idempotent."""
+    calls = []
+    real = PlanarDiagram._multi_strip_move
+
+    def recorded(self, elem, g, by_obj, genset, side):
+        calls.append((elem, g, side))
+        return real(self, elem, g, by_obj, genset, side)
+
+    monkeypatch.setattr(PlanarDiagram, "_multi_strip_move", recorded)
+    for z, n_calls, n_entries in ((Z2, 128, 40), (ladder(3), 5584, 928)):
+        calls.clear()
+        am = enumerate_basis(z)
+        d = PlanarDiagram(z)
+        left, right = d.action_tables(tuple(sorted(d.enumerate_generators(), key=sorted)))
+        for elem, g, side in calls:
+            e = am.index[elem]
+            idem = am.right_idem[e] if side == 0 else am.left_idem[e]
+            assert frozenset(d.points[n][side][1] for n in g) == idem
+        assert len(calls) == n_calls
+        assert len(left) + len(right) == n_entries
