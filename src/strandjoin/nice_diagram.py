@@ -3,9 +3,10 @@ independent combinatorial oracle against the algebraic models.
 
 The Heegaard surface is modeled as one unit square per arc plus one handle
 chart per matched pair, glued along marked top-edge intervals.  All curves
-are straight segments with exact rational coordinates; intersections,
-region complexes, and the rectangle/strip counts are computed from the
-geometry, never from the algebra.
+are straight segments with exact rational coordinates.  Intersections and
+region complexes are computed from the geometry, and the rectangle and
+strip counts from the regions and the points' order along their arcs,
+never from the algebra.
 
 Coordinates (per square with m marked points p_1..p_m in arc order):
   heights   h(p_i) = i/(m+1) on the left and right edges,
@@ -85,26 +86,6 @@ def _split_segments(segments) -> list:
     return pieces
 
 
-def _in_closed_polygon(p, poly) -> bool:
-    """Whether p lies inside poly or on its boundary, by exact ray crossing
-    (horizontal ray to +x).
-
-    As in `_split_segments`, the tests run on integers: the point and the
-    corners are scaled by their common denominator.
-    """
-    den = math.lcm(*(c.denominator for q in (p, *poly) for c in q))
-    (x, y), *pts = [tuple(c.numerator * (den // c.denominator) for c in q) for q in (p, *poly)]
-    inside = False
-    for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]):
-        dx, dy, wx, wy = x2 - x1, y2 - y1, x - x1, y - y1
-        if (wx, wy) == (0, 0) or (dx * wy == dy * wx and 0 < wx * dx + wy * dy < dx * dx + dy * dy):
-            return True
-        # The crossing x1 + wy * dx / dy lies right of x.
-        if (y1 > y) != (y2 > y) and (wy * dx - wx * dy) * dy > 0:
-            inside = not inside
-    return inside
-
-
 def _direction_key(half) -> tuple:
     """Counterclockwise order of a half-edge's direction: (quadrant, slope)."""
     (x1, y1), (x2, y2), _ = half
@@ -120,12 +101,6 @@ def _direction_key(half) -> tuple:
     # Only quadrants 1 and 3 hold vertical edges; each starts with them.
     return (q, dy / dx if dx else -math.inf)
 
-
-# The strip through a handle, by the end of the handle the moving point sits at.
-_HANDLE_STRIPS = (
-    ((F(1, 4), F(0)), (F(1, 2), F(1, 2)), (F(3, 4), F(0))),
-    ((F(3, 4), F(1)), (F(1, 2), F(1, 2)), (F(1, 4), F(1))),
-)
 
 _GLUE = ("glue", "handle-glue")
 # The kinds of the two edges at a corner, a point where alpha meets beta.
@@ -166,14 +141,14 @@ class PlanarDiagram:
         self.h: dict = {}
         self.tau: dict = {}
         self.eps: dict = {}
-        self.arc_of: dict = {}
+        self.pos: dict = {}  # point -> (arc index, index along the arc)
         for ai, arc in enumerate(z.arcs):
             m = len(arc)
             for i, p in enumerate(arc, start=1):
                 self.h[p] = F(i, m + 1)
                 self.tau[p] = 1 - F(i, m + 1)
                 self.eps[p] = F(1, 4 * (m + 1))
-                self.arc_of[p] = ai
+                self.pos[p] = (ai, i)
         # handle i: bottom end at the globally-first point of the pair
         self.handle_ends: dict = {}
         for i in pairs:
@@ -305,7 +280,10 @@ class PlanarDiagram:
 
     def _build_regions(self):
         """Regions: faces joined across glued edges.  Each region records its
-        corners, whether it meets the boundary, and its (chart, cycle) faces."""
+        corners, whether it meets the boundary, its (chart, cycle) faces, and
+        the points at its source and target corners, where a face traversed
+        with the region on its left turns onto alpha and off it.  No corner
+        lies on a glued edge, so both of its edges are in one face."""
         face_edges = []
         face_charts = []
         glue_faces: dict = {}  # glue key -> [face id]
@@ -330,13 +308,17 @@ class PlanarDiagram:
                 parent[find(a)] = find(b)
         regions: dict = {}
         for fid, cycle in enumerate(face_edges):
-            reg = regions.setdefault(find(fid), {"corners": [], "boundary": False, "faces": []})
+            reg = regions.setdefault(
+                find(fid), {"corners": [], "boundary": False, "faces": [], "sources": [], "targets": []}
+            )
             reg["faces"].append((face_charts[fid], cycle))
             if any(e[2][0] == "boundary" for e in cycle):
                 reg["boundary"] = True
             for e1, e2 in zip(cycle, cycle[1:] + cycle[:1]):
                 if {e1[2][0], e2[2][0]} in _CORNER_KINDS:
-                    reg["corners"].append((face_charts[fid], e1[1]))
+                    corner = (face_charts[fid], e1[1])
+                    reg["corners"].append(corner)
+                    reg["sources" if e2[2][0] == "alpha" else "targets"].append(self.point_at.get(corner))
         return list(regions.values())
 
     def _glue_key(self, e):
@@ -397,33 +379,22 @@ class PlanarDiagram:
     def differential_table(self, gens) -> dict:
         """Count interior rectangle regions connecting generators.
 
-        Traversed with the region on the left, a rectangle's alpha runs go
-        from source to target corners: a face turns onto alpha at a source
-        and off it at a target.  No corner lies on a glued edge, so both of
-        its edges are in one face.
+        A rectangle needs no emptiness test: its faces hold no points but its
+        four corners, and a point of g cannot sit at a target corner, whose
+        alpha object a source corner of g already holds.
         """
         genset = set(gens)
         out = {g: set() for g in gens}
         for reg in self.regions:
             if reg["boundary"] or len(reg["corners"]) != 4:
                 continue
-            src_names = []
-            tgt_names = []
-            for chart, cycle in reg["faces"]:
-                for e1, e2 in zip(cycle, cycle[1:] + cycle[:1]):
-                    if {e1[2][0], e2[2][0]} in _CORNER_KINDS:
-                        names = src_names if e2[2][0] == "alpha" else tgt_names
-                        names.append(self.point_at.get((chart, e2[0])))
-            if len(src_names) != 2 or len(tgt_names) != 2 or None in src_names + tgt_names:
+            src, tgt = set(reg["sources"]), set(reg["targets"])
+            if len(src) != 2 or len(tgt) != 2 or None in src | tgt:
                 continue
-            src = set(src_names)
-            # A rectangle counts only when no other point of g lies inside
-            # or on the boundary of one of its faces.
-            polys = [(chart, [e[0] for e in cyc]) for chart, cyc in reg["faces"]]
             for g in gens:
                 if src <= g:
-                    new = (g - src) | set(tgt_names)
-                    if new in genset and self._strip_ok(g, src, polys):
+                    new = (g - src) | tgt
+                    if new in genset:
                         out[g].add(new)
         return out
 
@@ -463,48 +434,50 @@ class PlanarDiagram:
         side 0 acts at the left edge through alpha objects, side 1 at the
         right edge through beta objects; by_obj maps g's objects on that
         side, elem's idempotent there, to g's points.  A strand (a, b) moves
-        the point of g at b's pair on the left, at a's pair on the right,
-        through a strip in the square from the edge marks of a and b, and
-        through the handle too when that point is the handle crossing x.
+        the point of g at b's pair on the left, y(b, c) or x, at a's pair on
+        the right, y(c, a) or x, through a strip in the square from the edge
+        marks of a and b, and through the handle too when the point is x,
+        for which c is the held end itself.
         """
-        edge = (lambda p: (F(0), self.h[p])) if side == 0 else (lambda p: (F(1), self.tau[p]))
-        moving, targets, polys = set(), set(), []
+        moving, targets, strips = set(), set(), []
         for a, b in elem.movers:
             # the end of the strand whose pair g holds, and the other
             held, free = (b, a) if side == 0 else (a, b)
-            i = self.match[held]
-            name = by_obj[i]
+            name = by_obj[self.match[held]]
             if name[0] == "y" and name[1 + side] == held:
                 tgt = name[: 1 + side] + (free,) + name[2 + side :]
-                corner = [self.coords[name][1]]
+                c = name[2 - side]
             elif name[0] == "x":
-                tgt = ("y", a, b)
-                t, e = self.tau[held], self.eps[held]
-                corner = [(t + e, F(1)), (t - e, F(1))]
+                tgt, c = ("y", a, b), held
             else:
                 return None
             if tgt not in self.points:
                 return None
-            # Around the strip from a's mark: the target's corner comes first
-            # on the left and last on the right.
-            mid = [self.coords[tgt][1], *corner] if side == 0 else [*corner, self.coords[tgt][1]]
-            polys.append((("sq", self.arc_of[a]), [edge(a), *mid, edge(b)]))
-            if name[0] == "x":
-                end = 0 if self.handle_ends[i][0] == held else 1
-                polys.append((("h", i), _HANDLE_STRIPS[end]))
+            strips.append((side, self.pos[a], self.pos[b], self.pos[c]))
             moving.add(name)
             targets.add(tgt)
-        if not self._strip_ok(g, moving, polys):
+        if not self._strip_ok(g, moving, strips):
             return None
         new = frozenset((g - moving) | targets)
         return new if new in genset else None
 
-    def _strip_ok(self, g, moving, polys) -> bool:
-        """Whether no point of g outside `moving` lies in one of the polygons."""
+    def _strip_ok(self, g, moving, strips) -> bool:
+        """Whether no point of g outside `moving` lies in one of the strips.
+
+        A strip (side, pos(a), pos(b), pos(c)) is bounded by the pieces of a
+        and b on that side and the crossing piece of c.  From the left edge
+        an alpha piece meets the beta pieces in falling arc order, from the
+        right edge a beta piece meets the alpha pieces in rising order, and
+        a position starts with its arc.  A handle chart holds only its own
+        x, which is the moving point, so no x blocks.
+        """
         for name in g - moving:
-            chart, p = self.coords[name]
-            if any(pchart == chart and _in_closed_polygon(p, poly) for pchart, poly in polys):
-                return False
+            if name[0] != "y":
+                continue
+            p, q = self.pos[name[1]], self.pos[name[2]]
+            for side, a, b, c in strips:
+                if (a <= p <= b and q >= c) if side == 0 else (a <= q <= b and p <= c):
+                    return False
         return True
 
 

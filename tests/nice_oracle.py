@@ -4,11 +4,9 @@
 charts and replaces everything after it with the original methods: faces
 walked over dict half-edges, glue keys recomputed per region, generators
 filtered from every subset of points, a mirrored left/right copy of the
-strip move, and a point scan for each vertex name.
-
-`in_closed_polygon` is the strip and rectangle emptiness test on `Fraction`
-coordinates, the reference for the library's integer-scaled
-`_in_closed_polygon`.
+strip move with its `Fraction` strip polygons, a point scan for each vertex
+name, and an emptiness test for every rectangle and strip: no other point of
+the generator inside a polygon or on its boundary.
 """
 
 from __future__ import annotations
@@ -27,20 +25,6 @@ def _on_segment(p, a, b) -> bool:
     dot = (p[0] - a[0]) * (b[0] - a[0]) + (p[1] - a[1]) * (b[1] - a[1])
     sq = (b[0] - a[0]) ** 2 + (b[1] - a[1]) ** 2
     return 0 < dot < sq
-
-
-def in_closed_polygon(p, poly) -> bool:
-    """Whether p lies inside poly or on its boundary, by exact ray crossing
-    (horizontal ray to +x)."""
-    x, y = p
-    inside = False
-    for q1, q2 in zip(poly, poly[1:] + poly[:1]):
-        if p == q1 or _on_segment(p, q1, q2):
-            return True
-        (x1, y1), (x2, y2) = q1, q2
-        if (y1 > y) != (y2 > y) and x1 + (y - y1) * (x2 - x1) / (y2 - y1) > x:
-            inside = not inside
-    return inside
 
 
 def _point_in_polygon(p, poly) -> bool:
@@ -356,7 +340,7 @@ class OraclePlanarDiagram(PlanarDiagram):
                     tgt = ("y", a, c)
                     if tgt not in self.points:
                         return None
-                    arc = self.arc_of[a]
+                    arc = self.pos[a][0]
                     poly = [
                         (F(0), self.h[a]),
                         self.coords[tgt][1],
@@ -384,7 +368,7 @@ class OraclePlanarDiagram(PlanarDiagram):
                     tgt = ("y", c, b)
                     if tgt not in self.points:
                         return None
-                    arc = self.arc_of[a]
+                    arc = self.pos[a][0]
                     poly = [
                         (F(1), self.tau[a]),
                         self.coords[name][1],
@@ -416,7 +400,7 @@ class OraclePlanarDiagram(PlanarDiagram):
 
     def _handle_strip_polys(self, a, b, i, side):
         """Strip through handle i for the horizontal-to-strand move."""
-        arc = self.arc_of[a]
+        arc = self.pos[a][0]
         tgt = self.coords[("y", a, b)][1]
         if side == "left":
             p = b

@@ -1,8 +1,9 @@
 """Differential tests: `PlanarDiagram` against the original methods in
 `tests/nice_oracle.py`, on the ladder diagrams and seeded random ones, each
 as a twisting slice and with every cap, and on the slices of every rank-3
-diagram with one arc or two.  Every strip and rectangle emptiness test the
-library makes on the ladders and random diagrams is also run on `Fraction`s."""
+diagram with one arc or two.  The sweeps of the ladders and random diagrams
+assert that the oracle's polygon emptiness test both passes and blocks, so
+the library's arc-order rule is compared on cases of either outcome."""
 
 from __future__ import annotations
 
@@ -11,9 +12,8 @@ from itertools import combinations
 
 import pytest
 
-from nice_oracle import OraclePlanarDiagram, in_closed_polygon
+from nice_oracle import OraclePlanarDiagram
 from diagrams import random_diagram
-from strandjoin import nice_diagram
 from strandjoin.arc_diagram import Z0, Z1, Z2, ArcDiagram, flip_type
 from strandjoin.nice_diagram import PlanarDiagram, count_domains
 
@@ -26,18 +26,16 @@ R3_NESTED = ArcDiagram((_POINTS,), {p: min(i, 5 - i) + 1 for i, p in enumerate(_
 
 @pytest.fixture
 def polygon_tests(monkeypatch) -> list:
-    """The outcomes of the library's point-in-polygon tests, each checked
-    against the `Fraction` version as it is made."""
+    """The outcomes of the oracle's polygon emptiness tests, as they are made."""
     outcomes = []
-    scaled = nice_diagram._in_closed_polygon
+    polygons = OraclePlanarDiagram._strip_ok
 
-    def checked(p, poly):
-        got = scaled(p, poly)
-        assert got == in_closed_polygon(p, poly), (p, poly)
+    def recorded(self, g, moving, polys):
+        got = polygons(self, g, moving, polys)
         outcomes.append(got)
         return got
 
-    monkeypatch.setattr(nice_diagram, "_in_closed_polygon", checked)
+    monkeypatch.setattr(OraclePlanarDiagram, "_strip_ok", recorded)
     return outcomes
 
 
@@ -123,11 +121,12 @@ def test_random_diagrams_match_oracle(polygon_tests):
 
 
 def test_rank3_one_or_two_arc_slices_match_oracle():
-    """The regions and rectangle counts of every slice on ROADMAP item 6's
-    list of rank-3 diagrams, against the oracle's merged-boundary walk."""
+    """The regions, rectangle counts and strip actions of every slice on
+    ROADMAP item 6's list of rank-3 diagrams, against the oracle's
+    merged-boundary walk and polygon emptiness test."""
     diagrams = _rank3_one_or_two_arc_diagrams()
     assert len(diagrams) == 60
-    rectangles = 0
+    rectangles = actions = 0
     for z in diagrams:
         new, old = PlanarDiagram(z), OraclePlanarDiagram(z)
         assert len(new.regions) == len(old.regions)
@@ -137,4 +136,8 @@ def test_rank3_one_or_two_arc_slices_match_oracle():
         table = new.differential_table(gens)
         assert table == old.differential_table(gens)
         rectangles += sum(map(len, table.values()))
+        left, right = new.action_tables(gens)
+        assert (left, right) == old.action_tables(gens)
+        actions += sum(map(len, left.values())) + sum(map(len, right.values()))
     assert rectangles > 0
+    assert actions == 18790
